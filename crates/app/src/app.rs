@@ -15,13 +15,11 @@ use crate::cache::CacheClient;
 use crate::photos::PhotoClient;
 use janus_core::{Endpoint, QosClient};
 use janus_net::http::{HttpHandler, HttpRequest, HttpResponse, HttpServer, StatusCode};
+use janus_types::sync::Mutex;
 use janus_types::{QosKey, Result};
-use std::future::Future;
 use std::net::SocketAddr;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use tokio::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, MutexGuard};
 
 /// A small round-robin pool of lazily-connected clients.
 ///
@@ -45,9 +43,9 @@ impl<T> ClientPool<T> {
     }
 
     /// Lock one slot (round robin; waits only if that slot is busy).
-    async fn acquire(&self) -> MutexGuard<'_, Option<T>> {
+    fn acquire(&self) -> MutexGuard<'_, Option<T>> {
         let index = self.cursor.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        self.slots[index].lock().await
+        self.slots[index].lock()
     }
 }
 
@@ -98,10 +96,12 @@ impl AppHandler {
             .unwrap_or_else(|| peer.ip().to_string())
     }
 
-    async fn qos_allows(&self, ip: &str) -> bool {
+    fn qos_allows(&self, ip: &str) -> bool {
         let Some(qos) = &self.qos else { return true };
-        let Ok(key) = QosKey::new(ip) else { return false };
-        let mut slot = qos.acquire().await;
+        let Ok(key) = QosKey::new(ip) else {
+            return false;
+        };
+        let mut slot = qos.acquire();
         if slot.is_none() {
             *slot = Some(QosClient::new(
                 self.config
@@ -113,19 +113,19 @@ impl AppHandler {
         let client = slot.as_mut().expect("just created");
         // On transport failure the wrapper fails open: the paper's demo
         // prefers serving over erroring when the QoS system is down.
-        client.qos_check(&key).await.unwrap_or(true)
+        client.qos_check(&key).unwrap_or(true)
     }
 
-    async fn render_index(&self, ip: &str) -> Result<HttpResponse> {
+    fn render_index(&self, ip: &str) -> Result<HttpResponse> {
         // Session via the cache server (step b).
         let session_key = format!("session:{ip}");
         {
-            let mut guard = self.cache.acquire().await;
+            let mut guard = self.cache.acquire();
             if guard.is_none() {
-                *guard = Some(CacheClient::connect(self.config.cache_addr).await?);
+                *guard = Some(CacheClient::connect(self.config.cache_addr)?);
             }
             let cache = guard.as_mut().expect("just connected");
-            let visits = match cache.get(&session_key).await {
+            let visits = match cache.get(&session_key) {
                 Ok(Some(bytes)) => String::from_utf8_lossy(&bytes).parse().unwrap_or(0u64) + 1,
                 Ok(None) => 1,
                 Err(e) => {
@@ -133,7 +133,7 @@ impl AppHandler {
                     return Err(e);
                 }
             };
-            if let Err(e) = cache.set(&session_key, visits.to_string().as_bytes()).await {
+            if let Err(e) = cache.set(&session_key, visits.to_string().as_bytes()) {
                 *guard = None;
                 return Err(e);
             }
@@ -141,12 +141,12 @@ impl AppHandler {
 
         // Latest uploads via the photo store (step c).
         let photos = {
-            let mut guard = self.photos.acquire().await;
+            let mut guard = self.photos.acquire();
             if guard.is_none() {
-                *guard = Some(PhotoClient::connect(self.config.photo_addr).await?);
+                *guard = Some(PhotoClient::connect(self.config.photo_addr)?);
             }
             let client = guard.as_mut().expect("just connected");
-            match client.latest(self.config.latest_count).await {
+            match client.latest(self.config.latest_count) {
                 Ok(photos) => photos,
                 Err(e) => {
                     *guard = None;
@@ -167,21 +167,20 @@ impl AppHandler {
         Ok(HttpResponse::html(html))
     }
 
-    async fn handle_upload(&self, request: &HttpRequest) -> HttpResponse {
-        let (Some(user), Some(title)) =
-            (request.query_param("user"), request.query_param("title"))
+    fn handle_upload(&self, request: &HttpRequest) -> HttpResponse {
+        let (Some(user), Some(title)) = (request.query_param("user"), request.query_param("title"))
         else {
             return HttpResponse::status(StatusCode::BAD_REQUEST);
         };
-        let mut guard = self.photos.acquire().await;
+        let mut guard = self.photos.acquire();
         if guard.is_none() {
-            match PhotoClient::connect(self.config.photo_addr).await {
+            match PhotoClient::connect(self.config.photo_addr) {
                 Ok(client) => *guard = Some(client),
                 Err(_) => return HttpResponse::status(StatusCode::SERVICE_UNAVAILABLE),
             }
         }
         let client = guard.as_mut().expect("connected");
-        match client.add(&user, &title).await {
+        match client.add(&user, &title) {
             Ok(id) => {
                 self.stats.uploads.fetch_add(1, Ordering::Relaxed);
                 HttpResponse::ok(format!("uploaded #{id}"))
@@ -195,30 +194,24 @@ impl AppHandler {
 }
 
 impl HttpHandler for AppHandler {
-    fn handle(
-        &self,
-        request: HttpRequest,
-        peer: SocketAddr,
-    ) -> Pin<Box<dyn Future<Output = HttpResponse> + Send + '_>> {
-        Box::pin(async move {
-            let ip = Self::client_ip(&request, peer);
-            // The paper's wrapper: QoS check before anything else.
-            if !self.qos_allows(&ip).await {
-                self.stats.throttled.fetch_add(1, Ordering::Relaxed);
-                return HttpResponse::forbidden();
-            }
-            match (request.method, request.path()) {
-                (janus_net::http::Method::Get, "/") => match self.render_index(&ip).await {
-                    Ok(response) => {
-                        self.stats.served.fetch_add(1, Ordering::Relaxed);
-                        response
-                    }
-                    Err(_) => HttpResponse::status(StatusCode::SERVICE_UNAVAILABLE),
-                },
-                (janus_net::http::Method::Post, "/upload") => self.handle_upload(&request).await,
-                _ => HttpResponse::status(StatusCode::NOT_FOUND),
-            }
-        })
+    fn handle(&self, request: HttpRequest, peer: SocketAddr) -> HttpResponse {
+        let ip = Self::client_ip(&request, peer);
+        // The paper's wrapper: QoS check before anything else.
+        if !self.qos_allows(&ip) {
+            self.stats.throttled.fetch_add(1, Ordering::Relaxed);
+            return HttpResponse::forbidden();
+        }
+        match (request.method, request.path()) {
+            (janus_net::http::Method::Get, "/") => match self.render_index(&ip) {
+                Ok(response) => {
+                    self.stats.served.fetch_add(1, Ordering::Relaxed);
+                    response
+                }
+                Err(_) => HttpResponse::status(StatusCode::SERVICE_UNAVAILABLE),
+            },
+            (janus_net::http::Method::Post, "/upload") => self.handle_upload(&request),
+            _ => HttpResponse::status(StatusCode::NOT_FOUND),
+        }
     }
 }
 
@@ -230,7 +223,7 @@ pub struct PhotoApp {
 
 impl PhotoApp {
     /// Spawn the app.
-    pub async fn spawn(config: AppConfig) -> Result<PhotoApp> {
+    pub fn spawn(config: AppConfig) -> Result<PhotoApp> {
         let stats = Arc::new(AppStats::default());
         let qos = config.qos.as_ref().map(|_| ClientPool::new(POOL_SIZE));
         let handler = Arc::new(AppHandler {
@@ -240,7 +233,7 @@ impl PhotoApp {
             photos: ClientPool::new(POOL_SIZE),
             stats: Arc::clone(&stats),
         });
-        let http = HttpServer::spawn(handler).await?;
+        let http = HttpServer::spawn(handler as Arc<dyn HttpHandler>)?;
         Ok(PhotoApp { http, stats })
     }
 
@@ -270,73 +263,66 @@ mod tests {
     use janus_net::http::HttpClient;
     use std::time::Duration;
 
-    async fn substrate() -> (CacheServer, PhotoServer) {
+    fn substrate() -> (CacheServer, PhotoServer) {
         (
-            CacheServer::spawn().await.unwrap(),
-            PhotoServer::spawn(Duration::ZERO).await.unwrap(),
+            CacheServer::spawn().unwrap(),
+            PhotoServer::spawn(Duration::ZERO).unwrap(),
         )
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn serves_index_without_qos() {
-        let (cache, photos) = substrate().await;
-        let mut seed = PhotoClient::connect(photos.addr()).await.unwrap();
-        seed.add("alice", "first light").await.unwrap();
+    #[test]
+    fn serves_index_without_qos() {
+        let (cache, photos) = substrate();
+        let mut seed = PhotoClient::connect(photos.addr()).unwrap();
+        seed.add("alice", "first light").unwrap();
         let app = PhotoApp::spawn(AppConfig {
             cache_addr: cache.addr(),
             photo_addr: photos.addr(),
             qos: None,
             latest_count: 10,
         })
-        .await
         .unwrap();
-        let resp = HttpClient::oneshot(app.addr(), &HttpRequest::get("/"))
-            .await
-            .unwrap();
+        let resp = HttpClient::oneshot(app.addr(), &HttpRequest::get("/")).unwrap();
         assert_eq!(resp.status, StatusCode::OK);
-        assert!(resp.body_text().contains("first light"), "{}", resp.body_text());
+        assert!(
+            resp.body_text().contains("first light"),
+            "{}",
+            resp.body_text()
+        );
         assert_eq!(app.stats().served.load(Ordering::Relaxed), 1);
         assert!(cache.hits() + cache.misses() >= 1);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn uploads_appear_on_index() {
-        let (cache, photos) = substrate().await;
+    #[test]
+    fn uploads_appear_on_index() {
+        let (cache, photos) = substrate();
         let app = PhotoApp::spawn(AppConfig {
             cache_addr: cache.addr(),
             photo_addr: photos.addr(),
             qos: None,
             latest_count: 10,
         })
-        .await
         .unwrap();
         let resp = HttpClient::oneshot(
             app.addr(),
             &HttpRequest::post("/upload?user=bob&title=my+cat", ""),
         )
-        .await
         .unwrap();
         assert_eq!(resp.status, StatusCode::OK, "{}", resp.body_text());
-        let index = HttpClient::oneshot(app.addr(), &HttpRequest::get("/"))
-            .await
-            .unwrap();
+        let index = HttpClient::oneshot(app.addr(), &HttpRequest::get("/")).unwrap();
         assert!(index.body_text().contains("my cat"));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn qos_wrapper_throttles_like_the_paper_snippet() {
-        let (cache, photos) = substrate().await;
+    #[test]
+    fn qos_wrapper_throttles_like_the_paper_snippet() {
+        let (cache, photos) = substrate();
         // Rule for this client's IP: 3 requests, no refill.
         let mut config = DeploymentConfig::default();
         config.qos_servers = 1;
         config.routers = 1;
-        config.rules = vec![QosRule::per_second(
-            QosKey::new("127.0.0.1").unwrap(),
-            3,
-            0,
-        )];
+        config.rules = vec![QosRule::per_second(QosKey::new("127.0.0.1").unwrap(), 3, 0)];
         config.default_verdict = Verdict::Deny;
-        let deployment = Deployment::launch(config).await.unwrap();
+        let deployment = Deployment::launch(config).unwrap();
 
         let app = PhotoApp::spawn(AppConfig {
             cache_addr: cache.addr(),
@@ -344,14 +330,11 @@ mod tests {
             qos: Some(deployment.endpoint()),
             latest_count: 5,
         })
-        .await
         .unwrap();
 
         let mut statuses = Vec::new();
         for _ in 0..5 {
-            let resp = HttpClient::oneshot(app.addr(), &HttpRequest::get("/"))
-                .await
-                .unwrap();
+            let resp = HttpClient::oneshot(app.addr(), &HttpRequest::get("/")).unwrap();
             statuses.push(resp.status);
         }
         assert_eq!(
@@ -368,25 +351,22 @@ mod tests {
         assert_eq!(app.stats().throttled.load(Ordering::Relaxed), 2);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn throttled_requests_skip_the_application_entirely() {
-        let (cache, photos) = substrate().await;
+    #[test]
+    fn throttled_requests_skip_the_application_entirely() {
+        let (cache, photos) = substrate();
         let mut config = DeploymentConfig::default();
         config.qos_servers = 1;
         config.routers = 1;
         config.default_verdict = Verdict::Deny; // no rule for 127.0.0.1 -> deny
-        let deployment = Deployment::launch(config).await.unwrap();
+        let deployment = Deployment::launch(config).unwrap();
         let app = PhotoApp::spawn(AppConfig {
             cache_addr: cache.addr(),
             photo_addr: photos.addr(),
             qos: Some(deployment.endpoint()),
             latest_count: 5,
         })
-        .await
         .unwrap();
-        let resp = HttpClient::oneshot(app.addr(), &HttpRequest::get("/"))
-            .await
-            .unwrap();
+        let resp = HttpClient::oneshot(app.addr(), &HttpRequest::get("/")).unwrap();
         assert_eq!(resp.status, StatusCode::FORBIDDEN);
         // Neither the cache nor the photo store saw the request.
         assert_eq!(cache.hits() + cache.misses(), 0);

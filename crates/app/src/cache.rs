@@ -9,68 +9,42 @@
 //! delete <key>\r\n                     ->  DELETED\r\n | NOT_FOUND\r\n
 //! ```
 
+use janus_net::TcpService;
+use janus_types::sync::RwLock;
 use janus_types::{JanusError, Result};
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tokio::io::{AsyncBufReadExt, AsyncReadExt, AsyncWriteExt, BufReader};
-use tokio::net::{TcpListener, TcpStream};
 
 const MAX_VALUE_BYTES: usize = 1024 * 1024;
 
-/// A running cache server.
+/// A running cache server: a [`TcpService`], one thread per connection.
 pub struct CacheServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    tcp: TcpService,
     hits: Arc<AtomicU64>,
     misses: Arc<AtomicU64>,
 }
 
-type Store = Arc<RwLock<HashMap<String, Vec<u8>>>>;
+type Store = RwLock<HashMap<String, Vec<u8>>>;
 
 impl CacheServer {
     /// Bind an ephemeral loopback port and serve.
-    pub async fn spawn() -> Result<CacheServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).await?;
-        let addr = listener.local_addr()?;
-        let store: Store = Arc::new(RwLock::new(HashMap::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
+    pub fn spawn() -> Result<CacheServer> {
+        let store: Store = RwLock::new(HashMap::new());
         let hits = Arc::new(AtomicU64::new(0));
         let misses = Arc::new(AtomicU64::new(0));
-
-        let flag = Arc::clone(&shutdown);
-        let (hits_task, misses_task) = (Arc::clone(&hits), Arc::clone(&misses));
-        tokio::spawn(async move {
-            loop {
-                let (stream, _) = match listener.accept().await {
-                    Ok(x) => x,
-                    Err(_) => break,
-                };
-                if flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                let store = Arc::clone(&store);
-                let hits = Arc::clone(&hits_task);
-                let misses = Arc::clone(&misses_task);
-                tokio::spawn(async move {
-                    let _ = serve(stream, store, hits, misses).await;
-                });
-            }
-        });
-
-        Ok(CacheServer {
-            addr,
-            shutdown,
-            hits,
-            misses,
-        })
+        let (conn_hits, conn_misses) = (Arc::clone(&hits), Arc::clone(&misses));
+        let tcp = TcpService::spawn("cache", move |stream, _peer, _stop| {
+            let _ = serve(stream, &store, &conn_hits, &conn_misses);
+        })?;
+        Ok(CacheServer { tcp, hits, misses })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.tcp.addr()
     }
 
     /// GET hits so far.
@@ -85,29 +59,17 @@ impl CacheServer {
 
     /// Stop accepting connections.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        janus_net::poke_listener(self.addr);
+        self.tcp.shutdown();
     }
 }
 
-impl Drop for CacheServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-}
-
-async fn serve(
-    stream: TcpStream,
-    store: Store,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-) -> Result<()> {
+fn serve(stream: TcpStream, store: &Store, hits: &AtomicU64, misses: &AtomicU64) -> Result<()> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line).await? == 0 {
+        if reader.read_line(&mut line)? == 0 {
             return Ok(());
         }
         let parts: Vec<&str> = line.trim_end().split(' ').collect();
@@ -116,15 +78,15 @@ async fn serve(
                 let len: usize = match bytes.parse() {
                     Ok(n) if n <= MAX_VALUE_BYTES => n,
                     _ => {
-                        reader.get_mut().write_all(b"CLIENT_ERROR bad length\r\n").await?;
+                        reader.get_mut().write_all(b"CLIENT_ERROR bad length\r\n")?;
                         continue;
                     }
                 };
                 let mut data = vec![0u8; len + 2]; // value + trailing \r\n
-                reader.read_exact(&mut data).await?;
+                reader.read_exact(&mut data)?;
                 data.truncate(len);
                 store.write().insert(key.to_string(), data);
-                reader.get_mut().write_all(b"STORED\r\n").await?;
+                reader.get_mut().write_all(b"STORED\r\n")?;
             }
             ["get", key] => {
                 let value = store.read().get(*key).cloned();
@@ -132,23 +94,27 @@ async fn serve(
                     Some(data) => {
                         hits.fetch_add(1, Ordering::Relaxed);
                         let header = format!("VALUE {key} {}\r\n", data.len());
-                        reader.get_mut().write_all(header.as_bytes()).await?;
-                        reader.get_mut().write_all(&data).await?;
-                        reader.get_mut().write_all(b"\r\nEND\r\n").await?;
+                        reader.get_mut().write_all(header.as_bytes())?;
+                        reader.get_mut().write_all(&data)?;
+                        reader.get_mut().write_all(b"\r\nEND\r\n")?;
                     }
                     None => {
                         misses.fetch_add(1, Ordering::Relaxed);
-                        reader.get_mut().write_all(b"END\r\n").await?;
+                        reader.get_mut().write_all(b"END\r\n")?;
                     }
                 }
             }
             ["delete", key] => {
                 let existed = store.write().remove(*key).is_some();
-                let reply: &[u8] = if existed { b"DELETED\r\n" } else { b"NOT_FOUND\r\n" };
-                reader.get_mut().write_all(reply).await?;
+                let reply: &[u8] = if existed {
+                    b"DELETED\r\n"
+                } else {
+                    b"NOT_FOUND\r\n"
+                };
+                reader.get_mut().write_all(reply)?;
             }
             _ => {
-                reader.get_mut().write_all(b"ERROR\r\n").await?;
+                reader.get_mut().write_all(b"ERROR\r\n")?;
             }
         }
     }
@@ -162,8 +128,8 @@ pub struct CacheClient {
 
 impl CacheClient {
     /// Connect to a cache server.
-    pub async fn connect(addr: SocketAddr) -> Result<CacheClient> {
-        let stream = TcpStream::connect(addr).await?;
+    pub fn connect(addr: SocketAddr) -> Result<CacheClient> {
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(CacheClient {
             reader: BufReader::new(stream),
@@ -171,13 +137,13 @@ impl CacheClient {
     }
 
     /// Store a value.
-    pub async fn set(&mut self, key: &str, value: &[u8]) -> Result<()> {
+    pub fn set(&mut self, key: &str, value: &[u8]) -> Result<()> {
         let header = format!("set {key} {}\r\n", value.len());
-        self.reader.get_mut().write_all(header.as_bytes()).await?;
-        self.reader.get_mut().write_all(value).await?;
-        self.reader.get_mut().write_all(b"\r\n").await?;
+        self.reader.get_mut().write_all(header.as_bytes())?;
+        self.reader.get_mut().write_all(value)?;
+        self.reader.get_mut().write_all(b"\r\n")?;
         let mut line = String::new();
-        self.reader.read_line(&mut line).await?;
+        self.reader.read_line(&mut line)?;
         if line.trim_end() == "STORED" {
             Ok(())
         } else {
@@ -186,11 +152,11 @@ impl CacheClient {
     }
 
     /// Fetch a value, `None` on miss.
-    pub async fn get(&mut self, key: &str) -> Result<Option<Vec<u8>>> {
+    pub fn get(&mut self, key: &str) -> Result<Option<Vec<u8>>> {
         let command = format!("get {key}\r\n");
-        self.reader.get_mut().write_all(command.as_bytes()).await?;
+        self.reader.get_mut().write_all(command.as_bytes())?;
         let mut line = String::new();
-        self.reader.read_line(&mut line).await?;
+        self.reader.read_line(&mut line)?;
         let line = line.trim_end();
         if line == "END" {
             return Ok(None);
@@ -200,10 +166,10 @@ impl CacheClient {
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| JanusError::state(format!("bad cache reply {line:?}")))?;
         let mut data = vec![0u8; len + 2];
-        self.reader.read_exact(&mut data).await?;
+        self.reader.read_exact(&mut data)?;
         data.truncate(len);
         let mut end = String::new();
-        self.reader.read_line(&mut end).await?;
+        self.reader.read_line(&mut end)?;
         if end.trim_end() != "END" {
             return Err(JanusError::state(format!("bad cache trailer {end:?}")));
         }
@@ -211,11 +177,11 @@ impl CacheClient {
     }
 
     /// Delete a key; true if it existed.
-    pub async fn delete(&mut self, key: &str) -> Result<bool> {
+    pub fn delete(&mut self, key: &str) -> Result<bool> {
         let command = format!("delete {key}\r\n");
-        self.reader.get_mut().write_all(command.as_bytes()).await?;
+        self.reader.get_mut().write_all(command.as_bytes())?;
         let mut line = String::new();
-        self.reader.read_line(&mut line).await?;
+        self.reader.read_line(&mut line)?;
         Ok(line.trim_end() == "DELETED")
     }
 }
@@ -224,80 +190,74 @@ impl CacheClient {
 mod tests {
     use super::*;
 
-    #[tokio::test]
-    async fn set_get_roundtrip() {
-        let server = CacheServer::spawn().await.unwrap();
-        let mut client = CacheClient::connect(server.addr()).await.unwrap();
-        assert_eq!(client.get("session:1").await.unwrap(), None);
-        client.set("session:1", b"user=alice").await.unwrap();
+    #[test]
+    fn set_get_roundtrip() {
+        let server = CacheServer::spawn().unwrap();
+        let mut client = CacheClient::connect(server.addr()).unwrap();
+        assert_eq!(client.get("session:1").unwrap(), None);
+        client.set("session:1", b"user=alice").unwrap();
         assert_eq!(
-            client.get("session:1").await.unwrap().as_deref(),
+            client.get("session:1").unwrap().as_deref(),
             Some(&b"user=alice"[..])
         );
         assert_eq!(server.hits(), 1);
         assert_eq!(server.misses(), 1);
     }
 
-    #[tokio::test]
-    async fn values_with_newlines_survive() {
-        let server = CacheServer::spawn().await.unwrap();
-        let mut client = CacheClient::connect(server.addr()).await.unwrap();
+    #[test]
+    fn values_with_newlines_survive() {
+        let server = CacheServer::spawn().unwrap();
+        let mut client = CacheClient::connect(server.addr()).unwrap();
         let payload = b"line1\r\nline2\nEND\r\nmore";
-        client.set("tricky", payload).await.unwrap();
-        assert_eq!(
-            client.get("tricky").await.unwrap().as_deref(),
-            Some(&payload[..])
-        );
+        client.set("tricky", payload).unwrap();
+        assert_eq!(client.get("tricky").unwrap().as_deref(), Some(&payload[..]));
     }
 
-    #[tokio::test]
-    async fn delete_semantics() {
-        let server = CacheServer::spawn().await.unwrap();
-        let mut client = CacheClient::connect(server.addr()).await.unwrap();
-        client.set("k", b"v").await.unwrap();
-        assert!(client.delete("k").await.unwrap());
-        assert!(!client.delete("k").await.unwrap());
-        assert_eq!(client.get("k").await.unwrap(), None);
+    #[test]
+    fn delete_semantics() {
+        let server = CacheServer::spawn().unwrap();
+        let mut client = CacheClient::connect(server.addr()).unwrap();
+        client.set("k", b"v").unwrap();
+        assert!(client.delete("k").unwrap());
+        assert!(!client.delete("k").unwrap());
+        assert_eq!(client.get("k").unwrap(), None);
     }
 
-    #[tokio::test]
-    async fn overwrite_replaces_value() {
-        let server = CacheServer::spawn().await.unwrap();
-        let mut client = CacheClient::connect(server.addr()).await.unwrap();
-        client.set("k", b"old").await.unwrap();
-        client.set("k", b"new-value").await.unwrap();
-        assert_eq!(
-            client.get("k").await.unwrap().as_deref(),
-            Some(&b"new-value"[..])
-        );
+    #[test]
+    fn overwrite_replaces_value() {
+        let server = CacheServer::spawn().unwrap();
+        let mut client = CacheClient::connect(server.addr()).unwrap();
+        client.set("k", b"old").unwrap();
+        client.set("k", b"new-value").unwrap();
+        assert_eq!(client.get("k").unwrap().as_deref(), Some(&b"new-value"[..]));
     }
 
-    #[tokio::test]
-    async fn empty_value_roundtrips() {
-        let server = CacheServer::spawn().await.unwrap();
-        let mut client = CacheClient::connect(server.addr()).await.unwrap();
-        client.set("empty", b"").await.unwrap();
-        assert_eq!(client.get("empty").await.unwrap().as_deref(), Some(&b""[..]));
+    #[test]
+    fn empty_value_roundtrips() {
+        let server = CacheServer::spawn().unwrap();
+        let mut client = CacheClient::connect(server.addr()).unwrap();
+        client.set("empty", b"").unwrap();
+        assert_eq!(client.get("empty").unwrap().as_deref(), Some(&b""[..]));
     }
 
-    #[tokio::test]
-    async fn concurrent_clients() {
-        let server = CacheServer::spawn().await.unwrap();
+    #[test]
+    fn concurrent_clients() {
+        let server = CacheServer::spawn().unwrap();
         let addr = server.addr();
         let mut handles = Vec::new();
         for i in 0..8 {
-            handles.push(tokio::spawn(async move {
-                let mut client = CacheClient::connect(addr).await.unwrap();
+            handles.push(std::thread::spawn(move || {
+                let mut client = CacheClient::connect(addr).unwrap();
                 let key = format!("k{i}");
-                client.set(&key, format!("v{i}").as_bytes()).await.unwrap();
+                client.set(&key, format!("v{i}").as_bytes()).unwrap();
                 assert_eq!(
-                    client.get(&key).await.unwrap(),
+                    client.get(&key).unwrap(),
                     Some(format!("v{i}").into_bytes())
                 );
             }));
         }
         for h in handles {
-            h.await.unwrap();
+            h.join().unwrap();
         }
     }
 }

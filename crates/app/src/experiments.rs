@@ -24,11 +24,10 @@ use janus_hash::rng::Rng;
 use janus_net::http::{HttpClient, HttpRequest, StatusCode};
 use janus_types::Result;
 use janus_workload::{Histogram, LatencyStats, SecondSeries};
-use serde::Serialize;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One rule's virtual-time admission trace (Fig. 13a).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig13aTrace {
     /// Legend label, e.g. "Refill=100".
     pub label: String,
@@ -39,6 +38,13 @@ pub struct Fig13aTrace {
     /// Accepted/rejected per second.
     pub series: SecondSeries,
 }
+
+janus_types::impl_to_json!(Fig13aTrace {
+    label,
+    refill_per_sec,
+    capacity,
+    series,
+});
 
 /// Generate a Fig. 13a trace in virtual time.
 ///
@@ -88,7 +94,7 @@ pub fn fig13a_virtual(seed: u64) -> Vec<Fig13aTrace> {
 }
 
 /// Latency statistics of the live application run (Fig. 13b).
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Fig13Live {
     /// Baseline: the app without QoS integration.
     pub no_qos: LatencyStats,
@@ -99,6 +105,13 @@ pub struct Fig13Live {
     /// Accepted/rejected per second of the QoS run (live Fig. 13a).
     pub series: SecondSeries,
 }
+
+janus_types::impl_to_json!(Fig13Live {
+    no_qos,
+    accepted,
+    rejected,
+    series,
+});
 
 /// Parameters for the live run.
 #[derive(Debug, Clone)]
@@ -132,24 +145,24 @@ impl Default for Fig13LiveConfig {
 }
 
 /// Drive one app endpoint open-loop, splitting latency by admission.
-async fn drive(
+fn drive(
     addr: std::net::SocketAddr,
     rate: f64,
     duration: Duration,
     seed: u64,
 ) -> (Histogram, Histogram, SecondSeries) {
-    let (tx, mut rx) = tokio::sync::mpsc::unbounded_channel();
-    let start = tokio::time::Instant::now();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let start = Instant::now();
     let deadline = start + duration;
     let mut rng = Rng::seed_from_u64(seed);
     let base_gap = Duration::from_secs_f64(1.0 / rate);
     let mut next_at = start;
     while next_at < deadline {
-        tokio::time::sleep_until(next_at).await;
+        std::thread::sleep(next_at.saturating_duration_since(Instant::now()));
         let tx = tx.clone();
-        let issued = tokio::time::Instant::now();
-        tokio::spawn(async move {
-            let outcome = HttpClient::oneshot(addr, &HttpRequest::get("/")).await;
+        let issued = Instant::now();
+        std::thread::spawn(move || {
+            let outcome = HttpClient::oneshot(addr, &HttpRequest::get("/"));
             let latency = issued.elapsed();
             let accepted = matches!(&outcome, Ok(resp) if resp.status == StatusCode::OK);
             let _ = tx.send((issued - start, latency, accepted, outcome.is_ok()));
@@ -161,7 +174,7 @@ async fn drive(
     let mut accepted_hist = Histogram::new();
     let mut rejected_hist = Histogram::new();
     let mut series = SecondSeries::new();
-    while let Some((at, latency, accepted, transport_ok)) = rx.recv().await {
+    for (at, latency, accepted, transport_ok) in rx {
         if !transport_ok {
             continue;
         }
@@ -178,13 +191,13 @@ async fn drive(
 /// Run the live Fig. 13 experiment: a baseline pass against the app
 /// without QoS, then a pass against the QoS-wrapped app with the custom
 /// rule installed for the client's IP.
-pub async fn fig13_live(config: Fig13LiveConfig) -> Result<Fig13Live> {
+pub fn fig13_live(config: Fig13LiveConfig) -> Result<Fig13Live> {
     // Shared substrate.
-    let cache = CacheServer::spawn().await?;
-    let photos = PhotoServer::spawn(config.query_delay).await?;
-    let mut seeder = PhotoClient::connect(photos.addr()).await?;
+    let cache = CacheServer::spawn()?;
+    let photos = PhotoServer::spawn(config.query_delay)?;
+    let mut seeder = PhotoClient::connect(photos.addr())?;
     for i in 0..10 {
-        seeder.add("alice", &format!("photo {i}")).await?;
+        seeder.add("alice", &format!("photo {i}"))?;
     }
 
     // Baseline: no QoS.
@@ -193,10 +206,8 @@ pub async fn fig13_live(config: Fig13LiveConfig) -> Result<Fig13Live> {
         photo_addr: photos.addr(),
         qos: None,
         latest_count: 10,
-    })
-    .await?;
-    let (no_qos_hist, _, _) =
-        drive(plain_app.addr(), config.rate, config.duration, config.seed).await;
+    })?;
+    let (no_qos_hist, _, _) = drive(plain_app.addr(), config.rate, config.duration, config.seed);
     plain_app.shutdown();
 
     // QoS-wrapped: Janus deployment with the custom rule for this
@@ -211,21 +222,19 @@ pub async fn fig13_live(config: Fig13LiveConfig) -> Result<Fig13Live> {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(deployment_config).await?;
+    let deployment = Deployment::launch(deployment_config)?;
     let qos_app = PhotoApp::spawn(AppConfig {
         cache_addr: cache.addr(),
         photo_addr: photos.addr(),
         qos: Some(deployment.endpoint()),
         latest_count: 10,
-    })
-    .await?;
+    })?;
     let (accepted_hist, rejected_hist, series) = drive(
         qos_app.addr(),
         config.rate,
         config.duration,
         config.seed ^ 0xdead,
-    )
-    .await;
+    );
 
     Ok(Fig13Live {
         no_qos: LatencyStats::from_histogram(&no_qos_hist),
@@ -287,8 +296,8 @@ mod tests {
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn live_run_shape() {
+    #[test]
+    fn live_run_shape() {
         // Scaled-down live run: 2 s at 60 req/s with a small rule so
         // throttling kicks in quickly; photo-store delay 5 ms.
         let config = Fig13LiveConfig {
@@ -299,7 +308,7 @@ mod tests {
             query_delay: Duration::from_millis(5),
             seed: 42,
         };
-        let fig = fig13_live(config).await.unwrap();
+        let fig = fig13_live(config).unwrap();
         assert!(fig.no_qos.count > 80, "baseline count {}", fig.no_qos.count);
         assert!(fig.accepted.count > 10, "accepted {}", fig.accepted.count);
         assert!(fig.rejected.count > 10, "rejected {}", fig.rejected.count);

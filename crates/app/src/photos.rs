@@ -12,14 +12,14 @@
 //! disk work, so the demo's end-to-end latency has the paper's structure
 //! (tens of milliseconds of application time vs ~3 ms of QoS time).
 
+use janus_net::TcpService;
+use janus_types::sync::RwLock;
 use janus_types::{JanusError, Result};
-use parking_lot::RwLock;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tokio::io::{AsyncBufReadExt, AsyncWriteExt, BufReader};
-use tokio::net::{TcpListener, TcpStream};
 
 /// One uploaded photo's metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,53 +32,28 @@ pub struct Photo {
     pub title: String,
 }
 
-/// A running photo store.
+/// A running photo store: a [`TcpService`], one thread per connection.
 pub struct PhotoServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    tcp: TcpService,
     queries: Arc<AtomicU64>,
 }
 
 impl PhotoServer {
     /// Spawn with a per-query artificial delay (0 for none).
-    pub async fn spawn(query_delay: Duration) -> Result<PhotoServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).await?;
-        let addr = listener.local_addr()?;
-        let photos: Arc<RwLock<Vec<Photo>>> = Arc::new(RwLock::new(Vec::new()));
-        let next_id = Arc::new(AtomicU64::new(1));
-        let shutdown = Arc::new(AtomicBool::new(false));
+    pub fn spawn(query_delay: Duration) -> Result<PhotoServer> {
+        let photos: RwLock<Vec<Photo>> = RwLock::new(Vec::new());
+        let next_id = AtomicU64::new(1);
         let queries = Arc::new(AtomicU64::new(0));
-
-        let flag = Arc::clone(&shutdown);
-        let queries_task = Arc::clone(&queries);
-        tokio::spawn(async move {
-            loop {
-                let (stream, _) = match listener.accept().await {
-                    Ok(x) => x,
-                    Err(_) => break,
-                };
-                if flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                let photos = Arc::clone(&photos);
-                let next_id = Arc::clone(&next_id);
-                let queries = Arc::clone(&queries_task);
-                tokio::spawn(async move {
-                    let _ = serve(stream, photos, next_id, queries, query_delay).await;
-                });
-            }
-        });
-
-        Ok(PhotoServer {
-            addr,
-            shutdown,
-            queries,
-        })
+        let conn_queries = Arc::clone(&queries);
+        let tcp = TcpService::spawn("photo-store", move |stream, _peer, _stop| {
+            let _ = serve(stream, &photos, &next_id, &conn_queries, query_delay);
+        })?;
+        Ok(PhotoServer { tcp, queries })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.tcp.addr()
     }
 
     /// Queries served so far.
@@ -88,22 +63,15 @@ impl PhotoServer {
 
     /// Stop accepting connections.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        janus_net::poke_listener(self.addr);
+        self.tcp.shutdown();
     }
 }
 
-impl Drop for PhotoServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-}
-
-async fn serve(
+fn serve(
     stream: TcpStream,
-    photos: Arc<RwLock<Vec<Photo>>>,
-    next_id: Arc<AtomicU64>,
-    queries: Arc<AtomicU64>,
+    photos: &RwLock<Vec<Photo>>,
+    next_id: &AtomicU64,
+    queries: &AtomicU64,
     query_delay: Duration,
 ) -> Result<()> {
     stream.set_nodelay(true)?;
@@ -111,12 +79,12 @@ async fn serve(
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line).await? == 0 {
+        if reader.read_line(&mut line)? == 0 {
             return Ok(());
         }
         queries.fetch_add(1, Ordering::Relaxed);
         if !query_delay.is_zero() {
-            tokio::time::sleep(query_delay).await;
+            std::thread::sleep(query_delay);
         }
         let trimmed = line.trim_end();
         let reply = if let Some(rest) = trimmed.strip_prefix("add ") {
@@ -153,7 +121,7 @@ async fn serve(
         } else {
             "ERR unknown command\r\n".to_string()
         };
-        reader.get_mut().write_all(reply.as_bytes()).await?;
+        reader.get_mut().write_all(reply.as_bytes())?;
     }
 }
 
@@ -165,27 +133,27 @@ pub struct PhotoClient {
 
 impl PhotoClient {
     /// Connect to a photo store.
-    pub async fn connect(addr: SocketAddr) -> Result<PhotoClient> {
-        let stream = TcpStream::connect(addr).await?;
+    pub fn connect(addr: SocketAddr) -> Result<PhotoClient> {
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(PhotoClient {
             reader: BufReader::new(stream),
         })
     }
 
-    async fn line(&mut self) -> Result<String> {
+    fn line(&mut self) -> Result<String> {
         let mut line = String::new();
-        if self.reader.read_line(&mut line).await? == 0 {
+        if self.reader.read_line(&mut line)? == 0 {
             return Err(JanusError::state("photo store closed connection"));
         }
         Ok(line.trim_end().to_string())
     }
 
     /// Record an upload; returns its id.
-    pub async fn add(&mut self, user: &str, title: &str) -> Result<u64> {
+    pub fn add(&mut self, user: &str, title: &str) -> Result<u64> {
         let command = format!("add {user} {title}\r\n");
-        self.reader.get_mut().write_all(command.as_bytes()).await?;
-        let reply = self.line().await?;
+        self.reader.get_mut().write_all(command.as_bytes())?;
+        let reply = self.line()?;
         reply
             .strip_prefix("OK ")
             .and_then(|s| s.parse().ok())
@@ -193,17 +161,17 @@ impl PhotoClient {
     }
 
     /// The latest `n` uploads, newest first.
-    pub async fn latest(&mut self, n: usize) -> Result<Vec<Photo>> {
+    pub fn latest(&mut self, n: usize) -> Result<Vec<Photo>> {
         let command = format!("latest {n}\r\n");
-        self.reader.get_mut().write_all(command.as_bytes()).await?;
-        let header = self.line().await?;
+        self.reader.get_mut().write_all(command.as_bytes())?;
+        let header = self.line()?;
         let k: usize = header
             .strip_prefix("PHOTOS ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| JanusError::state(format!("bad latest reply {header:?}")))?;
         let mut photos = Vec::with_capacity(k);
         for _ in 0..k {
-            let row = self.line().await?;
+            let row = self.line()?;
             let mut parts = row.splitn(3, '\t');
             let id = parts
                 .next()
@@ -223,9 +191,9 @@ impl PhotoClient {
     }
 
     /// Total uploads.
-    pub async fn count(&mut self) -> Result<u64> {
-        self.reader.get_mut().write_all(b"count\r\n").await?;
-        let reply = self.line().await?;
+    pub fn count(&mut self) -> Result<u64> {
+        self.reader.get_mut().write_all(b"count\r\n")?;
+        let reply = self.line()?;
         reply
             .strip_prefix("COUNT ")
             .and_then(|s| s.parse().ok())
@@ -237,57 +205,57 @@ impl PhotoClient {
 mod tests {
     use super::*;
 
-    #[tokio::test]
-    async fn add_and_list_latest() {
-        let server = PhotoServer::spawn(Duration::ZERO).await.unwrap();
-        let mut client = PhotoClient::connect(server.addr()).await.unwrap();
+    #[test]
+    fn add_and_list_latest() {
+        let server = PhotoServer::spawn(Duration::ZERO).unwrap();
+        let mut client = PhotoClient::connect(server.addr()).unwrap();
         for i in 1..=5 {
-            let id = client.add("alice", &format!("photo {i}")).await.unwrap();
+            let id = client.add("alice", &format!("photo {i}")).unwrap();
             assert_eq!(id, i);
         }
-        let latest = client.latest(3).await.unwrap();
+        let latest = client.latest(3).unwrap();
         assert_eq!(latest.len(), 3);
         assert_eq!(latest[0].title, "photo 5");
         assert_eq!(latest[2].title, "photo 3");
-        assert_eq!(client.count().await.unwrap(), 5);
+        assert_eq!(client.count().unwrap(), 5);
     }
 
-    #[tokio::test]
-    async fn latest_on_empty_store() {
-        let server = PhotoServer::spawn(Duration::ZERO).await.unwrap();
-        let mut client = PhotoClient::connect(server.addr()).await.unwrap();
-        assert!(client.latest(10).await.unwrap().is_empty());
-        assert_eq!(client.count().await.unwrap(), 0);
+    #[test]
+    fn latest_on_empty_store() {
+        let server = PhotoServer::spawn(Duration::ZERO).unwrap();
+        let mut client = PhotoClient::connect(server.addr()).unwrap();
+        assert!(client.latest(10).unwrap().is_empty());
+        assert_eq!(client.count().unwrap(), 0);
     }
 
-    #[tokio::test]
-    async fn titles_with_spaces() {
-        let server = PhotoServer::spawn(Duration::ZERO).await.unwrap();
-        let mut client = PhotoClient::connect(server.addr()).await.unwrap();
-        client.add("bob", "sunset at the beach").await.unwrap();
-        let latest = client.latest(1).await.unwrap();
+    #[test]
+    fn titles_with_spaces() {
+        let server = PhotoServer::spawn(Duration::ZERO).unwrap();
+        let mut client = PhotoClient::connect(server.addr()).unwrap();
+        client.add("bob", "sunset at the beach").unwrap();
+        let latest = client.latest(1).unwrap();
         assert_eq!(latest[0].title, "sunset at the beach");
         assert_eq!(latest[0].user, "bob");
     }
 
-    #[tokio::test]
-    async fn query_delay_is_applied() {
-        let server = PhotoServer::spawn(Duration::from_millis(30)).await.unwrap();
-        let mut client = PhotoClient::connect(server.addr()).await.unwrap();
+    #[test]
+    fn query_delay_is_applied() {
+        let server = PhotoServer::spawn(Duration::from_millis(30)).unwrap();
+        let mut client = PhotoClient::connect(server.addr()).unwrap();
         let start = std::time::Instant::now();
-        client.latest(1).await.unwrap();
+        client.latest(1).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(25));
     }
 
-    #[tokio::test]
-    async fn malformed_commands_get_errors() {
-        let server = PhotoServer::spawn(Duration::ZERO).await.unwrap();
-        let stream = TcpStream::connect(server.addr()).await.unwrap();
+    #[test]
+    fn malformed_commands_get_errors() {
+        let server = PhotoServer::spawn(Duration::ZERO).unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(stream);
         for bad in ["add onlyuser\r\n", "latest x\r\n", "nonsense\r\n"] {
-            reader.get_mut().write_all(bad.as_bytes()).await.unwrap();
+            reader.get_mut().write_all(bad.as_bytes()).unwrap();
             let mut line = String::new();
-            reader.read_line(&mut line).await.unwrap();
+            reader.read_line(&mut line).unwrap();
             assert!(line.starts_with("ERR"), "{bad:?} -> {line:?}");
         }
     }

@@ -3,55 +3,36 @@
 //! "90% of decisions in 3 ms" claim — loopback removes the network, so
 //! this measures the framework's own overhead).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use janus_bench::micro::{BenchmarkId, Harness};
+use janus_bench::{bench_group, bench_main};
 use janus_core::{
     DefaultRulePolicy, Deployment, DeploymentConfig, LbMode, LbPolicy, QosClient, QosKey,
     QosServerConfig,
 };
-use std::sync::Arc;
 
-struct Stack {
-    runtime: tokio::runtime::Runtime,
-    _deployment: Arc<Deployment>,
-    client: Option<QosClient>,
+fn build_stack(lb: LbMode, qos_servers: usize, routers: usize) -> (Deployment, QosClient) {
+    let mut server = QosServerConfig::test_defaults();
+    server.default_policy = DefaultRulePolicy::AllowAll;
+    let config = DeploymentConfig {
+        qos_servers,
+        routers,
+        lb,
+        server,
+        ..Default::default()
+    };
+    let deployment = Deployment::launch(config).expect("deployment");
+    let client = deployment.client().expect("client");
+    (deployment, client)
 }
 
-fn build_stack(lb: LbMode, qos_servers: usize, routers: usize) -> Stack {
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .enable_all()
-        .build()
-        .expect("runtime");
-    let (deployment, client) = runtime.block_on(async {
-        let mut server = QosServerConfig::test_defaults();
-        server.default_policy = DefaultRulePolicy::AllowAll;
-        let config = DeploymentConfig {
-            qos_servers,
-            routers,
-            lb,
-            server,
-            ..Default::default()
-        };
-        let deployment = Arc::new(Deployment::launch(config).await.expect("deployment"));
-        let client = deployment.client().await.expect("client");
-        (deployment, client)
-    });
-    Stack {
-        runtime,
-        _deployment: deployment,
-        client: Some(client),
-    }
-}
-
-fn bench_full_stack(c: &mut Criterion) {
-    let mut group = c.benchmark_group("admission/full_stack");
+fn bench_full_stack(h: &mut Harness) {
+    let mut group = h.benchmark_group("admission/full_stack");
     group.sample_size(30);
     for (label, lb) in [
         ("gateway", LbMode::Gateway(LbPolicy::RoundRobin)),
         ("direct_router", LbMode::None),
     ] {
-        let mut stack = build_stack(lb, 2, 2);
-        let mut client = stack.client.take().expect("client");
+        let (_deployment, mut client) = build_stack(lb, 2, 2);
         let keys: Vec<QosKey> = (0..64)
             .map(|i| QosKey::new(format!("tenant-{i}")).unwrap())
             .collect();
@@ -59,18 +40,14 @@ fn bench_full_stack(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("qos_check", label), |b| {
             b.iter(|| {
                 i += 1;
-                let key = &keys[i % keys.len()];
-                stack
-                    .runtime
-                    .block_on(client.qos_check(key))
-                    .expect("qos check")
+                client.qos_check(&keys[i % keys.len()]).expect("qos check")
             });
         });
     }
     group.finish();
 }
 
-fn bench_udp_leg_only(c: &mut Criterion) {
+fn bench_udp_leg_only(h: &mut Harness) {
     // Router→QoS-server UDP exchange in isolation (no HTTP, no LB):
     // the paper's socket-per-request discipline vs the pooled
     // shared-socket optimization.
@@ -79,44 +56,31 @@ fn bench_udp_leg_only(c: &mut Criterion) {
     use janus_server::QosServer;
     use janus_types::QosRequest;
 
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(2)
-        .enable_all()
-        .build()
-        .expect("runtime");
-    let server = runtime.block_on(async {
-        let mut config = QosServerConfig::test_defaults();
-        config.default_policy = DefaultRulePolicy::AllowAll;
-        QosServer::spawn(config, None::<janus_server::DbTarget>, janus_clock::system())
-            .await
-            .expect("server")
-    });
+    let mut config = QosServerConfig::test_defaults();
+    config.default_policy = DefaultRulePolicy::AllowAll;
+    let server = QosServer::spawn(config, None, janus_clock::system()).expect("server");
     let key = QosKey::new("tenant").unwrap();
 
     let rpc = UdpRpcClient::new(UdpRpcConfig::lan_defaults());
     let mut id = 0u64;
-    c.bench_function("admission/udp_leg/per_request_socket", |b| {
+    h.bench_function("admission/udp_leg/per_request_socket", |b| {
         b.iter(|| {
             id += 1;
-            runtime
-                .block_on(rpc.call(server.udp_addr(), &QosRequest::new(id, key.clone())))
+            rpc.call(server.udp_addr(), &QosRequest::new(id, key.clone()))
                 .expect("udp call")
         });
     });
 
-    let pool = runtime
-        .block_on(PooledUdpRpcClient::bind(UdpRpcConfig::lan_defaults()))
-        .expect("pool");
-    c.bench_function("admission/udp_leg/pooled_socket", |b| {
+    let pool = PooledUdpRpcClient::bind(UdpRpcConfig::lan_defaults()).expect("pool");
+    h.bench_function("admission/udp_leg/pooled_socket", |b| {
         b.iter(|| {
-            runtime
-                .block_on(pool.check(server.udp_addr(), key.clone()))
+            pool.check(server.udp_addr(), key.clone())
                 .expect("pooled call")
         });
     });
 }
 
-fn bench_udp_leg_concurrent(c: &mut Criterion) {
+fn bench_udp_leg_concurrent(h: &mut Harness) {
     // The batching win only exists under concurrency: 8 in-flight
     // checks through one pooled socket, batched datagrams + key-affinity
     // dispatch vs the single-frame wire format (DESIGN.md ablation 9).
@@ -129,13 +93,7 @@ fn bench_udp_leg_concurrent(c: &mut Criterion) {
 
     const CONCURRENCY: usize = 8;
 
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .enable_all()
-        .build()
-        .expect("runtime");
-
-    let mut group = c.benchmark_group("admission/udp_leg_x8");
+    let mut group = h.benchmark_group("admission/udp_leg_x8");
     for (label, batch, dispatch, table) in [
         (
             "batched_affinity",
@@ -150,56 +108,47 @@ fn bench_udp_leg_concurrent(c: &mut Criterion) {
             TableKind::Sharded,
         ),
     ] {
-        let server = runtime.block_on(async {
-            let mut config = QosServerConfig::test_defaults();
-            config.default_policy = DefaultRulePolicy::AllowAll;
-            config.workers = 4;
-            config.dispatch = dispatch;
-            config.table = table;
-            config.batching = !matches!(dispatch, janus_server::DispatchMode::SharedFifo);
-            QosServer::spawn(config, None::<janus_server::DbTarget>, janus_clock::system())
-                .await
-                .expect("server")
-        });
+        let mut config = QosServerConfig::test_defaults();
+        config.default_policy = DefaultRulePolicy::AllowAll;
+        config.workers = 4;
+        config.dispatch = dispatch;
+        config.table = table;
+        config.batching = !matches!(dispatch, DispatchMode::SharedFifo);
+        let server = QosServer::spawn(config, None, janus_clock::system()).expect("server");
         let addr = server.udp_addr();
-        let pool = runtime
-            .block_on(PooledUdpRpcClient::bind_with_batch(
-                UdpRpcConfig::lan_defaults(),
-                batch,
-                FaultPlan::none(),
-            ))
-            .expect("pool");
+        let pool = PooledUdpRpcClient::bind_with_batch(
+            UdpRpcConfig::lan_defaults(),
+            batch,
+            FaultPlan::none(),
+        )
+        .expect("pool");
         let keys: Vec<QosKey> = (0..CONCURRENCY)
             .map(|i| QosKey::new(format!("tenant-{i}")).unwrap())
             .collect();
         group.bench_function(BenchmarkId::new("qos_check", label), |b| {
+            // One thread per in-flight check, each doing `iters` checks.
             b.iter_custom(|iters| {
-                runtime.block_on(async {
-                    let start = std::time::Instant::now();
-                    for _ in 0..iters {
-                        let mut handles = Vec::with_capacity(CONCURRENCY);
-                        for key in &keys {
-                            let pool = pool.clone();
-                            let key = key.clone();
-                            handles.push(tokio::spawn(
-                                async move { pool.check(addr, key).await },
-                            ));
-                        }
-                        for handle in handles {
-                            handle.await.expect("join").expect("pooled call");
-                        }
+                let start = std::time::Instant::now();
+                std::thread::scope(|scope| {
+                    for key in &keys {
+                        let pool = &pool;
+                        scope.spawn(move || {
+                            for _ in 0..iters {
+                                pool.check(addr, key.clone()).expect("pooled call");
+                            }
+                        });
                     }
-                    start.elapsed()
-                })
+                });
+                start.elapsed()
             });
         });
     }
     group.finish();
 }
 
-criterion_group! {
+bench_group! {
     name = benches;
-    config = Criterion::default();
+    config = Harness::default();
     targets = bench_full_stack, bench_udp_leg_only, bench_udp_leg_concurrent
 }
-criterion_main!(benches);
+bench_main!(benches);

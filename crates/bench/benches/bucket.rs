@@ -1,7 +1,8 @@
 //! Microbenchmarks of the leaky bucket: the innermost admission
 //! operation, plus the two refill disciplines (DESIGN.md ablation 2).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use janus_bench::micro::{black_box, BenchmarkId, Harness};
+use janus_bench::{bench_group, bench_main};
 use janus_bucket::algorithms::{
     Admission, FixedWindowCounter, LeakyBucketLimiter, SlidingWindowCounter,
 };
@@ -9,8 +10,8 @@ use janus_bucket::{LeakyBucket, QosTable, ShardedTable};
 use janus_clock::Nanos;
 use janus_types::{Credits, QosKey, QosRule, RefillRate};
 
-fn bench_try_consume(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bucket/try_consume");
+fn bench_try_consume(h: &mut Harness) {
+    let mut group = h.benchmark_group("bucket/try_consume");
     group.bench_function("allow_path", |b| {
         let mut bucket = LeakyBucket::full(
             Credits::from_whole(u64::MAX / 2_000_000),
@@ -34,8 +35,8 @@ fn bench_try_consume(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_refill_disciplines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bucket/refill");
+fn bench_refill_disciplines(h: &mut Harness) {
+    let mut group = h.benchmark_group("bucket/refill");
     group.bench_function("lazy_refill", |b| {
         let mut bucket = LeakyBucket::full(
             Credits::from_whole(1_000),
@@ -76,10 +77,10 @@ fn bench_refill_disciplines(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_burst_drain(c: &mut Criterion) {
+fn bench_burst_drain(h: &mut Harness) {
     // Cost of draining a full 1000-credit bucket (the paper's burst
     // scenario) — 1000 consumes + the denial at the end.
-    c.bench_function("bucket/burst_drain_1000", |b| {
+    h.bench_function("bucket/burst_drain_1000", |b| {
         b.iter(|| {
             let mut bucket = LeakyBucket::full(
                 Credits::from_whole(1_000),
@@ -99,9 +100,9 @@ fn bench_burst_drain(c: &mut Criterion) {
 
 type LimiterFactory = Box<dyn Fn() -> Box<dyn Admission>>;
 
-fn bench_algorithm_comparison(c: &mut Criterion) {
+fn bench_algorithm_comparison(h: &mut Harness) {
     // Per-decision cost of each rate-limiting algorithm at steady state.
-    let mut group = c.benchmark_group("bucket/algorithms");
+    let mut group = h.benchmark_group("bucket/algorithms");
     let limiters: Vec<(&str, LimiterFactory)> = vec![
         (
             "leaky_bucket",
@@ -129,10 +130,10 @@ fn bench_algorithm_comparison(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group! {
+bench_group! {
     name = benches;
-    config = Criterion::default().sample_size(30);
+    config = Harness::default().sample_size(30);
     targets = bench_try_consume, bench_refill_disciplines, bench_burst_drain,
         bench_algorithm_comparison
 }
-criterion_main!(benches);
+bench_main!(benches);

@@ -1,12 +1,13 @@
 //! Wire-codec microbenchmarks: the per-datagram cost on the admission
 //! path (one encode + one decode per direction per request).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use janus_bench::micro::{black_box, BenchmarkId, Harness, Throughput};
+use janus_bench::{bench_group, bench_main};
 use janus_types::codec::{decode, encode_request, encode_response};
 use janus_types::{QosKey, QosRequest, QosResponse};
 
-fn bench_encode(c: &mut Criterion) {
-    let mut group = c.benchmark_group("codec/encode");
+fn bench_encode(h: &mut Harness) {
+    let mut group = h.benchmark_group("codec/encode");
     for key_len in [8usize, 36, 255] {
         let key = QosKey::new("k".repeat(key_len)).unwrap();
         let request = QosRequest::new(42, key);
@@ -22,8 +23,8 @@ fn bench_encode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decode(c: &mut Criterion) {
-    let mut group = c.benchmark_group("codec/decode");
+fn bench_decode(h: &mut Harness) {
+    let mut group = h.benchmark_group("codec/decode");
     for key_len in [8usize, 36, 255] {
         let key = QosKey::new("k".repeat(key_len)).unwrap();
         let wire = encode_request(&QosRequest::new(42, key));
@@ -40,10 +41,10 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_roundtrip(c: &mut Criterion) {
+fn bench_roundtrip(h: &mut Harness) {
     // The full per-request codec cost: encode request, decode request,
     // encode response, decode response.
-    c.bench_function("codec/full_exchange", |b| {
+    h.bench_function("codec/full_exchange", |b| {
         let key = QosKey::new("00000000-0000-0000-0000-000000000000").unwrap();
         b.iter(|| {
             let req = QosRequest::new(7, key.clone());
@@ -56,9 +57,9 @@ fn bench_roundtrip(c: &mut Criterion) {
     });
 }
 
-criterion_group! {
+bench_group! {
     name = benches;
-    config = Criterion::default().sample_size(50);
+    config = Harness::default().sample_size(50);
     targets = bench_encode, bench_decode, bench_roundtrip
 }
-criterion_main!(benches);
+bench_main!(benches);

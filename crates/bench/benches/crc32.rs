@@ -1,12 +1,13 @@
 //! CRC32 implementations compared (bitwise / Sarwate / slicing-by-8) on
 //! the four key families of the routing study.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use janus_bench::micro::{black_box, BenchmarkId, Harness, Throughput};
+use janus_bench::{bench_group, bench_main};
 use janus_hash::crc32::{crc32, crc32_bitwise, crc32_sarwate};
 use janus_hash::keygen::{KeyFamily, KeyGenerator};
 
-fn bench_implementations(c: &mut Criterion) {
-    let mut group = c.benchmark_group("crc32/impl");
+fn bench_implementations(h: &mut Harness) {
+    let mut group = h.benchmark_group("crc32/impl");
     for len in [8usize, 36, 255, 4096] {
         let data: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
         group.throughput(Throughput::Bytes(len as u64));
@@ -25,8 +26,8 @@ fn bench_implementations(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_key_families(c: &mut Criterion) {
-    let mut group = c.benchmark_group("crc32/key_family");
+fn bench_key_families(h: &mut Harness) {
+    let mut group = h.benchmark_group("crc32/key_family");
     for family in KeyFamily::ALL {
         let keys: Vec<String> = {
             let mut gen = KeyGenerator::new(family, 1);
@@ -43,9 +44,9 @@ fn bench_key_families(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group! {
+bench_group! {
     name = benches;
-    config = Criterion::default().sample_size(50);
+    config = Harness::default().sample_size(50);
     targets = bench_implementations, bench_key_families
 }
-criterion_main!(benches);
+bench_main!(benches);

@@ -1,11 +1,12 @@
 //! Latency-recorder microbenchmarks: the per-sample cost that sits on
 //! every measured request path.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use janus_bench::micro::{black_box, Harness};
+use janus_bench::{bench_group, bench_main};
 use janus_workload::Histogram;
 
-fn bench_record(c: &mut Criterion) {
-    let mut group = c.benchmark_group("histogram");
+fn bench_record(h: &mut Harness) {
+    let mut group = h.benchmark_group("histogram");
     group.bench_function("record", |b| {
         let mut h = Histogram::new();
         let mut x = 0x9E3779B97F4A7C15u64;
@@ -41,9 +42,9 @@ fn bench_record(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group! {
+bench_group! {
     name = benches;
-    config = Criterion::default().sample_size(40);
+    config = Harness::default().sample_size(40);
     targets = bench_record
 }
-criterion_main!(benches);
+bench_main!(benches);

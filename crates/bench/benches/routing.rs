@@ -1,7 +1,8 @@
 //! Routing microbenchmarks: modulo vs consistent-hash back-end selection
 //! (DESIGN.md ablation 5), plus the resize remap cost they trade against.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use janus_bench::micro::{black_box, BenchmarkId, Harness};
+use janus_bench::{bench_group, bench_main};
 use janus_hash::keygen::{KeyFamily, KeyGenerator};
 use janus_hash::routing::{remap_fraction, ConsistentRing, ModuloRouter, Router};
 use janus_types::QosKey;
@@ -11,8 +12,8 @@ fn keys(n: usize) -> Vec<QosKey> {
     (0..n).map(|_| gen.next_key()).collect()
 }
 
-fn bench_route(c: &mut Criterion) {
-    let mut group = c.benchmark_group("routing/route");
+fn bench_route(h: &mut Harness) {
+    let mut group = h.benchmark_group("routing/route");
     let keys = keys(4096);
     for backends in [4usize, 20, 100] {
         let modulo = ModuloRouter::new(backends);
@@ -35,10 +36,10 @@ fn bench_route(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_remap(c: &mut Criterion) {
+fn bench_remap(h: &mut Harness) {
     // What each strategy pays when the QoS fleet grows from 10 to 11
     // nodes: the modulo router remaps ~91% of keys, the ring ~9%.
-    let mut group = c.benchmark_group("routing/resize_remap");
+    let mut group = h.benchmark_group("routing/resize_remap");
     group.sample_size(10);
     let keys = keys(20_000);
     group.bench_function("modulo_10_to_11", |b| {
@@ -54,15 +55,15 @@ fn bench_remap(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ring_construction(c: &mut Criterion) {
-    c.bench_function("routing/ring_build_20x128", |b| {
+fn bench_ring_construction(h: &mut Harness) {
+    h.bench_function("routing/ring_build_20x128", |b| {
         b.iter(|| black_box(ConsistentRing::with_vnodes(20, 128)))
     });
 }
 
-criterion_group! {
+bench_group! {
     name = benches;
-    config = Criterion::default().sample_size(30);
+    config = Harness::default().sample_size(30);
     targets = bench_route, bench_remap, bench_ring_construction
 }
-criterion_main!(benches);
+bench_main!(benches);

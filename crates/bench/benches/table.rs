@@ -4,7 +4,8 @@
 //! underutilization (Fig. 10b); the lock-free table bounds how much of
 //! it was the locks themselves rather than cache traffic.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use janus_bench::micro::{black_box, BenchmarkId, Harness, Throughput};
+use janus_bench::{bench_group, bench_main};
 use janus_bucket::{LockFreeTable, QosTable, ShardedTable, SyncTable};
 use janus_clock::Nanos;
 use janus_types::{QosKey, QosRule};
@@ -41,14 +42,15 @@ fn run_contended(table: Arc<dyn QosTable>, keys: Arc<Vec<QosKey>>, threads: usiz
     });
 }
 
-fn bench_contention(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table/contention");
+fn bench_contention(h: &mut Harness) {
+    let mut group = h.benchmark_group("table/contention");
     // 16 threads oversubscribes most CI boxes — that's the point: the
     // synchronized table collapses there while the lock-free one only
     // pays CAS retries.
     for threads in [1usize, 2, 4, 8, 16] {
         group.throughput(Throughput::Elements((threads * OPS_PER_THREAD) as u64));
-        let disciplines: [(&str, fn() -> Arc<dyn QosTable>); 3] = [
+        type MakeTable = fn() -> Arc<dyn QosTable>;
+        let disciplines: [(&str, MakeTable); 3] = [
             ("lock_free", || Arc::new(LockFreeTable::new())),
             ("sharded", || Arc::new(ShardedTable::new())),
             ("synchronized", || Arc::new(SyncTable::new())),
@@ -64,8 +66,8 @@ fn bench_contention(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_single_thread_ops(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table/single_thread");
+fn bench_single_thread_ops(h: &mut Harness) {
+    let mut group = h.benchmark_group("table/single_thread");
     let table = ShardedTable::new();
     let keys = populate(&table);
     let mut i = 0usize;
@@ -85,9 +87,9 @@ fn bench_single_thread_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group! {
+bench_group! {
     name = benches;
-    config = Criterion::default().sample_size(20);
+    config = Harness::default().sample_size(20);
     targets = bench_contention, bench_single_thread_ops
 }
-criterion_main!(benches);
+bench_main!(benches);

@@ -8,9 +8,7 @@ use janus_bench::{fmt_krps, fmt_pct, fmt_us, print_table, FigureCli};
 use janus_hash::keygen::{KeyFamily, KeyGenerator};
 use janus_hash::routing::{remap_fraction, ConsistentRing, ModuloRouter};
 use janus_sim::experiments::{dns_skew, lock_sweep, loss_sweep, skew_sweep};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Output {
     loss: Vec<janus_sim::experiments::LossPoint>,
     lock: Vec<janus_sim::experiments::LockPoint>,
@@ -20,13 +18,28 @@ struct Output {
     admission: Vec<AdmissionPoint>,
 }
 
-#[derive(Serialize)]
+janus_types::impl_to_json!(Output {
+    loss,
+    lock,
+    skew,
+    tenant_skew,
+    remap,
+    admission,
+});
+
 struct RemapPoint {
     from: usize,
     to: usize,
     modulo_fraction: f64,
     ring_fraction: f64,
 }
+
+janus_types::impl_to_json!(RemapPoint {
+    from,
+    to,
+    modulo_fraction,
+    ring_fraction,
+});
 
 fn remap_table(seed: u64) -> Vec<RemapPoint> {
     let mut gen = KeyGenerator::new(KeyFamily::Uuid, seed);
@@ -54,14 +67,9 @@ fn admission_table(quick: bool) -> Vec<AdmissionPoint> {
     // Unlike ablations 1-5 this one runs live: a real QoS server per
     // variant, hammered over loopback by 8 concurrent client tasks.
     let per_client = if quick { 300 } else { 2_000 };
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(8)
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
     admission_variants()
         .iter()
-        .map(|variant| runtime.block_on(run_admission_variant(variant, 8, per_client)))
+        .map(|variant| run_admission_variant(variant, 8, per_client))
         .collect()
 }
 

@@ -38,9 +38,8 @@ use janus_bench::live::{
     AdmissionPoint,
 };
 use janus_bench::{fmt_krps, print_table, FigureCli};
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct Output {
     /// How to regenerate this file.
     regenerate: &'static str,
@@ -53,13 +52,16 @@ struct Output {
     points: Vec<AdmissionPoint>,
 }
 
+janus_types::impl_to_json!(Output {
+    regenerate,
+    client_sweep,
+    table_slots,
+    keyspace,
+    points,
+});
+
 fn main() {
     let cli = FigureCli::parse();
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(8)
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
 
     let (client_sweep, per_client) = if cli.smoke {
         (vec![1], 1_000)
@@ -94,9 +96,7 @@ fn main() {
     let mut points = Vec::new();
     for variant in variants {
         for &clients in &client_sweep {
-            let point = runtime.block_on(run_admission_variant_with(
-                &variant, clients, per_client, axes,
-            ));
+            let point = run_admission_variant_with(&variant, clients, per_client, axes);
             eprintln!(
                 "{:<32} clients={:<3} {:>8} completed, {} ({:.0}/s/core, lease_ratio={:.2}, \
                  hedges={}/{} budget_refused={} adapt_us={})",
@@ -133,7 +133,7 @@ fn main() {
         // three-mode sweep may replace the checked-in measurements.
         eprintln!("smoke/filtered run: BENCH_admission.json left untouched");
     } else {
-        let json = serde_json::to_string_pretty(&output).expect("serializable");
+        let json = janus_types::json::ToJson::to_json(&output).pretty();
         std::fs::write("BENCH_admission.json", format!("{json}\n"))
             .expect("write BENCH_admission.json");
         eprintln!("wrote BENCH_admission.json");

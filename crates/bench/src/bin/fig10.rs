@@ -5,9 +5,7 @@ use janus_bench::{fmt_krps, fmt_pct, print_table, FigureCli};
 use janus_sim::catalog::{C3_8XLARGE, C3_FAMILY};
 use janus_sim::experiments::fig10;
 use janus_sim::{ClusterSpec, LockModel};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Output {
     curve: janus_sim::experiments::ScalingCurve,
     /// Ablation: the same c3.8xlarge point with a sharded (lock-striped)
@@ -15,6 +13,12 @@ struct Output {
     sharded_8xlarge_rps: f64,
     synchronized_8xlarge_rps: f64,
 }
+
+janus_types::impl_to_json!(Output {
+    curve,
+    sharded_8xlarge_rps,
+    synchronized_8xlarge_rps,
+});
 
 fn main() {
     let cli = FigureCli::parse();
@@ -57,7 +61,13 @@ fn main() {
             .collect();
         print_table(
             "Fig. 10: QoS-server vertical scaling (5 x c3.8xlarge routers)",
-            &["QoS server type", "vCPU", "throughput", "QoS CPU", "router CPU"],
+            &[
+                "QoS server type",
+                "vCPU",
+                "throughput",
+                "QoS CPU",
+                "router CPU",
+            ],
             &rows,
         );
         println!(

@@ -8,13 +8,16 @@
 
 use janus_app::experiments::{fig13_live, fig13a_virtual, Fig13Live, Fig13LiveConfig};
 use janus_bench::{print_table, FigureCli};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Output {
     virtual_traces: Vec<janus_app::experiments::Fig13aTrace>,
     live: Option<Fig13Live>,
 }
+
+janus_types::impl_to_json!(Output {
+    virtual_traces,
+    live,
+});
 
 fn main() {
     let cli = FigureCli::parse();
@@ -33,12 +36,7 @@ fn main() {
             rule_refill: 100,
             ..Default::default()
         };
-        let runtime = tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(4)
-            .enable_all()
-            .build()
-            .expect("runtime");
-        Some(runtime.block_on(fig13_live(config)).expect("live run"))
+        Some(fig13_live(config).expect("live run"))
     } else {
         None
     };

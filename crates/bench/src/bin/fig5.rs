@@ -8,19 +8,20 @@
 use janus_bench::{fmt_us, print_table, FigureCli};
 use janus_sim::experiments::fig5;
 use janus_workload::{Histogram, LatencyStats};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Output {
     simulated: janus_sim::experiments::Fig5,
     live: Option<LiveFig5>,
 }
 
-#[derive(Serialize)]
+janus_types::impl_to_json!(Output { simulated, live });
+
 struct LiveFig5 {
     dns: LatencyStats,
     gateway: LatencyStats,
 }
+
+janus_types::impl_to_json!(LiveFig5 { dns, gateway });
 
 fn main() {
     let cli = FigureCli::parse();
@@ -98,60 +99,51 @@ fn row(label: &str, avg: f64, p90: f64, p99: f64, p999: f64) -> Vec<String> {
     vec![label.to_string(), fmt(avg), fmt(p90), fmt(p99), fmt(p999)]
 }
 
-/// Live comparison: two routers + two QoS servers as real tokio tasks,
+/// Live comparison: two routers + two QoS servers on real sockets and threads,
 /// two sequential clients, measured through a gateway LB and through DNS.
 fn run_live(requests_per_client: usize) -> LiveFig5 {
     use janus_core::{
-        DefaultRulePolicy, Deployment, DeploymentConfig, LbMode, LbPolicy, QosKey,
-        QosServerConfig,
+        DefaultRulePolicy, Deployment, DeploymentConfig, LbMode, LbPolicy, QosKey, QosServerConfig,
     };
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(4)
-        .enable_all()
-        .build()
-        .expect("runtime");
-    runtime.block_on(async move {
-        let mut stats = Vec::new();
-        for lb in [
-            LbMode::Dns {
-                ttl: std::time::Duration::from_secs(30),
-            },
-            LbMode::Gateway(LbPolicy::RoundRobin),
-        ] {
-            let mut server = QosServerConfig::test_defaults();
-            server.default_policy = DefaultRulePolicy::AllowAll;
-            let config = DeploymentConfig {
-                qos_servers: 2,
-                routers: 2,
-                lb,
-                server,
-                ..Default::default()
-            };
-            let deployment = Deployment::launch(config).await.expect("deployment");
-            let mut histogram = Histogram::new();
-            let mut handles = Vec::new();
-            for client_id in 0..2u64 {
-                let mut client = deployment.client().await.expect("client");
-                handles.push(tokio::spawn(async move {
-                    let mut h = Histogram::new();
-                    for i in 0..requests_per_client {
-                        let key =
-                            QosKey::new(format!("tenant-{client_id}-{}", i % 1000)).unwrap();
-                        let start = std::time::Instant::now();
-                        client.qos_check(&key).await.expect("qos check");
-                        h.record_duration(start.elapsed());
-                    }
-                    h
-                }));
-            }
-            for handle in handles {
-                histogram.merge(&handle.await.expect("client task"));
-            }
-            stats.push(LatencyStats::from_histogram(&histogram));
-            deployment.shutdown();
+    let mut stats = Vec::new();
+    for lb in [
+        LbMode::Dns {
+            ttl: std::time::Duration::from_secs(30),
+        },
+        LbMode::Gateway(LbPolicy::RoundRobin),
+    ] {
+        let mut server = QosServerConfig::test_defaults();
+        server.default_policy = DefaultRulePolicy::AllowAll;
+        let config = DeploymentConfig {
+            qos_servers: 2,
+            routers: 2,
+            lb,
+            server,
+            ..Default::default()
+        };
+        let deployment = Deployment::launch(config).expect("deployment");
+        let mut histogram = Histogram::new();
+        let mut handles = Vec::new();
+        for client_id in 0..2u64 {
+            let mut client = deployment.client().expect("client");
+            handles.push(std::thread::spawn(move || {
+                let mut h = Histogram::new();
+                for i in 0..requests_per_client {
+                    let key = QosKey::new(format!("tenant-{client_id}-{}", i % 1000)).unwrap();
+                    let start = std::time::Instant::now();
+                    client.qos_check(&key).expect("qos check");
+                    h.record_duration(start.elapsed());
+                }
+                h
+            }));
         }
-        let gateway = stats.pop().unwrap();
-        let dns = stats.pop().unwrap();
-        LiveFig5 { dns, gateway }
-    })
+        for handle in handles {
+            histogram.merge(&handle.join().expect("client thread"));
+        }
+        stats.push(LatencyStats::from_histogram(&histogram));
+        deployment.shutdown();
+    }
+    let gateway = stats.pop().unwrap();
+    let dns = stats.pop().unwrap();
+    LiveFig5 { dns, gateway }
 }

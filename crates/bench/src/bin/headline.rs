@@ -12,12 +12,20 @@ fn main() {
         println!(
             "throughput with 10 x c3.xlarge QoS nodes (40 vCPU): {} req/s   (paper: >100k)   [{}]",
             fmt_krps(h.throughput_10_nodes_rps),
-            if h.throughput_10_nodes_rps > 100_000.0 { "OK" } else { "MISS" }
+            if h.throughput_10_nodes_rps > 100_000.0 {
+                "OK"
+            } else {
+                "MISS"
+            }
         );
         println!(
             "P90 admission decision latency at moderate load:   {:.2} ms      (paper: <=3ms)  [{}]",
             h.p90_decision_ms,
-            if h.p90_decision_ms <= 3.0 { "OK" } else { "MISS" }
+            if h.p90_decision_ms <= 3.0 {
+                "OK"
+            } else {
+                "MISS"
+            }
         );
     });
 }

@@ -20,7 +20,13 @@ fn main() {
             .collect();
         print_table(
             "Table I: EC2 instance types",
-            &["type", "vCPU", "memory (GB)", "network (Mbps)", "price (USD/hr)"],
+            &[
+                "type",
+                "vCPU",
+                "memory (GB)",
+                "network (Mbps)",
+                "price (USD/hr)",
+            ],
             &rows,
         );
     });

@@ -6,9 +6,10 @@
 //! measured ones, and `--json` for machine-readable output. `--quick`
 //! trades precision for speed (the CI preset).
 
-use serde::Serialize;
+use janus_types::json::ToJson;
 
 pub mod live;
+pub mod micro;
 
 /// CLI conventions shared by all figure binaries.
 #[derive(Debug, Clone)]
@@ -137,12 +138,9 @@ impl FigureCli {
     }
 
     /// Emit a result: JSON when asked, otherwise the provided renderer.
-    pub fn emit<T: Serialize>(&self, value: &T, render: impl FnOnce(&T)) {
+    pub fn emit<T: ToJson>(&self, value: &T, render: impl FnOnce(&T)) {
         if self.json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(value).expect("serializable")
-            );
+            println!("{}", value.to_json().pretty());
         } else {
             render(value);
         }

@@ -15,7 +15,6 @@ use janus_net::udp_pool::{BatchConfig, PooledUdpRpcClient};
 use janus_router::core::{GrayConfig, RouterCore, RouterCoreConfig, RouterLeaseConfig, RouterStep};
 use janus_server::{DispatchMode, LeaseConfig, QosServer, QosServerConfig, SocketMode, TableKind};
 use janus_types::{QosKey, QosRule, Verdict};
-use serde::Serialize;
 use std::time::Duration;
 
 /// One configuration of the admission data plane under test.
@@ -191,7 +190,7 @@ pub fn table_kind_label(kind: TableKind) -> &'static str {
 }
 
 /// One measured point of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AdmissionPoint {
     /// Which [`AdmissionVariant`] produced this point.
     pub mode: String,
@@ -283,6 +282,45 @@ pub struct AdmissionPoint {
     pub adaptive_timeout_us: u64,
 }
 
+janus_types::impl_to_json!(AdmissionPoint {
+    mode,
+    table_kind,
+    socket_mode,
+    workers,
+    clients,
+    requests_per_client,
+    completed,
+    timed_out,
+    elapsed_ms,
+    krps,
+    decisions_per_sec_per_core,
+    shed_full,
+    shed_expired,
+    shed_sojourn,
+    dedup_hits,
+    sojourn_p50_us,
+    sojourn_p99_us,
+    cas_retries,
+    probe_steps,
+    open_slots,
+    occupancy_pct,
+    resizes,
+    migrated_slots,
+    reclaimed_keys,
+    warmup_batches,
+    pool_recycle_hits,
+    syscalls_saved,
+    batch_recv_p50,
+    batch_recv_p99,
+    lease_admits,
+    lease_grants,
+    lease_admit_ratio,
+    hedges_sent,
+    hedge_wins,
+    retry_budget_exhausted,
+    adaptive_timeout_us,
+});
+
 /// Optional memory-engine axes of an admission sweep point
 /// (`--table-slots` / `--keyspace`).
 #[derive(Debug, Clone, Copy, Default)]
@@ -298,7 +336,7 @@ pub struct AdmissionAxes {
 /// Run one variant: spawn a standalone allow-all QoS server configured
 /// per `variant`, share one pooled client across `clients` concurrent
 /// tasks, and time `clients × requests_per_client` checks.
-pub async fn run_admission_variant(
+pub fn run_admission_variant(
     variant: &AdmissionVariant,
     clients: usize,
     requests_per_client: usize,
@@ -309,11 +347,10 @@ pub async fn run_admission_variant(
         requests_per_client,
         AdmissionAxes::default(),
     )
-    .await
 }
 
 /// [`run_admission_variant`] with explicit memory-engine axes.
-pub async fn run_admission_variant_with(
+pub fn run_admission_variant_with(
     variant: &AdmissionVariant,
     clients: usize,
     requests_per_client: usize,
@@ -339,9 +376,7 @@ pub async fn run_admission_variant_with(
         };
     }
     let workers = config.workers;
-    let server = QosServer::spawn(config, None, janus_clock::system())
-        .await
-        .expect("qos server");
+    let server = QosServer::spawn(config, None, janus_clock::system()).expect("qos server");
     let addr = server.udp_addr();
 
     // The lease variant hammers a handful of *shared* hot keys with
@@ -376,7 +411,6 @@ pub async fn run_admission_variant_with(
                 batch,
                 FaultPlan::none(),
             )
-            .await
             .expect("pooled client"),
         )
     };
@@ -389,7 +423,6 @@ pub async fn run_admission_variant_with(
                     batch,
                     FaultPlan::none(),
                 )
-                .await
                 .expect("pooled client"),
             ),
         }
@@ -406,7 +439,7 @@ pub async fn run_admission_variant_with(
             } else {
                 QosKey::new(format!("c{c}-k{k}")).unwrap()
             };
-            let _ = pool.check(addr, key).await;
+            let _ = pool.check(addr, key);
         }
     }
 
@@ -420,7 +453,7 @@ pub async fn run_admission_variant_with(
     let mut handles = Vec::with_capacity(clients);
     for (c, pool) in pools.iter().cloned().enumerate() {
         let clock = clock.clone();
-        handles.push(tokio::spawn(async move {
+        handles.push(std::thread::spawn(move || {
             let keys: Vec<QosKey> = if lease {
                 (0..hot_keys)
                     .map(|k| QosKey::new(format!("hot-k{k}")).unwrap())
@@ -449,7 +482,7 @@ pub async fn run_admission_variant_with(
             for j in 0..requests_per_client {
                 let key = keys[j % keys.len()].clone();
                 let Some(core) = &router else {
-                    match pool.check(addr, key).await {
+                    match pool.check(addr, key) {
                         Ok(_) => completed += 1,
                         Err(_) => timed_out += 1,
                     }
@@ -469,16 +502,13 @@ pub async fn run_admission_variant_with(
                         // all-`None` no-op, so the lease variant's wire
                         // behaviour is unchanged.
                         let discipline = core.discipline(partition, baseline);
-                        match pool
-                            .check_disciplined(
-                                addr,
-                                key.clone(),
-                                solicit_hint,
-                                lease_ask,
-                                &discipline,
-                            )
-                            .await
-                        {
+                        match pool.check_disciplined(
+                            addr,
+                            key.clone(),
+                            solicit_hint,
+                            lease_ask,
+                            &discipline,
+                        ) {
                             Ok(response) => {
                                 core.on_response(partition, &key, &response, clock.now());
                                 completed += 1;
@@ -517,7 +547,7 @@ pub async fn run_admission_variant_with(
     let mut adaptive_timeout_us = 0u64;
     for handle in handles {
         let (ok, lost, leased, (hedged, won, refused, timeout_us)) =
-            handle.await.expect("client task");
+            handle.join().expect("client thread");
         completed += ok;
         timed_out += lost;
         lease_admits += leased;
@@ -576,10 +606,10 @@ pub async fn run_admission_variant_with(
 mod tests {
     use super::*;
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn every_variant_completes_a_tiny_sweep() {
+    #[test]
+    fn every_variant_completes_a_tiny_sweep() {
         for variant in admission_variants() {
-            let point = run_admission_variant(&variant, 2, 10).await;
+            let point = run_admission_variant(&variant, 2, 10);
             assert_eq!(point.mode, variant.name);
             assert_eq!(point.table_kind, table_kind_label(variant.table));
             assert_eq!(point.socket_mode, socket_mode_label(variant.socket_mode));
@@ -666,8 +696,8 @@ mod tests {
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn table_axes_drive_resizes_in_the_lock_free_variant() {
+    #[test]
+    fn table_axes_drive_resizes_in_the_lock_free_variant() {
         let variant = admission_variants()
             .into_iter()
             .find(|v| v.name == "batched+affinity+lock_free")
@@ -679,7 +709,7 @@ mod tests {
             table_slots: Some(8),
             keyspace: Some(64),
         };
-        let point = run_admission_variant_with(&variant, 2, 50, axes).await;
+        let point = run_admission_variant_with(&variant, 2, 50, axes);
         assert_eq!(point.completed + point.timed_out, 100);
         assert!(point.resizes >= 1, "tiny table never resized");
         assert!(

@@ -575,124 +575,112 @@ mod tests {
         }
     }
 
-    /// The differential property tests need the external `proptest` crate,
-    /// which the std-only `rustc --test` battery (built with
-    /// `--cfg janus_std_only`) cannot link. Everything above runs in both
-    /// worlds.
-    #[cfg(not(janus_std_only))]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    // Seeded differential loops: 256 cases each, fixed seeds.
 
-        proptest! {
-            /// Sequential, on the tick grid: the atomic bucket is bit-for-bit
-            /// the locked bucket — same verdict on every attempt, same derived
-            /// credit at every observation, under consumes, sweeps and clock
-            /// jumps (forward and backward).
-            #[test]
-            fn matches_locked_bucket_exactly_on_tick_grid(
-                cap in 0u64..2_000,
-                rate in 0u64..2_000,
-                ops in proptest::collection::vec((0u8..3, 0i64..200_000), 1..250),
-            ) {
-                let atomic = bucket(cap, rate);
-                let mut exact = locked(cap, rate);
-                let mut now_ms: i64 = 0;
-                for (op, jump_ms) in ops {
-                    // Jumps go forward mostly, sometimes backward (UDP
-                    // reordering / SimClock skew), never below zero.
-                    now_ms = (now_ms + jump_ms - 50_000).max(0);
-                    let now = ms(now_ms as u64);
-                    match op {
-                        0 => {
-                            prop_assert_eq!(
-                                atomic.try_consume(now),
-                                exact.try_consume(now),
-                                "verdict diverged at {}ms", now_ms
-                            );
-                        }
-                        1 => {
-                            atomic.refill(now);
-                            exact.refill(now);
-                        }
-                        _ => {
-                            prop_assert_eq!(
-                                atomic.credit(now),
-                                exact.credit(now),
-                                "credit diverged at {}ms", now_ms
-                            );
-                        }
+    use janus_hash::rng::Rng;
+
+    /// Sequential, on the tick grid: the atomic bucket is bit-for-bit the
+    /// locked bucket — same verdict on every attempt, same derived credit
+    /// at every observation, under consumes, sweeps and clock jumps
+    /// (forward and backward).
+    #[test]
+    fn matches_locked_bucket_exactly_on_tick_grid() {
+        let mut rng = Rng::seed_from_u64(0xA70C_1C01);
+        for _ in 0..256 {
+            let cap = rng.gen_range(2_000);
+            let rate = rng.gen_range(2_000);
+            let atomic = bucket(cap, rate);
+            let mut exact = locked(cap, rate);
+            let mut now_ms: i64 = 0;
+            for _ in 0..rng.gen_range_inclusive(1, 249) {
+                // Jumps go forward mostly, sometimes backward (UDP
+                // reordering / SimClock skew), never below zero.
+                now_ms = (now_ms + rng.gen_range(200_000) as i64 - 50_000).max(0);
+                let now = ms(now_ms as u64);
+                match rng.gen_range(3) {
+                    0 => assert_eq!(
+                        atomic.try_consume(now),
+                        exact.try_consume(now),
+                        "verdict diverged at {now_ms}ms"
+                    ),
+                    1 => {
+                        atomic.refill(now);
+                        exact.refill(now);
                     }
+                    _ => assert_eq!(
+                        atomic.credit(now),
+                        exact.credit(now),
+                        "credit diverged at {now_ms}ms"
+                    ),
                 }
-                let end = ms(now_ms as u64);
-                prop_assert_eq!(atomic.credit(end), exact.credit(end));
             }
+            let end = ms(now_ms as u64);
+            assert_eq!(atomic.credit(end), exact.credit(end));
+        }
+    }
 
-            /// Concurrent consumers against the atomic bucket vs a
-            /// mutex-serialized locked bucket driven over the same timestamp
-            /// multiset: with zero refill the totals are identical; with
-            /// refill both respect the paper's Eq. 1–2 supply bound
-            /// `capacity + rate × makespan`.
-            #[test]
-            fn concurrent_total_matches_serialized_within_supply_bound(
-                cap in 1u64..300,
-                rate in 0u64..500,
-                threads in 2usize..6,
-                per_thread in 1usize..80,
-                jumps in proptest::collection::vec(0u64..50, 8),
-            ) {
-                // A shared, monotone tick-grid schedule with occasional jumps.
-                let schedule: Vec<Nanos> = {
-                    let mut t = 0u64;
-                    (0..threads * per_thread)
-                        .map(|i| {
-                            t += jumps[i % jumps.len()];
-                            ms(t)
-                        })
-                        .collect()
-                };
-                let makespan = *schedule.last().unwrap();
+    /// Concurrent consumers against the atomic bucket vs a
+    /// mutex-serialized locked bucket driven over the same timestamp
+    /// multiset: with zero refill the totals are identical; with refill
+    /// both respect the paper's Eq. 1–2 supply bound
+    /// `capacity + rate × makespan`.
+    #[test]
+    fn concurrent_total_matches_serialized_within_supply_bound() {
+        let mut rng = Rng::seed_from_u64(0xA70C_1C02);
+        for case in 0..256 {
+            let cap = rng.gen_range_inclusive(1, 299);
+            // Every fourth case pins the zero-refill exactness branch.
+            let rate = if case % 4 == 0 { 0 } else { rng.gen_range(500) };
+            let threads = rng.gen_range_inclusive(2, 5) as usize;
+            let per_thread = rng.gen_range_inclusive(1, 79) as usize;
+            let jumps: Vec<u64> = (0..8).map(|_| rng.gen_range(50)).collect();
+            // A shared, monotone tick-grid schedule with occasional jumps.
+            let schedule: Vec<Nanos> = {
+                let mut t = 0u64;
+                (0..threads * per_thread)
+                    .map(|i| {
+                        t += jumps[i % jumps.len()];
+                        ms(t)
+                    })
+                    .collect()
+            };
+            let makespan = *schedule.last().unwrap();
 
-                let atomic = Arc::new(bucket(cap, rate));
-                let total_atomic: usize = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|t| {
-                            let atomic = Arc::clone(&atomic);
-                            let slice: Vec<Nanos> = schedule
+            let atomic = bucket(cap, rate);
+            let total_atomic: usize = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let (atomic, schedule) = (&atomic, &schedule);
+                        scope.spawn(move || {
+                            schedule
                                 .iter()
                                 .skip(t)
                                 .step_by(threads)
-                                .copied()
-                                .collect();
-                            scope.spawn(move || {
-                                slice
-                                    .iter()
-                                    .filter(|now| atomic.try_consume(**now) == Verdict::Allow)
-                                    .count()
-                            })
+                                .filter(|now| atomic.try_consume(**now) == Verdict::Allow)
+                                .count()
                         })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).sum()
-                });
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).sum()
+            });
 
-                let serialized = janus_types::sync::Mutex::new(locked(cap, rate));
-                let total_locked = schedule
-                    .iter()
-                    .filter(|now| serialized.lock().try_consume(**now) == Verdict::Allow)
-                    .count();
+            let mut serialized = locked(cap, rate);
+            let total_locked = schedule
+                .iter()
+                .filter(|now| serialized.try_consume(**now) == Verdict::Allow)
+                .count();
 
-                let minted = RefillRate::per_second(rate)
-                    .accrued_over(makespan.saturating_since(Nanos::ZERO));
-                let supply = Credits::from_whole(cap).saturating_add(minted);
-                prop_assert!(
-                    Credits::from_whole(total_atomic as u64) <= supply,
-                    "atomic oversold: {} vs supply {:?}", total_atomic, supply
-                );
-                prop_assert!(Credits::from_whole(total_locked as u64) <= supply);
-                if rate == 0 {
-                    prop_assert_eq!(total_atomic, total_locked);
-                    prop_assert_eq!(total_atomic, (cap as usize).min(threads * per_thread));
-                }
+            let minted =
+                RefillRate::per_second(rate).accrued_over(makespan.saturating_since(Nanos::ZERO));
+            let supply = Credits::from_whole(cap).saturating_add(minted);
+            assert!(
+                Credits::from_whole(total_atomic as u64) <= supply,
+                "atomic oversold: {total_atomic} vs supply {supply:?}"
+            );
+            assert!(Credits::from_whole(total_locked as u64) <= supply);
+            if rate == 0 {
+                assert_eq!(total_atomic, total_locked);
+                assert_eq!(total_atomic, (cap as usize).min(threads * per_thread));
             }
         }
     }

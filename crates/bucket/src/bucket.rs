@@ -326,86 +326,81 @@ mod tests {
         assert_eq!(b.credit(secs(0)), Credits::from_whole(10));
     }
 
-    /// The property tests need the external `proptest` crate, which the
-    /// std-only `rustc --test` battery (built with `--cfg janus_std_only`)
-    /// cannot link. Everything above runs in both worlds.
-    #[cfg(not(janus_std_only))]
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
+    // Seeded property loops: 256 cases each, fixed seeds.
 
-        proptest! {
-            /// Eq. 2: credit is always within [0, C] no matter the operation
-            /// interleaving.
-            #[test]
-            fn credit_always_within_bounds(
-                cap in 0u64..10_000,
-                rate in 0u64..10_000,
-                ops in proptest::collection::vec((0u8..3, 0u64..100_000_000), 1..200),
-            ) {
-                let mut b = bucket(cap, rate);
-                let mut now = Nanos::ZERO;
-                let cap = Credits::from_whole(cap);
-                for (op, advance_us) in ops {
-                    now += Duration::from_micros(advance_us);
-                    match op {
-                        0 => { b.try_consume(now); }
-                        1 => { b.refill(now); }
-                        _ => { b.add_credit(Credits::from_micro(advance_us)); }
+    use janus_hash::rng::Rng;
+
+    /// Eq. 2: credit is always within [0, C] no matter the operation
+    /// interleaving.
+    #[test]
+    fn credit_always_within_bounds() {
+        let mut rng = Rng::seed_from_u64(0xB0C4_E701);
+        for _ in 0..256 {
+            let cap = rng.gen_range(10_000);
+            let mut b = bucket(cap, rng.gen_range(10_000));
+            let cap = Credits::from_whole(cap);
+            let mut now = Nanos::ZERO;
+            for _ in 0..rng.gen_range_inclusive(1, 199) {
+                let advance_us = rng.gen_range(100_000_000);
+                now += Duration::from_micros(advance_us);
+                match rng.gen_range(3) {
+                    0 => {
+                        b.try_consume(now);
                     }
-                    let credit = b.credit(now);
-                    prop_assert!(credit >= Credits::ZERO);
-                    prop_assert!(credit <= cap, "credit {credit:?} above capacity {cap:?}");
+                    1 => b.refill(now),
+                    _ => b.add_credit(Credits::from_micro(advance_us)),
+                }
+                let credit = b.credit(now);
+                assert!(credit <= cap, "credit {credit:?} above capacity {cap:?}");
+            }
+        }
+    }
+
+    /// Conservation: admissions over any schedule never exceed the
+    /// initial credit plus what the refill rate can have minted.
+    #[test]
+    fn admissions_never_exceed_supply() {
+        let mut rng = Rng::seed_from_u64(0xB0C4_E702);
+        for _ in 0..256 {
+            let cap = rng.gen_range_inclusive(1, 499);
+            let rate = rng.gen_range(1_000);
+            let mut b = bucket(cap, rate);
+            let mut now = Nanos::ZERO;
+            let mut admitted = 0u64;
+            for _ in 0..rng.gen_range_inclusive(1, 299) {
+                now += Duration::from_micros(rng.gen_range(200_000));
+                if b.try_consume(now) == Verdict::Allow {
+                    admitted += 1;
                 }
             }
+            let minted =
+                RefillRate::per_second(rate).accrued_over(now.saturating_since(Nanos::ZERO));
+            let supply = Credits::from_whole(cap) + minted;
+            assert!(
+                Credits::from_whole(admitted) <= supply,
+                "admitted {admitted} with supply {supply:?}"
+            );
+        }
+    }
 
-            /// Conservation: admissions over any schedule never exceed the
-            /// initial credit plus what the refill rate can have minted.
-            #[test]
-            fn admissions_never_exceed_supply(
-                cap in 1u64..500,
-                rate in 0u64..1_000,
-                gaps_us in proptest::collection::vec(0u64..200_000, 1..300),
-            ) {
-                let mut b = bucket(cap, rate);
-                let mut now = Nanos::ZERO;
-                let mut admitted = 0u64;
-                for gap in gaps_us {
-                    now += Duration::from_micros(gap);
-                    if b.try_consume(now) == Verdict::Allow {
-                        admitted += 1;
-                    }
-                }
-                let minted = RefillRate::per_second(rate)
-                    .accrued_over(now.saturating_since(Nanos::ZERO));
-                let supply = Credits::from_whole(cap) + minted;
-                prop_assert!(
-                    Credits::from_whole(admitted) <= supply,
-                    "admitted {admitted} with supply {supply:?}"
-                );
+    /// Lazy refill at arbitrary intermediate instants never changes the
+    /// final derived credit (no rounding drift).
+    #[test]
+    fn interleaved_refills_do_not_drift() {
+        let mut rng = Rng::seed_from_u64(0xB0C4_E703);
+        for _ in 0..256 {
+            let mut lazy = bucket(
+                rng.gen_range_inclusive(1, 999),
+                rng.gen_range_inclusive(1, 999),
+            );
+            lazy.try_consume(Nanos::ZERO);
+            let twin = lazy.clone();
+            let mut now = Nanos::ZERO;
+            for _ in 0..rng.gen_range_inclusive(1, 49) {
+                now += Duration::from_micros(rng.gen_range_inclusive(1, 999_999));
+                lazy.refill(now);
             }
-
-            /// Lazy refill at arbitrary intermediate instants never changes the
-            /// final derived credit (no rounding drift).
-            #[test]
-            fn interleaved_refills_do_not_drift(
-                cap in 1u64..1_000,
-                rate in 1u64..1_000,
-                checkpoints_us in proptest::collection::vec(1u64..1_000_000, 1..50),
-            ) {
-                let mut lazy = bucket(cap, rate);
-                let plain = bucket(cap, rate);
-                lazy.try_consume(Nanos::ZERO);
-                let mut twin = plain.clone();
-                twin.try_consume(Nanos::ZERO);
-
-                let mut now = Nanos::ZERO;
-                for gap in &checkpoints_us {
-                    now += Duration::from_micros(*gap);
-                    lazy.refill(now);
-                }
-                prop_assert_eq!(lazy.credit(now), twin.credit(now));
-            }
+            assert_eq!(lazy.credit(now), twin.credit(now));
         }
     }
 }

@@ -9,9 +9,7 @@
 use janus_types::{Credits, QosKey, QosRule, RefillRate};
 
 /// What a QoS server does with a key that has no rule in the database.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum DefaultRulePolicy {
     /// Zero capacity, zero refill: every request from unknown keys is
     /// denied.

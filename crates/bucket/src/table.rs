@@ -6,8 +6,7 @@
 //! underutilization from that lock on large instances (Fig. 10b);
 //! [`SyncTable`] reproduces that design, while [`ShardedTable`] is the
 //! lock-striped optimization the paper defers to future work. Both
-//! implement [`QosTable`], and the `table` criterion bench contrasts them
-//! directly.
+//! implement [`QosTable`], so the benchmarks contrast them directly.
 
 use crate::LeakyBucket;
 use janus_clock::Nanos;
@@ -660,89 +659,66 @@ mod tests {
     }
 }
 
-#[cfg(all(test, not(janus_std_only)))]
-mod proptests {
+#[cfg(test)]
+mod model_tests {
     use super::*;
     use crate::LeakyBucket;
+    use janus_hash::rng::Rng;
     use janus_types::QosRule;
-    use proptest::prelude::*;
+    use std::collections::HashMap;
     use std::time::Duration;
 
-    /// Model-based test: a `ShardedTable` driven by an arbitrary
-    /// sequential script must agree decision-for-decision with plain
-    /// per-key `LeakyBucket`s (the executable specification).
-    #[derive(Debug, Clone)]
-    enum Op {
-        Insert { key: u8, cap: u16, rate: u16 },
-        Decide { key: u8 },
-        Sweep,
-        Advance { micros: u32 },
-        Remove { key: u8 },
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0u8..6, 0u16..50, 0u16..1000).prop_map(|(key, cap, rate)| Op::Insert {
-                key,
-                cap,
-                rate
-            }),
-            (0u8..6).prop_map(|key| Op::Decide { key }),
-            Just(Op::Sweep),
-            (0u32..2_000_000).prop_map(|micros| Op::Advance { micros }),
-            (0u8..6).prop_map(|key| Op::Remove { key }),
-        ]
-    }
-
-    fn keyname(key: u8) -> QosKey {
+    fn keyname(key: u64) -> QosKey {
         QosKey::new(format!("k{key}")).unwrap()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-        #[test]
-        fn sharded_table_matches_bucket_model(
-            script in proptest::collection::vec(op_strategy(), 1..120),
-        ) {
+    /// Model-based test: a `ShardedTable` driven by a random sequential
+    /// script (insert / decide / sweep / advance / remove over six keys)
+    /// must agree decision-for-decision with plain per-key
+    /// `LeakyBucket`s (the executable specification). 128 seeded cases.
+    #[test]
+    fn sharded_table_matches_bucket_model() {
+        let mut rng = Rng::seed_from_u64(0x7AB1_E001);
+        for _ in 0..128 {
             let table = ShardedTable::new();
-            let mut model: std::collections::HashMap<QosKey, LeakyBucket> =
-                std::collections::HashMap::new();
+            let mut model: HashMap<QosKey, LeakyBucket> = HashMap::new();
             let mut now = Nanos::ZERO;
-            for op in script {
-                match op {
-                    Op::Insert { key, cap, rate } => {
-                        let rule = QosRule::per_second(keyname(key), cap as u64, rate as u64);
+            for _ in 0..rng.gen_range_inclusive(1, 119) {
+                match rng.gen_range(5) {
+                    0 => {
+                        let rule = QosRule::per_second(
+                            keyname(rng.gen_range(6)),
+                            rng.gen_range(50),
+                            rng.gen_range(1000),
+                        );
                         table.insert(rule.clone(), now);
                         // Mirror the table's insert-or-update semantics.
                         match model.get_mut(&rule.key) {
                             Some(bucket) => bucket.apply_rule_update(&rule, now),
                             None => {
-                                model.insert(
-                                    rule.key.clone(),
-                                    LeakyBucket::from_rule(&rule, now),
-                                );
+                                model.insert(rule.key.clone(), LeakyBucket::from_rule(&rule, now));
                             }
                         }
                     }
-                    Op::Decide { key } => {
-                        let expected = model
-                            .get_mut(&keyname(key))
-                            .map(|bucket| bucket.try_consume(now));
-                        let got = table.decide(&keyname(key), now);
-                        prop_assert_eq!(got, expected, "decide mismatch at {:?}", now);
+                    1 => {
+                        let key = keyname(rng.gen_range(6));
+                        let expected = model.get_mut(&key).map(|bucket| bucket.try_consume(now));
+                        assert_eq!(
+                            table.decide(&key, now),
+                            expected,
+                            "decide mismatch at {now:?}"
+                        );
                     }
-                    Op::Sweep => {
+                    2 => {
                         table.sweep_refill(now);
                         for bucket in model.values_mut() {
                             bucket.refill(now);
                         }
                     }
-                    Op::Advance { micros } => {
-                        now += Duration::from_micros(micros as u64);
-                    }
-                    Op::Remove { key } => {
-                        let expected = model.remove(&keyname(key)).is_some();
-                        prop_assert_eq!(table.remove(&keyname(key)), expected);
+                    3 => now += Duration::from_micros(rng.gen_range(2_000_000)),
+                    _ => {
+                        let key = keyname(rng.gen_range(6));
+                        assert_eq!(table.remove(&key), model.remove(&key).is_some());
                     }
                 }
             }
@@ -754,7 +730,7 @@ mod proptests {
                 .map(|(key, bucket)| bucket.to_rule(key.clone(), now))
                 .collect();
             expected.sort_by(|a, b| a.key.cmp(&b.key));
-            prop_assert_eq!(snapshot, expected);
+            assert_eq!(snapshot, expected);
         }
     }
 }

@@ -138,7 +138,6 @@ impl From<Duration> for Nanos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn constructors_agree() {
@@ -177,17 +176,37 @@ mod tests {
         assert_eq!(a.max(b), b);
     }
 
-    proptest! {
-        #[test]
-        fn sub_then_add_roundtrips(a in 0u64..u64::MAX / 2, d in 0u64..u64::MAX / 4) {
-            let start = Nanos::from_nanos(a);
-            let later = start + Duration::from_nanos(d);
-            prop_assert_eq!(later - start, Duration::from_nanos(d));
-        }
+    /// SplitMix64: `janus_hash::rng` sits above this crate.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 
-        #[test]
-        fn ordering_matches_raw(a: u64, b: u64) {
-            prop_assert_eq!(Nanos::from_nanos(a) <= Nanos::from_nanos(b), a <= b);
+    #[test]
+    fn sub_then_add_roundtrips() {
+        let mut state = 0x4E41_4E4F_0001;
+        for _ in 0..256 {
+            let start = Nanos::from_nanos(splitmix64(&mut state) % (u64::MAX / 2));
+            let d = Duration::from_nanos(splitmix64(&mut state) % (u64::MAX / 4));
+            assert_eq!((start + d) - start, d);
+        }
+    }
+
+    #[test]
+    fn ordering_matches_raw() {
+        let mut state = 0x4E41_4E4F_0002;
+        for case in 0..256 {
+            let a = splitmix64(&mut state);
+            // Random pairs are never equal; every eighth case is.
+            let b = if case % 8 == 0 {
+                a
+            } else {
+                splitmix64(&mut state)
+            };
+            assert_eq!(Nanos::from_nanos(a) <= Nanos::from_nanos(b), a <= b);
         }
     }
 }

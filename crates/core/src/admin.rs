@@ -23,15 +23,13 @@ use crate::deployment::Deployment;
 use janus_net::http::{
     percent_decode, HttpHandler, HttpRequest, HttpResponse, HttpServer, Method, StatusCode,
 };
+use janus_types::json::ToJson;
 use janus_types::{Credits, QosKey, QosRule, RefillRate, Result};
-use serde::Serialize;
-use std::future::Future;
 use std::net::SocketAddr;
-use std::pin::Pin;
 use std::sync::Arc;
 
 /// Fleet-wide statistics returned by `GET /stats`.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct FleetStats {
     /// Router nodes currently serving.
     pub routers: usize,
@@ -52,26 +50,37 @@ pub struct FleetStats {
     pub rules: u64,
 }
 
+janus_types::impl_to_json!(FleetStats {
+    routers,
+    router_served,
+    router_defaulted,
+    partitions,
+    partition_answered,
+    partition_shed,
+    partition_db_fetches,
+    rules,
+});
+
 struct AdminHandler {
     deployment: Arc<Deployment>,
 }
 
 impl AdminHandler {
-    async fn get_rules(&self) -> Result<HttpResponse> {
-        let mut db = self.deployment.db_client().await?;
-        let rules = db.load_all().await?;
+    fn get_rules(&self) -> Result<HttpResponse> {
+        let mut db = self.deployment.db_client()?;
+        let rules = db.load_all()?;
         Ok(json_response(&rules))
     }
 
-    async fn get_rule(&self, key: &QosKey) -> Result<HttpResponse> {
-        let mut db = self.deployment.db_client().await?;
-        match db.get_rule(key).await? {
+    fn get_rule(&self, key: &QosKey) -> Result<HttpResponse> {
+        let mut db = self.deployment.db_client()?;
+        match db.get_rule(key)? {
             Some(rule) => Ok(json_response(&rule)),
             None => Ok(HttpResponse::status(StatusCode::NOT_FOUND)),
         }
     }
 
-    async fn put_rule(&self, key: QosKey, request: &HttpRequest) -> Result<HttpResponse> {
+    fn put_rule(&self, key: QosKey, request: &HttpRequest) -> Result<HttpResponse> {
         let (Some(capacity), Some(rate)) = (
             parse_param(request, "capacity"),
             parse_param(request, "rate"),
@@ -87,21 +96,21 @@ impl AdminHandler {
         if let Some(credit) = parse_param(request, "credit") {
             rule.credit = Credits::from_whole(credit).min(rule.capacity);
         }
-        let mut db = self.deployment.db_client().await?;
-        db.upsert_rule(&rule).await?;
+        let mut db = self.deployment.db_client()?;
+        db.upsert_rule(&rule)?;
         Ok(json_response(&rule))
     }
 
-    async fn delete_rule(&self, key: &QosKey) -> Result<HttpResponse> {
-        let mut db = self.deployment.db_client().await?;
-        if db.delete_rule(key).await? {
+    fn delete_rule(&self, key: &QosKey) -> Result<HttpResponse> {
+        let mut db = self.deployment.db_client()?;
+        if db.delete_rule(key)? {
             Ok(HttpResponse::ok("deleted"))
         } else {
             Ok(HttpResponse::status(StatusCode::NOT_FOUND))
         }
     }
 
-    async fn stats(&self) -> Result<HttpResponse> {
+    fn stats(&self) -> Result<HttpResponse> {
         use std::sync::atomic::Ordering;
         let deployment = &self.deployment;
         let partitions = deployment.qos_partitions();
@@ -125,7 +134,7 @@ impl AdminHandler {
                     .unwrap_or(0),
             );
         }
-        let mut db = deployment.db_client().await?;
+        let mut db = deployment.db_client()?;
         let stats = FleetStats {
             routers: deployment.router_count(),
             router_served: deployment.router_served_counts(),
@@ -134,18 +143,17 @@ impl AdminHandler {
             partition_answered: answered,
             partition_shed: shed,
             partition_db_fetches: db_fetches,
-            rules: db.count().await?,
+            rules: db.count()?,
         };
         Ok(json_response(&stats))
     }
 }
 
-fn json_response<T: Serialize>(value: &T) -> HttpResponse {
-    let body = serde_json::to_vec_pretty(value).expect("serializable");
+fn json_response(value: &impl ToJson) -> HttpResponse {
     HttpResponse {
         status: StatusCode::OK,
         headers: vec![("content-type".into(), "application/json".into())],
-        body,
+        body: value.to_json().pretty().into_bytes(),
     }
 }
 
@@ -163,28 +171,22 @@ fn rule_key(path: &str) -> Option<QosKey> {
 }
 
 impl HttpHandler for AdminHandler {
-    fn handle(
-        &self,
-        request: HttpRequest,
-        _peer: SocketAddr,
-    ) -> Pin<Box<dyn Future<Output = HttpResponse> + Send + '_>> {
-        Box::pin(async move {
-            let outcome = match (request.method, request.path()) {
-                (Method::Get, "/healthz") => Ok(HttpResponse::ok("ok")),
-                (Method::Get, "/stats") => self.stats().await,
-                (Method::Get, "/rules") => self.get_rules().await,
-                (method, path) if path.starts_with("/rules/") => match rule_key(path) {
-                    None => Ok(HttpResponse::status(StatusCode::BAD_REQUEST)),
-                    Some(key) => match method {
-                        Method::Get => self.get_rule(&key).await,
-                        Method::Put | Method::Post => self.put_rule(key, &request).await,
-                        Method::Delete => self.delete_rule(&key).await,
-                    },
+    fn handle(&self, request: HttpRequest, _peer: SocketAddr) -> HttpResponse {
+        let outcome = match (request.method, request.path()) {
+            (Method::Get, "/healthz") => Ok(HttpResponse::ok("ok")),
+            (Method::Get, "/stats") => self.stats(),
+            (Method::Get, "/rules") => self.get_rules(),
+            (method, path) if path.starts_with("/rules/") => match rule_key(path) {
+                None => Ok(HttpResponse::status(StatusCode::BAD_REQUEST)),
+                Some(key) => match method {
+                    Method::Get => self.get_rule(&key),
+                    Method::Put | Method::Post => self.put_rule(key, &request),
+                    Method::Delete => self.delete_rule(&key),
                 },
-                _ => Ok(HttpResponse::status(StatusCode::NOT_FOUND)),
-            };
-            outcome.unwrap_or_else(|_| HttpResponse::status(StatusCode::SERVICE_UNAVAILABLE))
-        })
+            },
+            _ => Ok(HttpResponse::status(StatusCode::NOT_FOUND)),
+        };
+        outcome.unwrap_or_else(|_| HttpResponse::status(StatusCode::SERVICE_UNAVAILABLE))
     }
 }
 
@@ -196,10 +198,10 @@ pub struct AdminApi {
 impl AdminApi {
     /// Serve the admin API for `deployment` on an ephemeral loopback
     /// port.
-    pub async fn spawn(deployment: Arc<Deployment>) -> Result<AdminApi> {
+    pub fn spawn(deployment: Arc<Deployment>) -> Result<AdminApi> {
         let handler = Arc::new(AdminHandler { deployment });
         Ok(AdminApi {
-            http: HttpServer::spawn(handler).await?,
+            http: HttpServer::spawn(handler as Arc<dyn HttpHandler>)?,
         })
     }
 
@@ -219,9 +221,10 @@ mod tests {
     use super::*;
     use crate::{DeploymentConfig, QosClient};
     use janus_net::http::HttpClient;
+    use janus_types::json::Json;
     use janus_types::Verdict;
 
-    async fn setup() -> (Arc<Deployment>, AdminApi) {
+    fn setup() -> (Arc<Deployment>, AdminApi) {
         let config = DeploymentConfig {
             qos_servers: 1,
             routers: 1,
@@ -229,15 +232,15 @@ mod tests {
             default_verdict: Verdict::Deny,
             ..Default::default()
         };
-        let deployment = Arc::new(Deployment::launch(config).await.unwrap());
-        let admin = AdminApi::spawn(Arc::clone(&deployment)).await.unwrap();
+        let deployment = Arc::new(Deployment::launch(config).unwrap());
+        let admin = AdminApi::spawn(Arc::clone(&deployment)).unwrap();
         (deployment, admin)
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn rule_crud_cycle() {
-        let (_deployment, admin) = setup().await;
-        let mut http = HttpClient::connect(admin.addr()).await.unwrap();
+    #[test]
+    fn rule_crud_cycle() {
+        let (_deployment, admin) = setup();
+        let mut http = HttpClient::connect(admin.addr()).unwrap();
 
         // Create.
         let resp = http
@@ -247,24 +250,25 @@ mod tests {
                 headers: vec![],
                 body: vec![],
             })
-            .await
             .unwrap();
         assert_eq!(resp.status, StatusCode::OK, "{}", resp.body_text());
 
         // Read one.
         let resp = http
             .request(&HttpRequest::get("/rules/alice%3Aphotos"))
-            .await
             .unwrap();
         assert_eq!(resp.status, StatusCode::OK);
-        let rule: QosRule = serde_json::from_slice(&resp.body).unwrap();
-        assert_eq!(rule.key.as_str(), "alice:photos");
-        assert_eq!(rule.capacity, Credits::from_whole(1000));
+        let rule = Json::parse(&resp.body_text()).unwrap();
+        assert_eq!(rule.get("key").unwrap().as_str(), Some("alice:photos"));
+        assert_eq!(
+            rule.get("capacity").unwrap().as_u64(),
+            Some(Credits::from_whole(1000).as_micro())
+        );
 
         // List.
-        let resp = http.request(&HttpRequest::get("/rules")).await.unwrap();
-        let rules: Vec<QosRule> = serde_json::from_slice(&resp.body).unwrap();
-        assert_eq!(rules.len(), 2); // seed + alice
+        let resp = http.request(&HttpRequest::get("/rules")).unwrap();
+        let rules = Json::parse(&resp.body_text()).unwrap();
+        assert_eq!(rules.items().len(), 2); // seed + alice
 
         // Delete.
         let resp = http
@@ -274,19 +278,17 @@ mod tests {
                 headers: vec![],
                 body: vec![],
             })
-            .await
             .unwrap();
         assert_eq!(resp.status, StatusCode::OK);
         let resp = http
             .request(&HttpRequest::get("/rules/alice%3Aphotos"))
-            .await
             .unwrap();
         assert_eq!(resp.status, StatusCode::NOT_FOUND);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn admin_created_rules_govern_admission() {
-        let (deployment, admin) = setup().await;
+    #[test]
+    fn admin_created_rules_govern_admission() {
+        let (deployment, admin) = setup();
         HttpClient::oneshot(
             admin.addr(),
             &HttpRequest {
@@ -296,38 +298,36 @@ mod tests {
                 body: vec![],
             },
         )
-        .await
         .unwrap();
         let mut client = QosClient::new(deployment.endpoint());
         let key = QosKey::new("newbie").unwrap();
-        assert!(client.qos_check(&key).await.unwrap());
-        assert!(client.qos_check(&key).await.unwrap());
-        assert!(!client.qos_check(&key).await.unwrap());
+        assert!(client.qos_check(&key).unwrap());
+        assert!(client.qos_check(&key).unwrap());
+        assert!(!client.qos_check(&key).unwrap());
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn stats_reflect_traffic() {
-        let (deployment, admin) = setup().await;
+    #[test]
+    fn stats_reflect_traffic() {
+        let (deployment, admin) = setup();
         let mut client = QosClient::new(deployment.endpoint());
         for _ in 0..5 {
-            let _ = client.qos_check(&QosKey::new("seed").unwrap()).await;
+            let _ = client.qos_check(&QosKey::new("seed").unwrap());
         }
-        let resp = HttpClient::oneshot(admin.addr(), &HttpRequest::get("/stats"))
-            .await
-            .unwrap();
+        let resp = HttpClient::oneshot(admin.addr(), &HttpRequest::get("/stats")).unwrap();
         assert_eq!(resp.status, StatusCode::OK);
-        let stats: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
-        assert_eq!(stats["routers"], 1);
-        assert_eq!(stats["partitions"], 1);
-        assert_eq!(stats["rules"], 1);
-        assert_eq!(stats["partition_answered"][0], 5);
-        assert_eq!(stats["router_served"][0], 5);
+        let stats = Json::parse(&resp.body_text()).unwrap();
+        let field = |name: &str| stats.get(name).unwrap();
+        assert_eq!(field("routers").as_u64(), Some(1));
+        assert_eq!(field("partitions").as_u64(), Some(1));
+        assert_eq!(field("rules").as_u64(), Some(1));
+        assert_eq!(field("partition_answered").items()[0].as_u64(), Some(5));
+        assert_eq!(field("router_served").items()[0].as_u64(), Some(5));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn rejects_malformed_requests() {
-        let (_deployment, admin) = setup().await;
-        let mut http = HttpClient::connect(admin.addr()).await.unwrap();
+    #[test]
+    fn rejects_malformed_requests() {
+        let (_deployment, admin) = setup();
+        let mut http = HttpClient::connect(admin.addr()).unwrap();
         // Missing params.
         let resp = http
             .request(&HttpRequest {
@@ -336,14 +336,13 @@ mod tests {
                 headers: vec![],
                 body: vec![],
             })
-            .await
             .unwrap();
         assert_eq!(resp.status, StatusCode::BAD_REQUEST);
         // Nested path.
-        let resp = http.request(&HttpRequest::get("/rules/a/b")).await.unwrap();
+        let resp = http.request(&HttpRequest::get("/rules/a/b")).unwrap();
         assert_eq!(resp.status, StatusCode::BAD_REQUEST);
         // Unknown route.
-        let resp = http.request(&HttpRequest::get("/nope")).await.unwrap();
+        let resp = http.request(&HttpRequest::get("/nope")).unwrap();
         assert_eq!(resp.status, StatusCode::NOT_FOUND);
         // 404 on missing rule delete.
         let resp = http
@@ -353,7 +352,6 @@ mod tests {
                 headers: vec![],
                 body: vec![],
             })
-            .await
             .unwrap();
         assert_eq!(resp.status, StatusCode::NOT_FOUND);
     }

@@ -9,11 +9,10 @@
 //! balancer.
 
 use crate::deployment::Deployment;
+use janus_types::sync::{Mutex, Shutdown};
 use janus_types::Result;
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
-use tokio::sync::watch;
 
 /// Autoscaler tuning.
 #[derive(Debug, Clone)]
@@ -82,9 +81,10 @@ pub struct ScaleEvent {
     pub observed_rps_per_router: f64,
 }
 
-/// A running autoscaler. Dropping the handle stops it.
+/// A running autoscaler: one evaluation thread. Dropping the handle
+/// stops it.
 pub struct Autoscaler {
-    stop: watch::Sender<bool>,
+    stop: Shutdown,
     events: Arc<Mutex<Vec<ScaleEvent>>>,
 }
 
@@ -92,20 +92,15 @@ impl Autoscaler {
     /// Start autoscaling `deployment`'s router layer.
     pub fn spawn(deployment: Arc<Deployment>, config: AutoscalerConfig) -> Result<Autoscaler> {
         config.validate()?;
-        let (stop, mut stop_rx) = watch::channel(false);
+        let stop = Shutdown::new();
+        let stopped = stop.clone();
         let events = Arc::new(Mutex::new(Vec::new()));
-        let events_task = Arc::clone(&events);
-        tokio::spawn(async move {
-            let mut ticker = tokio::time::interval(config.evaluate_every);
-            ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
-            ticker.tick().await; // immediate first tick: establish baseline
+        let events_seen = Arc::clone(&events);
+        let evaluate = move || {
+            // Establish the baseline, then evaluate once per period.
             let mut last_total: u64 = deployment.router_served_counts().iter().sum();
             let mut cooldown = 0u32;
-            loop {
-                tokio::select! {
-                    _ = stop_rx.changed() => return,
-                    _ = ticker.tick() => {}
-                }
+            while !stopped.wait_timeout(config.evaluate_every) {
                 let total: u64 = deployment.router_served_counts().iter().sum();
                 let rate =
                     (total.saturating_sub(last_total)) as f64 / config.evaluate_every.as_secs_f64();
@@ -127,8 +122,8 @@ impl Autoscaler {
                 } else {
                     continue;
                 };
-                if deployment.scale_routers(target).await.is_ok() {
-                    events_task.lock().push(ScaleEvent {
+                if deployment.scale_routers(target).is_ok() {
+                    events_seen.lock().push(ScaleEvent {
                         from: count,
                         to: target,
                         observed_rps_per_router: per_router,
@@ -136,7 +131,10 @@ impl Autoscaler {
                     cooldown = config.cooldown_evaluations;
                 }
             }
-        });
+        };
+        std::thread::Builder::new()
+            .name("janus-autoscaler".into())
+            .spawn(evaluate)?;
         Ok(Autoscaler { stop, events })
     }
 
@@ -147,13 +145,13 @@ impl Autoscaler {
 
     /// Stop evaluating.
     pub fn stop(&self) {
-        let _ = self.stop.send(true);
+        self.stop.trigger();
     }
 }
 
 impl Drop for Autoscaler {
     fn drop(&mut self) {
-        let _ = self.stop.send(true);
+        self.stop.trigger();
     }
 }
 
@@ -182,8 +180,8 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn scales_out_under_load_and_in_when_quiet() {
+    #[test]
+    fn scales_out_under_load_and_in_when_quiet() {
         let config = DeploymentConfig {
             routers: 1,
             rules: vec![QosRule::per_second(
@@ -193,7 +191,7 @@ mod tests {
             )],
             ..Default::default()
         };
-        let deployment = Arc::new(crate::Deployment::launch(config).await.unwrap());
+        let deployment = Arc::new(crate::Deployment::launch(config).unwrap());
         let autoscaler = Autoscaler::spawn(
             Arc::clone(&deployment),
             AutoscalerConfig {
@@ -215,11 +213,11 @@ mod tests {
         for _ in 0..8 {
             let deployment = Arc::clone(&deployment);
             let stop_load = Arc::clone(&stop_load);
-            drivers.push(tokio::spawn(async move {
-                let mut client = deployment.client().await.unwrap();
+            drivers.push(std::thread::spawn(move || {
+                let mut client = deployment.client().unwrap();
                 let key = QosKey::new("busy").unwrap();
                 while !stop_load.load(std::sync::atomic::Ordering::Relaxed) {
-                    let _ = client.qos_check(&key).await;
+                    let _ = client.qos_check(&key);
                 }
             }));
         }
@@ -232,17 +230,17 @@ mod tests {
                 deployment.router_count(),
                 autoscaler.events()
             );
-            tokio::time::sleep(Duration::from_millis(50)).await;
+            std::thread::sleep(Duration::from_millis(50));
         }
         // New routers actually serve traffic.
-        tokio::time::sleep(Duration::from_millis(300)).await;
+        std::thread::sleep(Duration::from_millis(300));
         let counts = deployment.router_served_counts();
         assert!(counts.iter().all(|&c| c > 0), "idle new router: {counts:?}");
 
         // Quiet down: the fleet shrinks back to the minimum.
         stop_load.store(true, std::sync::atomic::Ordering::Relaxed);
         for d in drivers {
-            d.await.unwrap();
+            d.join().unwrap();
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while deployment.router_count() > 1 {
@@ -252,7 +250,7 @@ mod tests {
                 deployment.router_count(),
                 autoscaler.events()
             );
-            tokio::time::sleep(Duration::from_millis(50)).await;
+            std::thread::sleep(Duration::from_millis(50));
         }
         // Events recorded out and in.
         let events = autoscaler.events();

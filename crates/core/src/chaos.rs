@@ -24,8 +24,7 @@ use crate::client::QosClient;
 use crate::deployment::{Deployment, DeploymentConfig, LbMode};
 use janus_lb::{HealthCheckConfig, LbPolicy};
 use janus_net::BreakerConfig;
-use janus_types::{JanusError, QosKey, QosRule, Result, Verdict};
-use serde::Serialize;
+use janus_types::{QosKey, QosRule, Result, Verdict};
 use std::time::{Duration, Instant};
 
 /// Tuning for one chaos soak run.
@@ -65,7 +64,7 @@ impl Default for ChaosConfig {
 }
 
 /// Outcome counts for one phase of the schedule.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseReport {
     /// Phase name (`baseline`, `master-kill-failover`, ...).
     pub name: String,
@@ -81,8 +80,17 @@ pub struct PhaseReport {
     pub duration_ms: u64,
 }
 
+janus_types::impl_to_json!(PhaseReport {
+    name,
+    requests,
+    allowed,
+    denied,
+    errors,
+    duration_ms,
+});
+
 /// Everything a soak run measured, plus the pass/fail verdicts.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// Per-phase outcome counts, in schedule order.
     pub phases: Vec<PhaseReport>,
@@ -123,6 +131,26 @@ pub struct ChaosReport {
     pub breaker_recovery_ok: bool,
 }
 
+janus_types::impl_to_json!(ChaosReport {
+    phases,
+    total_allowed,
+    total_denied,
+    total_errors,
+    elapsed_ms,
+    admission_bound,
+    safety_ok,
+    availability,
+    availability_floor,
+    availability_ok,
+    breaker_fast_fails,
+    degraded_allowed,
+    degraded_denied,
+    gateway_ejections,
+    gateway_readmissions,
+    breaker_recovered_ms,
+    breaker_recovery_ok,
+});
+
 impl ChaosReport {
     /// All three invariants held.
     pub fn passed(&self) -> bool {
@@ -130,9 +158,8 @@ impl ChaosReport {
     }
 
     /// Pretty-printed JSON for archiving (`results/chaos_soak.json`).
-    pub fn to_json_string(&self) -> Result<String> {
-        serde_json::to_string_pretty(self)
-            .map_err(|e| JanusError::state(format!("chaos report serialization: {e}")))
+    pub fn to_json_string(&self) -> String {
+        janus_types::json::ToJson::to_json(self).pretty()
     }
 }
 
@@ -143,21 +170,16 @@ impl ChaosReport {
 /// re-hydration by the replacement node.
 const AUTHORITY_TRANSFERS: u64 = 4;
 
-async fn hammer(
-    client: &mut QosClient,
-    key: &QosKey,
-    config: &ChaosConfig,
-    name: &str,
-) -> PhaseReport {
+fn hammer(client: &mut QosClient, key: &QosKey, config: &ChaosConfig, name: &str) -> PhaseReport {
     let started = Instant::now();
     let (mut allowed, mut denied, mut errors) = (0u32, 0u32, 0u32);
     for _ in 0..config.requests_per_phase {
-        match client.qos_check(key).await {
+        match client.qos_check(key) {
             Ok(true) => allowed += 1,
             Ok(false) => denied += 1,
             Err(_) => errors += 1,
         }
-        tokio::time::sleep(config.request_gap).await;
+        std::thread::sleep(config.request_gap);
     }
     PhaseReport {
         name: name.to_string(),
@@ -170,7 +192,7 @@ async fn hammer(
 }
 
 /// Run the fault schedule end to end and score the invariants.
-pub async fn run_chaos_soak(config: ChaosConfig) -> Result<ChaosReport> {
+pub fn run_chaos_soak(config: ChaosConfig) -> Result<ChaosReport> {
     let key = QosKey::new("chaos-tenant")?;
     let deployment_config = DeploymentConfig {
         qos_servers: 1,
@@ -193,50 +215,55 @@ pub async fn run_chaos_soak(config: ChaosConfig) -> Result<ChaosReport> {
         )],
         ..DeploymentConfig::default()
     };
-    let mut deployment = Deployment::launch(deployment_config).await?;
-    let mut client = deployment.client().await?;
+    let mut deployment = Deployment::launch(deployment_config)?;
+    let mut client = deployment.client()?;
     let soak_started = Instant::now();
     let mut phases = Vec::new();
 
     // Phase 1: everything healthy.
-    phases.push(hammer(&mut client, &key, &config, "baseline").await);
+    phases.push(hammer(&mut client, &key, &config, "baseline"));
 
     // Phase 2: the partition master dies; DNS failover promotes the
     // slave, which answers with (approximately) the replicated credit.
     deployment.kill_qos_master(0);
-    deployment.await_failover(0, Duration::from_secs(5)).await?;
-    phases.push(hammer(&mut client, &key, &config, "master-kill-failover").await);
+    deployment.await_failover(0, Duration::from_secs(5))?;
+    phases.push(hammer(&mut client, &key, &config, "master-kill-failover"));
 
     // Phase 3: the promoted slave dies too — total partition blackout.
     // Breakers trip and routers serve degraded local admission from the
     // learned rule shape.
     deployment.kill_qos_slave(0);
-    phases.push(hammer(&mut client, &key, &config, "partition-blackout").await);
+    phases.push(hammer(&mut client, &key, &config, "partition-blackout"));
 
     // Phase 4: the database master dies while the partition is still
     // dark. Multi-AZ failover promotes the standby, so heal-time
     // hydration still has a rules source.
     deployment.kill_db_master();
-    deployment.await_db_failover(Duration::from_secs(5)).await?;
-    phases.push(hammer(&mut client, &key, &config, "db-outage-during-blackout").await);
+    deployment.await_db_failover(Duration::from_secs(5))?;
+    phases.push(hammer(
+        &mut client,
+        &key,
+        &config,
+        "db-outage-during-blackout",
+    ));
 
     // Phase 5: heal the partition and measure breaker recovery: drive
     // light traffic until every router's half-open probe has closed.
-    deployment.heal_partition(0).await?;
+    deployment.heal_partition(0)?;
     let heal_started = Instant::now();
     let mut recovered: Option<Duration> = None;
     let mut recovery_allowed = 0u64;
     while heal_started.elapsed() < config.breaker_recovery_budget {
-        if let Ok(true) = client.qos_check(&key).await {
+        if let Ok(true) = client.qos_check(&key) {
             recovery_allowed += 1;
         }
         if deployment.breakers_closed_everywhere(0) {
             recovered = Some(heal_started.elapsed());
             break;
         }
-        tokio::time::sleep(Duration::from_millis(10)).await;
+        std::thread::sleep(Duration::from_millis(10));
     }
-    phases.push(hammer(&mut client, &key, &config, "healed").await);
+    phases.push(hammer(&mut client, &key, &config, "healed"));
 
     let elapsed = soak_started.elapsed();
     let total_allowed = phases.iter().map(|p| u64::from(p.allowed)).sum::<u64>() + recovery_allowed;

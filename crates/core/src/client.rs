@@ -60,10 +60,10 @@ impl QosClient {
         }
     }
 
-    async fn connection(&mut self) -> Result<&mut HttpClient> {
+    fn connection(&mut self) -> Result<&mut HttpClient> {
         if self.connection.is_none() {
             let addr = self.resolve()?;
-            self.connection = Some(HttpClient::connect(addr).await?);
+            self.connection = Some(HttpClient::connect(addr)?);
         }
         Ok(self.connection.as_mut().expect("just connected"))
     }
@@ -72,11 +72,11 @@ impl QosClient {
     ///
     /// One transparent reconnect is attempted if the cached connection has
     /// gone stale.
-    pub async fn qos_check(&mut self, key: &QosKey) -> Result<bool> {
+    pub fn qos_check(&mut self, key: &QosKey) -> Result<bool> {
         let request = qos_http_request(key);
         // First attempt over the cached connection.
-        let first = match self.connection().await {
-            Ok(conn) => conn.request(&request).await,
+        let first = match self.connection() {
+            Ok(conn) => conn.request(&request),
             Err(e) => Err(e),
         };
         let response = match first {
@@ -84,16 +84,16 @@ impl QosClient {
             Err(_) => {
                 // Stale or refused: reconnect once and retry.
                 self.connection = None;
-                let conn = self.connection().await?;
-                conn.request(&request).await.inspect_err(|_| {})?
+                let conn = self.connection()?;
+                conn.request(&request).inspect_err(|_| {})?
             }
         };
         Ok(parse_qos_response(&response)? == Verdict::Allow)
     }
 
     /// Like [`qos_check`](Self::qos_check) but returns the verdict enum.
-    pub async fn check(&mut self, key: &QosKey) -> Result<Verdict> {
-        Ok(Verdict::from_bool(self.qos_check(key).await?))
+    pub fn check(&mut self, key: &QosKey) -> Result<Verdict> {
+        Ok(Verdict::from_bool(self.qos_check(key)?))
     }
 
     /// Drop the cached connection (tests use this to force re-resolution,
@@ -114,61 +114,57 @@ mod tests {
     use janus_net::http::{HttpRequest, HttpResponse, HttpServer};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    async fn fake_router(allow: bool) -> (HttpServer, Arc<AtomicU64>) {
+    fn fake_router(allow: bool) -> (HttpServer, Arc<AtomicU64>) {
         let hits = Arc::new(AtomicU64::new(0));
         let hits_handler = Arc::clone(&hits);
         let server = HttpServer::spawn(Arc::new(move |req: HttpRequest, _peer: SocketAddr| {
-            let hits = Arc::clone(&hits_handler);
-            async move {
-                hits.fetch_add(1, Ordering::Relaxed);
-                assert_eq!(req.path(), "/qos");
-                HttpResponse::ok(if allow { "TRUE" } else { "FALSE" })
-            }
+            hits_handler.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(req.path(), "/qos");
+            HttpResponse::ok(if allow { "TRUE" } else { "FALSE" })
         }))
-        .await
         .unwrap();
         (server, hits)
     }
 
-    #[tokio::test]
-    async fn check_returns_boolean() {
-        let (router, _) = fake_router(true).await;
+    #[test]
+    fn check_returns_boolean() {
+        let (router, _) = fake_router(true);
         let mut client = QosClient::new(Endpoint::Direct(router.addr()));
-        assert!(client.qos_check(&QosKey::new("k").unwrap()).await.unwrap());
+        assert!(client.qos_check(&QosKey::new("k").unwrap()).unwrap());
 
-        let (router, _) = fake_router(false).await;
+        let (router, _) = fake_router(false);
         let mut client = QosClient::new(Endpoint::Direct(router.addr()));
-        assert!(!client.qos_check(&QosKey::new("k").unwrap()).await.unwrap());
+        assert!(!client.qos_check(&QosKey::new("k").unwrap()).unwrap());
     }
 
-    #[tokio::test]
-    async fn reuses_keepalive_connection() {
-        let (router, _) = fake_router(true).await;
+    #[test]
+    fn reuses_keepalive_connection() {
+        let (router, _) = fake_router(true);
         let mut client = QosClient::new(Endpoint::Direct(router.addr()));
         for _ in 0..5 {
-            client.qos_check(&QosKey::new("k").unwrap()).await.unwrap();
+            client.qos_check(&QosKey::new("k").unwrap()).unwrap();
         }
         // All five checks over one TCP connection.
         assert_eq!(router.connections(), 1);
     }
 
-    #[tokio::test]
-    async fn reconnects_after_endpoint_restart() {
-        let (router, _) = fake_router(true).await;
+    #[test]
+    fn reconnects_after_endpoint_restart() {
+        let (router, _) = fake_router(true);
         let addr = router.addr();
         let mut client = QosClient::new(Endpoint::Direct(addr));
-        client.qos_check(&QosKey::new("k").unwrap()).await.unwrap();
+        client.qos_check(&QosKey::new("k").unwrap()).unwrap();
         // Kill the server; the cached connection goes stale.
         router.shutdown();
         drop(router);
-        tokio::time::sleep(std::time::Duration::from_millis(50)).await;
+        std::thread::sleep(std::time::Duration::from_millis(50));
         // Shutdown lets a kept-alive connection finish its current
         // request, so the first check may still succeed; within a few
         // attempts the stale endpoint must surface an error rather than
         // hang.
         let mut saw_error = false;
         for _ in 0..5 {
-            if client.qos_check(&QosKey::new("k").unwrap()).await.is_err() {
+            if client.qos_check(&QosKey::new("k").unwrap()).is_err() {
                 saw_error = true;
                 break;
             }
@@ -176,10 +172,10 @@ mod tests {
         assert!(saw_error, "dead endpoint never surfaced an error");
     }
 
-    #[tokio::test]
-    async fn dns_endpoint_resolves_through_cache() {
+    #[test]
+    fn dns_endpoint_resolves_through_cache() {
         use janus_net::dns::{Resolver, Zone};
-        let (router, hits) = fake_router(true).await;
+        let (router, hits) = fake_router(true);
         let zone = Zone::new();
         zone.insert(
             "janus.endpoint",
@@ -191,7 +187,7 @@ mod tests {
             name: "janus.endpoint".into(),
             resolver,
         });
-        assert!(client.qos_check(&QosKey::new("k").unwrap()).await.unwrap());
+        assert!(client.qos_check(&QosKey::new("k").unwrap()).unwrap());
         assert_eq!(hits.load(Ordering::Relaxed), 1);
     }
 }

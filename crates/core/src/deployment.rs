@@ -8,8 +8,8 @@ use janus_net::dns::{spawn_tcp_health_monitor, HealthMonitor, Resolver, Zone};
 use janus_net::BreakerConfig;
 use janus_router::{Backend, RequestRouter, RouterConfig};
 use janus_server::{DbTarget, QosServer, QosServerConfig, SlaveReplicator};
+use janus_types::sync::RwLock;
 use janus_types::{JanusError, QosRule, Result, Verdict};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -166,7 +166,7 @@ struct RouterTemplate {
 
 impl Deployment {
     /// Launch every layer per `config`.
-    pub async fn launch(config: DeploymentConfig) -> Result<Deployment> {
+    pub fn launch(config: DeploymentConfig) -> Result<Deployment> {
         if config.qos_servers == 0 {
             return Err(JanusError::config("need at least one QoS server"));
         }
@@ -183,10 +183,10 @@ impl Deployment {
             // the same snapshot, then receives forwarded writes).
             let standby_engine = Arc::new(RulesEngine::new());
             standby_engine.load(config.rules.iter().cloned());
-            let standby = DbServer::spawn(standby_engine).await?;
+            let standby = DbServer::spawn(standby_engine)?;
             let master_engine = Arc::new(RulesEngine::new());
             master_engine.load(config.rules.iter().cloned());
-            let master = DbServer::spawn_with_standby(master_engine, standby.addr()).await?;
+            let master = DbServer::spawn_with_standby(master_engine, standby.addr())?;
             zone.insert_failover(
                 DB_DNS_NAME,
                 master.addr(),
@@ -210,7 +210,7 @@ impl Deployment {
             let engine = Arc::new(RulesEngine::new());
             engine.load(config.rules.iter().cloned());
             DbLayer {
-                master: Some(DbServer::spawn(engine).await?),
+                master: Some(DbServer::spawn(engine)?),
                 standby: None,
                 monitor: None,
             }
@@ -232,8 +232,7 @@ impl Deployment {
                 config.server.clone(),
                 Some(db_target.clone()),
                 Arc::clone(&clock),
-            )
-            .await?;
+            )?;
             let dns_name = format!("qos-{index}.janus.internal");
             ha_ports.insert(master.udp_addr(), master.ha_addr());
 
@@ -242,8 +241,7 @@ impl Deployment {
                     config.server.clone(),
                     Some(db_target.clone()),
                     Arc::clone(&clock),
-                )
-                .await?;
+                )?;
                 let replicator = SlaveReplicator::spawn(
                     master.ha_addr(),
                     Arc::clone(slave.table()),
@@ -305,21 +303,20 @@ impl Deployment {
                 fleet_size: config.routers,
                 deadline_propagation: true,
                 lease: false,
+                gray: None,
             };
-            routers.push(RequestRouter::spawn(router_config, Some(resolver)).await?);
+            routers.push(RequestRouter::spawn(router_config, Some(resolver))?);
         }
 
         // Load balancer layer.
         let gateway_health = config.gateway_health;
-        let spawn_gateway = move |addrs: Vec<SocketAddr>, policy: LbPolicy| async move {
-            match gateway_health {
-                Some(health) => GatewayLb::spawn_with_health(addrs, policy, health).await,
-                None => GatewayLb::spawn(addrs, policy).await,
-            }
+        let spawn_gateway = move |addrs: Vec<SocketAddr>, policy: LbPolicy| match gateway_health {
+            Some(health) => GatewayLb::spawn_with_health(addrs, policy, health),
+            None => GatewayLb::spawn(addrs, policy),
         };
         let router_addrs: Vec<SocketAddr> = routers.iter().map(|r| r.addr()).collect();
         let (gateways, dns_lb) = match config.lb {
-            LbMode::Gateway(policy) => (vec![spawn_gateway(router_addrs, policy).await?], None),
+            LbMode::Gateway(policy) => (vec![spawn_gateway(router_addrs, policy)?], None),
             LbMode::Dns { ttl } => (
                 Vec::new(),
                 Some(DnsLb::publish(
@@ -339,7 +336,7 @@ impl Deployment {
                 }
                 let mut gateways = Vec::with_capacity(count);
                 for _ in 0..count {
-                    gateways.push(spawn_gateway(router_addrs.clone(), policy).await?);
+                    gateways.push(spawn_gateway(router_addrs.clone(), policy)?);
                 }
                 let gateway_addrs = gateways.iter().map(|g| g.addr()).collect();
                 let dns_lb =
@@ -378,7 +375,7 @@ impl Deployment {
 
     /// Build a QoS client, modelling a fresh client host (its own DNS
     /// cache under DNS load balancing).
-    pub async fn client(&self) -> Result<QosClient> {
+    pub fn client(&self) -> Result<QosClient> {
         Ok(QosClient::new(self.endpoint()))
     }
 
@@ -403,8 +400,8 @@ impl Deployment {
 
     /// Administrative handle to the rule database (the currently active
     /// node).
-    pub async fn db_client(&self) -> Result<DbClient> {
-        DbClient::connect(self.active_db_addr()?).await
+    pub fn db_client(&self) -> Result<DbClient> {
+        DbClient::connect(self.active_db_addr()?)
     }
 
     /// The address of the currently active database node (master, or the
@@ -424,8 +421,8 @@ impl Deployment {
 
     /// Insert or replace a rule at runtime — effective on next sighting,
     /// no restarts (paper §II-D).
-    pub async fn upsert_rule(&self, rule: &QosRule) -> Result<()> {
-        self.db_client().await?.upsert_rule(rule).await
+    pub fn upsert_rule(&self, rule: &QosRule) -> Result<()> {
+        self.db_client()?.upsert_rule(rule)
     }
 
     /// The active-at-launch database master node (None after
@@ -449,7 +446,7 @@ impl Deployment {
     }
 
     /// Wait until the DB failover record points at the standby.
-    pub async fn await_db_failover(&self, timeout: Duration) -> Result<SocketAddr> {
+    pub fn await_db_failover(&self, timeout: Duration) -> Result<SocketAddr> {
         let standby = self
             .db
             .standby
@@ -464,7 +461,7 @@ impl Deployment {
             if std::time::Instant::now() >= deadline {
                 return Err(JanusError::state("DB failover did not happen in time"));
             }
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
 
@@ -501,11 +498,11 @@ impl Deployment {
     /// so scale-out is spawn + register and scale-in is deregister +
     /// drain. The load balancer (gateway or DNS) is updated atomically;
     /// in-flight requests on removed routers complete.
-    pub async fn scale_routers(&self, target: usize) -> Result<usize> {
+    pub fn scale_routers(&self, target: usize) -> Result<usize> {
         if target == 0 {
             return Err(JanusError::config("cannot scale the router layer to zero"));
         }
-        // Spawn any new nodes before taking the lock (async).
+        // Spawn any new nodes before taking the lock.
         let current = self.router_count();
         let mut fresh = Vec::new();
         for _ in current..target {
@@ -526,8 +523,9 @@ impl Deployment {
                 fleet_size: self.router_template.fleet_size,
                 deadline_propagation: true,
                 lease: false,
+                gray: None,
             };
-            fresh.push(RequestRouter::spawn(router_config, Some(resolver)).await?);
+            fresh.push(RequestRouter::spawn(router_config, Some(resolver))?);
         }
         let removed: Vec<RequestRouter> = {
             let mut routers = self.routers.write();
@@ -633,13 +631,12 @@ impl Deployment {
     /// on first sighting, exactly like a node replaced by auto scaling.
     /// Any failover monitor for the partition is stopped first — its
     /// probe map predates the new node, so it would fight the record.
-    pub async fn heal_partition(&mut self, index: usize) -> Result<SocketAddr> {
+    pub fn heal_partition(&mut self, index: usize) -> Result<SocketAddr> {
         let master = QosServer::spawn(
             self.server_config.clone(),
             Some(self.db_target.clone()),
             Arc::clone(&self.clock),
-        )
-        .await?;
+        )?;
         let partition = &mut self.partitions[index];
         if let Some(monitor) = partition.monitor.take() {
             monitor.stop();
@@ -719,7 +716,7 @@ impl Deployment {
 
     /// Wait until the failover record of partition `index` points at the
     /// slave, or time out.
-    pub async fn await_failover(&self, index: usize, timeout: Duration) -> Result<SocketAddr> {
+    pub fn await_failover(&self, index: usize, timeout: Duration) -> Result<SocketAddr> {
         let partition = &self.partitions[index];
         let slave_addr = partition
             .slave
@@ -734,7 +731,7 @@ impl Deployment {
             if std::time::Instant::now() >= deadline {
                 return Err(JanusError::state("failover did not happen in time"));
             }
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
 
@@ -795,76 +792,75 @@ mod tests {
             .collect()
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn gateway_deployment_end_to_end() {
+    #[test]
+    fn gateway_deployment_end_to_end() {
         let mut config = DeploymentConfig::default();
         config.rules = rules(&[("alice", 3, 0)]);
         config.default_verdict = Verdict::Deny;
-        let deployment = Deployment::launch(config).await.unwrap();
-        let mut client = deployment.client().await.unwrap();
+        let deployment = Deployment::launch(config).unwrap();
+        let mut client = deployment.client().unwrap();
         let mut allowed = 0;
         for _ in 0..6 {
-            if client.qos_check(&key("alice")).await.unwrap() {
+            if client.qos_check(&key("alice")).unwrap() {
                 allowed += 1;
             }
         }
         assert_eq!(allowed, 3);
         // Unknown keys fall to the Deny default policy on the QoS server.
-        assert!(!client.qos_check(&key("stranger")).await.unwrap());
+        assert!(!client.qos_check(&key("stranger")).unwrap());
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn dns_deployment_end_to_end() {
+    #[test]
+    fn dns_deployment_end_to_end() {
         let mut config = DeploymentConfig::default();
         config.lb = LbMode::Dns {
             ttl: Duration::from_secs(30),
         };
         config.rules = rules(&[("bob", 2, 0)]);
-        let deployment = Deployment::launch(config).await.unwrap();
-        let mut client = deployment.client().await.unwrap();
-        assert!(client.qos_check(&key("bob")).await.unwrap());
-        assert!(client.qos_check(&key("bob")).await.unwrap());
-        assert!(!client.qos_check(&key("bob")).await.unwrap());
+        let deployment = Deployment::launch(config).unwrap();
+        let mut client = deployment.client().unwrap();
+        assert!(client.qos_check(&key("bob")).unwrap());
+        assert!(client.qos_check(&key("bob")).unwrap());
+        assert!(!client.qos_check(&key("bob")).unwrap());
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn no_lb_deployment() {
+    #[test]
+    fn no_lb_deployment() {
         let mut config = DeploymentConfig::default();
         config.lb = LbMode::None;
         config.routers = 1;
         config.qos_servers = 1;
         config.rules = rules(&[("solo", 1, 0)]);
-        let deployment = Deployment::launch(config).await.unwrap();
-        let mut client = deployment.client().await.unwrap();
-        assert!(client.qos_check(&key("solo")).await.unwrap());
-        assert!(!client.qos_check(&key("solo")).await.unwrap());
+        let deployment = Deployment::launch(config).unwrap();
+        let mut client = deployment.client().unwrap();
+        assert!(client.qos_check(&key("solo")).unwrap());
+        assert!(!client.qos_check(&key("solo")).unwrap());
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn rules_added_at_runtime_are_effective() {
+    #[test]
+    fn rules_added_at_runtime_are_effective() {
         let config = DeploymentConfig {
             default_verdict: Verdict::Deny,
             ..Default::default()
         };
-        let deployment = Deployment::launch(config).await.unwrap();
-        let mut client = deployment.client().await.unwrap();
-        assert!(!client.qos_check(&key("latecomer")).await.unwrap());
+        let deployment = Deployment::launch(config).unwrap();
+        let mut client = deployment.client().unwrap();
+        assert!(!client.qos_check(&key("latecomer")).unwrap());
         deployment
             .upsert_rule(&QosRule::per_second(key("vip"), 5, 5))
-            .await
             .unwrap();
-        assert!(client.qos_check(&key("vip")).await.unwrap());
+        assert!(client.qos_check(&key("vip")).unwrap());
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn gateway_spreads_over_routers() {
+    #[test]
+    fn gateway_spreads_over_routers() {
         let mut config = DeploymentConfig::default();
         config.routers = 2;
         config.rules = rules(&[("spread", 1000, 1000)]);
-        let deployment = Deployment::launch(config).await.unwrap();
-        let mut client = deployment.client().await.unwrap();
+        let deployment = Deployment::launch(config).unwrap();
+        let mut client = deployment.client().unwrap();
         for _ in 0..20 {
-            client.qos_check(&key("spread")).await.unwrap();
+            client.qos_check(&key("spread")).unwrap();
         }
         let counts = deployment.router_served_counts();
         assert_eq!(counts.iter().sum::<u64>(), 20);
@@ -874,34 +870,33 @@ mod tests {
         );
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn ha_failover_preserves_service_and_credit() {
+    #[test]
+    fn ha_failover_preserves_service_and_credit() {
         let mut config = DeploymentConfig::default();
         config.qos_servers = 1;
         config.routers = 1;
         config.ha = true;
         config.default_verdict = Verdict::Deny;
         config.rules = rules(&[("survivor", 100, 0)]);
-        let mut deployment = Deployment::launch(config).await.unwrap();
-        let mut client = deployment.client().await.unwrap();
+        let mut deployment = Deployment::launch(config).unwrap();
+        let mut client = deployment.client().unwrap();
 
         // Consume 40 credits on the master.
         for _ in 0..40 {
-            assert!(client.qos_check(&key("survivor")).await.unwrap());
+            assert!(client.qos_check(&key("survivor")).unwrap());
         }
         // Let replication catch up, then crash the master.
-        tokio::time::sleep(Duration::from_millis(200)).await;
+        std::thread::sleep(Duration::from_millis(200));
         deployment.kill_qos_master(0);
         deployment
             .await_failover(0, Duration::from_secs(5))
-            .await
             .unwrap();
 
         // The slave answers with (approximately) the replicated credit:
         // at most 60 more requests may pass, not a fresh 100.
         let mut allowed = 0;
         for _ in 0..100 {
-            if client.qos_check(&key("survivor")).await.unwrap() {
+            if client.qos_check(&key("survivor")).unwrap() {
                 allowed += 1;
             }
         }
@@ -911,8 +906,8 @@ mod tests {
         );
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn breaker_deployment_survives_blackout_and_heals() {
+    #[test]
+    fn breaker_deployment_survives_blackout_and_heals() {
         let mut config = DeploymentConfig::default();
         config.qos_servers = 1;
         config.routers = 1;
@@ -923,17 +918,17 @@ mod tests {
             open_timeout: Duration::from_millis(200),
         });
         config.rules = rules(&[("metered", 4, 0)]);
-        let mut deployment = Deployment::launch(config).await.unwrap();
-        let mut client = deployment.client().await.unwrap();
+        let mut deployment = Deployment::launch(config).unwrap();
+        let mut client = deployment.client().unwrap();
 
         // One healthy request teaches the router the rule shape.
-        assert!(client.qos_check(&key("metered")).await.unwrap());
+        assert!(client.qos_check(&key("metered")).unwrap());
 
         // Blackout: the only node of the only partition dies (no HA).
         deployment.kill_qos_master(0);
         let mut allowed_during_outage = 0;
         for _ in 0..12 {
-            if client.qos_check(&key("metered")).await.unwrap() {
+            if client.qos_check(&key("metered")).unwrap() {
                 allowed_during_outage += 1;
             }
         }
@@ -949,19 +944,19 @@ mod tests {
 
         // Heal: fresh node, DNS repointed; after the open timeout the
         // half-open probe closes the breaker on a live answer.
-        deployment.heal_partition(0).await.unwrap();
-        tokio::time::sleep(Duration::from_millis(250)).await;
-        assert!(client.qos_check(&key("metered")).await.unwrap());
+        deployment.heal_partition(0).unwrap();
+        std::thread::sleep(Duration::from_millis(250));
+        assert!(client.qos_check(&key("metered")).unwrap());
         assert!(deployment.breakers_closed_everywhere(0));
     }
 
-    #[tokio::test]
-    async fn rejects_zero_sized_layers() {
+    #[test]
+    fn rejects_zero_sized_layers() {
         let mut config = DeploymentConfig::default();
         config.qos_servers = 0;
-        assert!(Deployment::launch(config).await.is_err());
+        assert!(Deployment::launch(config).is_err());
         let mut config = DeploymentConfig::default();
         config.routers = 0;
-        assert!(Deployment::launch(config).await.is_err());
+        assert!(Deployment::launch(config).is_err());
     }
 }

@@ -27,8 +27,7 @@ use janus_net::http::HttpClient;
 use janus_router::core::GrayConfig;
 use janus_router::{parse_qos_response, qos_http_request, RequestRouter, RouterConfig};
 use janus_server::{QosServer, QosServerConfig};
-use janus_types::{JanusError, QosKey, QosRule, Result, Verdict};
-use serde::Serialize;
+use janus_types::{QosKey, QosRule, Result, Verdict};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -73,7 +72,7 @@ impl Default for GraySoakConfig {
 }
 
 /// Outcome counts and latency marks for one phase.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GrayPhase {
     /// Phase name (`healthy`, `gray`, `healed`).
     pub name: String,
@@ -93,8 +92,19 @@ pub struct GrayPhase {
     pub duration_ms: u64,
 }
 
+janus_types::impl_to_json!(GrayPhase {
+    name,
+    requests,
+    allowed,
+    denied,
+    errors,
+    p50_us,
+    p99_us,
+    duration_ms,
+});
+
 /// Everything a gray soak measured, plus the pass/fail verdicts.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GraySoakReport {
     /// Per-phase outcomes, in schedule order.
     pub phases: Vec<GrayPhase>,
@@ -138,6 +148,28 @@ pub struct GraySoakReport {
     pub elapsed_ms: u64,
 }
 
+janus_types::impl_to_json!(GraySoakReport {
+    phases,
+    healthy_p99_us,
+    gray_p99_us,
+    healed_p99_us,
+    recovered_ms,
+    recovery_ceiling_us,
+    recovery_ok,
+    availability,
+    availability_ok,
+    hedges_sent,
+    hedge_wins,
+    retry_budget_exhausted,
+    adaptive_timeout_us,
+    primaries,
+    wire_attempts,
+    amplification,
+    amplification_bound,
+    amplification_ok,
+    elapsed_ms,
+});
+
 impl GraySoakReport {
     /// All three invariants held.
     pub fn passed(&self) -> bool {
@@ -145,9 +177,8 @@ impl GraySoakReport {
     }
 
     /// Pretty-printed JSON for archiving (`results/gray_soak.json`).
-    pub fn to_json_string(&self) -> Result<String> {
-        serde_json::to_string_pretty(self)
-            .map_err(|e| JanusError::state(format!("gray report serialization: {e}")))
+    pub fn to_json_string(&self) -> String {
+        janus_types::json::ToJson::to_json(self).pretty()
     }
 }
 
@@ -161,23 +192,13 @@ fn percentile_us(samples: &mut [u64], pct: u64) -> u64 {
     samples[(rank - 1) as usize]
 }
 
-struct Hammered {
-    phase: GrayPhase,
-    samples: Vec<u64>,
-}
-
-async fn hammer(
-    client: &mut HttpClient,
-    key: &QosKey,
-    config: &GraySoakConfig,
-    name: &str,
-) -> Hammered {
+fn hammer(client: &mut HttpClient, key: &QosKey, config: &GraySoakConfig, name: &str) -> GrayPhase {
     let started = Instant::now();
     let (mut allowed, mut denied, mut errors) = (0u32, 0u32, 0u32);
     let mut samples = Vec::with_capacity(config.requests_per_phase as usize);
     for _ in 0..config.requests_per_phase {
         let t = Instant::now();
-        match client.request(&qos_http_request(key)).await {
+        match client.request(&qos_http_request(key)) {
             Ok(resp) => match parse_qos_response(&resp) {
                 Ok(Verdict::Allow) => allowed += 1,
                 Ok(Verdict::Deny) => denied += 1,
@@ -186,25 +207,23 @@ async fn hammer(
             Err(_) => errors += 1,
         }
         samples.push(t.elapsed().as_micros() as u64);
-        tokio::time::sleep(config.request_gap).await;
+        std::thread::sleep(config.request_gap);
     }
-    let mut sorted = samples.clone();
-    let phase = GrayPhase {
+    GrayPhase {
         name: name.to_string(),
         requests: config.requests_per_phase,
         allowed,
         denied,
         errors,
-        p50_us: percentile_us(&mut sorted, 50),
-        p99_us: percentile_us(&mut sorted, 99),
+        p50_us: percentile_us(&mut samples, 50),
+        p99_us: percentile_us(&mut samples, 99),
         duration_ms: started.elapsed().as_millis() as u64,
-    };
-    Hammered { phase, samples }
+    }
 }
 
 /// Run the gray schedule (healthy → one partition 50× slower → heal)
 /// end to end and score availability, p99 recovery and amplification.
-pub async fn run_gray_soak(config: GraySoakConfig) -> Result<GraySoakReport> {
+pub fn run_gray_soak(config: GraySoakConfig) -> Result<GraySoakReport> {
     let key = QosKey::new("gray-tenant")?;
     // The slow link: every datagram through the server's socket is
     // deferred (never dropped) while the gray window is open.
@@ -214,8 +233,7 @@ pub async fn run_gray_soak(config: GraySoakConfig) -> Result<GraySoakReport> {
         None,
         janus_clock::system(),
         std::sync::Arc::clone(&faults),
-    )
-    .await?;
+    )?;
     server.table().insert(
         QosRule::per_second(key.clone(), 1_000_000, 1_000_000),
         server.clock().now(),
@@ -229,23 +247,23 @@ pub async fn run_gray_soak(config: GraySoakConfig) -> Result<GraySoakReport> {
     // shows the gray window never closes them — the adaptive plane, not
     // the breaker, is what keeps the tail bounded.
     router_config.gray = Some(gray);
-    let router = RequestRouter::spawn(router_config, None).await?;
-    let mut client = HttpClient::connect(router.addr()).await?;
+    let router = RequestRouter::spawn(router_config, None)?;
+    let mut client = HttpClient::connect(router.addr())?;
 
     let soak_started = Instant::now();
     let mut phases = Vec::new();
 
     // Phase 1: healthy baseline — also warms the RTT windows so the
     // adaptive timeout and hedge delay are learned, not the fallbacks.
-    let healthy = hammer(&mut client, &key, &config, "healthy").await;
-    let healthy_p99 = healthy.phase.p99_us;
-    phases.push(healthy.phase);
+    let healthy = hammer(&mut client, &key, &config, "healthy");
+    let healthy_p99 = healthy.p99_us;
+    phases.push(healthy);
 
     // Phase 2: the partition goes gray — alive, answering, 50× slower.
     faults.set_reordering(1.0, config.gray_delay);
-    let gray_phase = hammer(&mut client, &key, &config, "gray").await;
-    let gray_p99 = gray_phase.phase.p99_us;
-    phases.push(gray_phase.phase);
+    let gray_phase = hammer(&mut client, &key, &config, "gray");
+    let gray_p99 = gray_phase.p99_us;
+    phases.push(gray_phase);
 
     // Phase 3: heal, then probe until the rolling p99 (last 50 answers)
     // is back under the ceiling.
@@ -258,7 +276,7 @@ pub async fn run_gray_soak(config: GraySoakConfig) -> Result<GraySoakReport> {
     let mut probes = 0u64;
     while heal_started.elapsed() < config.recovery_budget {
         let t = Instant::now();
-        let _ = client.request(&qos_http_request(&key)).await;
+        let _ = client.request(&qos_http_request(&key));
         probes += 1;
         window.push(t.elapsed().as_micros() as u64);
         if window.len() > 50 {
@@ -271,11 +289,11 @@ pub async fn run_gray_soak(config: GraySoakConfig) -> Result<GraySoakReport> {
                 break;
             }
         }
-        tokio::time::sleep(config.request_gap).await;
+        std::thread::sleep(config.request_gap);
     }
-    let healed = hammer(&mut client, &key, &config, "healed").await;
-    let healed_p99 = healed.phase.p99_us;
-    phases.push(healed.phase);
+    let healed = hammer(&mut client, &key, &config, "healed");
+    let healed_p99 = healed.p99_us;
+    phases.push(healed);
 
     // Scoring. Wire attempts are counted where they land: every router
     // datagram — primary, retry or hedge — reaches the server (the gray

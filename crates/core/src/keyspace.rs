@@ -39,7 +39,6 @@ use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
 use janus_server::{QosServer, QosServerConfig, TableKind};
 use janus_types::{JanusError, QosKey, QosRequest, QosRule, Result, Verdict};
 use janus_workload::{Histogram, KeyPicker};
-use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,7 +46,7 @@ use std::time::{Duration, Instant};
 /// Tuning for one keyspace-churn soak run.
 #[derive(Debug, Clone)]
 pub struct KeyspaceSoakConfig {
-    /// Closed-loop driver tasks, each with its own drifting key window.
+    /// Closed-loop driver threads, each with its own drifting key window.
     pub concurrency: usize,
     /// Total requests issued across all drivers (the distinct-key count
     /// tracks this 1:1 at `drift_every = 1`).
@@ -122,7 +121,7 @@ impl Default for KeyspaceSoakConfig {
 }
 
 /// Everything a keyspace soak measured, plus the pass/fail verdicts.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KeyspaceReport {
     /// Requests issued across all drivers.
     pub requests: u64,
@@ -180,6 +179,34 @@ pub struct KeyspaceReport {
     pub elapsed_ms: u64,
 }
 
+janus_types::impl_to_json!(KeyspaceReport {
+    requests,
+    answered,
+    allowed,
+    denied,
+    errors,
+    distinct_keys,
+    throughput_rps,
+    p99_us,
+    p99_bound_us,
+    latency_ok,
+    resident_high_watermark,
+    resident_bound,
+    residency_ok,
+    meter_touches,
+    meter_allowed,
+    meter_capacity,
+    credit_exact_ok,
+    no_mint_ok,
+    resizes,
+    migrated_slots,
+    reclaimed_keys,
+    open_slots_final,
+    resizes_ok,
+    reclaim_ok,
+    elapsed_ms,
+});
+
 impl KeyspaceReport {
     /// All scored invariants held.
     pub fn passed(&self) -> bool {
@@ -192,18 +219,17 @@ impl KeyspaceReport {
     }
 
     /// Pretty-printed JSON for archiving (`results/keyspace_soak.json`).
-    pub fn to_json_string(&self) -> Result<String> {
-        serde_json::to_string_pretty(self)
-            .map_err(|e| JanusError::state(format!("keyspace report serialization: {e}")))
+    pub fn to_json_string(&self) -> String {
+        janus_types::json::ToJson::to_json(self).pretty()
     }
 }
 
 /// Run the keyspace-churn schedule end to end and score the invariants.
-pub async fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceReport> {
+pub fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceReport> {
     let started = Instant::now();
     // A real database backs the cold tier: reclaim sweeps checkpoint
     // credit and hotness into it, readmissions fetch from it.
-    let db = DbServer::spawn(Arc::new(RulesEngine::new())).await?;
+    let db = DbServer::spawn(Arc::new(RulesEngine::new()))?;
     let meter_key = QosKey::new("soak-meter")?;
     db.engine().put(QosRule::per_second(
         meter_key.clone(),
@@ -216,8 +242,7 @@ pub async fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceRep
     server_config.table_slots = config.table_slots;
     server_config.idle_ttl = Some(config.idle_ttl);
     server_config.reclaim_interval = config.reclaim_interval;
-    let server =
-        QosServer::spawn(server_config, Some(db.addr().into()), janus_clock::system()).await?;
+    let server = QosServer::spawn(server_config, Some(db.addr().into()), janus_clock::system())?;
 
     let rpc = UdpRpcConfig {
         timeout: config.request_timeout,
@@ -233,35 +258,45 @@ pub async fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceRep
         let stats = Arc::clone(server.stats());
         let done = Arc::clone(&done);
         let watermark = Arc::clone(&watermark);
-        tokio::spawn(async move {
+        std::thread::spawn(move || {
             while !done.load(Ordering::Relaxed) {
                 let open = stats.engine.open_slots.load(Ordering::Relaxed);
                 watermark.fetch_max(open, Ordering::Relaxed);
-                tokio::time::sleep(Duration::from_millis(2)).await;
+                std::thread::sleep(Duration::from_millis(2));
             }
         })
     };
 
-    // Meter task: touch the zero-refill key every couple of idle TTLs so
+    // Meter thread: touch the zero-refill key every couple of idle TTLs so
     // it keeps getting demoted to the cold tier and readmitted.
+    // The meter must be an exact observer: a readmission fetches from the
+    // database and can outlast the drivers' 5 ms attempt timeout on a busy
+    // box, and a plain-frame retry would then charge the bucket a second
+    // time behind the soak's back. So the meter waits patiently and stamps
+    // its attempts — a retry is answered from the dedup window, and every
+    // charge is observed exactly once.
     let meter = {
-        let client = UdpRpcClient::new(rpc.clone());
+        let client = UdpRpcClient::new(UdpRpcConfig {
+            timeout: Duration::from_millis(250),
+            stamp_deadlines: true,
+            ..rpc.clone()
+        });
         let addr = server.udp_addr();
         let key = meter_key.clone();
         let interval = config.meter_interval;
         let done = Arc::clone(&done);
-        tokio::spawn(async move {
+        std::thread::spawn(move || {
             let (mut touches, mut allowed) = (0u64, 0u64);
             let mut id = 1u64 << 48;
             while !done.load(Ordering::Relaxed) {
-                if let Ok(response) = client.call(addr, &QosRequest::new(id, key.clone())).await {
+                if let Ok(response) = client.call(addr, &QosRequest::new(id, key.clone())) {
                     touches += 1;
                     if response.verdict == Verdict::Allow {
                         allowed += 1;
                     }
                 }
                 id += 1;
-                tokio::time::sleep(interval).await;
+                std::thread::sleep(interval);
             }
             (touches, allowed)
         })
@@ -281,14 +316,14 @@ pub async fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceRep
             config.seed.wrapping_add(w as u64),
         );
         let pace_every = config.pace_every;
-        drivers.push(tokio::spawn(async move {
+        drivers.push(std::thread::spawn(move || {
             let mut latency = Histogram::new();
             let (mut allowed, mut denied, mut errors) = (0u64, 0u64, 0u64);
-            let mut id = (w as u64) << 32;
+            let id_base = (w as u64) << 32;
             for i in 0..per_driver {
                 let key = picker.pick();
                 let begun = Instant::now();
-                match client.call(addr, &QosRequest::new(id, key)).await {
+                match client.call(addr, &QosRequest::new(id_base + i, key)) {
                     Ok(response) => {
                         latency.record_duration(begun.elapsed());
                         match response.verdict {
@@ -298,9 +333,8 @@ pub async fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceRep
                     }
                     Err(_) => errors += 1,
                 }
-                id += 1;
                 if pace_every > 0 && (i + 1) % pace_every == 0 {
-                    tokio::time::sleep(Duration::from_millis(1)).await;
+                    std::thread::sleep(Duration::from_millis(1));
                 }
             }
             let distinct = picker.drift_base() + picker.population() as u64;
@@ -312,8 +346,8 @@ pub async fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceRep
     let (mut allowed, mut denied, mut errors, mut distinct_keys) = (0u64, 0u64, 0u64, 0u64);
     for driver in drivers {
         let (l, a, d, e, k) = driver
-            .await
-            .map_err(|e| JanusError::state(format!("soak driver died: {e}")))?;
+            .join()
+            .map_err(|_| JanusError::state("soak driver panicked"))?;
         latency.merge(&l);
         allowed += a;
         denied += d;
@@ -322,9 +356,9 @@ pub async fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceRep
     }
     done.store(true, Ordering::Relaxed);
     let (meter_touches, meter_allowed) = meter
-        .await
-        .map_err(|e| JanusError::state(format!("meter task died: {e}")))?;
-    let _ = sampler.await;
+        .join()
+        .map_err(|_| JanusError::state("meter thread panicked"))?;
+    let _ = sampler;
 
     let elapsed = started.elapsed();
     let answered = allowed + denied;

@@ -7,16 +7,16 @@
 //! applications the one call they need:
 //!
 //! ```no_run
-//! # async fn demo() -> janus_types::Result<()> {
+//! # fn demo() -> janus_types::Result<()> {
 //! use janus_core::{Deployment, DeploymentConfig};
 //! use janus_types::{QosKey, QosRule};
 //!
 //! let mut config = DeploymentConfig::default();
 //! config.rules = vec![QosRule::per_second(QosKey::new("alice")?, 1000, 100)];
-//! let deployment = Deployment::launch(config).await?;
+//! let deployment = Deployment::launch(config)?;
 //!
-//! let mut client = deployment.client().await?;
-//! if client.qos_check(&QosKey::new("alice")?).await? {
+//! let mut client = deployment.client()?;
+//! if client.qos_check(&QosKey::new("alice")?)? {
 //!     // serve the request
 //! } else {
 //!     // throttle: HTTP 403

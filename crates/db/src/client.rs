@@ -3,9 +3,9 @@
 use crate::server::parse_rule_row;
 use crate::sql::{format_micro, SqlResponse};
 use janus_types::{Credits, JanusError, QosKey, QosRule, Result};
-use std::net::SocketAddr;
-use tokio::io::{AsyncBufReadExt, AsyncWriteExt, BufReader};
-use tokio::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Instant;
 
 /// A connection to a [`crate::DbServer`], with typed helpers for every
 /// statement shape the QoS server issues.
@@ -13,6 +13,8 @@ use tokio::net::TcpStream;
 pub struct DbClient {
     reader: BufReader<TcpStream>,
     addr: SocketAddr,
+    /// When set, every socket operation must finish by this instant.
+    deadline: Option<Instant>,
 }
 
 /// Escape a key for embedding in a single-quoted SQL literal.
@@ -22,13 +24,63 @@ fn sql_quote(key: &QosKey) -> String {
 
 impl DbClient {
     /// Connect to the database node at `addr`.
-    pub async fn connect(addr: SocketAddr) -> Result<DbClient> {
-        let stream = TcpStream::connect(addr).await?;
+    pub fn connect(addr: SocketAddr) -> Result<DbClient> {
+        Self::from_stream(TcpStream::connect(addr)?, addr, None)
+    }
+
+    /// Connect with a budget: the connect itself and every later
+    /// operation fail with a timed-out I/O error once `deadline` passes
+    /// (until [`set_deadline`](Self::set_deadline) moves it).
+    pub fn connect_by(addr: SocketAddr, deadline: Instant) -> Result<DbClient> {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::from(io::ErrorKind::TimedOut).into());
+        }
+        Self::from_stream(
+            TcpStream::connect_timeout(&addr, left)?,
+            addr,
+            Some(deadline),
+        )
+    }
+
+    fn from_stream(
+        stream: TcpStream,
+        addr: SocketAddr,
+        deadline: Option<Instant>,
+    ) -> Result<DbClient> {
         stream.set_nodelay(true)?;
         Ok(DbClient {
             reader: BufReader::new(stream),
             addr,
+            deadline,
         })
+    }
+
+    /// Bound every later operation by `deadline`: a hung database then
+    /// costs its caller a budget, not a thread.
+    pub fn set_deadline(&mut self, deadline: Instant) {
+        self.deadline = Some(deadline);
+    }
+
+    /// Arm the socket timeouts from what is left of the deadline.
+    fn arm(&self) -> Result<()> {
+        let Some(deadline) = self.deadline else {
+            return Ok(());
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::from(io::ErrorKind::TimedOut).into());
+        }
+        let stream = self.reader.get_ref();
+        stream.set_read_timeout(Some(left))?;
+        stream.set_write_timeout(Some(left))?;
+        Ok(())
+    }
+
+    /// One response line; 0 bytes means the database hung up.
+    fn read_line(&mut self, line: &mut String) -> Result<usize> {
+        self.arm()?;
+        Ok(self.reader.read_line(line)?)
     }
 
     /// The node this client is connected to.
@@ -37,14 +89,15 @@ impl DbClient {
     }
 
     /// Execute a raw statement.
-    pub async fn query(&mut self, statement: &str) -> Result<SqlResponse> {
+    pub fn query(&mut self, statement: &str) -> Result<SqlResponse> {
         debug_assert!(!statement.contains('\n'), "statements are single lines");
         let mut line = statement.to_string();
         line.push('\n');
-        self.reader.get_mut().write_all(line.as_bytes()).await?;
+        self.arm()?;
+        self.reader.get_mut().write_all(line.as_bytes())?;
 
         let mut header = String::new();
-        if self.reader.read_line(&mut header).await? == 0 {
+        if self.read_line(&mut header)? == 0 {
             return Err(JanusError::db("connection closed by database"));
         }
         let header = header.trim_end();
@@ -57,7 +110,7 @@ impl DbClient {
                 let mut rows = Vec::with_capacity(n);
                 for _ in 0..n {
                     let mut row = String::new();
-                    if self.reader.read_line(&mut row).await? == 0 {
+                    if self.read_line(&mut row)? == 0 {
                         return Err(JanusError::db("connection closed mid-result"));
                     }
                     rows.push(parse_rule_row(row.trim_end_matches(['\r', '\n']))?);
@@ -81,20 +134,20 @@ impl DbClient {
     }
 
     /// Point lookup: the QoS server's first-sighting query.
-    pub async fn get_rule(&mut self, key: &QosKey) -> Result<Option<QosRule>> {
+    pub fn get_rule(&mut self, key: &QosKey) -> Result<Option<QosRule>> {
         let stmt = format!(
             "SELECT * FROM qos_rules WHERE qos_key = '{}'",
             sql_quote(key)
         );
-        match self.query(&stmt).await? {
+        match self.query(&stmt)? {
             SqlResponse::Rows(mut rows) => Ok(rows.pop()),
             other => Err(JanusError::db(format!("unexpected response {other:?}"))),
         }
     }
 
     /// `SELECT * FROM qos_rules` — the warm-up full scan.
-    pub async fn load_all(&mut self) -> Result<Vec<QosRule>> {
-        match self.query("SELECT * FROM qos_rules").await? {
+    pub fn load_all(&mut self) -> Result<Vec<QosRule>> {
+        match self.query("SELECT * FROM qos_rules")? {
             SqlResponse::Rows(rows) => Ok(rows),
             other => Err(JanusError::db(format!("unexpected response {other:?}"))),
         }
@@ -104,10 +157,10 @@ impl DbClient {
     /// hottest keys first (by the persisted touch counts), skipping the
     /// first `offset`. A shorter-than-`limit` result means the scan is
     /// exhausted.
-    pub async fn scan_rules(&mut self, offset: usize, limit: usize) -> Result<Vec<QosRule>> {
+    pub fn scan_rules(&mut self, offset: usize, limit: usize) -> Result<Vec<QosRule>> {
         let stmt =
             format!("SELECT * FROM qos_rules ORDER BY touches DESC LIMIT {limit} OFFSET {offset}");
-        match self.query(&stmt).await? {
+        match self.query(&stmt)? {
             SqlResponse::Rows(rows) => Ok(rows),
             other => Err(JanusError::db(format!("unexpected response {other:?}"))),
         }
@@ -115,19 +168,19 @@ impl DbClient {
 
     /// Fold `count` observed decisions into `key`'s persisted hotness
     /// (called at reclaim time; additive, not a rule change).
-    pub async fn record_touches(&mut self, key: &QosKey, count: u64) -> Result<()> {
+    pub fn record_touches(&mut self, key: &QosKey, count: u64) -> Result<()> {
         let stmt = format!(
             "UPDATE qos_rules SET touches = touches + {count} WHERE qos_key = '{}'",
             sql_quote(key),
         );
-        match self.query(&stmt).await? {
+        match self.query(&stmt)? {
             SqlResponse::Ok { .. } => Ok(()),
             other => Err(JanusError::db(format!("unexpected response {other:?}"))),
         }
     }
 
     /// Insert or replace a full rule.
-    pub async fn upsert_rule(&mut self, rule: &QosRule) -> Result<()> {
+    pub fn upsert_rule(&mut self, rule: &QosRule) -> Result<()> {
         let stmt = format!(
             "INSERT INTO qos_rules (qos_key, refill_rate, capacity, credit) \
              VALUES ('{}', {}, {}, {})",
@@ -136,7 +189,7 @@ impl DbClient {
             format_micro(rule.capacity.as_micro()),
             format_micro(rule.credit.as_micro()),
         );
-        match self.query(&stmt).await? {
+        match self.query(&stmt)? {
             SqlResponse::Ok { .. } => Ok(()),
             other => Err(JanusError::db(format!("unexpected response {other:?}"))),
         }
@@ -144,38 +197,38 @@ impl DbClient {
 
     /// Check-point a bucket's remaining credit. Returns false if the rule
     /// no longer exists (it may have been deleted by the operator).
-    pub async fn checkpoint_credit(&mut self, key: &QosKey, credit: Credits) -> Result<bool> {
+    pub fn checkpoint_credit(&mut self, key: &QosKey, credit: Credits) -> Result<bool> {
         let stmt = format!(
             "UPDATE qos_rules SET credit = {} WHERE qos_key = '{}'",
             format_micro(credit.as_micro()),
             sql_quote(key),
         );
-        match self.query(&stmt).await? {
+        match self.query(&stmt)? {
             SqlResponse::Ok { affected } => Ok(affected > 0),
             other => Err(JanusError::db(format!("unexpected response {other:?}"))),
         }
     }
 
     /// Delete a rule. Returns true if it existed.
-    pub async fn delete_rule(&mut self, key: &QosKey) -> Result<bool> {
+    pub fn delete_rule(&mut self, key: &QosKey) -> Result<bool> {
         let stmt = format!("DELETE FROM qos_rules WHERE qos_key = '{}'", sql_quote(key));
-        match self.query(&stmt).await? {
+        match self.query(&stmt)? {
             SqlResponse::Ok { affected } => Ok(affected > 0),
             other => Err(JanusError::db(format!("unexpected response {other:?}"))),
         }
     }
 
     /// `SELECT COUNT(*) FROM qos_rules`.
-    pub async fn count(&mut self) -> Result<u64> {
-        match self.query("SELECT COUNT(*) FROM qos_rules").await? {
+    pub fn count(&mut self) -> Result<u64> {
+        match self.query("SELECT COUNT(*) FROM qos_rules")? {
             SqlResponse::Count(n) => Ok(n),
             other => Err(JanusError::db(format!("unexpected response {other:?}"))),
         }
     }
 
     /// Current rule-table version (sync optimization).
-    pub async fn version(&mut self) -> Result<u64> {
-        match self.query("VERSION").await? {
+    pub fn version(&mut self) -> Result<u64> {
+        match self.query("VERSION")? {
             SqlResponse::Version(v) => Ok(v),
             other => Err(JanusError::db(format!("unexpected response {other:?}"))),
         }
@@ -193,20 +246,41 @@ mod tests {
         QosRule::per_second(QosKey::new(key).unwrap(), cap, rate)
     }
 
-    async fn spawn_db(rules: &[QosRule]) -> DbServer {
+    fn spawn_db(rules: &[QosRule]) -> DbServer {
         let engine = Arc::new(RulesEngine::new());
         engine.load(rules.iter().cloned());
-        DbServer::spawn(engine).await.unwrap()
+        DbServer::spawn(engine).unwrap()
     }
 
-    #[tokio::test]
-    async fn typed_roundtrip() {
-        let server = spawn_db(&[rule("alice", 1000, 100)]).await;
-        let mut client = DbClient::connect(server.addr()).await.unwrap();
+    #[test]
+    fn deadline_bounds_a_silent_database() {
+        // Accepts and never speaks: without a deadline the query would
+        // block forever.
+        let hung = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = hung.local_addr().unwrap();
+        let started = Instant::now();
+        let deadline = started + std::time::Duration::from_millis(50);
+        let mut client = DbClient::connect_by(addr, deadline).unwrap();
+        let err = client.version().unwrap_err();
+        assert!(
+            matches!(&err, JanusError::Io(e) if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            )),
+            "{err}"
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
+        // The deadline is sticky until moved: the next call fails at once.
+        assert!(client.version().is_err());
+    }
+
+    #[test]
+    fn typed_roundtrip() {
+        let server = spawn_db(&[rule("alice", 1000, 100)]);
+        let mut client = DbClient::connect(server.addr()).unwrap();
 
         let got = client
             .get_rule(&QosKey::new("alice").unwrap())
-            .await
             .unwrap()
             .unwrap();
         assert_eq!(got.capacity, Credits::from_whole(1000));
@@ -214,100 +288,96 @@ mod tests {
 
         assert!(client
             .get_rule(&QosKey::new("ghost").unwrap())
-            .await
             .unwrap()
             .is_none());
-        assert_eq!(client.count().await.unwrap(), 1);
+        assert_eq!(client.count().unwrap(), 1);
     }
 
-    #[tokio::test]
-    async fn upsert_checkpoint_delete_cycle() {
-        let server = spawn_db(&[]).await;
-        let mut client = DbClient::connect(server.addr()).await.unwrap();
+    #[test]
+    fn upsert_checkpoint_delete_cycle() {
+        let server = spawn_db(&[]);
+        let mut client = DbClient::connect(server.addr()).unwrap();
         let key = QosKey::new("bob").unwrap();
 
-        client.upsert_rule(&rule("bob", 50, 5)).await.unwrap();
-        assert_eq!(client.count().await.unwrap(), 1);
+        client.upsert_rule(&rule("bob", 50, 5)).unwrap();
+        assert_eq!(client.count().unwrap(), 1);
 
         assert!(client
             .checkpoint_credit(&key, Credits::from_whole(7))
-            .await
             .unwrap());
-        let got = client.get_rule(&key).await.unwrap().unwrap();
+        let got = client.get_rule(&key).unwrap().unwrap();
         assert_eq!(got.credit, Credits::from_whole(7));
 
-        assert!(client.delete_rule(&key).await.unwrap());
-        assert!(!client.delete_rule(&key).await.unwrap());
-        assert!(!client.checkpoint_credit(&key, Credits::ZERO).await.unwrap());
+        assert!(client.delete_rule(&key).unwrap());
+        assert!(!client.delete_rule(&key).unwrap());
+        assert!(!client.checkpoint_credit(&key, Credits::ZERO).unwrap());
     }
 
-    #[tokio::test]
-    async fn load_all_returns_sorted_rows() {
-        let server = spawn_db(&[rule("c", 1, 1), rule("a", 2, 2), rule("b", 3, 3)]).await;
-        let mut client = DbClient::connect(server.addr()).await.unwrap();
-        let rows = client.load_all().await.unwrap();
+    #[test]
+    fn load_all_returns_sorted_rows() {
+        let server = spawn_db(&[rule("c", 1, 1), rule("a", 2, 2), rule("b", 3, 3)]);
+        let mut client = DbClient::connect(server.addr()).unwrap();
+        let rows = client.load_all().unwrap();
         let keys: Vec<_> = rows.iter().map(|r| r.key.to_string()).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
     }
 
-    #[tokio::test]
-    async fn scan_streams_hottest_first_in_batches() {
-        let server = spawn_db(&[rule("cold", 1, 1), rule("hot", 1, 1), rule("warm", 1, 1)]).await;
-        let mut client = DbClient::connect(server.addr()).await.unwrap();
+    #[test]
+    fn scan_streams_hottest_first_in_batches() {
+        let server = spawn_db(&[rule("cold", 1, 1), rule("hot", 1, 1), rule("warm", 1, 1)]);
+        let mut client = DbClient::connect(server.addr()).unwrap();
         let hot = QosKey::new("hot").unwrap();
         let warm = QosKey::new("warm").unwrap();
-        client.record_touches(&hot, 90).await.unwrap();
-        client.record_touches(&hot, 10).await.unwrap();
-        client.record_touches(&warm, 5).await.unwrap();
-        let first = client.scan_rules(0, 2).await.unwrap();
+        client.record_touches(&hot, 90).unwrap();
+        client.record_touches(&hot, 10).unwrap();
+        client.record_touches(&warm, 5).unwrap();
+        let first = client.scan_rules(0, 2).unwrap();
         let names: Vec<_> = first.iter().map(|r| r.key.to_string()).collect();
         assert_eq!(names, vec!["hot", "warm"]);
-        let second = client.scan_rules(2, 2).await.unwrap();
+        let second = client.scan_rules(2, 2).unwrap();
         assert_eq!(second.len(), 1, "short batch signals exhaustion");
         assert_eq!(second[0].key.to_string(), "cold");
     }
 
-    #[tokio::test]
-    async fn version_advances_on_rule_changes() {
-        let server = spawn_db(&[]).await;
-        let mut client = DbClient::connect(server.addr()).await.unwrap();
-        let v0 = client.version().await.unwrap();
-        client.upsert_rule(&rule("x", 1, 1)).await.unwrap();
-        let v1 = client.version().await.unwrap();
+    #[test]
+    fn version_advances_on_rule_changes() {
+        let server = spawn_db(&[]);
+        let mut client = DbClient::connect(server.addr()).unwrap();
+        let v0 = client.version().unwrap();
+        client.upsert_rule(&rule("x", 1, 1)).unwrap();
+        let v1 = client.version().unwrap();
         assert!(v1 > v0);
         // Checkpoints do not bump the version.
         client
             .checkpoint_credit(&QosKey::new("x").unwrap(), Credits::ZERO)
-            .await
             .unwrap();
-        assert_eq!(client.version().await.unwrap(), v1);
+        assert_eq!(client.version().unwrap(), v1);
     }
 
-    #[tokio::test]
-    async fn keys_with_quotes_survive() {
-        let server = spawn_db(&[]).await;
-        let mut client = DbClient::connect(server.addr()).await.unwrap();
+    #[test]
+    fn keys_with_quotes_survive() {
+        let server = spawn_db(&[]);
+        let mut client = DbClient::connect(server.addr()).unwrap();
         let key = QosKey::new("o'brien's-key").unwrap();
         client
             .upsert_rule(&QosRule::per_second(key.clone(), 10, 1))
-            .await
             .unwrap();
-        let got = client.get_rule(&key).await.unwrap().unwrap();
+        let got = client.get_rule(&key).unwrap().unwrap();
         assert_eq!(got.key, key);
     }
 
-    #[tokio::test]
-    async fn server_error_surfaces_as_db_error() {
-        let server = spawn_db(&[]).await;
-        let mut client = DbClient::connect(server.addr()).await.unwrap();
-        let err = client.query("DROP TABLE qos_rules").await.unwrap_err();
+    #[test]
+    fn server_error_surfaces_as_db_error() {
+        let server = spawn_db(&[]);
+        let mut client = DbClient::connect(server.addr()).unwrap();
+        let err = client.query("DROP TABLE qos_rules").unwrap_err();
         assert!(matches!(err, JanusError::Db(_)), "{err}");
         // Connection still usable.
-        assert_eq!(client.count().await.unwrap(), 0);
+        assert_eq!(client.count().unwrap(), 0);
     }
 
-    #[tokio::test]
-    async fn hundred_rules_roundtrip_exactly() {
+    #[test]
+    fn hundred_rules_roundtrip_exactly() {
         let rules: Vec<_> = (0..100)
             .map(|i| {
                 let mut r = rule(&format!("tenant-{i:03}"), 100 + i, 1 + i % 10);
@@ -315,9 +385,9 @@ mod tests {
                 r
             })
             .collect();
-        let server = spawn_db(&rules).await;
-        let mut client = DbClient::connect(server.addr()).await.unwrap();
-        let mut loaded = client.load_all().await.unwrap();
+        let server = spawn_db(&rules);
+        let mut client = DbClient::connect(server.addr()).unwrap();
+        let mut loaded = client.load_all().unwrap();
         loaded.sort_by(|a, b| a.key.cmp(&b.key));
         let mut expected = rules.clone();
         expected.sort_by(|a, b| a.key.cmp(&b.key));

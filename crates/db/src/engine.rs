@@ -1,7 +1,7 @@
 //! The in-memory `qos_rules` table engine.
 
+use janus_types::sync::RwLock;
 use janus_types::{Credits, QosKey, QosRule};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 

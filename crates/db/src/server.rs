@@ -15,20 +15,21 @@
 //! is unambiguous.
 //!
 //! For high availability a server can forward every mutating statement to
-//! a standby (`Multi-AZ` style). Forwarding is asynchronous and
+//! a standby (`Multi-AZ` style). Forwarding happens on its own thread and is
 //! best-effort, exactly like a replication link; the standby is promoted
 //! by flipping the DNS failover record, which [`crate::client::DbClient`]
 //! callers re-resolve on reconnect.
 
 use crate::engine::RulesEngine;
 use crate::sql::{self, SqlResponse};
+use janus_net::TcpService;
+use janus_types::sync::Mutex;
 use janus_types::Result;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use tokio::io::{AsyncBufReadExt, AsyncWriteExt, BufReader};
-use tokio::net::{TcpListener, TcpStream};
-use tokio::sync::mpsc;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 /// Render one rule as a wire row. Delegates to [`janus_types::QosRule::to_row`]
 /// (the row format is shared with the HA snapshot core); kept under the
@@ -73,102 +74,65 @@ fn is_mutation(query: &str) -> bool {
         || head.eq_ignore_ascii_case("delete")
 }
 
-/// A running database node.
+/// A running database node: a [`TcpService`] (one accept thread, one
+/// thread per connection) and, with a standby, one replication-link
+/// thread.
 pub struct DbServer {
-    addr: SocketAddr,
+    tcp: TcpService,
     engine: Arc<RulesEngine>,
-    shutdown: Arc<AtomicBool>,
     queries: Arc<AtomicU64>,
-    replication: Option<mpsc::UnboundedSender<String>>,
+    replication: Option<mpsc::Sender<String>>,
 }
 
 impl DbServer {
     /// Bind an ephemeral loopback port and serve `engine`.
-    pub async fn spawn(engine: Arc<RulesEngine>) -> Result<DbServer> {
-        Self::spawn_inner(engine, None).await
+    pub fn spawn(engine: Arc<RulesEngine>) -> Result<DbServer> {
+        Self::spawn_inner(engine, None)
     }
 
     /// Spawn a master that forwards mutations to the standby at
     /// `standby_addr`.
-    pub async fn spawn_with_standby(
+    pub fn spawn_with_standby(
         engine: Arc<RulesEngine>,
         standby_addr: SocketAddr,
     ) -> Result<DbServer> {
-        Self::spawn_inner(engine, Some(standby_addr)).await
+        Self::spawn_inner(engine, Some(standby_addr))
     }
 
-    async fn spawn_inner(
-        engine: Arc<RulesEngine>,
-        standby_addr: Option<SocketAddr>,
-    ) -> Result<DbServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).await?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+    fn spawn_inner(engine: Arc<RulesEngine>, standby_addr: Option<SocketAddr>) -> Result<DbServer> {
         let queries = Arc::new(AtomicU64::new(0));
-
-        let replication = standby_addr.map(|standby| {
-            let (tx, mut rx) = mpsc::unbounded_channel::<String>();
-            tokio::spawn(async move {
-                let mut link: Option<TcpStream> = None;
-                while let Some(statement) = rx.recv().await {
-                    // (Re)connect lazily; drop the statement if the standby
-                    // is unreachable — replication is best-effort, and a
-                    // promoted standby re-syncs from checkpoints.
-                    if link.is_none() {
-                        link = TcpStream::connect(standby).await.ok();
-                    }
-                    if let Some(stream) = link.as_mut() {
-                        let mut line = statement.clone();
-                        line.push('\n');
-                        if stream.write_all(line.as_bytes()).await.is_err() {
-                            link = None;
-                            continue;
-                        }
-                        // Drain the one response line so the standby's
-                        // writer does not block; errors reset the link.
-                        let mut reader = BufReader::new(stream);
-                        let mut resp = String::new();
-                        if reader.read_line(&mut resp).await.is_err() {
-                            link = None;
-                        }
-                    }
-                }
-            });
-            tx
-        });
-
-        let server = DbServer {
-            addr,
-            engine: Arc::clone(&engine),
-            shutdown: Arc::clone(&shutdown),
-            queries: Arc::clone(&queries),
-            replication: replication.clone(),
-        };
-
-        tokio::spawn(async move {
-            loop {
-                let (stream, _) = match listener.accept().await {
-                    Ok(x) => x,
-                    Err(_) => break,
-                };
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let engine = Arc::clone(&engine);
-                let queries = Arc::clone(&queries);
-                let replication = replication.clone();
-                tokio::spawn(async move {
-                    let _ = serve_connection(stream, engine, queries, replication).await;
-                });
+        let replication = match standby_addr {
+            Some(standby) => {
+                let (tx, rx) = mpsc::channel::<String>();
+                thread::Builder::new()
+                    .name("janus-db-replication".into())
+                    .spawn(move || replicate(standby, rx))?;
+                Some(tx)
             }
-        });
-
-        Ok(server)
+            None => None,
+        };
+        // `mpsc::Sender` is `Send` but not `Sync`: each connection thread
+        // takes its own clone out of the mutex.
+        let (conn_engine, conn_queries, conn_replication) = (
+            Arc::clone(&engine),
+            Arc::clone(&queries),
+            Mutex::new(replication.clone()),
+        );
+        let tcp = TcpService::spawn("janus-db", move |stream, _peer, _stop| {
+            let replication = conn_replication.lock().clone();
+            let _ = serve_connection(stream, &conn_engine, &conn_queries, replication);
+        })?;
+        Ok(DbServer {
+            tcp,
+            engine,
+            queries,
+            replication,
+        })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.tcp.addr()
     }
 
     /// The engine behind this server (tests inspect it directly).
@@ -183,8 +147,7 @@ impl DbServer {
 
     /// Stop accepting connections.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        janus_net::poke_listener(self.addr);
+        self.tcp.shutdown();
     }
 
     /// Is this server forwarding to a standby?
@@ -193,24 +156,45 @@ impl DbServer {
     }
 }
 
-impl Drop for DbServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+/// The replication link: forward every statement from `rx` to the
+/// standby until the last sender (the server and its connections) is
+/// gone.
+fn replicate(standby: SocketAddr, rx: mpsc::Receiver<String>) {
+    let mut link: Option<BufReader<TcpStream>> = None;
+    for mut statement in rx {
+        // (Re)connect lazily; drop the statement if the standby is
+        // unreachable — replication is best-effort, and a promoted
+        // standby re-syncs from checkpoints.
+        if link.is_none() {
+            link = TcpStream::connect(standby).ok().map(BufReader::new);
+        }
+        let Some(reader) = link.as_mut() else {
+            continue;
+        };
+        statement.push('\n');
+        // Drain the one response line so the standby's writer does not
+        // block; errors reset the link.
+        let mut resp = String::new();
+        if reader.get_mut().write_all(statement.as_bytes()).is_err()
+            || reader.read_line(&mut resp).is_err()
+        {
+            link = None;
+        }
     }
 }
 
-async fn serve_connection(
+fn serve_connection(
     stream: TcpStream,
-    engine: Arc<RulesEngine>,
-    queries: Arc<AtomicU64>,
-    replication: Option<mpsc::UnboundedSender<String>>,
+    engine: &RulesEngine,
+    queries: &AtomicU64,
+    replication: Option<mpsc::Sender<String>>,
 ) -> Result<()> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line).await? == 0 {
+        if reader.read_line(&mut line)? == 0 {
             return Ok(());
         }
         let query = line.trim_end_matches(['\r', '\n']);
@@ -218,14 +202,14 @@ async fn serve_connection(
             continue;
         }
         queries.fetch_add(1, Ordering::Relaxed);
-        let result = sql::execute(&engine, query);
+        let result = sql::execute(engine, query);
         if result.is_ok() && is_mutation(query) {
             if let Some(tx) = &replication {
                 let _ = tx.send(query.to_string());
             }
         }
         let response = encode_response(&result);
-        reader.get_mut().write_all(response.as_bytes()).await?;
+        reader.get_mut().write_all(response.as_bytes())?;
     }
 }
 
@@ -278,75 +262,73 @@ mod tests {
 
     #[test]
     fn error_encoding_is_single_line() {
-        let err: Result<SqlResponse> =
-            Err(janus_types::JanusError::db("bad\nthing\thappened"));
+        let err: Result<SqlResponse> = Err(janus_types::JanusError::db("bad\nthing\thappened"));
         let encoded = encode_response(&err);
         assert!(encoded.starts_with("ERR "));
         assert_eq!(encoded.matches('\n').count(), 1);
     }
 
-    #[tokio::test]
-    async fn serves_queries_over_tcp() {
+    #[test]
+    fn serves_queries_over_tcp() {
         let engine = Arc::new(RulesEngine::new());
         engine.put(rule("alice", 1000, 100));
-        let server = DbServer::spawn(engine).await.unwrap();
+        let server = DbServer::spawn(engine).unwrap();
 
-        let stream = TcpStream::connect(server.addr()).await.unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(stream);
         reader
             .get_mut()
             .write_all(b"SELECT * FROM qos_rules WHERE qos_key = 'alice'\n")
-            .await
             .unwrap();
         let mut header = String::new();
-        reader.read_line(&mut header).await.unwrap();
+        reader.read_line(&mut header).unwrap();
         assert_eq!(header, "ROWS 1\n");
         let mut row = String::new();
-        reader.read_line(&mut row).await.unwrap();
+        reader.read_line(&mut row).unwrap();
         assert!(row.starts_with("alice\t100\t1000\t"), "{row}");
         assert_eq!(server.queries(), 1);
     }
 
-    #[tokio::test]
-    async fn bad_sql_gets_err_not_disconnect() {
-        let server = DbServer::spawn(Arc::new(RulesEngine::new())).await.unwrap();
-        let stream = TcpStream::connect(server.addr()).await.unwrap();
+    #[test]
+    fn bad_sql_gets_err_not_disconnect() {
+        let server = DbServer::spawn(Arc::new(RulesEngine::new())).unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(stream);
         reader
             .get_mut()
             .write_all(b"DROP TABLE qos_rules\nVERSION\n")
-            .await
             .unwrap();
         let mut line = String::new();
-        reader.read_line(&mut line).await.unwrap();
+        reader.read_line(&mut line).unwrap();
         assert!(line.starts_with("ERR "), "{line}");
         line.clear();
-        reader.read_line(&mut line).await.unwrap();
-        assert!(line.starts_with("VERSION "), "connection should survive: {line}");
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.starts_with("VERSION "),
+            "connection should survive: {line}"
+        );
     }
 
-    #[tokio::test]
-    async fn standby_receives_mutations() {
+    #[test]
+    fn standby_receives_mutations() {
         let standby_engine = Arc::new(RulesEngine::new());
-        let standby = DbServer::spawn(Arc::clone(&standby_engine)).await.unwrap();
+        let standby = DbServer::spawn(Arc::clone(&standby_engine)).unwrap();
 
         let master_engine = Arc::new(RulesEngine::new());
-        let master = DbServer::spawn_with_standby(Arc::clone(&master_engine), standby.addr())
-            .await
-            .unwrap();
+        let master =
+            DbServer::spawn_with_standby(Arc::clone(&master_engine), standby.addr()).unwrap();
         assert!(master.has_standby());
 
-        let stream = TcpStream::connect(master.addr()).await.unwrap();
+        let stream = TcpStream::connect(master.addr()).unwrap();
         let mut reader = BufReader::new(stream);
         reader
             .get_mut()
             .write_all(
                 b"INSERT INTO qos_rules (qos_key, refill_rate, capacity) VALUES ('r', 5, 50)\n",
             )
-            .await
             .unwrap();
         let mut line = String::new();
-        reader.read_line(&mut line).await.unwrap();
+        reader.read_line(&mut line).unwrap();
         assert_eq!(line, "OK 1\n");
 
         // Replication is async; poll for it.
@@ -356,38 +338,35 @@ mod tests {
                 assert_eq!(master_engine.get(&key), standby_engine.get(&key));
                 return;
             }
-            tokio::time::sleep(std::time::Duration::from_millis(5)).await;
+            std::thread::sleep(std::time::Duration::from_millis(5));
         }
         panic!("standby never received the mutation");
     }
 
-    #[tokio::test]
-    async fn unreachable_standby_does_not_block_master() {
+    #[test]
+    fn unreachable_standby_does_not_block_master() {
         // Point the master at a dead standby address.
-        let dead = TcpListener::bind(("127.0.0.1", 0)).await.unwrap();
+        let dead = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let dead_addr = dead.local_addr().unwrap();
         drop(dead);
 
-        let master = DbServer::spawn_with_standby(Arc::new(RulesEngine::new()), dead_addr)
-            .await
-            .unwrap();
-        let stream = TcpStream::connect(master.addr()).await.unwrap();
+        let master = DbServer::spawn_with_standby(Arc::new(RulesEngine::new()), dead_addr).unwrap();
+        let stream = TcpStream::connect(master.addr()).unwrap();
         let mut reader = BufReader::new(stream);
         reader
             .get_mut()
             .write_all(
                 b"INSERT INTO qos_rules (qos_key, refill_rate, capacity) VALUES ('x', 1, 1)\n",
             )
-            .await
+            .unwrap();
+        reader
+            .get_ref()
+            .set_read_timeout(Some(std::time::Duration::from_secs(2)))
             .unwrap();
         let mut line = String::new();
-        tokio::time::timeout(
-            std::time::Duration::from_secs(2),
-            reader.read_line(&mut line),
-        )
-        .await
-        .expect("master blocked on dead standby")
-        .unwrap();
+        reader
+            .read_line(&mut line)
+            .expect("master blocked on dead standby");
         assert_eq!(line, "OK 1\n");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The production router and server are split into sans-IO decision
 //! cores ([`janus_router::core`], [`janus_server::core`]) driven by
-//! thin tokio shells. This crate drives the *same cores* from a
+//! thin blocking thread shells. This crate drives the *same cores* from a
 //! single-threaded discrete-event scheduler over a virtual clock
 //! ([`janus_clock::SimClock`]) and an in-memory network that drops,
 //! delays, duplicates, reorders and partitions datagrams from a seeded
@@ -20,10 +20,9 @@
 //!   shrinking to a minimal reproducer, and the committed seed corpus
 //!   replayed by CI (`tests/dst_corpus.txt`).
 //!
-//! The crate is std-only (no tokio, no external `rand`): every test
-//! here compiles and runs with bare `rustc --test`
-//! (`scripts/run_dst_standalone.sh`), and byte-exact replay is pinned
-//! by `scripts/check_determinism.sh`.
+//! Like the whole workspace, the crate depends on nothing but `std`:
+//! `cargo test -p janus-dst` replays the corpus and runs the search, and
+//! byte-exact replay is pinned by `scripts/check_determinism.sh`.
 
 pub mod oracle;
 pub mod search;

@@ -177,6 +177,7 @@ impl OracleState {
     /// A QoS server made a fresh decision (charged its table) for
     /// `request` on `partition` at `epoch`. `reboots` is the owning
     /// partition's reboot count at this instant.
+    #[allow(clippy::too_many_arguments)]
     pub fn record_decision(
         &mut self,
         partition: usize,
@@ -298,9 +299,8 @@ impl OracleState {
     /// `reboots_of(key_idx)` reports the owning partition's current
     /// reboot count; `names` are the key display names by index.
     pub fn check_all(&mut self, names: &[String], reboots_of: impl Fn(usize) -> u64) {
-        for idx in 0..names.len() {
-            let name = names[idx].clone();
-            self.check_key(idx, &name, reboots_of(idx));
+        for (idx, name) in names.iter().enumerate() {
+            self.check_key(idx, name, reboots_of(idx));
         }
         if let Some((deposit_pct, min_reserve)) = self.budget {
             // Oracle 7's amplification half: deposits accrue fractionally

@@ -4,7 +4,7 @@
 //! One [`Sim`] owns a [`RouterCore`] (the admission client: hashing,
 //! retries, deadline stamping, breakers, degraded hints) and a set of
 //! [`ServerCore`] partitions (admit/shed/dedup over a [`QosTable`]),
-//! exactly the objects the production tokio shells drive — the
+//! exactly the objects the production thread shells drive — the
 //! simulator runs *byte-identical decision logic*, only the transport
 //! and the clock are simulated. Datagrams pass through a
 //! [`FaultPlan`] that drops, delays, duplicates and reorders them from
@@ -1014,7 +1014,7 @@ impl Sim {
                     Event::DeliverResponse {
                         call,
                         partition,
-                        response: response.clone(),
+                        response,
                     },
                 );
                 self.schedule_in(

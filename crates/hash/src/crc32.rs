@@ -29,7 +29,11 @@ const fn build_tables() -> [[u32; 256]; 8] {
         let mut crc = b as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
             bit += 1;
         }
         tables[0][b] = crc;
@@ -74,7 +78,11 @@ pub fn crc32_bitwise(data: &[u8]) -> u32 {
     for &byte in data {
         crc ^= byte as u32;
         for _ in 0..8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
         }
     }
     !crc
@@ -149,7 +157,7 @@ impl Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::Rng;
 
     /// Known-answer vectors, cross-checked against PHP `crc32()` / zlib.
     #[test]
@@ -206,38 +214,46 @@ mod tests {
         assert_eq!(state.finalize(), before);
     }
 
-    proptest! {
-        #[test]
-        fn all_implementations_agree(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-            let expected = crc32_bitwise(&data);
-            prop_assert_eq!(crc32_sarwate(&data), expected);
-            prop_assert_eq!(crc32(&data), expected);
-            prop_assert_eq!(crc32_const(&data), expected);
-        }
+    fn random_bytes(rng: &mut Rng, min: u64, max: u64) -> Vec<u8> {
+        (0..rng.gen_range_inclusive(min, max))
+            .map(|_| rng.next_u64() as u8)
+            .collect()
+    }
 
-        #[test]
-        fn arbitrary_splits_agree(
-            data in proptest::collection::vec(any::<u8>(), 0..256),
-            split in 0usize..256,
-        ) {
-            let split = split.min(data.len());
+    #[test]
+    fn all_implementations_agree() {
+        let mut rng = Rng::seed_from_u64(0xC4C3_2001);
+        for _ in 0..256 {
+            let data = random_bytes(&mut rng, 0, 511);
+            let expected = crc32_bitwise(&data);
+            assert_eq!(crc32_sarwate(&data), expected);
+            assert_eq!(crc32(&data), expected);
+            assert_eq!(crc32_const(&data), expected);
+        }
+    }
+
+    #[test]
+    fn arbitrary_splits_agree() {
+        let mut rng = Rng::seed_from_u64(0xC4C3_2002);
+        for _ in 0..256 {
+            let data = random_bytes(&mut rng, 0, 255);
+            let split = rng.gen_range_inclusive(0, data.len() as u64) as usize;
             let mut inc = Crc32::new();
             inc.update(&data[..split]);
             inc.update(&data[split..]);
-            prop_assert_eq!(inc.finalize(), crc32(&data));
+            assert_eq!(inc.finalize(), crc32(&data));
         }
+    }
 
-        #[test]
-        fn single_bit_flip_changes_crc(
-            data in proptest::collection::vec(any::<u8>(), 1..128),
-            byte_idx in 0usize..128,
-            bit in 0u8..8,
-        ) {
-            // CRC32 detects all single-bit errors by construction.
-            let byte_idx = byte_idx % data.len();
+    #[test]
+    fn single_bit_flip_changes_crc() {
+        // CRC32 detects all single-bit errors by construction.
+        let mut rng = Rng::seed_from_u64(0xC4C3_2003);
+        for _ in 0..256 {
+            let data = random_bytes(&mut rng, 1, 127);
             let mut flipped = data.clone();
-            flipped[byte_idx] ^= 1 << bit;
-            prop_assert_ne!(crc32(&data), crc32(&flipped));
+            flipped[rng.gen_range(data.len() as u64) as usize] ^= 1 << rng.gen_range(8);
+            assert_ne!(crc32(&data), crc32(&flipped));
         }
     }
 }

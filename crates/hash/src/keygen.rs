@@ -20,7 +20,6 @@ use janus_types::QosKey;
 
 /// The four key families of the paper's Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KeyFamily {
     /// `xxxxxxxx-xxxx-xxxx-xxxx-xxxxxxxxxxxx`, random hex.
     Uuid,
@@ -52,26 +51,33 @@ impl KeyFamily {
     }
 }
 
+impl janus_types::json::ToJson for KeyFamily {
+    /// The figure label.
+    fn to_json(&self) -> janus_types::json::Json {
+        self.label().to_json()
+    }
+}
+
 /// First value of the paper's sequential-number family.
 pub const SEQUENTIAL_START: u64 = 1_500_000_001;
 
 const PREFIXES: &[&str] = &[
-    "", "un", "re", "in", "dis", "en", "non", "over", "mis", "sub", "pre", "inter", "fore",
-    "de", "trans", "super", "semi", "anti", "mid", "under", "out", "co", "auto", "bi",
+    "", "un", "re", "in", "dis", "en", "non", "over", "mis", "sub", "pre", "inter", "fore", "de",
+    "trans", "super", "semi", "anti", "mid", "under", "out", "co", "auto", "bi",
 ];
 
 const ROOTS: &[&str] = &[
-    "act", "form", "port", "struct", "dict", "duc", "grad", "ject", "log", "man", "mit",
-    "path", "ped", "pel", "pend", "phon", "photo", "scrib", "sect", "sent", "spect", "tain",
-    "tend", "tract", "vent", "vert", "vid", "voc", "graph", "meter", "cede", "claim", "clud",
-    "cred", "cycl", "fer", "flect", "gen", "loc", "mort", "nov", "rupt", "sign", "sol",
-    "spir", "tact", "therm", "turb", "vac", "ver", "light", "water", "earth", "wind", "fire",
-    "stone", "wood", "iron", "gold", "silver", "cloud", "rain", "snow", "storm", "river",
+    "act", "form", "port", "struct", "dict", "duc", "grad", "ject", "log", "man", "mit", "path",
+    "ped", "pel", "pend", "phon", "photo", "scrib", "sect", "sent", "spect", "tain", "tend",
+    "tract", "vent", "vert", "vid", "voc", "graph", "meter", "cede", "claim", "clud", "cred",
+    "cycl", "fer", "flect", "gen", "loc", "mort", "nov", "rupt", "sign", "sol", "spir", "tact",
+    "therm", "turb", "vac", "ver", "light", "water", "earth", "wind", "fire", "stone", "wood",
+    "iron", "gold", "silver", "cloud", "rain", "snow", "storm", "river",
 ];
 
 const SUFFIXES: &[&str] = &[
-    "", "s", "ed", "ing", "ly", "er", "ion", "able", "al", "ful", "ic", "ive", "less",
-    "ment", "ness", "ous", "est", "ish", "ism", "ist", "ity", "ize", "ward", "wise",
+    "", "s", "ed", "ing", "ly", "er", "ion", "able", "al", "ful", "ic", "ive", "less", "ment",
+    "ness", "ous", "est", "ish", "ism", "ist", "ity", "ize", "ward", "wise",
 ];
 
 /// Deterministic generator of QoS keys from one [`KeyFamily`].
@@ -143,9 +149,8 @@ impl KeyGenerator {
                 let generation = n / total;
                 let p = PREFIXES[(idx % PREFIXES.len() as u64) as usize];
                 let r = ROOTS[((idx / PREFIXES.len() as u64) % ROOTS.len() as u64) as usize];
-                let s = SUFFIXES
-                    [((idx / (PREFIXES.len() * ROOTS.len()) as u64) % SUFFIXES.len() as u64)
-                        as usize];
+                let s = SUFFIXES[((idx / (PREFIXES.len() * ROOTS.len()) as u64)
+                    % SUFFIXES.len() as u64) as usize];
                 if generation == 0 {
                     format!("{p}{r}{s}")
                 } else {
@@ -173,12 +178,13 @@ mod tests {
         for _ in 0..100 {
             let k = gen.next_string();
             assert_eq!(k.len(), 36);
-            let dash_positions: Vec<_> =
-                k.char_indices().filter(|(_, c)| *c == '-').map(|(i, _)| i).collect();
+            let dash_positions: Vec<_> = k
+                .char_indices()
+                .filter(|(_, c)| *c == '-')
+                .map(|(i, _)| i)
+                .collect();
             assert_eq!(dash_positions, vec![8, 13, 18, 23]);
-            assert!(k
-                .chars()
-                .all(|c| c == '-' || c.is_ascii_hexdigit()));
+            assert!(k.chars().all(|c| c == '-' || c.is_ascii_hexdigit()));
         }
     }
 
@@ -218,7 +224,9 @@ mod tests {
         for _ in 0..1000 {
             let k = gen.next_string();
             assert!(!k.is_empty());
-            assert!(k.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()));
+            assert!(k
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()));
         }
     }
 

@@ -11,7 +11,6 @@ use crate::routing::Router;
 
 /// Distribution of one key population across the QoS-server fleet.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct KeyPressure {
     /// Key family the population was drawn from (None for ad-hoc key sets).
     pub family: Option<KeyFamily>,
@@ -21,12 +20,15 @@ pub struct KeyPressure {
     pub per_server: Vec<usize>,
 }
 
+janus_types::impl_to_json!(KeyPressure {
+    family,
+    total_keys,
+    per_server,
+});
+
 impl KeyPressure {
     /// Route `keys` strings through `router` and tally per-server counts.
-    pub fn measure_strings<R: Router>(
-        router: &R,
-        keys: impl IntoIterator<Item = String>,
-    ) -> Self {
+    pub fn measure_strings<R: Router>(router: &R, keys: impl IntoIterator<Item = String>) -> Self {
         let mut per_server = vec![0usize; router.backends()];
         let mut total = 0usize;
         for key in keys {
@@ -100,7 +102,6 @@ fn router_route_str<R: Router>(router: &R, key: &str) -> usize {
 
 /// The full Fig. 6 study: all four families routed over one fleet.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct PressureReport {
     /// Number of QoS servers behind the router layer.
     pub servers: usize,
@@ -109,6 +110,12 @@ pub struct PressureReport {
     /// One measurement per family, in [`KeyFamily::ALL`] order.
     pub measurements: Vec<KeyPressure>,
 }
+
+janus_types::impl_to_json!(PressureReport {
+    servers,
+    keys_per_family,
+    measurements,
+});
 
 impl PressureReport {
     /// Run the study with the paper's parameters by default

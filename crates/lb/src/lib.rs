@@ -19,14 +19,10 @@
 //! describes; `DnsLb` happily takes gateway addresses as its targets.
 
 use janus_net::dns::{Resolver, Zone};
-use janus_net::http::{
-    HttpClient, HttpHandler, HttpRequest, HttpResponse, HttpServer, StatusCode,
-};
+use janus_net::http::{HttpClient, HttpHandler, HttpRequest, HttpResponse, HttpServer, StatusCode};
+use janus_types::sync::{RwLock, Shutdown};
 use janus_types::{JanusError, Result};
-use parking_lot::RwLock;
-use std::future::Future;
 use std::net::SocketAddr;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -169,15 +165,15 @@ impl GatewayHandler {
 
     /// One health-check round: probe every registered backend's
     /// `/healthz` and update ejection state.
-    async fn probe_round(&self, health: HealthCheckConfig) {
+    fn probe_round(&self, health: HealthCheckConfig) {
         let backends: Vec<Arc<BackendState>> = self.backends.read().clone();
         for backend in backends {
-            let probe = tokio::time::timeout(
+            let probe = HttpClient::oneshot_timeout(
+                backend.addr,
+                &HttpRequest::get("/healthz"),
                 health.probe_timeout,
-                HttpClient::oneshot(backend.addr, &HttpRequest::get("/healthz")),
-            )
-            .await;
-            let healthy = matches!(probe, Ok(Ok(ref resp)) if resp.status == StatusCode::OK);
+            );
+            let healthy = matches!(probe, Ok(ref resp) if resp.status == StatusCode::OK);
             if healthy {
                 backend.fail_streak.store(0, Ordering::Relaxed);
                 if backend.ejected.swap(false, Ordering::Relaxed) {
@@ -185,8 +181,7 @@ impl GatewayHandler {
                 }
             } else {
                 let streak = backend.fail_streak.fetch_add(1, Ordering::Relaxed) + 1;
-                if streak >= health.fail_threshold
-                    && !backend.ejected.swap(true, Ordering::Relaxed)
+                if streak >= health.fail_threshold && !backend.ejected.swap(true, Ordering::Relaxed)
                 {
                     self.stats.ejections.fetch_add(1, Ordering::Relaxed);
                 }
@@ -196,34 +191,28 @@ impl GatewayHandler {
 }
 
 impl HttpHandler for GatewayHandler {
-    fn handle(
-        &self,
-        request: HttpRequest,
-        peer: SocketAddr,
-    ) -> Pin<Box<dyn Future<Output = HttpResponse> + Send + '_>> {
-        Box::pin(async move {
-            // Annotate the original client, like real proxies do.
-            let request = request.with_header("x-forwarded-for", &peer.ip().to_string());
-            for backend in self.pick_order() {
-                backend.in_flight.fetch_add(1, Ordering::Relaxed);
-                let outcome = HttpClient::oneshot(backend.addr, &request).await;
-                backend.in_flight.fetch_sub(1, Ordering::Relaxed);
-                match outcome {
-                    Ok(response) => {
-                        backend.proxied.fetch_add(1, Ordering::Relaxed);
-                        self.stats.proxied.fetch_add(1, Ordering::Relaxed);
-                        return response;
-                    }
-                    Err(_) => {
-                        // Dead or overloaded router: try the next one.
-                        self.stats.backend_errors.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
+    fn handle(&self, request: HttpRequest, peer: SocketAddr) -> HttpResponse {
+        // Annotate the original client, like real proxies do.
+        let request = request.with_header("x-forwarded-for", &peer.ip().to_string());
+        for backend in self.pick_order() {
+            backend.in_flight.fetch_add(1, Ordering::Relaxed);
+            let outcome = HttpClient::oneshot(backend.addr, &request);
+            backend.in_flight.fetch_sub(1, Ordering::Relaxed);
+            match outcome {
+                Ok(response) => {
+                    backend.proxied.fetch_add(1, Ordering::Relaxed);
+                    self.stats.proxied.fetch_add(1, Ordering::Relaxed);
+                    return response;
+                }
+                Err(_) => {
+                    // Dead or overloaded router: try the next one.
+                    self.stats.backend_errors.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
             }
-            self.stats.failed.fetch_add(1, Ordering::Relaxed);
-            HttpResponse::status(StatusCode::BAD_GATEWAY)
-        })
+        }
+        self.stats.failed.fetch_add(1, Ordering::Relaxed);
+        HttpResponse::status(StatusCode::BAD_GATEWAY)
     }
 }
 
@@ -232,29 +221,30 @@ pub struct GatewayLb {
     http: HttpServer,
     stats: Arc<GatewayStats>,
     handler: Arc<GatewayHandler>,
-    health_stop: Option<tokio::sync::watch::Sender<bool>>,
+    /// Stops the health-checker thread, when there is one.
+    health_stop: Shutdown,
 }
 
 impl GatewayLb {
     /// Spawn a gateway LB over `backends` with the given policy and no
     /// active health checking (passive skip-on-error only).
-    pub async fn spawn(backends: Vec<SocketAddr>, policy: LbPolicy) -> Result<GatewayLb> {
-        GatewayLb::spawn_inner(backends, policy, None).await
+    pub fn spawn(backends: Vec<SocketAddr>, policy: LbPolicy) -> Result<GatewayLb> {
+        GatewayLb::spawn_inner(backends, policy, None)
     }
 
     /// Spawn a gateway LB that additionally runs an active health
     /// checker: every `health.interval` it probes each backend's
     /// `/healthz`, ejecting backends after `health.fail_threshold`
     /// consecutive failures and readmitting them on the next success.
-    pub async fn spawn_with_health(
+    pub fn spawn_with_health(
         backends: Vec<SocketAddr>,
         policy: LbPolicy,
         health: HealthCheckConfig,
     ) -> Result<GatewayLb> {
-        GatewayLb::spawn_inner(backends, policy, Some(health)).await
+        GatewayLb::spawn_inner(backends, policy, Some(health))
     }
 
-    async fn spawn_inner(
+    fn spawn_inner(
         backends: Vec<SocketAddr>,
         policy: LbPolicy,
         health: Option<HealthCheckConfig>,
@@ -269,20 +259,18 @@ impl GatewayLb {
             cursor: AtomicUsize::new(0),
             stats: Arc::clone(&stats),
         });
-        let http = HttpServer::spawn(Arc::clone(&handler) as Arc<dyn HttpHandler>).await?;
-        let health_stop = health.map(|config| {
-            let (stop_tx, mut stop_rx) = tokio::sync::watch::channel(false);
-            let checker = Arc::clone(&handler);
-            tokio::spawn(async move {
-                loop {
-                    tokio::select! {
-                        _ = tokio::time::sleep(config.interval) => checker.probe_round(config).await,
-                        _ = stop_rx.changed() => return,
+        let http = HttpServer::spawn(Arc::clone(&handler) as Arc<dyn HttpHandler>)?;
+        let health_stop = Shutdown::new();
+        if let Some(config) = health {
+            let (stop, checker) = (health_stop.clone(), Arc::clone(&handler));
+            std::thread::Builder::new()
+                .name("janus-lb-health".into())
+                .spawn(move || {
+                    while !stop.wait_timeout(config.interval) {
+                        checker.probe_round(config);
                     }
-                }
-            });
-            stop_tx
-        });
+                })?;
+        }
         Ok(GatewayLb {
             http,
             stats,
@@ -314,7 +302,12 @@ impl GatewayLb {
 
     /// The current backend fleet.
     pub fn backends(&self) -> Vec<SocketAddr> {
-        self.handler.backends.read().iter().map(|b| b.addr).collect()
+        self.handler
+            .backends
+            .read()
+            .iter()
+            .map(|b| b.addr)
+            .collect()
     }
 
     /// Backends currently ejected by the health checker (empty when
@@ -342,10 +335,14 @@ impl GatewayLb {
 
     /// Stop accepting connections and halt the health checker.
     pub fn shutdown(&self) {
-        if let Some(stop) = &self.health_stop {
-            let _ = stop.send(true);
-        }
+        self.health_stop.trigger();
         self.http.shutdown();
+    }
+}
+
+impl Drop for GatewayLb {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -407,70 +404,53 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    async fn tagged_backend(tag: &'static str) -> HttpServer {
-        HttpServer::spawn(Arc::new(
-            move |req: HttpRequest, _peer: SocketAddr| async move {
-                HttpResponse::ok(format!("{tag}:{}", req.target)).with_header("x-backend", tag)
-            },
-        ))
-        .await
+    fn tagged_backend(tag: &'static str) -> HttpServer {
+        HttpServer::spawn(Arc::new(move |req: HttpRequest, _peer: SocketAddr| {
+            HttpResponse::ok(format!("{tag}:{}", req.target)).with_header("x-backend", tag)
+        }))
         .unwrap()
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn round_robin_spreads_uniformly() {
-        let a = tagged_backend("a").await;
-        let b = tagged_backend("b").await;
-        let lb = GatewayLb::spawn(vec![a.addr(), b.addr()], LbPolicy::RoundRobin)
-            .await
-            .unwrap();
+    #[test]
+    fn round_robin_spreads_uniformly() {
+        let a = tagged_backend("a");
+        let b = tagged_backend("b");
+        let lb = GatewayLb::spawn(vec![a.addr(), b.addr()], LbPolicy::RoundRobin).unwrap();
         for _ in 0..20 {
-            let resp = HttpClient::oneshot(lb.addr(), &HttpRequest::get("/x"))
-                .await
-                .unwrap();
+            let resp = HttpClient::oneshot(lb.addr(), &HttpRequest::get("/x")).unwrap();
             assert_eq!(resp.status, StatusCode::OK);
         }
         let counts = lb.per_backend_counts();
         assert_eq!(counts, vec![10, 10], "round robin skewed: {counts:?}");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn proxies_bodies_and_headers_both_ways() {
-        let backend = HttpServer::spawn(Arc::new(
-            |req: HttpRequest, _peer: SocketAddr| async move {
-                let body = format!(
-                    "got {} bytes, xff={}",
-                    req.body.len(),
-                    req.header("x-forwarded-for").unwrap_or("-")
-                );
-                HttpResponse::ok(body).with_header("x-custom", "yes")
-            },
-        ))
-        .await
+    #[test]
+    fn proxies_bodies_and_headers_both_ways() {
+        let backend = HttpServer::spawn(Arc::new(|req: HttpRequest, _peer: SocketAddr| {
+            let body = format!(
+                "got {} bytes, xff={}",
+                req.body.len(),
+                req.header("x-forwarded-for").unwrap_or("-")
+            );
+            HttpResponse::ok(body).with_header("x-custom", "yes")
+        }))
         .unwrap();
-        let lb = GatewayLb::spawn(vec![backend.addr()], LbPolicy::RoundRobin)
-            .await
-            .unwrap();
-        let resp = HttpClient::oneshot(lb.addr(), &HttpRequest::post("/upload", vec![7u8; 100]))
-            .await
-            .unwrap();
+        let lb = GatewayLb::spawn(vec![backend.addr()], LbPolicy::RoundRobin).unwrap();
+        let resp =
+            HttpClient::oneshot(lb.addr(), &HttpRequest::post("/upload", vec![7u8; 100])).unwrap();
         assert_eq!(resp.body_text(), "got 100 bytes, xff=127.0.0.1");
         assert_eq!(resp.header("x-custom"), Some("yes"));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn skips_dead_backend() {
-        let dead = tokio::net::TcpListener::bind(("127.0.0.1", 0)).await.unwrap();
+    #[test]
+    fn skips_dead_backend() {
+        let dead = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let dead_addr = dead.local_addr().unwrap();
         drop(dead);
-        let live = tagged_backend("live").await;
-        let lb = GatewayLb::spawn(vec![dead_addr, live.addr()], LbPolicy::RoundRobin)
-            .await
-            .unwrap();
+        let live = tagged_backend("live");
+        let lb = GatewayLb::spawn(vec![dead_addr, live.addr()], LbPolicy::RoundRobin).unwrap();
         for _ in 0..6 {
-            let resp = HttpClient::oneshot(lb.addr(), &HttpRequest::get("/y"))
-                .await
-                .unwrap();
+            let resp = HttpClient::oneshot(lb.addr(), &HttpRequest::get("/y")).unwrap();
             assert_eq!(resp.status, StatusCode::OK);
             assert!(resp.body_text().starts_with("live:"));
         }
@@ -478,53 +458,43 @@ mod tests {
         assert_eq!(lb.stats().failed.load(Ordering::Relaxed), 0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn all_dead_returns_502() {
-        let dead = tokio::net::TcpListener::bind(("127.0.0.1", 0)).await.unwrap();
+    #[test]
+    fn all_dead_returns_502() {
+        let dead = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let dead_addr = dead.local_addr().unwrap();
         drop(dead);
-        let lb = GatewayLb::spawn(vec![dead_addr], LbPolicy::RoundRobin)
-            .await
-            .unwrap();
-        let resp = HttpClient::oneshot(lb.addr(), &HttpRequest::get("/z"))
-            .await
-            .unwrap();
+        let lb = GatewayLb::spawn(vec![dead_addr], LbPolicy::RoundRobin).unwrap();
+        let resp = HttpClient::oneshot(lb.addr(), &HttpRequest::get("/z")).unwrap();
         assert_eq!(resp.status, StatusCode::BAD_GATEWAY);
         assert_eq!(lb.stats().failed.load(Ordering::Relaxed), 1);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn least_connections_avoids_busy_backend() {
+    #[test]
+    fn least_connections_avoids_busy_backend() {
         // Backend "slow" stalls; least-connections should route the bulk
         // of traffic to "fast" once slow accumulates in-flight requests.
-        let slow = HttpServer::spawn(Arc::new(
-            |_req: HttpRequest, _peer: SocketAddr| async move {
-                tokio::time::sleep(Duration::from_millis(300)).await;
-                HttpResponse::ok("slow")
-            },
-        ))
-        .await
+        let slow = HttpServer::spawn(Arc::new(|_req: HttpRequest, _peer: SocketAddr| {
+            std::thread::sleep(Duration::from_millis(300));
+            HttpResponse::ok("slow")
+        }))
         .unwrap();
-        let fast = tagged_backend("fast").await;
+        let fast = tagged_backend("fast");
         let lb = Arc::new(
-            GatewayLb::spawn(vec![slow.addr(), fast.addr()], LbPolicy::LeastConnections)
-                .await
-                .unwrap(),
+            GatewayLb::spawn(vec![slow.addr(), fast.addr()], LbPolicy::LeastConnections).unwrap(),
         );
         let mut handles = Vec::new();
         for _ in 0..20 {
             let addr = lb.addr();
-            handles.push(tokio::spawn(async move {
+            handles.push(std::thread::spawn(move || {
                 HttpClient::oneshot(addr, &HttpRequest::get("/w"))
-                    .await
                     .unwrap()
                     .body_text()
             }));
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
         let mut fast_count = 0;
         for h in handles {
-            if h.await.unwrap().starts_with("fast") {
+            if h.join().unwrap().starts_with("fast") {
                 fast_count += 1;
             }
         }
@@ -534,33 +504,27 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn rejects_empty_backends() {
-        assert!(GatewayLb::spawn(vec![], LbPolicy::RoundRobin).await.is_err());
+    #[test]
+    fn rejects_empty_backends() {
+        assert!(GatewayLb::spawn(vec![], LbPolicy::RoundRobin).is_err());
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn health_checker_drains_and_readmits_unhealthy_backend() {
+    #[test]
+    fn health_checker_drains_and_readmits_unhealthy_backend() {
         // A backend that flips between healthy and "all breakers open"
         // (503 on /healthz), like a router whose partitions all browned
         // out and later healed.
         let sick = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&sick);
-        let flappy = HttpServer::spawn(Arc::new(
-            move |req: HttpRequest, _peer: SocketAddr| {
-                let flag = Arc::clone(&flag);
-                async move {
-                    if req.target == "/healthz" && flag.load(Ordering::Relaxed) {
-                        HttpResponse::status(StatusCode::SERVICE_UNAVAILABLE)
-                    } else {
-                        HttpResponse::ok("flappy").with_header("x-backend", "flappy")
-                    }
-                }
-            },
-        ))
-        .await
+        let flappy = HttpServer::spawn(Arc::new(move |req: HttpRequest, _peer: SocketAddr| {
+            if req.target == "/healthz" && flag.load(Ordering::Relaxed) {
+                HttpResponse::status(StatusCode::SERVICE_UNAVAILABLE)
+            } else {
+                HttpResponse::ok("flappy").with_header("x-backend", "flappy")
+            }
+        }))
         .unwrap();
-        let steady = tagged_backend("steady").await;
+        let steady = tagged_backend("steady");
         let lb = GatewayLb::spawn_with_health(
             vec![flappy.addr(), steady.addr()],
             LbPolicy::RoundRobin,
@@ -570,29 +534,27 @@ mod tests {
                 probe_timeout: Duration::from_millis(100),
             },
         )
-        .await
         .unwrap();
 
         // Phase 1: both healthy — traffic reaches both.
-        tokio::time::sleep(Duration::from_millis(50)).await;
+        std::thread::sleep(Duration::from_millis(50));
         for _ in 0..8 {
-            HttpClient::oneshot(lb.addr(), &HttpRequest::get("/a"))
-                .await
-                .unwrap();
+            HttpClient::oneshot(lb.addr(), &HttpRequest::get("/a")).unwrap();
         }
         let before = lb.per_backend_counts();
-        assert!(before[0] > 0 && before[1] > 0, "warmup skipped a backend: {before:?}");
+        assert!(
+            before[0] > 0 && before[1] > 0,
+            "warmup skipped a backend: {before:?}"
+        );
         assert!(lb.ejected_backends().is_empty());
 
         // Phase 2: flappy's health endpoint goes 503 — after two failed
         // probes the LB drains it; every request lands on steady.
         sick.store(true, Ordering::Relaxed);
-        tokio::time::sleep(Duration::from_millis(100)).await;
+        std::thread::sleep(Duration::from_millis(100));
         assert_eq!(lb.ejected_backends(), vec![flappy.addr()]);
         for _ in 0..10 {
-            let resp = HttpClient::oneshot(lb.addr(), &HttpRequest::get("/b"))
-                .await
-                .unwrap();
+            let resp = HttpClient::oneshot(lb.addr(), &HttpRequest::get("/b")).unwrap();
             assert_eq!(resp.header("x-backend"), Some("steady"));
         }
         assert!(lb.stats().ejections.load(Ordering::Relaxed) >= 1);
@@ -600,13 +562,11 @@ mod tests {
         // Phase 3: heal — one passing probe readmits flappy and traffic
         // resumes flowing to it.
         sick.store(false, Ordering::Relaxed);
-        tokio::time::sleep(Duration::from_millis(100)).await;
+        std::thread::sleep(Duration::from_millis(100));
         assert!(lb.ejected_backends().is_empty());
         let drained = lb.per_backend_counts()[0];
         for _ in 0..8 {
-            HttpClient::oneshot(lb.addr(), &HttpRequest::get("/c"))
-                .await
-                .unwrap();
+            HttpClient::oneshot(lb.addr(), &HttpRequest::get("/c")).unwrap();
         }
         assert!(
             lb.per_backend_counts()[0] > drained,
@@ -616,8 +576,8 @@ mod tests {
         lb.shutdown();
     }
 
-    #[tokio::test]
-    async fn dns_lb_publish_and_resolve() {
+    #[test]
+    fn dns_lb_publish_and_resolve() {
         let zone = Zone::new();
         let targets: Vec<SocketAddr> = vec![
             "127.0.0.1:1001".parse().unwrap(),
@@ -635,12 +595,15 @@ mod tests {
         let resolver_b = lb.client_resolver(clock);
         let first_a = resolver_a.resolve_one("janus.test").unwrap();
         let first_b = resolver_b.resolve_one("janus.test").unwrap();
-        assert_ne!(first_a, first_b, "two hosts should land on different routers");
+        assert_ne!(
+            first_a, first_b,
+            "two hosts should land on different routers"
+        );
         assert!(targets.contains(&first_a) && targets.contains(&first_b));
     }
 
-    #[tokio::test]
-    async fn dns_lb_update_targets() {
+    #[test]
+    fn dns_lb_update_targets() {
         let zone = Zone::new();
         let lb = DnsLb::publish(
             Arc::clone(&zone),

@@ -19,11 +19,10 @@
 //! the crate-level note on why ports are included).
 
 use janus_clock::{Nanos, SharedClock};
+use janus_types::sync::{Mutex, Shutdown};
 use janus_types::{JanusError, Result};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -245,26 +244,26 @@ impl Resolver {
 /// Handle to a spawned health monitor; dropping it stops the probes.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    stop: Arc<AtomicBool>,
+    stop: Shutdown,
 }
 
 impl HealthMonitor {
     /// Stop probing.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.trigger();
     }
 }
 
 impl Drop for HealthMonitor {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.trigger();
     }
 }
 
 /// Watch the active primary of failover record `name` by TCP-connecting to
 /// `health_port_of(primary)` every `interval`; after `fail_threshold`
 /// consecutive failures, promote the standby (Route53 health check + DNS
-/// failover).
+/// failover). The probes run on their own thread.
 ///
 /// The probe target is derived from the record's data-plane address via
 /// `health_addr`, because the QoS server's data port is UDP and cannot be
@@ -276,23 +275,16 @@ pub fn spawn_tcp_health_monitor(
     interval: Duration,
     fail_threshold: u32,
 ) -> HealthMonitor {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    tokio::spawn(async move {
+    let stop = Shutdown::new();
+    let stopped = stop.clone();
+    let probe_loop = move || {
         let mut failures = 0u32;
-        loop {
-            if flag.load(Ordering::SeqCst) {
+        while !stopped.is_triggered() {
+            let Ok(primary) = zone.active_primary(&name) else {
                 return;
-            }
-            let primary = match zone.active_primary(&name) {
-                Ok(p) => p,
-                Err(_) => return,
             };
-            let probe = health_addr(primary);
-            let healthy = matches!(
-                tokio::time::timeout(interval, tokio::net::TcpStream::connect(probe)).await,
-                Ok(Ok(_))
-            );
+            let healthy =
+                std::net::TcpStream::connect_timeout(&health_addr(primary), interval).is_ok();
             if healthy {
                 failures = 0;
             } else {
@@ -302,9 +294,15 @@ pub fn spawn_tcp_health_monitor(
                     failures = 0;
                 }
             }
-            tokio::time::sleep(interval).await;
+            if stopped.wait_timeout(interval) {
+                return;
+            }
         }
-    });
+    };
+    std::thread::Builder::new()
+        .name("janus-dns-health".into())
+        .spawn(probe_loop)
+        .expect("spawn health monitor thread");
     HealthMonitor { stop }
 }
 
@@ -446,13 +444,11 @@ mod tests {
         assert!(zone.active_primary("rr.test").is_err());
     }
 
-    #[tokio::test]
-    async fn health_monitor_promotes_on_dead_primary() {
+    #[test]
+    fn health_monitor_promotes_on_dead_primary() {
         // Primary "health port" is a dead socket; standby should be
         // promoted after the failure threshold.
-        let dead = tokio::net::TcpListener::bind(("127.0.0.1", 0))
-            .await
-            .unwrap();
+        let dead = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let dead_addr = dead.local_addr().unwrap();
         drop(dead);
 
@@ -475,21 +471,17 @@ mod tests {
             if zone.active_primary("qos-0.test").unwrap() == addr(999) {
                 return;
             }
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
         panic!("standby was never promoted");
     }
 
-    #[tokio::test]
-    async fn health_monitor_leaves_healthy_primary_alone() {
-        let listener = tokio::net::TcpListener::bind(("127.0.0.1", 0))
-            .await
-            .unwrap();
+    #[test]
+    fn health_monitor_leaves_healthy_primary_alone() {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let healthy_addr = listener.local_addr().unwrap();
-        tokio::spawn(async move {
-            loop {
-                let _ = listener.accept().await;
-            }
+        std::thread::spawn(move || loop {
+            let _ = listener.accept();
         });
         let zone = Zone::new();
         zone.insert_failover(
@@ -505,7 +497,7 @@ mod tests {
             Duration::from_millis(10),
             3,
         );
-        tokio::time::sleep(Duration::from_millis(200)).await;
+        std::thread::sleep(Duration::from_millis(200));
         assert_eq!(zone.active_primary("qos-0.test").unwrap(), healthy_addr);
     }
 
@@ -518,9 +510,9 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod property_tests {
     use super::*;
-    use proptest::prelude::*;
+    use janus_hash::rng::Rng;
 
     fn addrs(n: usize) -> Vec<SocketAddr> {
         (0..n)
@@ -528,58 +520,61 @@ mod proptests {
             .collect()
     }
 
-    proptest! {
-        /// Every answer is a permutation of the full target set — DNS
-        /// round robin reorders, never drops or duplicates.
-        #[test]
-        fn answers_are_permutations(n in 1usize..20, queries in 1usize..50) {
+    /// Every answer is a permutation of the full target set — DNS round
+    /// robin reorders, never drops or duplicates.
+    #[test]
+    fn answers_are_permutations() {
+        let mut rng = Rng::seed_from_u64(0xD45_0001);
+        for _ in 0..256 {
+            let n = rng.gen_range_inclusive(1, 19) as usize;
             let zone = Zone::new();
-            let targets = addrs(n);
-            zone.insert("x.test", targets.clone(), Duration::from_secs(1));
-            let mut expected: Vec<_> = targets.clone();
+            let mut expected = addrs(n);
+            zone.insert("x.test", expected.clone(), Duration::from_secs(1));
             expected.sort();
-            for _ in 0..queries {
+            for _ in 0..rng.gen_range_inclusive(1, 49) {
                 let mut answer = zone.query("x.test").unwrap().targets;
-                prop_assert_eq!(answer.len(), n);
                 answer.sort();
-                prop_assert_eq!(&answer, &expected);
+                assert_eq!(answer, expected);
             }
         }
+    }
 
-        /// First answers cycle through all targets with period n: after
-        /// k·n queries every target led exactly k times.
-        #[test]
-        fn rotation_is_fair(n in 1usize..12, rounds in 1usize..5) {
-            let zone = Zone::new();
-            zone.insert("x.test", addrs(n), Duration::from_secs(1));
-            let mut firsts = std::collections::HashMap::new();
-            for _ in 0..n * rounds {
-                let first = zone.query("x.test").unwrap().targets[0];
-                *firsts.entry(first).or_insert(0usize) += 1;
+    /// First answers cycle through all targets with period n: after k·n
+    /// queries every target led exactly k times.
+    #[test]
+    fn rotation_is_fair() {
+        for n in 1usize..12 {
+            for rounds in 1usize..5 {
+                let zone = Zone::new();
+                zone.insert("x.test", addrs(n), Duration::from_secs(1));
+                let mut firsts = HashMap::new();
+                for _ in 0..n * rounds {
+                    let first = zone.query("x.test").unwrap().targets[0];
+                    *firsts.entry(first).or_insert(0usize) += 1;
+                }
+                assert_eq!(firsts.len(), n);
+                assert!(firsts.values().all(|&c| c == rounds));
             }
-            prop_assert_eq!(firsts.len(), n);
-            prop_assert!(firsts.values().all(|&c| c == rounds));
         }
+    }
 
-        /// A resolver never fabricates targets and always answers from
-        /// the record, whatever the interleaving of advances and queries.
-        #[test]
-        fn resolver_answers_subset_of_zone(
-            n in 1usize..8,
-            script in proptest::collection::vec(0u64..90, 1..40),
-        ) {
+    /// A resolver never fabricates targets and always answers from the
+    /// record, whatever the interleaving of advances and queries.
+    #[test]
+    fn resolver_answers_subset_of_zone() {
+        let mut rng = Rng::seed_from_u64(0xD45_0003);
+        for _ in 0..256 {
+            let n = rng.gen_range_inclusive(1, 7) as usize;
             let zone = Zone::new();
             let targets = addrs(n);
             zone.insert("x.test", targets.clone(), Duration::from_secs(60));
             let clock = Arc::new(janus_clock::SimClock::new());
             let resolver = Resolver::new(Arc::clone(&zone), clock.clone());
-            for advance_secs in script {
-                clock.advance(Duration::from_secs(advance_secs));
+            for _ in 0..rng.gen_range_inclusive(1, 39) {
+                clock.advance(Duration::from_secs(rng.gen_range(90)));
                 let answer = resolver.resolve("x.test").unwrap();
-                prop_assert_eq!(answer.len(), n);
-                for a in answer {
-                    prop_assert!(targets.contains(&a));
-                }
+                assert_eq!(answer.len(), n);
+                assert!(answer.iter().all(|a| targets.contains(a)));
             }
         }
     }

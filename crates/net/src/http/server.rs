@@ -1,98 +1,65 @@
-//! The async HTTP server loop shared by routers, the gateway LB and apps.
+//! The HTTP server loop shared by routers, the gateway LB and apps, over
+//! [`TcpService`]: one accept thread, one thread per connection.
 
 use super::message::{HttpRequest, HttpResponse, StatusCode};
 use super::parser::{read_request, ParseLimits};
+use crate::tcp::TcpService;
+use janus_types::sync::Shutdown;
 use janus_types::Result;
-use std::future::Future;
-use std::net::SocketAddr;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tokio::io::{AsyncWriteExt, BufReader};
-use tokio::net::{TcpListener, TcpStream};
 
 /// A request handler. Implemented by the request router, the gateway LB
-/// and the demo application front ends.
+/// and the demo application front ends. Runs on the connection's thread
+/// and may block.
 pub trait HttpHandler: Send + Sync + 'static {
     /// Handle one request from `peer`.
-    fn handle(
-        &self,
-        request: HttpRequest,
-        peer: SocketAddr,
-    ) -> Pin<Box<dyn Future<Output = HttpResponse> + Send + '_>>;
+    fn handle(&self, request: HttpRequest, peer: SocketAddr) -> HttpResponse;
 }
 
-/// Blanket impl so plain async closures can serve as handlers.
-impl<F, Fut> HttpHandler for F
+/// Blanket impl so plain closures can serve as handlers.
+impl<F> HttpHandler for F
 where
-    F: Fn(HttpRequest, SocketAddr) -> Fut + Send + Sync + 'static,
-    Fut: Future<Output = HttpResponse> + Send + 'static,
+    F: Fn(HttpRequest, SocketAddr) -> HttpResponse + Send + Sync + 'static,
 {
-    fn handle(
-        &self,
-        request: HttpRequest,
-        peer: SocketAddr,
-    ) -> Pin<Box<dyn Future<Output = HttpResponse> + Send + '_>> {
-        Box::pin(self(request, peer))
+    fn handle(&self, request: HttpRequest, peer: SocketAddr) -> HttpResponse {
+        self(request, peer)
     }
 }
 
 /// A running HTTP/1.1 server with keep-alive.
 ///
 /// Dropping the handle (or calling [`shutdown`](Self::shutdown)) stops the
-/// accept loop; in-flight connections finish their current request.
+/// accept thread; in-flight connections finish their current request.
 #[derive(Debug)]
 pub struct HttpServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    tcp: TcpService,
     connections: Arc<AtomicU64>,
     requests: Arc<AtomicU64>,
 }
 
 impl HttpServer {
     /// Bind to an ephemeral loopback port and start serving `handler`.
-    pub async fn spawn(handler: Arc<dyn HttpHandler>) -> Result<HttpServer> {
-        Self::spawn_with_limits(handler, ParseLimits::default()).await
+    pub fn spawn(handler: Arc<dyn HttpHandler>) -> Result<HttpServer> {
+        Self::spawn_with_limits(handler, ParseLimits::default())
     }
 
     /// Bind with explicit parse limits.
-    pub async fn spawn_with_limits(
+    pub fn spawn_with_limits(
         handler: Arc<dyn HttpHandler>,
         limits: ParseLimits,
     ) -> Result<HttpServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).await?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let connections = Arc::new(AtomicU64::new(0));
         let requests = Arc::new(AtomicU64::new(0));
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_connections = Arc::clone(&connections);
-        let accept_requests = Arc::clone(&requests);
-        tokio::spawn(async move {
-            loop {
-                let (stream, peer) = match listener.accept().await {
-                    Ok(x) => x,
-                    Err(_) => break,
-                };
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                accept_connections.fetch_add(1, Ordering::Relaxed);
-                let handler = Arc::clone(&handler);
-                let limits = limits.clone();
-                let shutdown = Arc::clone(&accept_shutdown);
-                let requests = Arc::clone(&accept_requests);
-                tokio::spawn(async move {
-                    let _ =
-                        serve_connection(stream, peer, handler, limits, shutdown, requests).await;
-                });
-            }
-        });
-
+        let (conn_count, req_count) = (Arc::clone(&connections), Arc::clone(&requests));
+        let tcp = TcpService::spawn("janus-http", move |stream, peer, shutdown| {
+            conn_count.fetch_add(1, Ordering::Relaxed);
+            let _ = serve_connection(stream, peer, &*handler, &limits, shutdown, &req_count);
+        })?;
         Ok(HttpServer {
-            addr,
-            shutdown,
+            tcp,
             connections,
             requests,
         })
@@ -100,7 +67,7 @@ impl HttpServer {
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.tcp.addr()
     }
 
     /// Connections accepted so far.
@@ -116,46 +83,38 @@ impl HttpServer {
     /// Stop accepting connections and stop serving new requests on
     /// existing ones.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Poke the accept loop so it observes the flag.
-        crate::poke_listener(self.addr);
+        self.tcp.shutdown();
     }
 }
 
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-}
-
-async fn serve_connection(
+fn serve_connection(
     stream: TcpStream,
     peer: SocketAddr,
-    handler: Arc<dyn HttpHandler>,
-    limits: ParseLimits,
-    shutdown: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
+    handler: &dyn HttpHandler,
+    limits: &ParseLimits,
+    shutdown: &Shutdown,
+    requests: &AtomicU64,
 ) -> Result<()> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream);
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.is_triggered() {
             return Ok(());
         }
-        let request = match read_request(&mut reader, &limits).await {
+        let request = match read_request(&mut reader, limits) {
             Ok(Some(req)) => req,
             Ok(None) => return Ok(()), // clean keep-alive close
             Err(_) => {
                 // Malformed request: answer 400 and drop the connection.
                 let resp = HttpResponse::status(StatusCode::BAD_REQUEST);
-                let _ = reader.get_mut().write_all(&resp.to_bytes()).await;
+                let _ = reader.get_mut().write_all(&resp.to_bytes());
                 return Ok(());
             }
         };
         requests.fetch_add(1, Ordering::Relaxed);
         let close = request.wants_close();
-        let response = handler.handle(request, peer).await;
-        reader.get_mut().write_all(&response.to_bytes()).await?;
+        let response = handler.handle(request, peer);
+        reader.get_mut().write_all(&response.to_bytes())?;
         if close {
             return Ok(());
         }
@@ -167,32 +126,30 @@ mod tests {
     use super::*;
     use crate::http::HttpClient;
 
-    async fn echo_server() -> HttpServer {
-        HttpServer::spawn(Arc::new(|req: HttpRequest, peer: SocketAddr| async move {
+    fn echo_server() -> HttpServer {
+        HttpServer::spawn(Arc::new(|req: HttpRequest, peer: SocketAddr| {
             HttpResponse::ok(format!("{} {} from {}", req.method, req.target, peer.ip()))
         }))
-        .await
         .unwrap()
     }
 
-    #[tokio::test]
-    async fn serves_basic_request() {
-        let server = echo_server().await;
-        let mut client = HttpClient::connect(server.addr()).await.unwrap();
-        let resp = client.request(&HttpRequest::get("/hello")).await.unwrap();
+    #[test]
+    fn serves_basic_request() {
+        let server = echo_server();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let resp = client.request(&HttpRequest::get("/hello")).unwrap();
         assert_eq!(resp.status, StatusCode::OK);
         assert_eq!(resp.body_text(), "GET /hello from 127.0.0.1");
         assert_eq!(server.requests(), 1);
     }
 
-    #[tokio::test]
-    async fn keep_alive_reuses_connection() {
-        let server = echo_server().await;
-        let mut client = HttpClient::connect(server.addr()).await.unwrap();
+    #[test]
+    fn keep_alive_reuses_connection() {
+        let server = echo_server();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
         for i in 0..10 {
             let resp = client
                 .request(&HttpRequest::get(format!("/req{i}")))
-                .await
                 .unwrap();
             assert!(resp.body_text().contains(&format!("/req{i}")));
         }
@@ -204,64 +161,60 @@ mod tests {
         assert_eq!(server.requests(), 10);
     }
 
-    #[tokio::test]
-    async fn parallel_clients_are_served() {
-        let server = echo_server().await;
+    #[test]
+    fn parallel_clients_are_served() {
+        let server = echo_server();
         let addr = server.addr();
         let mut handles = Vec::new();
         for i in 0..16 {
-            handles.push(tokio::spawn(async move {
-                let mut client = HttpClient::connect(addr).await.unwrap();
+            handles.push(std::thread::spawn(move || {
+                let mut client = HttpClient::connect(addr).unwrap();
                 let resp = client
                     .request(&HttpRequest::get(format!("/client{i}")))
-                    .await
                     .unwrap();
                 assert!(resp.body_text().contains(&format!("/client{i}")));
             }));
         }
         for h in handles {
-            h.await.unwrap();
+            h.join().unwrap();
         }
         assert_eq!(server.requests(), 16);
     }
 
-    #[tokio::test]
-    async fn malformed_request_gets_400() {
-        use tokio::io::AsyncReadExt;
-        let server = echo_server().await;
-        let mut stream = TcpStream::connect(server.addr()).await.unwrap();
-        stream.write_all(b"NONSENSE\r\n\r\n").await.unwrap();
+    #[test]
+    fn malformed_request_gets_400() {
+        use std::io::Read;
+        let server = echo_server();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(b"NONSENSE\r\n\r\n").unwrap();
         let mut buf = Vec::new();
-        stream.read_to_end(&mut buf).await.unwrap();
+        stream.read_to_end(&mut buf).unwrap();
         let text = String::from_utf8_lossy(&buf);
         assert!(text.starts_with("HTTP/1.1 400"), "{text}");
     }
 
-    #[tokio::test]
-    async fn connection_close_honored() {
-        use tokio::io::AsyncReadExt;
-        let server = echo_server().await;
-        let mut stream = TcpStream::connect(server.addr()).await.unwrap();
+    #[test]
+    fn connection_close_honored() {
+        use std::io::Read;
+        let server = echo_server();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
         let req = HttpRequest::get("/bye").with_header("connection", "close");
-        stream.write_all(&req.to_bytes()).await.unwrap();
+        stream.write_all(&req.to_bytes()).unwrap();
         let mut buf = Vec::new();
         // read_to_end only returns if the server actually closes.
-        stream.read_to_end(&mut buf).await.unwrap();
+        stream.read_to_end(&mut buf).unwrap();
         assert!(String::from_utf8_lossy(&buf).starts_with("HTTP/1.1 200"));
     }
 
-    #[tokio::test]
-    async fn shutdown_stops_new_connections() {
-        let server = echo_server().await;
+    #[test]
+    fn shutdown_stops_new_connections() {
+        let server = echo_server();
         let addr = server.addr();
         server.shutdown();
-        tokio::time::sleep(std::time::Duration::from_millis(50)).await;
+        std::thread::sleep(std::time::Duration::from_millis(50));
         // Either the connect fails outright or the first request errors.
-        let outcome = async {
-            let mut client = HttpClient::connect(addr).await?;
-            client.request(&HttpRequest::get("/after")).await
-        }
-        .await;
+        let outcome = HttpClient::connect(addr)
+            .and_then(|mut client| client.request(&HttpRequest::get("/after")));
         assert!(outcome.is_err(), "server answered after shutdown");
     }
 }

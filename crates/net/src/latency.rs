@@ -27,8 +27,8 @@
 //!   primary traffic (plus a fixed reserve) no matter how gray the
 //!   network gets.
 //!
-//! Everything here is std-only and runs under bare `rustc` in the
-//! standalone battery (`scripts/run_dst_standalone.sh`).
+//! Everything here is sans-IO: the thread shells and the deterministic
+//! simulator drive the same code.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -122,11 +122,12 @@ impl LatencyWindow {
 }
 
 /// How a per-attempt timeout is derived from observed latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimeoutPolicy {
     /// The paper's discipline: every attempt waits the configured fixed
     /// timeout (100 µs in the paper; [`crate::udp::UdpRpcConfig::timeout`]
     /// here). The default.
+    #[default]
     Fixed,
     /// Learn the timeout from the window:
     /// `clamp(p99 × multiplier_pct / 100, floor, ceil)`, falling back to
@@ -139,12 +140,6 @@ pub enum TimeoutPolicy {
         /// Never wait longer than this, however gray the partition gets.
         ceil: Duration,
     },
-}
-
-impl Default for TimeoutPolicy {
-    fn default() -> Self {
-        TimeoutPolicy::Fixed
-    }
 }
 
 impl TimeoutPolicy {
@@ -332,7 +327,7 @@ impl RetryBudget {
     }
 }
 
-/// A [`LatencyWindow`] behind a mutex, so the async shells can record
+/// A [`LatencyWindow`] behind a mutex, so the thread shells can record
 /// from concurrent tasks. The simulator uses the bare window directly.
 #[derive(Debug)]
 pub struct SharedLatency(Mutex<LatencyWindow>);

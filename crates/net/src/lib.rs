@@ -5,7 +5,7 @@
 //! The paper deploys Janus on AWS primitives — HTTP between client, load
 //! balancer and request router; UDP between router and QoS server; Route53
 //! for DNS load balancing and failover. This crate rebuilds those
-//! primitives from scratch on tokio:
+//! primitives from scratch on `std::net` and plain threads:
 //!
 //! * [`udp`] — the admission RPC: a fire-and-retry UDP exchange with the
 //!   paper's 100 µs timeout × 5 retries discipline, plus configurable
@@ -23,6 +23,8 @@
 //! * [`latency`] — the gray-failure client discipline: windowed latency
 //!   quantiles, adaptive per-attempt timeouts, credit-safe hedging and a
 //!   global retry budget.
+//! * [`tcp`] — the accept-thread + thread-per-connection loop every TCP
+//!   server here (HTTP, database, HA port) is built on.
 //! * [`mmsg`] — batched UDP syscalls (`recvmmsg`/`sendmmsg`) and
 //!   `SO_REUSEPORT` per-core socket groups, declared by hand against the
 //!   system libc, with a portable single-syscall fallback.
@@ -40,6 +42,7 @@ pub mod fault;
 pub mod http;
 pub mod latency;
 pub mod mmsg;
+pub mod tcp;
 pub mod udp;
 pub mod udp_pool;
 
@@ -47,20 +50,29 @@ pub use attempt::{AttemptPlan, AttemptStep};
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use dns::{DnsRecord, Resolver, Zone};
 
-/// Wake a TCP accept loop so it observes a freshly-set shutdown flag.
-///
-/// Safe to call from any thread: inside a tokio runtime it spawns an
-/// async connect; outside (e.g. a `Drop` on the main thread after the
-/// runtime is gone) it falls back to a brief blocking connect.
-pub fn poke_listener(addr: std::net::SocketAddr) {
-    if let Ok(handle) = tokio::runtime::Handle::try_current() {
-        handle.spawn(async move {
-            let _ = tokio::net::TcpStream::connect(addr).await;
-        });
-    } else {
-        let _ = std::net::TcpStream::connect_timeout(&addr, std::time::Duration::from_millis(50));
+/// Wake the thread blocked in a receive on `socket` with an empty
+/// datagram from the socket to itself, so it observes a flag its owner
+/// just set. (A full receive buffer may drop it; the thread then sees the
+/// flag after the next datagram it does receive.)
+pub(crate) fn wake_receiver(socket: &std::net::UdpSocket) {
+    if let Ok(addr) = socket.local_addr() {
+        let _ = socket.send_to(&[], loopback_of(addr));
     }
 }
+
+/// The address a socket bound to `addr` can be reached at from this
+/// host: `addr` itself, or loopback on the same port when `addr` is the
+/// unspecified wildcard.
+pub(crate) fn loopback_of(addr: std::net::SocketAddr) -> std::net::SocketAddr {
+    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    std::net::SocketAddr::new(ip, addr.port())
+}
+
 pub use buffer_pool::{BufferPool, BufferPoolSnapshot, PooledBuf};
 pub use fault::{DeliverySchedule, Fate, FaultPlan};
 pub use http::{HttpClient, HttpRequest, HttpResponse, HttpServer, Method, StatusCode};
@@ -69,5 +81,6 @@ pub use latency::{
     TimeoutPolicy, WireDiscipline,
 };
 pub use mmsg::{Backend, BatchStats, RecvSlot};
+pub use tcp::TcpService;
 pub use udp::{RetryBackoff, UdpRpcClient, UdpRpcConfig, UdpServerSocket};
 pub use udp_pool::{BatchConfig, PooledUdpRpcClient};

@@ -6,7 +6,7 @@
 //! fix since 2.6.33/3.0: `recvmmsg(2)` and `sendmmsg(2)` move up to a
 //! whole batch of datagrams per kernel crossing. This module exposes
 //! them as [`recv_batch`]/[`send_batch`] without adding a crate
-//! dependency — the three syscalls and the handful of sockaddr structs
+//! dependency — the handful of syscalls and sockaddr structs
 //! are declared by hand against the system libc, in the same spirit as
 //! the repo's hand-rolled DNS/HTTP/SQL substrates.
 //!
@@ -22,6 +22,9 @@
 //! * [`reuseport_socket`] — bind N sockets to one UDP address with
 //!   `SO_REUSEPORT`, letting the kernel steer flows to per-core sockets
 //!   (the `SocketMode::PerCore` data plane in `janus-server`),
+//! * [`wait_readable`] — a `ppoll(2)` wait with a nanosecond timeout,
+//!   because the attempt timeout is 100 µs and `SO_RCVTIMEO` rounds to
+//!   a scheduler tick,
 //! * [`set_busy_poll`] — opt-in `SO_BUSY_POLL` for latency-critical
 //!   deployments,
 //! * [`pin_current_thread`] — best-effort CPU affinity for per-core
@@ -33,6 +36,7 @@
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Most datagrams moved per `recvmmsg`/`sendmmsg` call. 16 matches the
 /// listener's observed burst sizes under the bench harness and stays
@@ -293,10 +297,10 @@ mod ffi {
     pub const SOL_SOCKET: i32 = 1;
     pub const SO_REUSEPORT: i32 = 15;
     pub const SO_BUSY_POLL: i32 = 46;
-    pub const MSG_DONTWAIT: i32 = 0x40;
     /// recvmmsg: return once at least one datagram has arrived instead
     /// of blocking for the full batch.
     pub const MSG_WAITFORONE: i32 = 0x10000;
+    pub const POLLIN: i16 = 0x001;
 
     /// `struct iovec`.
     #[repr(C)]
@@ -349,6 +353,22 @@ mod ffi {
         pub sin6_scope_id: u32,
     }
 
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct pollfd {
+        pub fd: i32,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    /// `struct timespec` as `ppoll` takes it: `time_t` and `long` are
+    /// both `long` on every Linux ABI this crate builds for.
+    #[repr(C)]
+    pub struct timespec {
+        pub tv_sec: std::ffi::c_long,
+        pub tv_nsec: std::ffi::c_long,
+    }
+
     /// `struct sockaddr_storage`: opaque 128-byte blob, 8-aligned,
     /// large enough for any address family.
     #[repr(C)]
@@ -386,6 +406,14 @@ mod ffi {
             optlen: u32,
         ) -> i32;
         pub fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+        // The signal mask is always null (no mask change), so its type
+        // never matters here.
+        pub fn ppoll(
+            fds: *mut pollfd,
+            nfds: std::ffi::c_ulong,
+            timeout: *const timespec,
+            sigmask: *const u8,
+        ) -> i32;
     }
 }
 
@@ -469,15 +497,18 @@ fn storage_to_addr(storage: &ffi::sockaddr_storage) -> io::Result<SocketAddr> {
     }
 }
 
-/// The shared core of every Linux receive path: one `recvmmsg` call
-/// over `fd` filling `bufs`, appending a [`RecvSlot`] per datagram.
+/// Blocking `recvmmsg`: waits for the first datagram (honouring the
+/// socket's read timeout via `SO_RCVTIMEO`), returns with however many
+/// arrived together (`MSG_WAITFORONE`), appending a [`RecvSlot`] per
+/// datagram.
 #[cfg(target_os = "linux")]
-fn recvmmsg_once<B: AsMut<[u8]>>(
-    fd: i32,
+fn recv_batch_mmsg<B: AsMut<[u8]>>(
+    socket: &UdpSocket,
     bufs: &mut [B],
     out: &mut Vec<RecvSlot>,
-    flags: i32,
 ) -> io::Result<usize> {
+    use std::os::fd::AsRawFd;
+    let fd = socket.as_raw_fd();
     let vlen = bufs.len().min(MAX_BATCH);
     // SAFETY: mmsghdr/iovec/sockaddr_storage are plain-old-data for
     // which an all-zero bit pattern is a valid (if useless) value;
@@ -516,7 +547,7 @@ fn recvmmsg_once<B: AsMut<[u8]>>(
             fd,
             hdrs.as_mut_ptr(),
             vlen as u32,
-            flags,
+            ffi::MSG_WAITFORONE,
             std::ptr::null_mut(),
         )
     };
@@ -533,19 +564,6 @@ fn recvmmsg_once<B: AsMut<[u8]>>(
     Ok(n)
 }
 
-/// Blocking `recvmmsg`: waits for the first datagram (honouring the
-/// socket's read timeout via `SO_RCVTIMEO`), returns with however many
-/// arrived together (`MSG_WAITFORONE`).
-#[cfg(target_os = "linux")]
-fn recv_batch_mmsg<B: AsMut<[u8]>>(
-    socket: &UdpSocket,
-    bufs: &mut [B],
-    out: &mut Vec<RecvSlot>,
-) -> io::Result<usize> {
-    use std::os::fd::AsRawFd;
-    recvmmsg_once(socket.as_raw_fd(), bufs, out, ffi::MSG_WAITFORONE)
-}
-
 #[cfg(not(target_os = "linux"))]
 fn recv_batch_mmsg<B: AsMut<[u8]>>(
     _socket: &UdpSocket,
@@ -558,33 +576,12 @@ fn recv_batch_mmsg<B: AsMut<[u8]>>(
     ))
 }
 
-/// Non-blocking `recvmmsg` over a raw fd, for use inside tokio's
-/// `try_io`: returns `WouldBlock` when nothing is queued (the caller
-/// re-awaits readiness) and never sleeps in the kernel.
-#[cfg(target_os = "linux")]
-pub fn recv_batch_nonblocking<B: AsMut<[u8]>>(
-    fd: i32,
-    bufs: &mut [B],
-    out: &mut Vec<RecvSlot>,
-    stats: Option<&BatchStats>,
-) -> io::Result<usize> {
-    out.clear();
-    if bufs.is_empty() {
-        return Ok(0);
-    }
-    let n = recvmmsg_once(fd, bufs, out, ffi::MSG_DONTWAIT)?;
-    if let Some(stats) = stats {
-        stats.record_recv(n);
-    }
-    Ok(n)
-}
-
-/// The shared core of the Linux send paths: `sendmmsg` in chunks of
+/// The core of the Linux send path: `sendmmsg` in chunks of
 /// [`MAX_BATCH`], tolerating partial progress (the kernel may accept
 /// fewer than `vlen`; the remainder is retried in the next chunk).
 /// Returns the number of kernel crossings spent.
 #[cfg(target_os = "linux")]
-fn sendmmsg_all(fd: i32, msgs: &[(&[u8], SocketAddr)], flags: i32) -> io::Result<usize> {
+fn sendmmsg_all(fd: i32, msgs: &[(&[u8], SocketAddr)]) -> io::Result<usize> {
     let mut sent = 0usize;
     let mut syscalls = 0usize;
     while sent < msgs.len() {
@@ -616,7 +613,7 @@ fn sendmmsg_all(fd: i32, msgs: &[(&[u8], SocketAddr)], flags: i32) -> io::Result
         // fully-initialized mmsghdrs whose iovecs and msg_names point
         // into `chunk`'s payloads and the local `addrs`, all alive
         // across the call. sendmmsg only reads through these pointers.
-        let rc = unsafe { ffi::sendmmsg(fd, hdrs.as_mut_ptr(), chunk.len() as u32, flags) };
+        let rc = unsafe { ffi::sendmmsg(fd, hdrs.as_mut_ptr(), chunk.len() as u32, 0) };
         if rc < 0 {
             let err = io::Error::last_os_error();
             // Partial progress before EAGAIN still counts; the caller
@@ -644,7 +641,7 @@ fn sendmmsg_all(fd: i32, msgs: &[(&[u8], SocketAddr)], flags: i32) -> io::Result
 #[cfg(target_os = "linux")]
 fn send_batch_mmsg(socket: &UdpSocket, msgs: &[(&[u8], SocketAddr)]) -> io::Result<usize> {
     use std::os::fd::AsRawFd;
-    sendmmsg_all(socket.as_raw_fd(), msgs, 0)
+    sendmmsg_all(socket.as_raw_fd(), msgs)
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -655,23 +652,65 @@ fn send_batch_mmsg(_socket: &UdpSocket, _msgs: &[(&[u8], SocketAddr)]) -> io::Re
     ))
 }
 
-/// Non-blocking batched send over a raw fd, for tokio's `try_io`.
-/// Returns `WouldBlock` only when *nothing* was sent; otherwise reports
-/// the syscalls spent on the datagrams that did leave.
+/// Block until `socket` has a datagram (or a pending error) to read, or
+/// `timeout` elapses. `Ok(true)` means a receive will not block.
+///
+/// This is how the RPC client waits out the paper's 100 µs attempt
+/// timeout. `SO_RCVTIMEO` cannot: the kernel rounds it up to a scheduler
+/// tick (1–4 ms), which would silently turn 100 µs × 5 into 5–20 ms.
+/// `ppoll(2)` takes a nanosecond `timespec` and sleeps on a
+/// high-resolution timer.
 #[cfg(target_os = "linux")]
-pub fn send_batch_nonblocking(
-    fd: i32,
-    msgs: &[(&[u8], SocketAddr)],
-    stats: Option<&BatchStats>,
-) -> io::Result<usize> {
-    if msgs.is_empty() {
-        return Ok(0);
+pub fn wait_readable(socket: &UdpSocket, timeout: Duration) -> io::Result<bool> {
+    use std::os::fd::AsRawFd;
+    let deadline = Instant::now() + timeout;
+    let mut left = timeout;
+    loop {
+        let mut fd = ffi::pollfd {
+            fd: socket.as_raw_fd(),
+            events: ffi::POLLIN,
+            revents: 0,
+        };
+        let ts = ffi::timespec {
+            tv_sec: left.as_secs().min(i32::MAX as u64) as std::ffi::c_long,
+            tv_nsec: left.subsec_nanos() as std::ffi::c_long,
+        };
+        // SAFETY: `fd` is one fully-initialized pollfd for a socket that
+        // outlives the call, and nfds = 1 matches it; `ts` is a valid
+        // timespec alive across the call, which the kernel only reads;
+        // the null sigmask leaves the signal mask untouched. The kernel
+        // writes only `fd.revents`.
+        let rc = unsafe { ffi::ppoll(&mut fd, 1, &ts, std::ptr::null()) };
+        if rc >= 0 {
+            // Any revents (POLLIN, or POLLERR for a queued ICMP error)
+            // means the next receive returns at once.
+            return Ok(rc > 0);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+        left = deadline.saturating_duration_since(Instant::now());
     }
-    let syscalls = sendmmsg_all(fd, msgs, ffi::MSG_DONTWAIT)?;
-    if let Some(stats) = stats {
-        stats.record_send(msgs.len(), syscalls);
+}
+
+/// Portable fallback: a read timeout plus a peek. Coarser (the kernel
+/// rounds `SO_RCVTIMEO` to its tick) but semantically identical.
+#[cfg(not(target_os = "linux"))]
+pub fn wait_readable(socket: &UdpSocket, timeout: Duration) -> io::Result<bool> {
+    socket.set_read_timeout(Some(timeout.max(Duration::from_micros(1))))?;
+    match socket.peek_from(&mut [0u8; 1]) {
+        Ok(_) => Ok(true),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            Ok(false)
+        }
+        Err(e) => Err(e),
     }
-    Ok(syscalls)
 }
 
 /// Create a UDP socket with `SO_REUSEPORT` set *before* bind, bound to
@@ -803,7 +842,6 @@ pub fn pin_current_thread(_cpu: usize) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn pair() -> (UdpSocket, UdpSocket, SocketAddr, SocketAddr) {
         let a = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -947,6 +985,46 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(total.load(Ordering::Relaxed), SENDERS * PER_SENDER);
+    }
+
+    #[test]
+    fn sub_millisecond_wait_on_a_silent_socket_times_out_on_time() {
+        // Why `wait_readable` is `ppoll` and not `set_read_timeout`: the
+        // paper's 100 us attempt timeout must stay sub-millisecond.
+        // `SO_RCVTIMEO` rounds up to a scheduler tick, which turns every
+        // one of these waits into 1-4 ms.
+        let silent = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut waits: Vec<Duration> = (0..100)
+            .map(|_| {
+                let started = Instant::now();
+                let readable = wait_readable(&silent, Duration::from_micros(100)).unwrap();
+                assert!(!readable, "nothing was sent");
+                started.elapsed()
+            })
+            .collect();
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median >= Duration::from_micros(100),
+            "woke early: {median:?}"
+        );
+        if cfg!(target_os = "linux") {
+            assert!(
+                median < Duration::from_millis(1),
+                "median 100 us wait took {median:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn wait_readable_sees_a_queued_datagram_at_once() {
+        let (a, b, _a_addr, b_addr) = pair();
+        a.send_to(b"x", b_addr).unwrap();
+        let started = Instant::now();
+        assert!(wait_readable(&b, Duration::from_secs(5)).unwrap());
+        assert!(started.elapsed() < Duration::from_secs(4));
+        let mut buf = [0u8; 8];
+        assert_eq!(b.recv_from(&mut buf).unwrap().0, 1);
     }
 
     #[test]

@@ -17,21 +17,23 @@
 use crate::attempt::{AttemptPlan, AttemptStep};
 use crate::fault::{DeliverySchedule, Fate, FaultPlan};
 use crate::latency::WireDiscipline;
-use bytes::Bytes;
 use janus_clock::Nanos;
 use janus_types::codec::{self, Frame, MAX_FRAME_BYTES};
+use janus_types::sync::Mutex;
 use janus_types::{JanusError, QosRequest, QosResponse, Result};
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-use tokio::net::UdpSocket;
+use std::collections::VecDeque;
+use std::io;
+use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 /// Process-global sequence hashed through [`janus_hash::mix64`] wherever
 /// the transport needs an arbitrary draw (retry jitter, attempt nonces).
-/// Replaces the external `rand` thread-RNG: unpredictable enough to
-/// decorrelate retries and to make nonce collisions across routers
-/// vanishingly rare, with no dependency beyond the workspace.
+/// Unpredictable enough to decorrelate retries and to make nonce
+/// collisions across routers vanishingly rare, with no dependency beyond
+/// the workspace.
 static DRAW_SEQ: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
 
 fn draw_u64() -> u64 {
@@ -159,8 +161,8 @@ impl UdpRpcConfig {
     }
 
     /// A looser discipline for loopback test environments where the
-    /// scheduler may not wake a task within 100 µs (real kernels and the
-    /// paper's LAN both do better than a busy CI box).
+    /// scheduler may not wake a thread within 100 µs (real kernels and
+    /// the paper's LAN both do better than a busy CI box).
     pub fn lan_defaults() -> Self {
         UdpRpcConfig {
             timeout: Duration::from_millis(20),
@@ -174,23 +176,121 @@ impl UdpRpcConfig {
 #[derive(Debug)]
 struct OobSend {
     socket: Arc<UdpSocket>,
-    wire: Bytes,
+    wire: Vec<u8>,
     /// `None` sends on the connected socket, `Some` via `send_to`.
     peer: Option<SocketAddr>,
 }
 
+/// One thread draining a [`DeliverySchedule`] against the wall clock:
+/// whatever was queued with [`after`](WallTimer::after) is handed to
+/// `fire` once its delay has passed, in `(due, seq)` order. The thread
+/// starts on first use, parks until the earliest entry is due, and stops
+/// when the timer is dropped. The deterministic simulator drains the same
+/// schedule type against its virtual clock, at exactly the due tick.
+pub(crate) struct WallTimer<T> {
+    shared: Arc<TimerShared<T>>,
+    thread: OnceLock<Thread>,
+    name: &'static str,
+}
+
+struct TimerShared<T> {
+    schedule: DeliverySchedule<T>,
+    /// A bare flag (Release store in `Drop`, Acquire load in `run`); the
+    /// schedule has its own lock.
+    stop: AtomicBool,
+    fire: Box<dyn Fn(T) + Send + Sync>,
+}
+
+impl<T> std::fmt::Debug for WallTimer<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct(self.name)
+            .field("queued", &self.queued())
+            .finish()
+    }
+}
+
+fn wall_nanos() -> u64 {
+    use std::time::{SystemTime, UNIX_EPOCH};
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(0)
+}
+
+impl<T: Send + 'static> WallTimer<T> {
+    /// A timer whose thread will be called `name`.
+    pub(crate) fn new(name: &'static str, fire: impl Fn(T) + Send + Sync + 'static) -> Self {
+        WallTimer {
+            shared: Arc::new(TimerShared {
+                schedule: DeliverySchedule::new(),
+                stop: AtomicBool::new(false),
+                fire: Box::new(fire),
+            }),
+            thread: OnceLock::new(),
+            name,
+        }
+    }
+
+    /// Hand `item` to `fire` once `delay` has passed.
+    pub(crate) fn after(&self, delay: Duration, item: T) {
+        let due = wall_nanos().saturating_add(delay.as_nanos() as u64);
+        self.shared.schedule.schedule(due, item);
+        self.thread
+            .get_or_init(|| {
+                let shared = Arc::clone(&self.shared);
+                thread::Builder::new()
+                    .name(self.name.into())
+                    .spawn(move || shared.run())
+                    .expect("spawn timer thread")
+                    .thread()
+                    .clone()
+            })
+            .unpark();
+    }
+}
+
+impl<T> WallTimer<T> {
+    /// Entries not yet fired.
+    pub(crate) fn queued(&self) -> usize {
+        self.shared.schedule.len()
+    }
+}
+
+impl<T> Drop for WallTimer<T> {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::Release);
+        if let Some(thread) = self.thread.get() {
+            thread.unpark();
+        }
+    }
+}
+
+impl<T> TimerShared<T> {
+    /// Fire what is due, then park until the next due time — or until
+    /// `after` / `Drop` unparks the thread.
+    fn run(&self) {
+        while !self.stop.load(Ordering::Acquire) {
+            while let Some((_, item)) = self.schedule.pop_due(wall_nanos()) {
+                (self.fire)(item);
+            }
+            match self.schedule.next_due() {
+                Some(due) => {
+                    thread::park_timeout(Duration::from_nanos(due.saturating_sub(wall_nanos())))
+                }
+                None => thread::park(),
+            }
+        }
+    }
+}
+
 /// The out-of-band delivery queue behind every fault-injecting transport.
 ///
-/// Duplicate and deferred copies used to leave from ad-hoc spawned tasks
-/// racing wall-clock sleeps — unobservable and unreproducible. Now every
-/// such copy is *data* in a [`DeliverySchedule`] keyed by absolute due
-/// time: the spawned task is only a best-effort wakeup that drains
-/// whatever is due, in `(due, seq)` order. The deterministic simulator
-/// uses the same schedule type against its virtual clock and drains at
-/// exactly the due tick.
+/// Every duplicate and deferred copy is *data* keyed by absolute due
+/// time; one [`WallTimer`] thread transmits whatever is due, in
+/// `(due, seq)` order.
 #[derive(Debug)]
 pub struct OobDelivery {
-    schedule: DeliverySchedule<OobSend>,
+    timer: WallTimer<OobSend>,
 }
 
 impl Default for OobDelivery {
@@ -203,63 +303,55 @@ impl OobDelivery {
     /// An empty queue.
     pub fn new() -> Self {
         OobDelivery {
-            schedule: DeliverySchedule::new(),
+            timer: WallTimer::new("janus-oob-timer", |send: OobSend| {
+                let _ = match send.peer {
+                    Some(peer) => send.socket.send_to(&send.wire, peer),
+                    None => send.socket.send(&send.wire),
+                };
+            }),
         }
-    }
-
-    fn now_nanos() -> u64 {
-        use std::time::{SystemTime, UNIX_EPOCH};
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0)
     }
 
     /// Copies still queued (diagnostics).
     pub fn queued(&self) -> usize {
-        self.schedule.len()
+        self.timer.queued()
     }
 
-    /// Queue one copy to leave after `delay` and arm a wakeup to drain it.
+    /// Queue one copy to leave after `delay`.
     pub(crate) fn transmit_after(
-        self: &Arc<Self>,
+        &self,
         delay: Duration,
         socket: Arc<UdpSocket>,
-        wire: Bytes,
+        wire: Vec<u8>,
         peer: Option<SocketAddr>,
     ) {
-        let due = Self::now_nanos().saturating_add(delay.as_nanos() as u64);
-        self.schedule.schedule(due, OobSend { socket, wire, peer });
-        let this = Arc::clone(self);
-        tokio::spawn(async move {
-            if !delay.is_zero() {
-                tokio::time::sleep(delay).await;
-            }
-            this.drain_due().await;
-        });
+        self.timer.after(delay, OobSend { socket, wire, peer });
     }
+}
 
-    /// Transmit every queued copy whose due time has passed, in
-    /// `(due, seq)` order.
-    async fn drain_due(&self) {
-        while let Some((_, send)) = self.schedule.pop_due(Self::now_nanos()) {
-            match send.peer {
-                Some(peer) => {
-                    let _ = send.socket.send_to(&send.wire, peer).await;
-                }
-                None => {
-                    let _ = send.socket.send(&send.wire).await;
-                }
-            }
+/// Receive one datagram on a non-blocking connected socket, waiting at
+/// most `timeout` for it: `Ok(None)` when the timeout elapses first.
+fn recv_within(socket: &UdpSocket, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match socket.recv(buf) {
+            Ok(len) => return Ok(Some(len)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e),
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || !crate::mmsg::wait_readable(socket, left)? {
+            return Ok(None);
         }
     }
 }
 
 /// The request-router side of the admission RPC.
 ///
-/// Each call binds a fresh ephemeral socket — mirroring the paper's PHP
-/// router, which opens a socket per request — so concurrent calls never
-/// share state and response demultiplexing is trivial.
+/// Each call binds a fresh ephemeral socket and blocks the calling
+/// thread — exactly the paper's PHP router, which opens a socket per
+/// request — so concurrent calls never share state and response
+/// demultiplexing is trivial.
 #[derive(Debug, Clone)]
 pub struct UdpRpcClient {
     config: UdpRpcConfig,
@@ -270,11 +362,7 @@ pub struct UdpRpcClient {
 impl UdpRpcClient {
     /// A client with the given retry discipline and no fault injection.
     pub fn new(config: UdpRpcConfig) -> Self {
-        UdpRpcClient {
-            config,
-            faults: FaultPlan::none(),
-            oob: Arc::new(OobDelivery::new()),
-        }
+        Self::with_faults(config, FaultPlan::none())
     }
 
     /// A client whose *outgoing* datagrams pass through `faults`.
@@ -308,9 +396,8 @@ impl UdpRpcClient {
     /// frame so a deadline-unaware server still sees one attempt it
     /// understands. Retrying stops early once the budget is spent —
     /// nobody is waiting for a later answer.
-    pub async fn call(&self, server: SocketAddr, request: &QosRequest) -> Result<QosResponse> {
+    pub fn call(&self, server: SocketAddr, request: &QosRequest) -> Result<QosResponse> {
         self.call_disciplined(server, request, &WireDiscipline::default())
-            .await
     }
 
     /// [`call`](Self::call) with the gray-failure discipline applied
@@ -320,14 +407,17 @@ impl UdpRpcClient {
     /// shared [`crate::latency::RetryBudget`], and per-attempt RTTs
     /// recorded into the caller's latency window. The default
     /// (all-`None`) discipline reproduces [`call`](Self::call) exactly.
-    pub async fn call_disciplined(
+    pub fn call_disciplined(
         &self,
         server: SocketAddr,
         request: &QosRequest,
         discipline: &WireDiscipline,
     ) -> Result<QosResponse> {
-        let socket = Arc::new(UdpSocket::bind(self.config.bind_addr).await?);
-        socket.connect(server).await?;
+        let socket = Arc::new(UdpSocket::bind(self.config.bind_addr)?);
+        socket.connect(server)?;
+        // Non-blocking: every wait goes through `recv_within`, whose
+        // timeout is sub-millisecond exact.
+        socket.set_nonblocking(true)?;
         let attempts = self.config.attempts();
         // The sans-IO attempt schedule: which frame each attempt sends,
         // and when the budget cuts retries short, is decided by
@@ -352,7 +442,7 @@ impl UdpRpcClient {
                 .adaptive_timeout_us
                 .store(t.as_micros() as u64, Ordering::Relaxed);
         }
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let mut buf = vec![0u8; MAX_FRAME_BYTES];
         let mut attempted = 0u32;
 
@@ -371,23 +461,24 @@ impl UdpRpcClient {
                 // point where `BudgetSpent` stops the call.
                 let pause = plan.clamped_pause(self.config.backoff.delay_before(attempt), now);
                 if !pause.is_zero() {
-                    tokio::time::sleep(pause).await;
+                    thread::sleep(pause);
                 }
             } else if let Some(budget) = &discipline.budget {
                 budget.deposit();
             }
             let now = Nanos::from_nanos(started.elapsed().as_nanos() as u64);
-            let datagram: Bytes = match plan.request_for(attempt, now) {
+            let datagram = match plan.request_for(attempt, now) {
                 AttemptStep::Send(frame) => codec::encode_request(&frame),
                 // Budget spent: the caller's deadline passed, so further
                 // retries would only add load.
                 AttemptStep::BudgetSpent => break,
             };
             attempted += 1;
-            let sent = std::time::Instant::now();
-            self.send_with_faults(&socket, datagram).await?;
+            let sent = Instant::now();
+            self.send_with_faults(&socket, datagram)?;
             let mut remaining = timeout;
             let mut hedged = false;
+            let mut hedge_sent = false;
             loop {
                 // An armed hedge splits the attempt's wait in two: fire
                 // the duplicate at the learned-tail delay, then wait out
@@ -397,13 +488,13 @@ impl UdpRpcClient {
                     Some(delay) if !hedged && delay < remaining => delay,
                     _ => remaining,
                 };
-                match tokio::time::timeout(phase, socket.recv(&mut buf)).await {
-                    Ok(Ok(len)) => match codec::decode(&buf[..len]) {
+                match recv_within(&socket, &mut buf, phase)? {
+                    Some(len) => match codec::decode(&buf[..len]) {
                         Ok(Frame::Response(resp)) if resp.id == request.id => {
                             if let Some(rtt) = &discipline.rtt {
                                 rtt.record(sent.elapsed().as_micros() as u64);
                             }
-                            if hedged {
+                            if hedge_sent {
                                 if let Some(stats) = &discipline.stats {
                                     stats.hedge_wins.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -415,8 +506,7 @@ impl UdpRpcClient {
                         // ignore and fall through to a retry.
                         _ => continue 'attempts,
                     },
-                    Ok(Err(e)) => return Err(e.into()),
-                    Err(_elapsed) if !hedged && phase < remaining => {
+                    None if !hedged && phase < remaining => {
                         hedged = true;
                         remaining -= phase;
                         // Slower than the partition's learned tail:
@@ -428,18 +518,18 @@ impl UdpRpcClient {
                         let funded = discipline
                             .budget
                             .as_ref()
-                            .map_or(true, |budget| budget.try_withdraw());
+                            .is_none_or(|budget| budget.try_withdraw());
                         if funded {
                             if let Some(frame) = plan.hedge_for(attempt, now) {
-                                self.send_with_faults(&socket, codec::encode_request(&frame))
-                                    .await?;
+                                self.send_with_faults(&socket, codec::encode_request(&frame))?;
+                                hedge_sent = true;
                                 if let Some(stats) = &discipline.stats {
                                     stats.hedges_sent.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                         }
                     }
-                    Err(_elapsed) => continue 'attempts,
+                    None => continue 'attempts,
                 }
             }
         }
@@ -448,18 +538,18 @@ impl UdpRpcClient {
         })
     }
 
-    async fn send_with_faults(&self, socket: &Arc<UdpSocket>, wire: Bytes) -> Result<()> {
+    fn send_with_faults(&self, socket: &Arc<UdpSocket>, wire: Vec<u8>) -> Result<()> {
         match self.faults.judge_fate() {
             Fate::Drop => Ok(()), // dropped: pretend it left, like a real network
             Fate::Deliver(delay) => {
                 if !delay.is_zero() {
-                    tokio::time::sleep(delay).await;
+                    thread::sleep(delay);
                 }
-                socket.send(&wire).await?;
+                socket.send(&wire)?;
                 Ok(())
             }
             Fate::Duplicate(delay) => {
-                socket.send(&wire).await?;
+                socket.send(&wire)?;
                 self.oob
                     .transmit_after(delay, Arc::clone(socket), wire, None);
                 Ok(())
@@ -485,6 +575,16 @@ pub const RECV_BUF_BYTES: usize = if codec::MAX_DATAGRAM_BYTES > MAX_FRAME_BYTES
     MAX_FRAME_BYTES + 1
 };
 
+/// Encode one peer's response group: the legacy frame for a lone
+/// response, as few batch datagrams as the size budget allows otherwise.
+fn encode_responses(responses: &[QosResponse]) -> Vec<Vec<u8>> {
+    if let [single] = responses {
+        return vec![codec::encode_response(single)];
+    }
+    let frames: Vec<Frame> = responses.iter().map(|r| Frame::Response(*r)).collect();
+    codec::encode_batch(&frames)
+}
+
 /// The QoS-server side: a bound socket that receives admission requests
 /// and sends responses, with fault injection on the response path.
 ///
@@ -492,42 +592,45 @@ pub const RECV_BUF_BYTES: usize = if codec::MAX_DATAGRAM_BYTES > MAX_FRAME_BYTES
 /// batched format (`Frame::Batch`). A batch datagram is split into
 /// individual requests in an internal pending queue, so callers keep the
 /// one-request-at-a-time API regardless of how the router packed them.
+///
+/// One thread (the listener) receives; any thread may send.
 #[derive(Debug)]
 pub struct UdpServerSocket {
     socket: Arc<UdpSocket>,
     faults: Arc<FaultPlan>,
-    /// Recycles the per-`recv_request` scratch buffer (the QoS server
-    /// shares its pool here so recycle hits surface in `ServerStats`).
+    /// Recycles the receive scratch buffers (the QoS server shares its
+    /// pool here so recycle hits surface in `ServerStats`).
     pool: Arc<crate::buffer_pool::BufferPool>,
     /// Requests decoded from a batch datagram but not yet handed out.
-    pending: parking_lot::Mutex<std::collections::VecDeque<(QosRequest, SocketAddr)>>,
+    pending: Mutex<VecDeque<(QosRequest, SocketAddr)>>,
     /// Move whole batches of datagrams per syscall with
-    /// `recvmmsg`/`sendmmsg`. Ignored off Linux — the plain paths are
-    /// byte-identical, one syscall per datagram.
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    /// `recvmmsg`/`sendmmsg` (off Linux: the portable loop, byte-identical
+    /// traffic, one syscall per datagram).
     batched: bool,
     /// Syscall-amortization counters, shared with the owning server's
     /// `ServerStats`.
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     mmsg: Arc<crate::mmsg::BatchStats>,
     /// Out-of-band queue for duplicate/deferred response copies.
-    oob: Arc<OobDelivery>,
+    oob: OobDelivery,
+    /// Set by [`close`](Self::close): the blocked receiver returns. A
+    /// bare flag (Release store, Acquire load) — it publishes no data.
+    closed: AtomicBool,
 }
 
 impl UdpServerSocket {
     /// Bind to an ephemeral loopback port.
-    pub async fn bind_ephemeral() -> Result<Self> {
-        Self::bind_with_faults(FaultPlan::none()).await
+    pub fn bind_ephemeral() -> Result<Self> {
+        Self::bind_with_faults(FaultPlan::none())
     }
 
     /// Bind with response-path fault injection.
-    pub async fn bind_with_faults(faults: Arc<FaultPlan>) -> Result<Self> {
-        Self::bind_with_pool(faults, Arc::new(crate::buffer_pool::BufferPool::new())).await
+    pub fn bind_with_faults(faults: Arc<FaultPlan>) -> Result<Self> {
+        Self::bind_with_pool(faults, Arc::new(crate::buffer_pool::BufferPool::new()))
     }
 
     /// Bind with fault injection and a caller-shared buffer pool (so the
     /// caller can read the recycle counters).
-    pub async fn bind_with_pool(
+    pub fn bind_with_pool(
         faults: Arc<FaultPlan>,
         pool: Arc<crate::buffer_pool::BufferPool>,
     ) -> Result<Self> {
@@ -538,34 +641,42 @@ impl UdpServerSocket {
             false,
             Arc::new(crate::mmsg::BatchStats::new()),
         )
-        .await
     }
 
     /// Fully-specified bind: address (port 0 = ephemeral), fault plan,
     /// shared buffer pool, batched-syscall mode, and the counters the
     /// batched paths report into.
-    pub async fn bind_with_options(
+    pub fn bind_with_options(
         bind_addr: SocketAddr,
         faults: Arc<FaultPlan>,
         pool: Arc<crate::buffer_pool::BufferPool>,
         batched: bool,
         mmsg: Arc<crate::mmsg::BatchStats>,
     ) -> Result<Self> {
-        let socket = Arc::new(UdpSocket::bind(bind_addr).await?);
         Ok(UdpServerSocket {
-            socket,
+            socket: Arc::new(UdpSocket::bind(bind_addr)?),
             faults,
             pool,
-            pending: parking_lot::Mutex::new(std::collections::VecDeque::new()),
+            pending: Mutex::new(VecDeque::new()),
             batched,
             mmsg,
-            oob: Arc::new(OobDelivery::new()),
+            oob: OobDelivery::new(),
+            closed: AtomicBool::new(false),
         })
     }
 
     /// The bound address (hand this to routers / the DNS zone).
     pub fn local_addr(&self) -> Result<SocketAddr> {
         Ok(self.socket.local_addr()?)
+    }
+
+    /// Stop receiving: the thread blocked in
+    /// [`recv_request`](Self::recv_request) — woken by an empty datagram
+    /// this socket sends itself — returns an error, as does every later
+    /// call. Sending still works.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        crate::wake_receiver(&self.socket);
     }
 
     /// Decode a datagram and queue every request it carries. Malformed
@@ -582,101 +693,54 @@ impl UdpServerSocket {
         }
     }
 
-    /// Receive the next well-formed admission request.
-    pub async fn recv_request(&self) -> Result<(QosRequest, SocketAddr)> {
-        #[cfg(target_os = "linux")]
+    /// One blocking receive — a datagram, or with batched syscalls
+    /// however many arrived together — decoded into the pending queue.
+    /// The scratch buffers are recycled through the pool: steady state,
+    /// the listener makes zero heap allocations per datagram.
+    fn receive_into_pending(&self) -> Result<()> {
         if self.batched {
-            return self.recv_request_batched().await;
-        }
-        // Recycled scratch buffer: steady state, this listener loop makes
-        // zero heap allocations per datagram.
-        let mut buf = self.pool.acquire(RECV_BUF_BYTES);
-        loop {
-            if let Some(item) = self.pending.lock().pop_front() {
-                return Ok(item);
-            }
-            let (len, peer) = self.socket.recv_from(&mut buf).await?;
-            self.queue_datagram(&buf[..len], peer);
-        }
-    }
-
-    /// Batched receive: one `recvmmsg` drains up to a whole batch of
-    /// datagrams per kernel crossing. `async_io` runs the non-blocking
-    /// call under tokio's readiness tracking — a `WouldBlock` clears
-    /// readiness and re-awaits, so this never busy-spins.
-    #[cfg(target_os = "linux")]
-    async fn recv_request_batched(&self) -> Result<(QosRequest, SocketAddr)> {
-        use std::os::fd::AsRawFd;
-        use tokio::io::Interest;
-
-        let mut bufs: Vec<crate::buffer_pool::PooledBuf> = (0..crate::mmsg::MAX_BATCH)
-            .map(|_| self.pool.acquire(RECV_BUF_BYTES))
-            .collect();
-        let mut slots: Vec<crate::mmsg::RecvSlot> = Vec::with_capacity(crate::mmsg::MAX_BATCH);
-        loop {
-            if let Some(item) = self.pending.lock().pop_front() {
-                return Ok(item);
-            }
-            let fd = self.socket.as_raw_fd();
-            self.socket
-                .async_io(Interest::READABLE, || {
-                    crate::mmsg::recv_batch_nonblocking(fd, &mut bufs, &mut slots, Some(&self.mmsg))
-                })
-                .await?;
+            let mut bufs: Vec<crate::buffer_pool::PooledBuf> = (0..crate::mmsg::MAX_BATCH)
+                .map(|_| self.pool.acquire(RECV_BUF_BYTES))
+                .collect();
+            let mut slots = Vec::with_capacity(crate::mmsg::MAX_BATCH);
+            crate::mmsg::recv_batch(&self.socket, &mut bufs, &mut slots, Some(&self.mmsg))?;
             for (buf, slot) in bufs.iter().zip(slots.iter()) {
                 self.queue_datagram(&buf[..slot.len], slot.peer);
             }
+        } else {
+            let mut buf = self.pool.acquire(RECV_BUF_BYTES);
+            let (len, peer) = self.socket.recv_from(&mut buf)?;
+            self.queue_datagram(&buf[..len], peer);
+        }
+        Ok(())
+    }
+
+    /// Receive the next well-formed admission request, blocking until one
+    /// arrives or the socket is [`close`](Self::close)d.
+    pub fn recv_request(&self) -> Result<(QosRequest, SocketAddr)> {
+        loop {
+            if self.closed.load(Ordering::Acquire) {
+                return Err(JanusError::state("udp server socket is closed"));
+            }
+            if let Some(item) = self.pending.lock().pop_front() {
+                return Ok(item);
+            }
+            self.receive_into_pending()?;
         }
     }
 
-    /// Pop an immediately-available request without awaiting: a queued
+    /// Pop an immediately-available request without blocking: a queued
     /// batch item, or a datagram the kernel already holds. `None` when
     /// nothing is ready right now — the listener goes back to sleep.
     pub fn try_recv_request(&self) -> Option<(QosRequest, SocketAddr)> {
-        #[cfg(target_os = "linux")]
-        if self.batched {
-            return self.try_recv_request_batched();
-        }
-        let mut buf = [0u8; RECV_BUF_BYTES];
         loop {
             if let Some(item) = self.pending.lock().pop_front() {
                 return Some(item);
             }
-            match self.socket.try_recv_from(&mut buf) {
-                Ok((len, peer)) => self.queue_datagram(&buf[..len], peer),
-                Err(_) => return None,
+            if !crate::mmsg::wait_readable(&self.socket, Duration::ZERO).unwrap_or(false) {
+                return None;
             }
-        }
-    }
-
-    /// `try_recv_request` over `recvmmsg`: the listener's drain loop
-    /// pulls whole batches per crossing instead of one datagram each.
-    /// `try_io` returns `WouldBlock` (→ `None`) without the syscall when
-    /// tokio already knows the socket is idle.
-    #[cfg(target_os = "linux")]
-    fn try_recv_request_batched(&self) -> Option<(QosRequest, SocketAddr)> {
-        use std::os::fd::AsRawFd;
-        use tokio::io::Interest;
-
-        let mut bufs: Vec<crate::buffer_pool::PooledBuf> = (0..crate::mmsg::MAX_BATCH)
-            .map(|_| self.pool.acquire(RECV_BUF_BYTES))
-            .collect();
-        let mut slots: Vec<crate::mmsg::RecvSlot> = Vec::with_capacity(crate::mmsg::MAX_BATCH);
-        loop {
-            if let Some(item) = self.pending.lock().pop_front() {
-                return Some(item);
-            }
-            let fd = self.socket.as_raw_fd();
-            match self.socket.try_io(Interest::READABLE, || {
-                crate::mmsg::recv_batch_nonblocking(fd, &mut bufs, &mut slots, Some(&self.mmsg))
-            }) {
-                Ok(_) => {
-                    for (buf, slot) in bufs.iter().zip(slots.iter()) {
-                        self.queue_datagram(&buf[..slot.len], slot.peer);
-                    }
-                }
-                Err(_) => return None,
-            }
+            self.receive_into_pending().ok()?;
         }
     }
 
@@ -684,21 +748,21 @@ impl UdpServerSocket {
     /// about whether the request router receives the response or not"
     /// (paper §III-C) — so loss injection silently eats it, as the real
     /// network would.
-    pub async fn send_response(&self, response: &QosResponse, peer: SocketAddr) -> Result<()> {
-        self.deliver(codec::encode_response(response), peer).await
+    pub fn send_response(&self, response: &QosResponse, peer: SocketAddr) -> Result<()> {
+        self.deliver(
+            self.faults.judge_fate(),
+            codec::encode_response(response),
+            peer,
+        )
     }
 
     /// Send a group of responses to one peer, coalesced into as few
     /// datagrams as the size budget allows. Fault injection applies per
     /// datagram (a dropped datagram loses the whole batch, exactly like a
     /// real network would).
-    pub async fn send_responses(&self, responses: &[QosResponse], peer: SocketAddr) -> Result<()> {
-        if responses.len() == 1 {
-            return self.send_response(&responses[0], peer).await;
-        }
-        let frames: Vec<Frame> = responses.iter().map(|r| Frame::Response(*r)).collect();
-        for wire in codec::encode_batch(&frames) {
-            self.deliver(wire, peer).await?;
+    pub fn send_responses(&self, responses: &[QosResponse], peer: SocketAddr) -> Result<()> {
+        for wire in encode_responses(responses) {
+            self.deliver(self.faults.judge_fate(), wire, peer)?;
         }
         Ok(())
     }
@@ -708,98 +772,60 @@ impl UdpServerSocket {
     /// `sendto` per datagram); with batched syscalls on, every
     /// cleanly-delivered datagram across *all* peers goes out through
     /// one `sendmmsg` — cross-peer syscall amortization the per-peer
-    /// API cannot express.
-    pub async fn send_response_groups(
-        &self,
-        groups: &mut Vec<(SocketAddr, Vec<QosResponse>)>,
-    ) -> Result<()> {
-        #[cfg(target_os = "linux")]
-        if self.batched {
-            return self.send_response_groups_batched(groups).await;
-        }
-        for (peer, responses) in groups.drain(..) {
-            self.send_responses(&responses, peer).await?;
-        }
-        Ok(())
-    }
-
-    /// The `sendmmsg` flush. Fault injection still applies per datagram
+    /// API cannot express. Fault injection still applies per datagram
     /// *before* batching: clean immediate deliveries join the batch,
     /// every other fate (drop, delay, duplicate, defer) takes the exact
     /// same path as the unbatched plane, so fault-plan semantics are
     /// invariant under socket mode.
-    #[cfg(target_os = "linux")]
-    async fn send_response_groups_batched(
+    pub fn send_response_groups(
         &self,
         groups: &mut Vec<(SocketAddr, Vec<QosResponse>)>,
     ) -> Result<()> {
-        use std::os::fd::AsRawFd;
-        use tokio::io::Interest;
-
-        let mut ready: Vec<(Bytes, SocketAddr)> = Vec::new();
+        if !self.batched {
+            for (peer, responses) in groups.drain(..) {
+                self.send_responses(&responses, peer)?;
+            }
+            return Ok(());
+        }
+        let mut ready: Vec<(Vec<u8>, SocketAddr)> = Vec::new();
         for (peer, responses) in groups.drain(..) {
-            let wires = if responses.len() == 1 {
-                vec![codec::encode_response(&responses[0])]
-            } else {
-                let frames: Vec<Frame> = responses.iter().map(|r| Frame::Response(*r)).collect();
-                codec::encode_batch(&frames)
-            };
-            for wire in wires {
+            for wire in encode_responses(&responses) {
                 match self.faults.judge_fate() {
                     Fate::Deliver(delay) if delay.is_zero() => ready.push((wire, peer)),
-                    fate => self.deliver_with_fate(fate, wire, peer).await?,
+                    fate => self.deliver(fate, wire, peer)?,
                 }
             }
         }
-        if ready.is_empty() {
-            return Ok(());
-        }
-        let msgs: Vec<(&[u8], SocketAddr)> = ready.iter().map(|(w, p)| (w.as_ref(), *p)).collect();
-        let fd = self.socket.as_raw_fd();
-        // Partial progress before a full send-buffer is reported as Ok:
-        // a datagram the kernel refused is indistinguishable from one
+        let msgs: Vec<(&[u8], SocketAddr)> = ready.iter().map(|(w, p)| (&w[..], *p)).collect();
+        // A datagram the kernel refused is indistinguishable from one
         // the network dropped, and the router's retry covers both.
-        self.socket
-            .async_io(Interest::WRITABLE, || {
-                crate::mmsg::send_batch_nonblocking(fd, &msgs, Some(&self.mmsg)).map(|_| ())
-            })
-            .await?;
+        crate::mmsg::send_batch(&self.socket, &msgs, Some(&self.mmsg))?;
         Ok(())
     }
 
-    /// Transmit one datagram to `peer` through the fault plan. Duplicate
-    /// and deferred copies drain from the out-of-band delivery queue so
-    /// the caller never blocks beyond an inline delay fate.
-    async fn deliver(&self, wire: Bytes, peer: SocketAddr) -> Result<()> {
-        let fate = self.faults.judge_fate();
-        self.deliver_with_fate(fate, wire, peer).await
-    }
-
-    /// [`UdpServerSocket::deliver`] with the fate already rolled — the
-    /// batched flush rolls fates itself so clean deliveries can join
-    /// one `sendmmsg`.
-    async fn deliver_with_fate(&self, fate: Fate, wire: Bytes, peer: SocketAddr) -> Result<()> {
+    /// Transmit one datagram to `peer` under an already-rolled fate.
+    /// Duplicate and deferred copies drain from the out-of-band delivery
+    /// queue so the caller never blocks beyond an inline delay fate.
+    fn deliver(&self, fate: Fate, wire: Vec<u8>, peer: SocketAddr) -> Result<()> {
         match fate {
-            Fate::Drop => Ok(()),
+            Fate::Drop => {}
             Fate::Deliver(delay) => {
                 if !delay.is_zero() {
-                    tokio::time::sleep(delay).await;
+                    thread::sleep(delay);
                 }
-                self.socket.send_to(&wire, peer).await?;
-                Ok(())
+                self.socket.send_to(&wire, peer)?;
             }
             Fate::Duplicate(delay) => {
-                self.socket.send_to(&wire, peer).await?;
+                self.socket.send_to(&wire, peer)?;
                 self.oob
                     .transmit_after(delay, Arc::clone(&self.socket), wire, Some(peer));
-                Ok(())
             }
             Fate::Defer(delay) => {
                 self.oob
                     .transmit_after(delay, Arc::clone(&self.socket), wire, Some(peer));
-                Ok(())
             }
         }
+        Ok(())
     }
 }
 
@@ -813,66 +839,60 @@ mod tests {
     }
 
     /// A trivial echo QoS server: allow even ids, deny odd.
-    async fn spawn_echo_server(faults: Arc<FaultPlan>) -> SocketAddr {
-        let server = UdpServerSocket::bind_with_faults(faults).await.unwrap();
+    fn spawn_echo_server(faults: Arc<FaultPlan>) -> SocketAddr {
+        let server = UdpServerSocket::bind_with_faults(faults).unwrap();
         let addr = server.local_addr().unwrap();
-        tokio::spawn(async move {
-            loop {
-                let (req, peer) = match server.recv_request().await {
-                    Ok(x) => x,
-                    Err(_) => break,
-                };
+        std::thread::spawn(move || {
+            while let Ok((req, peer)) = server.recv_request() {
                 let verdict = Verdict::from_bool(req.id % 2 == 0);
-                let _ = server
-                    .send_response(&QosResponse::new(req.id, verdict), peer)
-                    .await;
+                let _ = server.send_response(&QosResponse::new(req.id, verdict), peer);
             }
         });
         addr
     }
 
-    #[tokio::test]
-    async fn roundtrip_on_clean_network() {
-        let addr = spawn_echo_server(FaultPlan::none()).await;
+    #[test]
+    fn roundtrip_on_clean_network() {
+        let addr = spawn_echo_server(FaultPlan::none());
         let client = UdpRpcClient::new(UdpRpcConfig::lan_defaults());
-        let resp = client.call(addr, &request(4)).await.unwrap();
+        let resp = client.call(addr, &request(4)).unwrap();
         assert_eq!(resp, QosResponse::allow(4));
-        let resp = client.call(addr, &request(5)).await.unwrap();
+        let resp = client.call(addr, &request(5)).unwrap();
         assert_eq!(resp, QosResponse::deny(5));
     }
 
-    #[tokio::test]
-    async fn concurrent_calls_demux_correctly() {
-        let addr = spawn_echo_server(FaultPlan::none()).await;
+    #[test]
+    fn concurrent_calls_demux_correctly() {
+        let addr = spawn_echo_server(FaultPlan::none());
         let client = UdpRpcClient::new(UdpRpcConfig::lan_defaults());
         let mut handles = Vec::new();
         for id in 0..64u64 {
             let client = client.clone();
-            handles.push(tokio::spawn(async move {
-                let resp = client.call(addr, &request(id)).await.unwrap();
+            handles.push(std::thread::spawn(move || {
+                let resp = client.call(addr, &request(id)).unwrap();
                 assert_eq!(resp.id, id);
                 assert_eq!(resp.verdict, Verdict::from_bool(id % 2 == 0));
             }));
         }
         for h in handles {
-            h.await.unwrap();
+            h.join().unwrap();
         }
     }
 
-    #[tokio::test]
-    async fn retries_recover_from_loss() {
+    #[test]
+    fn retries_recover_from_loss() {
         // 60% loss on the response path: with 6 attempts the success
         // probability per call is 1 - 0.6^6 ≈ 95.3%... too flaky for a
         // hard assertion per call, so drop *outgoing* requests instead
         // with a deterministic seed and verify every call still succeeds
         // (expected failure probability 0.6^6 ≈ 4.7% per call — seed
         // chosen so the 20-call run passes deterministically).
-        let addr = spawn_echo_server(FaultPlan::none()).await;
+        let addr = spawn_echo_server(FaultPlan::none());
         let faults = FaultPlan::new(0.4, 0.0, Duration::ZERO, 12345);
         let client = UdpRpcClient::with_faults(UdpRpcConfig::lan_defaults(), faults.clone());
         let mut ok = 0;
         for id in 0..20u64 {
-            if client.call(addr, &request(id * 2)).await.is_ok() {
+            if client.call(addr, &request(id * 2)).is_ok() {
                 ok += 1;
             }
         }
@@ -880,9 +900,9 @@ mod tests {
         assert!(faults.dropped() > 0, "fault plan never fired");
     }
 
-    #[tokio::test]
-    async fn total_loss_times_out_with_budget() {
-        let addr = spawn_echo_server(FaultPlan::none()).await;
+    #[test]
+    fn total_loss_times_out_with_budget() {
+        let addr = spawn_echo_server(FaultPlan::none());
         let faults = FaultPlan::new(1.0, 0.0, Duration::ZERO, 1);
         let config = UdpRpcConfig {
             timeout: Duration::from_millis(1),
@@ -890,17 +910,17 @@ mod tests {
             ..Default::default()
         };
         let client = UdpRpcClient::with_faults(config, faults);
-        let err = client.call(addr, &request(2)).await.unwrap_err();
+        let err = client.call(addr, &request(2)).unwrap_err();
         match err {
             JanusError::Timeout { attempts } => assert_eq!(attempts, 6),
             other => panic!("expected timeout, got {other}"),
         }
     }
 
-    #[tokio::test]
-    async fn no_server_times_out() {
+    #[test]
+    fn no_server_times_out() {
         // A bound-then-dropped socket: nothing will ever answer.
-        let dead = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let dead = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let addr = dead.local_addr().unwrap();
         drop(dead);
         let config = UdpRpcConfig {
@@ -909,48 +929,43 @@ mod tests {
             ..Default::default()
         };
         let client = UdpRpcClient::new(config);
-        let err = client.call(addr, &request(1)).await.unwrap_err();
+        let err = client.call(addr, &request(1)).unwrap_err();
         assert!(matches!(
             err,
             JanusError::Timeout { attempts: 3 } | JanusError::Io(_)
         ));
     }
 
-    #[tokio::test]
-    async fn server_skips_garbage_datagrams() {
-        let server = UdpServerSocket::bind_ephemeral().await.unwrap();
+    #[test]
+    fn server_skips_garbage_datagrams() {
+        let server = UdpServerSocket::bind_ephemeral().unwrap();
         let addr = server.local_addr().unwrap();
-        let prober = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
-        prober.send_to(b"not a frame", addr).await.unwrap();
+        let prober = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        prober.send_to(b"not a frame", addr).unwrap();
         prober
             .send_to(&codec::encode_response(&QosResponse::allow(9)), addr)
-            .await
             .unwrap();
         prober
             .send_to(&codec::encode_request(&request(7)), addr)
-            .await
             .unwrap();
-        let (req, _) = server.recv_request().await.unwrap();
+        let (req, _) = server.recv_request().unwrap();
         assert_eq!(req.id, 7);
     }
 
-    #[tokio::test]
-    async fn recv_scratch_buffers_recycle_through_the_pool() {
-        // Single-threaded runtime: every recv_request runs on this
-        // thread, so after the first (miss) checkout all later scratch
-        // buffers come from the thread's freelist.
+    #[test]
+    fn recv_scratch_buffers_recycle_through_the_pool() {
+        // Every recv_request runs on this thread, so after the first
+        // (miss) checkout all later scratch buffers come from the
+        // thread's freelist.
         let pool = Arc::new(crate::buffer_pool::BufferPool::new());
-        let server = UdpServerSocket::bind_with_pool(FaultPlan::none(), Arc::clone(&pool))
-            .await
-            .unwrap();
+        let server = UdpServerSocket::bind_with_pool(FaultPlan::none(), Arc::clone(&pool)).unwrap();
         let addr = server.local_addr().unwrap();
-        let prober = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let prober = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         for id in 0..5u64 {
             prober
                 .send_to(&codec::encode_request(&request(id)), addr)
-                .await
                 .unwrap();
-            let (req, _) = server.recv_request().await.unwrap();
+            let (req, _) = server.recv_request().unwrap();
             assert_eq!(req.id, id);
         }
         let snap = pool.snapshot();
@@ -961,31 +976,31 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn server_splits_batch_datagrams_into_requests() {
-        let server = UdpServerSocket::bind_ephemeral().await.unwrap();
+    #[test]
+    fn server_splits_batch_datagrams_into_requests() {
+        let server = UdpServerSocket::bind_ephemeral().unwrap();
         let addr = server.local_addr().unwrap();
-        let prober = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let prober = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let frames: Vec<Frame> = (10..13u64).map(|id| Frame::Request(request(id))).collect();
         let wires = codec::encode_batch(&frames);
         assert_eq!(wires.len(), 1, "three small frames fit one datagram");
-        prober.send_to(&wires[0], addr).await.unwrap();
+        prober.send_to(&wires[0], addr).unwrap();
         for expected in 10..13u64 {
-            let (req, _) = server.recv_request().await.unwrap();
+            let (req, _) = server.recv_request().unwrap();
             assert_eq!(req.id, expected);
         }
     }
 
-    #[tokio::test]
-    async fn send_responses_coalesces_and_stays_decodable() {
-        let server = UdpServerSocket::bind_ephemeral().await.unwrap();
+    #[test]
+    fn send_responses_coalesces_and_stays_decodable() {
+        let server = UdpServerSocket::bind_ephemeral().unwrap();
         let addr = server.local_addr().unwrap();
-        let peer = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let peer = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let peer_addr = peer.local_addr().unwrap();
         let responses: Vec<QosResponse> = (0..5u64).map(QosResponse::allow).collect();
-        server.send_responses(&responses, peer_addr).await.unwrap();
+        server.send_responses(&responses, peer_addr).unwrap();
         let mut buf = vec![0u8; RECV_BUF_BYTES];
-        let (len, from) = peer.recv_from(&mut buf).await.unwrap();
+        let (len, from) = peer.recv_from(&mut buf).unwrap();
         assert_eq!(from, addr);
         let frames = codec::decode_all(&buf[..len]).unwrap();
         assert_eq!(frames.len(), 5);
@@ -994,11 +1009,11 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn response_groups_drain_per_peer_on_the_plain_path() {
-        let server = UdpServerSocket::bind_ephemeral().await.unwrap();
-        let peer_a = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
-        let peer_b = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+    #[test]
+    fn response_groups_drain_per_peer_on_the_plain_path() {
+        let server = UdpServerSocket::bind_ephemeral().unwrap();
+        let peer_a = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let peer_b = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let mut groups = vec![
             (peer_a.local_addr().unwrap(), vec![QosResponse::allow(1)]),
             (
@@ -1006,15 +1021,15 @@ mod tests {
                 vec![QosResponse::allow(2), QosResponse::deny(3)],
             ),
         ];
-        server.send_response_groups(&mut groups).await.unwrap();
+        server.send_response_groups(&mut groups).unwrap();
         assert!(groups.is_empty(), "groups must be drained");
         let mut buf = vec![0u8; RECV_BUF_BYTES];
-        let (len, _) = peer_a.recv_from(&mut buf).await.unwrap();
+        let (len, _) = peer_a.recv_from(&mut buf).unwrap();
         assert_eq!(
             codec::decode_all(&buf[..len]).unwrap(),
             vec![Frame::Response(QosResponse::allow(1))]
         );
-        let (len, _) = peer_b.recv_from(&mut buf).await.unwrap();
+        let (len, _) = peer_b.recv_from(&mut buf).unwrap();
         assert_eq!(
             codec::decode_all(&buf[..len]).unwrap(),
             vec![
@@ -1025,8 +1040,8 @@ mod tests {
     }
 
     #[cfg(target_os = "linux")]
-    #[tokio::test]
-    async fn batched_socket_round_trips_and_amortizes_syscalls() {
+    #[test]
+    fn batched_socket_round_trips_and_amortizes_syscalls() {
         let mmsg = Arc::new(crate::mmsg::BatchStats::new());
         let server = UdpServerSocket::bind_with_options(
             SocketAddr::from(([127, 0, 0, 1], 0)),
@@ -1035,30 +1050,28 @@ mod tests {
             true,
             Arc::clone(&mmsg),
         )
-        .await
         .unwrap();
         let addr = server.local_addr().unwrap();
-        let prober = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let prober = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let prober_addr = prober.local_addr().unwrap();
         const N: u64 = 6;
         for id in 0..N {
             prober
                 .send_to(&codec::encode_request(&request(id)), addr)
-                .await
                 .unwrap();
         }
         let mut responses = Vec::new();
         for _ in 0..N {
-            let (req, peer) = server.recv_request().await.unwrap();
+            let (req, peer) = server.recv_request().unwrap();
             assert_eq!(peer, prober_addr);
             responses.push(QosResponse::allow(req.id));
         }
         let mut groups = vec![(prober_addr, responses)];
-        server.send_response_groups(&mut groups).await.unwrap();
+        server.send_response_groups(&mut groups).unwrap();
         let mut buf = vec![0u8; RECV_BUF_BYTES];
         let mut got = 0;
         while got < N as usize {
-            let (len, _) = prober.recv_from(&mut buf).await.unwrap();
+            let (len, _) = prober.recv_from(&mut buf).unwrap();
             got += codec::decode_all(&buf[..len]).unwrap().len();
         }
         assert_eq!(got, N as usize);
@@ -1071,6 +1084,85 @@ mod tests {
             mmsg.recv_syscalls() <= N,
             "batching must never spend more crossings than datagrams"
         );
+    }
+
+    #[test]
+    fn paper_discipline_against_a_silent_server_gives_up_within_five_milliseconds() {
+        // The paper's 100 us x (1 + 5 retries) against a server that
+        // never answers: 600 us of waiting on paper. A timeout rounded to
+        // a scheduler tick would make this 6-24 ms.
+        let silent = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let addr = silent.local_addr().unwrap();
+        let client = UdpRpcClient::new(UdpRpcConfig::default());
+        let mut took: Vec<Duration> = (0..20)
+            .map(|id| {
+                let started = Instant::now();
+                let err = client.call(addr, &request(id)).unwrap_err();
+                assert!(matches!(err, JanusError::Timeout { attempts: 6 }), "{err}");
+                started.elapsed()
+            })
+            .collect();
+        took.sort();
+        let median = took[took.len() / 2];
+        assert!(
+            median >= Duration::from_micros(600),
+            "gave up early: {median:?}"
+        );
+        assert!(
+            median < Duration::from_millis(5),
+            "six attempts took {median:?}"
+        );
+    }
+
+    #[test]
+    fn closing_the_server_socket_unblocks_its_receiver() {
+        let server = Arc::new(UdpServerSocket::bind_ephemeral().unwrap());
+        let receiver = {
+            let server = Arc::clone(&server);
+            thread::spawn(move || server.recv_request())
+        };
+        thread::sleep(Duration::from_millis(20));
+        server.close();
+        assert!(receiver.join().unwrap().is_err());
+        assert!(server.recv_request().is_err(), "closed stays closed");
+    }
+
+    #[test]
+    fn a_hedge_that_never_left_cannot_win() {
+        // A slow server answers after the hedge point of a plan that may
+        // not hedge (unstamped: there is no nonce to re-present). The
+        // answer used to be booked as a hedge win although no duplicate
+        // was ever sent — wins could exceed hedges.
+        let server = UdpServerSocket::bind_ephemeral().unwrap();
+        let addr = server.local_addr().unwrap();
+        thread::spawn(move || {
+            while let Ok((req, peer)) = server.recv_request() {
+                thread::sleep(Duration::from_millis(5));
+                let _ = server.send_response(&QosResponse::allow(req.id), peer);
+            }
+        });
+        let stats = Arc::new(crate::latency::HedgeStats::new());
+        let discipline = WireDiscipline {
+            timeout: Some(Duration::from_millis(500)),
+            hedge_delay: Some(Duration::from_millis(1)),
+            stats: Some(Arc::clone(&stats)),
+            ..Default::default()
+        };
+        let client = UdpRpcClient::new(UdpRpcConfig::lan_defaults());
+        let resp = client.call_disciplined(addr, &request(2), &discipline);
+        assert_eq!(resp.unwrap(), QosResponse::allow(2));
+        assert_eq!(stats.hedges_sent.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.hedge_wins.load(Ordering::Relaxed), 0);
+
+        // A stamped plan does hedge, and the late answer is then a win.
+        let stamping = UdpRpcClient::new(UdpRpcConfig {
+            stamp_deadlines: true,
+            ..UdpRpcConfig::lan_defaults()
+        });
+        let resp = stamping.call_disciplined(addr, &request(4), &discipline);
+        assert_eq!(resp.unwrap(), QosResponse::allow(4));
+        assert_eq!(stats.hedges_sent.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.hedge_wins.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1120,9 +1212,9 @@ mod tests {
         assert_eq!(config.worst_case(), Duration::from_micros(600));
     }
 
-    #[tokio::test]
-    async fn jittered_retries_still_recover() {
-        let addr = spawn_echo_server(FaultPlan::none()).await;
+    #[test]
+    fn jittered_retries_still_recover() {
+        let addr = spawn_echo_server(FaultPlan::none());
         let faults = FaultPlan::new(0.4, 0.0, Duration::ZERO, 12345);
         let config = UdpRpcConfig {
             backoff: RetryBackoff::ExponentialJitter {
@@ -1134,18 +1226,18 @@ mod tests {
         let client = UdpRpcClient::with_faults(config, faults);
         let mut ok = 0;
         for id in 0..20u64 {
-            if client.call(addr, &request(id * 2)).await.is_ok() {
+            if client.call(addr, &request(id * 2)).is_ok() {
                 ok += 1;
             }
         }
         assert!(ok >= 18, "only {ok}/20 calls survived 40% loss with jitter");
     }
 
-    #[tokio::test]
-    async fn soliciting_request_downgrades_to_plain_frame_on_retry() {
+    #[test]
+    fn soliciting_request_downgrades_to_plain_frame_on_retry() {
         // A frame-recording "server" that never answers: every attempt
         // lands here and we inspect the raw wire bytes per attempt.
-        let sink = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let sink = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let addr = sink.local_addr().unwrap();
         let config = UdpRpcConfig {
             timeout: Duration::from_millis(1),
@@ -1154,14 +1246,14 @@ mod tests {
         };
         let client = UdpRpcClient::new(config);
         let soliciting = QosRequest::soliciting_hint(7, QosKey::new("tenant").unwrap());
-        let call = tokio::spawn(async move { client.call(addr, &soliciting).await });
+        let call = std::thread::spawn(move || client.call(addr, &soliciting));
         let mut kinds = Vec::new();
         let mut buf = [0u8; RECV_BUF_BYTES];
         for _ in 0..3 {
-            let (len, _) = sink.recv_from(&mut buf).await.unwrap();
+            let (len, _) = sink.recv_from(&mut buf).unwrap();
             kinds.push(buf[..len][3]);
         }
-        assert!(call.await.unwrap().is_err(), "nothing answered");
+        assert!(call.join().unwrap().is_err(), "nothing answered");
         // Attempt 0 solicits; every retry is the plain v1 frame an old
         // server understands.
         assert_eq!(
@@ -1174,28 +1266,28 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn deadline_attempts_downgrade_to_legacy_on_final_try() {
+    #[test]
+    fn deadline_attempts_downgrade_to_legacy_on_final_try() {
         // Frame-recording sink: every attempt lands here unanswered, so
         // we can inspect the per-attempt wire encoding.
-        let sink = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let sink = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let addr = sink.local_addr().unwrap();
         let config = UdpRpcConfig {
             timeout: Duration::from_millis(20),
             max_retries: 2,
-            backoff: RetryBackoff::Fixed,
             stamp_deadlines: true,
+            ..Default::default()
         };
         let client = UdpRpcClient::new(config);
         let req = request(9);
-        let call = tokio::spawn(async move { client.call(addr, &req).await });
+        let call = std::thread::spawn(move || client.call(addr, &req));
         let mut frames = Vec::new();
         let mut buf = [0u8; RECV_BUF_BYTES];
         for _ in 0..3 {
-            let (len, _) = sink.recv_from(&mut buf).await.unwrap();
+            let (len, _) = sink.recv_from(&mut buf).unwrap();
             frames.push(buf[..len].to_vec());
         }
-        assert!(call.await.unwrap().is_err(), "nothing answered");
+        assert!(call.join().unwrap().is_err(), "nothing answered");
         let kinds: Vec<u8> = frames.iter().map(|f| f[3]).collect();
         // Every attempt but the last carries the deadline; the final
         // attempt is the legacy frame an old server still understands.
@@ -1229,9 +1321,9 @@ mod tests {
         }
     }
 
-    #[tokio::test]
-    async fn duplication_injection_delivers_two_copies() {
-        let sink = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+    #[test]
+    fn duplication_injection_delivers_two_copies() {
+        let sink = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let addr = sink.local_addr().unwrap();
         let faults = FaultPlan::none();
         faults.set_duplication(1.0, Duration::ZERO);
@@ -1241,29 +1333,29 @@ mod tests {
             ..Default::default()
         };
         let client = UdpRpcClient::with_faults(config, faults.clone());
-        let call = tokio::spawn(async move { client.call(addr, &request(3)).await });
+        let call = std::thread::spawn(move || client.call(addr, &request(3)));
         let mut buf = [0u8; RECV_BUF_BYTES];
         let mut seen = Vec::new();
         for _ in 0..2 {
-            let (len, _) = sink.recv_from(&mut buf).await.unwrap();
+            let (len, _) = sink.recv_from(&mut buf).unwrap();
             seen.push(buf[..len].to_vec());
         }
-        assert!(call.await.unwrap().is_err(), "nothing answered");
+        assert!(call.join().unwrap().is_err(), "nothing answered");
         assert_eq!(seen[0], seen[1], "the duplicate is byte-identical");
         assert_eq!(faults.duplicated(), 1);
     }
 
-    #[tokio::test]
-    async fn reordering_injection_inverts_arrival_order() {
+    #[test]
+    fn reordering_injection_inverts_arrival_order() {
         // Two datagrams through a plan that defers the *first* roll only:
         // seed chosen so roll 1 lands in the reorder slice and roll 2
         // does not, making the second datagram overtake the first.
-        let sink = UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let sink = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let addr = sink.local_addr().unwrap();
         let faults = FaultPlan::none();
         faults.set_reordering(0.5, Duration::from_millis(30));
-        let socket = Arc::new(UdpSocket::bind(("127.0.0.1", 0)).await.unwrap());
-        socket.connect(addr).await.unwrap();
+        let socket = Arc::new(UdpSocket::bind(("127.0.0.1", 0)).unwrap());
+        socket.connect(addr).unwrap();
         let client = UdpRpcClient::with_faults(UdpRpcConfig::lan_defaults(), faults.clone());
         // Send until a datagram delivers inline *after* an earlier one
         // deferred: the inline one overtakes it (drop/delay/dup are all
@@ -1273,7 +1365,6 @@ mod tests {
             let before = faults.reordered();
             client
                 .send_with_faults(&socket, codec::encode_request(&request(sent)))
-                .await
                 .unwrap();
             sent += 1;
             let was_deferred = faults.reordered() > before;
@@ -1284,7 +1375,7 @@ mod tests {
         let mut ids = Vec::new();
         let mut buf = [0u8; RECV_BUF_BYTES];
         for _ in 0..sent {
-            let (len, _) = sink.recv_from(&mut buf).await.unwrap();
+            let (len, _) = sink.recv_from(&mut buf).unwrap();
             match codec::decode(&buf[..len]).unwrap() {
                 Frame::Request(r) => ids.push(r.id),
                 other => panic!("expected request, got {other:?}"),

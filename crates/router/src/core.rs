@@ -6,8 +6,8 @@
 //! degraded local bucket or the blind default, and what to learn from a
 //! hint-carrying response — is pure state-machine logic over an injected
 //! clock. This module extracts that logic from the HTTP handler in
-//! [`crate`] so the production tokio path and the deterministic simulator
-//! in `janus-dst` drive the *same* code. No sockets, no tasks, no wall
+//! [`crate`] so the production thread shell and the deterministic simulator
+//! in `janus-dst` drive the *same* code. No sockets, no threads, no wall
 //! clock: this file compiles with nothing but `std`, `janus-types`,
 //! `janus-clock`, `janus-hash`, `janus-bucket` and the std-only modules
 //! of `janus-net`.

@@ -30,9 +30,7 @@ use janus_net::http::{HttpHandler, HttpRequest, HttpResponse, HttpServer, Status
 use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
 use janus_net::udp_pool::{BatchConfig, PooledUdpRpcClient};
 use janus_types::{JanusError, QosKey, QosRequest, QosResponse, Result, Verdict};
-use std::future::Future;
 use std::net::SocketAddr;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -223,7 +221,7 @@ impl RouterHandler {
         }
     }
 
-    async fn qos_check(&self, key: QosKey) -> Served {
+    fn qos_check(&self, key: QosKey) -> Served {
         let (partition, solicit_hint, lease_ask) = match self.core.begin(&key, self.clock.now()) {
             RouterStep::LeaseAdmit { .. } => {
                 self.stats.lease_admits.fetch_add(1, Ordering::Relaxed);
@@ -242,10 +240,7 @@ impl RouterHandler {
             } => (partition, solicit_hint, lease_ask),
         };
         let result = match self.resolve(partition) {
-            Ok(addr) => {
-                self.call_backend(addr, partition, &key, solicit_hint, lease_ask)
-                    .await
-            }
+            Ok(addr) => self.call_backend(addr, partition, &key, solicit_hint, lease_ask),
             Err(e) => Err(e),
         };
         self.mirror_gray_stats();
@@ -268,10 +263,21 @@ impl RouterHandler {
                 }
                 Served::Backend(response.verdict)
             }
-            Err(_) => match self.core.on_failure(partition, &key, self.clock.now()) {
-                Some(answer) => self.serve_local(answer),
-                None => Served::Default,
-            },
+            Err(_) => {
+                let served = match self.core.on_failure(partition, &key, self.clock.now()) {
+                    Some(answer) => self.serve_local(answer),
+                    None => Served::Default,
+                };
+                if matches!(served, Served::Default) {
+                    // Retry budget exhausted (or resolution failed) and
+                    // no learned rule. Counted here, not where the reply
+                    // is built: a breaker fast-fail also answers with the
+                    // default, but spent no retry budget — it is already
+                    // a `breaker_fast_fails`.
+                    self.stats.defaulted.fetch_add(1, Ordering::Relaxed);
+                }
+                served
+            }
         }
     }
 
@@ -297,7 +303,7 @@ impl RouterHandler {
     /// retry budget, RTT recording) comes from the core per partition;
     /// with the gray plane off it is the all-`None` no-op and both
     /// transports reproduce the legacy byte-for-byte behaviour.
-    async fn call_backend(
+    fn call_backend(
         &self,
         addr: SocketAddr,
         partition: usize,
@@ -317,11 +323,10 @@ impl RouterHandler {
                 if let Some(report) = lease_ask {
                     request = request.with_lease(report);
                 }
-                rpc.call_disciplined(addr, &request, &discipline).await
+                rpc.call_disciplined(addr, &request, &discipline)
             }
             RpcBackend::Pooled(pool) => {
                 pool.check_disciplined(addr, key.clone(), solicit, lease_ask, &discipline)
-                    .await
             }
         }
     }
@@ -354,69 +359,56 @@ impl RouterHandler {
 }
 
 impl HttpHandler for RouterHandler {
-    fn handle(
-        &self,
-        request: HttpRequest,
-        _peer: SocketAddr,
-    ) -> Pin<Box<dyn Future<Output = HttpResponse> + Send + '_>> {
-        Box::pin(async move {
-            self.stats.served.fetch_add(1, Ordering::Relaxed);
-            match request.path() {
-                "/qos" => {
-                    let Some(key) = request.query_param("key") else {
-                        self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                        return HttpResponse::status(StatusCode::BAD_REQUEST);
-                    };
-                    let Ok(key) = QosKey::new(&key) else {
-                        self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                        return HttpResponse::status(StatusCode::BAD_REQUEST);
-                    };
-                    let verdict = match self.qos_check(key).await {
-                        Served::Backend(verdict) => {
-                            self.stats.forwarded_ok.fetch_add(1, Ordering::Relaxed);
-                            verdict
-                        }
-                        // The lease admit was counted in qos_check; a
-                        // held slice only ever admits.
-                        Served::Leased => Verdict::Allow,
-                        // Degraded counters were recorded at the bucket.
-                        Served::Degraded(verdict) => verdict,
-                        Served::Default => {
-                            // Retry budget exhausted (or resolution
-                            // failed) and no learned rule: the default
-                            // reply keeps the client unblocked (§III-B).
-                            self.stats.defaulted.fetch_add(1, Ordering::Relaxed);
-                            self.core.default_verdict()
-                        }
-                    };
-                    HttpResponse::ok(verdict.to_string())
-                }
-                // Healthy while any partition is reachable; a node whose
-                // every breaker is open serves nothing but defaults, so
-                // it reports unhealthy and the LB drains it.
-                "/healthz" => {
-                    if self.core.all_breakers_open(self.clock.now()) {
-                        HttpResponse::status(StatusCode::SERVICE_UNAVAILABLE)
-                    } else {
-                        HttpResponse::ok("ok")
-                    }
-                }
-                _ => {
+    fn handle(&self, request: HttpRequest, _peer: SocketAddr) -> HttpResponse {
+        self.stats.served.fetch_add(1, Ordering::Relaxed);
+        match request.path() {
+            "/qos" => {
+                let Some(key) = request.query_param("key") else {
                     self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    HttpResponse::status(StatusCode::NOT_FOUND)
+                    return HttpResponse::status(StatusCode::BAD_REQUEST);
+                };
+                let Ok(key) = QosKey::new(&key) else {
+                    self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+                    return HttpResponse::status(StatusCode::BAD_REQUEST);
+                };
+                let verdict = match self.qos_check(key) {
+                    Served::Backend(verdict) => {
+                        self.stats.forwarded_ok.fetch_add(1, Ordering::Relaxed);
+                        verdict
+                    }
+                    // The lease admit was counted in qos_check; a
+                    // held slice only ever admits.
+                    Served::Leased => Verdict::Allow,
+                    // Degraded counters were recorded at the bucket.
+                    Served::Degraded(verdict) => verdict,
+                    // No backend answer and no learned rule: the default
+                    // reply keeps the client unblocked (§III-B).
+                    Served::Default => self.core.default_verdict(),
+                };
+                HttpResponse::ok(verdict.to_string())
+            }
+            // Healthy while any partition is reachable; a node whose
+            // every breaker is open serves nothing but defaults, so
+            // it reports unhealthy and the LB drains it.
+            "/healthz" => {
+                if self.core.all_breakers_open(self.clock.now()) {
+                    HttpResponse::status(StatusCode::SERVICE_UNAVAILABLE)
+                } else {
+                    HttpResponse::ok("ok")
                 }
             }
-        })
+            _ => {
+                self.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+                HttpResponse::status(StatusCode::NOT_FOUND)
+            }
+        }
     }
 }
 
 impl RequestRouter {
     /// Spawn a router node. `resolver` is required iff any backend is
     /// [`Backend::Named`].
-    pub async fn spawn(
-        config: RouterConfig,
-        resolver: Option<Arc<Resolver>>,
-    ) -> Result<RequestRouter> {
+    pub fn spawn(config: RouterConfig, resolver: Option<Arc<Resolver>>) -> Result<RequestRouter> {
         if config.backends.is_empty() {
             return Err(JanusError::config("router needs at least one backend"));
         }
@@ -443,9 +435,11 @@ impl RequestRouter {
             } else {
                 BatchConfig::disabled()
             };
-            RpcBackend::Pooled(
-                PooledUdpRpcClient::bind_with_batch(udp, batch, FaultPlan::none()).await?,
-            )
+            RpcBackend::Pooled(PooledUdpRpcClient::bind_with_batch(
+                udp,
+                batch,
+                FaultPlan::none(),
+            )?)
         } else {
             RpcBackend::PerRequest(UdpRpcClient::new(udp))
         };
@@ -470,7 +464,7 @@ impl RequestRouter {
             clock: janus_clock::system(),
             baseline_timeout,
         });
-        let http = HttpServer::spawn(Arc::clone(&handler)).await?;
+        let http = HttpServer::spawn(Arc::clone(&handler) as Arc<dyn HttpHandler>)?;
         Ok(RequestRouter {
             http,
             stats,
@@ -592,13 +586,12 @@ mod tests {
         QosKey::new(s).unwrap()
     }
 
-    async fn standalone_server(rules: &[(&str, u64, u64)]) -> QosServer {
+    fn standalone_server(rules: &[(&str, u64, u64)]) -> QosServer {
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             None,
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let now = server.clock().now();
         for (k, cap, rate) in rules {
@@ -609,49 +602,39 @@ mod tests {
         server
     }
 
-    async fn check(client: &mut HttpClient, k: &str) -> Verdict {
-        let resp = client.request(&qos_http_request(&key(k))).await.unwrap();
+    fn check(client: &mut HttpClient, k: &str) -> Verdict {
+        let resp = client.request(&qos_http_request(&key(k))).unwrap();
         parse_qos_response(&resp).unwrap()
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn routes_and_relays_verdicts() {
-        let server = standalone_server(&[("alice", 2, 0)]).await;
-        let router = RequestRouter::spawn(RouterConfig::direct([server.udp_addr()]), None)
-            .await
-            .unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        assert_eq!(check(&mut client, "alice").await, Verdict::Allow);
-        assert_eq!(check(&mut client, "alice").await, Verdict::Allow);
-        assert_eq!(check(&mut client, "alice").await, Verdict::Deny);
+    #[test]
+    fn routes_and_relays_verdicts() {
+        let server = standalone_server(&[("alice", 2, 0)]);
+        let router = RequestRouter::spawn(RouterConfig::direct([server.udp_addr()]), None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(check(&mut client, "alice"), Verdict::Allow);
+        assert_eq!(check(&mut client, "alice"), Verdict::Allow);
+        assert_eq!(check(&mut client, "alice"), Verdict::Deny);
         assert_eq!(router.stats().forwarded_ok.load(Ordering::Relaxed), 3);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn partitions_requests_across_backends() {
+    #[test]
+    fn partitions_requests_across_backends() {
         // Two QoS servers; keys should split between them per CRC32 mod 2,
         // and the same key must always hit the same server.
-        let a = standalone_server(&[]).await;
-        let b = standalone_server(&[]).await;
+        let a = standalone_server(&[]);
+        let b = standalone_server(&[]);
         // Both allow-all so every check succeeds regardless of partition.
         let mut config = QosServerConfig::test_defaults();
         config.default_policy = janus_bucket::DefaultRulePolicy::AllowAll;
         drop((a, b));
-        let a = QosServer::spawn(config.clone(), None, janus_clock::system())
-            .await
-            .unwrap();
-        let b = QosServer::spawn(config, None, janus_clock::system())
-            .await
-            .unwrap();
-        let router = RequestRouter::spawn(RouterConfig::direct([a.udp_addr(), b.udp_addr()]), None)
-            .await
-            .unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
+        let a = QosServer::spawn(config.clone(), None, janus_clock::system()).unwrap();
+        let b = QosServer::spawn(config, None, janus_clock::system()).unwrap();
+        let router =
+            RequestRouter::spawn(RouterConfig::direct([a.udp_addr(), b.udp_addr()]), None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
         for i in 0..40 {
-            assert_eq!(
-                check(&mut client, &format!("user-{i}")).await,
-                Verdict::Allow
-            );
+            assert_eq!(check(&mut client, &format!("user-{i}")), Verdict::Allow);
         }
         let hash = ModuloRouter::new(2);
         let a_expected = (0..40)
@@ -667,11 +650,11 @@ mod tests {
         );
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn dead_backend_gets_default_reply() {
+    #[test]
+    fn dead_backend_gets_default_reply() {
         // Router pointed at a dead UDP port: every request times out and
         // the default verdict is returned.
-        let dead = tokio::net::UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let dead = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let dead_addr = dead.local_addr().unwrap();
         drop(dead);
         let mut config = RouterConfig::direct([dead_addr]);
@@ -681,21 +664,55 @@ mod tests {
             ..Default::default()
         };
         config.default_verdict = Verdict::Deny;
-        let router = RequestRouter::spawn(config, None).await.unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        assert_eq!(check(&mut client, "anyone").await, Verdict::Deny);
+        let router = RequestRouter::spawn(config, None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(check(&mut client, "anyone"), Verdict::Deny);
         assert_eq!(router.stats().defaulted.load(Ordering::Relaxed), 1);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn named_backend_follows_dns_failover() {
+    #[test]
+    fn paper_discipline_against_a_silent_server_defaults_within_five_milliseconds() {
+        // Both RPC clients, the paper's 100 us x (1 + 5 retries), a server
+        // that holds its port open and never answers: the default reply
+        // must come back in about 600 us plus one HTTP hop — not the
+        // 6-24 ms a scheduler-tick timeout would make of it.
+        let silent = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        for pooled_rpc in [false, true] {
+            let mut config = RouterConfig::direct([silent.local_addr().unwrap()]);
+            config.udp = UdpRpcConfig::default();
+            config.pooled_rpc = pooled_rpc;
+            config.default_verdict = Verdict::Deny;
+            config.breaker = None; // every request must go to the wire
+            let router = RequestRouter::spawn(config, None).unwrap();
+            let mut client = HttpClient::connect(router.addr()).unwrap();
+            let mut took: Vec<std::time::Duration> = (0..20)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    assert_eq!(check(&mut client, "anyone"), Verdict::Deny);
+                    started.elapsed()
+                })
+                .collect();
+            took.sort();
+            let median = took[took.len() / 2];
+            assert!(
+                median >= std::time::Duration::from_micros(600),
+                "pooled_rpc={pooled_rpc}: gave up early after {median:?}"
+            );
+            assert!(
+                median < std::time::Duration::from_millis(5),
+                "pooled_rpc={pooled_rpc}: default reply took {median:?}"
+            );
+            assert_eq!(router.stats().defaulted.load(Ordering::Relaxed), 20);
+        }
+    }
+
+    #[test]
+    fn named_backend_follows_dns_failover() {
         use janus_net::dns::{Resolver, Zone};
-        let master = standalone_server(&[]).await;
+        let master = standalone_server(&[]);
         let mut config = QosServerConfig::test_defaults();
         config.default_policy = janus_bucket::DefaultRulePolicy::AllowAll;
-        let slave = QosServer::spawn(config, None, janus_clock::system())
-            .await
-            .unwrap();
+        let slave = QosServer::spawn(config, None, janus_clock::system()).unwrap();
 
         let zone = Zone::new();
         zone.insert_failover(
@@ -709,86 +726,75 @@ mod tests {
         let mut rconfig = RouterConfig::direct([]);
         rconfig.backends = vec![Backend::Named("qos-0.janus".into())];
         rconfig.default_verdict = Verdict::Deny;
-        let router = RequestRouter::spawn(rconfig, Some(resolver)).await.unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
+        let router = RequestRouter::spawn(rconfig, Some(resolver)).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
 
         // Master denies unknown keys (Deny policy); slave allows all.
-        assert_eq!(check(&mut client, "probe").await, Verdict::Deny);
+        assert_eq!(check(&mut client, "probe"), Verdict::Deny);
         zone.promote_standby("qos-0.janus").unwrap();
-        assert_eq!(check(&mut client, "probe").await, Verdict::Allow);
+        assert_eq!(check(&mut client, "probe"), Verdict::Allow);
     }
 
-    #[tokio::test]
-    async fn rejects_bad_requests() {
-        let server = standalone_server(&[]).await;
-        let router = RequestRouter::spawn(RouterConfig::direct([server.udp_addr()]), None)
-            .await
-            .unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        let resp = client.request(&HttpRequest::get("/qos")).await.unwrap();
+    #[test]
+    fn rejects_bad_requests() {
+        let server = standalone_server(&[]);
+        let router = RequestRouter::spawn(RouterConfig::direct([server.udp_addr()]), None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        let resp = client.request(&HttpRequest::get("/qos")).unwrap();
         assert_eq!(resp.status, StatusCode::BAD_REQUEST);
-        let resp = client
-            .request(&HttpRequest::get("/nonsense"))
-            .await
-            .unwrap();
+        let resp = client.request(&HttpRequest::get("/nonsense")).unwrap();
         assert_eq!(resp.status, StatusCode::NOT_FOUND);
         assert_eq!(router.stats().bad_requests.load(Ordering::Relaxed), 2);
     }
 
-    #[tokio::test]
-    async fn health_endpoint() {
-        let server = standalone_server(&[]).await;
-        let router = RequestRouter::spawn(RouterConfig::direct([server.udp_addr()]), None)
-            .await
-            .unwrap();
-        let resp = HttpClient::oneshot(router.addr(), &HttpRequest::get("/healthz"))
-            .await
-            .unwrap();
+    #[test]
+    fn health_endpoint() {
+        let server = standalone_server(&[]);
+        let router = RequestRouter::spawn(RouterConfig::direct([server.udp_addr()]), None).unwrap();
+        let resp = HttpClient::oneshot(router.addr(), &HttpRequest::get("/healthz")).unwrap();
         assert_eq!(resp.body_text(), "ok");
     }
 
-    #[tokio::test]
-    async fn config_validation() {
-        assert!(RequestRouter::spawn(RouterConfig::direct([]), None)
-            .await
-            .is_err());
+    #[test]
+    fn config_validation() {
+        assert!(RequestRouter::spawn(RouterConfig::direct([]), None).is_err());
         let mut config = RouterConfig::direct([]);
         config.backends = vec![Backend::Named("x".into())];
-        assert!(RequestRouter::spawn(config, None).await.is_err());
+        assert!(RequestRouter::spawn(config, None).is_err());
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn pooled_rpc_mode_routes_identically() {
-        let server = standalone_server(&[("pooled", 3, 0)]).await;
+    #[test]
+    fn pooled_rpc_mode_routes_identically() {
+        let server = standalone_server(&[("pooled", 3, 0)]);
         let mut config = RouterConfig::direct([server.udp_addr()]);
         config.pooled_rpc = true;
-        let router = RequestRouter::spawn(config, None).await.unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        assert_eq!(check(&mut client, "pooled").await, Verdict::Allow);
-        assert_eq!(check(&mut client, "pooled").await, Verdict::Allow);
-        assert_eq!(check(&mut client, "pooled").await, Verdict::Allow);
-        assert_eq!(check(&mut client, "pooled").await, Verdict::Deny);
+        let router = RequestRouter::spawn(config, None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(check(&mut client, "pooled"), Verdict::Allow);
+        assert_eq!(check(&mut client, "pooled"), Verdict::Allow);
+        assert_eq!(check(&mut client, "pooled"), Verdict::Allow);
+        assert_eq!(check(&mut client, "pooled"), Verdict::Deny);
         assert_eq!(router.stats().forwarded_ok.load(Ordering::Relaxed), 4);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn pooled_unbatched_ablation_routes_identically() {
+    #[test]
+    fn pooled_unbatched_ablation_routes_identically() {
         // The paper-faithful single-frame wire format must remain
         // selectable underneath the pooled client.
-        let server = standalone_server(&[("plain", 2, 0)]).await;
+        let server = standalone_server(&[("plain", 2, 0)]);
         let mut config = RouterConfig::direct([server.udp_addr()]);
         config.pooled_rpc = true;
         config.batching = false;
-        let router = RequestRouter::spawn(config, None).await.unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        assert_eq!(check(&mut client, "plain").await, Verdict::Allow);
-        assert_eq!(check(&mut client, "plain").await, Verdict::Allow);
-        assert_eq!(check(&mut client, "plain").await, Verdict::Deny);
+        let router = RequestRouter::spawn(config, None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(check(&mut client, "plain"), Verdict::Allow);
+        assert_eq!(check(&mut client, "plain"), Verdict::Allow);
+        assert_eq!(check(&mut client, "plain"), Verdict::Deny);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn breaker_trips_on_dead_backend_and_fast_fails() {
-        let dead = tokio::net::UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+    #[test]
+    fn breaker_trips_on_dead_backend_and_fast_fails() {
+        let dead = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let dead_addr = dead.local_addr().unwrap();
         drop(dead);
         let mut config = RouterConfig::direct([dead_addr]);
@@ -802,10 +808,10 @@ mod tests {
             failure_threshold: 3,
             open_timeout: std::time::Duration::from_secs(60),
         });
-        let router = RequestRouter::spawn(config, None).await.unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
+        let router = RequestRouter::spawn(config, None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
         for _ in 0..10 {
-            assert_eq!(check(&mut client, "anyone").await, Verdict::Deny);
+            assert_eq!(check(&mut client, "anyone"), Verdict::Deny);
         }
         assert_eq!(router.breaker_state(0), Some(BreakerState::Open));
         assert_eq!(router.breaker_opens(0), Some(1));
@@ -816,12 +822,12 @@ mod tests {
         assert_eq!(stats.breaker_fast_fails.load(Ordering::Relaxed), 7);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn degraded_admission_serves_learned_rule_during_outage() {
+    #[test]
+    fn degraded_admission_serves_learned_rule_during_outage() {
         // Learn the rule shape while healthy, kill the partition, and
         // verify the router enforces the learned shape locally instead of
         // answering blind.
-        let server = standalone_server(&[("tenant", 5, 0)]).await;
+        let server = standalone_server(&[("tenant", 5, 0)]);
         let mut config = RouterConfig::direct([server.udp_addr()]);
         config.udp = UdpRpcConfig {
             timeout: std::time::Duration::from_millis(5),
@@ -833,19 +839,19 @@ mod tests {
             failure_threshold: 2,
             open_timeout: std::time::Duration::from_secs(60),
         });
-        let router = RequestRouter::spawn(config, None).await.unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        assert_eq!(check(&mut client, "tenant").await, Verdict::Allow);
+        let router = RequestRouter::spawn(config, None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(check(&mut client, "tenant"), Verdict::Allow);
         assert_eq!(router.hinted_keys(), 1, "hint was not learned");
 
         server.shutdown();
         drop(server);
-        tokio::time::sleep(std::time::Duration::from_millis(50)).await;
+        std::thread::sleep(std::time::Duration::from_millis(50));
 
         let mut allowed = 0;
         let mut denied = 0;
         for _ in 0..20 {
-            match check(&mut client, "tenant").await {
+            match check(&mut client, "tenant") {
                 Verdict::Allow => allowed += 1,
                 Verdict::Deny => denied += 1,
             }
@@ -862,9 +868,9 @@ mod tests {
         assert_eq!(stats.defaulted.load(Ordering::Relaxed), 1);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn degraded_bucket_splits_rule_across_fleet() {
-        let server = standalone_server(&[("shared", 8, 0)]).await;
+    #[test]
+    fn degraded_bucket_splits_rule_across_fleet() {
+        let server = standalone_server(&[("shared", 8, 0)]);
         let mut config = RouterConfig::direct([server.udp_addr()]);
         config.udp = UdpRpcConfig {
             timeout: std::time::Duration::from_millis(5),
@@ -877,24 +883,24 @@ mod tests {
             open_timeout: std::time::Duration::from_secs(60),
         });
         config.fleet_size = 4; // this node may serve 8/4 = 2 locally
-        let router = RequestRouter::spawn(config, None).await.unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        assert_eq!(check(&mut client, "shared").await, Verdict::Allow);
+        let router = RequestRouter::spawn(config, None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(check(&mut client, "shared"), Verdict::Allow);
         server.shutdown();
         drop(server);
-        tokio::time::sleep(std::time::Duration::from_millis(50)).await;
+        std::thread::sleep(std::time::Duration::from_millis(50));
         let mut allowed = 0;
         for _ in 0..10 {
-            if check(&mut client, "shared").await == Verdict::Allow {
+            if check(&mut client, "shared") == Verdict::Allow {
                 allowed += 1;
             }
         }
         assert_eq!(allowed, 2, "fleet split not enforced");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn healthz_degrades_to_503_when_all_breakers_open() {
-        let dead = tokio::net::UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+    #[test]
+    fn healthz_degrades_to_503_when_all_breakers_open() {
+        let dead = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let dead_addr = dead.local_addr().unwrap();
         drop(dead);
         let mut config = RouterConfig::direct([dead_addr]);
@@ -907,23 +913,19 @@ mod tests {
             failure_threshold: 1,
             open_timeout: std::time::Duration::from_secs(60),
         });
-        let router = RequestRouter::spawn(config, None).await.unwrap();
-        let resp = HttpClient::oneshot(router.addr(), &HttpRequest::get("/healthz"))
-            .await
-            .unwrap();
+        let router = RequestRouter::spawn(config, None).unwrap();
+        let resp = HttpClient::oneshot(router.addr(), &HttpRequest::get("/healthz")).unwrap();
         assert_eq!(resp.status, StatusCode::OK, "healthy before any failure");
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        check(&mut client, "victim").await;
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        check(&mut client, "victim");
         assert!(router.all_breakers_open());
-        let resp = HttpClient::oneshot(router.addr(), &HttpRequest::get("/healthz"))
-            .await
-            .unwrap();
+        let resp = HttpClient::oneshot(router.addr(), &HttpRequest::get("/healthz")).unwrap();
         assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn breaker_ablation_preserves_paper_behavior() {
-        let dead = tokio::net::UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+    #[test]
+    fn breaker_ablation_preserves_paper_behavior() {
+        let dead = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let dead_addr = dead.local_addr().unwrap();
         drop(dead);
         let mut config = RouterConfig::direct([dead_addr]);
@@ -934,10 +936,10 @@ mod tests {
         };
         config.default_verdict = Verdict::Deny;
         config.breaker = None; // paper-faithful: retry budget every time
-        let router = RequestRouter::spawn(config, None).await.unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
+        let router = RequestRouter::spawn(config, None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
         for _ in 0..10 {
-            assert_eq!(check(&mut client, "anyone").await, Verdict::Deny);
+            assert_eq!(check(&mut client, "anyone"), Verdict::Deny);
         }
         let stats = router.stats();
         assert_eq!(stats.defaulted.load(Ordering::Relaxed), 10);
@@ -946,11 +948,11 @@ mod tests {
         assert_eq!(router.hinted_keys(), 0, "ablation must not solicit hints");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn deadline_propagation_reaches_the_wire() {
+    #[test]
+    fn deadline_propagation_reaches_the_wire() {
         // An unanswering sink in place of the QoS server: the router
         // burns its retry budget, and we inspect the per-attempt frames.
-        let sink = tokio::net::UdpSocket::bind(("127.0.0.1", 0)).await.unwrap();
+        let sink = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let sink_addr = sink.local_addr().unwrap();
         let mut config = RouterConfig::direct([sink_addr]);
         config.udp = UdpRpcConfig {
@@ -961,16 +963,16 @@ mod tests {
         config.default_verdict = Verdict::Deny;
         config.breaker = None;
         assert!(config.deadline_propagation, "direct() enables propagation");
-        let router = RequestRouter::spawn(config, None).await.unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        let check = tokio::spawn(async move { check(&mut client, "tenant").await });
+        let router = RequestRouter::spawn(config, None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        let check = std::thread::spawn(move || check(&mut client, "tenant"));
         let mut kinds = Vec::new();
         let mut buf = [0u8; 2048];
         for _ in 0..2 {
-            let (len, _) = sink.recv_from(&mut buf).await.unwrap();
+            let (len, _) = sink.recv_from(&mut buf).unwrap();
             kinds.push(buf[..len][3]);
         }
-        assert_eq!(check.await.unwrap(), Verdict::Deny, "default reply");
+        assert_eq!(check.join().unwrap(), Verdict::Deny, "default reply");
         // Attempt 0 carries the deadline stamp; the final attempt is the
         // legacy frame an old QoS server still understands.
         use janus_types::codec::{KIND_REQUEST, KIND_REQUEST_DEADLINE};
@@ -983,8 +985,8 @@ mod tests {
         assert_eq!(seeds.len(), 1000, "seed collision within one process");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn hedge_reuses_nonce_and_never_double_charges() {
+    #[test]
+    fn hedge_reuses_nonce_and_never_double_charges() {
         use janus_net::latency::{HedgePolicy, RetryBudgetConfig, TimeoutPolicy};
 
         // A slow-but-alive backend: every response deferred out-of-band,
@@ -1001,7 +1003,6 @@ mod tests {
                 janus_clock::system(),
                 Arc::clone(&faults),
             )
-            .await
             .unwrap();
             server.table().insert(
                 QosRule::per_second(key("hedged"), 10, 0),
@@ -1034,12 +1035,12 @@ mod tests {
                 }),
                 window: 64,
             });
-            let router = RequestRouter::spawn(config, None).await.unwrap();
-            let mut client = HttpClient::connect(router.addr()).await.unwrap();
+            let router = RequestRouter::spawn(config, None).unwrap();
+            let mut client = HttpClient::connect(router.addr()).unwrap();
 
             let mut allowed = 0;
             for _ in 0..40 {
-                if check(&mut client, "hedged").await == Verdict::Allow {
+                if check(&mut client, "hedged") == Verdict::Allow {
                     allowed += 1;
                 }
             }
@@ -1063,14 +1064,12 @@ mod tests {
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn keys_with_special_characters_roundtrip() {
-        let server = standalone_server(&[("a b&c=d", 1, 0)]).await;
-        let router = RequestRouter::spawn(RouterConfig::direct([server.udp_addr()]), None)
-            .await
-            .unwrap();
-        let mut client = HttpClient::connect(router.addr()).await.unwrap();
-        assert_eq!(check(&mut client, "a b&c=d").await, Verdict::Allow);
-        assert_eq!(check(&mut client, "a b&c=d").await, Verdict::Deny);
+    #[test]
+    fn keys_with_special_characters_roundtrip() {
+        let server = standalone_server(&[("a b&c=d", 1, 0)]);
+        let router = RequestRouter::spawn(RouterConfig::direct([server.udp_addr()]), None).unwrap();
+        let mut client = HttpClient::connect(router.addr()).unwrap();
+        assert_eq!(check(&mut client, "a b&c=d"), Verdict::Allow);
+        assert_eq!(check(&mut client, "a b&c=d"), Verdict::Deny);
     }
 }

@@ -34,14 +34,23 @@ impl From<SocketAddr> for DbTarget {
 }
 
 impl DbTarget {
+    fn resolve(&self) -> Option<SocketAddr> {
+        match self {
+            DbTarget::Direct(addr) => Some(*addr),
+            DbTarget::Named { name, resolver } => resolver.resolve_one(name).ok(),
+        }
+    }
+
     /// Resolve (if named) and connect. `None` on any failure — callers
     /// retry on their next tick or miss.
-    pub async fn connect(&self) -> Option<DbClient> {
-        let addr = match self {
-            DbTarget::Direct(addr) => *addr,
-            DbTarget::Named { name, resolver } => resolver.resolve_one(name).ok()?,
-        };
-        DbClient::connect(addr).await.ok()
+    pub fn connect(&self) -> Option<DbClient> {
+        DbClient::connect(self.resolve()?).ok()
+    }
+
+    /// [`connect`](Self::connect) under a budget: the connect, and every
+    /// operation on the returned client, must finish by `deadline`.
+    pub fn connect_by(&self, deadline: std::time::Instant) -> Option<DbClient> {
+        DbClient::connect_by(self.resolve()?, deadline).ok()
     }
 }
 
@@ -99,9 +108,8 @@ pub enum DispatchMode {
 }
 
 // The overload-control tunables live with the mechanisms they tune —
-// and with the sans-IO cores that consume them — so the std-only
-// simulator can build them without pulling in this (tokio-facing)
-// config module. Re-exported here because this is where they always
+// and with the sans-IO cores that consume them — so the simulator can
+// build them without pulling in this (socket-facing) config module. Re-exported here because this is where they always
 // lived publicly.
 pub use crate::overload::OverloadConfig;
 
@@ -113,7 +121,7 @@ pub use crate::lease::LeaseConfig;
 /// Tunables for one QoS server node.
 #[derive(Debug, Clone)]
 pub struct QosServerConfig {
-    /// Worker tasks popping the FIFO. The paper sets this to the node's
+    /// Worker threads popping the FIFO. The paper sets this to the node's
     /// vCPU count.
     pub workers: usize,
     /// Bounded FIFO between the UDP listener and the workers. When full,

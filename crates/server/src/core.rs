@@ -4,11 +4,11 @@
 //! request, absorb a duplicate, answer from the dedup cache, shed a
 //! standing queue, charge the bucket, suppress a stale send — is pure
 //! state-machine logic over an injected clock. This module extracts that
-//! logic from the three I/O planes (the async listener/worker plane in
+//! logic from the three I/O planes (the listener/worker plane in
 //! [`crate::server`], the per-core `SO_REUSEPORT` plane in
 //! [`crate::percore`], and the HA snapshot exchange in [`crate::ha`]) so
 //! all of them — and the deterministic simulator in `janus-dst` — drive
-//! the *same* code. No sockets, no tasks, no wall clock, no tokio: this
+//! the *same* code. No sockets, no threads, no wall clock: this
 //! file compiles with nothing but `std`, `janus-types`, `janus-clock`
 //! and `janus-bucket`.
 //!

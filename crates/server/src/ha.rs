@@ -17,76 +17,57 @@
 use crate::core::{decode_snapshot_header, encode_snapshot};
 use janus_bucket::QosTable;
 use janus_clock::SharedClock;
+use janus_net::TcpService;
+use janus_types::sync::Shutdown;
 use janus_types::{JanusError, QosRule, Result};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
-use tokio::io::{AsyncBufReadExt, AsyncWriteExt, BufReader};
-use tokio::net::{TcpListener, TcpStream};
-use tokio::sync::watch;
 
-/// Start the HA/health listener for a QoS server's table. Returns the
-/// bound TCP address.
-pub(crate) async fn spawn_ha_listener(
+/// Start the HA/health listener for a QoS server's table. The owner
+/// keeps the returned service: dropping it frees the port.
+pub(crate) fn spawn_ha_listener(
     table: Arc<dyn QosTable>,
     clock: SharedClock,
-    mut shutdown: watch::Receiver<bool>,
-) -> Result<SocketAddr> {
-    let listener = TcpListener::bind(("127.0.0.1", 0)).await?;
-    let addr = listener.local_addr()?;
-    tokio::spawn(async move {
-        loop {
-            tokio::select! {
-                _ = shutdown.changed() => return,
-                accepted = listener.accept() => {
-                    let Ok((stream, _)) = accepted else { return };
-                    let table = Arc::clone(&table);
-                    let clock = Arc::clone(&clock);
-                    tokio::spawn(async move {
-                        let _ = serve_ha_connection(stream, table, clock).await;
-                    });
-                }
-            }
-        }
-    });
-    Ok(addr)
+) -> Result<TcpService> {
+    TcpService::spawn("qos-ha", move |stream, _peer, _stop| {
+        let _ = serve_ha_connection(stream, &*table, &clock);
+    })
 }
 
-async fn serve_ha_connection(
-    stream: TcpStream,
-    table: Arc<dyn QosTable>,
-    clock: SharedClock,
-) -> Result<()> {
+fn serve_ha_connection(stream: TcpStream, table: &dyn QosTable, clock: &SharedClock) -> Result<()> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line).await? == 0 {
+        if reader.read_line(&mut line)? == 0 {
             return Ok(());
         }
         match line.trim_end() {
             "SNAPSHOT" => {
                 let out = encode_snapshot(&table.snapshot(clock.now()));
-                reader.get_mut().write_all(out.as_bytes()).await?;
+                reader.get_mut().write_all(out.as_bytes())?;
             }
             // Health probes just connect and close; tolerate anything else.
             _ => {
-                reader.get_mut().write_all(b"ERR unknown command\n").await?;
+                reader.get_mut().write_all(b"ERR unknown command\n")?;
             }
         }
     }
 }
 
 /// Fetch one snapshot from a master's HA port.
-pub async fn fetch_snapshot(master_ha: SocketAddr) -> Result<Vec<QosRule>> {
-    let stream = TcpStream::connect(master_ha).await?;
+pub fn fetch_snapshot(master_ha: SocketAddr) -> Result<Vec<QosRule>> {
+    let stream = TcpStream::connect(master_ha)?;
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream);
-    reader.get_mut().write_all(b"SNAPSHOT\n").await?;
+    reader.get_mut().write_all(b"SNAPSHOT\n")?;
     let mut header = String::new();
-    if reader.read_line(&mut header).await? == 0 {
+    if reader.read_line(&mut header)? == 0 {
         return Err(JanusError::state("master closed during snapshot"));
     }
     let n = decode_snapshot_header(header.trim_end())
@@ -94,7 +75,7 @@ pub async fn fetch_snapshot(master_ha: SocketAddr) -> Result<Vec<QosRule>> {
     let mut rules = Vec::with_capacity(n);
     for _ in 0..n {
         let mut row = String::new();
-        if reader.read_line(&mut row).await? == 0 {
+        if reader.read_line(&mut row)? == 0 {
             return Err(JanusError::state("master closed mid-snapshot"));
         }
         rules.push(QosRule::parse_row(row.trim_end_matches(['\r', '\n']))?);
@@ -102,11 +83,11 @@ pub async fn fetch_snapshot(master_ha: SocketAddr) -> Result<Vec<QosRule>> {
     Ok(rules)
 }
 
-/// A slave-side replication loop: pulls the master's table every
-/// `interval` and restores it into the slave's local table, so a promoted
-/// slave "already has an up-to-date local QoS table".
+/// A slave-side replication loop: one thread that pulls the master's
+/// table every `interval` and restores it into the slave's local table,
+/// so a promoted slave "already has an up-to-date local QoS table".
 pub struct SlaveReplicator {
-    stop: watch::Sender<bool>,
+    stop: Shutdown,
     rounds: Arc<AtomicU64>,
     failures: Arc<AtomicU64>,
 }
@@ -119,30 +100,30 @@ impl SlaveReplicator {
         clock: SharedClock,
         interval: Duration,
     ) -> SlaveReplicator {
-        let (stop, mut stop_rx) = watch::channel(false);
+        let stop = Shutdown::new();
         let rounds = Arc::new(AtomicU64::new(0));
         let failures = Arc::new(AtomicU64::new(0));
-        let (rounds_task, failures_task) = (Arc::clone(&rounds), Arc::clone(&failures));
-        tokio::spawn(async move {
-            let mut ticker = tokio::time::interval(interval);
-            ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
-            loop {
-                tokio::select! {
-                    _ = stop_rx.changed() => return,
-                    _ = ticker.tick() => {
-                        match fetch_snapshot(master_ha).await {
-                            Ok(rules) => {
-                                table.restore(rules, clock.now());
-                                rounds_task.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                failures_task.fetch_add(1, Ordering::Relaxed);
-                            }
+        let (stopped, rounds_seen, failures_seen) =
+            (stop.clone(), Arc::clone(&rounds), Arc::clone(&failures));
+        thread::Builder::new()
+            .name("qos-slave-replicator".into())
+            .spawn(move || {
+                // First pull at once, then one per interval.
+                let mut wait = Duration::ZERO;
+                while !stopped.wait_timeout(wait) {
+                    match fetch_snapshot(master_ha) {
+                        Ok(rules) => {
+                            table.restore(rules, clock.now());
+                            rounds_seen.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(_) => {
+                            failures_seen.fetch_add(1, Ordering::Relaxed);
                         }
                     }
+                    wait = interval;
                 }
-            }
-        });
+            })
+            .expect("spawn slave replicator thread");
         SlaveReplicator {
             stop,
             rounds,
@@ -162,13 +143,13 @@ impl SlaveReplicator {
 
     /// Stop replicating (the moment of promotion).
     pub fn stop(&self) {
-        let _ = self.stop.send(true);
+        self.stop.trigger();
     }
 }
 
 impl Drop for SlaveReplicator {
     fn drop(&mut self) {
-        let _ = self.stop.send(true);
+        self.stop.trigger();
     }
 }
 
@@ -183,33 +164,31 @@ mod tests {
         QosRule::per_second(QosKey::new(s).unwrap(), cap, rate)
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn snapshot_roundtrips_master_table() {
+    #[test]
+    fn snapshot_roundtrips_master_table() {
         let master = QosServer::spawn(
             QosServerConfig::test_defaults(),
             None,
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let now = master.clock().now();
         master.table().insert(rule("a", 100, 10), now);
         master.table().insert(rule("b", 50, 5), now);
 
-        let snapshot = fetch_snapshot(master.ha_addr()).await.unwrap();
+        let snapshot = fetch_snapshot(master.ha_addr()).unwrap();
         assert_eq!(snapshot.len(), 2);
         let a = snapshot.iter().find(|r| r.key.as_str() == "a").unwrap();
         assert_eq!(a.capacity, Credits::from_whole(100));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn slave_converges_to_master_state() {
+    #[test]
+    fn slave_converges_to_master_state() {
         let master = QosServer::spawn(
             QosServerConfig::test_defaults(),
             None,
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let now = master.clock().now();
         master.table().insert(rule("tenant", 100, 0), now);
@@ -240,15 +219,15 @@ mod tests {
                 std::time::Instant::now() < deadline,
                 "slave never converged"
             );
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
         assert!(replicator.rounds() >= 1);
         replicator.stop();
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn replicator_counts_failures_against_dead_master() {
-        let dead = TcpListener::bind(("127.0.0.1", 0)).await.unwrap();
+    #[test]
+    fn replicator_counts_failures_against_dead_master() {
+        let dead = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let dead_addr = dead.local_addr().unwrap();
         drop(dead);
 
@@ -262,39 +241,37 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while replicator.failures() == 0 {
             assert!(std::time::Instant::now() < deadline);
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(replicator.rounds(), 0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn ha_port_answers_health_probe_connects() {
+    #[test]
+    fn ha_port_answers_health_probe_connects() {
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             None,
             janus_clock::system(),
         )
-        .await
         .unwrap();
         // A Route53-style probe is just a TCP connect.
-        assert!(TcpStream::connect(server.ha_addr()).await.is_ok());
+        assert!(TcpStream::connect(server.ha_addr()).is_ok());
         server.shutdown();
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
-    async fn unknown_ha_command_gets_error_line() {
+    #[test]
+    fn unknown_ha_command_gets_error_line() {
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             None,
             janus_clock::system(),
         )
-        .await
         .unwrap();
-        let stream = TcpStream::connect(server.ha_addr()).await.unwrap();
+        let stream = TcpStream::connect(server.ha_addr()).unwrap();
         let mut reader = BufReader::new(stream);
-        reader.get_mut().write_all(b"GIMME\n").await.unwrap();
+        reader.get_mut().write_all(b"GIMME\n").unwrap();
         let mut line = String::new();
-        reader.read_line(&mut line).await.unwrap();
+        reader.read_line(&mut line).unwrap();
         assert!(line.starts_with("ERR"), "{line}");
     }
 }

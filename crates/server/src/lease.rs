@@ -30,7 +30,7 @@
 //! inaccuracy bound (over-admission ≤ lease size × fleet).
 //!
 //! Like the rest of [`crate::core`], this file is sans-IO `std`-only
-//! logic over an injected clock, shared verbatim by the tokio shells,
+//! logic over an injected clock, shared verbatim by the thread shells,
 //! the per-core plane and the deterministic simulator.
 
 use janus_clock::Nanos;

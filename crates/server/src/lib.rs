@@ -4,19 +4,22 @@
 //! A QoS server owns one partition of the key space and answers admission
 //! requests over UDP. Its anatomy follows the paper's Java implementation:
 //!
-//! * a **UDP listener** task receives datagrams and pushes them into a
+//! * a **UDP listener** thread receives datagrams and pushes them into a
 //!   bounded FIFO,
-//! * **N worker** tasks (N = configured vCPUs) pop the FIFO, charge the
+//! * **N worker** threads (N = configured vCPUs) pop the FIFO, charge the
 //!   key's leaky bucket in the local QoS table, and fire the response back
 //!   — without caring whether it arrives (the router retries),
-//! * a **house-keeping** task refills the buckets at a fixed interval,
-//! * a **DB sync** task re-queries the database for the rules it holds
+//! * a **house-keeping** thread refills the buckets at a fixed interval,
+//! * a **DB sync** thread re-queries the database for the rules it holds
 //!   locally and applies updates,
-//! * a **check-pointing** task writes remaining credits back to the
+//! * a **check-pointing** thread writes remaining credits back to the
 //!   database, so a replacement server resumes from the last checkpoint,
 //! * an optional **HA listener** serves the local QoS table to a slave
 //!   node, which replicates it at a configurable interval and can be
 //!   promoted via the DNS failover record.
+//!
+//! Every one of these is a named OS thread owned by the [`QosServer`]
+//! handle; dropping the handle (or [`QosServer::shutdown`]) stops them all.
 //!
 //! The local table flavour is configurable: [`TableKind::Synchronized`]
 //! reproduces the paper's single-lock design, [`TableKind::Sharded`] is

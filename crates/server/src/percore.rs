@@ -22,11 +22,9 @@
 //!   socket, hence land on one worker, so the Pending→record sequence
 //!   is race-free per nonce.
 //!
-//! Workers are ordinary named OS threads (the blocking `recvmmsg` loop
-//! must not occupy tokio executor threads); they re-enter the runtime
-//! via [`tokio::runtime::Handle::block_on`] only for the decision path's
-//! DB fetch machinery. Linux only: spawning fails cleanly elsewhere
-//! because [`janus_net::mmsg::reuseport_socket`] is a stub off-Linux.
+//! Workers are named OS threads like every other thread of the server.
+//! Linux only: spawning fails cleanly elsewhere because
+//! [`janus_net::mmsg::reuseport_socket`] is a stub off-Linux.
 
 use crate::config::{DbTarget, QosServerConfig};
 use crate::core::{self, IngressCore, IngressDecision};
@@ -39,10 +37,11 @@ use janus_net::fault::{Fate, FaultPlan};
 use janus_net::mmsg::{self, RecvSlot, MAX_BATCH};
 use janus_net::udp::RECV_BUF_BYTES;
 use janus_types::codec::{self, Frame};
+use janus_types::sync::Shutdown;
 use janus_types::{QosRequest, QosResponse, Result, Verdict};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -74,25 +73,13 @@ pub(crate) struct PerCoreCtx {
 pub(crate) fn spawn_percore_plane(
     config: &QosServerConfig,
     ctx: PerCoreCtx,
-    mut shutdown: tokio::sync::watch::Receiver<bool>,
+    shutdown: Shutdown,
 ) -> Result<SocketAddr> {
-    let handle = tokio::runtime::Handle::current();
     let first = mmsg::reuseport_socket(config.bind_addr)?;
     let addr = first.local_addr()?;
     let mut sockets = vec![first];
     for _ in 1..config.workers {
         sockets.push(mmsg::reuseport_socket(addr)?);
-    }
-
-    // Translate the async shutdown signal into a flag the blocking
-    // threads poll between (time-bounded) receive calls.
-    let stop = Arc::new(AtomicBool::new(false));
-    {
-        let stop = Arc::clone(&stop);
-        tokio::spawn(async move {
-            let _ = shutdown.changed().await;
-            stop.store(true, Ordering::Relaxed);
-        });
     }
 
     let cpus = std::thread::available_parallelism()
@@ -106,24 +93,17 @@ pub(crate) fn spawn_percore_plane(
         }
         let pin = config.pin_workers.then_some(i % cpus);
         let ctx = ctx.clone();
-        let stop = Arc::clone(&stop);
-        let handle = handle.clone();
+        let shutdown = shutdown.clone();
         std::thread::Builder::new()
             .name(format!("qos-percore-{i}"))
-            .spawn(move || worker_loop(socket, ctx, stop, handle, pin))?;
+            .spawn(move || worker_loop(socket, ctx, shutdown, pin))?;
     }
     Ok(addr)
 }
 
 /// One worker's life: drain a batch, decide every request in it,
 /// coalesce responses per peer, flush them in one `sendmmsg`.
-fn worker_loop(
-    socket: UdpSocket,
-    ctx: PerCoreCtx,
-    stop: Arc<AtomicBool>,
-    handle: tokio::runtime::Handle,
-    pin: Option<usize>,
-) {
+fn worker_loop(socket: UdpSocket, ctx: PerCoreCtx, shutdown: Shutdown, pin: Option<usize>) {
     if let Some(cpu) = pin {
         // Advisory: a denied affinity mask costs nothing but locality.
         let _ = mmsg::pin_current_thread(cpu);
@@ -136,11 +116,11 @@ fn worker_loop(
         .collect();
     let mut slots: Vec<RecvSlot> = Vec::with_capacity(MAX_BATCH);
     let mut by_peer: Vec<(SocketAddr, Vec<QosResponse>)> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
+    while !shutdown.is_triggered() {
         let n = match mmsg::recv_batch(&socket, &mut bufs, &mut slots, Some(&ctx.stats.mmsg)) {
             Ok(n) => n,
             // Read-timeout expiry surfaces as WouldBlock or TimedOut
-            // depending on platform; both just mean "check stop again".
+            // depending on platform; both just mean "check shutdown again".
             Err(e)
                 if matches!(
                     e.kind(),
@@ -160,7 +140,7 @@ fn worker_loop(
                 let Frame::Request(request) = frame else {
                     continue;
                 };
-                if let Some(response) = handle_request(&ctx, &mut db, &handle, request) {
+                if let Some(response) = handle_request(&ctx, &mut db, request) {
                     match by_peer.iter_mut().find(|(addr, _)| *addr == slot.peer) {
                         Some((_, responses)) => responses.push(response),
                         None => by_peer.push((slot.peer, vec![response])),
@@ -173,7 +153,7 @@ fn worker_loop(
 }
 
 /// The inline equivalent of ingress triage + worker decision, driven by
-/// the same sans-IO [`IngressCore`] as the async plane: zero-budget shed,
+/// the same sans-IO [`IngressCore`] as the queued plane: zero-budget shed,
 /// dedup lookup (nonce for stamped frames, request id for the
 /// legacy-downgraded final attempt), decide, verdict recording,
 /// post-decision staleness. Returns the response to send, or `None` for
@@ -181,7 +161,6 @@ fn worker_loop(
 fn handle_request(
     ctx: &PerCoreCtx,
     db: &mut Option<DbClient>,
-    handle: &tokio::runtime::Handle,
     request: QosRequest,
 ) -> Option<QosResponse> {
     let arrived = ctx.clock.now();
@@ -209,9 +188,7 @@ fn handle_request(
             IngressDecision::Admit => ctx.core.admitted(&request, guard.as_deref_mut()),
         }
     }
-    // The decision path may await a DB fetch; hop back onto the runtime
-    // just for that future. Table hits never actually yield.
-    let verdict = handle.block_on(decide(
+    let verdict = decide(
         &ctx.table,
         &ctx.clock,
         &request.key,
@@ -221,7 +198,7 @@ fn handle_request(
         &ctx.stats,
         &ctx.guest_keys,
         ctx.db_fetch_timeout,
-    ));
+    );
     ctx.stats.answered.fetch_add(1, Ordering::Relaxed);
     if let Some(dedup) = &ctx.dedup {
         core::record_verdict(&request, &mut dedup.lock(), verdict);
@@ -236,7 +213,7 @@ fn handle_request(
     let mut response = respond(&ctx.table, &request, verdict);
     // Lease half: fold in the piggybacked report through the shared
     // ledger and attach a grant when the key is hot and the bucket
-    // covers the debit — same discipline as the async workers.
+    // covers the debit — same discipline as the queued workers.
     if let (Some(ledger), Some(report)) = (&ctx.ledger, request.lease) {
         let now = ctx.clock.now();
         let mut charge = || ctx.table.decide(&request.key, now) == Some(Verdict::Allow);
@@ -256,7 +233,7 @@ fn handle_request(
 }
 
 /// Drain `by_peer`, judging response fates per datagram exactly like the
-/// async plane: clean immediate deliveries coalesce into one `sendmmsg`
+/// listener plane: clean immediate deliveries coalesce into one `sendmmsg`
 /// batch, every other fate takes its own per-datagram path.
 fn flush(ctx: &PerCoreCtx, socket: &UdpSocket, by_peer: &mut Vec<(SocketAddr, Vec<QosResponse>)>) {
     let mut ready = Vec::new();
@@ -272,8 +249,8 @@ fn flush(ctx: &PerCoreCtx, socket: &UdpSocket, by_peer: &mut Vec<(SocketAddr, Ve
                 Fate::Drop => {}
                 Fate::Deliver(delay) if delay.is_zero() => ready.push((wire, peer)),
                 Fate::Deliver(delay) => {
-                    // Blocking the worker mirrors the async plane, where
-                    // the sending task awaits the injected delay inline.
+                    // Blocking the worker mirrors the listener plane, where
+                    // the sending thread sleeps out the injected delay.
                     std::thread::sleep(delay);
                     ready.push((wire, peer));
                 }
@@ -290,7 +267,7 @@ fn flush(ctx: &PerCoreCtx, socket: &UdpSocket, by_peer: &mut Vec<(SocketAddr, Ve
     }
     let msgs: Vec<(&[u8], SocketAddr)> = ready.iter().map(|(w, p)| (w.as_ref(), *p)).collect();
     // A refused datagram is indistinguishable from a network drop; the
-    // router's retry covers it, exactly as on the async plane.
+    // router's retry covers it, exactly as on the listener plane.
     let _ = mmsg::send_batch(socket, &msgs, Some(&ctx.stats.mmsg));
 }
 

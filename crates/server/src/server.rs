@@ -1,4 +1,12 @@
-//! The QoS server node: listener, dispatch, workers and maintenance tasks.
+//! The QoS server node: listener, dispatch, workers and maintenance
+//! threads.
+//!
+//! The paper's QoS server is a thread machine — one listener thread, a
+//! FIFO, N worker threads — and so is this one. Every thread is named,
+//! owned by the [`QosServer`] handle and stopped through one
+//! [`Shutdown`]: the maintenance threads sleep on it, the listener is
+//! unblocked by closing its socket, and the workers exit when the
+//! listener drops their queues.
 //!
 //! Two data planes are selectable ([`crate::config::DispatchMode`]):
 //!
@@ -27,18 +35,19 @@ use janus_db::DbClient;
 use janus_net::buffer_pool::BufferPool;
 use janus_net::fault::FaultPlan;
 use janus_net::udp::UdpServerSocket;
+use janus_types::sync::{Mutex, Shutdown};
 use janus_types::{QosKey, QosRequest, QosResponse, Result, Verdict};
 use janus_workload::Histogram;
 use std::collections::HashSet;
+use std::io::ErrorKind;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-use tokio::sync::{mpsc, watch, Mutex};
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::{Duration, Instant};
 
-/// Most datagrams the affinity listener pulls in one wakeup before
-/// yielding back to the scheduler (keeps one flood from starving the
-/// maintenance tasks).
+/// Most datagrams the affinity listener pulls in one wakeup before it
+/// goes back to a blocking receive.
 const LISTENER_DRAIN_LIMIT: usize = 256;
 
 /// Most requests an affinity worker decides per queue drain; also the
@@ -49,14 +58,14 @@ const WORKER_DRAIN_LIMIT: usize = 16;
 /// database row. The rule-sync task must not treat their absence from
 /// the database as a deletion — removing them would re-grant a fresh
 /// guest bucket every sync round.
-pub(crate) type GuestKeys = Arc<parking_lot::Mutex<HashSet<QosKey>>>;
+pub(crate) type GuestKeys = Arc<Mutex<HashSet<QosKey>>>;
 
 /// The recent-nonce window shared by the listener (lookups at ingress)
 /// and the workers (verdict recording after a decision). One shared
 /// window — not one per worker — because under shared-FIFO dispatch any
 /// worker may decide any key, and credit exactness requires duplicate
 /// detection to be serialized at a single point.
-pub(crate) type SharedDedup = Arc<parking_lot::Mutex<DedupWindow>>;
+pub(crate) type SharedDedup = Arc<Mutex<DedupWindow>>;
 
 /// The credit-lease ledger shared by every decision site (workers on
 /// both dispatch modes, or per-core socket owners) and the rule-sync
@@ -64,7 +73,7 @@ pub(crate) type SharedDedup = Arc<parking_lot::Mutex<DedupWindow>>;
 /// dedup window, lease accounting must serialize at a single point
 /// because any worker may decide any key under shared-FIFO and per-core
 /// dispatch. `None` when the lease plane is disabled.
-pub(crate) type SharedLedger = Arc<parking_lot::Mutex<LeaseLedger>>;
+pub(crate) type SharedLedger = Arc<Mutex<LeaseLedger>>;
 
 /// One queued admission request, stamped with its enqueue time so the
 /// dequeuing worker can compute the queue sojourn — the signal behind
@@ -79,7 +88,7 @@ struct Job {
 // shaping, dedup bookkeeping, triage — live in the sans-IO core module
 // so the simulator drives the same code; re-exported for the sibling
 // planes that import them from here.
-pub(crate) use crate::core::{budget_of, respond};
+pub(crate) use crate::core::respond;
 
 /// Counters exported by a running QoS server.
 #[derive(Debug, Default)]
@@ -139,7 +148,7 @@ pub struct ServerStats {
     /// Queue sojourn (enqueue → dequeue) of every request a worker
     /// popped, shed or served — the signal the sojourn governor runs on,
     /// exported as percentiles in the snapshot.
-    pub sojourn: parking_lot::Mutex<Histogram>,
+    pub sojourn: Mutex<Histogram>,
     /// Batched-syscall counters (`recvmmsg`/`sendmmsg` amortization);
     /// shared into the UDP socket or per-core workers at spawn. Always
     /// zero under [`SocketMode::SingleListener`].
@@ -250,11 +259,7 @@ impl ServerStats {
             cas_retries: self.cas_retries.load(Ordering::Relaxed),
             probe_steps: self.probe_steps.load(Ordering::Relaxed),
             open_slots,
-            occupancy_pct: if slot_count == 0 {
-                0
-            } else {
-                open_slots * 100 / slot_count
-            },
+            occupancy_pct: (open_slots * 100).checked_div(slot_count).unwrap_or(0),
             resizes: self.engine.resizes.load(Ordering::Relaxed),
             migrated_slots: self.engine.migrated_slots.load(Ordering::Relaxed),
             reclaimed_keys: self.engine.reclaimed_keys.load(Ordering::Relaxed),
@@ -278,14 +283,18 @@ impl ServerStatsSnapshot {
 
 /// A running QoS server node.
 ///
-/// Dropping the handle shuts down every task.
+/// Dropping the handle stops every thread.
 pub struct QosServer {
     udp_addr: SocketAddr,
-    ha_addr: SocketAddr,
+    /// The HA/health TCP port.
+    ha: janus_net::TcpService,
     table: Arc<dyn QosTable>,
     stats: Arc<ServerStats>,
     clock: SharedClock,
-    shutdown: watch::Sender<bool>,
+    shutdown: Shutdown,
+    /// The listener's socket (`None` on the per-core plane, whose
+    /// workers poll the shutdown signal between bounded receives).
+    socket: Option<Arc<UdpServerSocket>>,
 }
 
 impl QosServer {
@@ -296,16 +305,16 @@ impl QosServer {
     /// for Multi-AZ setups); `None` runs the server standalone (rules
     /// inserted via [`QosServer::table`], unknown keys handled by the
     /// default policy).
-    pub async fn spawn(
+    pub fn spawn(
         config: QosServerConfig,
         db: Option<DbTarget>,
         clock: SharedClock,
     ) -> Result<QosServer> {
-        Self::spawn_with_faults(config, db, clock, FaultPlan::none()).await
+        Self::spawn_with_faults(config, db, clock, FaultPlan::none())
     }
 
     /// Spawn with fault injection on the response path.
-    pub async fn spawn_with_faults(
+    pub fn spawn_with_faults(
         config: QosServerConfig,
         db: Option<DbTarget>,
         clock: SharedClock,
@@ -328,7 +337,7 @@ impl QosServer {
                 },
             )),
         };
-        let (shutdown, shutdown_rx) = watch::channel(false);
+        let shutdown = Shutdown::new();
 
         // Preload the rule table if asked — streamed in bounded,
         // hottest-first batches (the cold-tier scan) instead of one
@@ -337,13 +346,13 @@ impl QosServer {
         // hot ones.
         if config.preload {
             if let Some(target) = &db {
-                let mut client = target.connect().await.ok_or_else(|| {
+                let mut client = target.connect().ok_or_else(|| {
                     janus_types::JanusError::db("cannot reach database for preload")
                 })?;
                 let now = clock.now();
                 let mut offset = 0;
                 loop {
-                    let batch = client.scan_rules(offset, config.warmup_batch).await?;
+                    let batch = client.scan_rules(offset, config.warmup_batch)?;
                     let fetched = batch.len();
                     if fetched > 0 {
                         for rule in batch {
@@ -359,26 +368,23 @@ impl QosServer {
             }
         }
 
-        let guest_keys: GuestKeys = Arc::new(parking_lot::Mutex::new(HashSet::new()));
+        let guest_keys: GuestKeys = Arc::new(Mutex::new(HashSet::new()));
 
         // Listener -> dispatch -> workers. The dedup window is shared by
         // the listener (lookups at ingress) and every worker (verdict
         // recording): under shared-FIFO dispatch any worker may decide
         // any key, so duplicate detection must serialize at one point.
         let overload = config.overload.clone();
-        let dedup: Option<SharedDedup> = (overload.dedup_window > 0).then(|| {
-            Arc::new(parking_lot::Mutex::new(DedupWindow::new(
-                overload.dedup_window,
-            )))
-        });
+        let dedup: Option<SharedDedup> = (overload.dedup_window > 0)
+            .then(|| Arc::new(Mutex::new(DedupWindow::new(overload.dedup_window))));
         // The lease ledger is shared the same way: one authoritative
         // bookkeeper per server, consulted at every decision site and by
         // the rule-sync task (epoch-bump revocation on rule change).
-        let ledger: Option<SharedLedger> = config.lease.enabled.then(|| {
-            Arc::new(parking_lot::Mutex::new(LeaseLedger::new(
-                config.lease.clone(),
-            )))
-        });
+        let ledger: Option<SharedLedger> = config
+            .lease
+            .enabled
+            .then(|| Arc::new(Mutex::new(LeaseLedger::new(config.lease.clone()))));
+        let mut listener_socket = None;
         let udp_addr = if config.socket_mode == SocketMode::PerCore {
             // Kernel flow steering replaces the listener→queue hop: each
             // worker thread owns an SO_REUSEPORT socket and drains it
@@ -398,20 +404,18 @@ impl QosServer {
                     ledger: ledger.clone(),
                     faults: Arc::clone(&faults),
                 },
-                shutdown_rx.clone(),
+                shutdown.clone(),
             )?
         } else {
-            let socket = Arc::new(
-                UdpServerSocket::bind_with_options(
-                    config.bind_addr,
-                    faults,
-                    Arc::clone(&stats.pool),
-                    config.socket_mode == SocketMode::BatchedSyscall,
-                    Arc::clone(&stats.mmsg),
-                )
-                .await?,
-            );
+            let socket = Arc::new(UdpServerSocket::bind_with_options(
+                config.bind_addr,
+                faults,
+                Arc::clone(&stats.pool),
+                config.socket_mode == SocketMode::BatchedSyscall,
+                Arc::clone(&stats.mmsg),
+            )?);
             let udp_addr = socket.local_addr()?;
+            listener_socket = Some(Arc::clone(&socket));
             let worker_ctx = WorkerCtx {
                 socket: Arc::clone(&socket),
                 table: Arc::clone(&table),
@@ -432,10 +436,10 @@ impl QosServer {
                     // so neither side ever contends on a shared lock.
                     let per_worker = (config.fifo_capacity / config.workers).max(1);
                     let mut senders = Vec::with_capacity(config.workers);
-                    for _ in 0..config.workers {
-                        let (tx, rx) = mpsc::channel::<Job>(per_worker);
+                    for i in 0..config.workers {
+                        let (tx, rx) = mpsc::sync_channel::<Job>(per_worker);
                         senders.push(tx);
-                        spawn_affinity_worker(worker_ctx.clone(), rx, config.batching);
+                        spawn_affinity_worker(i, worker_ctx.clone(), rx, config.batching)?;
                     }
                     spawn_ingress_listener(
                         IngressCtx {
@@ -447,12 +451,11 @@ impl QosServer {
                             dedup,
                             queues: senders,
                         },
-                        shutdown_rx.clone(),
                         config.batching,
-                    );
+                    )?;
                 }
                 DispatchMode::SharedFifo => {
-                    let (fifo_tx, fifo_rx) = mpsc::channel::<Job>(config.fifo_capacity);
+                    let (fifo_tx, fifo_rx) = mpsc::sync_channel::<Job>(config.fifo_capacity);
                     let fifo_rx = Arc::new(Mutex::new(fifo_rx));
                     spawn_ingress_listener(
                         IngressCtx {
@@ -464,12 +467,11 @@ impl QosServer {
                             dedup,
                             queues: vec![fifo_tx],
                         },
-                        shutdown_rx.clone(),
                         // The paper's listener takes one datagram per wakeup.
                         false,
-                    );
-                    for _ in 0..config.workers {
-                        spawn_worker(worker_ctx.clone(), Arc::clone(&fifo_rx));
+                    )?;
+                    for i in 0..config.workers {
+                        spawn_worker(i, worker_ctx.clone(), Arc::clone(&fifo_rx))?;
                     }
                 }
             }
@@ -482,8 +484,8 @@ impl QosServer {
             Arc::clone(&stats),
             Arc::clone(&clock) as SharedClock,
             config.refill_interval,
-            shutdown_rx.clone(),
-        );
+            shutdown.clone(),
+        )?;
 
         // DB sync + check-pointing.
         if let Some(target) = db {
@@ -493,19 +495,19 @@ impl QosServer {
                 Arc::clone(&clock) as SharedClock,
                 target.clone(),
                 config.sync_interval,
-                shutdown_rx.clone(),
+                shutdown.clone(),
                 Arc::clone(&guest_keys),
                 ledger.clone(),
-            );
+            )?;
             spawn_checkpoint(
                 Arc::clone(&table),
                 Arc::clone(&stats),
                 Arc::clone(&clock) as SharedClock,
                 target.clone(),
                 config.checkpoint_interval,
-                shutdown_rx.clone(),
+                shutdown.clone(),
                 Arc::clone(&guest_keys),
-            );
+            )?;
             if let Some(idle_ttl) = config.idle_ttl {
                 spawn_reclaim(
                     Arc::clone(&table),
@@ -513,27 +515,23 @@ impl QosServer {
                     target,
                     idle_ttl,
                     config.reclaim_interval,
-                    shutdown_rx.clone(),
+                    shutdown.clone(),
                     Arc::clone(&guest_keys),
-                );
+                )?;
             }
         }
 
         // HA / health listener.
-        let ha_addr = ha::spawn_ha_listener(
-            Arc::clone(&table),
-            Arc::clone(&clock) as SharedClock,
-            shutdown_rx,
-        )
-        .await?;
+        let ha = ha::spawn_ha_listener(Arc::clone(&table), Arc::clone(&clock) as SharedClock)?;
 
         Ok(QosServer {
             udp_addr,
-            ha_addr,
+            ha,
             table,
             stats,
             clock,
             shutdown,
+            socket: listener_socket,
         })
     }
 
@@ -544,7 +542,7 @@ impl QosServer {
 
     /// The TCP address used for HA replication and health checks.
     pub fn ha_addr(&self) -> SocketAddr {
-        self.ha_addr
+        self.ha.addr()
     }
 
     /// The local QoS table (tests and slaves reach in directly).
@@ -562,15 +560,23 @@ impl QosServer {
         &self.clock
     }
 
-    /// Stop all tasks.
+    /// Stop all threads.
     pub fn shutdown(&self) {
-        let _ = self.shutdown.send(true);
+        if self.shutdown.is_triggered() {
+            return;
+        }
+        self.shutdown.trigger();
+        // The listener is blocked in a receive.
+        if let Some(socket) = &self.socket {
+            socket.close();
+        }
+        self.ha.shutdown();
     }
 }
 
 impl Drop for QosServer {
     fn drop(&mut self) {
-        let _ = self.shutdown.send(true);
+        self.shutdown();
     }
 }
 
@@ -601,7 +607,7 @@ impl WorkerCtx {
     /// Dequeue-time triage: record the sojourn, ask the sans-IO core
     /// what to do, then perform the I/O half (counters and shed
     /// replies). Returns the job when it should be decided.
-    async fn triage(&self, job: Job, core: &mut WorkerCore) -> Option<Job> {
+    fn triage(&self, job: Job, core: &mut WorkerCore) -> Option<Job> {
         let now = self.clock.now();
         let sojourn = now.saturating_since(job.enqueued_at);
         self.stats.sojourn.lock().record_duration(sojourn);
@@ -622,7 +628,7 @@ impl WorkerCtx {
                 self.stats.shed_sojourn.fetch_add(1, Ordering::Relaxed);
                 if let Some(verdict) = core.shed_reply(&job.request) {
                     let response = respond(&self.table, &job.request, verdict);
-                    let _ = self.socket.send_response(&response, job.peer).await;
+                    let _ = self.socket.send_response(&response, job.peer);
                 }
                 None
             }
@@ -672,44 +678,58 @@ impl WorkerCtx {
         }
         expired
     }
+
+    /// One dequeued job, start to finish: triage, decide (table, else
+    /// database, else default policy), cache the verdict for duplicates,
+    /// and build the response — `None` when the job was shed or its
+    /// deadline passed before the send.
+    fn serve(
+        &self,
+        job: Job,
+        worker: &mut WorkerCore,
+        db: &mut Option<DbClient>,
+    ) -> Option<(SocketAddr, QosResponse)> {
+        let job = self.triage(job, worker)?;
+        let verdict = decide(
+            &self.table,
+            &self.clock,
+            &job.request.key,
+            self.db_target.as_ref(),
+            db,
+            &self.default_policy,
+            &self.stats,
+            &self.guest_keys,
+            self.db_fetch_timeout,
+        );
+        self.stats.answered.fetch_add(1, Ordering::Relaxed);
+        self.record_verdict(&job, verdict);
+        if self.expired_before_send(&job) {
+            return None;
+        }
+        let response = respond(&self.table, &job.request, verdict);
+        Some((job.peer, self.attach_lease(&job, response)))
+    }
 }
 
-fn spawn_worker(ctx: WorkerCtx, fifo: Arc<Mutex<mpsc::Receiver<Job>>>) {
-    tokio::spawn(async move {
+/// A shared-FIFO worker thread: pop the one queue under its mutex (the
+/// paper's design), decide, answer. Exits when the listener is gone.
+fn spawn_worker(index: usize, ctx: WorkerCtx, fifo: Arc<Mutex<mpsc::Receiver<Job>>>) -> Result<()> {
+    let work = move || {
         let mut db: Option<DbClient> = None;
         let mut worker = ctx.worker_core();
         loop {
-            let item = {
-                let mut rx = fifo.lock().await;
-                rx.recv().await
-            };
-            let Some(job) = item else { return };
+            let item = fifo.lock().recv();
+            let Ok(job) = item else { return };
             ctx.stats.fifo_depth.fetch_sub(1, Ordering::Relaxed);
-            let Some(job) = ctx.triage(job, &mut worker).await else {
-                continue;
-            };
-            let verdict = decide(
-                &ctx.table,
-                &ctx.clock,
-                &job.request.key,
-                ctx.db_target.as_ref(),
-                &mut db,
-                &ctx.default_policy,
-                &ctx.stats,
-                &ctx.guest_keys,
-                ctx.db_fetch_timeout,
-            )
-            .await;
-            ctx.stats.answered.fetch_add(1, Ordering::Relaxed);
-            ctx.record_verdict(&job, verdict);
-            if ctx.expired_before_send(&job) {
-                continue;
+            if let Some((peer, response)) = ctx.serve(job, &mut worker, &mut db) {
+                let _ = ctx.socket.send_response(&response, peer);
             }
-            let response = respond(&ctx.table, &job.request, verdict);
-            let response = ctx.attach_lease(&job, response);
-            let _ = ctx.socket.send_response(&response, job.peer).await;
         }
-    });
+    };
+    thread::Builder::new()
+        .name(format!("qos-worker-{index}"))
+        .spawn(work)?;
+    Ok(())
 }
 
 /// Everything the ingress listener needs: the worker queues plus the
@@ -721,7 +741,7 @@ struct IngressCtx {
     table: Arc<dyn QosTable>,
     core: IngressCore,
     dedup: Option<SharedDedup>,
-    queues: Vec<mpsc::Sender<Job>>,
+    queues: Vec<mpsc::SyncSender<Job>>,
 }
 
 impl IngressCtx {
@@ -739,7 +759,7 @@ impl IngressCtx {
     ///    stamped shed gets the configured shed verdict back instead of
     ///    the silent drop legacy frames keep — the router stops burning
     ///    retries against a queue that would shed every copy.
-    async fn ingress(&self, request: QosRequest, peer: SocketAddr) {
+    fn ingress(&self, request: QosRequest, peer: SocketAddr) {
         let decision = {
             let mut guard = self.dedup.as_ref().map(|dedup| dedup.lock());
             self.core.triage(&request, guard.as_deref_mut())
@@ -752,7 +772,7 @@ impl IngressCtx {
             IngressDecision::AnswerCached(verdict) => {
                 self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
                 let response = respond(&self.table, &request, verdict);
-                let _ = self.socket.send_response(&response, peer).await;
+                let _ = self.socket.send_response(&response, peer);
                 return;
             }
             IngressDecision::AbsorbDuplicate => {
@@ -767,7 +787,7 @@ impl IngressCtx {
         // dedup entry behind (the insert itself happens after — and only
         // if — the enqueue succeeds).
         let pending = match (&self.dedup, request.attempt) {
-            (Some(_), Some(meta)) => Some((meta.nonce, request.id, request.key.clone())),
+            (Some(dedup), Some(meta)) => Some((dedup, meta.nonce, request.id, request.key.clone())),
             _ => None,
         };
         let idx = worker_affinity(&request.key, self.queues.len());
@@ -776,57 +796,71 @@ impl IngressCtx {
             peer,
             enqueued_at: self.clock.now(),
         };
+        // The worker may pop, decide and answer the job before this thread
+        // runs another instruction. So the gauge is raised *before* the
+        // enqueue (raised after, the worker's decrement wraps it below
+        // zero), and the dedup window stays locked *across* it (inserted
+        // after an unlocked enqueue, the Pending entry could land after
+        // the worker recorded the verdict and stay Pending forever,
+        // silently absorbing every retry of the attempt). `try_send`
+        // never blocks, so the lock is held for nanoseconds.
+        self.stats.fifo_depth.fetch_add(1, Ordering::Relaxed);
+        let mut window = pending.as_ref().map(|(dedup, ..)| dedup.lock());
         match self.queues[idx].try_send(job) {
             Ok(()) => {
-                self.stats.fifo_depth.fetch_add(1, Ordering::Relaxed);
-                if let (Some((nonce, id, key)), Some(dedup)) = (pending, &self.dedup) {
-                    dedup.lock().insert_pending(nonce, id, key);
+                if let (Some((_, nonce, id, key)), Some(window)) = (pending, window.as_mut()) {
+                    window.insert_pending(nonce, id, key);
                 }
             }
-            Err(err) => {
-                let job = err.into_inner();
+            Err(mpsc::TrySendError::Full(job) | mpsc::TrySendError::Disconnected(job)) => {
+                drop(window);
+                self.stats.fifo_depth.fetch_sub(1, Ordering::Relaxed);
                 self.stats.shed_full.fetch_add(1, Ordering::Relaxed);
                 if let Some(verdict) = self.core.shed_reply(&job.request) {
                     let response = respond(&self.table, &job.request, verdict);
-                    let _ = self.socket.send_response(&response, job.peer).await;
+                    let _ = self.socket.send_response(&response, job.peer);
                 }
             }
         }
     }
 }
 
-/// The ingress listener for both dispatch modes: triage each datagram
-/// through [`IngressCtx::ingress`], and (with `drain` on) pull every
-/// datagram the kernel already holds before sleeping again — one wakeup,
-/// many requests.
-fn spawn_ingress_listener(ctx: IngressCtx, mut shutdown: watch::Receiver<bool>, drain: bool) {
-    tokio::spawn(async move {
-        loop {
-            tokio::select! {
-                _ = shutdown.changed() => return,
-                incoming = ctx.socket.recv_request() => {
-                    let Ok((request, peer)) = incoming else { return };
-                    ctx.ingress(request, peer).await;
-                    if drain {
-                        for _ in 0..LISTENER_DRAIN_LIMIT {
-                            let Some((request, peer)) = ctx.socket.try_recv_request() else {
-                                break;
-                            };
-                            ctx.ingress(request, peer).await;
-                        }
-                    }
+/// The ingress listener thread for both dispatch modes: triage each
+/// datagram through [`IngressCtx::ingress`], and (with `drain` on) pull
+/// every datagram the kernel already holds before blocking again — one
+/// wakeup, many requests. Returns — dropping the worker queues, which
+/// stops the workers — once the socket is closed.
+fn spawn_ingress_listener(ctx: IngressCtx, drain: bool) -> Result<()> {
+    let listen = move || {
+        while let Ok((request, peer)) = ctx.socket.recv_request() {
+            ctx.ingress(request, peer);
+            if drain {
+                for _ in 0..LISTENER_DRAIN_LIMIT {
+                    let Some((request, peer)) = ctx.socket.try_recv_request() else {
+                        break;
+                    };
+                    ctx.ingress(request, peer);
                 }
             }
         }
-    });
+    };
+    thread::Builder::new()
+        .name("qos-listener".into())
+        .spawn(listen)?;
+    Ok(())
 }
 
 /// A key-affinity worker: sole consumer of its own queue. With batching
 /// on it drains up to [`WORKER_DRAIN_LIMIT`] queued requests per wakeup,
 /// decides them all, then coalesces responses going to the same peer
 /// into one batched datagram.
-fn spawn_affinity_worker(ctx: WorkerCtx, mut rx: mpsc::Receiver<Job>, batching: bool) {
-    tokio::spawn(async move {
+fn spawn_affinity_worker(
+    index: usize,
+    ctx: WorkerCtx,
+    rx: mpsc::Receiver<Job>,
+    batching: bool,
+) -> Result<()> {
+    let work = move || {
         let mut db: Option<DbClient> = None;
         let mut worker = ctx.worker_core();
         let mut batch: Vec<Job> = Vec::with_capacity(WORKER_DRAIN_LIMIT);
@@ -836,7 +870,7 @@ fn spawn_affinity_worker(ctx: WorkerCtx, mut rx: mpsc::Receiver<Job>, batching: 
         loop {
             batch.clear();
             by_peer.clear();
-            let Some(first) = rx.recv().await else { return };
+            let Ok(first) = rx.recv() else { return };
             batch.push(first);
             if batching {
                 while batch.len() < WORKER_DRAIN_LIMIT {
@@ -850,44 +884,29 @@ fn spawn_affinity_worker(ctx: WorkerCtx, mut rx: mpsc::Receiver<Job>, batching: 
                 .fifo_depth
                 .fetch_sub(batch.len() as u64, Ordering::Relaxed);
             for job in batch.drain(..) {
-                let Some(job) = ctx.triage(job, &mut worker).await else {
+                let Some((peer, response)) = ctx.serve(job, &mut worker, &mut db) else {
                     continue;
                 };
-                let verdict = decide(
-                    &ctx.table,
-                    &ctx.clock,
-                    &job.request.key,
-                    ctx.db_target.as_ref(),
-                    &mut db,
-                    &ctx.default_policy,
-                    &ctx.stats,
-                    &ctx.guest_keys,
-                    ctx.db_fetch_timeout,
-                )
-                .await;
-                ctx.stats.answered.fetch_add(1, Ordering::Relaxed);
-                ctx.record_verdict(&job, verdict);
-                if ctx.expired_before_send(&job) {
-                    continue;
-                }
-                let response = respond(&ctx.table, &job.request, verdict);
-                let response = ctx.attach_lease(&job, response);
-                match by_peer.iter_mut().find(|(addr, _)| *addr == job.peer) {
+                match by_peer.iter_mut().find(|(addr, _)| *addr == peer) {
                     Some((_, responses)) => responses.push(response),
-                    None => by_peer.push((job.peer, vec![response])),
+                    None => by_peer.push((peer, vec![response])),
                 }
             }
             // One sendmmsg call covers every zero-delay peer group when
             // the socket is batched; the plain path drains per peer.
-            let _ = ctx.socket.send_response_groups(&mut by_peer).await;
+            let _ = ctx.socket.send_response_groups(&mut by_peer);
         }
-    });
+    };
+    thread::Builder::new()
+        .name(format!("qos-affinity-{index}"))
+        .spawn(work)?;
+    Ok(())
 }
 
 /// The decision path: local table hit, else database fetch (bounded by
 /// `db_fetch_timeout`), else default policy.
 #[allow(clippy::too_many_arguments)]
-pub(crate) async fn decide(
+pub(crate) fn decide(
     table: &Arc<dyn QosTable>,
     clock: &SharedClock,
     key: &QosKey,
@@ -903,37 +922,40 @@ pub(crate) async fn decide(
         return verdict;
     }
     // First sighting: consult the database. The whole fetch — including
-    // (re)connecting — runs under one budget: a hung connection must not
+    // (re)connecting — runs under one deadline: a hung connection must not
     // stall this worker (under affinity dispatch it would stall every
     // key hashing to it).
     let rule = match db_target {
         Some(target) => {
-            let fetched = tokio::time::timeout(db_fetch_timeout, async {
-                if db.is_none() {
-                    *db = target.connect().await;
+            let deadline = Instant::now() + db_fetch_timeout;
+            if db.is_none() {
+                *db = target.connect_by(deadline);
+            }
+            let fetched = match db.as_mut() {
+                Some(client) => {
+                    client.set_deadline(deadline);
+                    client.get_rule(key)
                 }
-                match db.as_mut() {
-                    Some(client) => match client.get_rule(key).await {
-                        Ok(rule) => Ok(rule),
-                        // Connection went bad; signal the caller to drop
-                        // it so the next miss reconnects.
-                        Err(_) => Err(()),
-                    },
-                    None => Ok(None),
-                }
-            })
-            .await;
+                None => Ok(None),
+            };
             stats.db_fetches.fetch_add(1, Ordering::Relaxed);
-            match fetched {
-                Ok(Ok(rule)) => rule,
-                Ok(Err(())) => {
-                    *db = None;
-                    None
+            let timed_out = match &fetched {
+                Err(janus_types::JanusError::Io(e)) => {
+                    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
                 }
-                Err(_elapsed) => {
-                    // Budget blown: drop the (possibly hung) connection
-                    // and fall back to the default policy this once.
-                    stats.db_timeouts.fetch_add(1, Ordering::Relaxed);
+                // A connect that ate the whole budget.
+                _ => db.is_none() && Instant::now() >= deadline,
+            };
+            if timed_out {
+                // Budget blown: drop the (possibly hung) connection and
+                // fall back to the default policy this once.
+                stats.db_timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+            match fetched {
+                Ok(rule) => rule,
+                // Connection went bad (or hung): drop it so the next
+                // miss reconnects.
+                Err(_) => {
                     *db = None;
                     None
                 }
@@ -956,26 +978,35 @@ pub(crate) async fn decide(
     table.decide(key, now).unwrap_or(Verdict::Deny)
 }
 
+/// Run `tick` on its own named thread, at once and then every `interval`
+/// (measured from the end of the previous tick), until `shutdown`.
+fn spawn_periodic(
+    name: &str,
+    shutdown: Shutdown,
+    interval: Duration,
+    mut tick: impl FnMut() + Send + 'static,
+) -> Result<()> {
+    thread::Builder::new().name(name.into()).spawn(move || {
+        let mut wait = Duration::ZERO;
+        while !shutdown.wait_timeout(wait) {
+            tick();
+            wait = interval;
+        }
+    })?;
+    Ok(())
+}
+
 fn spawn_refill(
     table: Arc<dyn QosTable>,
     stats: Arc<ServerStats>,
     clock: SharedClock,
-    interval: std::time::Duration,
-    mut shutdown: watch::Receiver<bool>,
-) {
-    tokio::spawn(async move {
-        let mut ticker = tokio::time::interval(interval);
-        ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
-        loop {
-            tokio::select! {
-                _ = shutdown.changed() => return,
-                _ = ticker.tick() => {
-                    table.sweep_refill(clock.now());
-                    stats.refill_sweeps.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    });
+    interval: Duration,
+    shutdown: Shutdown,
+) -> Result<()> {
+    spawn_periodic("qos-refill", shutdown, interval, move || {
+        table.sweep_refill(clock.now());
+        stats.refill_sweeps.fetch_add(1, Ordering::Relaxed);
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -984,88 +1015,77 @@ fn spawn_sync(
     stats: Arc<ServerStats>,
     clock: SharedClock,
     db_target: DbTarget,
-    interval: std::time::Duration,
-    mut shutdown: watch::Receiver<bool>,
+    interval: Duration,
+    shutdown: Shutdown,
     guest_keys: GuestKeys,
     ledger: Option<SharedLedger>,
-) {
-    tokio::spawn(async move {
-        let mut ticker = tokio::time::interval(interval);
-        ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
-        let mut db: Option<DbClient> = None;
-        let mut last_version: Option<u64> = None;
-        loop {
-            tokio::select! {
-                _ = shutdown.changed() => return,
-                _ = ticker.tick() => {
-                    if db.is_none() {
-                        db = db_target.connect().await;
+) -> Result<()> {
+    let mut db: Option<DbClient> = None;
+    let mut last_version: Option<u64> = None;
+    spawn_periodic("qos-sync", shutdown, interval, move || {
+        if db.is_none() {
+            db = db_target.connect();
+        }
+        let Some(client) = db.as_mut() else { return };
+        let version = match client.version() {
+            Ok(v) => v,
+            Err(_) => {
+                db = None;
+                return;
+            }
+        };
+        if last_version == Some(version) {
+            return;
+        }
+        // Re-query every locally-held key (the paper's sync: "makes
+        // queries to the database with the QoS keys in the local QoS
+        // rule table").
+        for key in table.keys() {
+            match client.get_rule(&key) {
+                Ok(Some(rule)) => {
+                    // Delegated credit from the old shape means nothing
+                    // under the new one: revoke outstanding leases by
+                    // epoch bump — but only on a real change, or every
+                    // sync round would kill healthy leases.
+                    let changed = table.shape(&key) != Some((rule.capacity, rule.refill_rate));
+                    let was_guest = guest_keys.lock().remove(&key);
+                    if was_guest {
+                        // A guest key got a purchased rule: adopt it
+                        // wholesale, including its (fresh) credit.
+                        table.remove(&key);
+                        table.insert(rule, clock.now());
+                    } else {
+                        // Routine rule update: new shape, accrued credit
+                        // preserved (clamped).
+                        table.apply_update(&rule, clock.now());
                     }
-                    let Some(client) = db.as_mut() else { continue };
-                    let version = match client.version().await {
-                        Ok(v) => v,
-                        Err(_) => { db = None; continue; }
-                    };
-                    if last_version == Some(version) {
-                        continue;
-                    }
-                    // Re-query every locally-held key (the paper's sync:
-                    // "makes queries to the database with the QoS keys in
-                    // the local QoS rule table").
-                    let mut ok = true;
-                    for key in table.keys() {
-                        match client.get_rule(&key).await {
-                            Ok(Some(rule)) => {
-                                // Delegated credit from the old shape
-                                // means nothing under the new one:
-                                // revoke outstanding leases by epoch
-                                // bump — but only on a real change, or
-                                // every sync round would kill healthy
-                                // leases.
-                                let changed = table.shape(&key)
-                                    != Some((rule.capacity, rule.refill_rate));
-                                let was_guest = guest_keys.lock().remove(&key);
-                                if was_guest {
-                                    // A guest key got a purchased rule:
-                                    // adopt it wholesale, including its
-                                    // (fresh) credit.
-                                    table.remove(&key);
-                                    table.insert(rule, clock.now());
-                                } else {
-                                    // Routine rule update: new shape,
-                                    // accrued credit preserved (clamped).
-                                    table.apply_update(&rule, clock.now());
-                                }
-                                if changed {
-                                    if let Some(ledger) = &ledger {
-                                        ledger.lock().revoke(&key);
-                                    }
-                                }
-                            }
-                            Ok(None) => {
-                                // Absent from the database: a deleted
-                                // rule — unless the bucket only ever
-                                // existed under the default policy, in
-                                // which case it stays (removing it would
-                                // re-grant guest credit every round).
-                                if !guest_keys.lock().contains(&key) {
-                                    table.remove(&key);
-                                    if let Some(ledger) = &ledger {
-                                        ledger.lock().revoke(&key);
-                                    }
-                                }
-                            }
-                            Err(_) => { db = None; ok = false; break; }
+                    if changed {
+                        if let Some(ledger) = &ledger {
+                            ledger.lock().revoke(&key);
                         }
                     }
-                    if ok {
-                        last_version = Some(version);
-                        stats.sync_rounds.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(None) => {
+                    // Absent from the database: a deleted rule — unless
+                    // the bucket only ever existed under the default
+                    // policy, in which case it stays (removing it would
+                    // re-grant guest credit every round).
+                    if !guest_keys.lock().contains(&key) {
+                        table.remove(&key);
+                        if let Some(ledger) = &ledger {
+                            ledger.lock().revoke(&key);
+                        }
                     }
+                }
+                Err(_) => {
+                    db = None;
+                    return;
                 }
             }
         }
-    });
+        last_version = Some(version);
+        stats.sync_rounds.fetch_add(1, Ordering::Relaxed);
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1074,45 +1094,31 @@ fn spawn_checkpoint(
     stats: Arc<ServerStats>,
     clock: SharedClock,
     db_target: DbTarget,
-    interval: std::time::Duration,
-    mut shutdown: watch::Receiver<bool>,
+    interval: Duration,
+    shutdown: Shutdown,
     guest_keys: GuestKeys,
-) {
-    tokio::spawn(async move {
-        let mut ticker = tokio::time::interval(interval);
-        ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
-        let mut db: Option<DbClient> = None;
-        loop {
-            tokio::select! {
-                _ = shutdown.changed() => return,
-                _ = ticker.tick() => {
-                    if db.is_none() {
-                        db = db_target.connect().await;
-                    }
-                    let Some(client) = db.as_mut() else { continue };
-                    let snapshot = table.snapshot(clock.now());
-                    let mut ok = true;
-                    for rule in snapshot {
-                        // Guest buckets have no database row of their own;
-                        // writing their credit would clobber a rule the
-                        // operator may have *just* created for that key
-                        // (the sync thread adopts it at its next round).
-                        if guest_keys.lock().contains(&rule.key) {
-                            continue;
-                        }
-                        if client.checkpoint_credit(&rule.key, rule.credit).await.is_err() {
-                            db = None;
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+) -> Result<()> {
+    let mut db: Option<DbClient> = None;
+    spawn_periodic("qos-checkpoint", shutdown, interval, move || {
+        if db.is_none() {
+            db = db_target.connect();
+        }
+        let Some(client) = db.as_mut() else { return };
+        for rule in table.snapshot(clock.now()) {
+            // Guest buckets have no database row of their own; writing
+            // their credit would clobber a rule the operator may have
+            // *just* created for that key (the sync thread adopts it at
+            // its next round).
+            if guest_keys.lock().contains(&rule.key) {
+                continue;
+            }
+            if client.checkpoint_credit(&rule.key, rule.credit).is_err() {
+                db = None;
+                return;
             }
         }
-    });
+        stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+    })
 }
 
 /// Most idle keys demoted per reclaim sweep — bounds both the sweep's
@@ -1136,67 +1142,52 @@ fn spawn_reclaim(
     db_target: DbTarget,
     idle_ttl: Duration,
     interval: Duration,
-    mut shutdown: watch::Receiver<bool>,
+    shutdown: Shutdown,
     guest_keys: GuestKeys,
-) {
-    tokio::spawn(async move {
-        let mut ticker = tokio::time::interval(interval);
-        ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
-        let mut db: Option<DbClient> = None;
-        loop {
-            tokio::select! {
-                _ = shutdown.changed() => return,
-                _ = ticker.tick() => {
-                    let now = clock.now();
-                    let reclaimed = table.reclaim_idle(now, idle_ttl, RECLAIM_BATCH);
-                    if reclaimed.is_empty() {
-                        continue;
-                    }
-                    if db.is_none() {
-                        db = db_target.connect().await;
-                    }
-                    let Some(client) = db.as_mut() else {
-                        table.restore(
-                            reclaimed.into_iter().map(|r| r.rule).collect(),
-                            now,
-                        );
-                        continue;
-                    };
-                    let mut rows = reclaimed.into_iter();
-                    let mut failed = Vec::new();
-                    for row in rows.by_ref() {
-                        // Guest buckets have no database row of their own:
-                        // persist the whole rule so the default-policy key
-                        // readmits as a first-class row with its exact
-                        // remaining credit. Database-backed keys only need
-                        // their credit column checkpointed.
-                        let persisted = if guest_keys.lock().contains(&row.rule.key) {
-                            client.upsert_rule(&row.rule).await
-                        } else {
-                            client
-                                .checkpoint_credit(&row.rule.key, row.rule.credit)
-                                .await
-                                .map(|_| ())
-                        };
-                        let persisted = match persisted {
-                            Ok(()) => client.record_touches(&row.rule.key, row.touches).await,
-                            Err(e) => Err(e),
-                        };
-                        if persisted.is_err() {
-                            failed.push(row);
-                            break;
-                        }
-                    }
-                    if failed.is_empty() {
-                        continue;
-                    }
-                    failed.extend(rows);
-                    table.restore(failed.into_iter().map(|r| r.rule).collect(), now);
-                    db = None;
-                }
+) -> Result<()> {
+    let mut db: Option<DbClient> = None;
+    spawn_periodic("qos-reclaim", shutdown, interval, move || {
+        let now = clock.now();
+        let reclaimed = table.reclaim_idle(now, idle_ttl, RECLAIM_BATCH);
+        if reclaimed.is_empty() {
+            return;
+        }
+        if db.is_none() {
+            db = db_target.connect();
+        }
+        let Some(client) = db.as_mut() else {
+            table.restore(reclaimed.into_iter().map(|r| r.rule).collect(), now);
+            return;
+        };
+        let mut rows = reclaimed.into_iter();
+        let mut failed = Vec::new();
+        for row in rows.by_ref() {
+            // Guest buckets have no database row of their own: persist
+            // the whole rule so the default-policy key readmits as a
+            // first-class row with its exact remaining credit.
+            // Database-backed keys only need their credit column
+            // checkpointed.
+            let persisted = if guest_keys.lock().contains(&row.rule.key) {
+                client.upsert_rule(&row.rule)
+            } else {
+                client
+                    .checkpoint_credit(&row.rule.key, row.rule.credit)
+                    .map(|_| ())
+            };
+            let persisted =
+                persisted.and_then(|()| client.record_touches(&row.rule.key, row.touches));
+            if persisted.is_err() {
+                failed.push(row);
+                break;
             }
         }
-    });
+        if failed.is_empty() {
+            return;
+        }
+        failed.extend(rows);
+        table.restore(failed.into_iter().map(|r| r.rule).collect(), now);
+        db = None;
+    })
 }
 
 #[cfg(test)]
@@ -1215,38 +1206,36 @@ mod tests {
         QosRule::per_second(key(s), cap, rate)
     }
 
-    async fn spawn_db(rules: Vec<QosRule>) -> DbServer {
+    fn spawn_db(rules: Vec<QosRule>) -> DbServer {
         let engine = Arc::new(RulesEngine::new());
         engine.load(rules);
-        DbServer::spawn(engine).await.unwrap()
+        DbServer::spawn(engine).unwrap()
     }
 
     fn rpc() -> UdpRpcClient {
         UdpRpcClient::new(UdpRpcConfig::lan_defaults())
     }
 
-    async fn check(client: &UdpRpcClient, server: &QosServer, id: u64, k: &str) -> Verdict {
+    fn check(client: &UdpRpcClient, server: &QosServer, id: u64, k: &str) -> Verdict {
         client
             .call(server.udp_addr(), &QosRequest::new(id, key(k)))
-            .await
             .unwrap()
             .verdict
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn admits_until_bucket_drains() {
-        let db = spawn_db(vec![rule("alice", 5, 0)]).await;
+    #[test]
+    fn admits_until_bucket_drains() {
+        let db = spawn_db(vec![rule("alice", 5, 0)]);
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             Some(db.addr().into()),
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let client = rpc();
         let mut allowed = 0;
         for id in 0..10 {
-            if check(&client, &server, id, "alice").await == Verdict::Allow {
+            if check(&client, &server, id, "alice") == Verdict::Allow {
                 allowed += 1;
             }
         }
@@ -1254,96 +1243,91 @@ mod tests {
         assert_eq!(server.stats().db_fetches.load(Ordering::Relaxed), 1);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn unknown_key_uses_default_policy() {
-        let db = spawn_db(vec![]).await;
+    #[test]
+    fn unknown_key_uses_default_policy() {
+        let db = spawn_db(vec![]);
         let mut config = QosServerConfig::test_defaults();
         config.default_policy = janus_bucket::DefaultRulePolicy::Limited {
             capacity: 2,
             rate_per_sec: 0,
         };
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
-        assert_eq!(check(&client, &server, 1, "stranger").await, Verdict::Allow);
-        assert_eq!(check(&client, &server, 2, "stranger").await, Verdict::Allow);
-        assert_eq!(check(&client, &server, 3, "stranger").await, Verdict::Deny);
+        assert_eq!(check(&client, &server, 1, "stranger"), Verdict::Allow);
+        assert_eq!(check(&client, &server, 2, "stranger"), Verdict::Allow);
+        assert_eq!(check(&client, &server, 3, "stranger"), Verdict::Deny);
         assert!(server.stats().default_rule_hits.load(Ordering::Relaxed) >= 1);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn deny_policy_denies_unknown_keys() {
-        let db = spawn_db(vec![]).await;
+    #[test]
+    fn deny_policy_denies_unknown_keys() {
+        let db = spawn_db(vec![]);
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             Some(db.addr().into()),
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let client = rpc();
-        assert_eq!(check(&client, &server, 1, "nobody").await, Verdict::Deny);
+        assert_eq!(check(&client, &server, 1, "nobody"), Verdict::Deny);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn standalone_mode_without_database() {
+    #[test]
+    fn standalone_mode_without_database() {
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             None,
             janus_clock::system(),
         )
-        .await
         .unwrap();
         server
             .table()
             .insert(rule("local", 1, 0), server.clock().now());
         let client = rpc();
-        assert_eq!(check(&client, &server, 1, "local").await, Verdict::Allow);
-        assert_eq!(check(&client, &server, 2, "local").await, Verdict::Deny);
+        assert_eq!(check(&client, &server, 1, "local"), Verdict::Allow);
+        assert_eq!(check(&client, &server, 2, "local"), Verdict::Deny);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn preload_warms_local_table() {
+    #[test]
+    fn preload_warms_local_table() {
         let rules: Vec<_> = (0..50).map(|i| rule(&format!("k{i}"), 10, 1)).collect();
-        let db = spawn_db(rules).await;
+        let db = spawn_db(rules);
         let mut config = QosServerConfig::test_defaults();
         config.preload = true;
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         assert_eq!(server.table().len(), 50);
         // 50 rules fit in one default-size warm-up batch.
         assert_eq!(server.stats().warmup_batches.load(Ordering::Relaxed), 1);
         // A request for a preloaded key must not hit the database.
         let client = rpc();
-        assert_eq!(check(&client, &server, 1, "k7").await, Verdict::Allow);
+        assert_eq!(check(&client, &server, 1, "k7"), Verdict::Allow);
         assert_eq!(server.stats().db_fetches.load(Ordering::Relaxed), 0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn preload_streams_in_bounded_hottest_first_batches() {
+    #[test]
+    fn preload_streams_in_bounded_hottest_first_batches() {
         let rules: Vec<_> = (0..50).map(|i| rule(&format!("k{i:02}"), 10, 1)).collect();
-        let db = spawn_db(rules).await;
+        let db = spawn_db(rules);
         db.engine().record_touches(&key("k33"), 100);
         let mut config = QosServerConfig::test_defaults();
         config.preload = true;
         config.warmup_batch = 16;
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         // 50 rules / 16 per batch = 16 + 16 + 16 + 2.
         assert_eq!(server.table().len(), 50);
         let snap = server.stats().snapshot();
         assert_eq!(snap.warmup_batches, 4);
         let client = rpc();
-        assert_eq!(check(&client, &server, 1, "k33").await, Verdict::Allow);
+        assert_eq!(check(&client, &server, 1, "k33"), Verdict::Allow);
         assert_eq!(server.stats().db_fetches.load(Ordering::Relaxed), 0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn reclaim_demotes_idle_keys_and_readmits_with_exact_credit() {
-        let db = spawn_db(vec![rule("idler", 10, 0), rule("busy", 1000, 0)]).await;
+    #[test]
+    fn reclaim_demotes_idle_keys_and_readmits_with_exact_credit() {
+        let db = spawn_db(vec![rule("idler", 10, 0), rule("busy", 1000, 0)]);
         let mut config = QosServerConfig::test_defaults();
         config.table = TableKind::LockFree;
         config.idle_ttl = Some(Duration::from_millis(50));
@@ -1352,13 +1336,12 @@ mod tests {
         // picture so the database credit we observe came from reclaim.
         config.checkpoint_interval = Duration::from_secs(3600);
         config.sync_interval = Duration::from_secs(3600);
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
         // Spend 3 of idler's 10 credits, then go idle.
         for id in 0..3 {
-            assert_eq!(check(&client, &server, id, "idler").await, Verdict::Allow);
+            assert_eq!(check(&client, &server, id, "idler"), Verdict::Allow);
         }
         // Wait out the TTL, keeping a second key warm so sweeps keep
         // running against a non-empty table.
@@ -1369,12 +1352,21 @@ mod tests {
                 std::time::Instant::now() < deadline,
                 "idle key was never reclaimed"
             );
-            check(&client, &server, warm_id, "busy").await;
+            check(&client, &server, warm_id, "busy");
             warm_id += 1;
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
         // The demotion folded the exact remaining credit and the touch
-        // count into the cold tier.
+        // count into the cold tier. The sweep takes the key out of the
+        // table first and persists it second (touches last), so wait for
+        // the persistence to land before reading the database.
+        while db.engine().touches(&key("idler")) == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "reclaimed key was never persisted"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(
             db.engine().get(&key("idler")).unwrap().credit,
             Credits::from_whole(7)
@@ -1384,7 +1376,7 @@ mod tests {
         // Readmission resumes where the key left off: 7 allows, then deny.
         let mut allows = 0;
         for id in 1000..1010 {
-            if check(&client, &server, id, "idler").await == Verdict::Allow {
+            if check(&client, &server, id, "idler") == Verdict::Allow {
                 allows += 1;
             }
         }
@@ -1395,40 +1387,35 @@ mod tests {
         assert!(snap.occupancy_pct <= 100);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn new_rules_effective_immediately() {
+    #[test]
+    fn new_rules_effective_immediately() {
         // "new QoS keys/rules are immediately effective as soon as they
         // are added to the database" — no restart, no sync wait.
-        let db = spawn_db(vec![]).await;
+        let db = spawn_db(vec![]);
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             Some(db.addr().into()),
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let client = rpc();
-        assert_eq!(check(&client, &server, 1, "newbie").await, Verdict::Deny);
+        assert_eq!(check(&client, &server, 1, "newbie"), Verdict::Deny);
 
         db.engine().put(rule("late-tenant", 3, 0));
-        assert_eq!(
-            check(&client, &server, 2, "late-tenant").await,
-            Verdict::Allow
-        );
+        assert_eq!(check(&client, &server, 2, "late-tenant"), Verdict::Allow);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn rule_sync_applies_updates_and_deletes() {
-        let db = spawn_db(vec![rule("tenant", 1000, 100), rule("doomed", 10, 1)]).await;
+    #[test]
+    fn rule_sync_applies_updates_and_deletes() {
+        let db = spawn_db(vec![rule("tenant", 1000, 100), rule("doomed", 10, 1)]);
         let mut config = QosServerConfig::test_defaults();
         config.sync_interval = Duration::from_millis(30);
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
         // Materialize both buckets locally.
-        check(&client, &server, 1, "tenant").await;
-        check(&client, &server, 2, "doomed").await;
+        check(&client, &server, 1, "tenant");
+        check(&client, &server, 2, "doomed");
         assert_eq!(server.table().len(), 2);
 
         // Shrink one rule, delete the other.
@@ -1447,21 +1434,20 @@ mod tests {
                 std::time::Instant::now() < deadline,
                 "sync never applied: {snap:?}"
             );
-            tokio::time::sleep(Duration::from_millis(20)).await;
+            std::thread::sleep(Duration::from_millis(20));
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn checkpoints_reach_database() {
-        let db = spawn_db(vec![rule("cp", 100, 0)]).await;
+    #[test]
+    fn checkpoints_reach_database() {
+        let db = spawn_db(vec![rule("cp", 100, 0)]);
         let mut config = QosServerConfig::test_defaults();
         config.checkpoint_interval = Duration::from_millis(30);
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
         for id in 0..40 {
-            check(&client, &server, id, "cp").await;
+            check(&client, &server, id, "cp");
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
@@ -1473,15 +1459,15 @@ mod tests {
                 std::time::Instant::now() < deadline,
                 "checkpoint never landed: {stored:?}"
             );
-            tokio::time::sleep(Duration::from_millis(20)).await;
+            std::thread::sleep(Duration::from_millis(20));
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn replacement_server_resumes_from_checkpoint() {
+    #[test]
+    fn replacement_server_resumes_from_checkpoint() {
         // Kill a server after consuming most of a bucket; its replacement
         // must start from the check-pointed credit, not a full bucket.
-        let db = spawn_db(vec![rule("phoenix", 100, 0)]).await;
+        let db = spawn_db(vec![rule("phoenix", 100, 0)]);
         let mut config = QosServerConfig::test_defaults();
         config.checkpoint_interval = Duration::from_millis(20);
         let server = QosServer::spawn(
@@ -1489,109 +1475,104 @@ mod tests {
             Some(db.addr().into()),
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let client = rpc();
         for id in 0..90 {
-            check(&client, &server, id, "phoenix").await;
+            check(&client, &server, id, "phoenix");
         }
         // Wait for a checkpoint to land, then kill the server.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while db.engine().get(&key("phoenix")).unwrap().credit != Credits::from_whole(10) {
             assert!(std::time::Instant::now() < deadline, "checkpoint missing");
-            tokio::time::sleep(Duration::from_millis(10)).await;
+            std::thread::sleep(Duration::from_millis(10));
         }
         server.shutdown();
         drop(server);
 
-        let replacement = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let replacement =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let mut allowed = 0;
         for id in 0..50 {
-            if check(&client, &replacement, id, "phoenix").await == Verdict::Allow {
+            if check(&client, &replacement, id, "phoenix") == Verdict::Allow {
                 allowed += 1;
             }
         }
         assert_eq!(allowed, 10, "replacement did not resume from checkpoint");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn sync_does_not_evict_default_policy_buckets() {
+    #[test]
+    fn sync_does_not_evict_default_policy_buckets() {
         // Regression: the rule-sync task used to remove buckets whose key
         // has no database row — which re-granted guest credit every sync
         // round. A guest bucket must survive sync and keep denying.
-        let db = spawn_db(vec![]).await;
+        let db = spawn_db(vec![]);
         let mut config = QosServerConfig::test_defaults();
         config.sync_interval = Duration::from_millis(20);
         config.default_policy = janus_bucket::DefaultRulePolicy::Limited {
             capacity: 3,
             rate_per_sec: 0,
         };
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
         let mut admitted = 0;
         for id in 0..6 {
-            if check(&client, &server, id, "guest").await == Verdict::Allow {
+            if check(&client, &server, id, "guest") == Verdict::Allow {
                 admitted += 1;
             }
         }
         assert_eq!(admitted, 3);
         // Let several sync rounds pass, then verify no fresh credit.
-        tokio::time::sleep(Duration::from_millis(200)).await;
-        assert_eq!(check(&client, &server, 100, "guest").await, Verdict::Deny);
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(check(&client, &server, 100, "guest"), Verdict::Deny);
 
         // Upgrading the guest to a real rule via the database still works.
         db.engine().put(rule("guest", 10, 0));
-        tokio::time::sleep(Duration::from_millis(200)).await;
-        assert_eq!(check(&client, &server, 101, "guest").await, Verdict::Allow);
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(check(&client, &server, 101, "guest"), Verdict::Allow);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn guest_upgrade_survives_checkpoint_race() {
+    #[test]
+    fn guest_upgrade_survives_checkpoint_race() {
         // Regression: the checkpoint task used to write the guest
         // bucket's (zero) credit onto a rule row the operator had just
         // created, so the sync thread adopted an empty bucket instead of
         // the purchased burst. The full burst must be available after the
         // upgrade, deterministically.
-        let db = spawn_db(vec![]).await;
+        let db = spawn_db(vec![]);
         let mut config = QosServerConfig::test_defaults();
         config.sync_interval = Duration::from_millis(30);
         config.checkpoint_interval = Duration::from_millis(10); // aggressive
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
         // Establish the guest bucket (Deny policy => empty bucket).
-        assert_eq!(check(&client, &server, 1, "upgrader").await, Verdict::Deny);
+        assert_eq!(check(&client, &server, 1, "upgrader"), Verdict::Deny);
         // Operator sells the tenant a 3-request burst.
         db.engine().put(rule("upgrader", 3, 0));
         // Give sync and several checkpoint rounds time to interleave.
-        tokio::time::sleep(Duration::from_millis(300)).await;
+        std::thread::sleep(Duration::from_millis(300));
         let mut admitted = 0;
         for id in 10..20 {
-            if check(&client, &server, id, "upgrader").await == Verdict::Allow {
+            if check(&client, &server, id, "upgrader") == Verdict::Allow {
                 admitted += 1;
             }
         }
         assert_eq!(admitted, 3, "upgrade lost the purchased burst");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn stats_snapshot_reads_all_counters() {
-        let db = spawn_db(vec![rule("snap", 3, 0)]).await;
+    #[test]
+    fn stats_snapshot_reads_all_counters() {
+        let db = spawn_db(vec![rule("snap", 3, 0)]);
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             Some(db.addr().into()),
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let client = rpc();
         for id in 0..5 {
-            check(&client, &server, id, "snap").await;
+            check(&client, &server, id, "snap");
         }
         let snap = server.stats().snapshot();
         assert_eq!(snap.answered, 5);
@@ -1603,15 +1584,14 @@ mod tests {
         assert_eq!(snap, server.stats().snapshot(), "idle snapshots agree");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn duplicate_nonce_is_answered_from_cache_without_second_charge() {
-        let db = spawn_db(vec![rule("dup", 1, 0)]).await;
+    #[test]
+    fn duplicate_nonce_is_answered_from_cache_without_second_charge() {
+        let db = spawn_db(vec![rule("dup", 1, 0)]);
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             Some(db.addr().into()),
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let mut config = UdpRpcConfig::lan_defaults();
         config.stamp_deadlines = true;
@@ -1624,7 +1604,6 @@ mod tests {
                 server.udp_addr(),
                 &QosRequest::new(1, key("dup")).with_attempt(meta),
             )
-            .await
             .unwrap();
         assert_eq!(first.verdict, Verdict::Allow);
         let second = client
@@ -1632,7 +1611,6 @@ mod tests {
                 server.udp_addr(),
                 &QosRequest::new(2, key("dup")).with_attempt(meta),
             )
-            .await
             .unwrap();
         assert_eq!(
             second.verdict,
@@ -1649,74 +1627,143 @@ mod tests {
                 server.udp_addr(),
                 &QosRequest::new(3, key("dup")).with_attempt(fresh),
             )
-            .await
             .unwrap();
         assert_eq!(third.verdict, Verdict::Deny);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn expired_budget_request_is_shed_and_never_charged() {
-        let db = spawn_db(vec![rule("stale", 3, 0)]).await;
+    #[test]
+    fn duplicates_of_fast_decisions_are_answered_from_the_cache() {
+        // A table hit is decided within microseconds of the enqueue — the
+        // window in which the listener used to insert the Pending dedup
+        // entry *after* the worker had already recorded the verdict,
+        // leaving it Pending forever: every later attempt with that nonce
+        // was then absorbed in silence and the caller timed out.
+        let server = QosServer::spawn(
+            QosServerConfig::test_defaults(),
+            None,
+            janus_clock::system(),
+        )
+        .unwrap();
+        server
+            .table()
+            .insert(rule("fast", 1_000_000, 0), server.clock().now());
+        let client = UdpRpcClient::new(UdpRpcConfig {
+            stamp_deadlines: true,
+            ..UdpRpcConfig::lan_defaults()
+        });
+        for nonce in 0..300u32 {
+            let meta = janus_types::AttemptMeta::new(2_000_000, nonce);
+            for id in [2 * u64::from(nonce), 2 * u64::from(nonce) + 1] {
+                let request = QosRequest::new(id, key("fast")).with_attempt(meta);
+                let response = client.call(server.udp_addr(), &request);
+                assert!(
+                    response.is_ok(),
+                    "attempt {id} of nonce {nonce} went unanswered: {response:?}"
+                );
+            }
+        }
+        let snap = server.stats().snapshot();
+        assert_eq!(snap.dedup_hits, 300, "every second attempt is a duplicate");
+        assert_eq!(snap.answered, 300, "every nonce is charged exactly once");
+    }
+
+    #[test]
+    fn queue_depth_gauge_never_dips_below_zero() {
+        // The gauge is read by the sojourn governor's backlog gate and
+        // exported to operators. Raised only after the enqueue, it wrapped
+        // to u64::MAX whenever a worker popped the job first.
+        for dispatch in [DispatchMode::KeyAffinity, DispatchMode::SharedFifo] {
+            let mut config = QosServerConfig::test_defaults();
+            config.dispatch = dispatch;
+            let capacity = config.fifo_capacity as u64;
+            let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
+            server
+                .table()
+                .insert(rule("gauge", 1_000_000, 0), server.clock().now());
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let worst = std::thread::scope(|scope| {
+                let sampler = scope.spawn(|| {
+                    let mut worst = 0;
+                    while !done.load(Ordering::Relaxed) {
+                        worst = worst.max(server.stats().fifo_depth.load(Ordering::Relaxed));
+                    }
+                    worst
+                });
+                let client = rpc();
+                for id in 0..500 {
+                    assert_eq!(check(&client, &server, id, "gauge"), Verdict::Allow);
+                }
+                done.store(true, Ordering::Relaxed);
+                sampler.join().unwrap()
+            });
+            assert!(
+                worst <= capacity,
+                "{dispatch:?}: fifo_depth read {worst} with a {capacity}-slot queue"
+            );
+            assert_eq!(server.stats().snapshot().fifo_depth, 0);
+        }
+    }
+
+    #[test]
+    fn expired_budget_request_is_shed_and_never_charged() {
+        let db = spawn_db(vec![rule("stale", 3, 0)]);
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             Some(db.addr().into()),
             janus_clock::system(),
         )
-        .await
         .unwrap();
         // A raw deadline frame whose budget arrived as zero: the router's
         // deadline passed in flight. The server must shed it silently at
         // ingress — no reply, no bucket charge.
         let dead =
             QosRequest::new(1, key("stale")).with_attempt(janus_types::AttemptMeta::new(0, 7));
-        let socket = tokio::net::UdpSocket::bind("127.0.0.1:0").await.unwrap();
+        let socket = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
         socket
             .send_to(
                 &janus_types::codec::encode_request(&dead),
                 server.udp_addr(),
             )
-            .await
             .unwrap();
         let mut buf = [0u8; 64];
-        let reply = tokio::time::timeout(Duration::from_millis(50), socket.recv(&mut buf)).await;
+        socket
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let reply = socket.recv(&mut buf);
         assert!(reply.is_err(), "an expired request must not be answered");
         assert_eq!(server.stats().shed_expired.load(Ordering::Relaxed), 1);
         // The bucket still holds its full burst: the shed never charged.
         let client = rpc();
         let mut allowed = 0;
         for id in 10..20 {
-            if check(&client, &server, id, "stale").await == Verdict::Allow {
+            if check(&client, &server, id, "stale") == Verdict::Allow {
                 allowed += 1;
             }
         }
         assert_eq!(allowed, 3, "the expired request must not consume credit");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn per_worker_table_admits_exactly() {
+    #[test]
+    fn per_worker_table_admits_exactly() {
         // The third TableKind under its required dispatch mode: per-key
         // exactness must hold even with concurrent clients, because one
         // key is always decided by the same worker on the same partition.
         let rules: Vec<_> = (0..8).map(|i| rule(&format!("p{i}"), 25, 0)).collect();
-        let db = spawn_db(rules).await;
+        let db = spawn_db(rules);
         let mut config = QosServerConfig::test_defaults();
         config.workers = 4;
         config.table = TableKind::PerWorker;
         let server = Arc::new(
-            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-                .await
-                .unwrap(),
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap(),
         );
         let mut handles = Vec::new();
         for i in 0..8u64 {
             let server = Arc::clone(&server);
-            handles.push(tokio::spawn(async move {
+            handles.push(std::thread::spawn(move || {
                 let client = rpc();
                 let mut allowed = 0;
                 for j in 0..40u64 {
-                    if check(&client, &server, i * 1000 + j, &format!("p{i}")).await
-                        == Verdict::Allow
-                    {
+                    if check(&client, &server, i * 1000 + j, &format!("p{i}")) == Verdict::Allow {
                         allowed += 1;
                     }
                 }
@@ -1724,31 +1771,27 @@ mod tests {
             }));
         }
         for h in handles {
-            assert_eq!(h.await.unwrap(), 25, "per-worker table oversold a bucket");
+            assert_eq!(h.join().unwrap(), 25, "per-worker table oversold a bucket");
         }
     }
 
     /// Drive one table kind with 8 concurrent clients × 40 requests over 8
     /// keys capped at 25 and return the per-client admit counts plus a
     /// final stats snapshot.
-    async fn drive_exactness(config: QosServerConfig) -> (Vec<u64>, ServerStatsSnapshot) {
+    fn drive_exactness(config: QosServerConfig) -> (Vec<u64>, ServerStatsSnapshot) {
         let rules: Vec<_> = (0..8).map(|i| rule(&format!("p{i}"), 25, 0)).collect();
-        let db = spawn_db(rules).await;
+        let db = spawn_db(rules);
         let server = Arc::new(
-            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-                .await
-                .unwrap(),
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap(),
         );
         let mut handles = Vec::new();
         for i in 0..8u64 {
             let server = Arc::clone(&server);
-            handles.push(tokio::spawn(async move {
+            handles.push(std::thread::spawn(move || {
                 let client = rpc();
                 let mut allowed = 0u64;
                 for j in 0..40u64 {
-                    if check(&client, &server, i * 1000 + j, &format!("p{i}")).await
-                        == Verdict::Allow
-                    {
+                    if check(&client, &server, i * 1000 + j, &format!("p{i}")) == Verdict::Allow {
                         allowed += 1;
                     }
                 }
@@ -1757,20 +1800,20 @@ mod tests {
         }
         let mut admits = Vec::new();
         for h in handles {
-            admits.push(h.await.unwrap());
+            admits.push(h.join().unwrap());
         }
         (admits, server.stats().snapshot())
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn lock_free_table_admits_exactly() {
+    #[test]
+    fn lock_free_table_admits_exactly() {
         // The lock-free table must match the sharded/per-worker tables
         // credit-for-credit under concurrent clients: CAS loops may retry
         // but can never double-spend or lose a credit.
         let mut config = QosServerConfig::test_defaults();
         config.workers = 4;
         config.table = TableKind::LockFree;
-        let (admits, snap) = drive_exactness(config).await;
+        let (admits, snap) = drive_exactness(config);
         for allowed in admits {
             assert_eq!(allowed, 25, "lock-free table oversold a bucket");
         }
@@ -1783,8 +1826,8 @@ mod tests {
         );
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn lock_free_table_admits_exactly_under_shared_fifo() {
+    #[test]
+    fn lock_free_table_admits_exactly_under_shared_fifo() {
         // Unlike PerWorker, LockFree is valid under shared-FIFO dispatch,
         // where any worker may decide any key — the harshest interleaving
         // for the CAS loop. Exactness must still hold.
@@ -1792,26 +1835,116 @@ mod tests {
         config.workers = 4;
         config.table = TableKind::LockFree;
         config.dispatch = DispatchMode::SharedFifo;
-        let (admits, _snap) = drive_exactness(config).await;
+        let (admits, _snap) = drive_exactness(config);
         for allowed in admits {
             assert_eq!(allowed, 25, "lock-free table oversold under shared FIFO");
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn shared_fifo_mode_still_works() {
+    /// Drain a 20-credit zero-refill key with 40 sequential requests and
+    /// return the verdict stream.
+    fn verdict_sequence(socket_mode: SocketMode, dispatch: DispatchMode) -> Vec<Verdict> {
+        let mut config = QosServerConfig::test_defaults();
+        config.socket_mode = socket_mode;
+        config.dispatch = dispatch;
+        config.table = TableKind::LockFree;
+        let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
+        server
+            .table()
+            .insert(rule("parity", 20, 0), server.clock().now());
+        let client = rpc();
+        (0..40)
+            .map(|id| check(&client, &server, id, "parity"))
+            .collect()
+    }
+
+    #[test]
+    fn every_socket_and_dispatch_mode_decides_identically() {
+        // recvmmsg/sendmmsg and SO_REUSEPORT change how datagrams cross
+        // the kernel, the dispatch mode which thread decides — never what
+        // is decided.
+        let reference = verdict_sequence(SocketMode::SingleListener, DispatchMode::KeyAffinity);
+        assert_eq!(
+            reference.iter().filter(|v| **v == Verdict::Allow).count(),
+            20
+        );
+        let mut modes = vec![
+            (SocketMode::SingleListener, DispatchMode::SharedFifo),
+            (SocketMode::BatchedSyscall, DispatchMode::KeyAffinity),
+            (SocketMode::BatchedSyscall, DispatchMode::SharedFifo),
+        ];
+        if cfg!(target_os = "linux") {
+            modes.push((SocketMode::PerCore, DispatchMode::KeyAffinity));
+        }
+        for (socket_mode, dispatch) in modes {
+            assert_eq!(
+                verdict_sequence(socket_mode, dispatch),
+                reference,
+                "verdict stream diverged under {socket_mode:?} / {dispatch:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn shutdown_silences_every_plane() {
+        let mut modes = vec![SocketMode::SingleListener, SocketMode::BatchedSyscall];
+        if cfg!(target_os = "linux") {
+            modes.push(SocketMode::PerCore);
+        }
+        for socket_mode in modes {
+            let mut config = QosServerConfig::test_defaults();
+            config.socket_mode = socket_mode;
+            config.table = TableKind::LockFree;
+            let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
+            server
+                .table()
+                .insert(rule("k", 100, 0), server.clock().now());
+            let client = rpc();
+            assert_eq!(check(&client, &server, 1, "k"), Verdict::Allow);
+            server.shutdown();
+            // The listener returns at once; a per-core worker within one
+            // bounded receive. Poll rather than guess how long that takes
+            // on a loaded box.
+            let quick = UdpRpcClient::new(UdpRpcConfig {
+                timeout: Duration::from_millis(5),
+                max_retries: 0,
+                ..Default::default()
+            });
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut id = 2;
+            while quick
+                .call(server.udp_addr(), &QosRequest::new(id, key("k")))
+                .is_ok()
+            {
+                assert!(
+                    Instant::now() < deadline,
+                    "{socket_mode:?} still answering after shutdown"
+                );
+                id += 1;
+            }
+            while std::net::TcpStream::connect(server.ha_addr()).is_ok() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{socket_mode:?}: HA port still accepting after shutdown"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    }
+
+    #[test]
+    fn shared_fifo_mode_still_works() {
         // The paper-faithful ablation path: shared FIFO, no batching.
-        let db = spawn_db(vec![rule("fifo", 5, 0)]).await;
+        let db = spawn_db(vec![rule("fifo", 5, 0)]);
         let mut config = QosServerConfig::test_defaults();
         config.dispatch = DispatchMode::SharedFifo;
         config.batching = false;
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
         let mut allowed = 0;
         for id in 0..10 {
-            if check(&client, &server, id, "fifo").await == Verdict::Allow {
+            if check(&client, &server, id, "fifo") == Verdict::Allow {
                 allowed += 1;
             }
         }
@@ -1819,20 +1952,18 @@ mod tests {
         assert_eq!(server.stats().snapshot().fifo_depth, 0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn hung_database_fetch_times_out_to_default_policy() {
+    #[test]
+    fn hung_database_fetch_times_out_to_default_policy() {
         // A database that accepts the TCP connection and then never
         // speaks: the per-miss fetch budget must expire, the request
         // must fall back to the default policy, and the worker must stay
         // responsive for subsequent requests.
-        let hung = tokio::net::TcpListener::bind(("127.0.0.1", 0))
-            .await
-            .unwrap();
+        let hung = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let hung_addr = hung.local_addr().unwrap();
-        tokio::spawn(async move {
+        std::thread::spawn(move || {
             let mut held = Vec::new();
             loop {
-                let Ok((stream, _)) = hung.accept().await else {
+                let Ok((stream, _)) = hung.accept() else {
                     return;
                 };
                 held.push(stream); // accept and go silent, forever
@@ -1840,9 +1971,8 @@ mod tests {
         });
         let mut config = QosServerConfig::test_defaults();
         config.db_fetch_timeout = Duration::from_millis(50);
-        let server = QosServer::spawn(config, Some(hung_addr.into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(hung_addr.into()), janus_clock::system()).unwrap();
         // A generous client timeout: the server needs the full fetch
         // budget before it can answer at all.
         let client = UdpRpcClient::new(UdpRpcConfig {
@@ -1850,31 +1980,29 @@ mod tests {
             max_retries: 3,
             ..Default::default()
         });
-        assert_eq!(check(&client, &server, 1, "victim").await, Verdict::Deny);
+        assert_eq!(check(&client, &server, 1, "victim"), Verdict::Deny);
         assert!(
             server.stats().snapshot().db_timeouts >= 1,
             "timeout was not counted"
         );
         // The worker survived: an already-inserted guest bucket answers
         // locally, no DB involved.
-        assert_eq!(check(&client, &server, 2, "victim").await, Verdict::Deny);
+        assert_eq!(check(&client, &server, 2, "victim"), Verdict::Deny);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn soliciting_request_receives_rule_hint() {
-        let db = spawn_db(vec![rule("hinted", 8, 2)]).await;
+    #[test]
+    fn soliciting_request_receives_rule_hint() {
+        let db = spawn_db(vec![rule("hinted", 8, 2)]);
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             Some(db.addr().into()),
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let client = rpc();
         // Plain requests stay hint-free.
         let plain = client
             .call(server.udp_addr(), &QosRequest::new(1, key("hinted")))
-            .await
             .unwrap();
         assert_eq!(plain.hint, None);
         // A soliciting request learns the rule shape alongside the verdict.
@@ -1883,7 +2011,6 @@ mod tests {
                 server.udp_addr(),
                 &QosRequest::soliciting_hint(2, key("hinted")),
             )
-            .await
             .unwrap();
         let hint = hinted.hint.expect("hint solicited but absent");
         assert_eq!(hint.capacity, Credits::from_whole(8));
@@ -1894,16 +2021,15 @@ mod tests {
                 server.udp_addr(),
                 &QosRequest::soliciting_hint(3, key("stranger")),
             )
-            .await
             .unwrap();
         assert!(guest.hint.is_some(), "default-policy rule has a shape too");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn lease_soliciting_hot_key_earns_a_grant_debited_from_the_bucket() {
+    #[test]
+    fn lease_soliciting_hot_key_earns_a_grant_debited_from_the_bucket() {
         use crate::config::LeaseConfig;
         use janus_types::LeaseReport;
-        let db = spawn_db(vec![rule("hot", 20, 0)]).await;
+        let db = spawn_db(vec![rule("hot", 20, 0)]);
         let mut config = QosServerConfig::test_defaults();
         config.lease = LeaseConfig {
             enabled: true,
@@ -1912,14 +2038,13 @@ mod tests {
             max_holders: 2,
             slice_fraction: 4,
         };
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
         let ask = |id| QosRequest::new(id, key("hot")).with_lease(LeaseReport::soliciting(9));
-        let first = client.call(server.udp_addr(), &ask(1)).await.unwrap();
+        let first = client.call(server.udp_addr(), &ask(1)).unwrap();
         assert_eq!(first.lease, None, "below the hot threshold");
-        let second = client.call(server.udp_addr(), &ask(2)).await.unwrap();
+        let second = client.call(server.udp_addr(), &ask(2)).unwrap();
         let lease = second.lease.expect("second ask crosses the threshold");
         assert_eq!(lease.slice, Credits::from_whole(5));
         assert_eq!(lease.epoch, 1);
@@ -1928,45 +2053,43 @@ mod tests {
         // the 5-credit slice leave 13 of 20 for plain traffic.
         let mut allowed = 0;
         for id in 3..30 {
-            if check(&client, &server, id, "hot").await == Verdict::Allow {
+            if check(&client, &server, id, "hot") == Verdict::Allow {
                 allowed += 1;
             }
         }
         assert_eq!(allowed, 13, "slice credits are gone from the bucket");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn plain_traffic_never_sees_a_lease_when_disabled() {
+    #[test]
+    fn plain_traffic_never_sees_a_lease_when_disabled() {
         use janus_types::LeaseReport;
-        let db = spawn_db(vec![rule("cold", 20, 0)]).await;
+        let db = spawn_db(vec![rule("cold", 20, 0)]);
         let server = QosServer::spawn(
             QosServerConfig::test_defaults(),
             Some(db.addr().into()),
             janus_clock::system(),
         )
-        .await
         .unwrap();
         let client = rpc();
         for id in 0..5 {
             let ask = QosRequest::new(id, key("cold")).with_lease(LeaseReport::soliciting(9));
-            let resp = client.call(server.udp_addr(), &ask).await.unwrap();
+            let resp = client.call(server.udp_addr(), &ask).unwrap();
             assert_eq!(resp.lease, None, "disabled plane must never grant");
         }
         assert_eq!(server.stats().snapshot().lease_grants, 0);
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn affinity_batch_path_carries_hints() {
+    #[test]
+    fn affinity_batch_path_carries_hints() {
         // The batched worker path builds responses through the same
         // helper; a soliciting request inside a drained batch must still
         // get its hint.
-        let db = spawn_db(vec![rule("bh", 100, 10)]).await;
+        let db = spawn_db(vec![rule("bh", 100, 10)]);
         let mut config = QosServerConfig::test_defaults();
         config.workers = 2;
         config.batching = true;
-        let server = QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-            .await
-            .unwrap();
+        let server =
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
         for id in 0..10u64 {
             let resp = client
@@ -1974,38 +2097,35 @@ mod tests {
                     server.udp_addr(),
                     &QosRequest::soliciting_hint(id, key("bh")),
                 )
-                .await
                 .unwrap();
             assert!(resp.hint.is_some(), "request {id} lost its hint");
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn many_concurrent_clients() {
+    #[test]
+    fn many_concurrent_clients() {
         let rules: Vec<_> = (0..32)
             .map(|i| rule(&format!("u{i}"), 1000, 1000))
             .collect();
-        let db = spawn_db(rules).await;
+        let db = spawn_db(rules);
         let mut config = QosServerConfig::test_defaults();
         config.workers = 4;
         let server = Arc::new(
-            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system())
-                .await
-                .unwrap(),
+            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap(),
         );
         let mut handles = Vec::new();
         for i in 0..32u64 {
             let server = Arc::clone(&server);
-            handles.push(tokio::spawn(async move {
+            handles.push(std::thread::spawn(move || {
                 let client = rpc();
                 for j in 0..20u64 {
-                    let v = check(&client, &server, i * 100 + j, &format!("u{i}")).await;
+                    let v = check(&client, &server, i * 100 + j, &format!("u{i}"));
                     assert_eq!(v, Verdict::Allow);
                 }
             }));
         }
         for h in handles {
-            h.await.unwrap();
+            h.join().unwrap();
         }
         assert_eq!(server.stats().answered.load(Ordering::Relaxed), 640);
     }

@@ -14,10 +14,8 @@
 //! | `gateway_extra_us` ≈ 500 µs | Fig. 5: "using the gateway load balancer adds approximately 500 microseconds". |
 //! | `udp_timeout_us` = 100, `udp_retries` = 5 | §III-B, verbatim. |
 
-use serde::Serialize;
-
 /// All tunable constants of the cluster model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Calibration {
     /// Mean router CPU time per request, µs (PHP request handling +
     /// UDP exchange management).

@@ -1,9 +1,7 @@
 //! The EC2 instance catalog — the paper's Table I.
 
-use serde::Serialize;
-
 /// One EC2 instance type row from Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceType {
     /// AWS type name.
     pub name: &'static str,
@@ -16,6 +14,14 @@ pub struct InstanceType {
     /// On-demand price, USD/hour (ap-southeast-2, 2018).
     pub price_usd_hr: f64,
 }
+
+janus_types::impl_to_json!(InstanceType {
+    name,
+    vcpus,
+    memory_gb,
+    network_mbps,
+    price_usd_hr,
+});
 
 /// c3.large — 2 vCPU.
 pub const C3_LARGE: InstanceType = InstanceType {
@@ -82,18 +88,11 @@ pub const R3_2XLARGE: InstanceType = InstanceType {
 
 /// Every row of Table I, in the paper's order.
 pub const TABLE_I: [InstanceType; 7] = [
-    C3_LARGE,
-    C3_XLARGE,
-    C3_2XLARGE,
-    C3_4XLARGE,
-    C3_8XLARGE,
-    R3_XLARGE,
-    R3_2XLARGE,
+    C3_LARGE, C3_XLARGE, C3_2XLARGE, C3_4XLARGE, C3_8XLARGE, R3_XLARGE, R3_2XLARGE,
 ];
 
 /// The c3 compute family used for router/QoS-server scaling sweeps.
-pub const C3_FAMILY: [InstanceType; 5] =
-    [C3_LARGE, C3_XLARGE, C3_2XLARGE, C3_4XLARGE, C3_8XLARGE];
+pub const C3_FAMILY: [InstanceType; 5] = [C3_LARGE, C3_XLARGE, C3_2XLARGE, C3_4XLARGE, C3_8XLARGE];
 
 /// Look a type up by its AWS name.
 pub fn by_name(name: &str) -> Option<InstanceType> {

@@ -14,10 +14,9 @@
 use super::Fidelity;
 use crate::catalog::{C3_8XLARGE, C3_FAMILY, C3_XLARGE};
 use crate::model::{simulate, ClusterSpec, LockModel, SimLbMode};
-use serde::Serialize;
 
 /// One point of the UDP-loss ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LossPoint {
     /// Per-direction datagram loss probability.
     pub loss: f64,
@@ -30,6 +29,14 @@ pub struct LossPoint {
     /// Throughput, req/s.
     pub throughput_rps: f64,
 }
+
+janus_types::impl_to_json!(LossPoint {
+    loss,
+    average_us,
+    p99_us,
+    default_rate,
+    throughput_rps,
+});
 
 /// Sweep UDP loss from 0 to 50 % on a lightly-loaded deployment.
 pub fn loss_sweep(seed: u64, f: Fidelity) -> Vec<LossPoint> {
@@ -56,7 +63,7 @@ pub fn loss_sweep(seed: u64, f: Fidelity) -> Vec<LossPoint> {
 }
 
 /// One point of the lock ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LockPoint {
     /// QoS server instance type.
     pub instance: &'static str,
@@ -69,6 +76,14 @@ pub struct LockPoint {
     /// QoS CPU utilization under the synchronized table.
     pub synchronized_cpu: f64,
 }
+
+janus_types::impl_to_json!(LockPoint {
+    instance,
+    vcpus,
+    synchronized_rps,
+    sharded_rps,
+    synchronized_cpu,
+});
 
 /// Compare both table disciplines on each c3 size (5 big routers).
 pub fn lock_sweep(seed: u64, f: Fidelity) -> Vec<LockPoint> {
@@ -99,7 +114,7 @@ pub fn lock_sweep(seed: u64, f: Fidelity) -> Vec<LockPoint> {
 }
 
 /// One point of the DNS-skew ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SkewPoint {
     /// Router fleet size M.
     pub routers: usize,
@@ -110,6 +125,13 @@ pub struct SkewPoint {
     /// Max/mean router CPU ratio (1.0 = perfectly even).
     pub imbalance: f64,
 }
+
+janus_types::impl_to_json!(SkewPoint {
+    routers,
+    clients,
+    idle_routers,
+    imbalance,
+});
 
 /// DNS load balancing with client-side caching: sweep client counts
 /// against a 4-router fleet. With N < M, `M - N` routers idle for the
@@ -207,7 +229,7 @@ mod tests {
 }
 
 /// One point of the tenant-skew ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SkewLoadPoint {
     /// Zipf exponent over partitions (0 = the paper's uniform workload).
     pub exponent: f64,
@@ -218,6 +240,13 @@ pub struct SkewLoadPoint {
     /// Coldest partition's CPU utilization.
     pub coldest_cpu: f64,
 }
+
+janus_types::impl_to_json!(SkewLoadPoint {
+    exponent,
+    throughput_rps,
+    hottest_cpu,
+    coldest_cpu,
+});
 
 /// Tenant-popularity skew vs fleet throughput: mod-N hashing cannot
 /// split one hot tenant across partitions, so a skewed tenant mix

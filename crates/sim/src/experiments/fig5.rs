@@ -9,16 +9,17 @@ use super::Fidelity;
 use crate::catalog::C3_8XLARGE;
 use crate::model::{simulate, ClusterSpec, SimLbMode};
 use janus_workload::LatencyStats;
-use serde::Serialize;
 
 /// The two latency distributions of Fig. 5.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5 {
     /// DNS load balancer path.
     pub dns: LatencyStats,
     /// Gateway load balancer path.
     pub gateway: LatencyStats,
 }
+
+janus_types::impl_to_json!(Fig5 { dns, gateway });
 
 impl Fig5 {
     /// Average extra latency the gateway adds, µs (paper: ~500).

@@ -4,10 +4,9 @@
 use super::Fidelity;
 use crate::catalog::{InstanceType, C3_8XLARGE, C3_FAMILY, C3_XLARGE};
 use crate::model::{simulate, ClusterSpec, SimReport};
-use serde::Serialize;
 
 /// One sweep point of a scalability figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// Instance type of the scaled layer.
     pub instance: &'static str,
@@ -23,14 +22,25 @@ pub struct ScalingPoint {
     pub qos_cpu: f64,
 }
 
+janus_types::impl_to_json!(ScalingPoint {
+    instance,
+    nodes,
+    vcpus,
+    throughput_rps,
+    router_cpu,
+    qos_cpu,
+});
+
 /// A figure's series of sweep points.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingCurve {
     /// Figure id, e.g. "fig7".
     pub figure: &'static str,
     /// Sweep points in order.
     pub points: Vec<ScalingPoint>,
 }
+
+janus_types::impl_to_json!(ScalingCurve { figure, points });
 
 impl ScalingCurve {
     /// Peak throughput over the sweep.
@@ -96,7 +106,7 @@ pub fn fig8(seed: u64, f: Fidelity) -> ScalingCurve {
 
 /// A vertical-vs-horizontal comparison at matching vCPU counts (Figs. 9
 /// and 12).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VerticalVsHorizontal {
     /// Figure id ("fig9" or "fig12").
     pub figure: &'static str,
@@ -105,6 +115,12 @@ pub struct VerticalVsHorizontal {
     /// The horizontal sweep (growing count of c3.xlarge nodes).
     pub horizontal: ScalingCurve,
 }
+
+janus_types::impl_to_json!(VerticalVsHorizontal {
+    figure,
+    vertical,
+    horizontal,
+});
 
 impl VerticalVsHorizontal {
     /// Throughput of both strategies at `vcpus` total cores, when both
@@ -183,7 +199,7 @@ pub fn fig12(seed: u64, f: Fidelity) -> VerticalVsHorizontal {
 }
 
 /// The abstract/§V headline claims.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Headline {
     /// Throughput with 10 × 4-vCPU QoS server nodes (paper: >100 000
     /// req/s with 40 vCPU cores in the QoS server layer).
@@ -192,6 +208,11 @@ pub struct Headline {
     /// decisions within 3 ms).
     pub p90_decision_ms: f64,
 }
+
+janus_types::impl_to_json!(Headline {
+    throughput_10_nodes_rps,
+    p90_decision_ms,
+});
 
 /// Evaluate the headline claims on the Fig. 11 top configuration.
 ///
@@ -259,10 +280,7 @@ mod tests {
         // last two points gain little.
         let t8 = curve.points[7].throughput_rps;
         let t10 = curve.points[9].throughput_rps;
-        assert!(
-            t10 < t8 * 1.12,
-            "should have saturated: t8={t8} t10={t10}"
-        );
+        assert!(t10 < t8 * 1.12, "should have saturated: t8={t8} t10={t10}");
         // Router CPU per node decreases as nodes are added (Fig. 8b).
         assert!(curve.points[9].router_cpu < curve.points[0].router_cpu);
     }

@@ -21,12 +21,11 @@ use crate::calibration::Calibration;
 use crate::catalog::InstanceType;
 use crate::engine::{EventQueue, SimRng, SimTime};
 use janus_workload::{Histogram, LatencyStats};
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Load balancer flavour in front of the router fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimLbMode {
     /// ELB-style proxy: per-request round robin + extra latency.
     Gateway,
@@ -36,7 +35,7 @@ pub enum SimLbMode {
 }
 
 /// QoS-table locking discipline on the simulated QoS servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockModel {
     /// One global lock (the paper's synchronized hash map).
     Synchronized,
@@ -110,7 +109,7 @@ impl ClusterSpec {
 }
 
 /// Measured outcome of one simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Completed admission checks per second over the measure window.
     pub throughput_rps: f64,
@@ -402,7 +401,13 @@ pub fn simulate(spec: &ClusterSpec) -> SimReport {
                 let node = &mut servers[req.server as usize];
                 if node.cores.try_acquire(now) {
                     let service = rng.lognormal_us(node.phase_a_us, cal.service_sigma);
-                    events.push(now + service, Ev::PhaseDone { phase: Phase::A, req });
+                    events.push(
+                        now + service,
+                        Ev::PhaseDone {
+                            phase: Phase::A,
+                            req,
+                        },
+                    );
                 } else {
                     node.cores.queue.push_back((req, Phase::A));
                 }
@@ -458,7 +463,13 @@ pub fn simulate(spec: &ClusterSpec) -> SimReport {
                 // Phase B competes for a core again.
                 if node.cores.try_acquire(now) {
                     let service = rng.lognormal_us(node.phase_b_us, cal.service_sigma);
-                    events.push(now + service, Ev::PhaseDone { phase: Phase::B, req });
+                    events.push(
+                        now + service,
+                        Ev::PhaseDone {
+                            phase: Phase::B,
+                            req,
+                        },
+                    );
                 } else {
                     node.cores.queue.push_back((req, Phase::B));
                 }
@@ -565,7 +576,11 @@ mod tests {
             "throughput {}",
             report.throughput_rps
         );
-        assert!(report.router_cpu[0] > 0.9, "router cpu {}", report.router_cpu[0]);
+        assert!(
+            report.router_cpu[0] > 0.9,
+            "router cpu {}",
+            report.router_cpu[0]
+        );
         assert!(report.qos_cpu[0] < 0.30, "qos cpu {}", report.qos_cpu[0]);
     }
 
@@ -597,8 +612,7 @@ mod tests {
 
     #[test]
     fn sharded_table_lifts_the_lock_ceiling() {
-        let mut sync_spec =
-            ClusterSpec::saturation(vec![C3_8XLARGE; 5], vec![C3_8XLARGE], 17);
+        let mut sync_spec = ClusterSpec::saturation(vec![C3_8XLARGE; 5], vec![C3_8XLARGE], 17);
         let mut sharded_spec = sync_spec.clone();
         sync_spec.lock = LockModel::Synchronized;
         sharded_spec.lock = LockModel::Sharded(64);
@@ -686,21 +700,14 @@ mod capacity_tests {
             (vec![C3_LARGE; 3], vec![C3_8XLARGE]),
         ];
         for (seed, (routers, qos)) in shapes.iter().enumerate() {
-            let mut spec =
-                ClusterSpec::saturation(routers.clone(), qos.clone(), seed as u64 + 1);
+            let mut spec = ClusterSpec::saturation(routers.clone(), qos.clone(), seed as u64 + 1);
             spec.warmup = Duration::from_millis(200);
             spec.measure = Duration::from_millis(500);
             let report = simulate(&spec);
-            let router_bound: f64 = routers
-                .iter()
-                .map(|t| cal.router_capacity(t.vcpus))
-                .sum();
+            let router_bound: f64 = routers.iter().map(|t| cal.router_capacity(t.vcpus)).sum();
             let qos_bound: f64 = qos
                 .iter()
-                .map(|t| {
-                    cal.qos_core_capacity(t.vcpus)
-                        .min(cal.qos_lock_capacity(1))
-                })
+                .map(|t| cal.qos_core_capacity(t.vcpus).min(cal.qos_lock_capacity(1)))
                 .sum();
             let bound = router_bound.min(qos_bound);
             assert!(

@@ -87,7 +87,6 @@ use crate::{
     AttemptMeta, Credits, JanusError, Lease, LeaseReport, QosKey, QosRequest, QosResponse,
     RefillRate, Result, RuleHint, Verdict, MAX_KEY_BYTES,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Frame magic: "JQ" for *J*anus *Q*oS.
 pub const MAGIC: u16 = 0x4A51;
@@ -166,10 +165,34 @@ impl From<QosResponse> for Frame {
     }
 }
 
-fn put_header(buf: &mut BytesMut, kind: u8) {
-    buf.put_u16(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(kind);
+fn put_header(buf: &mut Vec<u8>, kind: u8) {
+    buf.extend_from_slice(&MAGIC.to_be_bytes());
+    buf.push(VERSION);
+    buf.push(kind);
+}
+
+/// Split the next `N` bytes off the front of `data`. Every caller has
+/// already checked the length, exactly as the parsers always did.
+fn take<const N: usize>(data: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = data.split_at(N);
+    *data = rest;
+    head.try_into().expect("split_at yields exactly N bytes")
+}
+
+fn get_u8(data: &mut &[u8]) -> u8 {
+    take::<1>(data)[0]
+}
+
+fn get_u16(data: &mut &[u8]) -> u16 {
+    u16::from_be_bytes(take(data))
+}
+
+fn get_u32(data: &mut &[u8]) -> u32 {
+    u32::from_be_bytes(take(data))
+}
+
+fn get_u64(data: &mut &[u8]) -> u64 {
+    u64::from_be_bytes(take(data))
 }
 
 fn request_kind(req: &QosRequest) -> u8 {
@@ -222,65 +245,65 @@ fn response_kind(resp: &QosResponse) -> u8 {
 }
 
 /// The request payload, shared by the single-frame and batch encoders.
-fn put_request_body(buf: &mut BytesMut, req: &QosRequest) {
-    buf.put_u64(req.id);
+fn put_request_body(buf: &mut Vec<u8>, req: &QosRequest) {
+    buf.extend_from_slice(&req.id.to_be_bytes());
     if let Some(report) = &req.lease {
-        buf.put_u8(lease_flags(req, report));
+        buf.push(lease_flags(req, report));
         let attempt = req.attempt.unwrap_or(AttemptMeta::new(0, 0));
-        buf.put_u32(attempt.budget_us);
-        buf.put_u32(attempt.nonce);
-        buf.put_u32(report.holder);
-        buf.put_u32(report.epoch);
-        buf.put_u32(report.spent);
+        buf.extend_from_slice(&attempt.budget_us.to_be_bytes());
+        buf.extend_from_slice(&attempt.nonce.to_be_bytes());
+        buf.extend_from_slice(&report.holder.to_be_bytes());
+        buf.extend_from_slice(&report.epoch.to_be_bytes());
+        buf.extend_from_slice(&report.spent.to_be_bytes());
     } else if let Some(attempt) = &req.attempt {
-        buf.put_u8(deadline_flags(req));
-        buf.put_u32(attempt.budget_us);
-        buf.put_u32(attempt.nonce);
+        buf.push(deadline_flags(req));
+        buf.extend_from_slice(&attempt.budget_us.to_be_bytes());
+        buf.extend_from_slice(&attempt.nonce.to_be_bytes());
     }
     debug_assert!(req.key.len() <= MAX_KEY_BYTES);
-    buf.put_u8(req.key.len() as u8);
-    buf.put_slice(req.key.as_bytes());
+    buf.push(req.key.len() as u8);
+    buf.extend_from_slice(req.key.as_bytes());
 }
 
 /// The response payload, shared by the single-frame and batch encoders.
-fn put_response_body(buf: &mut BytesMut, resp: &QosResponse) {
-    buf.put_u64(resp.id);
-    buf.put_u8(resp.verdict.as_bool() as u8);
+fn put_response_body(buf: &mut Vec<u8>, resp: &QosResponse) {
+    buf.extend_from_slice(&resp.id.to_be_bytes());
+    buf.push(resp.verdict.as_bool() as u8);
     if let Some(lease) = &resp.lease {
-        buf.put_u8(if resp.hint.is_some() {
+        buf.push(if resp.hint.is_some() {
             GRANT_FLAG_HINT
         } else {
             0
         });
-        buf.put_u64(lease.slice.as_micro());
-        buf.put_u64(lease.refill.micro_per_sec());
-        buf.put_u32(lease.ttl_us);
-        buf.put_u32(lease.epoch);
+        buf.extend_from_slice(&lease.slice.as_micro().to_be_bytes());
+        buf.extend_from_slice(&lease.refill.micro_per_sec().to_be_bytes());
+        buf.extend_from_slice(&lease.ttl_us.to_be_bytes());
+        buf.extend_from_slice(&lease.epoch.to_be_bytes());
     }
     if let Some(hint) = &resp.hint {
-        buf.put_u64(hint.capacity.as_micro());
-        buf.put_u64(hint.refill_rate.micro_per_sec());
+        buf.extend_from_slice(&hint.capacity.as_micro().to_be_bytes());
+        buf.extend_from_slice(&hint.refill_rate.micro_per_sec().to_be_bytes());
     }
 }
 
 /// Encode a request into a fresh buffer.
-pub fn encode_request(req: &QosRequest) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + 8 + LEASE_META_BYTES + 1 + req.key.len());
+pub fn encode_request(req: &QosRequest) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + 8 + LEASE_META_BYTES + 1 + req.key.len());
     put_header(&mut buf, request_kind(req));
     put_request_body(&mut buf, req);
-    buf.freeze()
+    buf
 }
 
 /// Encode a response into a fresh buffer.
-pub fn encode_response(resp: &QosResponse) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + 8 + 1 + LEASE_GRANT_BYTES + 16);
+pub fn encode_response(resp: &QosResponse) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + 8 + 1 + LEASE_GRANT_BYTES + 16);
     put_header(&mut buf, response_kind(resp));
     put_response_body(&mut buf, resp);
-    buf.freeze()
+    buf
 }
 
 /// Encode either frame direction.
-pub fn encode(frame: &Frame) -> Bytes {
+pub fn encode(frame: &Frame) -> Vec<u8> {
     match frame {
         Frame::Request(r) => encode_request(r),
         Frame::Response(r) => encode_response(r),
@@ -312,14 +335,14 @@ pub fn batch_item_len(frame: &Frame) -> usize {
     }
 }
 
-fn put_batch_item(buf: &mut BytesMut, frame: &Frame) {
+fn put_batch_item(buf: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::Request(req) => {
-            buf.put_u8(request_kind(req));
+            buf.push(request_kind(req));
             put_request_body(buf, req);
         }
         Frame::Response(resp) => {
-            buf.put_u8(response_kind(resp));
+            buf.push(response_kind(resp));
             put_response_body(buf, resp);
         }
     }
@@ -330,25 +353,25 @@ fn put_batch_item(buf: &mut BytesMut, frame: &Frame) {
 /// datagrams. A group that ends up holding a single frame is emitted in
 /// the legacy single-frame format, so unbatched receivers stay
 /// compatible; larger groups use the batch format.
-pub fn encode_batch(frames: &[Frame]) -> Vec<Bytes> {
+pub fn encode_batch(frames: &[Frame]) -> Vec<Vec<u8>> {
     // Every single frame fits: MAX_FRAME_BYTES (289) << MAX_DATAGRAM_BYTES.
     const _: () = assert!(MAX_FRAME_BYTES + BATCH_OVERHEAD <= MAX_DATAGRAM_BYTES);
     let mut datagrams = Vec::new();
     let mut group: Vec<&Frame> = Vec::new();
     let mut group_bytes = BATCH_OVERHEAD;
-    let flush = |group: &mut Vec<&Frame>, datagrams: &mut Vec<Bytes>| {
+    let flush = |group: &mut Vec<&Frame>, datagrams: &mut Vec<Vec<u8>>| {
         match group.len() {
             0 => {}
             1 => datagrams.push(encode(group[0])),
             n => {
-                let mut buf = BytesMut::with_capacity(MAX_DATAGRAM_BYTES);
+                let mut buf = Vec::with_capacity(MAX_DATAGRAM_BYTES);
                 put_header(&mut buf, KIND_BATCH);
-                buf.put_u16(n as u16);
+                buf.extend_from_slice(&(n as u16).to_be_bytes());
                 for frame in group.iter() {
                     put_batch_item(&mut buf, frame);
                 }
                 debug_assert!(buf.len() <= MAX_DATAGRAM_BYTES);
-                datagrams.push(buf.freeze());
+                datagrams.push(buf);
             }
         }
         group.clear();
@@ -370,7 +393,7 @@ pub fn encode_batch(frames: &[Frame]) -> Vec<Bytes> {
 
 /// Parse a length-prefixed key (`key_len | key`), consuming it from `data`.
 fn parse_key(data: &mut &[u8]) -> Result<QosKey> {
-    let key_len = data.get_u8() as usize;
+    let key_len = get_u8(data) as usize;
     if data.len() < key_len {
         return Err(JanusError::codec(format!(
             "truncated key: want {key_len}, have {}",
@@ -381,7 +404,7 @@ fn parse_key(data: &mut &[u8]) -> Result<QosKey> {
     let key_str =
         std::str::from_utf8(key_bytes).map_err(|_| JanusError::codec("key is not UTF-8"))?;
     let key = QosKey::new(key_str).map_err(|e| JanusError::codec(format!("bad key: {e}")))?;
-    data.advance(key_len);
+    *data = &data[key_len..];
     Ok(key)
 }
 
@@ -390,7 +413,7 @@ fn parse_request_body(data: &mut &[u8]) -> Result<QosRequest> {
     if data.len() < 9 {
         return Err(JanusError::codec("truncated request"));
     }
-    let id = data.get_u64();
+    let id = get_u64(data);
     let key = parse_key(data)?;
     Ok(QosRequest::new(id, key))
 }
@@ -401,15 +424,15 @@ fn parse_request_deadline_body(data: &mut &[u8]) -> Result<QosRequest> {
     if data.len() < 8 + DEADLINE_META_BYTES + 1 {
         return Err(JanusError::codec("truncated deadline request"));
     }
-    let id = data.get_u64();
-    let flags = data.get_u8();
+    let id = get_u64(data);
+    let flags = get_u8(data);
     if flags & !DEADLINE_FLAG_SOLICIT_HINT != 0 {
         return Err(JanusError::codec(format!(
             "unknown deadline request flags 0x{flags:02x}"
         )));
     }
-    let budget_us = data.get_u32();
-    let nonce = data.get_u32();
+    let budget_us = get_u32(data);
+    let nonce = get_u32(data);
     let key = parse_key(data)?;
     let mut request = QosRequest::new(id, key).with_attempt(AttemptMeta::new(budget_us, nonce));
     request.solicit_hint = flags & DEADLINE_FLAG_SOLICIT_HINT != 0;
@@ -422,23 +445,23 @@ fn parse_request_lease_body(data: &mut &[u8]) -> Result<QosRequest> {
     if data.len() < 8 + LEASE_META_BYTES + 1 {
         return Err(JanusError::codec("truncated lease request"));
     }
-    let id = data.get_u64();
-    let flags = data.get_u8();
+    let id = get_u64(data);
+    let flags = get_u8(data);
     if flags & !LEASE_FLAGS_KNOWN != 0 {
         return Err(JanusError::codec(format!(
             "unknown lease request flags 0x{flags:02x}"
         )));
     }
-    let budget_us = data.get_u32();
-    let nonce = data.get_u32();
+    let budget_us = get_u32(data);
+    let nonce = get_u32(data);
     if flags & LEASE_FLAG_ATTEMPT == 0 && (budget_us != 0 || nonce != 0) {
         return Err(JanusError::codec(
             "lease request carries deadline fields without the attempt flag",
         ));
     }
-    let holder = data.get_u32();
-    let epoch = data.get_u32();
-    let spent = data.get_u32();
+    let holder = get_u32(data);
+    let epoch = get_u32(data);
+    let spent = get_u32(data);
     let key = parse_key(data)?;
     let mut request = QosRequest::new(id, key);
     request.solicit_hint = flags & LEASE_FLAG_SOLICIT_HINT != 0;
@@ -460,8 +483,8 @@ fn parse_response_body(data: &mut &[u8]) -> Result<QosResponse> {
     if data.len() < 9 {
         return Err(JanusError::codec("truncated response"));
     }
-    let id = data.get_u64();
-    let verdict = match data.get_u8() {
+    let id = get_u64(data);
+    let verdict = match get_u8(data) {
         0 => Verdict::Deny,
         1 => Verdict::Allow,
         other => {
@@ -477,8 +500,8 @@ fn parse_response_hint_body(data: &mut &[u8]) -> Result<QosResponse> {
     if data.len() < 16 {
         return Err(JanusError::codec("truncated rule hint"));
     }
-    let capacity = Credits::from_micro(data.get_u64());
-    let rate = RefillRate::from_micro_per_sec(data.get_u64());
+    let capacity = Credits::from_micro(get_u64(data));
+    let rate = RefillRate::from_micro_per_sec(get_u64(data));
     Ok(response.with_hint(RuleHint::new(capacity, rate)))
 }
 
@@ -489,23 +512,23 @@ fn parse_response_lease_body(data: &mut &[u8]) -> Result<QosResponse> {
     if data.len() < LEASE_GRANT_BYTES {
         return Err(JanusError::codec("truncated lease grant"));
     }
-    let flags = data.get_u8();
+    let flags = get_u8(data);
     if flags & !GRANT_FLAG_HINT != 0 {
         return Err(JanusError::codec(format!(
             "unknown lease grant flags 0x{flags:02x}"
         )));
     }
-    let slice = Credits::from_micro(data.get_u64());
-    let refill = RefillRate::from_micro_per_sec(data.get_u64());
-    let ttl_us = data.get_u32();
-    let epoch = data.get_u32();
+    let slice = Credits::from_micro(get_u64(data));
+    let refill = RefillRate::from_micro_per_sec(get_u64(data));
+    let ttl_us = get_u32(data);
+    let epoch = get_u32(data);
     let mut response = response.with_lease(Lease::new(slice, refill, ttl_us, epoch));
     if flags & GRANT_FLAG_HINT != 0 {
         if data.len() < 16 {
             return Err(JanusError::codec("truncated rule hint after lease grant"));
         }
-        let capacity = Credits::from_micro(data.get_u64());
-        let rate = RefillRate::from_micro_per_sec(data.get_u64());
+        let capacity = Credits::from_micro(get_u64(data));
+        let rate = RefillRate::from_micro_per_sec(get_u64(data));
         response = response.with_hint(RuleHint::new(capacity, rate));
     }
     Ok(response)
@@ -519,15 +542,15 @@ fn parse_header(data: &mut &[u8]) -> Result<u8> {
             data.len()
         )));
     }
-    let magic = data.get_u16();
+    let magic = get_u16(data);
     if magic != MAGIC {
         return Err(JanusError::codec(format!("bad magic 0x{magic:04x}")));
     }
-    let version = data.get_u8();
+    let version = get_u8(data);
     if version != VERSION {
         return Err(JanusError::codec(format!("unsupported version {version}")));
     }
-    Ok(data.get_u8())
+    Ok(get_u8(data))
 }
 
 fn reject_trailing(data: &[u8]) -> Result<()> {
@@ -596,13 +619,13 @@ pub fn decode_all(mut data: &[u8]) -> Result<Vec<Frame>> {
             if data.len() < 2 {
                 return Err(JanusError::codec("truncated batch count"));
             }
-            let count = data.get_u16() as usize;
+            let count = get_u16(&mut data) as usize;
             let mut frames = Vec::with_capacity(count);
             for _ in 0..count {
                 if data.is_empty() {
                     return Err(JanusError::codec("truncated batch item"));
                 }
-                let item_kind = data.get_u8();
+                let item_kind = get_u8(&mut data);
                 frames.push(match item_kind {
                     KIND_REQUEST => Frame::Request(parse_request_body(&mut data)?),
                     KIND_RESPONSE => Frame::Response(parse_response_body(&mut data)?),
@@ -639,7 +662,7 @@ pub fn decode_all(mut data: &[u8]) -> Result<Vec<Frame>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::testrng::{TestRng, CASES};
 
     fn key(s: &str) -> QosKey {
         QosKey::new(s).unwrap()
@@ -685,7 +708,7 @@ mod tests {
 
     #[test]
     fn rejects_every_header_and_body_mutation() {
-        let mut wire = BytesMut::from(&encode_response(&QosResponse::allow(1))[..]);
+        let mut wire = encode_response(&QosResponse::allow(1));
         let last = wire.len() - 1;
         assert_mutation_rejected(&mut wire, 0, 0xff, "magic");
         assert_mutation_rejected(&mut wire, 2, 99, "version");
@@ -700,8 +723,8 @@ mod tests {
 
     #[test]
     fn rejects_trailing_bytes() {
-        let mut wire = BytesMut::from(&encode_response(&QosResponse::allow(1))[..]);
-        wire.put_u8(0);
+        let mut wire = encode_response(&QosResponse::allow(1));
+        wire.push(0);
         assert!(decode(&wire).is_err());
     }
 
@@ -715,7 +738,7 @@ mod tests {
 
     #[test]
     fn rejects_non_utf8_key() {
-        let mut wire = BytesMut::from(&encode_request(&QosRequest::new(3, key("abcd")))[..]);
+        let mut wire = encode_request(&QosRequest::new(3, key("abcd")));
         let last = wire.len() - 1;
         assert_mutation_rejected(&mut wire, last, 0xff, "key byte (non-UTF-8)");
     }
@@ -873,7 +896,7 @@ mod tests {
     #[test]
     fn deadline_request_rejects_unknown_flag_bits() {
         let req = QosRequest::new(3, key("abcd")).with_attempt(meta(10, 2));
-        let mut wire = BytesMut::from(&encode_request(&req)[..]);
+        let mut wire = encode_request(&req);
         // Byte 12 is the flags byte; only bit 0 is defined today.
         for bad in [0x02u8, 0x80, 0xff] {
             assert_mutation_rejected(&mut wire, 12, bad, "reserved deadline flag");
@@ -1004,7 +1027,7 @@ mod tests {
     #[test]
     fn lease_request_rejects_unknown_flag_bits() {
         let req = QosRequest::new(3, key("abcd")).with_lease(LeaseReport::soliciting(2));
-        let mut wire = BytesMut::from(&encode_request(&req)[..]);
+        let mut wire = encode_request(&req);
         // Byte 12 is the flags byte; only bits 0..=3 are defined today.
         for bad in [0x10u8, 0x80, 0xff] {
             assert_mutation_rejected(&mut wire, 12, bad, "reserved lease flag");
@@ -1017,7 +1040,7 @@ mod tests {
         // A lease frame without the attempt flag must carry zeroed
         // deadline fields: anything else is a non-canonical encoding.
         let req = QosRequest::new(3, key("abcd")).with_lease(LeaseReport::soliciting(2));
-        let mut wire = BytesMut::from(&encode_request(&req)[..]);
+        let mut wire = encode_request(&req);
         assert_mutation_rejected(&mut wire, 13, 1, "budget without attempt flag");
         assert_mutation_rejected(&mut wire, 17, 1, "nonce without attempt flag");
         assert_eq!(decode(&wire).unwrap(), Frame::Request(req));
@@ -1026,7 +1049,7 @@ mod tests {
     #[test]
     fn lease_grant_rejects_unknown_flag_bits() {
         let resp = QosResponse::allow(5).with_lease(lease(4, 2, 1000, 1));
-        let mut wire = BytesMut::from(&encode_response(&resp)[..]);
+        let mut wire = encode_response(&resp);
         // Byte 13 is the grant flags byte; only bit 0 is defined today.
         for bad in [0x02u8, 0x80, 0xff] {
             assert_mutation_rejected(&mut wire, 13, bad, "reserved grant flag");
@@ -1226,202 +1249,215 @@ mod tests {
         );
     }
 
-    proptest! {
-        #[test]
-        fn any_batch_roundtrips_within_budget(
-            specs in proptest::collection::vec(
-                prop_oneof![
-                    (
-                        any::<u64>(),
-                        "[ -~]{1,255}",
-                        any::<bool>(),
-                        proptest::option::of((any::<u32>(), any::<u32>())),
-                    )
-                        .prop_map(|(id, s, solicit, attempt)| {
-                            (Some((s, solicit, attempt)), id, false, None)
-                        }),
-                    (any::<u64>(), any::<bool>(), proptest::option::of((any::<u64>(), any::<u64>())))
-                        .prop_map(|(id, allow, hint)| (None, id, allow, hint)),
-                ],
-                0..200,
-            ),
-        ) {
-            let frames: Vec<Frame> = specs
-                .iter()
-                .map(|(s, id, allow, hint)| match s {
-                    Some((s, solicit, attempt)) => {
-                        let mut req = if *solicit {
-                            QosRequest::soliciting_hint(*id, key(s))
-                        } else {
-                            QosRequest::new(*id, key(s))
-                        };
-                        if let Some((budget_us, nonce)) = attempt {
-                            req = req.with_attempt(AttemptMeta::new(*budget_us, *nonce));
-                        }
-                        Frame::Request(req)
-                    }
-                    None => {
-                        let mut resp = QosResponse::new(*id, Verdict::from_bool(*allow));
-                        if let Some((cap, rate)) = hint {
-                            resp = resp.with_hint(RuleHint::new(
-                                Credits::from_micro(*cap),
-                                RefillRate::from_micro_per_sec(*rate),
-                            ));
-                        }
-                        Frame::Response(resp)
+    // Seeded property loops (fixed seeds, `CASES` cases each): the
+    // generators below are the input distributions.
+
+    fn any_key(rng: &mut TestRng, max_len: usize) -> QosKey {
+        key(&rng.printable(1, max_len))
+    }
+
+    fn any_attempt(rng: &mut TestRng) -> AttemptMeta {
+        AttemptMeta::new(rng.next_u64() as u32, rng.next_u64() as u32)
+    }
+
+    fn any_hint(rng: &mut TestRng) -> RuleHint {
+        RuleHint::new(
+            Credits::from_micro(rng.next_u64()),
+            RefillRate::from_micro_per_sec(rng.next_u64()),
+        )
+    }
+
+    /// A request of kind 0x01, 0x04 or 0x06 (`with_attempt` picks 0x06).
+    fn any_request(rng: &mut TestRng, with_attempt: bool) -> QosRequest {
+        let id = rng.next_u64();
+        let k = any_key(rng, MAX_KEY_BYTES);
+        let mut req = if rng.coin() {
+            QosRequest::soliciting_hint(id, k)
+        } else {
+            QosRequest::new(id, k)
+        };
+        if with_attempt {
+            req = req.with_attempt(any_attempt(rng));
+        }
+        req
+    }
+
+    /// A response of kind 0x02 or 0x05.
+    fn any_response(rng: &mut TestRng) -> QosResponse {
+        let mut resp = QosResponse::new(rng.next_u64(), Verdict::from_bool(rng.coin()));
+        if rng.coin() {
+            resp = resp.with_hint(any_hint(rng));
+        }
+        resp
+    }
+
+    fn any_bytes(rng: &mut TestRng, max_len: u64) -> Vec<u8> {
+        (0..rng.below(max_len))
+            .map(|_| rng.next_u64() as u8)
+            .collect()
+    }
+
+    #[test]
+    fn any_batch_roundtrips_within_budget() {
+        let mut rng = TestRng::new(0xC0DE_C001);
+        for _ in 0..CASES {
+            let frames: Vec<Frame> = (0..rng.below(200))
+                .map(|_| {
+                    if rng.coin() {
+                        let with_attempt = rng.coin();
+                        Frame::Request(any_request(&mut rng, with_attempt))
+                    } else {
+                        Frame::Response(any_response(&mut rng))
                     }
                 })
                 .collect();
-            let datagrams = encode_batch(&frames);
             let mut decoded = Vec::new();
-            for d in &datagrams {
-                prop_assert!(d.len() <= MAX_DATAGRAM_BYTES);
+            for d in &encode_batch(&frames) {
+                assert!(d.len() <= MAX_DATAGRAM_BYTES);
                 decoded.extend(decode_all(d).unwrap());
             }
-            prop_assert_eq!(decoded, frames);
+            assert_eq!(decoded, frames);
         }
+    }
 
-        #[test]
-        fn decode_all_never_panics(data in proptest::collection::vec(any::<u8>(), 0..2000)) {
-            let _ = decode_all(&data);
+    #[test]
+    fn decoders_never_panic_on_garbage() {
+        let mut rng = TestRng::new(0xC0DE_C002);
+        for _ in 0..CASES {
+            let _ = decode_all(&any_bytes(&mut rng, 2000));
+            let _ = decode(&any_bytes(&mut rng, 600));
         }
+    }
 
-        #[test]
-        fn any_batch_rejects_truncation_inflation_and_trailing(
-            specs in proptest::collection::vec(("[ -~]{1,40}", any::<u64>()), 2..24),
-            cut in any::<prop::sample::Index>(),
-        ) {
-            // Fuzz the borrowing decoder against malformed batch
-            // datagrams: every strict prefix, an item count claiming
-            // more items than are present, a count claiming fewer
-            // (trailing bytes), and appended garbage must all be
-            // rejected — and the pristine datagram must still decode
-            // after the in-place mutations are undone.
-            let frames: Vec<Frame> = specs
-                .iter()
-                .map(|(s, id)| Frame::Request(QosRequest::new(*id, key(s))))
+    #[test]
+    fn decoders_never_panic_on_corrupted_valid_frames() {
+        // Garbage rarely gets past the magic; a valid frame with a few
+        // bytes flipped reaches every parser branch.
+        let mut rng = TestRng::new(0xC0DE_C003);
+        for _ in 0..CASES {
+            let req = any_request(&mut rng, true).with_lease(any_lease_report(&mut rng));
+            let resp = any_response(&mut rng).with_lease(any_lease(&mut rng));
+            let batch = encode_batch(&[Frame::Request(req.clone()), Frame::Response(resp)]);
+            for mut wire in [
+                encode_request(&req),
+                encode_response(&resp),
+                batch[0].clone(),
+            ] {
+                for _ in 0..1 + rng.below(3) {
+                    let at = rng.below(wire.len() as u64) as usize;
+                    wire[at] = rng.next_u64() as u8;
+                }
+                wire.truncate(1 + rng.below(wire.len() as u64) as usize);
+                let _ = decode(&wire);
+                let _ = decode_all(&wire);
+            }
+        }
+    }
+
+    #[test]
+    fn any_batch_rejects_truncation_inflation_and_trailing() {
+        // The borrowing decoder against malformed batch datagrams: a
+        // strict prefix, an item count claiming more items than are
+        // present, a count claiming fewer (trailing bytes), and appended
+        // garbage must all be rejected — and the pristine datagram must
+        // still decode after the in-place mutations are undone.
+        let mut rng = TestRng::new(0xC0DE_C004);
+        for _ in 0..CASES {
+            let frames: Vec<Frame> = (0..2 + rng.below(22))
+                .map(|_| Frame::Request(QosRequest::new(rng.next_u64(), any_key(&mut rng, 40))))
                 .collect();
-            let datagrams = encode_batch(&frames);
-            prop_assert_eq!(datagrams.len(), 1);
-            let mut wire = BytesMut::from(&datagrams[0][..]);
-            let cut = cut.index(wire.len());
-            prop_assert!(decode_all(&wire[..cut]).is_err(), "accepted {}-byte prefix", cut);
+            let mut datagrams = encode_batch(&frames);
+            assert_eq!(datagrams.len(), 1);
+            let mut wire = datagrams.remove(0);
+            let cut = rng.below(wire.len() as u64) as usize;
+            assert!(
+                decode_all(&wire[..cut]).is_err(),
+                "accepted {cut}-byte prefix"
+            );
             let count = u16::from_be_bytes([wire[4], wire[5]]);
             wire[4..6].copy_from_slice(&(count + 1).to_be_bytes());
-            prop_assert!(decode_all(&wire).is_err(), "accepted inflated item count");
+            assert!(decode_all(&wire).is_err(), "accepted inflated item count");
             wire[4..6].copy_from_slice(&(count - 1).to_be_bytes());
-            prop_assert!(decode_all(&wire).is_err(), "accepted deflated item count");
+            assert!(decode_all(&wire).is_err(), "accepted deflated item count");
             wire[4..6].copy_from_slice(&count.to_be_bytes());
-            prop_assert_eq!(decode_all(&wire).unwrap(), frames);
-            wire.put_u8(0);
-            prop_assert!(decode_all(&wire).is_err(), "accepted trailing garbage");
+            assert_eq!(decode_all(&wire).unwrap(), frames);
+            wire.push(0);
+            assert!(decode_all(&wire).is_err(), "accepted trailing garbage");
         }
+    }
 
-        #[test]
-        fn any_request_roundtrips(id: u64, s in "[ -~]{1,255}") {
-            let req = QosRequest::new(id, key(&s));
-            let wire = encode_request(&req);
-            prop_assert_eq!(decode(&wire).unwrap(), Frame::Request(req));
+    fn any_lease_report(rng: &mut TestRng) -> LeaseReport {
+        LeaseReport {
+            holder: rng.next_u64() as u32,
+            epoch: rng.next_u64() as u32,
+            spent: rng.next_u64() as u32,
+            solicit: rng.coin(),
+            giving_back: rng.coin(),
         }
+    }
 
-        #[test]
-        fn any_deadline_request_roundtrips(
-            id: u64,
-            s in "[ -~]{1,255}",
-            solicit: bool,
-            budget_us: u32,
-            nonce: u32,
-        ) {
-            let mut req = if solicit {
-                QosRequest::soliciting_hint(id, key(&s))
-            } else {
-                QosRequest::new(id, key(&s))
-            };
-            req = req.with_attempt(AttemptMeta::new(budget_us, nonce));
-            let wire = encode_request(&req);
-            prop_assert_eq!(decode(&wire).unwrap(), Frame::Request(req.clone()));
-            prop_assert_eq!(decode_all(&wire).unwrap(), vec![Frame::Request(req)]);
+    fn any_lease(rng: &mut TestRng) -> Lease {
+        Lease::new(
+            Credits::from_micro(rng.next_u64()),
+            RefillRate::from_micro_per_sec(rng.next_u64()),
+            rng.next_u64() as u32,
+            rng.next_u64() as u32,
+        )
+    }
+
+    /// Encode, decode through both entry points, and check every strict
+    /// prefix is rejected.
+    fn assert_roundtrip_and_truncation(frame: Frame) {
+        let wire = encode(&frame);
+        assert_eq!(decode(&wire).unwrap(), frame);
+        assert_eq!(decode_all(&wire).unwrap(), vec![frame]);
+        for cut in 0..wire.len() {
+            assert!(decode(&wire[..cut]).is_err(), "accepted {cut}-byte prefix");
         }
+    }
 
-        #[test]
-        fn any_lease_request_roundtrips(
-            id: u64,
-            s in "[ -~]{1,255}",
-            solicit_hint: bool,
-            attempt in proptest::option::of((any::<u32>(), any::<u32>())),
-            holder: u32,
-            epoch: u32,
-            spent: u32,
-            solicit: bool,
-            giving_back: bool,
-        ) {
-            let mut req = if solicit_hint {
-                QosRequest::soliciting_hint(id, key(&s))
-            } else {
-                QosRequest::new(id, key(&s))
-            };
-            if let Some((budget_us, nonce)) = attempt {
-                req = req.with_attempt(AttemptMeta::new(budget_us, nonce));
+    #[test]
+    fn any_request_of_every_kind_roundtrips_and_rejects_truncation() {
+        let mut rng = TestRng::new(0xC0DE_C005);
+        for case in 0..4 * CASES {
+            // Kinds 0x01/0x04, 0x06, and 0x07 with and without the
+            // attempt flag, in turn.
+            let mut req = any_request(&mut rng, case % 4 == 1 || case % 4 == 3);
+            if case % 4 >= 2 {
+                req = req.with_lease(any_lease_report(&mut rng));
             }
-            req = req.with_lease(LeaseReport { holder, epoch, spent, solicit, giving_back });
-            let wire = encode_request(&req);
-            prop_assert_eq!(decode(&wire).unwrap(), Frame::Request(req.clone()));
-            prop_assert_eq!(decode_all(&wire).unwrap(), vec![Frame::Request(req)]);
+            let expected = [
+                if req.solicit_hint {
+                    KIND_REQUEST_HINT
+                } else {
+                    KIND_REQUEST
+                },
+                KIND_REQUEST_DEADLINE,
+                KIND_REQUEST_LEASE,
+                KIND_REQUEST_LEASE,
+            ][case % 4];
+            assert_eq!(encode_request(&req)[3], expected);
+            assert_roundtrip_and_truncation(Frame::Request(req));
         }
+    }
 
-        #[test]
-        fn any_lease_response_roundtrips(
-            id: u64,
-            allow: bool,
-            slice: u64,
-            rate: u64,
-            ttl_us: u32,
-            epoch: u32,
-            hint in proptest::option::of((any::<u64>(), any::<u64>())),
-        ) {
-            let mut resp = QosResponse::new(id, Verdict::from_bool(allow)).with_lease(Lease::new(
-                Credits::from_micro(slice),
-                RefillRate::from_micro_per_sec(rate),
-                ttl_us,
-                epoch,
-            ));
-            if let Some((cap, r)) = hint {
-                resp = resp.with_hint(RuleHint::new(
-                    Credits::from_micro(cap),
-                    RefillRate::from_micro_per_sec(r),
-                ));
+    #[test]
+    fn any_response_of_every_kind_roundtrips_and_rejects_truncation() {
+        let mut rng = TestRng::new(0xC0DE_C006);
+        for case in 0..2 * CASES {
+            // Kinds 0x02/0x05 on even cases, 0x08 (with or without a
+            // trailing hint) on odd ones.
+            let mut resp = any_response(&mut rng);
+            if case % 2 == 1 {
+                resp = resp.with_lease(any_lease(&mut rng));
             }
-            let wire = encode_response(&resp);
-            prop_assert_eq!(decode(&wire).unwrap(), Frame::Response(resp));
-        }
-
-        #[test]
-        fn any_response_roundtrips(id: u64, allow: bool) {
-            let resp = QosResponse::new(id, Verdict::from_bool(allow));
-            let wire = encode_response(&resp);
-            prop_assert_eq!(decode(&wire).unwrap(), Frame::Response(resp));
-        }
-
-        #[test]
-        fn any_hinted_response_roundtrips(id: u64, allow: bool, cap: u64, rate: u64) {
-            let resp = QosResponse::new(id, Verdict::from_bool(allow)).with_hint(
-                RuleHint::new(Credits::from_micro(cap), RefillRate::from_micro_per_sec(rate)),
-            );
-            let wire = encode_response(&resp);
-            prop_assert_eq!(decode(&wire).unwrap(), Frame::Response(resp));
-        }
-
-        #[test]
-        fn decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..600)) {
-            let _ = decode(&data);
-        }
-
-        #[test]
-        fn frame_encode_matches_direction(id: u64, s in "[a-z]{1,32}", allow: bool) {
-            let req = Frame::Request(QosRequest::new(id, key(&s)));
-            let resp = Frame::Response(QosResponse::new(id, Verdict::from_bool(allow)));
-            prop_assert_eq!(decode(&encode(&req)).unwrap(), req);
-            prop_assert_eq!(decode(&encode(&resp)).unwrap(), resp);
+            let expected = match (resp.lease.is_some(), resp.hint.is_some()) {
+                (true, _) => KIND_RESPONSE_LEASE,
+                (false, true) => KIND_RESPONSE_HINT,
+                (false, false) => KIND_RESPONSE,
+            };
+            assert_eq!(encode_response(&resp)[3], expected);
+            assert_roundtrip_and_truncation(Frame::Response(resp));
         }
     }
 }

@@ -23,8 +23,6 @@ const NANOS_PER_SEC: u128 = 1_000_000_000;
 /// One whole credit admits one request. Fractional credit accumulates
 /// between refill observations.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct Credits(u64);
 
 impl Credits {
@@ -128,8 +126,6 @@ impl SubAssign for Credits {
 /// Stored as microcredits per second so that e.g. "0.5 requests/second"
 /// (one request every two seconds) is representable exactly.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct RefillRate(u64);
 
 impl RefillRate {
@@ -194,7 +190,7 @@ impl fmt::Display for RefillRate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::testrng::{TestRng, CASES};
 
     #[test]
     fn one_credit_covers_one_request() {
@@ -260,43 +256,45 @@ mod tests {
         assert_eq!(c, Credits::MAX);
     }
 
-    proptest! {
-        #[test]
-        fn accrual_is_monotonic_in_time(
-            rate in 0u64..=10_000_000_000,
-            a in 0u64..=86_400_000_000_000,
-            b in 0u64..=86_400_000_000_000,
-        ) {
-            let rate = RefillRate::from_micro_per_sec(rate);
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(
-                rate.accrued_over(Duration::from_nanos(lo))
-                    <= rate.accrued_over(Duration::from_nanos(hi))
+    #[test]
+    fn accrual_is_monotonic_in_time() {
+        let mut rng = TestRng::new(0xC4ED_0001);
+        for _ in 0..CASES {
+            let rate = RefillRate::from_micro_per_sec(rng.between(0, 10_000_000_000));
+            let a = rng.between(0, 86_400_000_000_000);
+            let b = rng.between(0, 86_400_000_000_000);
+            assert!(
+                rate.accrued_over(Duration::from_nanos(a.min(b)))
+                    <= rate.accrued_over(Duration::from_nanos(a.max(b)))
             );
         }
+    }
 
-        #[test]
-        fn accrual_is_superadditive_in_time(
-            rate in 0u64..=10_000_000_000,
-            a in 0u64..=3_600_000_000_000u64,
-            b in 0u64..=3_600_000_000_000u64,
-        ) {
-            // Splitting an interval loses at most one microcredit of
-            // rounding per split; the whole-interval accrual is always >=
-            // the sum-of-parts and within 1uc of it.
-            let rate = RefillRate::from_micro_per_sec(rate);
+    #[test]
+    fn accrual_is_superadditive_in_time() {
+        // Splitting an interval loses at most one microcredit of rounding
+        // per split; the whole-interval accrual is always >= the
+        // sum-of-parts and within 1uc of it.
+        let mut rng = TestRng::new(0xC4ED_0002);
+        for _ in 0..CASES {
+            let rate = RefillRate::from_micro_per_sec(rng.between(0, 10_000_000_000));
+            let a = rng.between(0, 3_600_000_000_000);
+            let b = rng.between(0, 3_600_000_000_000);
             let whole = rate.accrued_over(Duration::from_nanos(a + b));
             let parts = rate.accrued_over(Duration::from_nanos(a))
                 + rate.accrued_over(Duration::from_nanos(b));
-            prop_assert!(whole >= parts);
-            prop_assert!(whole.as_micro() - parts.as_micro() <= 1);
+            assert!(whole >= parts);
+            assert!(whole.as_micro() - parts.as_micro() <= 1);
         }
+    }
 
-        #[test]
-        fn add_then_sub_roundtrips(a in 0u64..u64::MAX / 2, b in 0u64..u64::MAX / 2) {
-            let x = Credits::from_micro(a);
-            let y = Credits::from_micro(b);
-            prop_assert_eq!((x + y) - y, x);
+    #[test]
+    fn add_then_sub_roundtrips() {
+        let mut rng = TestRng::new(0xC4ED_0003);
+        for _ in 0..CASES {
+            let x = Credits::from_micro(rng.below(u64::MAX / 2));
+            let y = Credits::from_micro(rng.below(u64::MAX / 2));
+            assert_eq!((x + y) - y, x);
         }
     }
 }

@@ -13,7 +13,6 @@ pub type RequestId = u64;
 /// The admission decision. The paper's QoS response is a boolean; `Verdict`
 /// names the two values to keep call sites readable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Verdict {
     /// TRUE — admit the request.
     Allow,
@@ -69,7 +68,6 @@ impl From<bool> for Verdict {
 /// stateless routers jointly approximate the purchased rate instead of
 /// falling back to a blind default reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RuleHint {
     /// Bucket capacity of the rule in force.
     pub capacity: Credits,
@@ -110,7 +108,6 @@ impl RuleHint {
 /// remembers recently-seen nonces can recognize a duplicate attempt and
 /// return the cached verdict instead of charging the bucket twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttemptMeta {
     /// Remaining deadline budget in microseconds. Clients stamp at least
     /// 1 (a zero budget means "already expired — shed me").
@@ -141,7 +138,6 @@ impl AttemptMeta {
 /// already-debited slice, which is the Guan-style inaccuracy bound:
 /// over-admission ≤ lease size × fleet).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lease {
     /// Credit slice delegated to the holder (local bucket capacity).
     pub slice: Credits,
@@ -185,7 +181,6 @@ impl Lease {
 /// restarted after a lost return, would let refunded credit be spent
 /// again.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LeaseReport {
     /// Stable identity of the reporting router node.
     pub holder: u32,
@@ -241,7 +236,6 @@ impl LeaseReport {
 
 /// A QoS request: "may the holder of `key` make one more call?"
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QosRequest {
     /// Retry-correlation id, unique per logical request per router node.
     pub id: RequestId,
@@ -251,20 +245,17 @@ pub struct QosRequest {
     /// the wire this selects the hint-soliciting frame kind; a
     /// hint-unaware server ignores such a frame, so soliciting clients
     /// fall back to the plain frame on retries.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub solicit_hint: bool,
     /// Deadline budget and retry nonce for this attempt, when the client
     /// propagates them. Off the wire this selects the deadline frame
     /// kind; a deadline-unaware server drops that frame as garbage, so
     /// propagating clients fall back to a legacy frame on the final
     /// attempt.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub attempt: Option<AttemptMeta>,
     /// Lease solicitation / reconciliation piggybacked on this request.
     /// Off the wire this selects the lease frame kind; a lease-unaware
     /// server drops that frame as garbage, so lease-capable clients fall
     /// back to lease-free frames on retries.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub lease: Option<LeaseReport>,
 }
 
@@ -342,7 +333,6 @@ impl QosRequest {
 
 /// A QoS response carrying the admission verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QosResponse {
     /// Echoes [`QosRequest::id`].
     pub id: RequestId,
@@ -350,12 +340,10 @@ pub struct QosResponse {
     pub verdict: Verdict,
     /// The shape of the rule the verdict was decided under, present only
     /// when the request solicited it and a rule was in force.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub hint: Option<RuleHint>,
     /// A credit lease granted (or renewed) in answer to a piggybacked
     /// [`LeaseReport`], present only when the request solicited one and
     /// the server chose to delegate.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub lease: Option<Lease>,
 }
 

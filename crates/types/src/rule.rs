@@ -9,7 +9,6 @@ use crate::{Credits, JanusError, QosKey, RefillRate, Result};
 /// bucket (the burst allowance) and the remaining credit (written back by
 /// QoS-server check-pointing).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QosRule {
     /// Primary key of the rule.
     pub key: QosKey,
@@ -202,15 +201,6 @@ mod tests {
         let r = QosRule::per_second(key("00000000-0000-0000-0000-000000000000"), 1000, 100);
         let size = r.approx_stored_size();
         assert!((40..=120).contains(&size), "size was {size}");
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let r = QosRule::per_second(key("alice:photos"), 1000, 100);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: QosRule = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

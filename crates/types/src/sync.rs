@@ -1,16 +1,20 @@
-//! Poison-free lock wrappers over `std::sync`.
+//! Poison-free lock wrappers and the shutdown signal, over `std::sync`.
 //!
-//! The workspace historically used `parking_lot` for its unwrap-free
-//! locking API. The crates shared with the deterministic simulator must
-//! build with no external dependencies, so this module provides the same
-//! calling convention (`lock()` / `read()` / `write()` return guards
-//! directly) on top of the standard library. Poisoning is deliberately
-//! ignored — a panic while holding one of these locks propagates to the
-//! panicking thread's owner anyway, and admission state is reconstructible
-//! from the database, so "continue with the last value" matches the
-//! parking_lot semantics every call site was written against.
+//! Every crate in the workspace builds with no external dependencies, so
+//! this module provides the unwrap-free calling convention (`lock()` /
+//! `read()` / `write()` return guards directly) on top of the standard
+//! library. Poisoning is deliberately ignored — a panic while holding one
+//! of these locks propagates to the panicking thread's owner anyway, and
+//! admission state is reconstructible from the database, so "continue
+//! with the last value" is what every call site was written against.
+//!
+//! [`Shutdown`] is how an owner stops the threads it spawned: a flag plus
+//! a condition variable, so a periodic loop sleeps on
+//! [`Shutdown::wait_timeout`] instead of `thread::sleep` and wakes the
+//! moment the owner triggers.
 
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Condvar, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 /// A mutual-exclusion lock whose `lock()` never returns a poison error.
 #[derive(Debug, Default)]
@@ -72,10 +76,56 @@ impl<T> RwLock<T> {
     }
 }
 
+/// A one-way stop signal shared by an owner and the threads it spawned.
+///
+/// Cheap to clone; all clones observe the same flag. Once triggered it
+/// stays triggered.
+#[derive(Debug, Clone, Default)]
+pub struct Shutdown(Arc<(Mutex<bool>, Condvar)>);
+
+impl Shutdown {
+    /// A fresh, untriggered signal.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Set the flag and wake every thread parked in
+    /// [`wait_timeout`](Self::wait_timeout).
+    pub fn trigger(&self) {
+        *self.0 .0.lock() = true;
+        self.0 .1.notify_all();
+    }
+
+    /// Has [`trigger`](Self::trigger) been called?
+    pub fn is_triggered(&self) -> bool {
+        *self.0 .0.lock()
+    }
+
+    /// Sleep up to `timeout`, returning early — with `true` — as soon as
+    /// the signal is triggered. A periodic loop is
+    /// `while !shutdown.wait_timeout(period) { tick() }`.
+    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut stopped = self.0 .0.lock();
+        while !*stopped {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            stopped = self
+                .0
+                 .1
+                .wait_timeout(stopped, left)
+                .unwrap_or_else(|poison| poison.into_inner())
+                .0;
+        }
+        *stopped
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn mutex_basic() {
@@ -106,8 +156,34 @@ mod tests {
             panic!("poison the lock");
         })
         .join();
-        // parking_lot semantics: the next lock() succeeds.
+        // Poison is ignored: the next lock() succeeds.
         *m.lock() += 1;
         assert_eq!(*m.lock(), 1);
+    }
+
+    #[test]
+    fn shutdown_wait_times_out_then_wakes_on_trigger() {
+        let shutdown = Shutdown::new();
+        assert!(!shutdown.is_triggered());
+        assert!(!shutdown.wait_timeout(Duration::from_millis(5)));
+        let waiter = shutdown.clone();
+        let parked = std::thread::spawn(move || {
+            let started = Instant::now();
+            (
+                waiter.wait_timeout(Duration::from_secs(30)),
+                started.elapsed(),
+            )
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        shutdown.trigger();
+        let (stopped, waited) = parked.join().unwrap();
+        assert!(stopped);
+        assert!(
+            waited < Duration::from_secs(10),
+            "trigger did not wake the waiter"
+        );
+        // Triggered stays triggered: later waits return at once.
+        assert!(shutdown.wait_timeout(Duration::from_secs(30)));
+        assert!(shutdown.is_triggered());
     }
 }

@@ -1,7 +1,8 @@
 //! Open- and closed-loop load drivers.
 //!
-//! Both drivers exercise an arbitrary async request function and produce a
-//! [`LoadReport`] (latency histogram, per-second accepted/rejected series,
+//! Both drivers exercise an arbitrary blocking request function — one
+//! thread per closed-loop worker, one per open-loop request — and produce
+//! a [`LoadReport`] (latency histogram, per-second accepted/rejected series,
 //! totals). The request function returns `Ok(true)` for an admitted
 //! request, `Ok(false)` for a throttled one, and `Err` for a transport
 //! failure.
@@ -16,12 +17,10 @@
 
 use crate::{Histogram, LatencyStats, SecondSeries};
 use janus_hash::rng::Rng;
-use serde::Serialize;
-use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-use tokio::time::Instant;
+use std::sync::mpsc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// Configuration for [`run_closed_loop`].
 #[derive(Debug, Clone)]
@@ -47,7 +46,7 @@ pub struct OpenLoopConfig {
 }
 
 /// The outcome of a load run.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct LoadReport {
     /// Latency of every completed request.
     pub histogram: Histogram,
@@ -83,76 +82,105 @@ impl LoadReport {
     }
 }
 
-/// Drive `request` with a fixed number of always-busy workers.
-///
-/// `request` is called with the global request index and must resolve to
-/// `Ok(accepted)` or `Err(_)`.
-pub async fn run_closed_loop<F, Fut, E>(config: ClosedLoopConfig, request: F) -> LoadReport
-where
-    F: Fn(u64) -> Fut + Send + Sync + 'static,
-    Fut: Future<Output = Result<bool, E>> + Send,
-    E: Send + 'static,
-{
-    assert!(config.concurrency > 0, "need at least one worker");
-    let request = Arc::new(request);
-    let next = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
+impl OpenLoopConfig {
+    /// The arrival schedule: each request's offset from the start of the
+    /// run. Pure — the pacing is decided here, off the clock, and
+    /// [`run_open_loop`] only sleeps until each offset.
+    pub fn arrival_offsets(&self) -> Vec<Duration> {
+        assert!(self.rate_per_sec > 0.0, "rate must be positive");
+        assert!(
+            (0.0..1.0).contains(&self.noise_fraction),
+            "noise fraction must be in [0, 1)"
+        );
+        let mut rng = Rng::seed_from_u64(self.seed);
+        let base_gap = Duration::from_secs_f64(1.0 / self.rate_per_sec);
+        let mut offsets = Vec::new();
+        let mut next_at = Duration::ZERO;
+        while next_at < self.duration {
+            offsets.push(next_at);
+            let jitter = if self.noise_fraction > 0.0 {
+                // Uniform in [-1, 1).
+                1.0 + self.noise_fraction * (2.0 * rng.gen_f64() - 1.0)
+            } else {
+                1.0
+            };
+            next_at += base_gap.mul_f64(jitter);
+        }
+        offsets
+    }
+}
 
-    let mut workers = Vec::with_capacity(config.concurrency);
-    for _ in 0..config.concurrency {
-        let request = Arc::clone(&request);
-        let next = Arc::clone(&next);
-        let total = config.total_requests;
-        workers.push(tokio::spawn(async move {
-            let mut histogram = Histogram::new();
-            let mut series = SecondSeries::new();
-            let (mut accepted, mut rejected, mut errors) = (0u64, 0u64, 0u64);
-            loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= total {
-                    break;
-                }
-                let issued = Instant::now();
-                let outcome = request(index).await;
-                let latency = issued.elapsed();
-                let at = (issued - start).as_nanos() as u64;
-                match outcome {
-                    Ok(ok) => {
-                        histogram.record_duration(latency);
-                        series.record(at, ok);
-                        if ok {
-                            accepted += 1;
-                        } else {
-                            rejected += 1;
-                        }
-                    }
-                    Err(_) => errors += 1,
+impl LoadReport {
+    fn empty() -> LoadReport {
+        LoadReport {
+            histogram: Histogram::new(),
+            series: SecondSeries::new(),
+            accepted: 0,
+            rejected: 0,
+            errors: 0,
+            elapsed_secs: 0.0,
+        }
+    }
+
+    /// Fold in one finished request, issued `at` nanoseconds into the run.
+    fn record<E>(&mut self, at: u64, latency: Duration, outcome: Result<bool, E>) {
+        match outcome {
+            Ok(ok) => {
+                self.histogram.record_duration(latency);
+                self.series.record(at, ok);
+                if ok {
+                    self.accepted += 1;
+                } else {
+                    self.rejected += 1;
                 }
             }
-            (histogram, series, accepted, rejected, errors)
-        }));
+            Err(_) => self.errors += 1,
+        }
     }
+}
 
-    let mut report = LoadReport {
-        histogram: Histogram::new(),
-        series: SecondSeries::new(),
-        accepted: 0,
-        rejected: 0,
-        errors: 0,
-        elapsed_secs: 0.0,
+/// Drive `request` with a fixed number of always-busy worker threads.
+///
+/// `request` is called with the global request index and must return
+/// `Ok(accepted)` or `Err(_)`.
+pub fn run_closed_loop<F, E>(config: ClosedLoopConfig, request: F) -> LoadReport
+where
+    F: Fn(u64) -> Result<bool, E> + Sync,
+{
+    assert!(config.concurrency > 0, "need at least one worker");
+    let next = AtomicU64::new(0);
+    let start = Instant::now();
+
+    let worker = || {
+        let mut report = LoadReport::empty();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= config.total_requests {
+                return report;
+            }
+            let issued = Instant::now();
+            let outcome = request(index);
+            let at = (issued - start).as_nanos() as u64;
+            report.record(at, issued.elapsed(), outcome);
+        }
     };
-    let mut merged_series = Vec::new();
-    for worker in workers {
-        let (histogram, series, accepted, rejected, errors) =
-            worker.await.expect("load worker panicked");
-        report.histogram.merge(&histogram);
-        merged_series.push(series);
-        report.accepted += accepted;
-        report.rejected += rejected;
-        report.errors += errors;
-    }
-    for series in merged_series {
-        for sample in series.samples() {
+    let per_worker: Vec<LoadReport> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..config.concurrency)
+            .map(|_| scope.spawn(worker))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("load worker panicked"))
+            .collect()
+    });
+
+    let mut report = LoadReport::empty();
+    for part in per_worker {
+        report.histogram.merge(&part.histogram);
+        report.accepted += part.accepted;
+        report.rejected += part.rejected;
+        report.errors += part.errors;
+        for sample in part.series.samples() {
             for _ in 0..sample.accepted {
                 report.series.record(sample.second * 1_000_000_000, true);
             }
@@ -166,71 +194,35 @@ where
 }
 
 /// Drive `request` on a fixed arrival schedule, independent of response
-/// latency (an *open* loop: slow responses do not slow the client down).
-pub async fn run_open_loop<F, Fut, E>(config: OpenLoopConfig, request: F) -> LoadReport
+/// latency (an *open* loop: slow responses do not slow the client down —
+/// every request runs on its own thread).
+pub fn run_open_loop<F, E>(config: OpenLoopConfig, request: F) -> LoadReport
 where
-    F: Fn(u64) -> Fut + Send + Sync + 'static,
-    Fut: Future<Output = Result<bool, E>> + Send + 'static,
-    E: Send + 'static,
+    F: Fn(u64) -> Result<bool, E> + Sync,
+    E: Send,
 {
-    assert!(config.rate_per_sec > 0.0, "rate must be positive");
-    assert!(
-        (0.0..1.0).contains(&config.noise_fraction),
-        "noise fraction must be in [0, 1)"
-    );
-    let request = Arc::new(request);
-    let mut rng = Rng::seed_from_u64(config.seed);
+    let offsets = config.arrival_offsets();
     let start = Instant::now();
-    let deadline = start + config.duration;
-    let base_gap = Duration::from_secs_f64(1.0 / config.rate_per_sec);
-
-    let (tx, mut rx) = tokio::sync::mpsc::unbounded_channel();
-    let mut issued = 0u64;
-    let mut next_at = start;
-    while next_at < deadline {
-        tokio::time::sleep_until(next_at).await;
-        let issued_at = Instant::now();
-        let tx = tx.clone();
-        let request = Arc::clone(&request);
-        let index = issued;
-        tokio::spawn(async move {
-            let outcome = request(index).await;
-            let latency = issued_at.elapsed();
-            let _ = tx.send((issued_at, latency, outcome));
-        });
-        issued += 1;
-        let jitter = if config.noise_fraction > 0.0 {
-            // Uniform in [-1, 1).
-            1.0 + config.noise_fraction * (2.0 * rng.gen_f64() - 1.0)
-        } else {
-            1.0
-        };
-        next_at += base_gap.mul_f64(jitter);
-    }
+    let (tx, rx) = mpsc::channel();
+    let request = &request;
+    thread::scope(|scope| {
+        for (index, offset) in offsets.into_iter().enumerate() {
+            thread::sleep((start + offset).saturating_duration_since(Instant::now()));
+            let tx = tx.clone();
+            // Stamped here, on schedule: thread start-up is latency the
+            // client sees, not time the request has yet to be issued.
+            let issued_at = Instant::now();
+            scope.spawn(move || {
+                let outcome = request(index as u64);
+                let _ = tx.send((issued_at, issued_at.elapsed(), outcome));
+            });
+        }
+    });
     drop(tx);
 
-    let mut report = LoadReport {
-        histogram: Histogram::new(),
-        series: SecondSeries::new(),
-        accepted: 0,
-        rejected: 0,
-        errors: 0,
-        elapsed_secs: 0.0,
-    };
-    while let Some((issued_at, latency, outcome)) = rx.recv().await {
-        let at = (issued_at - start).as_nanos() as u64;
-        match outcome {
-            Ok(ok) => {
-                report.histogram.record_duration(latency);
-                report.series.record(at, ok);
-                if ok {
-                    report.accepted += 1;
-                } else {
-                    report.rejected += 1;
-                }
-            }
-            Err(_) => report.errors += 1,
-        }
+    let mut report = LoadReport::empty();
+    for (issued_at, latency, outcome) in rx {
+        report.record((issued_at - start).as_nanos() as u64, latency, outcome);
     }
     report.elapsed_secs = start.elapsed().as_secs_f64();
     report
@@ -242,24 +234,19 @@ mod tests {
     use std::convert::Infallible;
     use std::sync::atomic::AtomicBool;
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn closed_loop_issues_exact_total() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&counter);
+    #[test]
+    fn closed_loop_issues_exact_total() {
+        let counter = AtomicU64::new(0);
         let report = run_closed_loop(
             ClosedLoopConfig {
                 concurrency: 8,
                 total_requests: 1000,
             },
-            move |_| {
-                let c = Arc::clone(&c);
-                async move {
-                    c.fetch_add(1, Ordering::Relaxed);
-                    Ok::<bool, Infallible>(true)
-                }
+            |_| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                Ok::<bool, Infallible>(true)
             },
-        )
-        .await;
+        );
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
         assert_eq!(report.accepted, 1000);
         assert_eq!(report.rejected, 0);
@@ -268,91 +255,93 @@ mod tests {
         assert_eq!(report.histogram.count(), 1000);
     }
 
-    #[tokio::test]
-    async fn closed_loop_classifies_outcomes() {
+    #[test]
+    fn closed_loop_classifies_outcomes() {
         let report = run_closed_loop(
             ClosedLoopConfig {
                 concurrency: 2,
                 total_requests: 300,
             },
-            |i| async move {
-                match i % 3 {
-                    0 => Ok(true),
-                    1 => Ok(false),
-                    _ => Err("boom"),
-                }
+            |i| match i % 3 {
+                0 => Ok(true),
+                1 => Ok(false),
+                _ => Err("boom"),
             },
-        )
-        .await;
+        );
         assert_eq!(report.accepted, 100);
         assert_eq!(report.rejected, 100);
         assert_eq!(report.errors, 100);
     }
 
-    #[tokio::test(start_paused = true)]
-    async fn open_loop_paces_at_offered_rate() {
-        let report = run_open_loop(
-            OpenLoopConfig {
-                rate_per_sec: 100.0,
-                duration: Duration::from_secs(5),
-                noise_fraction: 0.0,
-                seed: 0,
-            },
-            |_| async { Ok::<bool, Infallible>(true) },
-        )
-        .await;
-        // 100 req/s for 5 s = 500 requests, all accepted.
-        assert_eq!(report.accepted, 500);
-        assert_eq!(report.series.len(), 5);
-        for sample in report.series.samples() {
-            assert_eq!(sample.accepted, 100, "second {}", sample.second);
+    #[test]
+    fn open_loop_schedule_paces_at_offered_rate() {
+        let offsets = OpenLoopConfig {
+            rate_per_sec: 100.0,
+            duration: Duration::from_secs(5),
+            noise_fraction: 0.0,
+            seed: 0,
+        }
+        .arrival_offsets();
+        // 100 req/s for 5 s = 500 arrivals, 100 in every second.
+        assert_eq!(offsets.len(), 500);
+        for second in 0..5u64 {
+            let in_second = offsets.iter().filter(|o| o.as_secs() == second).count();
+            assert_eq!(in_second, 100, "second {second}");
         }
     }
 
-    #[tokio::test(start_paused = true)]
-    async fn open_loop_with_noise_keeps_mean_rate() {
-        let report = run_open_loop(
-            OpenLoopConfig {
-                rate_per_sec: 130.0,
-                duration: Duration::from_secs(20),
-                noise_fraction: 0.3,
-                seed: 42,
-            },
-            |_| async { Ok::<bool, Infallible>(true) },
-        )
-        .await;
-        let total = report.completed();
+    #[test]
+    fn open_loop_schedule_with_noise_keeps_mean_rate() {
+        let offsets = OpenLoopConfig {
+            rate_per_sec: 130.0,
+            duration: Duration::from_secs(20),
+            noise_fraction: 0.3,
+            seed: 42,
+        }
+        .arrival_offsets();
         // 130 req/s ± noise over 20 s: expect within 10% of 2600.
-        assert!((2300..2900).contains(&total), "issued {total} requests");
+        let total = offsets.len();
+        assert!((2300..2900).contains(&total), "scheduled {total} requests");
+        assert!(offsets.windows(2).all(|w| w[0] < w[1]), "arrivals in order");
     }
 
-    #[tokio::test(start_paused = true)]
-    async fn open_loop_is_not_blocked_by_slow_responses() {
-        let in_flight = Arc::new(AtomicU64::new(0));
-        let peak = Arc::new(AtomicU64::new(0));
-        let (infl, pk) = (Arc::clone(&in_flight), Arc::clone(&peak));
+    #[test]
+    fn open_loop_reports_every_scheduled_request() {
         let report = run_open_loop(
             OpenLoopConfig {
-                rate_per_sec: 50.0,
-                duration: Duration::from_secs(2),
+                rate_per_sec: 1000.0,
+                duration: Duration::from_millis(100),
                 noise_fraction: 0.0,
                 seed: 0,
             },
-            move |_| {
-                let infl = Arc::clone(&infl);
-                let pk = Arc::clone(&pk);
-                async move {
-                    let now = infl.fetch_add(1, Ordering::SeqCst) + 1;
-                    pk.fetch_max(now, Ordering::SeqCst);
-                    // Each response takes 500 ms: an open loop must stack
-                    // up ~25 in-flight requests rather than slow down.
-                    tokio::time::sleep(Duration::from_millis(500)).await;
-                    infl.fetch_sub(1, Ordering::SeqCst);
-                    Ok::<bool, Infallible>(true)
-                }
+            |i| Ok::<bool, Infallible>(i % 2 == 0),
+        );
+        assert_eq!(report.accepted, 50);
+        assert_eq!(report.rejected, 50);
+        assert!(report.elapsed_secs >= 0.099, "ran ahead of the schedule");
+    }
+
+    #[test]
+    fn open_loop_is_not_blocked_by_slow_responses() {
+        let in_flight = AtomicU64::new(0);
+        let peak = AtomicU64::new(0);
+        let report = run_open_loop(
+            OpenLoopConfig {
+                rate_per_sec: 250.0,
+                duration: Duration::from_millis(400),
+                noise_fraction: 0.0,
+                seed: 0,
             },
-        )
-        .await;
+            |_| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                // Each response takes 100 ms: an open loop must stack up
+                // ~25 in-flight requests rather than slow down.
+                thread::sleep(Duration::from_millis(100));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                Ok::<bool, Infallible>(true)
+            },
+        );
         assert_eq!(report.completed(), 100);
         assert!(
             peak.load(Ordering::SeqCst) >= 20,
@@ -361,31 +350,25 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn closed_loop_limits_concurrency() {
-        let in_flight = Arc::new(AtomicU64::new(0));
-        let violated = Arc::new(AtomicBool::new(false));
-        let (infl, viol) = (Arc::clone(&in_flight), Arc::clone(&violated));
+    #[test]
+    fn closed_loop_limits_concurrency() {
+        let in_flight = AtomicU64::new(0);
+        let violated = AtomicBool::new(false);
         run_closed_loop(
             ClosedLoopConfig {
                 concurrency: 4,
                 total_requests: 200,
             },
-            move |_| {
-                let infl = Arc::clone(&infl);
-                let viol = Arc::clone(&viol);
-                async move {
-                    let now = infl.fetch_add(1, Ordering::SeqCst) + 1;
-                    if now > 4 {
-                        viol.store(true, Ordering::SeqCst);
-                    }
-                    tokio::task::yield_now().await;
-                    infl.fetch_sub(1, Ordering::SeqCst);
-                    Ok::<bool, Infallible>(true)
+            |_| {
+                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                if now > 4 {
+                    violated.store(true, Ordering::SeqCst);
                 }
+                thread::yield_now();
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                Ok::<bool, Infallible>(true)
             },
-        )
-        .await;
+        );
         assert!(!violated.load(Ordering::SeqCst), "exceeded concurrency");
     }
 

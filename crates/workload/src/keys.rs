@@ -148,10 +148,9 @@ impl KeyPicker {
 
     /// Draw the key for the next request.
     pub fn pick(&mut self) -> QosKey {
-        if self.drift.is_some() {
+        if let Some(drift) = self.drift.as_mut() {
             let u = self.rng.gen_f64();
             let rank = self.cdf.partition_point(|&p| p < u).min(self.cdf.len() - 1) as u64;
-            let drift = self.drift.as_mut().expect("checked above");
             let key = QosKey::new(format!("{}{}", drift.prefix, drift.base + rank))
                 .expect("prefix validated at construction");
             drift.picks += 1;

@@ -11,7 +11,7 @@
 //!   (average, P90, P99, P99.9).
 //! * [`generator`] — open-loop (fixed offered rate, with optional noise,
 //!   like the Fig. 13 client) and closed-loop (fixed concurrency, like the
-//!   `ab` saturation runs) drivers for any async request function.
+//!   `ab` saturation runs) drivers for any blocking request function.
 //! * [`timeseries::SecondSeries`] — per-second accepted/rejected counters
 //!   for the Fig. 13a time series.
 //! * [`keys::KeyPicker`] — uniform and Zipf key selection over a key

@@ -1,11 +1,10 @@
 //! The latency summary the paper's figures report.
 
 use crate::Histogram;
-use serde::Serialize;
 
 /// Average, P90, P99 and P99.9 latency — the exact statistics of the
 /// paper's Fig. 5 and Fig. 13b — in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples summarized.
     pub count: u64,
@@ -22,6 +21,16 @@ pub struct LatencyStats {
     /// Largest sample, microseconds.
     pub max_us: f64,
 }
+
+janus_types::impl_to_json!(LatencyStats {
+    count,
+    average_us,
+    p50_us,
+    p90_us,
+    p99_us,
+    p999_us,
+    max_us,
+});
 
 impl LatencyStats {
     /// Summarize a histogram.

@@ -1,9 +1,7 @@
 //! Per-second accepted/rejected counters (Fig. 13a's time series).
 
-use serde::Serialize;
-
 /// One second of the Fig. 13a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecondSample {
     /// Seconds since the start of the run.
     pub second: u64,
@@ -21,10 +19,12 @@ impl SecondSample {
 }
 
 /// Accepted/rejected request counts bucketed into one-second bins.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SecondSeries {
     bins: Vec<(u64, u64)>,
 }
+
+janus_types::impl_to_json!(SecondSeries { bins });
 
 impl SecondSeries {
     /// An empty series.

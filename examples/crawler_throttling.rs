@@ -10,8 +10,7 @@ use janus_core::{
     DefaultRulePolicy, Deployment, DeploymentConfig, QosKey, QosRule, QosServerConfig, Verdict,
 };
 
-#[tokio::main]
-async fn main() -> janus_types::Result<()> {
+fn main() -> janus_types::Result<()> {
     let googlebot = QosKey::new("Mozilla/5.0 (compatible; Googlebot/2.1)")?;
     let bingbot = QosKey::new("Mozilla/5.0 (compatible; bingbot/2.0)")?;
     let scraper = QosKey::new("python-requests/2.31")?;
@@ -32,9 +31,8 @@ async fn main() -> janus_types::Result<()> {
         ],
         default_verdict: Verdict::Deny,
         ..Default::default()
-    })
-    .await?;
-    let mut client = deployment.client().await?;
+    })?;
+    let mut client = deployment.client()?;
 
     println!("each agent sends a 40-request burst (as crawlers do):\n");
     for (label, key) in [
@@ -44,7 +42,7 @@ async fn main() -> janus_types::Result<()> {
     ] {
         let mut admitted = 0;
         for _ in 0..40 {
-            if client.qos_check(key).await? {
+            if client.qos_check(key)? {
                 admitted += 1;
             }
         }
@@ -52,10 +50,10 @@ async fn main() -> janus_types::Result<()> {
     }
 
     println!("\nafter 2 seconds of quiet, the guest scraper has earned 2 more credits:");
-    tokio::time::sleep(std::time::Duration::from_secs(2)).await;
+    std::thread::sleep(std::time::Duration::from_secs(2));
     let mut admitted = 0;
     for _ in 0..5 {
-        if client.qos_check(&scraper).await? {
+        if client.qos_check(&scraper)? {
             admitted += 1;
         }
     }

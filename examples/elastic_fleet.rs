@@ -9,24 +9,18 @@
 //! Starts with one router, hammers the deployment until the autoscaler
 //! grows the fleet, then goes quiet and watches it shrink back.
 
-use janus_core::{
-    Autoscaler, AutoscalerConfig, Deployment, DeploymentConfig, QosKey, QosRule,
-};
+use janus_core::{Autoscaler, AutoscalerConfig, Deployment, DeploymentConfig, QosKey, QosRule};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-#[tokio::main]
-async fn main() -> janus_types::Result<()> {
+fn main() -> janus_types::Result<()> {
     let key = QosKey::new("tenant")?;
-    let deployment = Arc::new(
-        Deployment::launch(DeploymentConfig {
-            routers: 1,
-            rules: vec![QosRule::per_second(key.clone(), 1_000_000, 1_000_000)],
-            ..Default::default()
-        })
-        .await?,
-    );
+    let deployment = Arc::new(Deployment::launch(DeploymentConfig {
+        routers: 1,
+        rules: vec![QosRule::per_second(key.clone(), 1_000_000, 1_000_000)],
+        ..Default::default()
+    })?);
     let autoscaler = Autoscaler::spawn(
         Arc::clone(&deployment),
         AutoscalerConfig {
@@ -47,16 +41,16 @@ async fn main() -> janus_types::Result<()> {
         let deployment = Arc::clone(&deployment);
         let stop = Arc::clone(&stop);
         let key = key.clone();
-        drivers.push(tokio::spawn(async move {
-            let mut client = deployment.client().await.unwrap();
+        drivers.push(std::thread::spawn(move || {
+            let mut client = deployment.client().unwrap();
             while !stop.load(Ordering::Relaxed) {
-                let _ = client.qos_check(&key).await;
+                let _ = client.qos_check(&key);
             }
         }));
     }
     println!("load on:");
     for second in 1..=6 {
-        tokio::time::sleep(Duration::from_secs(1)).await;
+        std::thread::sleep(Duration::from_secs(1));
         println!(
             "  t={second}s  routers={}  served per node={:?}",
             deployment.router_count(),
@@ -67,11 +61,11 @@ async fn main() -> janus_types::Result<()> {
     // Phase 2: quiet.
     stop.store(true, Ordering::Relaxed);
     for driver in drivers {
-        let _ = driver.await;
+        let _ = driver;
     }
     println!("\nload off:");
     for second in 1..=6 {
-        tokio::time::sleep(Duration::from_secs(1)).await;
+        std::thread::sleep(Duration::from_secs(1));
         println!("  t={second}s  routers={}", deployment.router_count());
     }
 

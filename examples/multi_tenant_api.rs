@@ -14,8 +14,7 @@ fn db_key(user: &str, database: &str) -> janus_types::Result<QosKey> {
     Ok(QosKey::new(format!("{user}:{database}"))?)
 }
 
-#[tokio::main]
-async fn main() -> janus_types::Result<()> {
+fn main() -> janus_types::Result<()> {
     // Acme purchased a generous rate for its analytics DB and a trickle
     // for its staging DB; Globex only pays for one database.
     let rules = vec![
@@ -29,9 +28,8 @@ async fn main() -> janus_types::Result<()> {
         rules,
         default_verdict: Verdict::Deny,
         ..Default::default()
-    })
-    .await?;
-    let mut client = deployment.client().await?;
+    })?;
+    let mut client = deployment.client()?;
 
     println!("simulating a burst of 10 API calls against each (user, database):\n");
     for (user, database) in [
@@ -43,7 +41,7 @@ async fn main() -> janus_types::Result<()> {
         let key = db_key(user, database)?;
         let mut admitted = 0;
         for _ in 0..10 {
-            if client.qos_check(&key).await? {
+            if client.qos_check(&key)? {
                 admitted += 1;
             }
         }
@@ -51,17 +49,15 @@ async fn main() -> janus_types::Result<()> {
     }
 
     println!("\nupgrading acme/staging to capacity 50 @ 25 req/s at runtime (no restarts):");
-    deployment
-        .upsert_rule(&QosRule::per_second(db_key("acme", "staging")?, 50, 25))
-        .await?;
+    deployment.upsert_rule(&QosRule::per_second(db_key("acme", "staging")?, 50, 25))?;
     // The QoS server's sync thread applies the new shape at its next
     // interval; accrued credit is preserved (an upgrade never grants a
     // free burst), so the bucket refills at the new 25 req/s from here.
-    tokio::time::sleep(std::time::Duration::from_millis(1200)).await;
+    std::thread::sleep(std::time::Duration::from_millis(1200));
     let key = db_key("acme", "staging")?;
     let mut admitted = 0;
     for _ in 0..20 {
-        if client.qos_check(&key).await? {
+        if client.qos_check(&key)? {
             admitted += 1;
         }
     }

@@ -14,19 +14,18 @@ use janus_core::{Deployment, DeploymentConfig, QosKey, QosRule, Verdict};
 use janus_net::http::{HttpClient, HttpRequest, StatusCode};
 use std::time::Duration;
 
-#[tokio::main]
-async fn main() -> janus_types::Result<()> {
+fn main() -> janus_types::Result<()> {
     // Application substrate: memcached-style session cache + photo store
     // (10 ms of simulated SQL work per query).
-    let cache = CacheServer::spawn().await?;
-    let photos = PhotoServer::spawn(Duration::from_millis(10)).await?;
-    let mut seeder = PhotoClient::connect(photos.addr()).await?;
+    let cache = CacheServer::spawn()?;
+    let photos = PhotoServer::spawn(Duration::from_millis(10))?;
+    let mut seeder = PhotoClient::connect(photos.addr())?;
     for (user, title) in [
         ("alice", "sunrise over the bay"),
         ("bob", "my cat, again"),
         ("carol", "conference badge collection"),
     ] {
-        seeder.add(user, title).await?;
+        seeder.add(user, title)?;
     }
 
     // Janus: this client's IP gets 5 requests of burst, no refill, so the
@@ -35,8 +34,7 @@ async fn main() -> janus_types::Result<()> {
         rules: vec![QosRule::per_second(QosKey::new("127.0.0.1")?, 5, 0)],
         default_verdict: Verdict::Deny,
         ..Default::default()
-    })
-    .await?;
+    })?;
 
     // The application, with the paper's wrapper installed.
     let app = PhotoApp::spawn(AppConfig {
@@ -44,15 +42,14 @@ async fn main() -> janus_types::Result<()> {
         photo_addr: photos.addr(),
         qos: Some(deployment.endpoint()),
         latest_count: 10,
-    })
-    .await?;
+    })?;
 
     println!("photo app with QoS wrapper at http://{}", app.addr());
     println!("client rule: 5 requests burst, zero refill\n");
 
     for i in 1..=8 {
         let start = std::time::Instant::now();
-        let response = HttpClient::oneshot(app.addr(), &HttpRequest::get("/")).await?;
+        let response = HttpClient::oneshot(app.addr(), &HttpRequest::get("/"))?;
         let elapsed = start.elapsed();
         match response.status {
             StatusCode::OK => {
@@ -72,8 +69,12 @@ async fn main() -> janus_types::Result<()> {
 
     println!(
         "\napp stats: served={} throttled={}",
-        app.stats().served.load(std::sync::atomic::Ordering::Relaxed),
-        app.stats().throttled.load(std::sync::atomic::Ordering::Relaxed),
+        app.stats()
+            .served
+            .load(std::sync::atomic::Ordering::Relaxed),
+        app.stats()
+            .throttled
+            .load(std::sync::atomic::Ordering::Relaxed),
     );
     println!("note how throttled views return in a fraction of the app's own latency —");
     println!("the rejected request never reaches the cache or the photo store.");

@@ -12,22 +12,25 @@ REPO="$(cd "$(dirname "$0")/.." && pwd)"
 SEED="${1:-42}"
 PROFILE="${2:-mixed}"
 
-export DST_BUILD_DIR="${DST_BUILD_DIR:-$(mktemp -d -t dstdet.XXXXXX)}"
-"$REPO/scripts/run_dst_standalone.sh" --build-only
+cd "$REPO"
+cargo build --release --offline --locked -p janus-dst --bin dst-trace
+TRACE="${CARGO_TARGET_DIR:-$REPO/target}/release/dst-trace"
+OUT="$(mktemp -d -t dstdet.XXXXXX)"
+trap 'rm -rf "$OUT"' EXIT
 
 run_once() { # outfile
   local status=0
-  "$DST_BUILD_DIR/dst-trace" "$SEED" "$PROFILE" > "$1" || status=$?
+  "$TRACE" "$SEED" "$PROFILE" > "$1" || status=$?
   echo "exit=$status" >> "$1"
 }
 
-run_once "$DST_BUILD_DIR/trace_run1.txt"
-run_once "$DST_BUILD_DIR/trace_run2.txt"
+run_once "$OUT/trace_run1.txt"
+run_once "$OUT/trace_run2.txt"
 
-if ! diff -u "$DST_BUILD_DIR/trace_run1.txt" "$DST_BUILD_DIR/trace_run2.txt"; then
+if ! diff -u "$OUT/trace_run1.txt" "$OUT/trace_run2.txt"; then
   echo "DETERMINISM VIOLATION: seed $SEED profile $PROFILE produced different traces" >&2
   exit 1
 fi
 
-lines=$(wc -l < "$DST_BUILD_DIR/trace_run1.txt")
+lines=$(wc -l < "$OUT/trace_run1.txt")
 echo "deterministic: seed $SEED profile $PROFILE reproduced byte-identically ($lines lines)"

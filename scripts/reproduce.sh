@@ -6,13 +6,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 EXTRA_ARGS=("$@")
-cargo build --release -p janus-bench
+cargo build --release --offline --locked -p janus-bench
+BIN="${CARGO_TARGET_DIR:-target}/release"
 mkdir -p results
 
 for figure in table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 headline ablations; do
     echo "==> ${figure}"
-    ./target/release/"${figure}" "${EXTRA_ARGS[@]}" | tee "results/${figure}.txt"
-    ./target/release/"${figure}" --json "${EXTRA_ARGS[@]}" > "results/${figure}.json"
+    "$BIN/${figure}" "${EXTRA_ARGS[@]}" | tee "results/${figure}.txt"
+    "$BIN/${figure}" --json "${EXTRA_ARGS[@]}" > "results/${figure}.json"
 done
 
 echo

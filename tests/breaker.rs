@@ -31,12 +31,12 @@ fn keys_for_two_partitions() -> (QosKey, QosKey) {
     (first.unwrap(), second.unwrap())
 }
 
-async fn timed_check(
+fn timed_check(
     client: &mut janus_core::QosClient,
     key: &QosKey,
 ) -> (Result<bool, janus_types::JanusError>, Duration) {
     let started = Instant::now();
-    let outcome = client.qos_check(key).await;
+    let outcome = client.qos_check(key);
     (outcome, started.elapsed())
 }
 
@@ -45,8 +45,8 @@ fn p99(samples: &mut [Duration]) -> Duration {
     samples[(samples.len() * 99) / 100]
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn open_breaker_fast_fails_and_spares_healthy_partition() {
+#[test]
+fn open_breaker_fast_fails_and_spares_healthy_partition() {
     let (dead_key, live_key) = keys_for_two_partitions();
     // A slow retry discipline so "skipped the retry budget" is
     // measurable: a request to a dead partition that exhausts retries
@@ -56,6 +56,7 @@ async fn open_breaker_fast_fails_and_spares_healthy_partition() {
         max_retries: 5,
         ..Default::default()
     };
+    let udp_timeout = udp.timeout;
     let breaker = BreakerConfig {
         failure_threshold: 3,
         open_timeout: Duration::from_secs(1),
@@ -73,16 +74,16 @@ async fn open_breaker_fast_fails_and_spares_healthy_partition() {
         ],
         ..DeploymentConfig::default()
     };
-    let mut deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let mut deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
 
     // Warm both partitions (hydrates rules, teaches the router the
     // dead key's shape for degraded admission) and take a healthy
     // latency baseline.
-    assert!(client.qos_check(&dead_key).await.unwrap());
+    assert!(client.qos_check(&dead_key).unwrap());
     let mut baseline = Vec::new();
     for _ in 0..50 {
-        let (outcome, latency) = timed_check(&mut client, &live_key).await;
+        let (outcome, latency) = timed_check(&mut client, &live_key);
         assert!(outcome.unwrap());
         baseline.push(latency);
     }
@@ -93,7 +94,7 @@ async fn open_breaker_fast_fails_and_spares_healthy_partition() {
     // trip the breaker.
     deployment.kill_qos_master(0);
     for _ in 0..breaker.failure_threshold {
-        let _ = client.qos_check(&dead_key).await.unwrap();
+        let _ = client.qos_check(&dead_key).unwrap();
     }
     assert!(deployment.breaker_open_anywhere(0), "breaker never opened");
 
@@ -104,7 +105,7 @@ async fn open_breaker_fast_fails_and_spares_healthy_partition() {
     let fast_started = Instant::now();
     for _ in 0..20 {
         assert!(
-            client.qos_check(&dead_key).await.unwrap(),
+            client.qos_check(&dead_key).unwrap(),
             "degraded admission lost the learned shape"
         );
     }
@@ -116,26 +117,28 @@ async fn open_breaker_fast_fails_and_spares_healthy_partition() {
     assert!(deployment.router_fast_fail_total() >= 20);
 
     // Healthy partition keeps its latency: p99 while partition 0 is
-    // dark stays within 2x the baseline (plus a small loopback-noise
-    // floor).
+    // dark stays within 2x the baseline, plus a noise floor of one late
+    // attempt (on a busy 2-vCPU box a scheduler hiccup can outlast the
+    // 5 ms attempt timeout once in a few hundred requests; queueing
+    // behind the dead partition's retry budget would cost 30 ms).
     let mut during = Vec::new();
     for _ in 0..50 {
-        let (outcome, latency) = timed_check(&mut client, &live_key).await;
+        let (outcome, latency) = timed_check(&mut client, &live_key);
         assert!(outcome.unwrap());
         during.push(latency);
     }
     let during_p99 = p99(&mut during);
     assert!(
-        during_p99 <= baseline_p99 * 2 + Duration::from_millis(2),
+        during_p99 <= baseline_p99 * 2 + udp_timeout + Duration::from_millis(2),
         "healthy partition degraded: p99 {during_p99:?} vs baseline {baseline_p99:?}"
     );
 
     // Heal. After the open timeout, the next request is the single
     // half-open probe; it succeeds against the fresh node and closes
     // the breaker immediately.
-    deployment.heal_partition(0).await.unwrap();
-    tokio::time::sleep(breaker.open_timeout + Duration::from_millis(50)).await;
-    assert!(client.qos_check(&dead_key).await.unwrap());
+    deployment.heal_partition(0).unwrap();
+    std::thread::sleep(breaker.open_timeout + Duration::from_millis(50));
+    assert!(client.qos_check(&dead_key).unwrap());
     assert!(
         deployment.breakers_closed_everywhere(0),
         "breaker still open after a successful half-open probe"

@@ -12,8 +12,8 @@ fn key(s: &str) -> QosKey {
     QosKey::new(s).unwrap()
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn admissions_conserved_across_master_crash_and_failover() {
+#[test]
+fn admissions_conserved_across_master_crash_and_failover() {
     // HA deployment, one partition, a 200-credit zero-refill bucket.
     // Concurrent clients hammer it; mid-run the master is murdered and
     // the slave promoted. Replication lag may *lose* some charged credit
@@ -29,29 +29,29 @@ async fn admissions_conserved_across_master_crash_and_failover() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
     let admitted = Arc::new(AtomicU64::new(0));
     let denied = Arc::new(AtomicU64::new(0));
 
     // Phase 1: drain roughly half the bucket under concurrency.
-    let deployment = Arc::new(tokio::sync::Mutex::new(deployment));
-    async fn hammer(
-        deployment: &Arc<tokio::sync::Mutex<Deployment>>,
+    let deployment = Arc::new(janus_types::sync::Mutex::new(deployment));
+    fn hammer(
+        deployment: &Arc<janus_types::sync::Mutex<Deployment>>,
         admitted: &Arc<AtomicU64>,
         denied: &Arc<AtomicU64>,
         per_client: usize,
         clients: usize,
     ) {
-        let endpoint = deployment.lock().await.endpoint();
+        let endpoint = deployment.lock().endpoint();
         let mut tasks = Vec::new();
         for _ in 0..clients {
             let endpoint = endpoint.clone();
             let admitted = Arc::clone(admitted);
             let denied = Arc::clone(denied);
-            tasks.push(tokio::spawn(async move {
+            tasks.push(std::thread::spawn(move || {
                 let mut client = janus_core::QosClient::new(endpoint);
                 for _ in 0..per_client {
-                    match client.qos_check(&key("chaos")).await {
+                    match client.qos_check(&key("chaos")) {
                         Ok(true) => {
                             admitted.fetch_add(1, Ordering::Relaxed);
                         }
@@ -64,24 +64,24 @@ async fn admissions_conserved_across_master_crash_and_failover() {
             }));
         }
         for t in tasks {
-            t.await.unwrap();
+            t.join().unwrap();
         }
     }
 
-    hammer(&deployment, &admitted, &denied, 25, 4).await; // 100 attempts
+    hammer(&deployment, &admitted, &denied, 25, 4); // 100 attempts
     let after_phase1 = admitted.load(Ordering::Relaxed);
     assert!(after_phase1 <= 100);
 
     // Let replication fully catch up, then crash the master.
-    tokio::time::sleep(Duration::from_millis(150)).await;
+    std::thread::sleep(Duration::from_millis(150));
     {
-        let mut d = deployment.lock().await;
+        let mut d = deployment.lock();
         d.kill_qos_master(0);
-        d.await_failover(0, Duration::from_secs(5)).await.unwrap();
+        d.await_failover(0, Duration::from_secs(5)).unwrap();
     }
 
     // Phase 2: keep hammering the promoted slave well past the quota.
-    hammer(&deployment, &admitted, &denied, 60, 4).await; // 240 more attempts
+    hammer(&deployment, &admitted, &denied, 60, 4); // 240 more attempts
 
     let total_admitted = admitted.load(Ordering::Relaxed);
     let total_denied = denied.load(Ordering::Relaxed);
@@ -99,16 +99,14 @@ async fn admissions_conserved_across_master_crash_and_failover() {
     );
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn scripted_chaos_soak_holds_invariants() {
+#[test]
+fn scripted_chaos_soak_holds_invariants() {
     // The full brownout schedule: baseline -> master kill (failover) ->
     // partition blackout (breakers open, degraded local admission) ->
     // DB outage (Multi-AZ failover) -> heal. The harness scores safety
     // (no overselling beyond the bounded authority-transfer slack),
     // availability, and breaker recovery; the report is archived for CI.
-    let report = janus_core::run_chaos_soak(janus_core::ChaosConfig::default())
-        .await
-        .unwrap();
+    let report = janus_core::run_chaos_soak(janus_core::ChaosConfig::default()).unwrap();
 
     assert!(
         report.safety_ok,
@@ -127,19 +125,28 @@ async fn scripted_chaos_soak_holds_invariants() {
     );
     // The schedule really exercised the brownout path: breakers tripped
     // and degraded admission both allowed and denied traffic.
-    assert!(report.breaker_fast_fails > 0, "blackout never tripped a breaker");
-    assert!(report.degraded_allowed > 0, "degraded admission never allowed");
-    assert!(report.degraded_denied > 0, "degraded admission never throttled");
+    assert!(
+        report.breaker_fast_fails > 0,
+        "blackout never tripped a breaker"
+    );
+    assert!(
+        report.degraded_allowed > 0,
+        "degraded admission never allowed"
+    );
+    assert!(
+        report.degraded_denied > 0,
+        "degraded admission never throttled"
+    );
 
     // Archive the report where CI expects it (repo-root results/; the
     // test binary's cwd is the bench crate).
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("chaos_soak.json"), report.to_json_string().unwrap()).unwrap();
+    std::fs::write(dir.join("chaos_soak.json"), report.to_json_string()).unwrap();
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn every_partition_crash_is_localized() {
+#[test]
+fn every_partition_crash_is_localized() {
     // 3 partitions, no HA. Crash each master in turn; only that
     // partition's keys degrade to the router default, the others keep
     // exact admission control the whole time.
@@ -170,15 +177,15 @@ async fn every_partition_crash_is_localized() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let mut deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let mut deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
 
     for dead in 0..3usize {
         deployment.kill_qos_master(dead);
-        tokio::time::sleep(Duration::from_millis(50)).await;
+        std::thread::sleep(Duration::from_millis(50));
         for (partition, pool) in pools.iter().enumerate() {
             for k in pool {
-                let allowed = client.qos_check(k).await.unwrap();
+                let allowed = client.qos_check(k).unwrap();
                 if partition <= dead {
                     assert!(!allowed, "dead partition {partition} answered {k}");
                 } else {

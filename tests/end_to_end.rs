@@ -18,8 +18,8 @@ fn rules(specs: &[(&str, u64, u64)]) -> Vec<QosRule> {
         .collect()
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn admission_is_exact_across_the_full_stack() {
+#[test]
+fn admission_is_exact_across_the_full_stack() {
     // 3 QoS servers, 2 routers, gateway LB: a tenant with 25 credits and
     // no refill gets exactly 25 admissions no matter how requests spread
     // over routers.
@@ -30,19 +30,19 @@ async fn admission_is_exact_across_the_full_stack() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
     let mut admitted = 0;
     for _ in 0..60 {
-        if client.qos_check(&key("alice")).await.unwrap() {
+        if client.qos_check(&key("alice")).unwrap() {
             admitted += 1;
         }
     }
     assert_eq!(admitted, 25);
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn batched_pooled_stack_is_still_exact() {
+#[test]
+fn batched_pooled_stack_is_still_exact() {
     // The optimized data plane end to end: pooled router sockets with
     // datagram coalescing on, key-affinity dispatch and the per-worker
     // table on the QoS servers. Credit accounting must stay exact —
@@ -60,16 +60,16 @@ async fn batched_pooled_stack_is_still_exact() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = std::sync::Arc::new(Deployment::launch(config).await.unwrap());
+    let deployment = std::sync::Arc::new(Deployment::launch(config).unwrap());
     // Concurrent clients so requests actually coalesce into batches.
     let mut handles = Vec::new();
     for _ in 0..6 {
         let deployment = std::sync::Arc::clone(&deployment);
-        handles.push(tokio::spawn(async move {
-            let mut client = deployment.client().await.unwrap();
+        handles.push(std::thread::spawn(move || {
+            let mut client = deployment.client().unwrap();
             let mut admitted = 0u32;
             for _ in 0..10 {
-                if client.qos_check(&key("alice")).await.unwrap() {
+                if client.qos_check(&key("alice")).unwrap() {
                     admitted += 1;
                 }
             }
@@ -78,13 +78,13 @@ async fn batched_pooled_stack_is_still_exact() {
     }
     let mut admitted = 0;
     for handle in handles {
-        admitted += handle.await.unwrap();
+        admitted += handle.join().unwrap();
     }
     assert_eq!(admitted, 25, "batched plane must conserve credit exactly");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn lock_free_stack_is_still_exact() {
+#[test]
+fn lock_free_stack_is_still_exact() {
     // Same optimized plane with the lock-free table swapped in: the CAS
     // loop must conserve credit exactly through routers, coalescing and
     // concurrent clients, matching the per-worker table bit for bit.
@@ -100,15 +100,15 @@ async fn lock_free_stack_is_still_exact() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = std::sync::Arc::new(Deployment::launch(config).await.unwrap());
+    let deployment = std::sync::Arc::new(Deployment::launch(config).unwrap());
     let mut handles = Vec::new();
     for _ in 0..6 {
         let deployment = std::sync::Arc::clone(&deployment);
-        handles.push(tokio::spawn(async move {
-            let mut client = deployment.client().await.unwrap();
+        handles.push(std::thread::spawn(move || {
+            let mut client = deployment.client().unwrap();
             let mut admitted = 0u32;
             for _ in 0..10 {
-                if client.qos_check(&key("alice")).await.unwrap() {
+                if client.qos_check(&key("alice")).unwrap() {
                     admitted += 1;
                 }
             }
@@ -117,13 +117,13 @@ async fn lock_free_stack_is_still_exact() {
     }
     let mut admitted = 0;
     for handle in handles {
-        admitted += handle.await.unwrap();
+        admitted += handle.join().unwrap();
     }
     assert_eq!(admitted, 25, "lock-free plane must conserve credit exactly");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn tenants_are_isolated() {
+#[test]
+fn tenants_are_isolated() {
     // Draining one tenant's bucket must not affect another, even when
     // both land on the same QoS partition.
     let config = DeploymentConfig {
@@ -131,22 +131,22 @@ async fn tenants_are_isolated() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
     for _ in 0..20 {
-        client.qos_check(&key("hog")).await.unwrap();
+        client.qos_check(&key("hog")).unwrap();
     }
     let mut polite_admitted = 0;
     for _ in 0..5 {
-        if client.qos_check(&key("polite")).await.unwrap() {
+        if client.qos_check(&key("polite")).unwrap() {
             polite_admitted += 1;
         }
     }
     assert_eq!(polite_admitted, 5);
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn burst_credit_accumulates_while_idle() {
+#[test]
+fn burst_credit_accumulates_while_idle() {
     // Rate 50/s, capacity 20: after ~400 ms idle the bucket is full and a
     // burst of 20 back-to-back requests is admitted (paper §II-C).
     let config = DeploymentConfig {
@@ -154,12 +154,12 @@ async fn burst_credit_accumulates_while_idle() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
-    tokio::time::sleep(Duration::from_millis(500)).await;
+    let deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
+    std::thread::sleep(Duration::from_millis(500));
     let mut admitted = 0;
     for _ in 0..20 {
-        if client.qos_check(&key("bursty")).await.unwrap() {
+        if client.qos_check(&key("bursty")).unwrap() {
             admitted += 1;
         }
     }
@@ -169,8 +169,8 @@ async fn burst_credit_accumulates_while_idle() {
     );
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn default_policy_governs_unknown_keys() {
+#[test]
+fn default_policy_governs_unknown_keys() {
     let mut server = QosServerConfig::test_defaults();
     server.default_policy = DefaultRulePolicy::Limited {
         capacity: 4,
@@ -181,19 +181,19 @@ async fn default_policy_governs_unknown_keys() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
     let mut admitted = 0;
     for _ in 0..10 {
-        if client.qos_check(&key("guest-visitor")).await.unwrap() {
+        if client.qos_check(&key("guest-visitor")).unwrap() {
             admitted += 1;
         }
     }
     assert_eq!(admitted, 4, "guest policy should cap at 4");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn partitioning_matches_crc32_mod_n() {
+#[test]
+fn partitioning_matches_crc32_mod_n() {
     // The deployment must route each key to the partition the reference
     // hash predicts: drain a key's bucket, then verify the predicted
     // partition's master holds the (empty) bucket.
@@ -204,9 +204,9 @@ async fn partitioning_matches_crc32_mod_n() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
-    client.qos_check(&key("pinpoint")).await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
+    client.qos_check(&key("pinpoint")).unwrap();
 
     let predicted = ModuloRouter::new(3).route(&key("pinpoint"));
     let master = deployment.qos_master(predicted).unwrap();
@@ -225,8 +225,8 @@ async fn partitioning_matches_crc32_mod_n() {
     }
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn dns_lb_mode_sticks_then_respreads() {
+#[test]
+fn dns_lb_mode_sticks_then_respreads() {
     let config = DeploymentConfig {
         routers: 2,
         lb: LbMode::Dns {
@@ -239,11 +239,11 @@ async fn dns_lb_mode_sticks_then_respreads() {
         },
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
     // One client host: all its requests pin to one router within the TTL.
-    let mut client = deployment.client().await.unwrap();
+    let mut client = deployment.client().unwrap();
     for _ in 0..10 {
-        assert!(client.qos_check(&key("anyone")).await.unwrap());
+        assert!(client.qos_check(&key("anyone")).unwrap());
     }
     let counts = deployment.router_served_counts();
     assert!(
@@ -251,8 +251,8 @@ async fn dns_lb_mode_sticks_then_respreads() {
         "expected full stickiness within TTL, got {counts:?}"
     );
     // A second client host gets the rotated answer: the other router.
-    let mut second = deployment.client().await.unwrap();
-    assert!(second.qos_check(&key("anyone")).await.unwrap());
+    let mut second = deployment.client().unwrap();
+    assert!(second.qos_check(&key("anyone")).unwrap());
     let counts_after = deployment.router_served_counts();
     assert!(
         counts_after.iter().all(|&c| c > 0),
@@ -260,26 +260,26 @@ async fn dns_lb_mode_sticks_then_respreads() {
     );
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn gateway_least_connections_mode_works() {
+#[test]
+fn gateway_least_connections_mode_works() {
     let config = DeploymentConfig {
         lb: LbMode::Gateway(LbPolicy::LeastConnections),
         rules: rules(&[("lc", 100, 0)]),
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
     let mut admitted = 0;
     for _ in 0..100 {
-        if client.qos_check(&key("lc")).await.unwrap() {
+        if client.qos_check(&key("lc")).unwrap() {
             admitted += 1;
         }
     }
     assert_eq!(admitted, 100);
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn rule_update_takes_effect_via_sync() {
+#[test]
+fn rule_update_takes_effect_via_sync() {
     // Shrink a tenant's rate at runtime; the QoS server's sync thread
     // must pick it up within a few intervals.
     let mut server = QosServerConfig::test_defaults();
@@ -292,44 +292,43 @@ async fn rule_update_takes_effect_via_sync() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
-    assert!(client.qos_check(&key("mutable")).await.unwrap());
+    let deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
+    assert!(client.qos_check(&key("mutable")).unwrap());
 
     // Replace with a deny-everything rule.
     deployment
         .upsert_rule(&QosRule::deny(key("mutable")))
-        .await
         .unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        if !client.qos_check(&key("mutable")).await.unwrap() {
+        if !client.qos_check(&key("mutable")).unwrap() {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
             "rule update never took effect"
         );
-        tokio::time::sleep(Duration::from_millis(25)).await;
+        std::thread::sleep(Duration::from_millis(25));
     }
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn concurrent_clients_share_quota_exactly() {
+#[test]
+fn concurrent_clients_share_quota_exactly() {
     let config = DeploymentConfig {
         rules: rules(&[("pool", 60, 0)]),
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = std::sync::Arc::new(Deployment::launch(config).await.unwrap());
+    let deployment = std::sync::Arc::new(Deployment::launch(config).unwrap());
     let mut handles = Vec::new();
     for _ in 0..6 {
         let deployment = std::sync::Arc::clone(&deployment);
-        handles.push(tokio::spawn(async move {
-            let mut client = deployment.client().await.unwrap();
+        handles.push(std::thread::spawn(move || {
+            let mut client = deployment.client().unwrap();
             let mut admitted = 0u32;
             for _ in 0..20 {
-                if client.qos_check(&key("pool")).await.unwrap() {
+                if client.qos_check(&key("pool")).unwrap() {
                     admitted += 1;
                 }
             }
@@ -338,13 +337,13 @@ async fn concurrent_clients_share_quota_exactly() {
     }
     let mut total = 0;
     for handle in handles {
-        total += handle.await.unwrap();
+        total += handle.join().unwrap();
     }
     assert_eq!(total, 60, "shared quota must be conserved exactly");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn router_fleet_scales_at_runtime() {
+#[test]
+fn router_fleet_scales_at_runtime() {
     // Routers are stateless: the fleet can grow and shrink mid-traffic
     // with no admission-state loss and no dropped requests.
     let config = DeploymentConfig {
@@ -353,16 +352,16 @@ async fn router_fleet_scales_at_runtime() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
     for _ in 0..10 {
-        assert!(client.qos_check(&key("elastic")).await.unwrap());
+        assert!(client.qos_check(&key("elastic")).unwrap());
     }
 
     // Scale out to 3; the gateway LB spreads new traffic over all nodes.
-    assert_eq!(deployment.scale_routers(3).await.unwrap(), 3);
+    assert_eq!(deployment.scale_routers(3).unwrap(), 3);
     for _ in 0..30 {
-        assert!(client.qos_check(&key("elastic")).await.unwrap());
+        assert!(client.qos_check(&key("elastic")).unwrap());
     }
     let counts = deployment.router_served_counts();
     assert_eq!(counts.len(), 3);
@@ -372,15 +371,15 @@ async fn router_fleet_scales_at_runtime() {
     );
 
     // Scale back to 1 mid-session: service continues uninterrupted.
-    assert_eq!(deployment.scale_routers(1).await.unwrap(), 1);
+    assert_eq!(deployment.scale_routers(1).unwrap(), 1);
     for _ in 0..10 {
-        assert!(client.qos_check(&key("elastic")).await.unwrap());
+        assert!(client.qos_check(&key("elastic")).unwrap());
     }
-    assert!(deployment.scale_routers(0).await.is_err());
+    assert!(deployment.scale_routers(0).is_err());
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn dns_over_gateways_combines_both_lb_levels() {
+#[test]
+fn dns_over_gateways_combines_both_lb_levels() {
     // Paper §II-A: multiple gateway LBs behind one DNS name. Client
     // hosts spread over gateways via DNS; each gateway spreads requests
     // over every router.
@@ -395,14 +394,14 @@ async fn dns_over_gateways_combines_both_lb_levels() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
 
     // Two client hosts: DNS pins each to a different gateway.
-    let mut client_a = deployment.client().await.unwrap();
-    let mut client_b = deployment.client().await.unwrap();
+    let mut client_a = deployment.client().unwrap();
+    let mut client_b = deployment.client().unwrap();
     for _ in 0..10 {
-        assert!(client_a.qos_check(&key("combo")).await.unwrap());
-        assert!(client_b.qos_check(&key("combo")).await.unwrap());
+        assert!(client_a.qos_check(&key("combo")).unwrap());
+        assert!(client_b.qos_check(&key("combo")).unwrap());
     }
     let gateway_loads: Vec<u64> = deployment
         .gateways()

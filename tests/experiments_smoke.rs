@@ -4,9 +4,7 @@
 
 use janus_hash::routing::ModuloRouter;
 use janus_hash::PressureReport;
-use janus_sim::experiments::{
-    fig10, fig11, fig12, fig5, fig7, fig8, fig9, headline, Fidelity,
-};
+use janus_sim::experiments::{fig10, fig11, fig12, fig5, fig7, fig8, fig9, headline, Fidelity};
 
 fn f() -> Fidelity {
     Fidelity::quick()
@@ -32,10 +30,23 @@ fn fig5_gateway_slower_than_dns_by_about_half_a_ms() {
 #[test]
 fn fig6_key_pressure_is_uniform_for_all_families() {
     let report = PressureReport::run(&ModuloRouter::new(20), 100_000, 2018);
-    assert!(report.global_min_percent() > 4.8, "{}", report.global_min_percent());
-    assert!(report.global_max_percent() < 5.2, "{}", report.global_max_percent());
+    assert!(
+        report.global_min_percent() > 4.8,
+        "{}",
+        report.global_min_percent()
+    );
+    assert!(
+        report.global_max_percent() < 5.2,
+        "{}",
+        report.global_max_percent()
+    );
     for m in &report.measurements {
-        assert!(m.stddev_percent() < 0.1, "{:?}: {}", m.family, m.stddev_percent());
+        assert!(
+            m.stddev_percent() < 0.1,
+            "{:?}: {}",
+            m.family,
+            m.stddev_percent()
+        );
     }
 }
 
@@ -66,8 +77,16 @@ fn fig10_lock_underutilization_appears_only_on_big_instances() {
     let curve = fig10(4, f());
     let small = &curve.points[0]; // c3.large
     let big = &curve.points[4]; // c3.8xlarge
-    assert!(small.qos_cpu > 0.93, "small instance should be CPU-bound: {}", small.qos_cpu);
-    assert!(big.qos_cpu < 0.92, "big instance should idle on the lock: {}", big.qos_cpu);
+    assert!(
+        small.qos_cpu > 0.93,
+        "small instance should be CPU-bound: {}",
+        small.qos_cpu
+    );
+    assert!(
+        big.qos_cpu < 0.92,
+        "big instance should idle on the lock: {}",
+        big.qos_cpu
+    );
 }
 
 #[test]

@@ -9,8 +9,8 @@ fn key(s: &str) -> QosKey {
     QosKey::new(s).unwrap()
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn slave_promotion_is_transparent_to_clients() {
+#[test]
+fn slave_promotion_is_transparent_to_clients() {
     let config = DeploymentConfig {
         qos_servers: 2,
         routers: 2,
@@ -19,10 +19,10 @@ async fn slave_promotion_is_transparent_to_clients() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let mut deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let mut deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
     for _ in 0..10 {
-        assert!(client.qos_check(&key("steady")).await.unwrap());
+        assert!(client.qos_check(&key("steady")).unwrap());
     }
 
     // Find the partition that owns "steady" and kill its master.
@@ -33,21 +33,20 @@ async fn slave_promotion_is_transparent_to_clients() {
     deployment.kill_qos_master(partition);
     deployment
         .await_failover(partition, Duration::from_secs(5))
-        .await
         .unwrap();
 
     // Service continues against the promoted slave.
     let mut ok = 0;
     for _ in 0..10 {
-        if client.qos_check(&key("steady")).await.unwrap() {
+        if client.qos_check(&key("steady")).unwrap() {
             ok += 1;
         }
     }
     assert_eq!(ok, 10, "promoted slave did not serve");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn failover_does_not_reset_quota() {
+#[test]
+fn failover_does_not_reset_quota() {
     // The promoted slave must carry the replicated credit, not a fresh
     // bucket — otherwise a crash would hand every tenant a free burst.
     let config = DeploymentConfig {
@@ -59,21 +58,20 @@ async fn failover_does_not_reset_quota() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let mut deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let mut deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
     for _ in 0..30 {
-        assert!(client.qos_check(&key("metered")).await.unwrap());
+        assert!(client.qos_check(&key("metered")).unwrap());
     }
-    tokio::time::sleep(Duration::from_millis(150)).await; // replication catch-up
+    std::thread::sleep(Duration::from_millis(150)); // replication catch-up
     deployment.kill_qos_master(0);
     deployment
         .await_failover(0, Duration::from_secs(5))
-        .await
         .unwrap();
 
     let mut admitted = 0;
     for _ in 0..50 {
-        if client.qos_check(&key("metered")).await.unwrap() {
+        if client.qos_check(&key("metered")).unwrap() {
             admitted += 1;
         }
     }
@@ -83,8 +81,8 @@ async fn failover_does_not_reset_quota() {
     );
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn dead_partition_degrades_to_default_reply() {
+#[test]
+fn dead_partition_degrades_to_default_reply() {
     // Without HA, killing a partition's master leaves its keys to the
     // router's default verdict — a localized failure: the other
     // partition keeps answering authoritatively (paper §II-D).
@@ -103,8 +101,8 @@ async fn dead_partition_degrades_to_default_reply() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let mut deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let mut deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
 
     // Pick keys on both partitions.
     let hash = janus_hash::routing::ModuloRouter::new(2);
@@ -120,24 +118,24 @@ async fn dead_partition_degrades_to_default_reply() {
     let key0 = key_on(0);
     let key1 = key_on(1);
 
-    assert!(client.qos_check(&key0).await.unwrap());
-    assert!(client.qos_check(&key1).await.unwrap());
+    assert!(client.qos_check(&key0).unwrap());
+    assert!(client.qos_check(&key1).unwrap());
 
     deployment.kill_qos_master(0);
-    tokio::time::sleep(Duration::from_millis(100)).await;
+    std::thread::sleep(Duration::from_millis(100));
 
     // Partition 0's keys now hit the retry budget and fall to the
     // router's default (Deny); partition 1 is unaffected.
-    assert!(!client.qos_check(&key0).await.unwrap(), "expected default deny");
-    assert!(client.qos_check(&key1).await.unwrap(), "healthy partition broke");
+    assert!(!client.qos_check(&key0).unwrap(), "expected default deny");
+    assert!(client.qos_check(&key1).unwrap(), "healthy partition broke");
     assert!(
         deployment.router_defaulted_total() >= 1,
         "router never used its default reply"
     );
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn replacement_server_resumes_from_checkpoints() {
+#[test]
+fn replacement_server_resumes_from_checkpoints() {
     // Full-deployment version of the checkpoint-resume property: kill a
     // non-HA master, launch a replacement deployment against the same
     // database, and verify the tenant does not get a fresh bucket.
@@ -151,21 +149,21 @@ async fn replacement_server_resumes_from_checkpoints() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
     for _ in 0..25 {
-        assert!(client.qos_check(&key("persistent")).await.unwrap());
+        assert!(client.qos_check(&key("persistent")).unwrap());
     }
     // Wait for the checkpoint to land in the DB.
-    let mut db = deployment.db_client().await.unwrap();
+    let mut db = deployment.db_client().unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        let rule = db.get_rule(&key("persistent")).await.unwrap().unwrap();
+        let rule = db.get_rule(&key("persistent")).unwrap().unwrap();
         if rule.credit.whole() == 15 {
             break;
         }
         assert!(std::time::Instant::now() < deadline, "checkpoint missing");
-        tokio::time::sleep(Duration::from_millis(20)).await;
+        std::thread::sleep(Duration::from_millis(20));
     }
     // Simulate replacement: a brand-new QoS server attached to the same
     // database must resume from credit 15.
@@ -174,7 +172,6 @@ async fn replacement_server_resumes_from_checkpoints() {
         Some(deployment.db().addr().into()),
         janus_clock::system(),
     )
-    .await
     .unwrap();
     let rpc = janus_net::udp::UdpRpcClient::new(janus_net::udp::UdpRpcConfig::lan_defaults());
     let mut admitted = 0;
@@ -184,7 +181,6 @@ async fn replacement_server_resumes_from_checkpoints() {
                 fresh.udp_addr(),
                 &janus_types::QosRequest::new(id, key("persistent")),
             )
-            .await
             .unwrap();
         if resp.verdict == Verdict::Allow {
             admitted += 1;
@@ -193,8 +189,8 @@ async fn replacement_server_resumes_from_checkpoints() {
     assert_eq!(admitted, 15, "replacement ignored the checkpoint");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn db_failover_is_transparent_to_qos_servers() {
+#[test]
+fn db_failover_is_transparent_to_qos_servers() {
     // Multi-AZ database: kill the master; the standby (which received
     // replicated writes) is promoted via DNS, and QoS servers re-resolve
     // on reconnect — first sightings of new keys keep working.
@@ -206,49 +202,47 @@ async fn db_failover_is_transparent_to_qos_servers() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let mut deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let mut deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
 
     // Seed an extra rule at runtime so replication is exercised too.
     deployment
         .upsert_rule(&QosRule::per_second(key("replicated"), 5, 0))
-        .await
         .unwrap();
-    assert!(client.qos_check(&key("pre-crash")).await.unwrap());
+    assert!(client.qos_check(&key("pre-crash")).unwrap());
 
     // Give the (async, best-effort) replication a beat, then crash.
-    tokio::time::sleep(Duration::from_millis(200)).await;
+    std::thread::sleep(Duration::from_millis(200));
     deployment.kill_db_master();
     deployment
         .await_db_failover(Duration::from_secs(5))
-        .await
         .unwrap();
 
     // A key the QoS server has never seen must be fetchable from the
     // promoted standby (the QoS server reconnects through DNS).
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        if client.qos_check(&key("replicated")).await.unwrap() {
+        if client.qos_check(&key("replicated")).unwrap() {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
             "QoS server never reached the promoted standby"
         );
-        tokio::time::sleep(Duration::from_millis(50)).await;
+        std::thread::sleep(Duration::from_millis(50));
     }
 
     // Admin traffic follows the failover as well.
-    let mut db = deployment.db_client().await.unwrap();
-    assert!(db.count().await.unwrap() >= 2);
+    let mut db = deployment.db_client().unwrap();
+    assert!(db.count().unwrap() >= 2);
     assert_eq!(
         deployment.active_db_addr().unwrap(),
         deployment.db_standby().unwrap().addr()
     );
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn db_failover_racing_the_miss_path_defaults_then_recovers() {
+#[test]
+fn db_failover_racing_the_miss_path_defaults_then_recovers() {
     // A database that *hangs* mid-failover is nastier than one that
     // dies: an in-flight first-sighting lookup must burn
     // `db_fetch_timeout`, fall back to the default policy, and the next
@@ -274,20 +268,17 @@ async fn db_failover_racing_the_miss_path_defaults_then_recovers() {
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
-    let mut deployment = Deployment::launch(config).await.unwrap();
-    let mut client = deployment.client().await.unwrap();
+    let mut deployment = Deployment::launch(config).unwrap();
+    let mut client = deployment.client().unwrap();
 
     // A tarpit that accepts DB connections and never answers a byte.
-    let tarpit = tokio::net::TcpListener::bind(("127.0.0.1", 0)).await.unwrap();
-    let tarpit_addr = tarpit.local_addr().unwrap();
-    let tarpit_task = tokio::spawn(async move {
-        let mut held = Vec::new();
-        loop {
-            if let Ok((socket, _)) = tarpit.accept().await {
-                held.push(socket);
-            }
-        }
-    });
+    // Every accepted connection is held open, silent, until the tarpit
+    // is shut down.
+    let tarpit = janus_net::TcpService::spawn("tarpit", |_held, _peer, stop| {
+        while !stop.wait_timeout(Duration::from_secs(60)) {}
+    })
+    .unwrap();
+    let tarpit_addr = tarpit.addr();
 
     // Point the failover record's primary at the tarpit, then kill the
     // real master. The database is now "hung": the health monitor still
@@ -305,7 +296,7 @@ async fn db_failover_racing_the_miss_path_defaults_then_recovers() {
     // fetch budget and falls back to the default policy (Deny) even
     // though its rule would have allowed it.
     assert!(
-        !client.qos_check(&key("racer")).await.unwrap(),
+        !client.qos_check(&key("racer")).unwrap(),
         "hung DB lookup did not fall back to the default policy"
     );
     let stats = deployment.qos_master(0).unwrap().stats().snapshot();
@@ -314,21 +305,20 @@ async fn db_failover_racing_the_miss_path_defaults_then_recovers() {
 
     // The tarpit finally dies; the monitor's probes start failing and
     // the standby is promoted.
-    tarpit_task.abort();
+    tarpit.shutdown();
     deployment
         .await_db_failover(Duration::from_secs(5))
-        .await
         .unwrap();
 
     // The next miss is served from the promoted standby. (The raced key
     // keeps its cached guest bucket — the fallback was already
     // recorded, deliberately.)
-    assert!(client.qos_check(&key("after")).await.unwrap());
-    assert!(!client.qos_check(&key("racer")).await.unwrap());
+    assert!(client.qos_check(&key("after")).unwrap());
+    assert!(!client.qos_check(&key("racer")).unwrap());
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn db_standby_receives_runtime_rules() {
+#[test]
+fn db_standby_receives_runtime_rules() {
     let config = DeploymentConfig {
         qos_servers: 1,
         routers: 1,
@@ -336,10 +326,9 @@ async fn db_standby_receives_runtime_rules() {
         rules: vec![QosRule::per_second(key("seeded"), 1, 1)],
         ..Default::default()
     };
-    let deployment = Deployment::launch(config).await.unwrap();
+    let deployment = Deployment::launch(config).unwrap();
     deployment
         .upsert_rule(&QosRule::per_second(key("runtime"), 2, 2))
-        .await
         .unwrap();
     // Seeded rules land in both engines at launch; runtime rules arrive
     // at the standby via statement forwarding.
@@ -355,6 +344,6 @@ async fn db_standby_receives_runtime_rules() {
             "standby never converged: {:?}",
             engine.all()
         );
-        tokio::time::sleep(Duration::from_millis(20)).await;
+        std::thread::sleep(Duration::from_millis(20));
     }
 }

@@ -16,8 +16,8 @@ fn lan_rpc() -> UdpRpcClient {
     UdpRpcClient::new(UdpRpcConfig::lan_defaults())
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn retries_mask_moderate_response_loss() {
+#[test]
+fn retries_mask_moderate_response_loss() {
     // 20% loss on the QoS server's response path: the router-side client
     // retries and the overwhelming majority of calls still complete.
     let faults = FaultPlan::new(0.2, 0.0, Duration::ZERO, 99);
@@ -27,7 +27,6 @@ async fn retries_mask_moderate_response_loss() {
         janus_clock::system(),
         Arc::clone(&faults),
     )
-    .await
     .unwrap();
     server.table().insert(
         QosRule::per_second(key("t"), 1_000_000, 0),
@@ -39,7 +38,6 @@ async fn retries_mask_moderate_response_loss() {
     for id in 0..200u64 {
         if rpc
             .call(server.udp_addr(), &QosRequest::new(id, key("t")))
-            .await
             .is_ok()
         {
             ok += 1;
@@ -49,8 +47,8 @@ async fn retries_mask_moderate_response_loss() {
     assert!(faults.dropped() > 10, "loss injection never fired");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn response_loss_overcharges_but_never_oversells() {
+#[test]
+fn response_loss_overcharges_but_never_oversells() {
     // A lost response means the bucket was charged without the client
     // seeing the verdict; retries then charge again. The safe direction:
     // total admissions NEVER exceed the configured quota.
@@ -61,7 +59,6 @@ async fn response_loss_overcharges_but_never_oversells() {
         janus_clock::system(),
         faults,
     )
-    .await
     .unwrap();
     server.table().insert(
         QosRule::per_second(key("quota"), 50, 0),
@@ -71,10 +68,7 @@ async fn response_loss_overcharges_but_never_oversells() {
     let rpc = lan_rpc();
     let mut admitted = 0;
     for id in 0..120u64 {
-        if let Ok(resp) = rpc
-            .call(server.udp_addr(), &QosRequest::new(id, key("quota")))
-            .await
-        {
+        if let Ok(resp) = rpc.call(server.udp_addr(), &QosRequest::new(id, key("quota"))) {
             if resp.verdict == Verdict::Allow {
                 admitted += 1;
             }
@@ -87,16 +81,12 @@ async fn response_loss_overcharges_but_never_oversells() {
     assert!(admitted >= 25, "pathologically few admissions: {admitted}");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn tiny_fifo_sheds_load_instead_of_collapsing() {
+#[test]
+fn tiny_fifo_sheds_load_instead_of_collapsing() {
     let mut config = QosServerConfig::test_defaults();
     config.fifo_capacity = 2;
     config.workers = 1;
-    let server = Arc::new(
-        QosServer::spawn(config, None, janus_clock::system())
-            .await
-            .unwrap(),
-    );
+    let server = Arc::new(QosServer::spawn(config, None, janus_clock::system()).unwrap());
     server.table().insert(
         QosRule::per_second(key("flood"), 1_000_000, 0),
         server.clock().now(),
@@ -106,20 +96,19 @@ async fn tiny_fifo_sheds_load_instead_of_collapsing() {
     let mut handles = Vec::new();
     for id in 0..200u64 {
         let server = Arc::clone(&server);
-        handles.push(tokio::spawn(async move {
+        handles.push(std::thread::spawn(move || {
             let rpc = UdpRpcClient::new(UdpRpcConfig {
                 timeout: Duration::from_millis(5),
                 max_retries: 1,
                 ..Default::default()
             });
             rpc.call(server.udp_addr(), &QosRequest::new(id, key("flood")))
-                .await
                 .is_ok()
         }));
     }
     let mut succeeded = 0;
     for handle in handles {
-        if handle.await.unwrap() {
+        if handle.join().unwrap() {
             succeeded += 1;
         }
     }
@@ -135,15 +124,14 @@ async fn tiny_fifo_sheds_load_instead_of_collapsing() {
     let rpc = lan_rpc();
     let resp = rpc
         .call(server.udp_addr(), &QosRequest::new(9999, key("flood")))
-        .await
         .unwrap();
     assert_eq!(resp.id, 9999);
     // shed is workload-dependent; just verify the counter is wired.
     let _ = shed;
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn network_healing_restores_service() {
+#[test]
+fn network_healing_restores_service() {
     let faults = FaultPlan::new(1.0, 0.0, Duration::ZERO, 3);
     let server = QosServer::spawn_with_faults(
         QosServerConfig::test_defaults(),
@@ -151,7 +139,6 @@ async fn network_healing_restores_service() {
         janus_clock::system(),
         Arc::clone(&faults),
     )
-    .await
     .unwrap();
     server.table().insert(
         QosRule::per_second(key("heal"), 100, 0),
@@ -166,19 +153,17 @@ async fn network_healing_restores_service() {
     // Total blackout: calls fail.
     assert!(rpc
         .call(server.udp_addr(), &QosRequest::new(1, key("heal")))
-        .await
         .is_err());
     // Heal the network: calls succeed again.
     faults.set_drop_probability(0.0);
     let resp = rpc
         .call(server.udp_addr(), &QosRequest::new(2, key("heal")))
-        .await
         .unwrap();
     assert_eq!(resp.verdict, Verdict::Allow);
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn batched_pool_retries_mask_response_loss() {
+#[test]
+fn batched_pool_retries_mask_response_loss() {
     // The batched data plane must not weaken the retry discipline: with
     // 20% response loss, each check in a coalesced datagram still
     // retries on its own timeout and almost all complete.
@@ -189,7 +174,6 @@ async fn batched_pool_retries_mask_response_loss() {
     config.batching = true;
     let server =
         QosServer::spawn_with_faults(config, None, janus_clock::system(), Arc::clone(&faults))
-            .await
             .unwrap();
     server.table().insert(
         QosRule::per_second(key("lossy"), 1_000_000, 0),
@@ -201,19 +185,18 @@ async fn batched_pool_retries_mask_response_loss() {
         BatchConfig::default(),
         FaultPlan::none(),
     )
-    .await
     .unwrap();
     let addr = server.udp_addr();
     let mut handles = Vec::new();
     for _ in 0..100u64 {
         let pool = pool.clone();
-        handles.push(tokio::spawn(async move {
-            pool.check(addr, key("lossy")).await.is_ok()
+        handles.push(std::thread::spawn(move || {
+            pool.check(addr, key("lossy")).is_ok()
         }));
     }
     let mut ok = 0;
     for handle in handles {
-        if handle.await.unwrap() {
+        if handle.join().unwrap() {
             ok += 1;
         }
     }
@@ -222,8 +205,8 @@ async fn batched_pool_retries_mask_response_loss() {
     assert_eq!(pool.in_flight(), 0, "waiters leaked");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn batching_preserves_per_request_timeout_semantics_under_blackout() {
+#[test]
+fn batching_preserves_per_request_timeout_semantics_under_blackout() {
     // Total send-side blackout: every check in the batch must fail with
     // its own Timeout after the full first-try + 5-retry discipline —
     // coalescing frames into shared datagrams must not collapse them
@@ -236,7 +219,6 @@ async fn batching_preserves_per_request_timeout_semantics_under_blackout() {
         None,
         janus_clock::system(),
     )
-    .await
     .unwrap();
     let blackout = FaultPlan::new(1.0, 0.0, Duration::ZERO, 11);
     let pool = PooledUdpRpcClient::bind_with_batch(
@@ -248,18 +230,17 @@ async fn batching_preserves_per_request_timeout_semantics_under_blackout() {
         BatchConfig::default(),
         blackout,
     )
-    .await
     .unwrap();
     let addr = server.udp_addr();
     let mut handles = Vec::new();
     for i in 0..8u64 {
         let pool = pool.clone();
-        handles.push(tokio::spawn(async move {
-            pool.check(addr, key(&format!("dark-{i}"))).await
+        handles.push(std::thread::spawn(move || {
+            pool.check(addr, key(&format!("dark-{i}")))
         }));
     }
     for handle in handles {
-        let err = handle.await.unwrap().unwrap_err();
+        let err = handle.join().unwrap().unwrap_err();
         match err {
             JanusError::Timeout { attempts } => assert_eq!(attempts, 6),
             other => panic!("expected Timeout after 6 attempts, got {other:?}"),
@@ -268,8 +249,8 @@ async fn batching_preserves_per_request_timeout_semantics_under_blackout() {
     assert_eq!(pool.in_flight(), 0, "waiters leaked after blackout");
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn delayed_responses_still_correlate_by_request_id() {
+#[test]
+fn delayed_responses_still_correlate_by_request_id() {
     // 3 ms injected delay with a 20 ms client timeout: slow but correct.
     let faults = FaultPlan::new(0.0, 1.0, Duration::from_millis(3), 5);
     let server = QosServer::spawn_with_faults(
@@ -278,7 +259,6 @@ async fn delayed_responses_still_correlate_by_request_id() {
         janus_clock::system(),
         faults,
     )
-    .await
     .unwrap();
     server.table().insert(
         QosRule::per_second(key("slow"), 1_000, 0),
@@ -288,7 +268,6 @@ async fn delayed_responses_still_correlate_by_request_id() {
     for id in 0..20u64 {
         let resp = rpc
             .call(server.udp_addr(), &QosRequest::new(id, key("slow")))
-            .await
             .unwrap();
         assert_eq!(resp.id, id, "response correlated to wrong request");
     }

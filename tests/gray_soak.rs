@@ -5,11 +5,9 @@
 //! caller answered, bring the p99 back after the heal, and cap retry
 //! amplification at the budget's deposit stream.
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn gray_soak_holds_recovery_and_amplification_bounds() {
-    let report = janus_core::run_gray_soak(janus_core::GraySoakConfig::default())
-        .await
-        .unwrap();
+#[test]
+fn gray_soak_holds_recovery_and_amplification_bounds() {
+    let report = janus_core::run_gray_soak(janus_core::GraySoakConfig::default()).unwrap();
 
     assert!(
         report.availability_ok,
@@ -39,5 +37,5 @@ async fn gray_soak_holds_recovery_and_amplification_bounds() {
     // test binary's cwd is the bench crate).
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("gray_soak.json"), report.to_json_string().unwrap()).unwrap();
+    std::fs::write(dir.join("gray_soak.json"), report.to_json_string()).unwrap();
 }

@@ -8,11 +8,11 @@
 //! admits *exactly* `capacity` of them — duplication and reordering on
 //! the request path must be absorbed, never double-charged.
 
+use janus_hash::rng::Rng;
 use janus_net::fault::FaultPlan;
 use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
 use janus_server::{DispatchMode, QosServer, QosServerConfig, TableKind};
 use janus_types::{QosKey, QosRequest, QosRule, Verdict};
-use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,7 +26,7 @@ const LOGICAL_REQUESTS: u64 = 40;
 /// window on by default), drain one capacity-`CAPACITY` key with
 /// `LOGICAL_REQUESTS` sequential calls through a duplicating +
 /// reordering fault plan, and report what happened.
-async fn drain_key_under_faults(
+fn drain_key_under_faults(
     dispatch: DispatchMode,
     seed: u64,
     duplicate_prob: f64,
@@ -35,9 +35,7 @@ async fn drain_key_under_faults(
     let mut config = QosServerConfig::test_defaults();
     config.dispatch = dispatch;
     config.table = TableKind::LockFree;
-    let server = QosServer::spawn(config, None, janus_clock::system())
-        .await
-        .unwrap();
+    let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
     let key = QosKey::new("idem").unwrap();
     server.table().insert(
         QosRule::per_second(key.clone(), CAPACITY, 0),
@@ -59,10 +57,7 @@ async fn drain_key_under_faults(
     let mut allowed = 0u64;
     let mut errors = 0u64;
     for id in 0..LOGICAL_REQUESTS {
-        match client
-            .call(server.udp_addr(), &QosRequest::new(id, key.clone()))
-            .await
-        {
+        match client.call(server.udp_addr(), &QosRequest::new(id, key.clone())) {
             Ok(response) => {
                 if response.verdict == Verdict::Allow {
                     allowed += 1;
@@ -72,50 +67,39 @@ async fn drain_key_under_faults(
         }
     }
     // Let straggling delayed duplicates land before reading the stats.
-    tokio::time::sleep(Duration::from_millis(25)).await;
+    std::thread::sleep(Duration::from_millis(25));
     let snapshot = server.stats().snapshot();
     (allowed, errors, faults.duplicated(), snapshot.dedup_hits)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 4,
-        ..ProptestConfig::default()
-    })]
-
-    #[test]
-    fn one_logical_request_never_consumes_two_credits(
-        seed in any::<u64>(),
-        duplicate_prob in 0.3f64..0.8,
-        reorder_prob in 0.0f64..0.5,
-    ) {
-        let runtime = tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(4)
-            .enable_all()
-            .build()
-            .unwrap();
+/// Four seeded cases (seed, duplication and reordering probabilities
+/// drawn from 0.3..0.8 and 0.0..0.5), each in both dispatch modes.
+#[test]
+fn one_logical_request_never_consumes_two_credits() {
+    let mut rng = Rng::seed_from_u64(0x1DE7_907E);
+    for _ in 0..4 {
+        let seed = rng.next_u64();
+        let duplicate_prob = 0.3 + 0.5 * rng.gen_f64();
+        let reorder_prob = 0.5 * rng.gen_f64();
         for dispatch in [DispatchMode::KeyAffinity, DispatchMode::SharedFifo] {
-            let (allowed, errors, duplicated, dedup_hits) = runtime.block_on(
-                drain_key_under_faults(dispatch, seed, duplicate_prob, reorder_prob),
-            );
-            prop_assert_eq!(
+            let (allowed, errors, duplicated, dedup_hits) =
+                drain_key_under_faults(dispatch, seed, duplicate_prob, reorder_prob);
+            assert_eq!(
                 errors, 0,
-                "calls timed out without drops ({:?}, seed {})", dispatch, seed
+                "calls timed out without drops ({dispatch:?}, seed {seed})"
             );
-            prop_assert_eq!(
+            assert_eq!(
                 allowed, CAPACITY,
-                "credit exactness violated under dup/reorder: {} admissions from \
-                 a {}-credit bucket ({:?}, seed {})",
-                allowed, CAPACITY, dispatch, seed
+                "credit exactness violated under dup/reorder: {allowed} admissions from \
+                 a {CAPACITY}-credit bucket ({dispatch:?}, seed {seed})"
             );
-            prop_assert!(
+            assert!(
                 duplicated > 0,
-                "duplication never fired (seed {}, p {})", seed, duplicate_prob
+                "duplication never fired (seed {seed}, p {duplicate_prob})"
             );
-            prop_assert!(
+            assert!(
                 dedup_hits > 0,
-                "no duplicate ever reached the dedup window ({:?}, seed {})",
-                dispatch, seed
+                "no duplicate ever reached the dedup window ({dispatch:?}, seed {seed})"
             );
         }
     }

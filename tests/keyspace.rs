@@ -6,13 +6,11 @@
 
 use janus_core::{run_keyspace_soak, KeyspaceSoakConfig};
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn keyspace_soak_holds_invariants() {
-    let report = run_keyspace_soak(KeyspaceSoakConfig::default())
-        .await
-        .unwrap();
+#[test]
+fn keyspace_soak_holds_invariants() {
+    let report = run_keyspace_soak(KeyspaceSoakConfig::default()).unwrap();
 
-    let json = report.to_json_string().unwrap();
+    let json = report.to_json_string();
     assert!(
         report.no_mint_ok,
         "reclaim/readmit minted credit: {} allows from capacity {}\n{json}",

@@ -32,14 +32,12 @@ fn socket_modes() -> Vec<SocketMode> {
     modes
 }
 
-async fn spawn_server(socket_mode: SocketMode, dispatch: DispatchMode) -> QosServer {
+fn spawn_server(socket_mode: SocketMode, dispatch: DispatchMode) -> QosServer {
     let mut config = QosServerConfig::test_defaults();
     config.socket_mode = socket_mode;
     config.dispatch = dispatch;
     config.table = TableKind::LockFree;
-    let server = QosServer::spawn(config, None, janus_clock::system())
-        .await
-        .unwrap();
+    let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
     let key = QosKey::new("parity").unwrap();
     server
         .table()
@@ -49,15 +47,14 @@ async fn spawn_server(socket_mode: SocketMode, dispatch: DispatchMode) -> QosSer
 
 /// Drain the key with a clean sequential client and return the exact
 /// verdict sequence.
-async fn verdict_sequence(socket_mode: SocketMode) -> Vec<Verdict> {
-    let server = spawn_server(socket_mode, DispatchMode::KeyAffinity).await;
+fn verdict_sequence(socket_mode: SocketMode) -> Vec<Verdict> {
+    let server = spawn_server(socket_mode, DispatchMode::KeyAffinity);
     let client = UdpRpcClient::new(UdpRpcConfig::lan_defaults());
     let key = QosKey::new("parity").unwrap();
     let mut verdicts = Vec::with_capacity(LOGICAL_REQUESTS as usize);
     for id in 0..LOGICAL_REQUESTS {
         let response = client
             .call(server.udp_addr(), &QosRequest::new(id, key.clone()))
-            .await
             .unwrap();
         verdicts.push(response.verdict);
     }
@@ -66,9 +63,9 @@ async fn verdict_sequence(socket_mode: SocketMode) -> Vec<Verdict> {
 
 /// The same sequential request stream must produce byte-for-byte the
 /// same verdict stream no matter how datagrams cross the kernel.
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn verdict_sequence_is_identical_across_socket_modes() {
-    let reference = verdict_sequence(SocketMode::SingleListener).await;
+#[test]
+fn verdict_sequence_is_identical_across_socket_modes() {
+    let reference = verdict_sequence(SocketMode::SingleListener);
     assert_eq!(
         reference.iter().filter(|v| **v == Verdict::Allow).count() as u64,
         CAPACITY,
@@ -78,7 +75,7 @@ async fn verdict_sequence_is_identical_across_socket_modes() {
         if mode == SocketMode::SingleListener {
             continue;
         }
-        let verdicts = verdict_sequence(mode).await;
+        let verdicts = verdict_sequence(mode);
         assert_eq!(
             verdicts, reference,
             "verdict stream diverged under {mode:?}"
@@ -89,12 +86,12 @@ async fn verdict_sequence_is_identical_across_socket_modes() {
 /// Drain the key through a duplicating + reordering client fault plan
 /// (no drops — every logical request must complete) and report
 /// `(allowed, errors, duplicated, dedup_hits)`.
-async fn drain_under_faults(
+fn drain_under_faults(
     socket_mode: SocketMode,
     dispatch: DispatchMode,
     seed: u64,
 ) -> (u64, u64, u64, u64) {
-    let server = spawn_server(socket_mode, dispatch).await;
+    let server = spawn_server(socket_mode, dispatch);
     let faults = FaultPlan::new(0.0, 0.0, Duration::ZERO, seed);
     faults.set_duplication(0.5, Duration::from_micros(200));
     faults.set_reordering(0.3, Duration::from_micros(300));
@@ -107,10 +104,7 @@ async fn drain_under_faults(
     let mut allowed = 0u64;
     let mut errors = 0u64;
     for id in 0..LOGICAL_REQUESTS {
-        match client
-            .call(server.udp_addr(), &QosRequest::new(id, key.clone()))
-            .await
-        {
+        match client.call(server.udp_addr(), &QosRequest::new(id, key.clone())) {
             Ok(response) => {
                 if response.verdict == Verdict::Allow {
                     allowed += 1;
@@ -120,7 +114,7 @@ async fn drain_under_faults(
         }
     }
     // Let straggling delayed duplicates land before reading the stats.
-    tokio::time::sleep(Duration::from_millis(25)).await;
+    std::thread::sleep(Duration::from_millis(25));
     let snapshot = server.stats().snapshot();
     (allowed, errors, faults.duplicated(), snapshot.dedup_hits)
 }
@@ -129,12 +123,12 @@ async fn drain_under_faults(
 /// mode × dispatch mode with request-path duplication and reordering
 /// active: exactly `CAPACITY` admissions, duplicates absorbed by the
 /// dedup window, never double-charged.
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn credit_accounting_is_exact_under_every_socket_mode() {
+#[test]
+fn credit_accounting_is_exact_under_every_socket_mode() {
     for mode in socket_modes() {
         for dispatch in [DispatchMode::KeyAffinity, DispatchMode::SharedFifo] {
             let (allowed, errors, duplicated, dedup_hits) =
-                drain_under_faults(mode, dispatch, 0x6a6e_7573).await;
+                drain_under_faults(mode, dispatch, 0x6a6e_7573);
             assert_eq!(
                 errors, 0,
                 "calls timed out without drops ({mode:?}/{dispatch:?})"
@@ -161,11 +155,11 @@ async fn credit_accounting_is_exact_under_every_socket_mode() {
 /// matter how its datagrams are duplicated or reordered. Linux-only by
 /// construction (SO_REUSEPORT flow steering).
 #[cfg(target_os = "linux")]
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn per_core_plane_preserves_retry_idempotency() {
+#[test]
+fn per_core_plane_preserves_retry_idempotency() {
     for seed in [1u64, 0xdead_beef, 0x2018_0615] {
         let (allowed, errors, duplicated, dedup_hits) =
-            drain_under_faults(SocketMode::PerCore, DispatchMode::KeyAffinity, seed).await;
+            drain_under_faults(SocketMode::PerCore, DispatchMode::KeyAffinity, seed);
         assert_eq!(errors, 0, "seed {seed}: calls timed out without drops");
         assert_eq!(allowed, CAPACITY, "seed {seed}: credit exactness violated");
         assert!(duplicated > 0, "seed {seed}: duplication never fired");

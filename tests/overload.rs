@@ -5,16 +5,14 @@
 
 use janus_core::{run_overload_soak, OverloadSoakConfig};
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn overload_soak_holds_invariants() {
+#[test]
+fn overload_soak_holds_invariants() {
     // Calibrate -> 2× overload with duplication -> meter drain. The
     // harness scores latency, goodput, credit exactness and dedup
     // evidence; the report is archived for CI.
-    let report = run_overload_soak(OverloadSoakConfig::default())
-        .await
-        .unwrap();
+    let report = run_overload_soak(OverloadSoakConfig::default()).unwrap();
 
-    let json = report.to_json_string().unwrap();
+    let json = report.to_json_string();
     assert!(
         report.latency_ok,
         "overload p99 {}us exceeds bound {}us\n{json}",
