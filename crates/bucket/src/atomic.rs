@@ -25,13 +25,20 @@
 //!
 //! # Quantization contract
 //!
-//! Elapsed time is measured between *ticks*, with the anchor rounded **up**
-//! to a tick on every write and `now` rounded **down** on every read — so
-//! measured elapsed never exceeds true elapsed and the bucket can only
-//! under-refill, never oversell. When every observation lands on a whole
-//! tick (all integration tests and any schedule built from `from_secs` /
-//! `from_millis`), floor and ceil coincide and the bucket is **bit-for-bit
-//! identical** to [`LeakyBucket`] — the property tests below pin this.
+//! Elapsed time is measured between *ticks*. Wherever credit is
+//! *overwritten* (`from_rule`, `full`, `set_credit`, `store_rule`) the
+//! anchor is rounded **up** to a tick; `now` is rounded **down** on every
+//! read; and a consume or sweep advances the anchor by exactly the whole
+//! ticks it folded into the credit (to `floor(now)`, never past it). So
+//! the refill accrued since credit was last overwritten at `t₀` is
+//! `rate × (floor(now) − ceil(t₀)) ≤ rate × (now − t₀)`: the bucket can
+//! only under-refill, never oversell, and a key charged many times per
+//! tick still refills at its full rate (an anchor moved to `ceil(now)` on
+//! every consume would leap-frog `now` and forfeit every tick). When every
+//! observation lands on a whole tick (all integration tests and any
+//! schedule built from `from_secs` / `from_millis`), floor and ceil
+//! coincide and the bucket is **bit-for-bit identical** to [`LeakyBucket`]
+//! — the property tests below pin this.
 //!
 //! The modular anchor distinguishes "time went backwards" (UDP reordering)
 //! from forward progress by the half-range rule: a modular difference of
@@ -69,24 +76,34 @@ fn floor_tick(now: Nanos) -> u64 {
     (now.as_nanos() / TICK_NANOS) & TICK_MASK
 }
 
-/// `now` quantized up to a tick (write side: an anchor in the slight
-/// future under-counts the next interval rather than over-counting it).
+/// `now` quantized up to a tick (where credit is overwritten: an anchor
+/// in the slight future under-counts the next interval rather than
+/// over-counting it).
 fn ceil_tick(now: Nanos) -> u64 {
     (now.as_nanos().div_ceil(TICK_NANOS)) & TICK_MASK
 }
 
-/// Elapsed whole ticks from `anchor` to `now_floor` and the anchor the
-/// next state should carry. Modular half-range comparison: apparent
-/// backwards motion (or a wrap-scale forward jump) yields zero elapsed
-/// and keeps the old anchor — the atomic analogue of
-/// `anchor.max(now)` + `saturating_since`.
-fn elapsed_ticks(anchor: u64, now_floor: u64, now_ceil: u64) -> (u64, u64) {
-    let diff = now_floor.wrapping_sub(anchor) & TICK_MASK;
-    if diff >= TICK_HALF_RANGE {
-        (0, anchor)
+/// Whether `now_floor` reads as behind `anchor` under the modular
+/// half-range rule (apparent backwards motion, or a wrap-scale forward
+/// jump).
+fn is_behind(anchor: u64, now_floor: u64) -> bool {
+    (now_floor.wrapping_sub(anchor) & TICK_MASK) >= TICK_HALF_RANGE
+}
+
+/// Elapsed whole ticks from `anchor` to `now_floor`; zero when time
+/// appears to have gone backwards — the atomic analogue of
+/// `saturating_since`.
+fn elapsed_ticks(anchor: u64, now_floor: u64) -> u64 {
+    if is_behind(anchor, now_floor) {
+        0
     } else {
-        (diff, now_ceil)
+        now_floor.wrapping_sub(anchor) & TICK_MASK
     }
+}
+
+/// `anchor` advanced by the `ticks` just folded into the credit.
+fn advance(anchor: u64, ticks: u64) -> u64 {
+    anchor.wrapping_add(ticks) & TICK_MASK
 }
 
 /// A leaky bucket whose fast path is one CAS loop on a single
@@ -140,7 +157,7 @@ impl AtomicBucket {
     /// the packed-field ceiling).
     fn derive(&self, state: u64, now_floor: u64) -> u64 {
         let (credit, anchor) = unpack(state);
-        let (ticks, _) = elapsed_ticks(anchor, now_floor, now_floor);
+        let ticks = elapsed_ticks(anchor, now_floor);
         let rate = RefillRate::from_micro_per_sec(self.rate.load(Ordering::Relaxed));
         let accrued = rate.accrued_over(Duration::from_millis(ticks)).as_micro();
         credit
@@ -167,7 +184,6 @@ impl AtomicBucket {
     /// into their exported contention counters.
     pub fn try_consume_counted(&self, now: Nanos) -> (Verdict, u64) {
         let now_floor = floor_tick(now);
-        let now_ceil = ceil_tick(now);
         let mut retries = 0u64;
         let mut state = self.state.load(Ordering::Relaxed);
         loop {
@@ -179,7 +195,7 @@ impl AtomicBucket {
                 return (Verdict::Deny, retries);
             }
             let (_, anchor) = unpack(state);
-            let (_, new_anchor) = elapsed_ticks(anchor, now_floor, now_ceil);
+            let new_anchor = advance(anchor, elapsed_ticks(anchor, now_floor));
             let next = pack(current - MICROCREDITS_PER_CREDIT, new_anchor);
             match self.state.compare_exchange_weak(
                 state,
@@ -197,19 +213,19 @@ impl AtomicBucket {
     }
 
     /// Fold accrued credit into the stored state and advance the anchor
-    /// to `now` — the housekeeping-sweep discipline. Returns CAS retries.
+    /// by the ticks folded — the housekeeping-sweep discipline. Returns
+    /// CAS retries.
     pub fn refill(&self, now: Nanos) -> u64 {
         let now_floor = floor_tick(now);
-        let now_ceil = ceil_tick(now);
         let mut retries = 0u64;
         let mut state = self.state.load(Ordering::Relaxed);
         loop {
             let (_, anchor) = unpack(state);
-            let (ticks, new_anchor) = elapsed_ticks(anchor, now_floor, now_ceil);
-            if ticks == 0 && new_anchor == anchor {
+            let ticks = elapsed_ticks(anchor, now_floor);
+            if ticks == 0 {
                 return retries;
             }
-            let next = pack(self.derive(state, now_floor), new_anchor);
+            let next = pack(self.derive(state, now_floor), advance(anchor, ticks));
             match self.state.compare_exchange_weak(
                 state,
                 next,
@@ -268,8 +284,14 @@ impl AtomicBucket {
         let now_ceil = ceil_tick(now);
         let mut state = self.state.load(Ordering::Relaxed);
         loop {
+            // Credit is overwritten, so the anchor rounds up — unless it is
+            // already ahead of `now`: the anchor never rewinds.
             let (_, anchor) = unpack(state);
-            let (_, new_anchor) = elapsed_ticks(anchor, now_floor, now_ceil);
+            let new_anchor = if is_behind(anchor, now_floor) {
+                anchor
+            } else {
+                now_ceil
+            };
             let next = pack(clamped, new_anchor);
             match self.state.compare_exchange_weak(
                 state,
@@ -320,7 +342,7 @@ impl AtomicBucket {
             // Derive with the *saved* shape: the live fields are already
             // zero and would forfeit both the clamp and the accrual.
             let (credit, anchor) = unpack(state);
-            let (ticks, _) = elapsed_ticks(anchor, now_floor, now_floor);
+            let ticks = elapsed_ticks(anchor, now_floor);
             let accrued = refill.accrued_over(Duration::from_millis(ticks)).as_micro();
             let exact = credit.saturating_add(accrued).min(cap).min(CREDIT_MASK);
             match self.state.compare_exchange_weak(
@@ -456,8 +478,9 @@ mod tests {
 
     #[test]
     fn sub_tick_times_never_oversell() {
-        // Anchors round up, reads round down: a schedule off the tick grid
-        // can only under-admit relative to the exact bucket, never over.
+        // Reads round down and the anchor only moves by whole ticks
+        // accrued: a schedule off the tick grid never sees more refill
+        // than truly elapsed.
         let b = bucket(1, 1000);
         assert_eq!(b.try_consume(Nanos::from_nanos(1)), Verdict::Allow);
         // 0.9 ms later the exact bucket would hold 0.9 credits; quantized
@@ -466,6 +489,25 @@ mod tests {
         let exact = locked(1, 1000);
         let supply = exact.credit(Nanos::from_millis(2));
         assert!(b.credit(Nanos::from_millis(2)) <= supply);
+    }
+
+    #[test]
+    fn key_charged_in_every_tick_refills_at_its_full_rate() {
+        // One request per 10 µs for 1 s against a 100-credit, 100k/s
+        // rule: demand equals the refill rate, so everything is admitted.
+        // An anchor that moved to `ceil(now)` on each consume stayed ahead
+        // of `now` until the bucket ran dry and then refilled every other
+        // tick — half the rule's rate.
+        let atomic = bucket(100, 100_000);
+        let mut exact = locked(100, 100_000);
+        let (mut admitted, mut admitted_exact) = (0u64, 0u64);
+        for i in 0..100_000u64 {
+            let now = Nanos::from_nanos(i * 10_000);
+            admitted += u64::from(atomic.try_consume(now) == Verdict::Allow);
+            admitted_exact += u64::from(exact.try_consume(now) == Verdict::Allow);
+            assert!(admitted <= admitted_exact, "oversold at request {i}");
+        }
+        assert_eq!(admitted, 100_000);
     }
 
     #[test]
