@@ -10,7 +10,7 @@
 
 use crate::LeakyBucket;
 use janus_clock::Nanos;
-use janus_types::sync::Mutex;
+use janus_types::sync::{CachePadded, Mutex};
 use janus_types::{Credits, QosKey, QosRule, RefillRate, Verdict};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -166,7 +166,13 @@ fn shard_of(key: &QosKey, shards: usize) -> usize {
 /// default 64 shards, 16 workers collide rarely.
 pub struct ShardedTable {
     shards: Vec<Mutex<HashMap<QosKey, LeakyBucket>>>,
-    stats: TableStats,
+    /// On cache lines of their own: every decision bumps these counters,
+    /// and every decision first reads the `shards` header beside them.
+    /// Sharing a line made each lookup wait for the other cores' counter
+    /// updates — or not, depending on where the allocator put the table
+    /// (`paper_hot` moved between 2.7 M and 3.4 M decisions/s on that
+    /// alone).
+    stats: CachePadded<TableStats>,
 }
 
 impl ShardedTable {
@@ -186,7 +192,7 @@ impl ShardedTable {
         assert!(shards > 0, "need at least one shard");
         ShardedTable {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            stats: TableStats::default(),
+            stats: CachePadded::default(),
         }
     }
 

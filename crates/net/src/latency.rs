@@ -30,8 +30,8 @@
 //! Everything here is sans-IO: the thread shells and the deterministic
 //! simulator drive the same code.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use janus_types::sync::{CachePadded, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Samples an adaptive policy requires before it trusts the window; below
@@ -156,19 +156,25 @@ impl TimeoutPolicy {
     /// The timeout the next attempt should wait, given the partition's
     /// window and the configured fixed `baseline`.
     pub fn timeout_for(&self, window: &LatencyWindow, baseline: Duration) -> Duration {
+        self.learned(window).unwrap_or(baseline)
+    }
+
+    /// The timeout learned from `window`; `None` means "use the
+    /// baseline" (fixed policy, or still warming up).
+    fn learned(&self, window: &LatencyWindow) -> Option<Duration> {
         match *self {
-            TimeoutPolicy::Fixed => baseline,
+            TimeoutPolicy::Fixed => None,
             TimeoutPolicy::Adaptive {
                 multiplier_pct,
                 floor,
                 ceil,
             } => {
                 if window.len() < ADAPTIVE_WARMUP {
-                    return baseline;
+                    return None;
                 }
                 let p99 = window.percentile(99).unwrap_or(0);
                 let scaled = p99.saturating_mul(u64::from(multiplier_pct)) / 100;
-                Duration::from_micros(scaled).clamp(floor, ceil)
+                Some(Duration::from_micros(scaled).clamp(floor, ceil))
             }
         }
     }
@@ -280,11 +286,15 @@ impl RetryBudget {
         self.config
     }
 
-    /// Credit one primary attempt.
+    /// Credit one primary attempt. A bucket already at its cap — the
+    /// steady state of a healthy node — is only loaded, never written.
     pub fn deposit(&self) {
         let mut cur = self.units.load(Ordering::Relaxed);
         loop {
             let next = cur.saturating_add(self.deposit_units).min(self.cap_units);
+            if next == cur {
+                return;
+            }
             match self
                 .units
                 .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
@@ -327,46 +337,176 @@ impl RetryBudget {
     }
 }
 
-/// A [`LatencyWindow`] behind a mutex, so the thread shells can record
-/// from concurrent tasks. The simulator uses the bare window directly.
+/// Stripes per [`SharedLatency`]: threads are dealt stripes round-robin,
+/// so up to this many recording threads never meet.
+const STRIPES: usize = 8;
+
+/// "Nothing learned: use the baseline / do not hedge" in a stripe's
+/// published cells.
+const UNLEARNED: u64 = u64::MAX;
+
+/// The stripe the calling thread records into and reads from, dealt
+/// round-robin on the thread's first use and the same for every
+/// [`SharedLatency`] it touches.
+fn stripe_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    INDEX.with(|index| *index)
+}
+
+fn publishable(learned: Option<Duration>) -> u64 {
+    // A learned value too long for the cell saturates just below the
+    // sentinel (584 years; the policies clamp to milliseconds).
+    learned.map_or(UNLEARNED, |d| {
+        u64::try_from(d.as_nanos())
+            .unwrap_or(u64::MAX)
+            .min(UNLEARNED - 1)
+    })
+}
+
+fn published(cell: &AtomicU64) -> Option<Duration> {
+    // Relaxed: the cell is the whole message, it publishes no other memory.
+    match cell.load(Ordering::Relaxed) {
+        UNLEARNED => None,
+        nanos => Some(Duration::from_nanos(nanos)),
+    }
+}
+
+/// One thread's share of a [`SharedLatency`]: a window plus what the
+/// cell's policies derive from it, republished after every sample.
 #[derive(Debug)]
-pub struct SharedLatency(Mutex<LatencyWindow>);
+struct Stripe {
+    window: Mutex<LatencyWindow>,
+    /// Learned per-attempt timeout in nanoseconds, or [`UNLEARNED`].
+    timeout_ns: AtomicU64,
+    /// Learned hedge delay in nanoseconds, or [`UNLEARNED`].
+    hedge_ns: AtomicU64,
+    /// Samples dropped because the window was busy.
+    skipped: AtomicU64,
+}
+
+/// A partition's learned latency, shared by every thread of a node
+/// without any of them waiting for another.
+///
+/// The cell is built with the [`TimeoutPolicy`] and [`HedgePolicy`] it
+/// serves. *Readers never lock*: [`timeout`](Self::timeout) and
+/// [`hedge_delay`](Self::hedge_delay) are one relaxed load each of values
+/// published by the last [`record`](Self::record) — exactly what
+/// [`TimeoutPolicy::timeout_for`] / [`HedgePolicy::delay_for`] return on
+/// the window at that moment. *Writers never wait*: `record` takes the
+/// window with `try_lock` and drops the sample when another thread holds
+/// it (samples are advisory; [`skipped`](Self::skipped) counts the drops).
+///
+/// The state is striped: each thread is dealt one of a few cache-line
+/// aligned stripes (window + published values) and records into and reads
+/// from that one only, so a sample never moves the window's lines between
+/// cores. Each stripe learns from its own threads' samples and warms up
+/// on its own; threads beyond the stripe count share, still correct
+/// through `try_lock`. One thread means one stripe, so the simulator
+/// sees a plain [`LatencyWindow`].
+#[derive(Debug)]
+pub struct SharedLatency {
+    timeout: TimeoutPolicy,
+    hedge: Option<HedgePolicy>,
+    stripes: [CachePadded<Stripe>; STRIPES],
+}
 
 impl SharedLatency {
-    /// An empty shared window of `capacity` samples.
+    /// A record-only cell of `capacity` samples per stripe: fixed
+    /// timeout, no hedging.
     pub fn new(capacity: usize) -> Self {
-        SharedLatency(Mutex::new(LatencyWindow::new(capacity)))
+        Self::with_policies(capacity, TimeoutPolicy::Fixed, None)
     }
 
-    /// Record one attempt RTT in microseconds.
-    pub fn record(&self, rtt_us: u64) {
-        self.lock().record(rtt_us);
+    /// A cell of `capacity` samples per stripe that publishes what
+    /// `timeout` and `hedge` derive from them.
+    pub fn with_policies(
+        capacity: usize,
+        timeout: TimeoutPolicy,
+        hedge: Option<HedgePolicy>,
+    ) -> Self {
+        SharedLatency {
+            timeout,
+            hedge,
+            stripes: std::array::from_fn(|_| {
+                CachePadded(Stripe {
+                    window: Mutex::new(LatencyWindow::new(capacity)),
+                    timeout_ns: AtomicU64::new(UNLEARNED),
+                    hedge_ns: AtomicU64::new(UNLEARNED),
+                    skipped: AtomicU64::new(0),
+                })
+            }),
+        }
     }
 
-    /// Exact nearest-rank percentile, or `None` while empty.
+    fn stripe(&self) -> &Stripe {
+        &self.stripes[stripe_index()]
+    }
+
+    /// Record one attempt RTT in microseconds and republish the derived
+    /// timeout and hedge delay. `false` means the window was busy and the
+    /// sample was dropped.
+    pub fn record(&self, rtt_us: u64) -> bool {
+        let stripe = self.stripe();
+        let Some(mut window) = stripe.window.try_lock() else {
+            stripe.skipped.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        window.record(rtt_us);
+        // Published under the window's lock, so the cells always hold the
+        // latest window's values.
+        stripe.timeout_ns.store(
+            publishable(self.timeout.learned(&window)),
+            Ordering::Relaxed,
+        );
+        let hedge = self.hedge.and_then(|policy| policy.delay_for(&window));
+        stripe.hedge_ns.store(publishable(hedge), Ordering::Relaxed);
+        true
+    }
+
+    /// The per-attempt timeout learned by the calling thread's stripe, or
+    /// `baseline` while it is warming up or the policy is fixed.
+    pub fn timeout(&self, baseline: Duration) -> Duration {
+        published(&self.stripe().timeout_ns).unwrap_or(baseline)
+    }
+
+    /// The hedge delay learned by the calling thread's stripe; `None`
+    /// while it is warming up or hedging is off.
+    pub fn hedge_delay(&self) -> Option<Duration> {
+        published(&self.stripe().hedge_ns)
+    }
+
+    /// Samples dropped so far because their window was busy, over all
+    /// stripes.
+    pub fn skipped(&self) -> u64 {
+        self.stripes
+            .iter()
+            .map(|stripe| stripe.skipped.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Exact nearest-rank percentile of the calling thread's stripe, or
+    /// `None` while empty.
     pub fn percentile(&self, pct: u8) -> Option<u64> {
-        self.lock().percentile(pct)
+        self.with(|w| w.percentile(pct))
     }
 
-    /// Samples currently held.
+    /// Samples the calling thread's stripe holds.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.with(|w| w.len())
     }
 
-    /// True when no sample has been recorded yet.
+    /// True when the calling thread's stripe has no sample yet.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.with(|w| w.is_empty())
     }
 
-    /// Run `f` against the underlying window.
+    /// Run `f` against the calling thread's window (diagnostics: this one
+    /// waits for the window).
     pub fn with<R>(&self, f: impl FnOnce(&LatencyWindow) -> R) -> R {
-        f(&self.lock())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, LatencyWindow> {
-        // A poisoned window only means a panicking thread mid-record;
-        // latency samples are advisory, so keep serving.
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
+        f(&self.stripe().window.lock())
     }
 }
 
@@ -390,6 +530,15 @@ impl HedgeStats {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Set the `adaptive_timeout_us` gauge. Called once per RPC, so it
+    /// writes the shared line only when the timeout actually moved.
+    pub fn note_adaptive_timeout(&self, timeout: Duration) {
+        let micros = timeout.as_micros() as u64;
+        if self.adaptive_timeout_us.load(Ordering::Relaxed) != micros {
+            self.adaptive_timeout_us.store(micros, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Everything a single RPC call needs to apply the gray-failure
@@ -398,8 +547,8 @@ impl HedgeStats {
 /// `Default` is the paper's behavior: fixed timeout, no hedge, no
 /// budget, nothing recorded — byte-identical to the pre-gray wire
 /// discipline.
-#[derive(Debug, Clone, Default)]
-pub struct WireDiscipline {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WireDiscipline<'a> {
     /// Per-attempt timeout override (adaptively derived); `None` keeps
     /// the client's configured fixed timeout.
     pub timeout: Option<Duration>,
@@ -407,15 +556,15 @@ pub struct WireDiscipline {
     pub hedge_delay: Option<Duration>,
     /// Global budget gating retries *and* hedges; `None` leaves the
     /// configured retry schedule unbounded (paper behavior).
-    pub budget: Option<Arc<RetryBudget>>,
+    pub budget: Option<&'a RetryBudget>,
     /// Hedge counters to report into.
-    pub stats: Option<Arc<HedgeStats>>,
+    pub stats: Option<&'a HedgeStats>,
     /// Where observed attempt RTTs are recorded (feeds the adaptive
     /// timeout and hedge delay of *later* calls).
-    pub rtt: Option<Arc<SharedLatency>>,
+    pub rtt: Option<&'a SharedLatency>,
 }
 
-impl WireDiscipline {
+impl WireDiscipline<'_> {
     /// True when every knob is off — the legacy fast path.
     pub fn is_noop(&self) -> bool {
         self.timeout.is_none()
@@ -677,5 +826,153 @@ mod tests {
             ..WireDiscipline::default()
         };
         assert!(!armed.is_noop());
+    }
+
+    #[test]
+    fn budget_at_its_cap_is_not_written_by_deposits() {
+        let budget = RetryBudget::new(RetryBudgetConfig {
+            deposit_pct: 10,
+            min_reserve: 3,
+            cap: 3,
+        });
+        for _ in 0..100 {
+            budget.deposit();
+        }
+        assert_eq!(budget.balance(), 3);
+        assert!(budget.try_withdraw());
+        budget.deposit();
+        assert_eq!(budget.units.load(Ordering::Relaxed), 210);
+    }
+
+    #[test]
+    fn adaptive_timeout_gauge_tracks_the_latest_value() {
+        let stats = HedgeStats::new();
+        for micros in [600, 600, 450, 450, 600] {
+            stats.note_adaptive_timeout(Duration::from_micros(micros));
+            assert_eq!(stats.adaptive_timeout_us.load(Ordering::Relaxed), micros);
+        }
+    }
+
+    #[test]
+    fn published_values_equal_the_policies_after_every_sample() {
+        use janus_hash::rng::Rng;
+        let timeout = TimeoutPolicy::adaptive_defaults();
+        let hedge = HedgePolicy::default();
+        let shared = SharedLatency::with_policies(64, timeout, Some(hedge));
+        let baseline = Duration::from_micros(100);
+        assert_eq!(shared.timeout(baseline), baseline);
+        assert_eq!(shared.hedge_delay(), None);
+        let mut window = LatencyWindow::new(64);
+        let mut rng = Rng::seed_from_u64(0x1A7E_0001);
+        for _ in 0..1_000 {
+            // Mostly tens of microseconds, sometimes a gray-scale outlier.
+            let rtt_us = match rng.gen_range(10) {
+                0 => rng.gen_range(50_000),
+                _ => rng.gen_range(300),
+            };
+            assert!(shared.record(rtt_us), "one thread never finds it busy");
+            window.record(rtt_us);
+            assert_eq!(
+                shared.timeout(baseline),
+                timeout.timeout_for(&window, baseline)
+            );
+            assert_eq!(shared.hedge_delay(), hedge.delay_for(&window));
+        }
+        assert_eq!(shared.skipped(), 0);
+    }
+
+    #[test]
+    fn busy_window_drops_the_sample_and_readers_still_answer() {
+        let shared = SharedLatency::with_policies(
+            16,
+            TimeoutPolicy::adaptive_defaults(),
+            Some(HedgePolicy::default()),
+        );
+        for _ in 0..ADAPTIVE_WARMUP {
+            shared.record(200);
+        }
+        // This thread holds its own stripe's window: a `record` that
+        // waited for it would deadlock right here.
+        let held = shared.stripe().window.lock();
+        assert!(!shared.record(9_000));
+        assert_eq!(shared.skipped(), 1);
+        assert_eq!(
+            shared.timeout(Duration::from_micros(100)),
+            Duration::from_micros(600)
+        );
+        assert_eq!(shared.hedge_delay(), Some(Duration::from_micros(200)));
+        drop(held);
+        assert!(shared.record(200));
+    }
+
+    #[test]
+    fn record_only_cell_publishes_nothing() {
+        let shared = SharedLatency::new(16);
+        for _ in 0..16 {
+            shared.record(5_000);
+        }
+        let baseline = Duration::from_micros(100);
+        assert_eq!(shared.timeout(baseline), baseline);
+        assert_eq!(shared.hedge_delay(), None);
+    }
+
+    #[test]
+    fn concurrent_recorders_and_readers_never_wait_and_lose_no_count() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        const WRITERS: usize = 8;
+        const SAMPLES: u64 = 50_000;
+        let timeout = TimeoutPolicy::adaptive_defaults();
+        let hedge = HedgePolicy::default();
+        let shared = SharedLatency::with_policies(64, timeout, Some(hedge));
+        let baseline = Duration::from_micros(100);
+        let start = Barrier::new(WRITERS + 2);
+        let done = AtomicBool::new(false);
+        let recorded: u64 = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        while !done.load(Ordering::Relaxed) {
+                            // Only ever a policy output or the baseline.
+                            let t = shared.timeout(baseline);
+                            assert!(t == baseline || t <= Duration::from_millis(10));
+                            if let Some(delay) = shared.hedge_delay() {
+                                assert!((hedge.floor..=hedge.ceil).contains(&delay));
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let writers: Vec<_> = (0..WRITERS as u64)
+                .map(|writer| {
+                    let (shared, start) = (&shared, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..SAMPLES)
+                            .filter(|i| shared.record(50 + (i * 7 + writer) % 400))
+                            .count() as u64
+                    })
+                })
+                .collect();
+            let recorded = writers.into_iter().map(|w| w.join().unwrap()).sum();
+            done.store(true, Ordering::Relaxed);
+            for reader in readers {
+                reader.join().unwrap();
+            }
+            recorded
+        });
+        // A busy window drops the sample instead of blocking the writer,
+        // and every sample is accounted one way or the other.
+        assert_eq!(recorded + shared.skipped(), WRITERS as u64 * SAMPLES);
+        // Quiescent: every stripe's cells hold what its window derives.
+        for stripe in &shared.stripes {
+            let window = stripe.window.lock();
+            assert_eq!(
+                published(&stripe.timeout_ns).unwrap_or(baseline),
+                timeout.timeout_for(&window, baseline)
+            );
+            assert_eq!(published(&stripe.hedge_ns), hedge.delay_for(&window));
+        }
     }
 }

@@ -437,10 +437,8 @@ impl UdpRpcClient {
             AttemptPlan::plain(request.clone(), attempts)
         };
         let timeout = discipline.timeout.unwrap_or(self.config.timeout);
-        if let (Some(stats), Some(t)) = (&discipline.stats, discipline.timeout) {
-            stats
-                .adaptive_timeout_us
-                .store(t.as_micros() as u64, Ordering::Relaxed);
+        if let (Some(stats), Some(t)) = (discipline.stats, discipline.timeout) {
+            stats.note_adaptive_timeout(t);
         }
         let started = Instant::now();
         let mut buf = vec![0u8; MAX_FRAME_BYTES];
@@ -1141,11 +1139,11 @@ mod tests {
                 let _ = server.send_response(&QosResponse::allow(req.id), peer);
             }
         });
-        let stats = Arc::new(crate::latency::HedgeStats::new());
+        let stats = crate::latency::HedgeStats::new();
         let discipline = WireDiscipline {
             timeout: Some(Duration::from_millis(500)),
             hedge_delay: Some(Duration::from_millis(1)),
-            stats: Some(Arc::clone(&stats)),
+            stats: Some(&stats),
             ..Default::default()
         };
         let client = UdpRpcClient::new(UdpRpcConfig::lan_defaults());

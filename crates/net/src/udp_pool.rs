@@ -330,10 +330,8 @@ impl PooledUdpRpcClient {
         };
         let started = Instant::now();
         let timeout = discipline.timeout.unwrap_or(config.timeout);
-        if let (Some(stats), Some(t)) = (&discipline.stats, discipline.timeout) {
-            stats
-                .adaptive_timeout_us
-                .store(t.as_micros() as u64, Ordering::Relaxed);
+        if let (Some(stats), Some(t)) = (discipline.stats, discipline.timeout) {
+            stats.note_adaptive_timeout(t);
         }
 
         let mut attempted = 0u32;

@@ -26,16 +26,16 @@
 
 use janus_bucket::{AtomicBucket, LeakyBucket};
 use janus_clock::Nanos;
-use janus_hash::{ModuloRouter, Router as _};
+use janus_hash::{mix64, ModuloRouter, Router as _};
 use janus_net::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 use janus_net::latency::{
     HedgePolicy, HedgeStats, RetryBudget, RetryBudgetConfig, SharedLatency, TimeoutPolicy,
     WireDiscipline,
 };
-use janus_types::sync::Mutex;
+use janus_types::sync::{Mutex, RwLock};
 use janus_types::{Lease, LeaseReport, QosKey, QosResponse, RuleHint, Verdict};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// The decision half of [`crate::RouterConfig`]: everything the core
@@ -189,7 +189,10 @@ pub struct ResponseOutcome {
 }
 
 /// One held lease: a router-local bucket seeded from the granted slice,
-/// plus the book-keeping the reconciliation protocol needs.
+/// plus the book-keeping the reconciliation protocol needs. Admitters
+/// share an entry under the lease map's read guard, so what they update
+/// is atomic; the rest is fixed until the entry is replaced or removed
+/// under the write guard.
 #[derive(Debug)]
 struct LeaseEntry {
     /// The delegated slice, refilling at the granted share.
@@ -201,18 +204,57 @@ struct LeaseEntry {
     /// Piggyback a renewal ask on the next forwarded request after this.
     renew_at: Nanos,
     /// Cumulative admits under (key, holder, epoch) — what reconciliation
-    /// reports. Carried across same-epoch renewals, reset on epoch bump.
-    spent: u32,
+    /// reports (saturating). Carried across same-epoch renewals, reset on
+    /// epoch bump.
+    spent: AtomicU32,
     /// A renewal ask is in flight; don't re-ask on every request.
-    renew_pending: bool,
+    renew_pending: AtomicBool,
+}
+
+impl LeaseEntry {
+    /// Charge one check to the slice.
+    fn admit(&self, now: Nanos) -> bool {
+        if self.bucket.try_consume(now) != Verdict::Allow {
+            return false;
+        }
+        // Saturating: `checked_add` refuses the update at `u32::MAX`.
+        let _ = self
+            .spent
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |spent| {
+                spent.checked_add(1)
+            });
+        true
+    }
+}
+
+/// Slots in the hint-fingerprint array in front of the `hints` map.
+const HINT_SLOTS: usize = 256;
+
+/// The fingerprint slot `key` maps to.
+fn hint_slot(key: &QosKey) -> usize {
+    key.digest() as usize % HINT_SLOTS
+}
+
+/// A non-zero fingerprint of "`key` has hint `hint`" (zero is the empty
+/// slot).
+fn hint_fingerprint(key: &QosKey, hint: RuleHint) -> u64 {
+    let shape = mix64(hint.capacity.as_micro()) ^ hint.refill_rate.micro_per_sec();
+    mix64(key.digest() ^ mix64(shape)).max(1)
 }
 
 /// The sans-IO router core: partition hashing, per-partition circuit
 /// breakers, learned rule hints and degraded local buckets (see module
-/// docs). Thread-safe — the two maps sit behind their own locks and the
-/// breakers are internally synchronized, so the production handler calls
-/// it concurrently from every HTTP connection while the simulator owns
-/// one outright.
+/// docs). Thread-safe: the production handler calls it concurrently from
+/// every HTTP connection while the simulator owns one outright.
+///
+/// A healthy forwarded check — breaker closed, hint unchanged, retry
+/// budget full, latency window warm — takes no exclusive lock and writes
+/// no memory another thread reads: `begin`, `discipline` and
+/// `on_response` only load (breaker word, published timeout and hedge
+/// delay, hint fingerprint) and `record_rtt` writes the calling thread's
+/// own stripe. The maps' locks are for the rare transitions (a changed
+/// hint, a brownout, a lease install or expiry). DESIGN.md §4d tabulates
+/// each piece of shared state and who writes it when.
 #[derive(Debug)]
 pub struct RouterCore {
     hash: ModuloRouter,
@@ -223,6 +265,14 @@ pub struct RouterCore {
     /// Rule shapes learned from hint-carrying responses, kept across
     /// outages so degraded admission has something to enforce.
     hints: Mutex<HashMap<QosKey, RuleHint>>,
+    /// Fingerprints of the `(key, hint)` pairs last written to `hints`,
+    /// indexed by key digest and stored under the `hints` lock. A
+    /// response whose fingerprint is already in its slot changes nothing,
+    /// so it skips the lock and the map; anything else takes the locked
+    /// path. Two keys sharing a slot evict each other (both stay correct
+    /// on the locked path); a 64-bit collision between slot-mates can at
+    /// worst delay learning one *changed* hint.
+    hint_prints: [AtomicU64; HINT_SLOTS],
     /// Router-local buckets for degraded admission. A key's bucket is
     /// created once (seeded full at the fleet-scaled shape) and persists
     /// across outage episodes, so repeated brownouts never re-grant the
@@ -231,18 +281,20 @@ pub struct RouterCore {
     /// Lease participation; `None` disables the whole plane.
     lease: Option<RouterLeaseConfig>,
     /// Live leases, admitting locally until dry, renewal or expiry.
-    leases: Mutex<HashMap<QosKey, LeaseEntry>>,
+    /// Admits and renewal asks share the read guard; install and expiry
+    /// take the write guard.
+    leases: RwLock<HashMap<QosKey, LeaseEntry>>,
     /// Expired leases awaiting a return-and-reconcile report, consumed
     /// by the next forwarded request for the key.
     returns: Mutex<HashMap<QosKey, LeaseReport>>,
     /// Gray-failure discipline; `None` disables the whole plane.
     gray: Option<GrayConfig>,
     /// Per-partition attempt-RTT windows (empty when gray is off).
-    rtt: Vec<Arc<SharedLatency>>,
+    rtt: Vec<SharedLatency>,
     /// Node-global retry/hedge budget (present only when configured).
-    budget: Option<Arc<RetryBudget>>,
+    budget: Option<RetryBudget>,
     /// Hedge counters the transports report into.
-    hedge_stats: Arc<HedgeStats>,
+    hedge_stats: HedgeStats,
 }
 
 impl RouterCore {
@@ -258,7 +310,7 @@ impl RouterCore {
         };
         let rtt = match &config.gray {
             Some(gray) => (0..partitions)
-                .map(|_| Arc::new(SharedLatency::new(gray.window.max(1))))
+                .map(|_| SharedLatency::with_policies(gray.window, gray.timeout, gray.hedge))
                 .collect(),
             None => Vec::new(),
         };
@@ -266,21 +318,22 @@ impl RouterCore {
             .gray
             .as_ref()
             .and_then(|gray| gray.budget)
-            .map(|cfg| Arc::new(RetryBudget::new(cfg)));
+            .map(RetryBudget::new);
         RouterCore {
             hash: ModuloRouter::new(partitions),
             default_verdict: config.default_verdict,
             fleet_size: config.fleet_size.max(1),
             breakers,
             hints: Mutex::new(HashMap::new()),
+            hint_prints: std::array::from_fn(|_| AtomicU64::new(0)),
             degraded: Mutex::new(HashMap::new()),
             lease: config.lease,
-            leases: Mutex::new(HashMap::new()),
+            leases: RwLock::new(HashMap::new()),
             returns: Mutex::new(HashMap::new()),
             gray: config.gray,
             rtt,
             budget,
-            hedge_stats: Arc::new(HedgeStats::new()),
+            hedge_stats: HedgeStats::new(),
         }
     }
 
@@ -335,26 +388,33 @@ impl RouterCore {
     /// path, which may still find credit in the authoritative bucket.
     fn lease_admit(&self, key: &QosKey, now: Nanos) -> bool {
         let Some(cfg) = self.lease else { return false };
-        let mut leases = self.leases.lock();
-        let Some(entry) = leases.get_mut(key) else {
-            return false;
-        };
-        if now >= entry.expires_at {
-            // Hand back the unused remainder (not the spent count): by
-            // removing the entry first, the remainder is credit this
-            // holder provably stopped admitting against, which is the
-            // only amount the server can safely refund.
-            let remaining = u32::try_from(entry.bucket.credit(now).whole()).unwrap_or(u32::MAX);
-            let report = LeaseReport::returning(cfg.holder, entry.epoch, remaining, true);
-            leases.remove(key);
-            self.returns.lock().insert(key.clone(), report);
-            return false;
+        {
+            let leases = self.leases.read();
+            let Some(entry) = leases.get(key) else {
+                return false;
+            };
+            if now < entry.expires_at {
+                return entry.admit(now);
+            }
         }
-        if entry.bucket.try_consume(now) == Verdict::Allow {
-            entry.spent = entry.spent.saturating_add(1);
-            true
-        } else {
-            false
+        // Expired when looked at under the read guard; another thread may
+        // have converted or renewed it since, so look again.
+        let mut leases = self.leases.write();
+        match leases.get(key) {
+            Some(entry) if now >= entry.expires_at => {
+                // Hand back the unused remainder (not the spent count):
+                // under the write guard no admitter can run, so the
+                // remainder is credit this holder provably stopped
+                // admitting against, which is the only amount the server
+                // can safely refund.
+                let remaining = u32::try_from(entry.bucket.credit(now).whole()).unwrap_or(u32::MAX);
+                let report = LeaseReport::returning(cfg.holder, entry.epoch, remaining, true);
+                leases.remove(key);
+                self.returns.lock().insert(key.clone(), report);
+                false
+            }
+            Some(entry) => entry.admit(now),
+            None => false,
         }
     }
 
@@ -366,13 +426,13 @@ impl RouterCore {
         if let Some(report) = self.returns.lock().remove(key) {
             return Some(report);
         }
-        let mut leases = self.leases.lock();
-        match leases.get_mut(key) {
+        match self.leases.read().get(key) {
             None => Some(LeaseReport::soliciting(cfg.holder)),
             Some(entry) => {
-                if now >= entry.renew_at && !entry.renew_pending {
-                    entry.renew_pending = true;
-                    Some(LeaseReport::renewing(cfg.holder, entry.epoch, entry.spent))
+                // The swap elects one asker among racing forwards.
+                if now >= entry.renew_at && !entry.renew_pending.swap(true, Ordering::Relaxed) {
+                    let spent = entry.spent.load(Ordering::Relaxed);
+                    Some(LeaseReport::renewing(cfg.holder, entry.epoch, spent))
                 } else {
                     None
                 }
@@ -401,10 +461,10 @@ impl RouterCore {
             epoch: lease.epoch,
             expires_at: now.saturating_add(ttl),
             renew_at: now.saturating_add(renew),
-            spent: 0,
-            renew_pending: false,
+            spent: AtomicU32::new(0),
+            renew_pending: AtomicBool::new(false),
         };
-        let mut leases = self.leases.lock();
+        let mut leases = self.leases.write();
         match leases.insert(key.clone(), entry) {
             None => LeaseEvent::Granted,
             Some(old) if old.epoch == lease.epoch => {
@@ -442,8 +502,10 @@ impl RouterCore {
                 None => {
                     // An answered ask without a grant: let a later
                     // request re-ask instead of waiting forever.
-                    if let Some(entry) = self.leases.lock().get_mut(key) {
-                        entry.renew_pending = false;
+                    if let Some(entry) = self.leases.read().get(key) {
+                        if entry.renew_pending.load(Ordering::Relaxed) {
+                            entry.renew_pending.store(false, Ordering::Relaxed);
+                        }
                     }
                 }
             }
@@ -485,7 +547,15 @@ impl RouterCore {
     /// rule (re-seeding only on a genuine rule update). Returns `true`
     /// when the hint was new or changed.
     fn learn_hint(&self, key: &QosKey, hint: RuleHint) -> bool {
+        let print = hint_fingerprint(key, hint);
+        let slot = &self.hint_prints[hint_slot(key)];
+        // Relaxed: the slot is compared, never dereferenced, and is only
+        // stored under the `hints` lock.
+        if slot.load(Ordering::Relaxed) == print {
+            return false;
+        }
         let mut hints = self.hints.lock();
+        slot.store(print, Ordering::Relaxed);
         let previous = hints.get(key).copied();
         if previous == Some(hint) {
             return false;
@@ -522,8 +592,8 @@ impl RouterCore {
     /// Record one observed attempt RTT (microseconds) against the
     /// partition that served it. No-op while the gray plane is off.
     pub fn record_rtt(&self, partition: usize, rtt_us: u64) {
-        if let Some(window) = self.rtt.get(partition) {
-            window.record(rtt_us);
+        if let Some(cell) = self.rtt.get(partition) {
+            cell.record(rtt_us);
         }
     }
 
@@ -533,28 +603,23 @@ impl RouterCore {
     /// is off, the policy is [`TimeoutPolicy::Fixed`], or the window is
     /// still warming up).
     pub fn attempt_timeout(&self, partition: usize, baseline: Duration) -> Duration {
-        match (&self.gray, self.rtt.get(partition)) {
-            (Some(gray), Some(window)) => window.with(|w| gray.timeout.timeout_for(w, baseline)),
-            _ => baseline,
-        }
+        self.rtt
+            .get(partition)
+            .map_or(baseline, |cell| cell.timeout(baseline))
     }
 
     /// The hedge delay for an attempt against `partition`, or `None`
     /// while hedging is off or the partition's window is still warming
     /// up (no hedge is sent).
     pub fn hedge_delay(&self, partition: usize) -> Option<Duration> {
-        let gray = self.gray.as_ref()?;
-        let hedge = gray.hedge.as_ref()?;
-        self.rtt
-            .get(partition)
-            .and_then(|window| window.with(|w| hedge.delay_for(w)))
+        self.rtt.get(partition).and_then(SharedLatency::hedge_delay)
     }
 
     /// Build the [`WireDiscipline`] one RPC against `partition` should
     /// carry; `baseline` is the transport's configured fixed timeout.
     /// With the gray plane off this is the all-`None` no-op discipline,
     /// so the transports reproduce the paper's wire behaviour exactly.
-    pub fn discipline(&self, partition: usize, baseline: Duration) -> WireDiscipline {
+    pub fn discipline(&self, partition: usize, baseline: Duration) -> WireDiscipline<'_> {
         let Some(gray) = &self.gray else {
             return WireDiscipline::default();
         };
@@ -565,20 +630,20 @@ impl RouterCore {
         WireDiscipline {
             timeout,
             hedge_delay: self.hedge_delay(partition),
-            budget: self.budget.clone(),
-            stats: Some(Arc::clone(&self.hedge_stats)),
-            rtt: self.rtt.get(partition).cloned(),
+            budget: self.budget.as_ref(),
+            stats: Some(&self.hedge_stats),
+            rtt: self.rtt.get(partition),
         }
     }
 
     /// The node-global retry/hedge budget, when configured.
-    pub fn retry_budget(&self) -> Option<&Arc<RetryBudget>> {
+    pub fn retry_budget(&self) -> Option<&RetryBudget> {
         self.budget.as_ref()
     }
 
     /// The hedge counters the transports report into
     /// (`hedges_sent` / `hedge_wins` / `adaptive_timeout_us`).
-    pub fn hedge_stats(&self) -> &Arc<HedgeStats> {
+    pub fn hedge_stats(&self) -> &HedgeStats {
         &self.hedge_stats
     }
 
@@ -589,7 +654,7 @@ impl RouterCore {
 
     /// Keys currently holding a live lease (diagnostics).
     pub fn leased_keys(&self) -> usize {
-        self.leases.lock().len()
+        self.leases.read().len()
     }
 }
 
@@ -1051,5 +1116,124 @@ mod tests {
         // The transport records through its discipline; the next call's
         // discipline sees the warmed window.
         assert_eq!(core.hedge_delay(0), Some(Duration::from_micros(250)));
+    }
+
+    #[test]
+    fn slot_mates_evict_each_other_but_stay_correct() {
+        let core = core(1, 1);
+        let a = key("tenant-0");
+        let b = (1..)
+            .map(|i| key(&format!("tenant-{i}")))
+            .find(|k| hint_slot(k) == hint_slot(&a))
+            .unwrap();
+        assert!(core.on_response(0, &a, &hinted(1, 5, 0), T0).hint_learned);
+        assert!(core.on_response(0, &b, &hinted(2, 7, 0), T0).hint_learned);
+        // Each finds the other's fingerprint in the shared slot and falls
+        // back to the map, which knows better.
+        for id in 3..20 {
+            assert!(!core.on_response(0, &a, &hinted(id, 5, 0), T0).hint_learned);
+            assert!(!core.on_response(0, &b, &hinted(id, 7, 0), T0).hint_learned);
+        }
+        assert_eq!(core.hinted_keys(), 2);
+        assert!(core.on_response(0, &b, &hinted(20, 9, 0), T0).hint_learned);
+        assert!(!core.on_response(0, &b, &hinted(21, 9, 0), T0).hint_learned);
+        assert!(!core.on_response(0, &a, &hinted(22, 5, 0), T0).hint_learned);
+    }
+
+    /// The tentpole's pin: with the breaker closed, the hint unchanged,
+    /// the retry budget full and the window warm, a forwarded check never
+    /// blocks on an exclusive lock — and neither does a lease admit.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn healthy_forward_and_lease_admit_take_no_exclusive_lock() {
+        use janus_types::sync::exclusive_acquisitions;
+        let core = RouterCore::new(RouterCoreConfig {
+            partitions: 2,
+            default_verdict: Verdict::Deny,
+            fleet_size: 1,
+            breaker: Some(BreakerConfig::default()),
+            lease: None,
+            gray: Some(GrayConfig::default()),
+        });
+        // Keys with a fingerprint slot each: slot-mates would take the
+        // locked path by design.
+        let mut keys: Vec<QosKey> = Vec::new();
+        for candidate in (0..).map(|i| key(&format!("tenant-{i}"))) {
+            if keys.iter().all(|k| hint_slot(k) != hint_slot(&candidate)) {
+                keys.push(candidate);
+            }
+            if keys.len() == 8 {
+                break;
+            }
+        }
+        let baseline = Duration::from_micros(100);
+        let forward = |k: &QosKey, id: u64| {
+            let RouterStep::Forward { partition, .. } = core.begin(k, T0) else {
+                panic!("healthy partition must forward");
+            };
+            let discipline = core.discipline(partition, baseline);
+            discipline.budget.expect("budget is on").deposit();
+            let outcome = core.on_response(partition, k, &hinted(id, 100, 10), T0);
+            core.record_rtt(partition, 120);
+            (outcome, discipline.timeout)
+        };
+        for id in 0..64 {
+            forward(&keys[id as usize % keys.len()], id);
+        }
+        let before = exclusive_acquisitions();
+        for id in 64..10_064 {
+            let (outcome, timeout) = forward(&keys[id as usize % keys.len()], id);
+            assert_eq!(outcome, ResponseOutcome::default());
+            assert_eq!(timeout, Some(Duration::from_micros(360)), "window is warm");
+        }
+        assert_eq!(exclusive_acquisitions(), before);
+
+        let leased = leased_core(7);
+        let hot = key("hot");
+        leased.on_response(0, &hot, &grant(1, 20_000, 0, 10_000, 1), T0);
+        let before = exclusive_acquisitions();
+        for _ in 0..10_000 {
+            assert!(matches!(
+                leased.begin(&hot, T0),
+                RouterStep::LeaseAdmit { .. }
+            ));
+        }
+        assert_eq!(exclusive_acquisitions(), before);
+    }
+
+    #[test]
+    fn racing_admitters_spend_exactly_the_slice_and_expiry_returns_the_rest_once() {
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        const CHECKS: usize = 200;
+        let core = leased_core(7);
+        let k = key("hot");
+        core.on_response(0, &k, &grant(1, 5_000, 0, 1_000, 1), T0);
+        let late = T0.saturating_add(Duration::from_micros(1_500));
+        let barrier = Barrier::new(THREADS);
+        let reports: Vec<Option<LeaseReport>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        for _ in 0..CHECKS {
+                            assert!(matches!(core.begin(&k, T0), RouterStep::LeaseAdmit { .. }));
+                        }
+                        // Everyone finds the lease expired at once.
+                        barrier.wait();
+                        forwarded_ask(&core, &k, late)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let returns: Vec<_> = reports
+            .iter()
+            .flatten()
+            .filter(|report| report.giving_back)
+            .collect();
+        assert_eq!(returns.len(), 1, "one expiry, one return: {reports:?}");
+        assert_eq!(returns[0].spent as usize, 5_000 - THREADS * CHECKS);
+        assert_eq!(core.leased_keys(), 0);
     }
 }

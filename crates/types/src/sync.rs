@@ -12,9 +12,46 @@
 //! a condition variable, so a periodic loop sleeps on
 //! [`Shutdown::wait_timeout`] instead of `thread::sleep` and wakes the
 //! moment the owner triggers.
+//!
+//! Debug builds count every blocking exclusive acquisition
+//! ([`Mutex::lock`], [`RwLock::write`]) per thread, so a test can pin
+//! that a hot path takes none ([`exclusive_acquisitions`]).
 
 use std::sync::{Arc, Condvar, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static EXCLUSIVE_ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Blocking exclusive acquisitions ([`Mutex::lock`], [`RwLock::write`])
+/// the calling thread has made so far. Debug builds only: the counter is
+/// compiled out of optimized builds.
+#[cfg(debug_assertions)]
+pub fn exclusive_acquisitions() -> u64 {
+    EXCLUSIVE_ACQUISITIONS.with(|n| n.get())
+}
+
+fn count_exclusive() {
+    #[cfg(debug_assertions)]
+    EXCLUSIVE_ACQUISITIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// `T` alone on its cache lines, so a writer of one value never
+/// invalidates a neighbour's line. 128 bytes covers the adjacent-line
+/// prefetcher pairing 64-byte lines on x86-64.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T>(pub T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// A mutual-exclusion lock whose `lock()` never returns a poison error.
 #[derive(Debug, Default)]
@@ -28,6 +65,7 @@ impl<T> Mutex<T> {
 
     /// Acquire the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        count_exclusive();
         self.0.lock().unwrap_or_else(|poison| poison.into_inner())
     }
 
@@ -72,6 +110,7 @@ impl<T> RwLock<T> {
 
     /// Acquire the exclusive write guard.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        count_exclusive();
         self.0.write().unwrap_or_else(|poison| poison.into_inner())
     }
 }
@@ -145,6 +184,27 @@ mod tests {
         assert_eq!(*l.read(), 5);
         *l.write() = 7;
         assert_eq!(*l.read(), 7);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn exclusive_acquisitions_count_lock_and_write_only() {
+        let m = Mutex::new(0);
+        let l = RwLock::new(0);
+        let before = exclusive_acquisitions();
+        drop(m.try_lock());
+        drop(l.read());
+        assert_eq!(exclusive_acquisitions(), before);
+        drop(m.lock());
+        drop(l.write());
+        assert_eq!(exclusive_acquisitions(), before + 2);
+    }
+
+    #[test]
+    fn cache_padded_values_never_share_a_line() {
+        let pair = [CachePadded(1u8), CachePadded(2u8)];
+        assert_eq!(std::mem::size_of_val(&pair), 256);
+        assert_eq!(*pair[0] + *pair[1], 3);
     }
 
     #[test]
