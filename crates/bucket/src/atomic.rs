@@ -212,6 +212,40 @@ impl AtomicBucket {
         }
     }
 
+    /// Take up to `n` whole credits at `now` in one CAS: `min(n,
+    /// floor(credit))` of them. The credit and anchor left behind are
+    /// bit-identical to `n` successive [`Self::try_consume`] calls at the
+    /// same `now` (the first folds the accrual and moves the anchor, the
+    /// rest see no further elapsed time). Returns `(taken, CAS retries)`;
+    /// taking nothing (`n == 0` or a dry bucket) is a pure read.
+    pub fn try_consume_up_to(&self, n: u64, now: Nanos) -> (u64, u64) {
+        let now_floor = floor_tick(now);
+        let mut retries = 0u64;
+        let mut state = self.state.load(Ordering::Relaxed);
+        loop {
+            let current = self.derive(state, now_floor);
+            let taken = n.min(current / MICROCREDITS_PER_CREDIT);
+            if taken == 0 {
+                return (0, retries);
+            }
+            let (_, anchor) = unpack(state);
+            let new_anchor = advance(anchor, elapsed_ticks(anchor, now_floor));
+            let next = pack(current - taken * MICROCREDITS_PER_CREDIT, new_anchor);
+            match self.state.compare_exchange_weak(
+                state,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return (taken, retries),
+                Err(actual) => {
+                    retries += 1;
+                    state = actual;
+                }
+            }
+        }
+    }
+
     /// Fold accrued credit into the stored state and advance the anchor
     /// by the ticks folded — the housekeeping-sweep discipline. Returns
     /// CAS retries.
@@ -658,6 +692,54 @@ mod tests {
             }
             let end = ms(now_ms as u64);
             assert_eq!(atomic.credit(end), exact.credit(end));
+        }
+    }
+
+    /// `try_consume_up_to(n)` is `n` × `try_consume` at the same `now`,
+    /// bit for bit, for both bucket kinds: same count taken, same packed
+    /// credit and anchor (the whole `LeakyBucket`). Times fall off the
+    /// tick grid (fractional credit and sub-tick anchors), jump backwards,
+    /// and `n` ranges over 0, a few, and far past a dry bucket; every
+    /// eighth case sits at the 40-bit credit ceiling.
+    #[test]
+    fn consume_up_to_matches_n_single_consumes_bit_for_bit() {
+        let mut rng = Rng::seed_from_u64(0xA70C_1C03);
+        for case in 0..256 {
+            let cap = if case % 8 == 0 {
+                10_000_000
+            } else {
+                rng.gen_range(300)
+            };
+            let rate = rng.gen_range(3_000);
+            let (singles, batched) = (bucket(cap, rate), bucket(cap, rate));
+            let (mut singles_locked, mut batched_locked) = (locked(cap, rate), locked(cap, rate));
+            let mut now_ns: i64 = 0;
+            for step in 0..rng.gen_range_inclusive(1, 120) {
+                now_ns = (now_ns + rng.gen_range(40_000_000) as i64 - 10_000_000).max(0);
+                let now = Nanos::from_nanos(now_ns as u64);
+                let n = match rng.gen_range(4) {
+                    0 => 0,
+                    1 => rng.gen_range(4),
+                    _ => rng.gen_range(600),
+                };
+                let at = format!("case {case} step {step} n {n} at {now_ns}ns");
+
+                let one_by_one = (0..n)
+                    .filter(|_| singles.try_consume(now) == Verdict::Allow)
+                    .count() as u64;
+                assert_eq!(batched.try_consume_up_to(n, now), (one_by_one, 0), "{at}");
+                assert_eq!(
+                    batched.state.load(Ordering::Relaxed),
+                    singles.state.load(Ordering::Relaxed),
+                    "{at}: packed credit and anchor"
+                );
+
+                let one_by_one = (0..n)
+                    .filter(|_| singles_locked.try_consume(now) == Verdict::Allow)
+                    .count() as u64;
+                assert_eq!(batched_locked.try_consume_up_to(n, now), one_by_one, "{at}");
+                assert_eq!(batched_locked, singles_locked, "{at}: locked bucket");
+            }
         }
     }
 

@@ -108,6 +108,20 @@ impl LeakyBucket {
         }
     }
 
+    /// Take up to `n` whole credits at `now` in one step: `min(n,
+    /// floor(credit))` of them, leaving exactly the state `n` successive
+    /// [`Self::try_consume`] calls at the same `now` would. Returns the
+    /// number taken; taking nothing changes nothing.
+    pub fn try_consume_up_to(&mut self, n: u64, now: Nanos) -> u64 {
+        let current = self.credit(now);
+        let taken = n.min(current.whole());
+        if taken > 0 {
+            self.credit_at_anchor = current - Credits::from_whole(taken);
+            self.anchor = self.anchor.max(now);
+        }
+        taken
+    }
+
     /// Replace the bucket's shape from an updated rule, preserving accrued
     /// credit (clamped to the new capacity). Used by the DB-sync thread
     /// when a rule changes.

@@ -86,7 +86,7 @@
 
 use crate::table::{QosTable, ReclaimedRule, ShardedTable, TableStats, TableStatsSnapshot};
 use janus_clock::Nanos;
-use janus_types::sync::Mutex;
+use janus_types::sync::{CachePadded, Mutex};
 use janus_types::{Credits, QosKey, QosRule, RefillRate, Verdict};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -218,9 +218,16 @@ enum GenOutcome {
     Missing,
 }
 
-/// Outcome of one generation walk on the decision path.
-enum DecideProbe {
-    Decided(Verdict),
+/// What charging a matched slot (a decide or a drain) concluded.
+enum Charged<T> {
+    Done(T),
+    /// The slot was frozen under the charge: re-resolve the key.
+    Retry,
+}
+
+/// Outcome of one generation walk on a charging path.
+enum Probe<T> {
+    Done(T),
     Retry,
     Missing,
 }
@@ -243,7 +250,10 @@ pub struct LockFreeTable {
     /// Probe-limit escape hatch; almost always empty.
     overflow: ShardedTable,
     overflow_in_use: AtomicBool,
-    stats: TableStats,
+    /// On cache lines of their own, as in [`ShardedTable`]: every
+    /// decision bumps these counters, and every decision first reads
+    /// `active`, `retired` and the `gens` header beside them.
+    stats: CachePadded<TableStats>,
     cells: TableEngineCells,
 }
 
@@ -339,7 +349,7 @@ impl LockFreeTable {
             reclaim_cursor: AtomicUsize::new(0),
             overflow: ShardedTable::new(),
             overflow_in_use: AtomicBool::new(false),
-            stats: TableStats::default(),
+            stats: CachePadded::default(),
             cells,
         }
     }
@@ -375,12 +385,21 @@ impl LockFreeTable {
         self.overflow_in_use.load(Ordering::Relaxed)
     }
 
-    /// Record a decision against the slot's touch word. Plain load+store:
-    /// a racing touch may be lost, which only makes hotness approximate.
-    fn note_touch(slot: &Slot, now: Nanos) {
+    /// Record `decisions` against the slot's touch word. Plain
+    /// load+store: a racing touch may be lost, which only makes hotness
+    /// approximate.
+    fn note_touch(slot: &Slot, now: Nanos, decisions: u64) {
         let (_, count) = touch_parts(slot.touch.load(Ordering::Relaxed));
-        slot.touch
-            .store(pack_touch(touch_tick(now), count + 1), Ordering::Relaxed);
+        slot.touch.store(
+            pack_touch(touch_tick(now), count.saturating_add(decisions)),
+            Ordering::Relaxed,
+        );
+    }
+
+    fn note_retries(&self, retries: u64) {
+        if retries > 0 {
+            self.cells.cas_retries.fetch_add(retries, Ordering::Relaxed);
+        }
     }
 
     /// Park a rule in the overflow. The insert lands *before* the flag is
@@ -711,8 +730,15 @@ impl LockFreeTable {
         }
     }
 
-    /// One decision walk over `gen`.
-    fn probe_decide(&self, gen: &Gen, wanted: u64, home: usize, now: Nanos) -> DecideProbe {
+    /// One charging walk over `gen`: find `wanted`'s slot and hand it to
+    /// `charge`.
+    fn probe<T>(
+        &self,
+        gen: &Gen,
+        wanted: u64,
+        home: usize,
+        charge: &mut impl FnMut(&Slot) -> Charged<T>,
+    ) -> Probe<T> {
         let mut idx = home & gen.mask;
         for step in 0..gen.probe_limit() {
             let slot = &gen.slots[idx];
@@ -723,30 +749,58 @@ impl LockFreeTable {
                         .probe_steps
                         .fetch_add(step as u64, Ordering::Relaxed);
                 }
-                let (verdict, retries) = slot.bucket.try_consume_counted(now);
-                if retries > 0 {
-                    self.cells.cas_retries.fetch_add(retries, Ordering::Relaxed);
-                }
-                if verdict == Verdict::Deny && slot.digest.load(Ordering::Acquire) != wanted {
-                    // The slot was frozen under us (migration or
-                    // reclamation): this deny may reflect a drained husk,
-                    // not a dry bucket. Allows always stand — a successful
-                    // charge is captured by the drain. Re-resolve the key.
-                    return DecideProbe::Retry;
-                }
-                Self::note_touch(slot, now);
-                self.stats.record(verdict);
-                return DecideProbe::Decided(verdict);
+                return match charge(slot) {
+                    Charged::Done(out) => Probe::Done(out),
+                    Charged::Retry => Probe::Retry,
+                };
             }
             if d == moved_of(wanted) {
-                return DecideProbe::Retry; // move in flight: successor has it
+                return Probe::Retry; // move in flight: successor has it
             }
             if d == EMPTY {
-                return DecideProbe::Missing;
+                return Probe::Missing;
             }
             idx = (idx + 1) & gen.mask;
         }
-        DecideProbe::Missing
+        Probe::Missing
+    }
+
+    /// Resolve `key` in the open array — active generation first, then a
+    /// draining predecessor — and run `charge` on its slot. `charge`
+    /// returns [`Charged::Retry`] when the slot was frozen under it (a
+    /// migration or reclamation drained the bucket), and runs again on
+    /// wherever the key lands. `None`: the key is not in the open array.
+    fn charge_open<T>(
+        &self,
+        key: &QosKey,
+        mut charge: impl FnMut(&Slot) -> Charged<T>,
+    ) -> Option<T> {
+        let wanted = published(key);
+        let home = key.digest() as usize;
+        loop {
+            let active = self.active.load(Ordering::Acquire);
+            match self.probe(self.gen_at(active), wanted, home, &mut charge) {
+                Probe::Done(out) => return Some(out),
+                Probe::Retry => continue,
+                Probe::Missing => {}
+            }
+            if self.retired.load(Ordering::Acquire) < active {
+                match self.probe(self.gen_at(active - 1), wanted, home, &mut charge) {
+                    Probe::Done(out) => return Some(out),
+                    Probe::Retry => {
+                        std::hint::spin_loop();
+                        continue;
+                    }
+                    Probe::Missing => {}
+                }
+                // A resize may have flipped generations between the two
+                // probes; re-run against the fresh pair if so.
+                if self.active.load(Ordering::Acquire) != active {
+                    continue;
+                }
+            }
+            return None;
+        }
     }
 }
 
@@ -760,36 +814,53 @@ impl QosTable for LockFreeTable {
     fn decide(&self, key: &QosKey, now: Nanos) -> Option<Verdict> {
         self.run_migration_quantum(now);
         let wanted = published(key);
-        let home = key.digest() as usize;
-        loop {
-            let active = self.active.load(Ordering::Acquire);
-            match self.probe_decide(self.gen_at(active), wanted, home, now) {
-                DecideProbe::Decided(v) => return Some(v),
-                DecideProbe::Retry => continue,
-                DecideProbe::Missing => {}
+        let decided = self.charge_open(key, |slot| {
+            let (verdict, retries) = slot.bucket.try_consume_counted(now);
+            self.note_retries(retries);
+            if verdict == Verdict::Deny && slot.digest.load(Ordering::Acquire) != wanted {
+                // This deny may reflect a drained husk, not a dry bucket.
+                // Allows always stand — a successful charge is captured
+                // by the drain.
+                return Charged::Retry;
             }
-            if self.retired.load(Ordering::Acquire) < active {
-                match self.probe_decide(self.gen_at(active - 1), wanted, home, now) {
-                    DecideProbe::Decided(v) => return Some(v),
-                    DecideProbe::Retry => {
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    DecideProbe::Missing => {}
-                }
-                // A resize may have flipped generations between the two
-                // probes; re-run against the fresh pair if so.
-                if self.active.load(Ordering::Acquire) != active {
-                    continue;
-                }
-            }
-            break;
+            Self::note_touch(slot, now, 1);
+            self.stats.record(verdict);
+            Charged::Done(verdict)
+        });
+        if decided.is_some() {
+            return decided;
         }
         if self.overflow_active() {
             return self.overflow.decide(key, now);
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         None
+    }
+
+    fn consume_up_to(&self, key: &QosKey, n: u64, now: Nanos) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        self.run_migration_quantum(now);
+        let wanted = published(key);
+        let mut taken = 0;
+        let found = self.charge_open(key, |slot| {
+            let (got, retries) = slot.bucket.try_consume_up_to(n - taken, now);
+            self.note_retries(retries);
+            // A partial take stands like an Allow (the drain captures
+            // it); only the shortfall re-resolves.
+            taken += got;
+            self.stats.record_allows(got);
+            if taken < n && slot.digest.load(Ordering::Acquire) != wanted {
+                return Charged::Retry;
+            }
+            Self::note_touch(slot, now, got);
+            Charged::Done(())
+        });
+        if found.is_none() && self.overflow_active() {
+            taken += self.overflow.consume_up_to(key, n - taken, now);
+        }
+        taken
     }
 
     fn shape(&self, key: &QosKey) -> Option<(Credits, RefillRate)> {

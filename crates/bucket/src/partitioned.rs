@@ -71,6 +71,10 @@ impl QosTable for PartitionedTable {
         self.part(key).decide(key, now)
     }
 
+    fn consume_up_to(&self, key: &QosKey, n: u64, now: Nanos) -> u64 {
+        self.part(key).consume_up_to(key, n, now)
+    }
+
     fn shape(&self, key: &QosKey) -> Option<(Credits, RefillRate)> {
         self.part(key).shape(key)
     }

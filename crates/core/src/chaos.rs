@@ -18,7 +18,7 @@
 //!   closes within a budget (one half-open probe interval plus traffic).
 //!
 //! The harness returns a [`ChaosReport`]; `tests/chaos.rs` asserts the
-//! verdicts and archives the report as `results/chaos_soak.json`.
+//! verdicts and archives the report as `target/tmp/chaos_soak.json`.
 
 use crate::client::QosClient;
 use crate::deployment::{Deployment, DeploymentConfig, LbMode};
@@ -157,7 +157,7 @@ impl ChaosReport {
         self.safety_ok && self.availability_ok && self.breaker_recovery_ok
     }
 
-    /// Pretty-printed JSON for archiving (`results/chaos_soak.json`).
+    /// Pretty-printed JSON for archiving (`target/tmp/chaos_soak.json`).
     pub fn to_json_string(&self) -> String {
         janus_types::json::ToJson::to_json(self).pretty()
     }

@@ -20,7 +20,7 @@
 //!   slack`. A gray partition must not provoke a retry storm.
 //!
 //! The harness returns a [`GraySoakReport`]; `tests/gray_soak.rs`
-//! asserts the verdicts and archives `results/gray_soak.json`.
+//! asserts the verdicts and archives `target/tmp/gray_soak.json`.
 
 use janus_net::fault::FaultPlan;
 use janus_net::http::HttpClient;
@@ -176,7 +176,7 @@ impl GraySoakReport {
         self.availability_ok && self.recovery_ok && self.amplification_ok
     }
 
-    /// Pretty-printed JSON for archiving (`results/gray_soak.json`).
+    /// Pretty-printed JSON for archiving (`target/tmp/gray_soak.json`).
     pub fn to_json_string(&self) -> String {
         janus_types::json::ToJson::to_json(self).pretty()
     }

@@ -30,7 +30,7 @@
 //!   exercised the machinery proves nothing.
 //!
 //! `tests/keyspace.rs` runs the ≈100k-key smoke shape and archives the
-//! report as `results/keyspace_soak.json`; EXPERIMENTS.md documents the
+//! report as `target/tmp/keyspace_soak.json`; EXPERIMENTS.md documents the
 //! 10M-key full soak.
 
 use janus_bucket::DefaultRulePolicy;
@@ -218,7 +218,7 @@ impl KeyspaceReport {
             && self.reclaim_ok
     }
 
-    /// Pretty-printed JSON for archiving (`results/keyspace_soak.json`).
+    /// Pretty-printed JSON for archiving (`target/tmp/keyspace_soak.json`).
     pub fn to_json_string(&self) -> String {
         janus_types::json::ToJson::to_json(self).pretty()
     }

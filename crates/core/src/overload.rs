@@ -30,7 +30,7 @@
 //!   duplication actually exercised the window.
 //!
 //! The harness returns an [`OverloadReport`]; `tests/overload.rs` asserts
-//! the verdicts and archives the report as `results/overload_soak.json`.
+//! the verdicts and archives the report as `target/tmp/overload_soak.json`.
 
 use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
 use janus_net::FaultPlan;
@@ -202,7 +202,7 @@ impl OverloadReport {
         self.latency_ok && self.goodput_ok && self.credit_exact_ok && self.dedup_ok
     }
 
-    /// Pretty-printed JSON for archiving (`results/overload_soak.json`).
+    /// Pretty-printed JSON for archiving (`target/tmp/overload_soak.json`).
     pub fn to_json_string(&self) -> String {
         janus_types::json::ToJson::to_json(self).pretty()
     }

@@ -31,7 +31,7 @@
 //! failover replication exchanges byte-identical snapshots with the
 //! production TCP listener.
 
-use crate::lease::{LeaseConfig, LeaseLedger, LeaseLedgerStats};
+use crate::lease::{LeaseConfig, LeaseLedger, LeaseLedgerStats, TableCharge};
 use crate::overload::{DedupOutcome, DedupWindow, OverloadConfig, SojournGovernor};
 use janus_bucket::{DefaultRulePolicy, QosTable};
 use janus_clock::Nanos;
@@ -429,16 +429,12 @@ impl ServerCore {
                 }
                 let mut response = respond(&self.table, &request, verdict);
                 if let (Some(ledger), Some(report)) = (self.ledger.as_mut(), request.lease) {
-                    let table = Arc::clone(&self.table);
-                    let key = request.key.clone();
-                    let mut charge = || table.decide(&key, now) == Some(Verdict::Allow);
-                    if let Some(lease) = ledger.on_report(
-                        &request.key,
-                        report,
-                        table.shape(&request.key),
-                        now,
-                        &mut charge,
-                    ) {
+                    let key = &request.key;
+                    let table = &*self.table;
+                    let mut charge = TableCharge { table, key, now };
+                    if let Some(lease) =
+                        ledger.on_report(key, report, table.shape(key), now, &mut charge)
+                    {
                         response = response.with_lease(lease);
                     }
                 }

@@ -33,6 +33,7 @@
 //! logic over an injected clock, shared verbatim by the thread shells,
 //! the per-core plane and the deterministic simulator.
 
+use janus_bucket::QosTable;
 use janus_clock::Nanos;
 use janus_types::{Lease, LeaseReport, QosKey, RefillRate, MICROCREDITS_PER_CREDIT};
 use std::collections::HashMap;
@@ -41,12 +42,44 @@ use std::time::Duration;
 /// Hard cap on the whole credits one grant may debit (slice plus refill
 /// precharge). `capacity / slice_fraction` is the policy, but capacity
 /// can be astronomical — the shadow-mode `AllowAll` default rule is an
-/// effectively infinite bucket — and the ledger debits credit for credit
-/// through the `charge` closure, so an uncapped slice would spin the
-/// decision path for as long as the bucket lasts. Delegating more than a
-/// few thousand credits per TTL buys no extra throughput; it only widens
-/// the revocation window.
+/// effectively infinite bucket. A grant is one bucket operation whatever
+/// its size, so the cap is not about cost: every delegated credit is one
+/// a revoked or stale holder may still burn, and delegating more than a
+/// few thousand credits per TTL buys no extra throughput — it only
+/// widens the revocation window.
 const MAX_SLICE_CREDITS: u64 = 4096;
+
+/// The authoritative bucket a grant is funded from.
+pub trait Charge {
+    /// Debit up to `n` whole credits; returns how many were debited.
+    fn drain(&mut self, n: u64) -> u64;
+}
+
+/// A closure debiting one credit per `true` — the probe and test
+/// adapter, and the only place a grant is still funded credit by credit.
+impl<F: FnMut() -> bool> Charge for F {
+    fn drain(&mut self, n: u64) -> u64 {
+        let mut taken = 0;
+        while taken < n && self() {
+            taken += 1;
+        }
+        taken
+    }
+}
+
+/// The production charger: one [`QosTable::consume_up_to`] on `key`'s
+/// bucket at `now`.
+pub(crate) struct TableCharge<'a> {
+    pub table: &'a dyn QosTable,
+    pub key: &'a QosKey,
+    pub now: Nanos,
+}
+
+impl Charge for TableCharge<'_> {
+    fn drain(&mut self, n: u64) -> u64 {
+        self.table.consume_up_to(self.key, n, self.now)
+    }
+}
 
 /// Policy knobs for the lease plane. Disabled by default: leases are a
 /// per-deployment opt-in, and every pre-lease code path (and simulator
@@ -191,17 +224,17 @@ impl LeaseLedger {
     /// with a grant when the key is hot and the bucket covers the debit.
     ///
     /// `shape` is the key's `(capacity, refill)` from the authoritative
-    /// table; `charge` must drain exactly one whole credit from the
-    /// authoritative bucket when it returns `true`. The ledger calls it
-    /// once per debited credit, so a grant is covered by real bucket
-    /// credit by construction.
+    /// table; `charge` must debit from the authoritative bucket exactly
+    /// the whole credits it reports. The ledger drains it once per grant
+    /// for whatever escrow does not cover, so a grant is covered by real
+    /// bucket credit by construction.
     pub fn on_report(
         &mut self,
         key: &QosKey,
         report: LeaseReport,
         shape: Option<(janus_types::Credits, RefillRate)>,
         now: Nanos,
-        charge: &mut dyn FnMut() -> bool,
+        charge: &mut dyn Charge,
     ) -> Option<Lease> {
         if !self.config.enabled {
             return None;
@@ -285,10 +318,7 @@ impl LeaseLedger {
         let want = slice + precharge;
         let from_escrow = entry.escrow.min(want);
         entry.escrow -= from_escrow;
-        let mut drained = 0;
-        while from_escrow + drained < want && charge() {
-            drained += 1;
-        }
+        let drained = charge.drain(want - from_escrow);
         // Whatever left the bucket stays debited (counted in `drained`)
         // whether or not the grant goes out — the oracle bound depends
         // on it.

@@ -60,6 +60,6 @@ pub use crate::core::{
 };
 pub use config::{DbTarget, DispatchMode, OverloadConfig, QosServerConfig, SocketMode, TableKind};
 pub use ha::{fetch_snapshot, SlaveReplicator};
-pub use lease::{LeaseConfig, LeaseLedger, LeaseLedgerStats};
+pub use lease::{Charge, LeaseConfig, LeaseLedger, LeaseLedgerStats};
 pub use overload::{DedupOutcome, DedupWindow, SojournGovernor};
 pub use server::{QosServer, ServerStats, ServerStatsSnapshot};

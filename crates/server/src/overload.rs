@@ -28,7 +28,8 @@
 
 use janus_clock::Nanos;
 use janus_types::{QosKey, RequestId, Verdict};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::time::Duration;
 
 /// Overload-control tunables: staleness shedding, the sojourn governor
@@ -137,14 +138,133 @@ pub enum DedupOutcome {
     Done(Verdict),
 }
 
-/// One tracked logical request: the key it charges, the router-side
-/// request id every attempt (including the legacy-downgraded final one)
-/// shares, and the verdict once decided.
+/// One tracked logical request: its attempt nonce, the key it charges,
+/// the router-side request id every attempt (including the
+/// legacy-downgraded final one) shares, and the verdict once decided.
 #[derive(Debug)]
 struct DedupEntry {
+    nonce: u32,
     key: QosKey,
     id: RequestId,
     verdict: Option<Verdict>,
+}
+
+impl DedupEntry {
+    fn outcome(&self, key: &QosKey) -> DedupOutcome {
+        if self.key != *key {
+            return DedupOutcome::Miss;
+        }
+        match self.verdict {
+            Some(verdict) => DedupOutcome::Done(verdict),
+            None => DedupOutcome::Pending,
+        }
+    }
+}
+
+/// Largest window: ring positions are stored as `u32` in the indexes.
+const MAX_DEDUP_CAPACITY: usize = 1 << 30;
+
+/// An open-addressed index from a `u64` field of the ring's entries to
+/// their ring positions: linear probing, multiplicative hashing, and
+/// backward-shift deletion (no tombstones, so probe chains never decay).
+/// A cell holds `position + 1`; 0 is empty, so the array starts as
+/// zeroed pages the kernel maps lazily.
+#[derive(Debug)]
+struct RingIndex {
+    cells: Box<[u32]>,
+    /// A random odd multiplier per index: nonces and request ids arrive
+    /// off the wire, and a fixed one would let a peer pick values that
+    /// share one probe chain.
+    multiplier: u64,
+    /// `64 − log2(cells.len())`: the multiplicative hash keeps the top
+    /// bits of the product.
+    shift: u32,
+}
+
+impl RingIndex {
+    /// An index for up to `entries` entries, at most half full.
+    fn new(entries: usize) -> Self {
+        let len = (2 * entries).next_power_of_two();
+        RingIndex {
+            cells: vec![0; len].into_boxed_slice(),
+            multiplier: RandomState::new().build_hasher().finish() | 1,
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    fn home(&self, field: u64) -> usize {
+        (field.wrapping_mul(self.multiplier) >> self.shift) as usize
+    }
+
+    fn mask(&self) -> usize {
+        self.cells.len() - 1
+    }
+
+    /// The cell indexing an entry whose field is `field`, and that
+    /// entry's ring position.
+    fn find(&self, field: u64, field_of: impl Fn(usize) -> u64) -> Option<(usize, usize)> {
+        let mut cell = self.home(field);
+        loop {
+            let stored = self.cells[cell] as usize;
+            if stored == 0 {
+                return None;
+            }
+            if field_of(stored - 1) == field {
+                return Some((cell, stored - 1));
+            }
+            cell = (cell + 1) & self.mask();
+        }
+    }
+
+    /// Point `field` at ring position `pos`, rebinding an existing cell
+    /// for `field` or claiming the first empty one.
+    fn bind(&mut self, field: u64, pos: usize, field_of: impl Fn(usize) -> u64) {
+        let mut cell = self.home(field);
+        loop {
+            let stored = self.cells[cell] as usize;
+            if stored == 0 || field_of(stored - 1) == field {
+                self.cells[cell] = pos as u32 + 1;
+                return;
+            }
+            cell = (cell + 1) & self.mask();
+        }
+    }
+
+    /// Drop `field`'s cell if it still points at ring position `pos`,
+    /// shifting later members of its probe chain back so every remaining
+    /// entry stays reachable from its home cell.
+    fn unbind(&mut self, field: u64, pos: usize, field_of: impl Fn(usize) -> u64) {
+        let Some((mut hole, bound)) = self.find(field, &field_of) else {
+            return;
+        };
+        if bound != pos {
+            return;
+        }
+        let mask = self.mask();
+        let mut cell = hole;
+        loop {
+            cell = (cell + 1) & mask;
+            let stored = self.cells[cell];
+            if stored == 0 {
+                break;
+            }
+            let home = self.home(field_of(stored as usize - 1));
+            // Movable iff its home is not cyclically inside (hole, cell].
+            if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
+                self.cells[hole] = stored;
+                hole = cell;
+            }
+        }
+        self.cells[hole] = 0;
+    }
+}
+
+fn nonce_of(ring: &[DedupEntry]) -> impl Fn(usize) -> u64 + '_ {
+    |pos| u64::from(ring[pos].nonce)
+}
+
+fn id_of(ring: &[DedupEntry]) -> impl Fn(usize) -> u64 + '_ {
+    |pos| ring[pos].id
 }
 
 /// A bounded insertion-ordered map of recently seen attempt nonces (see
@@ -152,29 +272,45 @@ struct DedupEntry {
 /// the oldest is forgotten — an evicted nonce's late duplicate is then
 /// processed (and charged) normally, which errs on the conservative side
 /// exactly like the pre-nonce protocol always did.
+///
+/// Fixed footprint: the entries live in a ring of exactly `capacity`
+/// slots in insertion order (eviction overwrites the oldest in place),
+/// and two open-addressed [`RingIndex`]es find them by nonce and by
+/// request id. The ring is reserved up front but filled by `push`, so an
+/// idle window costs address space, not resident memory.
 #[derive(Debug)]
 pub struct DedupWindow {
     capacity: usize,
-    entries: HashMap<u32, DedupEntry>,
-    /// Secondary index: request id → nonce. The final attempt of a
-    /// stamped schedule downgrades to a legacy frame (no nonce), but it
+    ring: Vec<DedupEntry>,
+    /// Ring position of the oldest entry once the ring is full.
+    head: usize,
+    by_nonce: RingIndex,
+    /// Secondary index: request id → ring position. The final attempt of
+    /// a stamped schedule downgrades to a legacy frame (no nonce), but it
     /// reuses the logical request id — this index lets
     /// [`lookup_legacy`](Self::lookup_legacy) find the cached verdict
     /// anyway, so the deadline-blind downgrade cannot double-charge.
-    by_id: HashMap<RequestId, u32>,
-    order: VecDeque<u32>,
+    /// At most one cell per id: the most recent insert with that id.
+    by_id: RingIndex,
 }
 
 impl DedupWindow {
     /// A window remembering up to `capacity` nonces (min 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
+        let capacity = capacity.clamp(1, MAX_DEDUP_CAPACITY);
         DedupWindow {
             capacity,
-            entries: HashMap::with_capacity(capacity),
-            by_id: HashMap::with_capacity(capacity),
-            order: VecDeque::with_capacity(capacity),
+            ring: Vec::with_capacity(capacity),
+            head: 0,
+            by_nonce: RingIndex::new(capacity),
+            by_id: RingIndex::new(capacity),
         }
+    }
+
+    fn find_nonce(&self, nonce: u32) -> Option<usize> {
+        self.by_nonce
+            .find(u64::from(nonce), nonce_of(&self.ring))
+            .map(|(_, pos)| pos)
     }
 
     /// Look up `nonce`. A stored entry under a *different* key is a
@@ -183,14 +319,8 @@ impl DedupWindow {
     /// decided on its own bucket rather than served another key's
     /// verdict.
     pub fn lookup(&self, nonce: u32, key: &QosKey) -> DedupOutcome {
-        match self.entries.get(&nonce) {
-            Some(entry) if entry.key != *key => DedupOutcome::Miss,
-            Some(entry) => match entry.verdict {
-                Some(verdict) => DedupOutcome::Done(verdict),
-                None => DedupOutcome::Pending,
-            },
-            None => DedupOutcome::Miss,
-        }
+        self.find_nonce(nonce)
+            .map_or(DedupOutcome::Miss, |pos| self.ring[pos].outcome(key))
     }
 
     /// Look up a *legacy* frame (no attempt metadata) by its request id.
@@ -201,17 +331,9 @@ impl DedupWindow {
     /// Frames from genuinely legacy routers were never inserted, so they
     /// miss and keep the paper's semantics.
     pub fn lookup_legacy(&self, id: RequestId, key: &QosKey) -> DedupOutcome {
-        match self
-            .by_id
-            .get(&id)
-            .and_then(|nonce| self.entries.get(nonce))
-        {
-            Some(entry) if entry.key == *key => match entry.verdict {
-                Some(verdict) => DedupOutcome::Done(verdict),
-                None => DedupOutcome::Pending,
-            },
-            _ => DedupOutcome::Miss,
-        }
+        self.by_id
+            .find(id, id_of(&self.ring))
+            .map_or(DedupOutcome::Miss, |(_, pos)| self.ring[pos].outcome(key))
     }
 
     /// Start tracking `nonce` as in-flight (call after the request is
@@ -220,35 +342,50 @@ impl DedupWindow {
     /// overwritten — the newer request wins the slot.
     pub fn insert_pending(&mut self, nonce: u32, id: RequestId, key: QosKey) {
         let entry = DedupEntry {
+            nonce,
             key,
             id,
             verdict: None,
         };
-        if let Some(old) = self.entries.insert(nonce, entry) {
-            // Nonce collision overwrite: the slot keeps its FIFO
-            // position; drop the loser's reverse mapping.
-            if self.by_id.get(&old.id) == Some(&nonce) {
-                self.by_id.remove(&old.id);
+        let pos = match self.find_nonce(nonce) {
+            // Nonce collision: overwrite in place, keeping the FIFO
+            // position.
+            Some(pos) => pos,
+            None if self.ring.len() < self.capacity => {
+                self.ring.push(entry);
+                return self.link(self.ring.len() - 1);
             }
-        } else {
-            if self.order.len() >= self.capacity {
-                if let Some(evicted) = self.order.pop_front() {
-                    if let Some(old) = self.entries.remove(&evicted) {
-                        if self.by_id.get(&old.id) == Some(&evicted) {
-                            self.by_id.remove(&old.id);
-                        }
-                    }
-                }
+            // Full: the newcomer takes the oldest entry's slot.
+            None => {
+                let pos = self.head;
+                self.head = (pos + 1) % self.capacity;
+                pos
             }
-            self.order.push_back(nonce);
-        }
-        self.by_id.insert(id, nonce);
+        };
+        // The leaving entry's id mapping goes only if it still points
+        // here: a later insert with the same id may have rebound it.
+        let (ring, old) = (&self.ring, &self.ring[pos]);
+        self.by_nonce
+            .unbind(u64::from(old.nonce), pos, nonce_of(ring));
+        self.by_id.unbind(old.id, pos, id_of(ring));
+        self.ring[pos] = entry;
+        self.link(pos);
+    }
+
+    /// Index the entry at `pos` by its nonce and (rebinding any older
+    /// entry's mapping) its request id.
+    fn link(&mut self, pos: usize) {
+        let (ring, entry) = (&self.ring, &self.ring[pos]);
+        self.by_nonce
+            .bind(u64::from(entry.nonce), pos, nonce_of(ring));
+        self.by_id.bind(entry.id, pos, id_of(ring));
     }
 
     /// Record the decided verdict for `nonce`. A no-op if the entry was
     /// evicted meanwhile or the slot now belongs to a different key.
     pub fn record(&mut self, nonce: u32, key: &QosKey, verdict: Verdict) {
-        if let Some(entry) = self.entries.get_mut(&nonce) {
+        if let Some(pos) = self.find_nonce(nonce) {
+            let entry = &mut self.ring[pos];
             if entry.key == *key {
                 entry.verdict = Some(verdict);
             }
@@ -257,12 +394,12 @@ impl DedupWindow {
 
     /// Nonces currently tracked (diagnostics).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ring.len()
     }
 
     /// True when nothing is tracked.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ring.is_empty()
     }
 }
 
@@ -402,5 +539,130 @@ mod tests {
         w.insert_pending(2, 201, key("b2"));
         assert_eq!(w.lookup_legacy(200, &key("b")), DedupOutcome::Miss);
         assert_eq!(w.lookup_legacy(201, &key("b2")), DedupOutcome::Pending);
+    }
+
+    /// The two-`HashMap` window the fixed-footprint one replaced, kept as
+    /// the reference the differential test compares against.
+    struct Model {
+        capacity: usize,
+        entries: std::collections::HashMap<u32, (QosKey, RequestId, Option<Verdict>)>,
+        by_id: std::collections::HashMap<RequestId, u32>,
+        order: std::collections::VecDeque<u32>,
+    }
+
+    impl Model {
+        fn new(capacity: usize) -> Self {
+            Model {
+                capacity: capacity.max(1),
+                entries: Default::default(),
+                by_id: Default::default(),
+                order: Default::default(),
+            }
+        }
+
+        fn outcome(
+            entry: Option<&(QosKey, RequestId, Option<Verdict>)>,
+            k: &QosKey,
+        ) -> DedupOutcome {
+            match entry {
+                Some((stored, _, Some(verdict))) if stored == k => DedupOutcome::Done(*verdict),
+                Some((stored, _, None)) if stored == k => DedupOutcome::Pending,
+                _ => DedupOutcome::Miss,
+            }
+        }
+
+        fn lookup(&self, nonce: u32, k: &QosKey) -> DedupOutcome {
+            Self::outcome(self.entries.get(&nonce), k)
+        }
+
+        fn lookup_legacy(&self, id: RequestId, k: &QosKey) -> DedupOutcome {
+            Self::outcome(self.by_id.get(&id).and_then(|n| self.entries.get(n)), k)
+        }
+
+        fn insert_pending(&mut self, nonce: u32, id: RequestId, k: QosKey) {
+            if let Some(old) = self.entries.insert(nonce, (k, id, None)) {
+                if self.by_id.get(&old.1) == Some(&nonce) {
+                    self.by_id.remove(&old.1);
+                }
+            } else {
+                if self.order.len() >= self.capacity {
+                    if let Some(evicted) = self.order.pop_front() {
+                        if let Some(old) = self.entries.remove(&evicted) {
+                            if self.by_id.get(&old.1) == Some(&evicted) {
+                                self.by_id.remove(&old.1);
+                            }
+                        }
+                    }
+                }
+                self.order.push_back(nonce);
+            }
+            self.by_id.insert(id, nonce);
+        }
+
+        fn record(&mut self, nonce: u32, k: &QosKey, verdict: Verdict) {
+            if let Some(entry) = self.entries.get_mut(&nonce) {
+                if entry.0 == *k {
+                    entry.2 = Some(verdict);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_window_matches_the_hashmap_model_on_every_lookup() {
+        use janus_hash::rng::Rng;
+        // 24 nonces and 24 ids over three keys: collisions, overwrites,
+        // shared ids and evictions are the common case, not the corner.
+        const NONCES: u64 = 24;
+        const IDS: u64 = 24;
+        let keys = [key("a"), key("b"), key("c")];
+        let mut rng = Rng::seed_from_u64(0xDED0_F1C5);
+        for capacity in 1..=9usize {
+            for case in 0..32 {
+                let mut window = DedupWindow::new(capacity);
+                let mut model = Model::new(capacity);
+                for step in 0..300 {
+                    let at = format!("capacity {capacity} case {case} step {step}");
+                    let nonce = rng.gen_range(NONCES) as u32;
+                    let id = rng.gen_range(IDS);
+                    let k = &keys[rng.gen_range(keys.len() as u64) as usize];
+                    match rng.gen_range(5) {
+                        0 | 1 => {
+                            window.insert_pending(nonce, id, k.clone());
+                            model.insert_pending(nonce, id, k.clone());
+                        }
+                        2 => {
+                            let verdict = if rng.gen_range(2) == 0 {
+                                Verdict::Allow
+                            } else {
+                                Verdict::Deny
+                            };
+                            window.record(nonce, k, verdict);
+                            model.record(nonce, k, verdict);
+                        }
+                        3 => assert_eq!(window.lookup(nonce, k), model.lookup(nonce, k), "{at}"),
+                        _ => assert_eq!(
+                            window.lookup_legacy(id, k),
+                            model.lookup_legacy(id, k),
+                            "{at}"
+                        ),
+                    }
+                    assert_eq!(window.len(), model.entries.len(), "{at}");
+                    assert!(window.len() <= capacity, "{at}");
+                    for k in &keys {
+                        for n in 0..NONCES as u32 {
+                            assert_eq!(window.lookup(n, k), model.lookup(n, k), "{at} nonce {n}");
+                        }
+                        for id in 0..IDS {
+                            assert_eq!(
+                                window.lookup_legacy(id, k),
+                                model.lookup_legacy(id, k),
+                                "{at} id {id}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -28,6 +28,7 @@
 
 use crate::config::{DbTarget, QosServerConfig};
 use crate::core::{self, IngressCore, IngressDecision};
+use crate::lease::TableCharge;
 use crate::server::{decide, respond, GuestKeys, ServerStats, SharedDedup, SharedLedger};
 use janus_bucket::QosTable;
 use janus_clock::SharedClock;
@@ -38,7 +39,7 @@ use janus_net::mmsg::{self, RecvSlot, MAX_BATCH};
 use janus_net::udp::RECV_BUF_BYTES;
 use janus_types::codec::{self, Frame};
 use janus_types::sync::Shutdown;
-use janus_types::{QosRequest, QosResponse, Result, Verdict};
+use janus_types::{QosRequest, QosResponse, Result};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::Ordering;
@@ -216,14 +217,11 @@ fn handle_request(
     // covers the debit — same discipline as the queued workers.
     if let (Some(ledger), Some(report)) = (&ctx.ledger, request.lease) {
         let now = ctx.clock.now();
-        let mut charge = || ctx.table.decide(&request.key, now) == Some(Verdict::Allow);
-        let lease = ledger.lock().on_report(
-            &request.key,
-            report,
-            ctx.table.shape(&request.key),
-            now,
-            &mut charge,
-        );
+        let (table, key) = (&*ctx.table, &request.key);
+        let mut charge = TableCharge { table, key, now };
+        let lease = ledger
+            .lock()
+            .on_report(key, report, table.shape(key), now, &mut charge);
         if let Some(lease) = lease {
             ctx.stats.lease_grants.fetch_add(1, Ordering::Relaxed);
             response = response.with_lease(lease);

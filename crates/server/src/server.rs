@@ -23,7 +23,7 @@ use crate::config::{
 };
 use crate::core::{self, IngressCore, IngressDecision, WorkerCore, WorkerTriage};
 use crate::ha;
-use crate::lease::LeaseLedger;
+use crate::lease::{LeaseLedger, TableCharge};
 use crate::overload::DedupWindow;
 use crate::percore;
 use janus_bucket::{
@@ -652,10 +652,11 @@ impl WorkerCtx {
         };
         let now = self.clock.now();
         let key = &job.request.key;
-        let mut charge = || self.table.decide(key, now) == Some(Verdict::Allow);
+        let table = &*self.table;
+        let mut charge = TableCharge { table, key, now };
         let lease = ledger
             .lock()
-            .on_report(key, report, self.table.shape(key), now, &mut charge);
+            .on_report(key, report, table.shape(key), now, &mut charge);
         match lease {
             Some(lease) => {
                 self.stats.lease_grants.fetch_add(1, Ordering::Relaxed);

@@ -33,9 +33,9 @@ fn gray_soak_holds_recovery_and_amplification_bounds() {
         "adaptive timeout never engaged"
     );
 
-    // Archive the report where CI expects it (repo-root results/; the
-    // test binary's cwd is the bench crate).
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).unwrap();
+    // Archive the report under the build's scratch directory (CI uploads
+    // it from there): `cargo test` must never rewrite a tracked file.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(dir).unwrap();
     std::fs::write(dir.join("gray_soak.json"), report.to_json_string()).unwrap();
 }

@@ -47,9 +47,9 @@ fn keyspace_soak_holds_invariants() {
     assert!(report.answered > 0, "soak answered nothing");
     assert!(report.passed());
 
-    // Archive the report where CI expects it (repo-root results/; the
-    // test binary's cwd is the bench crate).
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).unwrap();
+    // Archive the report under the build's scratch directory (CI uploads
+    // it from there): `cargo test` must never rewrite a tracked file.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(dir).unwrap();
     std::fs::write(dir.join("keyspace_soak.json"), json).unwrap();
 }
