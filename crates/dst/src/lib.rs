@@ -11,11 +11,12 @@
 //!
 //! - [`sim`] — the world: event queue, partitions, router node, fault
 //!   injection, byte-stable trace.
-//! - [`oracle`] — the seven invariants checked after every event
-//!   (credit exactness, at-most-one charge per attempt nonce, bounded
-//!   over-admission during failover/brownout, availability floor,
-//!   lease coverage, reclamation never minting credit, and bounded
-//!   retry amplification with credit-exact hedging).
+//! - [`oracle`] — the seven invariants (credit exactness, at-most-one
+//!   charge per attempt nonce, bounded over-admission during
+//!   failover/brownout, availability floor, lease coverage, reclamation
+//!   never minting credit, and bounded retry amplification with
+//!   credit-exact hedging), checked after every event by a sweep over
+//!   the keys the event touched.
 //! - [`search`] — randomized fault-schedule search, greedy schedule
 //!   shrinking to a minimal reproducer, and the committed seed corpus
 //!   replayed by CI (`tests/dst_corpus.txt`).

@@ -1,4 +1,5 @@
-//! Invariant oracles checked after every simulated event.
+//! Invariant oracles checked after every simulated event, over the keys
+//! the event touched.
 //!
 //! The simulator feeds every observable admission outcome into an
 //! [`OracleState`]; a violation is a property of the *whole cluster
@@ -56,11 +57,16 @@
 //!    distinct fresh stamped charges is pinned on the hedger, not the
 //!    network.
 //!
-//! Oracles 1–3, 5 and 6 are re-validated from accumulated counters
-//! after every event (`check_all`), which also re-checks oracle 7's
-//! amplification bound when a budget is registered; oracle 4 is
-//! asserted once the event queue drains, when completion times are
-//! known.
+//! Oracles 1–3, 5 and 6 are checked the moment an admission is
+//! recorded, and again by the end-of-event [`OracleState::sweep`],
+//! which re-checks only the keys whose inputs changed during the event
+//! (allows, degraded allows, lease admits and drains, reclaims,
+//! reboots of the owning partition) and then oracle 7's amplification
+//! bound when a budget is registered. A key whose inputs did not change
+//! derives exactly the messages already reported, so the touched-key
+//! sweep finds the same violations, in the same order, as re-checking
+//! every key would. Oracle 4 is asserted once the event queue drains,
+//! when completion times are known.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -113,6 +119,11 @@ pub struct OracleState {
     /// Fresh stamped charges per (partition, epoch, request id) for
     /// hedged requests.
     hedge_charges: HashMap<(usize, u32, u64), u32>,
+    /// Keys whose bound inputs changed since the last sweep, each once,
+    /// in the order they were first touched.
+    touched: Vec<usize>,
+    /// `is_touched[idx]` iff `idx` is in `touched`.
+    is_touched: Vec<bool>,
     violations: Vec<String>,
     seen: HashSet<String>,
 }
@@ -133,6 +144,8 @@ impl OracleState {
             wire_extras: 0,
             hedged_ids: HashSet::new(),
             hedge_charges: HashMap::new(),
+            touched: Vec::with_capacity(keys),
+            is_touched: vec![false; keys],
             violations: Vec::new(),
             seen: HashSet::new(),
         }
@@ -219,6 +232,7 @@ impl OracleState {
         }
         if allow {
             self.server_allows[key_idx] += 1;
+            self.touch(key_idx);
             self.check_key(key_idx, key_name, reboots);
         }
     }
@@ -227,6 +241,7 @@ impl OracleState {
     /// learned hint bucket.
     pub fn record_degraded_allow(&mut self, key_idx: usize, key_name: &str, reboots: u64) {
         self.degraded_allows[key_idx] += 1;
+        self.touch(key_idx);
         self.check_key(key_idx, key_name, reboots);
     }
 
@@ -234,6 +249,7 @@ impl OracleState {
     /// network I/O.
     pub fn record_lease_admit(&mut self, key_idx: usize, key_name: &str, reboots: u64) {
         self.lease_admits[key_idx] += 1;
+        self.touch(key_idx);
         self.check_key(key_idx, key_name, reboots);
     }
 
@@ -247,15 +263,34 @@ impl OracleState {
         credits: u64,
     ) {
         self.lease_drained[key_idx] += credits;
+        self.touch(key_idx);
         self.check_key(key_idx, key_name, reboots);
     }
 
     /// The memory engine demoted an idle key to the cold tier with its
     /// exact remaining credit. Credit-neutral by contract: no bound
-    /// changes, but a later breach on this key is charged to the
-    /// demote/readmit machinery (oracle 6).
+    /// changes, but a breach on this key — already standing or later —
+    /// is charged to the demote/readmit machinery (oracle 6) by the
+    /// next sweep.
     pub fn record_reclaim(&mut self, key_idx: usize) {
         self.reclaims[key_idx] += 1;
+        self.touch(key_idx);
+    }
+
+    /// The partition owning `key_idx` rebooted: the key's credit bound
+    /// grew by one capacity, so the next sweep re-checks it against the
+    /// new bound.
+    pub fn record_reboot(&mut self, key_idx: usize) {
+        self.touch(key_idx);
+    }
+
+    /// Queue `key_idx` for the next sweep (once, however often it is
+    /// touched).
+    fn touch(&mut self, key_idx: usize) {
+        if !self.is_touched[key_idx] {
+            self.is_touched[key_idx] = true;
+            self.touched.push(key_idx);
+        }
     }
 
     /// Re-validate the credit bounds for one key.
@@ -295,17 +330,36 @@ impl OracleState {
         }
     }
 
-    /// Re-validate every key's bounds — run after each simulated event.
-    /// `reboots_of(key_idx)` reports the owning partition's current
-    /// reboot count; `names` are the key display names by index.
-    pub fn check_all(&mut self, names: &[String], reboots_of: impl Fn(usize) -> u64) {
-        for (idx, name) in names.iter().enumerate() {
-            self.check_key(idx, name, reboots_of(idx));
+    /// The end-of-event sweep: re-validate the bounds of every key
+    /// touched since the last sweep, in ascending key order, then oracle
+    /// 7's amplification bound. `reboots_of(key_idx)` reports the owning
+    /// partition's current reboot count; `names` are the key display
+    /// names by index.
+    ///
+    /// Equivalent to re-checking every key: a key's messages are a pure
+    /// function of its counters, its reclaim count and its partition's
+    /// reboots, and each change to those touches the key. An untouched
+    /// key therefore derives exactly the messages its last check already
+    /// recorded (or none, from the all-zero start), which `seen` drops.
+    pub fn sweep(&mut self, names: &[String], reboots_of: impl Fn(usize) -> u64) {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        for &idx in &touched {
+            self.is_touched[idx] = false;
+            self.check_key(idx, &names[idx], reboots_of(idx));
         }
+        touched.clear();
+        self.touched = touched;
+        self.check_amplification();
+    }
+
+    /// Oracle 7's amplification half, O(1): extra wire attempts stay
+    /// under what the registered retry budget can fund.
+    fn check_amplification(&mut self) {
         if let Some((deposit_pct, min_reserve)) = self.budget {
-            // Oracle 7's amplification half: deposits accrue fractionally
-            // (+1 covers the partial deposit in flight), withdrawals are
-            // whole, and the reserve is a one-time float.
+            // Deposits accrue fractionally (+1 covers the partial
+            // deposit in flight), withdrawals are whole, and the reserve
+            // is a one-time float.
             let bound = self.primaries * u64::from(deposit_pct) / 100 + u64::from(min_reserve) + 1;
             if self.wire_extras > bound {
                 self.record_violation(format!(
@@ -342,5 +396,81 @@ impl OracleState {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// The every-key sweep that [`OracleState::sweep`] replaced, kept as
+    /// the reference model: re-check every key's bounds, then oracle 7's
+    /// amplification bound.
+    pub(crate) fn every_key_check_all(
+        state: &mut OracleState,
+        names: &[String],
+        reboots_of: impl Fn(usize) -> u64,
+    ) {
+        for (idx, name) in names.iter().enumerate() {
+            state.check_key(idx, name, reboots_of(idx));
+        }
+        state.check_amplification();
+    }
+
+    /// One recorded oracle input.
+    type Step = fn(&mut OracleState);
+
+    /// Apply `script` to a touched-key state and to a model state,
+    /// ending every step with the respective sweep; both must report
+    /// the same violations in the same order.
+    fn swept_both_ways(keys: usize, capacity: u64, script: &[(Step, u64)]) -> Vec<String> {
+        let names: Vec<String> = (0..keys).map(|i| format!("k{i}")).collect();
+        let mut swept = OracleState::new(keys, capacity);
+        let mut model = OracleState::new(keys, capacity);
+        for (step, reboots) in script {
+            step(&mut swept);
+            swept.sweep(&names, |_| *reboots);
+            step(&mut model);
+            every_key_check_all(&mut model, &names, |_| *reboots);
+        }
+        assert_eq!(swept.violations(), model.violations());
+        swept.violations().to_vec()
+    }
+
+    #[test]
+    fn reclaiming_an_over_bound_key_still_trips_reclaim_mint() {
+        // Three credits drained against a two-credit bound, then a
+        // demotion with no further admission: the breach is now pinned
+        // on the memory engine, and only the sweep can say so.
+        let violations = swept_both_ways(
+            2,
+            2,
+            &[
+                (|o| o.record_lease_drain(1, "k1", 0, 3), 0),
+                (|o| o.record_reclaim(1), 0),
+            ],
+        );
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].starts_with("oracle[credit-exactness]: key k1"));
+        assert!(violations[1].starts_with("oracle[reclaim-mint]: key k1"));
+    }
+
+    #[test]
+    fn a_reboot_rechecks_an_over_bound_key_against_its_new_bound() {
+        // Five credits against capacity 2: over the one-boot bound (2)
+        // and, after one reboot with no further admission, still over
+        // the two-boot bound (4) — a new message the sweep must find.
+        let violations = swept_both_ways(
+            1,
+            2,
+            &[
+                (|o| o.record_lease_drain(0, "k0", 0, 5), 0),
+                (|o| o.record_reboot(0), 1),
+            ],
+        );
+        assert_eq!(violations.len(), 3, "{violations:?}");
+        assert!(violations[0].contains("bound 2 (capacity 2 x 1 boots)"));
+        assert!(violations[1].starts_with("oracle[over-admission]: key k0"));
+        assert!(violations[2].contains("bound 4 (capacity 2 x 2 boots)"));
     }
 }

@@ -521,6 +521,35 @@ mod tests {
         assert_eq!(a.summary(), b.summary());
     }
 
+    /// `(seed, profile, trace lines, crc32 of trace + summary)` for the
+    /// six seeds CI replays. Any change to what the simulator prints
+    /// fails here; a deliberate one updates this table in the same diff.
+    const GOLDEN: [(u64, Profile, usize, u32); 6] = [
+        (42, Profile::Mixed, 752, 0x386c_20ca),
+        (7, Profile::Failover, 646, 0x9a74_e196),
+        (9, Profile::Dup, 753, 0x2c7a_f645),
+        (247, Profile::Lease, 339, 0x9a83_1bf5),
+        (101, Profile::Churn, 1696, 0x7873_d090),
+        (47, Profile::Gray, 775, 0x65b5_2332),
+    ];
+
+    #[test]
+    fn ci_seeds_reproduce_their_golden_traces() {
+        for (seed, profile, lines, crc) in GOLDEN {
+            let report = run_seed(seed, profile);
+            let printed = format!("{}{}", report.trace, report.summary());
+            assert_eq!(
+                (
+                    report.trace.lines().count(),
+                    janus_hash::crc32(printed.as_bytes())
+                ),
+                (lines, crc),
+                "seed {seed} {} no longer prints its golden trace",
+                profile.as_str()
+            );
+        }
+    }
+
     #[test]
     fn different_seeds_diverge() {
         let a = run_seed(42, Profile::Mixed);
@@ -610,10 +639,10 @@ mod tests {
 
     #[test]
     fn search_over_healthy_code_finds_nothing() {
-        // A small sweep (two seeds per profile) across the healthy tree
-        // must come back clean — this is the fixed-budget CI search.
+        // A hundred seeds per profile across the healthy tree must come
+        // back clean — this is the fixed-budget CI search.
         assert!(
-            search(1000, 20).is_none(),
+            search(1000, 100 * PROFILES.len() as u32).is_none(),
             "randomized search found a violation on healthy code"
         );
     }

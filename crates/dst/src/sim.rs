@@ -9,11 +9,13 @@
 //! and the clock are simulated. Datagrams pass through a
 //! [`FaultPlan`] that drops, delays, duplicates and reorders them from
 //! a seeded PRNG; [`Directive`]s crash partitions, sever links and
-//! shift fault probabilities mid-run. Every event appends to a trace
-//! (same seed ⇒ byte-identical trace) and is followed by a full
-//! invariant re-check via [`OracleState`].
+//! shift fault probabilities mid-run. Every event writes its lines into
+//! one trace buffer (same seed ⇒ byte-identical trace) and is followed
+//! by the [`OracleState::sweep`] over the keys it touched.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,6 +49,18 @@ const EVENT_CAP: u64 = 500_000;
 /// Bounded reclaim quantum per sweep tick, mirroring the production
 /// maintenance loop's batch cap.
 const RECLAIM_SWEEP: usize = 32;
+
+/// Append one trace line, `[<µs since T0>us] <message>`, to `$sim`'s
+/// trace buffer. A macro rather than a method so the message may borrow
+/// other fields of the simulator (key names) while the buffer is
+/// written.
+macro_rules! note {
+    ($sim:ident, $($message:tt)+) => {{
+        let us = $sim.clock.now().saturating_since(T0).as_micros();
+        // Writing into a `String` cannot fail.
+        let _ = writeln!($sim.trace, "[{us:>9}us] {}", format_args!($($message)+));
+    }};
+}
 
 /// One scripted fault, applied at a virtual-time offset from [`T0`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,6 +305,36 @@ enum Event {
     ReclaimTick,
 }
 
+/// A queued event. Ordered on `(at, seq)` alone, reversed so the
+/// max-heap pops the earliest; `seq` is unique, so ties in virtual time
+/// pop in scheduling order and the order is total.
+#[derive(Debug)]
+struct Scheduled {
+    at: u64,
+    seq: u64,
+    event: Event,
+}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Scheduled {}
+
 /// What one run produced: the byte-stable trace, the violations, and
 /// summary counters for assertions and the CLI.
 #[derive(Debug, Clone)]
@@ -406,10 +450,10 @@ pub struct Sim {
     /// the rule database, so it survives partition crashes.
     cold: Vec<BTreeMap<QosKey, QosRule>>,
     calls: Vec<Call>,
-    events: BTreeMap<(u64, u64), Event>,
+    events: BinaryHeap<Scheduled>,
     seq: u64,
     fault: Arc<FaultPlan>,
-    trace: Vec<String>,
+    trace: String,
     oracle: OracleState,
     key_names: Vec<String>,
     keys: Vec<QosKey>,
@@ -468,10 +512,10 @@ impl Sim {
             partitions: Vec::new(),
             cold: Vec::new(),
             calls: Vec::new(),
-            events: BTreeMap::new(),
+            events: BinaryHeap::new(),
             seq: 0,
             fault,
-            trace: Vec::new(),
+            trace: String::new(),
             oracle,
             key_names,
             keys,
@@ -575,31 +619,43 @@ impl Sim {
     fn schedule_at(&mut self, at: Nanos, event: Event) {
         let at = at.max(self.clock.now());
         self.seq += 1;
-        self.events.insert((at.as_nanos(), self.seq), event);
+        self.events.push(Scheduled {
+            at: at.as_nanos(),
+            seq: self.seq,
+            event,
+        });
     }
 
     fn schedule_in(&mut self, d: Duration, event: Event) {
         self.schedule_at(self.clock.now() + d, event);
     }
 
-    fn note(&mut self, message: String) {
-        let us = self.clock.now().saturating_since(T0).as_micros();
-        self.trace.push(format!("[{us:>9}us] {message}"));
-    }
-
     fn all_done(&self) -> bool {
         self.completed >= self.config.requests
     }
 
-    /// Drain the event queue, checking every oracle after each event,
-    /// then assert the availability floor and assemble the report.
-    pub fn run(mut self) -> SimReport {
+    /// Drain the event queue, sweeping the oracles over the keys each
+    /// event touched, then assert the availability floor and assemble
+    /// the report.
+    pub fn run(self) -> SimReport {
+        self.run_with(|oracle, names, reboots_of| oracle.sweep(names, reboots_of))
+    }
+
+    /// The event loop, with the end-of-event oracle check as a
+    /// parameter: `check(oracle, key_names, reboots_of)`. [`Sim::run`]
+    /// passes the touched-key sweep; tests pass the every-key model.
+    fn run_with(
+        mut self,
+        mut check: impl FnMut(&mut OracleState, &[String], &dyn Fn(usize) -> u64),
+    ) -> SimReport {
         let mut processed: u64 = 0;
-        while let Some((&slot, _)) = self.events.iter().next() {
-            let event = self.events.remove(&slot).expect("peeked key exists");
-            self.clock.set(Nanos::from_nanos(slot.0));
+        while let Some(Scheduled { at, event, .. }) = self.events.pop() {
+            self.clock.set(Nanos::from_nanos(at));
             self.handle(event);
-            self.check_oracles();
+            let (partitions, owners) = (&self.partitions, &self.owners);
+            check(&mut self.oracle, &self.key_names, &|idx| {
+                partitions[owners[idx]].reboots
+            });
             processed += 1;
             if processed > EVENT_CAP {
                 self.oracle
@@ -632,13 +688,14 @@ impl Sim {
             .cloned()
             .zip(self.oracle.lease_admits.iter().copied())
             .collect();
+        // Every line ends in '\n'; a run that traced nothing still
+        // yields one empty line.
+        if self.trace.is_empty() {
+            self.trace.push('\n');
+        }
         SimReport {
             seed: self.config.seed,
-            trace: {
-                let mut t = self.trace.join("\n");
-                t.push('\n');
-                t
-            },
+            trace: self.trace,
             violations: self.oracle.violations().to_vec(),
             issued: self.calls.len() as u32,
             completed: self.completed,
@@ -657,16 +714,6 @@ impl Sim {
             hedge_wins: self.hedge_wins,
             budget_refused: self.budget_refused,
         }
-    }
-
-    fn check_oracles(&mut self) {
-        let reboots: Vec<u64> = self
-            .owners
-            .iter()
-            .map(|&p| self.partitions[p].reboots)
-            .collect();
-        self.oracle
-            .check_all(&self.key_names.clone(), |idx| reboots[idx]);
     }
 
     fn handle(&mut self, event: Event) {
@@ -711,11 +758,12 @@ impl Sim {
                     .iter()
                     .position(|k| *k == row.rule.key)
                     .expect("simulated keys only");
-                let name = self.key_names[idx].clone();
-                self.note(format!(
-                    "p{p} reclaim key={name} credit={}",
+                note!(
+                    self,
+                    "p{p} reclaim key={} credit={}",
+                    self.key_names[idx],
                     row.rule.credit.whole()
-                ));
+                );
                 self.oracle.record_reclaim(idx);
                 self.cold[p].insert(row.rule.key.clone(), row.rule);
             }
@@ -753,11 +801,12 @@ impl Sim {
             .iter()
             .position(|k| *k == key)
             .expect("simulated keys only");
-        let name = self.key_names[idx].clone();
-        self.note(format!(
-            "p{partition} readmit key={name} credit={}",
+        note!(
+            self,
+            "p{partition} readmit key={} credit={}",
+            self.key_names[idx],
             rule.credit.whole()
-        ));
+        );
         let core = self.partitions[partition].core.as_ref().expect("checked");
         core.table().insert(rule, now);
     }
@@ -766,7 +815,7 @@ impl Sim {
         let now = self.clock.now();
         let key_idx = (n as usize) % self.keys.len();
         let key = self.keys[key_idx].clone();
-        let name = self.key_names[key_idx].clone();
+        let name = &self.key_names[key_idx];
         match self.router.begin(&key, now) {
             RouterStep::LeaseAdmit { partition } => {
                 self.calls.push(Call {
@@ -779,9 +828,9 @@ impl Sim {
                     last_sent: now,
                     hedged: false,
                 });
-                self.note(format!("issue #{n} key={name} lease-admit"));
+                note!(self, "issue #{n} key={name} lease-admit");
                 let reboots = self.partitions[self.owners[key_idx]].reboots;
-                self.oracle.record_lease_admit(key_idx, &name, reboots);
+                self.oracle.record_lease_admit(key_idx, name, reboots);
                 self.completed += 1;
                 self.leased += 1;
             }
@@ -796,7 +845,7 @@ impl Sim {
                     last_sent: now,
                     hedged: false,
                 });
-                self.note(format!("issue #{n} key={name} -> p{partition} fast-fail"));
+                note!(self, "issue #{n} key={name} -> p{partition} fast-fail");
                 self.complete_local(n, answer);
             }
             RouterStep::Forward {
@@ -832,7 +881,7 @@ impl Sim {
                     last_sent: now,
                     hedged: false,
                 });
-                self.note(format!("issue #{n} key={name} -> p{partition}{ask}"));
+                note!(self, "issue #{n} key={name} -> p{partition}{ask}");
                 self.send_attempt(n, 0);
             }
         }
@@ -848,7 +897,7 @@ impl Sim {
             if let Some(budget) = self.router.retry_budget() {
                 if !budget.try_withdraw() {
                     self.budget_refused += 1;
-                    self.note(format!("budget-refused #{call} retry {attempt}"));
+                    note!(self, "budget-refused #{call} retry {attempt}");
                     self.give_up(call);
                     return;
                 }
@@ -863,7 +912,7 @@ impl Sim {
         };
         match step {
             AttemptStep::BudgetSpent => {
-                self.note(format!("give-up #{call} budget spent at attempt {attempt}"));
+                note!(self, "give-up #{call} budget spent at attempt {attempt}");
                 self.give_up(call);
             }
             AttemptStep::Send(request) => {
@@ -880,7 +929,7 @@ impl Sim {
                 } else {
                     "legacy"
                 };
-                self.note(format!("send #{call}.{attempt} -> p{partition} ({kind})"));
+                note!(self, "send #{call}.{attempt} -> p{partition} ({kind})");
                 // Baseline (gray off / warming up) is the configured
                 // fixed timeout, so legacy schedules are untouched.
                 let timeout = self
@@ -924,7 +973,7 @@ impl Sim {
         if let Some(budget) = self.router.retry_budget() {
             if !budget.try_withdraw() {
                 self.budget_refused += 1;
-                self.note(format!("budget-refused #{call} hedge"));
+                note!(self, "budget-refused #{call} hedge");
                 return;
             }
         }
@@ -941,7 +990,7 @@ impl Sim {
         self.hedges += 1;
         self.oracle.record_wire_extra();
         self.oracle.record_hedged_request(request.id);
-        self.note(format!("hedge #{call}.{attempt} -> p{partition} ({tag})"));
+        note!(self, "hedge #{call}.{attempt} -> p{partition} ({tag})");
         self.calls[call as usize].last_sent = now;
         self.transmit_request(call, partition, request);
     }
@@ -949,7 +998,7 @@ impl Sim {
     fn transmit_request(&mut self, call: u32, partition: usize, request: QosRequest) {
         let latency = self.config.link_latency * self.partitions[partition].latency_factor;
         match self.fault.judge_fate() {
-            Fate::Drop => self.note(format!("net drop req #{call} -> p{partition}")),
+            Fate::Drop => note!(self, "net drop req #{call} -> p{partition}"),
             Fate::Deliver(extra) => self.schedule_in(
                 latency + extra,
                 Event::DeliverRequest {
@@ -959,7 +1008,7 @@ impl Sim {
                 },
             ),
             Fate::Duplicate(extra) => {
-                self.note(format!("net dup req #{call} -> p{partition}"));
+                note!(self, "net dup req #{call} -> p{partition}");
                 self.schedule_in(
                     latency,
                     Event::DeliverRequest {
@@ -978,7 +1027,7 @@ impl Sim {
                 );
             }
             Fate::Defer(extra) => {
-                self.note(format!("net defer req #{call} -> p{partition}"));
+                note!(self, "net defer req #{call} -> p{partition}");
                 self.schedule_in(
                     latency + extra,
                     Event::DeliverRequest {
@@ -993,12 +1042,12 @@ impl Sim {
 
     fn transmit_response(&mut self, call: u32, partition: usize, response: QosResponse) {
         if self.partitions[partition].severed {
-            self.note(format!("net severed resp #{call} from p{partition}"));
+            note!(self, "net severed resp #{call} from p{partition}");
             return;
         }
         let latency = self.config.link_latency * self.partitions[partition].latency_factor;
         match self.fault.judge_fate() {
-            Fate::Drop => self.note(format!("net drop resp #{call} from p{partition}")),
+            Fate::Drop => note!(self, "net drop resp #{call} from p{partition}"),
             Fate::Deliver(extra) => self.schedule_in(
                 latency + extra,
                 Event::DeliverResponse {
@@ -1008,7 +1057,7 @@ impl Sim {
                 },
             ),
             Fate::Duplicate(extra) => {
-                self.note(format!("net dup resp #{call} from p{partition}"));
+                note!(self, "net dup resp #{call} from p{partition}");
                 self.schedule_in(
                     latency,
                     Event::DeliverResponse {
@@ -1027,7 +1076,7 @@ impl Sim {
                 );
             }
             Fate::Defer(extra) => {
-                self.note(format!("net defer resp #{call} from p{partition}"));
+                note!(self, "net defer resp #{call} from p{partition}");
                 self.schedule_in(
                     latency + extra,
                     Event::DeliverResponse {
@@ -1043,11 +1092,11 @@ impl Sim {
     fn on_deliver_request(&mut self, call: u32, partition: usize, request: QosRequest) {
         let now = self.clock.now();
         if self.partitions[partition].severed {
-            self.note(format!("net severed req #{call} -> p{partition}"));
+            note!(self, "net severed req #{call} -> p{partition}");
             return;
         }
         if self.partitions[partition].core.is_none() {
-            self.note(format!("p{partition} down, req #{call} lost"));
+            note!(self, "p{partition} down, req #{call} lost");
             return;
         }
         let (response, queued, dedup_delta, shed_delta, expired_delta) = {
@@ -1072,10 +1121,11 @@ impl Sim {
                 } else {
                     "reply"
                 };
-                self.note(format!(
+                note!(
+                    self,
                     "p{partition} recv #{call} -> {why} {}",
                     verdict_str(r.verdict)
-                ));
+                );
             }
             None => {
                 let why = if dedup_delta > 0 {
@@ -1085,7 +1135,7 @@ impl Sim {
                 } else {
                     "queued"
                 };
-                self.note(format!("p{partition} recv #{call} {why}"));
+                note!(self, "p{partition} recv #{call} {why}");
             }
         }
         if let Some(r) = response {
@@ -1134,7 +1184,7 @@ impl Sim {
                 .iter()
                 .position(|k| *k == request.key)
                 .expect("simulated keys only");
-            let name = self.key_names[key_idx].clone();
+            let name = &self.key_names[key_idx];
             let reboots = self.partitions[self.owners[key_idx]].reboots;
             let allow = allowed_delta > 0;
             let suppressed = if response.is_none() {
@@ -1143,32 +1193,32 @@ impl Sim {
                 ""
             };
             let call = request.id - 1;
-            self.note(format!(
+            note!(
+                self,
                 "p{partition} decide #{call} {}{suppressed}",
                 verdict_str_bool(allow)
-            ));
+            );
             let part_epoch = self.partitions[partition].epoch;
             self.oracle.record_decision(
-                partition, part_epoch, &request, allow, key_idx, &name, reboots,
+                partition, part_epoch, &request, allow, key_idx, name, reboots,
             );
             if drained_delta > 0 {
-                self.note(format!(
-                    "p{partition} lease-drain {drained_delta} key={name}"
-                ));
+                note!(self, "p{partition} lease-drain {drained_delta} key={name}");
                 self.oracle
-                    .record_lease_drain(key_idx, &name, reboots, drained_delta);
+                    .record_lease_drain(key_idx, name, reboots, drained_delta);
             }
             if let Some(r) = &response {
                 if let Some(lease) = &r.lease {
-                    self.note(format!(
+                    note!(
+                        self,
                         "p{partition} grant lease key={name} epoch={} slice={}",
                         lease.epoch,
                         lease.slice.whole(),
-                    ));
+                    );
                 }
             }
         } else if response.is_none() {
-            self.note(format!("p{partition} shed queued job"));
+            note!(self, "p{partition} shed queued job");
         }
         if let Some(r) = response {
             let call = (r.id - 1) as u32;
@@ -1183,7 +1233,7 @@ impl Sim {
     fn on_deliver_response(&mut self, call: u32, partition: usize, response: QosResponse) {
         let now = self.clock.now();
         if self.calls[call as usize].completion.is_some() {
-            self.note(format!("router late resp #{call} ignored"));
+            note!(self, "router late resp #{call} ignored");
             return;
         }
         let key_idx = self.calls[call as usize].key_idx;
@@ -1200,10 +1250,11 @@ impl Sim {
             Some(LeaseEvent::Renewed) => " lease=renewed",
             Some(LeaseEvent::Revoked) => " lease=revoked",
         };
-        self.note(format!(
+        note!(
+            self,
             "router recv #{call} {} backend{hint}{lease}",
             verdict_str(response.verdict)
-        ));
+        );
         // Feed the gray plane: one RTT sample per first answer (no-op
         // while gray is off), and credit the hedge when the answer
         // landed after the duplicate went out.
@@ -1223,10 +1274,10 @@ impl Sim {
             return;
         }
         if attempt + 1 < self.config.attempts {
-            self.note(format!("timeout #{call}.{attempt}, retrying"));
+            note!(self, "timeout #{call}.{attempt}, retrying");
             self.send_attempt(call, attempt + 1);
         } else {
-            self.note(format!("timeout #{call}.{attempt}, out of attempts"));
+            note!(self, "timeout #{call}.{attempt}, out of attempts");
             self.give_up(call);
         }
     }
@@ -1240,7 +1291,7 @@ impl Sim {
             Some(answer) => self.complete_local(call, answer),
             None => {
                 let verdict = self.router.default_verdict();
-                self.note(format!("give-up #{call} default {}", verdict_str(verdict)));
+                note!(self, "give-up #{call} default {}", verdict_str(verdict));
                 self.calls[call as usize].completion = Some(Completion::Default(verdict));
                 self.calls[call as usize].completed_at = Some(now);
                 self.completed += 1;
@@ -1252,19 +1303,19 @@ impl Sim {
     fn complete_local(&mut self, call: u32, answer: LocalAnswer) {
         let now = self.clock.now();
         let key_idx = self.calls[call as usize].key_idx;
-        let name = self.key_names[key_idx].clone();
         let completion = match answer {
             LocalAnswer::Degraded(v) => {
-                self.note(format!("local #{call} degraded {}", verdict_str(v)));
+                note!(self, "local #{call} degraded {}", verdict_str(v));
                 if v == Verdict::Allow {
                     let reboots = self.partitions[self.owners[key_idx]].reboots;
-                    self.oracle.record_degraded_allow(key_idx, &name, reboots);
+                    self.oracle
+                        .record_degraded_allow(key_idx, &self.key_names[key_idx], reboots);
                 }
                 self.degraded += 1;
                 Completion::Degraded(v)
             }
             LocalAnswer::Default(v) => {
-                self.note(format!("local #{call} default {}", verdict_str(v)));
+                note!(self, "local #{call} default {}", verdict_str(v));
                 self.defaulted += 1;
                 Completion::Default(v)
             }
@@ -1288,7 +1339,7 @@ impl Sim {
                 Some(rules) => {
                     let n = rules.len();
                     self.partitions[p].standby = rules;
-                    self.note(format!("replicate p{p} rules={n}"));
+                    note!(self, "replicate p{p} rules={n}");
                 }
                 None => self
                     .oracle
@@ -1306,7 +1357,7 @@ impl Sim {
             DirectiveKind::Crash { partition } => {
                 let p = partition % self.partitions.len();
                 if self.partitions[p].core.is_none() {
-                    self.note(format!("crash p{p} (already down)"));
+                    note!(self, "crash p{p} (already down)");
                     return;
                 }
                 self.partitions[p].core = None;
@@ -1317,7 +1368,7 @@ impl Sim {
                 } else {
                     self.config.restart_delay
                 };
-                self.note(format!("crash p{p}"));
+                note!(self, "crash p{p}");
                 self.schedule_in(
                     delay,
                     Event::Reboot {
@@ -1332,7 +1383,7 @@ impl Sim {
             } => {
                 let p = partition % self.partitions.len();
                 self.partitions[p].severed = true;
-                self.note(format!("sever p{p} for {}us", heal_after.as_micros()));
+                note!(self, "sever p{p} for {}us", heal_after.as_micros());
                 self.schedule_in(heal_after, Event::Heal(i));
             }
             DirectiveKind::Burst {
@@ -1346,10 +1397,11 @@ impl Sim {
                     .set_duplication(f64::from(dup_pct) / 100.0, self.config.link_latency * 4);
                 self.fault
                     .set_reordering(f64::from(reorder_pct) / 100.0, self.config.link_latency * 8);
-                self.note(format!(
+                note!(
+                    self,
                     "burst drop={drop_pct}% dup={dup_pct}% reorder={reorder_pct}% for {}us",
                     heal_after.as_micros()
-                ));
+                );
                 self.schedule_in(heal_after, Event::Heal(i));
             }
             DirectiveKind::Gray {
@@ -1359,17 +1411,18 @@ impl Sim {
             } => {
                 let p = partition % self.partitions.len();
                 self.partitions[p].latency_factor = factor.max(1);
-                self.note(format!(
+                note!(
+                    self,
                     "gray p{p} x{} for {}us",
                     factor.max(1),
                     heal_after.as_micros()
-                ));
+                );
                 self.schedule_in(heal_after, Event::Heal(i));
             }
             DirectiveKind::RuleChange { key } => {
                 let now = self.clock.now();
                 let idx = key % self.keys.len();
-                let name = self.key_names[idx].clone();
+                let name = &self.key_names[idx];
                 let p = self.owners[idx];
                 match self.partitions[p].core.as_mut() {
                     Some(core) => {
@@ -1382,9 +1435,9 @@ impl Sim {
                             RefillRate::ZERO,
                         );
                         core.apply_rule(rule, now);
-                        self.note(format!("rule-change key={name} p{p} (revoke leases)"));
+                        note!(self, "rule-change key={name} p{p} (revoke leases)");
                     }
-                    None => self.note(format!("rule-change key={name} p{p} (down, dropped)")),
+                    None => note!(self, "rule-change key={name} p{p} (down, dropped)"),
                 }
             }
         }
@@ -1395,18 +1448,18 @@ impl Sim {
             DirectiveKind::Sever { partition, .. } => {
                 let p = partition % self.partitions.len();
                 self.partitions[p].severed = false;
-                self.note(format!("heal p{p} link"));
+                note!(self, "heal p{p} link");
             }
             DirectiveKind::Burst { .. } => {
                 self.fault.set_drop_probability(0.0);
                 self.fault.set_duplication(0.0, Duration::ZERO);
                 self.fault.set_reordering(0.0, Duration::ZERO);
-                self.note("heal burst".to_string());
+                note!(self, "heal burst");
             }
             DirectiveKind::Gray { partition, .. } => {
                 let p = partition % self.partitions.len();
                 self.partitions[p].latency_factor = 1;
-                self.note(format!("heal gray p{p}"));
+                note!(self, "heal gray p{p}");
             }
             DirectiveKind::Crash { .. } | DirectiveKind::RuleChange { .. } => {}
         }
@@ -1418,6 +1471,12 @@ impl Sim {
         }
         self.partitions[partition].reboots += 1;
         self.partitions[partition].epoch += 1;
+        // Every key this partition owns just gained a capacity of budget.
+        for (idx, &owner) in self.owners.iter().enumerate() {
+            if owner == partition {
+                self.oracle.record_reboot(idx);
+            }
+        }
         let restore = if self.config.ha && !self.partitions[partition].standby.is_empty() {
             Some(self.partitions[partition].standby.clone())
         } else {
@@ -1430,7 +1489,7 @@ impl Sim {
         let core = self.boot_core(partition, restore);
         self.partitions[partition].core = Some(core);
         let new_epoch = self.partitions[partition].epoch;
-        self.note(format!("boot p{partition} epoch={new_epoch} ({mode})"));
+        note!(self, "boot p{partition} epoch={new_epoch} ({mode})");
     }
 }
 
@@ -1855,6 +1914,83 @@ mod tests {
             report.violations.iter().any(|v| v.contains("hedge-charge")),
             "expected a hedge double-charge violation, got: {:?}",
             report.violations
+        );
+    }
+
+    /// `sim` run with the every-key sweep the touched-key sweep replaced.
+    fn run_every_key_model(sim: Sim) -> SimReport {
+        sim.run_with(|oracle, names, reboots_of| {
+            crate::oracle::tests::every_key_check_all(oracle, names, reboots_of)
+        })
+    }
+
+    #[test]
+    fn a_reboot_rechecks_the_keys_its_partition_owns() {
+        // Key 0 starts far over its one-boot bound, then its partition
+        // crashes and reboots. The reboot event admits nothing, yet the
+        // bound just grew, so the sweep after it must re-check key 0
+        // there and then — as re-checking every key does.
+        let config = SimConfig {
+            directives: vec![Directive {
+                at: Duration::from_millis(40),
+                kind: DirectiveKind::Crash {
+                    partition: Sim::new(calm()).owners[0],
+                },
+            }],
+            ..calm()
+        };
+        let over_bound = || {
+            let mut sim = Sim::new(config.clone());
+            sim.oracle
+                .record_lease_drain(0, "tenant-0", 0, 3 * config.capacity);
+            sim
+        };
+        let swept = over_bound().run();
+        assert_eq!(swept.reboots, 1);
+        assert!(
+            swept.violations.iter().any(|v| v.contains("x 2 boots")),
+            "{:?}",
+            swept.violations
+        );
+        assert_eq!(
+            swept.violations,
+            run_every_key_model(over_bound()).violations
+        );
+    }
+
+    #[test]
+    fn touched_key_sweep_matches_the_every_key_model_under_the_bug_levers() {
+        use crate::search::{config_for, PROFILES};
+
+        // The oracle non-vacuousness levers plus a one-credit capacity,
+        // across every fault profile: the touched-key sweep must report
+        // exactly what re-checking every key after every event reports —
+        // the same violations in the same order — and the same trace.
+        type Lever = fn(&mut SimConfig);
+        let levers: [(&str, Lever); 4] = [
+            ("dedup_window = 0", |c| c.dedup_window = 0),
+            ("churn_mint_bug", |c| c.churn_mint_bug = true),
+            ("hedge_fresh_nonce_bug", |c| c.hedge_fresh_nonce_bug = true),
+            ("capacity = 1", |c| c.capacity = 1),
+        ];
+        let mut violating_runs = [0; 4];
+        for (lever, (name, apply)) in levers.iter().enumerate() {
+            for profile in PROFILES {
+                for seed in 1..=3 {
+                    let mut config = config_for(seed, profile);
+                    apply(&mut config);
+                    let swept = Sim::new(config.clone()).run();
+                    let model = run_every_key_model(Sim::new(config));
+                    let run = format!("{name}, seed {seed} {}", profile.as_str());
+                    assert_eq!(swept.violations, model.violations, "{run}");
+                    assert_eq!(swept.trace, model.trace, "{run}");
+                    violating_runs[lever] += usize::from(!swept.ok());
+                }
+            }
+        }
+        assert!(
+            violating_runs[..3].iter().all(|&n| n > 0),
+            "each bug lever must trip an oracle somewhere: {violating_runs:?}"
         );
     }
 }
