@@ -48,11 +48,10 @@ fn bench_full_stack(h: &mut Harness) {
 }
 
 fn bench_udp_leg_only(h: &mut Harness) {
-    // Router→QoS-server UDP exchange in isolation (no HTTP, no LB):
-    // the paper's socket-per-request discipline vs the pooled
-    // shared-socket optimization.
+    // Router→QoS-server UDP exchange in isolation (no HTTP, no LB): the
+    // paper's socket-per-request strategy vs one shared socket.
+    use janus_net::fault::FaultPlan;
     use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
-    use janus_net::udp_pool::PooledUdpRpcClient;
     use janus_server::QosServer;
     use janus_types::QosRequest;
 
@@ -61,80 +60,68 @@ fn bench_udp_leg_only(h: &mut Harness) {
     let server = QosServer::spawn(config, None, janus_clock::system()).expect("server");
     let key = QosKey::new("tenant").unwrap();
 
-    let rpc = UdpRpcClient::new(UdpRpcConfig::lan_defaults());
-    let mut id = 0u64;
-    h.bench_function("admission/udp_leg/per_request_socket", |b| {
-        b.iter(|| {
-            id += 1;
-            rpc.call(server.udp_addr(), &QosRequest::new(id, key.clone()))
-                .expect("udp call")
+    let shared = UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none())
+        .expect("shared socket");
+    for (label, rpc) in [
+        (
+            "per_request_socket",
+            UdpRpcClient::new(UdpRpcConfig::lan_defaults()),
+        ),
+        ("pooled_socket", shared),
+    ] {
+        let mut id = 0u64;
+        h.bench_function(format!("admission/udp_leg/{label}"), |b| {
+            b.iter(|| {
+                id += 1;
+                rpc.call(server.udp_addr(), &QosRequest::new(id, key.clone()))
+                    .expect("udp call")
+            });
         });
-    });
-
-    let pool = PooledUdpRpcClient::bind(UdpRpcConfig::lan_defaults()).expect("pool");
-    h.bench_function("admission/udp_leg/pooled_socket", |b| {
-        b.iter(|| {
-            pool.check(server.udp_addr(), key.clone())
-                .expect("pooled call")
-        });
-    });
+    }
 }
 
 fn bench_udp_leg_concurrent(h: &mut Harness) {
-    // The batching win only exists under concurrency: 8 in-flight
-    // checks through one pooled socket, batched datagrams + key-affinity
-    // dispatch vs the single-frame wire format (DESIGN.md ablation 9).
-    // One iteration = 8 concurrent checks, so divide the reported time
-    // by 8 for per-check latency.
+    // 8 in-flight checks through one shared socket, one frame per
+    // datagram, against each dispatch mode (DESIGN.md ablation 9). One
+    // iteration = 8 concurrent checks, so divide the reported time by 8
+    // for per-check latency.
     use janus_net::fault::FaultPlan;
-    use janus_net::udp::UdpRpcConfig;
-    use janus_net::udp_pool::{BatchConfig, PooledUdpRpcClient};
+    use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
     use janus_server::{DispatchMode, QosServer, TableKind};
+    use janus_types::QosRequest;
 
     const CONCURRENCY: usize = 8;
 
     let mut group = h.benchmark_group("admission/udp_leg_x8");
-    for (label, batch, dispatch, table) in [
-        (
-            "batched_affinity",
-            BatchConfig::default(),
-            DispatchMode::KeyAffinity,
-            TableKind::PerWorker,
-        ),
-        (
-            "single_frame_shared_fifo",
-            BatchConfig::disabled(),
-            DispatchMode::SharedFifo,
-            TableKind::Sharded,
-        ),
+    for (label, dispatch, table) in [
+        ("affinity", DispatchMode::KeyAffinity, TableKind::PerWorker),
+        ("shared_fifo", DispatchMode::SharedFifo, TableKind::Sharded),
     ] {
         let mut config = QosServerConfig::test_defaults();
         config.default_policy = DefaultRulePolicy::AllowAll;
         config.workers = 4;
         config.dispatch = dispatch;
         config.table = table;
-        config.batching = !matches!(dispatch, DispatchMode::SharedFifo);
         let server = QosServer::spawn(config, None, janus_clock::system()).expect("server");
         let addr = server.udp_addr();
-        let pool = PooledUdpRpcClient::bind_with_batch(
-            UdpRpcConfig::lan_defaults(),
-            batch,
-            FaultPlan::none(),
-        )
-        .expect("pool");
+        let rpc = UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none())
+            .expect("shared socket");
         let keys: Vec<QosKey> = (0..CONCURRENCY)
             .map(|i| QosKey::new(format!("tenant-{i}")).unwrap())
             .collect();
         group.bench_function(BenchmarkId::new("qos_check", label), |b| {
-            // One thread per in-flight check, each doing `iters` checks.
+            // One thread per in-flight check, each doing `iters` checks
+            // with ids from its own range.
             b.iter_custom(|iters| {
                 let start = std::time::Instant::now();
                 std::thread::scope(|scope| {
-                    for key in &keys {
-                        let pool = &pool;
+                    for (t, key) in keys.iter().enumerate() {
+                        let rpc = &rpc;
                         scope.spawn(move || {
-                            for _ in 0..iters {
-                                pool.check(addr, key.clone()).expect("pooled call");
+                            for i in 0..iters {
+                                let id = ((t as u64) << 32) | i;
+                                rpc.call(addr, &QosRequest::new(id, key.clone()))
+                                    .expect("shared-socket call");
                             }
                         });
                     }

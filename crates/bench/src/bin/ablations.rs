@@ -1,6 +1,6 @@
 //! Ablation studies beyond the paper's figures (DESIGN.md §4): UDP loss
 //! vs the retry discipline, the QoS-table lock across instance sizes,
-//! DNS-LB skew, modulo-vs-consistent-hash remapping, and the batched
+//! DNS-LB skew, modulo-vs-consistent-hash remapping, and the
 //! key-affinity admission data plane (live loopback run).
 
 use janus_bench::live::{admission_variants, run_admission_variant, AdmissionPoint};
@@ -178,7 +178,7 @@ fn main() {
         );
 
         print_table(
-            "Ablation 6: batched admission data plane (live loopback, 8 clients)",
+            "Ablation 6: admission data plane (live loopback, 8 clients)",
             &["mode", "krps", "completed", "timed_out", "shed"],
             &out.admission
                 .iter()
@@ -194,9 +194,9 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
         println!(
-            "datagram coalescing amortizes the syscall per check and key-affinity \
-             dispatch removes the shared FIFO lock; the single-frame shared-FIFO row \
-             is the paper-faithful baseline (DESIGN.md ablation 9)."
+            "key-affinity dispatch removes the shared FIFO lock; the shared-FIFO row \
+             is the paper-faithful baseline, one frame per datagram throughout \
+             (DESIGN.md ablation 9)."
         );
     });
 }

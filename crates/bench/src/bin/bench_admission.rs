@@ -1,10 +1,10 @@
-//! Batched admission data-plane sweep (DESIGN.md ablation 9).
+//! Admission data-plane sweep (DESIGN.md ablation 9).
 //!
 //! Spawns a real QoS server per variant and hammers it over loopback
-//! with a shared pooled UDP client, contrasting the batched
-//! key-affinity plane against the paper-faithful shared-FIFO
-//! single-frame baseline. Writes `BENCH_admission.json` next to the
-//! working directory so the measured numbers travel with the repo.
+//! with a shared-socket UDP client, contrasting the key-affinity plane
+//! against the paper-faithful shared-FIFO baseline. Writes
+//! `BENCH_admission.json` next to the working directory so the measured
+//! numbers travel with the repo.
 //!
 //! ```text
 //! cargo run --release -p janus-bench --bin bench_admission
@@ -18,7 +18,7 @@
 //! the table but deliberately does **not** rewrite `BENCH_admission.json`
 //! — a loaded CI box would overwrite real measurements with noise.
 //! `--socket-mode` restricts the sweep to one kernel path (the syscall
-//! ablation's decisions/sec/core curve comes from comparing the three).
+//! ablation's decisions/sec/core curve comes from comparing the two).
 //! `--mode <substring>` restricts it to matching variant names — CI's
 //! lease smoke runs `--smoke --mode lease` and checks the
 //! `lease_ratio` column is non-zero (DESIGN.md ablation 13), and its
@@ -130,7 +130,7 @@ fn main() {
         || cli.keyspace.is_some()
     {
         // A filtered sweep is partial by construction; only the full
-        // three-mode sweep may replace the checked-in measurements.
+        // sweep may replace the checked-in measurements.
         eprintln!("smoke/filtered run: BENCH_admission.json left untouched");
     } else {
         let json = janus_types::json::ToJson::to_json(&output).pretty();
@@ -170,7 +170,7 @@ fn main() {
             })
             .collect();
         print_table(
-            "Admission data plane: batched vs single-frame (live loopback)",
+            "Admission data plane (live loopback)",
             &[
                 "mode",
                 "table_kind",

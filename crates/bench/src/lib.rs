@@ -24,8 +24,8 @@ pub struct FigureCli {
     pub smoke: bool,
     /// Run the live (loopback-process) variant where one exists.
     pub live: bool,
-    /// Restrict a sweep to one kernel-path label (`single_listener`,
-    /// `batched_syscall` or `per_core`); `None` sweeps them all.
+    /// Restrict a sweep to one kernel-path label (`single_listener` or
+    /// `per_core`); `None` sweeps them all.
     /// Binaries without a socket-mode axis ignore it.
     pub socket_mode: Option<String>,
     /// Restrict a sweep to variants whose name contains this substring
@@ -78,12 +78,12 @@ impl FigureCli {
                         .next()
                         .unwrap_or_else(|| die("--socket-mode needs a label"));
                     match value.as_str() {
-                        "single_listener" | "batched_syscall" | "per_core" => {
+                        "single_listener" | "per_core" => {
                             cli.socket_mode = Some(value.clone());
                         }
                         other => die(&format!(
-                            "unknown socket mode {other:?} (expected single_listener, \
-                             batched_syscall or per_core)"
+                            "unknown socket mode {other:?} (expected single_listener \
+                             or per_core)"
                         )),
                     }
                 }
@@ -114,7 +114,7 @@ impl FigureCli {
                         "options: --json (machine output) --quick (fast preset) \
                          --smoke (tiny CI correctness run) \
                          --live (real loopback run where supported) \
-                         --socket-mode <single_listener|batched_syscall|per_core> \
+                         --socket-mode <single_listener|per_core> \
                          --mode <variant-name-substring> \
                          --table-slots <n> (initial lock-free slots) \
                          --keyspace <n> (distinct keys per client) \

@@ -1,20 +1,21 @@
 //! Live (loopback-process) admission throughput sweeps.
 //!
 //! Unlike the `janus-sim` experiments, these spin up a real
-//! [`QosServer`] and a real pooled UDP client in-process and hammer the
-//! admission path, so the numbers include every syscall, wakeup and
-//! lock the data plane actually pays. The sweep contrasts the batched
-//! key-affinity plane against the paper-faithful shared-FIFO
-//! single-frame plane (DESIGN.md ablation 9); `bench_admission` emits
-//! the machine-readable `BENCH_admission.json` from it.
+//! [`QosServer`] and a real shared-socket UDP client in-process and
+//! hammer the admission path, so the numbers include every syscall,
+//! wakeup and lock the data plane actually pays. The sweep contrasts the
+//! key-affinity plane against the paper-faithful shared-FIFO plane
+//! (DESIGN.md ablation 9), every table kind, and the per-core kernel path;
+//! `bench_admission` emits the machine-readable `BENCH_admission.json`
+//! from it.
 
 use janus_bucket::DefaultRulePolicy;
 use janus_net::fault::FaultPlan;
-use janus_net::udp::UdpRpcConfig;
-use janus_net::udp_pool::{BatchConfig, PooledUdpRpcClient};
+use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
 use janus_router::core::{GrayConfig, RouterCore, RouterCoreConfig, RouterLeaseConfig, RouterStep};
+use janus_router::forward_request;
 use janus_server::{DispatchMode, LeaseConfig, QosServer, QosServerConfig, SocketMode, TableKind};
-use janus_types::{QosKey, QosRule, Verdict};
+use janus_types::{QosKey, QosRequest, QosRule, Verdict};
 use std::time::Duration;
 
 /// One configuration of the admission data plane under test.
@@ -26,12 +27,8 @@ pub struct AdmissionVariant {
     pub dispatch: DispatchMode,
     /// Local table flavour.
     pub table: TableKind,
-    /// Server-side drain + response coalescing.
-    pub server_batching: bool,
-    /// Client-side datagram coalescing.
-    pub client_batching: bool,
-    /// Kernel path: single listener, batched syscalls, or per-core
-    /// `SO_REUSEPORT` sockets (DESIGN.md ablation 12).
+    /// Kernel path: single listener, or per-core `SO_REUSEPORT` sockets
+    /// (DESIGN.md ablation 12).
     pub socket_mode: SocketMode,
     /// Zero-RTT admission: clients run a [`janus_router::core::RouterCore`]
     /// holding credit leases over shared hot keys, so leased checks skip
@@ -43,128 +40,54 @@ pub struct AdmissionVariant {
     pub gray: bool,
 }
 
-/// The sweep every harness runs: the optimized plane, the same plane
-/// without batching, the paper's shared-FIFO single-frame baseline, and
-/// the kernel-path ablation (batched syscalls, per-core sockets).
+/// The sweep every harness runs: key-affinity dispatch over each table
+/// kind, the paper's shared-FIFO baseline, the lease and gray planes, and
+/// the per-core kernel path.
 pub fn admission_variants() -> Vec<AdmissionVariant> {
-    let single = SocketMode::SingleListener;
+    let plain = |name, dispatch, table| AdmissionVariant {
+        name,
+        dispatch,
+        table,
+        socket_mode: SocketMode::SingleListener,
+        lease: false,
+        gray: false,
+    };
+    let affinity = DispatchMode::KeyAffinity;
     let mut variants = vec![
+        plain("affinity+lock_free", affinity, TableKind::LockFree),
+        plain("affinity+per_worker", affinity, TableKind::PerWorker),
+        plain("affinity+sharded", affinity, TableKind::Sharded),
+        plain("shared_fifo", DispatchMode::SharedFifo, TableKind::Sharded),
+        // Shared FIFO is the worst interleaving for the CAS loop (any
+        // worker decides any key); this point isolates the table
+        // discipline with dispatch held at the paper baseline.
+        plain(
+            "shared_fifo+lock_free",
+            DispatchMode::SharedFifo,
+            TableKind::LockFree,
+        ),
         AdmissionVariant {
-            name: "batched+affinity+lock_free",
-            dispatch: DispatchMode::KeyAffinity,
-            table: TableKind::LockFree,
-            server_batching: true,
-            client_batching: true,
-            socket_mode: single,
-            lease: false,
-            gray: false,
-        },
-        AdmissionVariant {
-            name: "batched+affinity+per_worker",
-            dispatch: DispatchMode::KeyAffinity,
-            table: TableKind::PerWorker,
-            server_batching: true,
-            client_batching: true,
-            socket_mode: single,
-            lease: false,
-            gray: false,
-        },
-        AdmissionVariant {
-            name: "batched+affinity+sharded",
-            dispatch: DispatchMode::KeyAffinity,
-            table: TableKind::Sharded,
-            server_batching: true,
-            client_batching: true,
-            socket_mode: single,
-            lease: false,
-            gray: false,
-        },
-        AdmissionVariant {
-            name: "unbatched+affinity",
-            dispatch: DispatchMode::KeyAffinity,
-            table: TableKind::Sharded,
-            server_batching: false,
-            client_batching: false,
-            socket_mode: single,
-            lease: false,
-            gray: false,
-        },
-        AdmissionVariant {
-            name: "unbatched+shared_fifo",
-            dispatch: DispatchMode::SharedFifo,
-            table: TableKind::Sharded,
-            server_batching: false,
-            client_batching: false,
-            socket_mode: single,
-            lease: false,
-            gray: false,
-        },
-        AdmissionVariant {
-            // Shared FIFO is the worst interleaving for the CAS loop
-            // (any worker decides any key); this point isolates the
-            // table discipline with dispatch held at the paper baseline.
-            name: "unbatched+shared_fifo+lock_free",
-            dispatch: DispatchMode::SharedFifo,
-            table: TableKind::LockFree,
-            server_batching: false,
-            client_batching: false,
-            socket_mode: single,
-            lease: false,
-            gray: false,
-        },
-        AdmissionVariant {
-            // Same topology as the optimized plane, but whole batches
-            // move per kernel crossing (recvmmsg/sendmmsg) — frames vs
-            // syscalls is the batching ablation's second axis.
-            name: "mmsg+affinity+lock_free",
-            dispatch: DispatchMode::KeyAffinity,
-            table: TableKind::LockFree,
-            server_batching: true,
-            client_batching: true,
-            socket_mode: SocketMode::BatchedSyscall,
-            lease: false,
-            gray: false,
-        },
-        AdmissionVariant {
-            // Zero-RTT admission: same plane as the optimized point, but
-            // clients hold short-TTL credit leases over shared hot keys
-            // and admit leased checks locally — the RPC-per-decision vs
-            // lease-delegated contrast of DESIGN.md ablation 13.
-            name: "lease+affinity+lock_free",
-            dispatch: DispatchMode::KeyAffinity,
-            table: TableKind::LockFree,
-            server_batching: true,
-            client_batching: true,
-            socket_mode: single,
+            // Zero-RTT admission: clients hold short-TTL credit leases
+            // over shared hot keys and admit leased checks locally — the
+            // RPC-per-decision vs lease-delegated contrast of DESIGN.md
+            // ablation 13.
             lease: true,
-            gray: false,
+            ..plain("lease+affinity+lock_free", affinity, TableKind::LockFree)
         },
         AdmissionVariant {
             // Gray-failure plane on a healthy link: adaptive timeouts,
             // same-nonce hedges and the retry budget ride every RPC —
             // the overhead-when-healthy point of DESIGN.md ablation 15.
-            name: "hedge+affinity+lock_free",
-            dispatch: DispatchMode::KeyAffinity,
-            table: TableKind::LockFree,
-            server_batching: true,
-            client_batching: true,
-            socket_mode: single,
-            lease: false,
             gray: true,
+            ..plain("hedge+affinity+lock_free", affinity, TableKind::LockFree)
         },
     ];
     if cfg!(target_os = "linux") {
         // SO_REUSEPORT flow steering is Linux-only; spawning PerCore
         // elsewhere fails by design, so the sweep simply omits it.
         variants.push(AdmissionVariant {
-            name: "per_core+lock_free",
-            dispatch: DispatchMode::KeyAffinity,
-            table: TableKind::LockFree,
-            server_batching: true,
-            client_batching: true,
             socket_mode: SocketMode::PerCore,
-            lease: false,
-            gray: false,
+            ..plain("per_core+lock_free", affinity, TableKind::LockFree)
         });
     }
     variants
@@ -174,7 +97,6 @@ pub fn admission_variants() -> Vec<AdmissionVariant> {
 pub fn socket_mode_label(mode: SocketMode) -> &'static str {
     match mode {
         SocketMode::SingleListener => "single_listener",
-        SocketMode::BatchedSyscall => "batched_syscall",
         SocketMode::PerCore => "per_core",
     }
 }
@@ -203,7 +125,7 @@ pub struct AdmissionPoint {
     /// Server worker count — the denominator of
     /// [`AdmissionPoint::decisions_per_sec_per_core`].
     pub workers: usize,
-    /// Concurrent client tasks sharing the pooled socket.
+    /// Concurrent client tasks sharing the client socket.
     pub clients: usize,
     /// Checks each client issued.
     pub requests_per_client: usize,
@@ -334,8 +256,8 @@ pub struct AdmissionAxes {
 }
 
 /// Run one variant: spawn a standalone allow-all QoS server configured
-/// per `variant`, share one pooled client across `clients` concurrent
-/// tasks, and time `clients × requests_per_client` checks.
+/// per `variant`, share one shared-socket client across `clients`
+/// concurrent tasks, and time `clients × requests_per_client` checks.
 pub fn run_admission_variant(
     variant: &AdmissionVariant,
     clients: usize,
@@ -360,7 +282,6 @@ pub fn run_admission_variant_with(
     config.workers = 4;
     config.dispatch = variant.dispatch;
     config.table = variant.table;
-    config.batching = variant.server_batching;
     config.socket_mode = variant.socket_mode;
     config.default_policy = DefaultRulePolicy::AllowAll;
     if let Some(slots) = axes.table_slots {
@@ -393,53 +314,33 @@ pub fn run_admission_variant_with(
         }
     }
 
-    let batch = if variant.client_batching {
-        BatchConfig::default()
-    } else {
-        BatchConfig::disabled()
-    };
     // SO_REUSEPORT steers by client 4-tuple: one shared client socket
     // would pin the whole load onto one per-core worker, so the per-core
     // variant gives every client task its own socket (its own flow).
-    let mut pools = Vec::with_capacity(clients);
-    let shared = if variant.socket_mode == SocketMode::PerCore {
-        None
-    } else {
-        Some(
-            PooledUdpRpcClient::bind_with_batch(
-                UdpRpcConfig::lan_defaults(),
-                batch,
-                FaultPlan::none(),
-            )
-            .expect("pooled client"),
-        )
+    let bind = || {
+        UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none())
+            .expect("shared-socket client")
     };
-    for _ in 0..clients {
-        match &shared {
-            Some(pool) => pools.push(pool.clone()),
-            None => pools.push(
-                PooledUdpRpcClient::bind_with_batch(
-                    UdpRpcConfig::lan_defaults(),
-                    batch,
-                    FaultPlan::none(),
-                )
-                .expect("pooled client"),
-            ),
-        }
-    }
+    let shared = (variant.socket_mode == SocketMode::SingleListener).then(bind);
+    let rpcs: Vec<UdpRpcClient> = (0..clients)
+        .map(|_| shared.clone().unwrap_or_else(bind))
+        .collect();
+    // Request ids need only be unique among calls in flight on one
+    // socket: client task `c` numbers its checks in its own 2^32 range.
+    let request_id = |c: usize, seq: usize| ((c as u64) << 32) | seq as u64;
 
     // Warm the table (first sighting of every key inserts a guest rule)
     // so the timed section measures the steady-state hot path. The lease
     // variant warms its shared hot keys instead.
     let keys_per_client = axes.keyspace.unwrap_or(8);
-    for (c, pool) in pools.iter().enumerate() {
+    for (c, rpc) in rpcs.iter().enumerate() {
         for k in 0..keys_per_client {
             let key = if variant.lease {
                 QosKey::new(format!("hot-k{}", k % hot_keys)).unwrap()
             } else {
                 QosKey::new(format!("c{c}-k{k}")).unwrap()
             };
-            let _ = pool.check(addr, key);
+            let _ = rpc.call(addr, &QosRequest::new(request_id(c, k), key));
         }
     }
 
@@ -451,7 +352,7 @@ pub fn run_admission_variant_with(
     // configured fixed timeout until the RTT window warms up.
     let baseline = UdpRpcConfig::lan_defaults().timeout;
     let mut handles = Vec::with_capacity(clients);
-    for (c, pool) in pools.iter().cloned().enumerate() {
+    for (c, rpc) in rpcs.iter().cloned().enumerate() {
         let clock = clock.clone();
         handles.push(std::thread::spawn(move || {
             let keys: Vec<QosKey> = if lease {
@@ -481,8 +382,9 @@ pub fn run_admission_variant_with(
             let mut lease_admits = 0u64;
             for j in 0..requests_per_client {
                 let key = keys[j % keys.len()].clone();
+                let id = request_id(c, keys_per_client + j);
                 let Some(core) = &router else {
-                    match pool.check(addr, key) {
+                    match rpc.call(addr, &QosRequest::new(id, key)) {
                         Ok(_) => completed += 1,
                         Err(_) => timed_out += 1,
                     }
@@ -502,13 +404,8 @@ pub fn run_admission_variant_with(
                         // all-`None` no-op, so the lease variant's wire
                         // behaviour is unchanged.
                         let discipline = core.discipline(partition, baseline);
-                        match pool.check_disciplined(
-                            addr,
-                            key.clone(),
-                            solicit_hint,
-                            lease_ask,
-                            &discipline,
-                        ) {
+                        let request = forward_request(id, key.clone(), solicit_hint, lease_ask);
+                        match rpc.call_disciplined(addr, &request, &discipline) {
                             Ok(response) => {
                                 core.on_response(partition, &key, &response, clock.now());
                                 completed += 1;
@@ -623,7 +520,7 @@ mod tests {
             if variant.socket_mode == SocketMode::SingleListener {
                 assert_eq!(
                     point.syscalls_saved, 0,
-                    "{}: the unbatched plane never calls recvmmsg",
+                    "{}: the listener plane never calls recvmmsg",
                     variant.name
                 );
             }
@@ -700,7 +597,7 @@ mod tests {
     fn table_axes_drive_resizes_in_the_lock_free_variant() {
         let variant = admission_variants()
             .into_iter()
-            .find(|v| v.name == "batched+affinity+lock_free")
+            .find(|v| v.name == "affinity+lock_free")
             .unwrap();
         // 2 clients × 64 distinct keys against 8 initial slots: the
         // engine must cross the ¾ watermark and migrate live rules while

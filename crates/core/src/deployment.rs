@@ -59,12 +59,8 @@ pub struct DeploymentConfig {
     pub default_verdict: Verdict,
     /// Routers use a shared, demultiplexed UDP socket instead of the
     /// paper's socket-per-request discipline (see
-    /// `janus_net::udp_pool`).
+    /// `janus_net::udp::UdpRpcClient::bind_shared`).
     pub pooled_rpc: bool,
-    /// With `pooled_rpc`, routers coalesce concurrent requests to the
-    /// same QoS server into batched datagrams (the optimized data
-    /// plane). Ignored for the per-request discipline.
-    pub batching: bool,
     /// Spawn a slave per QoS server plus a health monitor that promotes
     /// it via DNS failover.
     pub ha: bool,
@@ -104,7 +100,6 @@ impl Default for DeploymentConfig {
             udp: janus_net::udp::UdpRpcConfig::lan_defaults(),
             default_verdict: Verdict::Allow,
             pooled_rpc: false,
-            batching: true,
             ha: false,
             db_ha: false,
             replication_interval: Duration::from_millis(50),
@@ -158,7 +153,6 @@ struct RouterTemplate {
     udp: janus_net::udp::UdpRpcConfig,
     default_verdict: Verdict,
     pooled_rpc: bool,
-    batching: bool,
     breaker: Option<BreakerConfig>,
     fleet_size: usize,
     lb_ttl: Option<Duration>,
@@ -298,7 +292,6 @@ impl Deployment {
                 udp: config.udp.clone(),
                 default_verdict: config.default_verdict,
                 pooled_rpc: config.pooled_rpc,
-                batching: config.batching,
                 breaker: config.breaker,
                 fleet_size: config.routers,
                 deadline_propagation: true,
@@ -365,7 +358,6 @@ impl Deployment {
                 udp: config.udp,
                 default_verdict: config.default_verdict,
                 pooled_rpc: config.pooled_rpc,
-                batching: config.batching,
                 breaker: config.breaker,
                 fleet_size: config.routers,
                 lb_ttl,
@@ -515,7 +507,6 @@ impl Deployment {
                 udp: self.router_template.udp.clone(),
                 default_verdict: self.router_template.default_verdict,
                 pooled_rpc: self.router_template.pooled_rpc,
-                batching: self.router_template.batching,
                 breaker: self.router_template.breaker,
                 // The degraded-bucket split keeps using the launch-time
                 // fleet size: a scaled fleet briefly over- or

@@ -6,12 +6,12 @@
 //! on retries, deadline propagation stamps every non-final attempt with
 //! the remaining budget and a logical-request nonce, and the final stamped
 //! attempt falls back to a legacy frame a deadline-unaware server still
-//! understands. That frame-selection logic used to live inline in two
-//! transports ([`crate::udp::UdpRpcClient`] and
-//! [`crate::udp_pool::PooledUdpRpcClient`]); [`AttemptPlan`] extracts it
-//! into one pure state machine over an injected clock so both transports
-//! and the deterministic simulator provably send the same attempt
-//! sequence. No sockets, no tasks, no wall clock.
+//! understands. That frame-selection logic used to live inline in the
+//! transport's attempt loop; [`AttemptPlan`] extracts it into one pure
+//! state machine over an injected clock so both socket strategies of
+//! [`crate::udp::UdpRpcClient`] (socket per request, shared socket) and
+//! the deterministic simulator provably send the same attempt sequence.
+//! No sockets, no tasks, no wall clock.
 
 use janus_clock::Nanos;
 use janus_types::{AttemptMeta, QosRequest};

@@ -8,8 +8,9 @@
 //! primitives from scratch on `std::net` and plain threads:
 //!
 //! * [`udp`] — the admission RPC: a fire-and-retry UDP exchange with the
-//!   paper's 100 µs timeout × 5 retries discipline, plus configurable
-//!   loss/delay injection for failure testing.
+//!   paper's 100 µs timeout × 5 retries discipline over a socket per
+//!   request or one shared socket, plus configurable loss/delay injection
+//!   for failure testing.
 //! * [`http`] — a minimal HTTP/1.1 implementation (parser, server with
 //!   keep-alive, client) sufficient for the router front end, the gateway
 //!   load balancer, and the photo-sharing demo app.
@@ -44,7 +45,8 @@ pub mod latency;
 pub mod mmsg;
 pub mod tcp;
 pub mod udp;
-pub mod udp_pool;
+#[cfg(test)]
+mod udp_pool;
 
 pub use attempt::{AttemptPlan, AttemptStep};
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
@@ -82,5 +84,4 @@ pub use latency::{
 };
 pub use mmsg::{Backend, BatchStats, RecvSlot};
 pub use tcp::TcpService;
-pub use udp::{RetryBackoff, UdpRpcClient, UdpRpcConfig, UdpServerSocket};
-pub use udp_pool::{BatchConfig, PooledUdpRpcClient};
+pub use udp::{OobDelivery, RetryBackoff, UdpRpcClient, UdpRpcConfig, UdpServerSocket};

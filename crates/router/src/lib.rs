@@ -28,7 +28,6 @@ use janus_net::dns::Resolver;
 use janus_net::fault::FaultPlan;
 use janus_net::http::{HttpHandler, HttpRequest, HttpResponse, HttpServer, StatusCode};
 use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
-use janus_net::udp_pool::{BatchConfig, PooledUdpRpcClient};
 use janus_types::{JanusError, QosKey, QosRequest, QosResponse, Result, Verdict};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,14 +66,9 @@ pub struct RouterConfig {
     pub default_verdict: Verdict,
     /// Use one shared UDP socket with response demultiplexing instead of
     /// the paper's PHP-style socket-per-request (an optimization
-    /// ablation; see `janus_net::udp_pool`). Default: false, the
-    /// faithful discipline.
+    /// ablation; see [`UdpRpcClient::bind_shared`]). Both put one frame
+    /// per datagram on the wire. Default: false, the faithful discipline.
     pub pooled_rpc: bool,
-    /// With `pooled_rpc`, coalesce concurrent requests headed to the
-    /// same QoS server into one batched datagram (size-or-deadline
-    /// trigger; see [`BatchConfig`]). Ignored for the per-request
-    /// client, which stays on the paper's single-frame wire format.
-    pub batching: bool,
     /// Per-partition circuit breaking plus degraded local admission.
     /// While a partition's breaker is open the router answers its keys
     /// from a local leaky bucket seeded by rule hints learned from the
@@ -117,7 +111,6 @@ impl RouterConfig {
             udp: UdpRpcConfig::lan_defaults(),
             default_verdict: Verdict::Allow,
             pooled_rpc: false,
-            batching: true,
             breaker: Some(BreakerConfig::default()),
             fleet_size: 1,
             deadline_propagation: true,
@@ -173,13 +166,6 @@ pub struct RequestRouter {
     handler: Arc<RouterHandler>,
 }
 
-enum RpcBackend {
-    /// A fresh socket per request (the paper's PHP router).
-    PerRequest(UdpRpcClient),
-    /// One shared socket, demultiplexed by request id.
-    Pooled(PooledUdpRpcClient),
-}
-
 struct RouterHandler {
     /// The sans-IO decision core: partition hashing, breakers, learned
     /// hints and degraded buckets. The handler owns only the I/O halves —
@@ -187,7 +173,9 @@ struct RouterHandler {
     core: RouterCore,
     backends: Vec<Backend>,
     resolver: Option<Arc<Resolver>>,
-    rpc: RpcBackend,
+    /// A socket per request (the paper's PHP router) or one shared,
+    /// demultiplexed socket, per [`RouterConfig::pooled_rpc`].
+    rpc: UdpRpcClient,
     stats: Arc<RouterStats>,
     next_id: AtomicU64,
     clock: SharedClock,
@@ -301,8 +289,10 @@ impl RouterHandler {
     /// frame, so hint- and lease-unaware servers cost at most one
     /// attempt). The wire discipline (adaptive timeout, hedge delay,
     /// retry budget, RTT recording) comes from the core per partition;
-    /// with the gray plane off it is the all-`None` no-op and both
-    /// transports reproduce the legacy byte-for-byte behaviour.
+    /// with the gray plane off it is the all-`None` no-op and both socket
+    /// strategies reproduce the legacy byte-for-byte behaviour. Request
+    /// ids come from one per-router counter, so they never collide on a
+    /// shared socket.
     fn call_backend(
         &self,
         addr: SocketAddr,
@@ -312,23 +302,9 @@ impl RouterHandler {
         lease_ask: Option<janus_types::LeaseReport>,
     ) -> Result<QosResponse> {
         let discipline = self.core.discipline(partition, self.baseline_timeout);
-        match &self.rpc {
-            RpcBackend::PerRequest(rpc) => {
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let mut request = if solicit {
-                    QosRequest::soliciting_hint(id, key.clone())
-                } else {
-                    QosRequest::new(id, key.clone())
-                };
-                if let Some(report) = lease_ask {
-                    request = request.with_lease(report);
-                }
-                rpc.call_disciplined(addr, &request, &discipline)
-            }
-            RpcBackend::Pooled(pool) => {
-                pool.check_disciplined(addr, key.clone(), solicit, lease_ask, &discipline)
-            }
-        }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let request = forward_request(id, key.clone(), solicit, lease_ask);
+        self.rpc.call_disciplined(addr, &request, &discipline)
     }
 
     /// Mirror the gray-plane counters into the exported [`RouterStats`].
@@ -430,18 +406,9 @@ impl RequestRouter {
         udp.stamp_deadlines |= config.gray.is_some();
         let baseline_timeout = udp.timeout;
         let rpc = if config.pooled_rpc {
-            let batch = if config.batching {
-                BatchConfig::default()
-            } else {
-                BatchConfig::disabled()
-            };
-            RpcBackend::Pooled(PooledUdpRpcClient::bind_with_batch(
-                udp,
-                batch,
-                FaultPlan::none(),
-            )?)
+            UdpRpcClient::bind_shared(udp, FaultPlan::none())?
         } else {
-            RpcBackend::PerRequest(UdpRpcClient::new(udp))
+            UdpRpcClient::new(udp)
         };
         let handler = Arc::new(RouterHandler {
             core: RouterCore::new(RouterCoreConfig {
@@ -548,6 +515,27 @@ fn rand_seed() -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The admission request a [`RouterStep::Forward`] puts on the wire: the
+/// first attempt solicits a rule hint and piggybacks the lease report as
+/// the core asked (retries inside the client fall back to the plain
+/// frame).
+pub fn forward_request(
+    id: janus_types::RequestId,
+    key: QosKey,
+    solicit_hint: bool,
+    lease_ask: Option<janus_types::LeaseReport>,
+) -> QosRequest {
+    let request = if solicit_hint {
+        QosRequest::soliciting_hint(id, key)
+    } else {
+        QosRequest::new(id, key)
+    };
+    match lease_ask {
+        Some(report) => request.with_lease(report),
+        None => request,
+    }
 }
 
 /// Build the HTTP request a QoS client sends for `key` (shared by the
@@ -672,8 +660,8 @@ mod tests {
 
     #[test]
     fn paper_discipline_against_a_silent_server_defaults_within_five_milliseconds() {
-        // Both RPC clients, the paper's 100 us x (1 + 5 retries), a server
-        // that holds its port open and never answers: the default reply
+        // Both socket strategies, the paper's 100 us x (1 + 5 retries), a
+        // server that holds its port open and never answers: the default reply
         // must come back in about 600 us plus one HTTP hop — not the
         // 6-24 ms a scheduler-tick timeout would make of it.
         let silent = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
@@ -779,17 +767,52 @@ mod tests {
 
     #[test]
     fn pooled_unbatched_ablation_routes_identically() {
-        // The paper-faithful single-frame wire format must remain
-        // selectable underneath the pooled client.
-        let server = standalone_server(&[("plain", 2, 0)]);
-        let mut config = RouterConfig::direct([server.udp_addr()]);
+        // The pooled router keeps the paper's single-frame wire format:
+        // checks from concurrent clients in flight on its one shared
+        // socket still leave as one request frame per datagram, never a
+        // `Frame::Batch` (which `codec::decode` refuses).
+        use janus_types::codec::{self, Frame};
+        let server = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let addr = server.local_addr().unwrap();
+        let datagrams = Arc::new(AtomicU64::new(0));
+        let malformed = Arc::new(AtomicU64::new(0));
+        {
+            let (datagrams, malformed) = (Arc::clone(&datagrams), Arc::clone(&malformed));
+            std::thread::spawn(move || {
+                let mut buf = [0u8; janus_net::udp::RECV_BUF_BYTES];
+                while let Ok((len, peer)) = server.recv_from(&mut buf) {
+                    datagrams.fetch_add(1, Ordering::SeqCst);
+                    let Ok(Frame::Request(req)) = codec::decode(&buf[..len]) else {
+                        malformed.fetch_add(1, Ordering::SeqCst);
+                        continue;
+                    };
+                    // Deny, against the router's Allow default: a Deny
+                    // at the client proves the answer was relayed.
+                    let wire = codec::encode_response(&QosResponse::deny(req.id));
+                    let _ = server.send_to(&wire, peer);
+                }
+            });
+        }
+        let mut config = RouterConfig::direct([addr]);
         config.pooled_rpc = true;
-        config.batching = false;
         let router = RequestRouter::spawn(config, None).unwrap();
-        let mut client = HttpClient::connect(router.addr()).unwrap();
-        assert_eq!(check(&mut client, "plain"), Verdict::Allow);
-        assert_eq!(check(&mut client, "plain"), Verdict::Allow);
-        assert_eq!(check(&mut client, "plain"), Verdict::Deny);
+        let router_addr = router.addr();
+        let clients: Vec<_> = (0..4)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let mut client = HttpClient::connect(router_addr).unwrap();
+                    for i in 0..4 {
+                        assert_eq!(check(&mut client, &format!("k{c}-{i}")), Verdict::Deny);
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        assert_eq!(router.stats().forwarded_ok.load(Ordering::Relaxed), 16);
+        assert!(datagrams.load(Ordering::SeqCst) >= 16);
+        assert_eq!(malformed.load(Ordering::SeqCst), 0, "a batched datagram");
     }
 
     #[test]
@@ -993,7 +1016,7 @@ mod tests {
         // none dropped — the gray shape a breaker never sees. The hedge
         // policy is pinned eager (floor == ceil == 1 µs) so every
         // post-warmup attempt sends its duplicate long before the
-        // deferred answer lands, across both dispatch modes.
+        // deferred answer lands, under both socket strategies.
         for pooled in [false, true] {
             let faults = FaultPlan::new(0.0, 0.0, std::time::Duration::ZERO, 0x9E37);
             faults.set_reordering(1.0, std::time::Duration::from_millis(1));
@@ -1061,6 +1084,41 @@ mod tests {
                 allowed, 10,
                 "pooled={pooled}: {hedges} hedges double-charged the bucket"
             );
+        }
+    }
+
+    #[test]
+    fn leases_ride_both_socket_strategies() {
+        // The lease report piggybacks on the first attempt whichever
+        // socket strategy carries it: the server grants a slice of the
+        // hot key once it crosses the threshold, and the router then
+        // admits from it without touching the network.
+        for pooled_rpc in [false, true] {
+            let mut server_config = QosServerConfig::test_defaults();
+            server_config.lease = janus_server::LeaseConfig {
+                enabled: true,
+                ttl: std::time::Duration::from_secs(10),
+                hot_threshold: 2,
+                max_holders: 4,
+                slice_fraction: 4,
+            };
+            let server = QosServer::spawn(server_config, None, janus_clock::system()).unwrap();
+            server.table().insert(
+                QosRule::per_second(key("hot"), 100, 0),
+                server.clock().now(),
+            );
+            let mut config = RouterConfig::direct([server.udp_addr()]);
+            config.pooled_rpc = pooled_rpc;
+            config.lease = true;
+            let router = RequestRouter::spawn(config, None).unwrap();
+            let mut client = HttpClient::connect(router.addr()).unwrap();
+            for _ in 0..20 {
+                assert_eq!(check(&mut client, "hot"), Verdict::Allow);
+            }
+            let grants = server.stats().snapshot().lease_grants;
+            let admits = router.stats().lease_admits.load(Ordering::Relaxed);
+            assert!(grants >= 1, "pooled_rpc={pooled_rpc}: no lease granted");
+            assert!(admits > 0, "pooled_rpc={pooled_rpc}: no local admit");
         }
     }
 

@@ -77,15 +77,10 @@ pub enum TableKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SocketMode {
     /// One listener socket, one `recvfrom` per datagram, listener →
-    /// worker queue hand-off — the paper-faithful baseline.
+    /// worker queue hand-off, one `sendto` per response — the
+    /// paper-faithful baseline.
     #[default]
     SingleListener,
-    /// One listener socket but batched syscalls: the listener drains
-    /// ready datagrams with a single `recvmmsg` and workers flush
-    /// responses with `sendmmsg` (portable fallback off Linux). The
-    /// dispatch topology is unchanged — this isolates the syscall cost
-    /// in the ablation.
-    BatchedSyscall,
     /// Per-core sockets: each worker binds its own `SO_REUSEPORT`
     /// socket on the same address and drains/answers its own batches
     /// directly — kernel flow steering replaces the listener→queue hop
@@ -145,11 +140,6 @@ pub struct QosServerConfig {
     pub preload: bool,
     /// Listener → worker hand-off strategy.
     pub dispatch: DispatchMode,
-    /// Batch the data plane: the listener drains every immediately-ready
-    /// datagram per wakeup, workers drain their queue and coalesce
-    /// responses headed to the same peer into one datagram. Off
-    /// reproduces the paper's one-datagram-per-wakeup behaviour.
-    pub batching: bool,
     /// Budget for the per-miss database fetch (connect + `get_rule`). A
     /// hung database connection otherwise stalls the worker — and, under
     /// key-affinity dispatch, every key that hashes to it. On expiry the
@@ -209,7 +199,6 @@ impl Default for QosServerConfig {
             table: TableKind::Sharded,
             preload: false,
             dispatch: DispatchMode::KeyAffinity,
-            batching: true,
             db_fetch_timeout: Duration::from_millis(250),
             overload: OverloadConfig::default(),
             lease: LeaseConfig::default(),
@@ -246,7 +235,6 @@ impl QosServerConfig {
             table: TableKind::Sharded,
             preload: false,
             dispatch: DispatchMode::KeyAffinity,
-            batching: true,
             db_fetch_timeout: Duration::from_secs(2),
             overload: OverloadConfig::default(),
             lease: LeaseConfig::default(),

@@ -32,20 +32,19 @@
 //! counters through [`ServerStats`].
 //!
 //! Dispatch itself is configurable too: [`DispatchMode::SharedFifo`] is
-//! the paper's single shared queue, [`DispatchMode::KeyAffinity`] routes
-//! `CRC32(key) % workers` through per-worker SPSC queues so one key is
-//! always decided by the same worker, and (with batching on) the listener
-//! drains every ready datagram per wakeup while workers coalesce
-//! responses per peer into batched datagrams.
+//! the paper's single shared queue, and [`DispatchMode::KeyAffinity`]
+//! routes `CRC32(key) % workers` through per-worker SPSC queues so one key
+//! is always decided by the same worker. Either way the listener takes
+//! one request per wake-up and a worker answers each request with its own
+//! datagram.
 //!
 //! The kernel path is configurable on a third axis:
 //! [`SocketMode::SingleListener`] is the paper's one-socket,
-//! one-`recvfrom`-per-datagram plane; [`SocketMode::BatchedSyscall`]
-//! keeps the topology but moves whole batches per kernel crossing with
-//! `recvmmsg`/`sendmmsg` (DESIGN.md ablation 12); and
-//! [`SocketMode::PerCore`] gives every worker its own `SO_REUSEPORT`
-//! socket so kernel flow steering replaces the listener→queue hop
-//! entirely, with optional `SO_BUSY_POLL` and core pinning.
+//! one-`recvfrom`-per-datagram plane, and [`SocketMode::PerCore`] gives
+//! every worker its own `SO_REUSEPORT` socket so kernel flow steering
+//! replaces the listener→queue hop entirely: each worker drains its own
+//! socket with `recvmmsg` and answers with `sendmmsg`, with optional
+//! `SO_BUSY_POLL` and core pinning (DESIGN.md ablation 12).
 
 mod config;
 pub mod core;

@@ -34,9 +34,9 @@ use janus_bucket::QosTable;
 use janus_clock::SharedClock;
 use janus_db::DbClient;
 use janus_net::buffer_pool::PooledBuf;
-use janus_net::fault::{Fate, FaultPlan};
+use janus_net::fault::FaultPlan;
 use janus_net::mmsg::{self, RecvSlot, MAX_BATCH};
-use janus_net::udp::RECV_BUF_BYTES;
+use janus_net::udp::{OobDelivery, RECV_BUF_BYTES};
 use janus_types::codec::{self, Frame};
 use janus_types::sync::Shutdown;
 use janus_types::{QosRequest, QosResponse, Result};
@@ -66,6 +66,9 @@ pub(crate) struct PerCoreCtx {
     pub dedup: Option<SharedDedup>,
     pub ledger: Option<SharedLedger>,
     pub faults: Arc<FaultPlan>,
+    /// The plane's one queue (and one timer thread) for duplicated and
+    /// deferred response copies.
+    pub oob: Arc<OobDelivery>,
 }
 
 /// Bind `config.workers` `SO_REUSEPORT` sockets on `config.bind_addr`
@@ -97,14 +100,14 @@ pub(crate) fn spawn_percore_plane(
         let shutdown = shutdown.clone();
         std::thread::Builder::new()
             .name(format!("qos-percore-{i}"))
-            .spawn(move || worker_loop(socket, ctx, shutdown, pin))?;
+            .spawn(move || worker_loop(Arc::new(socket), ctx, shutdown, pin))?;
     }
     Ok(addr)
 }
 
 /// One worker's life: drain a batch, decide every request in it,
 /// coalesce responses per peer, flush them in one `sendmmsg`.
-fn worker_loop(socket: UdpSocket, ctx: PerCoreCtx, shutdown: Shutdown, pin: Option<usize>) {
+fn worker_loop(socket: Arc<UdpSocket>, ctx: PerCoreCtx, shutdown: Shutdown, pin: Option<usize>) {
     if let Some(cpu) = pin {
         // Advisory: a denied affinity mask costs nothing but locality.
         let _ = mmsg::pin_current_thread(cpu);
@@ -230,10 +233,14 @@ fn handle_request(
     Some(response)
 }
 
-/// Drain `by_peer`, judging response fates per datagram exactly like the
-/// listener plane: clean immediate deliveries coalesce into one `sendmmsg`
-/// batch, every other fate takes its own per-datagram path.
-fn flush(ctx: &PerCoreCtx, socket: &UdpSocket, by_peer: &mut Vec<(SocketAddr, Vec<QosResponse>)>) {
+/// Drain `by_peer`, applying each response datagram's fate exactly like
+/// the listener plane ([`OobDelivery::apply`]): what leaves now joins one
+/// `sendmmsg` batch, late copies go to the plane's out-of-band queue.
+fn flush(
+    ctx: &PerCoreCtx,
+    socket: &Arc<UdpSocket>,
+    by_peer: &mut Vec<(SocketAddr, Vec<QosResponse>)>,
+) {
     let mut ready = Vec::new();
     for (peer, responses) in by_peer.drain(..) {
         let wires = if responses.len() == 1 {
@@ -243,20 +250,9 @@ fn flush(ctx: &PerCoreCtx, socket: &UdpSocket, by_peer: &mut Vec<(SocketAddr, Ve
             codec::encode_batch(&frames)
         };
         for wire in wires {
-            match ctx.faults.judge_fate() {
-                Fate::Drop => {}
-                Fate::Deliver(delay) if delay.is_zero() => ready.push((wire, peer)),
-                Fate::Deliver(delay) => {
-                    // Blocking the worker mirrors the listener plane, where
-                    // the sending thread sleeps out the injected delay.
-                    std::thread::sleep(delay);
-                    ready.push((wire, peer));
-                }
-                Fate::Duplicate(delay) => {
-                    ready.push((wire.clone(), peer));
-                    deferred_send(socket, wire, peer, delay);
-                }
-                Fate::Defer(delay) => deferred_send(socket, wire, peer, delay),
+            let fate = ctx.faults.judge_fate();
+            if let Some(wire) = ctx.oob.apply(fate, socket, wire, Some(peer)) {
+                ready.push((wire, peer));
             }
         }
     }
@@ -267,23 +263,4 @@ fn flush(ctx: &PerCoreCtx, socket: &UdpSocket, by_peer: &mut Vec<(SocketAddr, Ve
     // A refused datagram is indistinguishable from a network drop; the
     // router's retry covers it, exactly as on the listener plane.
     let _ = mmsg::send_batch(socket, &msgs, Some(&ctx.stats.mmsg));
-}
-
-/// Send `wire` to `peer` after `delay`, off-thread, fire-and-forget —
-/// the fault plan's deferred/duplicated deliveries.
-fn deferred_send<W: AsRef<[u8]> + Send + 'static>(
-    socket: &UdpSocket,
-    wire: W,
-    peer: SocketAddr,
-    delay: Duration,
-) {
-    let Ok(clone) = socket.try_clone() else {
-        return;
-    };
-    std::thread::spawn(move || {
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        let _ = clone.send_to(wire.as_ref(), peer);
-    });
 }

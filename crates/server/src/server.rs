@@ -8,15 +8,15 @@
 //! unblocked by closing its socket, and the workers exit when the
 //! listener drops their queues.
 //!
-//! Two data planes are selectable ([`crate::config::DispatchMode`]):
+//! Two dispatch modes are selectable ([`crate::config::DispatchMode`]),
+//! both one request per listener wake-up and one response datagram per
+//! request:
 //!
 //! * **SharedFifo** — the paper's design: one bounded FIFO, every worker
 //!   pops it under a mutex.
-//! * **KeyAffinity** — the batched plane: the listener drains every
-//!   immediately-ready datagram per wakeup and routes each request to
-//!   worker `CRC32(key) % workers` through that worker's own SPSC queue;
-//!   the worker drains its queue, decides the batch, and coalesces
-//!   responses to the same peer into one batched datagram.
+//! * **KeyAffinity** — the listener routes each request to worker
+//!   `CRC32(key) % workers` through that worker's own SPSC queue, so one
+//!   key is always decided by the same worker.
 
 use crate::config::{
     DbTarget, DispatchMode, OverloadConfig, QosServerConfig, SocketMode, TableKind,
@@ -34,7 +34,7 @@ use janus_clock::{Nanos, SharedClock};
 use janus_db::DbClient;
 use janus_net::buffer_pool::BufferPool;
 use janus_net::fault::FaultPlan;
-use janus_net::udp::UdpServerSocket;
+use janus_net::udp::{OobDelivery, UdpServerSocket};
 use janus_types::sync::{Mutex, Shutdown};
 use janus_types::{QosKey, QosRequest, QosResponse, Result, Verdict};
 use janus_workload::Histogram;
@@ -45,14 +45,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Most datagrams the affinity listener pulls in one wakeup before it
-/// goes back to a blocking receive.
-const LISTENER_DRAIN_LIMIT: usize = 256;
-
-/// Most requests an affinity worker decides per queue drain; also the
-/// cap on how many responses coalesce into one send burst.
-const WORKER_DRAIN_LIMIT: usize = 16;
 
 /// Keys whose local bucket came from the default policy rather than a
 /// database row. The rule-sync task must not treat their absence from
@@ -150,8 +142,8 @@ pub struct ServerStats {
     /// exported as percentiles in the snapshot.
     pub sojourn: Mutex<Histogram>,
     /// Batched-syscall counters (`recvmmsg`/`sendmmsg` amortization);
-    /// shared into the UDP socket or per-core workers at spawn. Always
-    /// zero under [`SocketMode::SingleListener`].
+    /// shared into the per-core workers at spawn. Always zero under
+    /// [`SocketMode::SingleListener`].
     pub mmsg: Arc<janus_net::mmsg::BatchStats>,
 }
 
@@ -403,16 +395,15 @@ impl QosServer {
                     dedup,
                     ledger: ledger.clone(),
                     faults: Arc::clone(&faults),
+                    oob: Arc::new(OobDelivery::new()),
                 },
                 shutdown.clone(),
             )?
         } else {
-            let socket = Arc::new(UdpServerSocket::bind_with_options(
+            let socket = Arc::new(UdpServerSocket::bind(
                 config.bind_addr,
                 faults,
                 Arc::clone(&stats.pool),
-                config.socket_mode == SocketMode::BatchedSyscall,
-                Arc::clone(&stats.mmsg),
             )?);
             let udp_addr = socket.local_addr()?;
             listener_socket = Some(Arc::clone(&socket));
@@ -439,39 +430,37 @@ impl QosServer {
                     for i in 0..config.workers {
                         let (tx, rx) = mpsc::sync_channel::<Job>(per_worker);
                         senders.push(tx);
-                        spawn_affinity_worker(i, worker_ctx.clone(), rx, config.batching)?;
+                        spawn_worker(format!("qos-affinity-{i}"), worker_ctx.clone(), move || {
+                            rx.recv().ok()
+                        })?;
                     }
-                    spawn_ingress_listener(
-                        IngressCtx {
-                            socket: Arc::clone(&socket),
-                            stats: Arc::clone(&stats),
-                            clock: Arc::clone(&clock),
-                            table: Arc::clone(&table),
-                            core: IngressCore::new(overload.clone()),
-                            dedup,
-                            queues: senders,
-                        },
-                        config.batching,
-                    )?;
+                    spawn_ingress_listener(IngressCtx {
+                        socket: Arc::clone(&socket),
+                        stats: Arc::clone(&stats),
+                        clock: Arc::clone(&clock),
+                        table: Arc::clone(&table),
+                        core: IngressCore::new(overload.clone()),
+                        dedup,
+                        queues: senders,
+                    })?;
                 }
                 DispatchMode::SharedFifo => {
                     let (fifo_tx, fifo_rx) = mpsc::sync_channel::<Job>(config.fifo_capacity);
                     let fifo_rx = Arc::new(Mutex::new(fifo_rx));
-                    spawn_ingress_listener(
-                        IngressCtx {
-                            socket: Arc::clone(&socket),
-                            stats: Arc::clone(&stats),
-                            clock: Arc::clone(&clock),
-                            table: Arc::clone(&table),
-                            core: IngressCore::new(overload.clone()),
-                            dedup,
-                            queues: vec![fifo_tx],
-                        },
-                        // The paper's listener takes one datagram per wakeup.
-                        false,
-                    )?;
+                    spawn_ingress_listener(IngressCtx {
+                        socket: Arc::clone(&socket),
+                        stats: Arc::clone(&stats),
+                        clock: Arc::clone(&clock),
+                        table: Arc::clone(&table),
+                        core: IngressCore::new(overload.clone()),
+                        dedup,
+                        queues: vec![fifo_tx],
+                    })?;
                     for i in 0..config.workers {
-                        spawn_worker(i, worker_ctx.clone(), Arc::clone(&fifo_rx))?;
+                        let fifo = Arc::clone(&fifo_rx);
+                        spawn_worker(format!("qos-worker-{i}"), worker_ctx.clone(), move || {
+                            fifo.lock().recv().ok()
+                        })?;
                     }
                 }
             }
@@ -712,24 +701,26 @@ impl WorkerCtx {
     }
 }
 
-/// A shared-FIFO worker thread: pop the one queue under its mutex (the
-/// paper's design), decide, answer. Exits when the listener is gone.
-fn spawn_worker(index: usize, ctx: WorkerCtx, fifo: Arc<Mutex<mpsc::Receiver<Job>>>) -> Result<()> {
+/// A worker thread for either dispatch mode: pop one job from `next` —
+/// the shared FIFO under its mutex (the paper's design), or the worker's
+/// own affinity queue — decide it, answer it with its own datagram.
+/// Exits when the listener is gone.
+fn spawn_worker(
+    name: String,
+    ctx: WorkerCtx,
+    mut next: impl FnMut() -> Option<Job> + Send + 'static,
+) -> Result<()> {
     let work = move || {
         let mut db: Option<DbClient> = None;
         let mut worker = ctx.worker_core();
-        loop {
-            let item = fifo.lock().recv();
-            let Ok(job) = item else { return };
+        while let Some(job) = next() {
             ctx.stats.fifo_depth.fetch_sub(1, Ordering::Relaxed);
             if let Some((peer, response)) = ctx.serve(job, &mut worker, &mut db) {
                 let _ = ctx.socket.send_response(&response, peer);
             }
         }
     };
-    thread::Builder::new()
-        .name(format!("qos-worker-{index}"))
-        .spawn(work)?;
+    thread::Builder::new().name(name).spawn(work)?;
     Ok(())
 }
 
@@ -826,81 +817,19 @@ impl IngressCtx {
     }
 }
 
-/// The ingress listener thread for both dispatch modes: triage each
-/// datagram through [`IngressCtx::ingress`], and (with `drain` on) pull
-/// every datagram the kernel already holds before blocking again — one
-/// wakeup, many requests. Returns — dropping the worker queues, which
-/// stops the workers — once the socket is closed.
-fn spawn_ingress_listener(ctx: IngressCtx, drain: bool) -> Result<()> {
+/// The ingress listener thread for both dispatch modes: receive one
+/// request per wake-up and triage it through [`IngressCtx::ingress`].
+/// Returns — dropping the worker queues, which stops the workers — once
+/// the socket is closed.
+fn spawn_ingress_listener(ctx: IngressCtx) -> Result<()> {
     let listen = move || {
         while let Ok((request, peer)) = ctx.socket.recv_request() {
             ctx.ingress(request, peer);
-            if drain {
-                for _ in 0..LISTENER_DRAIN_LIMIT {
-                    let Some((request, peer)) = ctx.socket.try_recv_request() else {
-                        break;
-                    };
-                    ctx.ingress(request, peer);
-                }
-            }
         }
     };
     thread::Builder::new()
         .name("qos-listener".into())
         .spawn(listen)?;
-    Ok(())
-}
-
-/// A key-affinity worker: sole consumer of its own queue. With batching
-/// on it drains up to [`WORKER_DRAIN_LIMIT`] queued requests per wakeup,
-/// decides them all, then coalesces responses going to the same peer
-/// into one batched datagram.
-fn spawn_affinity_worker(
-    index: usize,
-    ctx: WorkerCtx,
-    rx: mpsc::Receiver<Job>,
-    batching: bool,
-) -> Result<()> {
-    let work = move || {
-        let mut db: Option<DbClient> = None;
-        let mut worker = ctx.worker_core();
-        let mut batch: Vec<Job> = Vec::with_capacity(WORKER_DRAIN_LIMIT);
-        // Responses grouped by destination; linear scan because a drain
-        // rarely spans more than a couple of distinct peers.
-        let mut by_peer: Vec<(SocketAddr, Vec<QosResponse>)> = Vec::new();
-        loop {
-            batch.clear();
-            by_peer.clear();
-            let Ok(first) = rx.recv() else { return };
-            batch.push(first);
-            if batching {
-                while batch.len() < WORKER_DRAIN_LIMIT {
-                    match rx.try_recv() {
-                        Ok(item) => batch.push(item),
-                        Err(_) => break,
-                    }
-                }
-            }
-            ctx.stats
-                .fifo_depth
-                .fetch_sub(batch.len() as u64, Ordering::Relaxed);
-            for job in batch.drain(..) {
-                let Some((peer, response)) = ctx.serve(job, &mut worker, &mut db) else {
-                    continue;
-                };
-                match by_peer.iter_mut().find(|(addr, _)| *addr == peer) {
-                    Some((_, responses)) => responses.push(response),
-                    None => by_peer.push((peer, vec![response])),
-                }
-            }
-            // One sendmmsg call covers every zero-delay peer group when
-            // the socket is batched; the plain path drains per peer.
-            let _ = ctx.socket.send_response_groups(&mut by_peer);
-        }
-    };
-    thread::Builder::new()
-        .name(format!("qos-affinity-{index}"))
-        .spawn(work)?;
     Ok(())
 }
 
@@ -1861,19 +1790,15 @@ mod tests {
 
     #[test]
     fn every_socket_and_dispatch_mode_decides_identically() {
-        // recvmmsg/sendmmsg and SO_REUSEPORT change how datagrams cross
-        // the kernel, the dispatch mode which thread decides — never what
-        // is decided.
+        // Per-core SO_REUSEPORT sockets change how datagrams cross the
+        // kernel, the dispatch mode which thread decides — never what is
+        // decided.
         let reference = verdict_sequence(SocketMode::SingleListener, DispatchMode::KeyAffinity);
         assert_eq!(
             reference.iter().filter(|v| **v == Verdict::Allow).count(),
             20
         );
-        let mut modes = vec![
-            (SocketMode::SingleListener, DispatchMode::SharedFifo),
-            (SocketMode::BatchedSyscall, DispatchMode::KeyAffinity),
-            (SocketMode::BatchedSyscall, DispatchMode::SharedFifo),
-        ];
+        let mut modes = vec![(SocketMode::SingleListener, DispatchMode::SharedFifo)];
         if cfg!(target_os = "linux") {
             modes.push((SocketMode::PerCore, DispatchMode::KeyAffinity));
         }
@@ -1888,7 +1813,7 @@ mod tests {
 
     #[test]
     fn shutdown_silences_every_plane() {
-        let mut modes = vec![SocketMode::SingleListener, SocketMode::BatchedSyscall];
+        let mut modes = vec![SocketMode::SingleListener];
         if cfg!(target_os = "linux") {
             modes.push(SocketMode::PerCore);
         }
@@ -1935,11 +1860,10 @@ mod tests {
 
     #[test]
     fn shared_fifo_mode_still_works() {
-        // The paper-faithful ablation path: shared FIFO, no batching.
+        // The paper-faithful ablation path: one shared FIFO.
         let db = spawn_db(vec![rule("fifo", 5, 0)]);
         let mut config = QosServerConfig::test_defaults();
         config.dispatch = DispatchMode::SharedFifo;
-        config.batching = false;
         let server =
             QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
         let client = rpc();
@@ -2082,23 +2006,34 @@ mod tests {
 
     #[test]
     fn affinity_batch_path_carries_hints() {
-        // The batched worker path builds responses through the same
-        // helper; a soliciting request inside a drained batch must still
-        // get its hint.
+        // The per-core plane drains a burst from one client socket with a
+        // single recvmmsg and answers it in per-peer batch datagrams,
+        // built through the same response helper: a soliciting request
+        // inside a drained batch must still get its hint, and the
+        // shared-socket client must demultiplex it.
         let db = spawn_db(vec![rule("bh", 100, 10)]);
         let mut config = QosServerConfig::test_defaults();
         config.workers = 2;
-        config.batching = true;
+        config.table = TableKind::LockFree;
+        if cfg!(target_os = "linux") {
+            config.socket_mode = SocketMode::PerCore;
+        }
         let server =
             QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
-        let client = rpc();
-        for id in 0..10u64 {
-            let resp = client
-                .call(
-                    server.udp_addr(),
-                    &QosRequest::soliciting_hint(id, key("bh")),
-                )
-                .unwrap();
+        let client =
+            UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none()).unwrap();
+        let addr = server.udp_addr();
+        let callers: Vec<_> = (0..10u64)
+            .map(|id| {
+                let client = client.clone();
+                thread::spawn(move || {
+                    let request = QosRequest::soliciting_hint(id, key("bh"));
+                    (id, client.call(addr, &request).unwrap())
+                })
+            })
+            .collect();
+        for caller in callers {
+            let (id, resp) = caller.join().unwrap();
             assert!(resp.hint.is_some(), "request {id} lost its hint");
         }
     }

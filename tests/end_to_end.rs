@@ -43,25 +43,24 @@ fn admission_is_exact_across_the_full_stack() {
 
 #[test]
 fn batched_pooled_stack_is_still_exact() {
-    // The optimized data plane end to end: pooled router sockets with
-    // datagram coalescing on, key-affinity dispatch and the per-worker
-    // table on the QoS servers. Credit accounting must stay exact —
-    // coalescing frames must never duplicate, drop, or cross-credit
-    // admission decisions.
+    // The shared-socket data plane end to end: pooled router sockets,
+    // key-affinity dispatch and the per-worker table on the QoS servers.
+    // Credit accounting must stay exact — many calls in flight on one
+    // socket must never duplicate, drop, or cross-credit admission
+    // decisions.
     let mut server = QosServerConfig::test_defaults();
     server.table = janus_core::TableKind::PerWorker;
     let config = DeploymentConfig {
         qos_servers: 2,
         routers: 2,
         pooled_rpc: true,
-        batching: true,
         server,
         rules: rules(&[("alice", 25, 0)]),
         default_verdict: Verdict::Deny,
         ..Default::default()
     };
     let deployment = std::sync::Arc::new(Deployment::launch(config).unwrap());
-    // Concurrent clients so requests actually coalesce into batches.
+    // Concurrent clients so many calls share each router's socket.
     let mut handles = Vec::new();
     for _ in 0..6 {
         let deployment = std::sync::Arc::clone(&deployment);
@@ -80,21 +79,20 @@ fn batched_pooled_stack_is_still_exact() {
     for handle in handles {
         admitted += handle.join().unwrap();
     }
-    assert_eq!(admitted, 25, "batched plane must conserve credit exactly");
+    assert_eq!(admitted, 25, "pooled plane must conserve credit exactly");
 }
 
 #[test]
 fn lock_free_stack_is_still_exact() {
     // Same optimized plane with the lock-free table swapped in: the CAS
-    // loop must conserve credit exactly through routers, coalescing and
-    // concurrent clients, matching the per-worker table bit for bit.
+    // loop must conserve credit exactly through routers, shared sockets
+    // and concurrent clients, matching the per-worker table bit for bit.
     let mut server = QosServerConfig::test_defaults();
     server.table = janus_core::TableKind::LockFree;
     let config = DeploymentConfig {
         qos_servers: 2,
         routers: 2,
         pooled_rpc: true,
-        batching: true,
         server,
         rules: rules(&[("alice", 25, 0)]),
         default_verdict: Verdict::Deny,

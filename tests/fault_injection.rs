@@ -163,35 +163,30 @@ fn network_healing_restores_service() {
 }
 
 #[test]
-fn batched_pool_retries_mask_response_loss() {
-    // The batched data plane must not weaken the retry discipline: with
-    // 20% response loss, each check in a coalesced datagram still
-    // retries on its own timeout and almost all complete.
-    use janus_net::udp_pool::{BatchConfig, PooledUdpRpcClient};
-
+fn shared_socket_retries_mask_response_loss() {
+    // Many calls in flight on one shared socket must not weaken the retry
+    // discipline: with 20% response loss, each check still retries on its
+    // own timeout and almost all complete.
     let faults = FaultPlan::new(0.2, 0.0, Duration::ZERO, 41);
-    let mut config = QosServerConfig::test_defaults();
-    config.batching = true;
-    let server =
-        QosServer::spawn_with_faults(config, None, janus_clock::system(), Arc::clone(&faults))
-            .unwrap();
+    let server = QosServer::spawn_with_faults(
+        QosServerConfig::test_defaults(),
+        None,
+        janus_clock::system(),
+        Arc::clone(&faults),
+    )
+    .unwrap();
     server.table().insert(
         QosRule::per_second(key("lossy"), 1_000_000, 0),
         server.clock().now(),
     );
 
-    let pool = PooledUdpRpcClient::bind_with_batch(
-        UdpRpcConfig::lan_defaults(),
-        BatchConfig::default(),
-        FaultPlan::none(),
-    )
-    .unwrap();
+    let rpc = UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none()).unwrap();
     let addr = server.udp_addr();
     let mut handles = Vec::new();
-    for _ in 0..100u64 {
-        let pool = pool.clone();
+    for id in 0..100u64 {
+        let rpc = rpc.clone();
         handles.push(std::thread::spawn(move || {
-            pool.check(addr, key("lossy")).is_ok()
+            rpc.call(addr, &QosRequest::new(id, key("lossy"))).is_ok()
         }));
     }
     let mut ok = 0;
@@ -200,18 +195,20 @@ fn batched_pool_retries_mask_response_loss() {
             ok += 1;
         }
     }
-    assert!(ok >= 95, "only {ok}/100 batched checks survived 20% loss");
+    assert!(
+        ok >= 95,
+        "only {ok}/100 shared-socket checks survived 20% loss"
+    );
     assert!(faults.dropped() > 0, "loss injection never fired");
-    assert_eq!(pool.in_flight(), 0, "waiters leaked");
+    assert_eq!(rpc.in_flight(), 0, "waiters leaked");
 }
 
 #[test]
-fn batching_preserves_per_request_timeout_semantics_under_blackout() {
-    // Total send-side blackout: every check in the batch must fail with
-    // its own Timeout after the full first-try + 5-retry discipline —
-    // coalescing frames into shared datagrams must not collapse them
+fn shared_socket_keeps_per_request_timeouts_under_blackout() {
+    // Total send-side blackout: every check on the shared socket must
+    // fail with its own Timeout after the full first-try + 5-retry
+    // discipline — sharing one socket must not collapse concurrent calls
     // into one shared failure or change the attempt count.
-    use janus_net::udp_pool::{BatchConfig, PooledUdpRpcClient};
     use janus_types::JanusError;
 
     let server = QosServer::spawn(
@@ -221,22 +218,18 @@ fn batching_preserves_per_request_timeout_semantics_under_blackout() {
     )
     .unwrap();
     let blackout = FaultPlan::new(1.0, 0.0, Duration::ZERO, 11);
-    let pool = PooledUdpRpcClient::bind_with_batch(
-        UdpRpcConfig {
-            timeout: Duration::from_millis(2),
-            max_retries: 5,
-            ..Default::default()
-        },
-        BatchConfig::default(),
-        blackout,
-    )
-    .unwrap();
+    let config = UdpRpcConfig {
+        timeout: Duration::from_millis(2),
+        max_retries: 5,
+        ..Default::default()
+    };
+    let rpc = UdpRpcClient::bind_shared(config, blackout).unwrap();
     let addr = server.udp_addr();
     let mut handles = Vec::new();
     for i in 0..8u64 {
-        let pool = pool.clone();
+        let rpc = rpc.clone();
         handles.push(std::thread::spawn(move || {
-            pool.check(addr, key(&format!("dark-{i}")))
+            rpc.call(addr, &QosRequest::new(i, key(&format!("dark-{i}"))))
         }));
     }
     for handle in handles {
@@ -246,7 +239,7 @@ fn batching_preserves_per_request_timeout_semantics_under_blackout() {
             other => panic!("expected Timeout after 6 attempts, got {other:?}"),
         }
     }
-    assert_eq!(pool.in_flight(), 0, "waiters leaked after blackout");
+    assert_eq!(rpc.in_flight(), 0, "waiters leaked after blackout");
 }
 
 #[test]

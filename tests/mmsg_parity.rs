@@ -1,9 +1,9 @@
-//! Kernel-path parity: batched syscalls and per-core sockets must be
-//! observationally identical to the paper-faithful single-listener
-//! plane (ISSUE-6).
+//! Kernel-path parity: the per-core socket plane must be observationally
+//! identical to the paper-faithful single-listener plane.
 //!
-//! `recvmmsg`/`sendmmsg` and `SO_REUSEPORT` flow steering change *how*
-//! datagrams cross the kernel boundary, never *what* the server decides:
+//! The per-core plane's `SO_REUSEPORT` flow steering and
+//! `recvmmsg`/`sendmmsg` change *how* datagrams cross the kernel
+//! boundary, never *what* the server decides:
 //! the same request stream must produce the same verdict stream, the
 //! same credit accounting, and the same duplicate absorption under
 //! every [`SocketMode`]. These tests pin that equivalence end to end —
@@ -25,7 +25,7 @@ const LOGICAL_REQUESTS: u64 = 40;
 
 /// The socket modes this platform can actually run.
 fn socket_modes() -> Vec<SocketMode> {
-    let mut modes = vec![SocketMode::SingleListener, SocketMode::BatchedSyscall];
+    let mut modes = vec![SocketMode::SingleListener];
     if cfg!(target_os = "linux") {
         modes.push(SocketMode::PerCore);
     }
@@ -119,7 +119,7 @@ fn drain_under_faults(
     (allowed, errors, faults.duplicated(), snapshot.dedup_hits)
 }
 
-/// The ISSUE-5 credit-exactness invariant must hold under every socket
+/// The credit-exactness invariant must hold under every socket
 /// mode × dispatch mode with request-path duplication and reordering
 /// active: exactly `CAPACITY` admissions, duplicates absorbed by the
 /// dedup window, never double-charged.
@@ -150,7 +150,7 @@ fn credit_accounting_is_exact_under_every_socket_mode() {
     }
 }
 
-/// The per-core plane re-runs the PR-5 idempotency harness across
+/// The per-core plane re-runs the idempotency harness across
 /// several seeds: one logical request never consumes two credits, no
 /// matter how its datagrams are duplicated or reordered. Linux-only by
 /// construction (SO_REUSEPORT flow steering).
