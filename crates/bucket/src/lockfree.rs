@@ -86,7 +86,7 @@
 
 use crate::table::{QosTable, ReclaimedRule, ShardedTable, TableStats, TableStatsSnapshot};
 use janus_clock::Nanos;
-use janus_types::sync::{CachePadded, Mutex};
+use janus_types::sync::Mutex;
 use janus_types::{Credits, QosKey, QosRule, RefillRate, Verdict};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -250,10 +250,10 @@ pub struct LockFreeTable {
     /// Probe-limit escape hatch; almost always empty.
     overflow: ShardedTable,
     overflow_in_use: AtomicBool,
-    /// On cache lines of their own, as in [`ShardedTable`]: every
-    /// decision bumps these counters, and every decision first reads
-    /// `active`, `retired` and the `gens` header beside them.
-    stats: CachePadded<TableStats>,
+    /// Striped on cache lines of their own, as in [`ShardedTable`]: every
+    /// decision bumps a counter, and every decision first reads `active`,
+    /// `retired` and the `gens` header.
+    stats: TableStats,
     cells: TableEngineCells,
 }
 
@@ -349,7 +349,7 @@ impl LockFreeTable {
             reclaim_cursor: AtomicUsize::new(0),
             overflow: ShardedTable::new(),
             overflow_in_use: AtomicBool::new(false),
-            stats: CachePadded::default(),
+            stats: TableStats::default(),
             cells,
         }
     }
@@ -833,7 +833,7 @@ impl QosTable for LockFreeTable {
         if self.overflow_active() {
             return self.overflow.decide(key, now);
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.record_miss();
         None
     }
 

@@ -30,8 +30,8 @@
 //! Everything here is sans-IO: the thread shells and the deterministic
 //! simulator drive the same code.
 
-use janus_types::sync::{CachePadded, Mutex};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use janus_types::sync::{Mutex, Striped};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Samples an adaptive policy requires before it trusts the window; below
@@ -337,24 +337,9 @@ impl RetryBudget {
     }
 }
 
-/// Stripes per [`SharedLatency`]: threads are dealt stripes round-robin,
-/// so up to this many recording threads never meet.
-const STRIPES: usize = 8;
-
 /// "Nothing learned: use the baseline / do not hedge" in a stripe's
 /// published cells.
 const UNLEARNED: u64 = u64::MAX;
-
-/// The stripe the calling thread records into and reads from, dealt
-/// round-robin on the thread's first use and the same for every
-/// [`SharedLatency`] it touches.
-fn stripe_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
-    }
-    INDEX.with(|index| *index)
-}
 
 fn publishable(learned: Option<Duration>) -> u64 {
     // A learned value too long for the cell saturates just below the
@@ -399,18 +384,18 @@ struct Stripe {
 /// window with `try_lock` and drops the sample when another thread holds
 /// it (samples are advisory; [`skipped`](Self::skipped) counts the drops).
 ///
-/// The state is striped: each thread is dealt one of a few cache-line
-/// aligned stripes (window + published values) and records into and reads
-/// from that one only, so a sample never moves the window's lines between
-/// cores. Each stripe learns from its own threads' samples and warms up
-/// on its own; threads beyond the stripe count share, still correct
-/// through `try_lock`. One thread means one stripe, so the simulator
-/// sees a plain [`LatencyWindow`].
+/// The state is [`Striped`]: each thread records into and reads from its
+/// own cache-line aligned stripe (window + published values) only, so a
+/// sample never moves the window's lines between cores. Each stripe
+/// learns from its own threads' samples and warms up on its own; threads
+/// beyond the stripe count share, still correct through `try_lock`. One
+/// thread means one stripe, so the simulator sees a plain
+/// [`LatencyWindow`].
 #[derive(Debug)]
 pub struct SharedLatency {
     timeout: TimeoutPolicy,
     hedge: Option<HedgePolicy>,
-    stripes: [CachePadded<Stripe>; STRIPES],
+    stripes: Striped<Stripe>,
 }
 
 impl SharedLatency {
@@ -430,26 +415,20 @@ impl SharedLatency {
         SharedLatency {
             timeout,
             hedge,
-            stripes: std::array::from_fn(|_| {
-                CachePadded(Stripe {
-                    window: Mutex::new(LatencyWindow::new(capacity)),
-                    timeout_ns: AtomicU64::new(UNLEARNED),
-                    hedge_ns: AtomicU64::new(UNLEARNED),
-                    skipped: AtomicU64::new(0),
-                })
+            stripes: Striped::new(|| Stripe {
+                window: Mutex::new(LatencyWindow::new(capacity)),
+                timeout_ns: AtomicU64::new(UNLEARNED),
+                hedge_ns: AtomicU64::new(UNLEARNED),
+                skipped: AtomicU64::new(0),
             }),
         }
-    }
-
-    fn stripe(&self) -> &Stripe {
-        &self.stripes[stripe_index()]
     }
 
     /// Record one attempt RTT in microseconds and republish the derived
     /// timeout and hedge delay. `false` means the window was busy and the
     /// sample was dropped.
     pub fn record(&self, rtt_us: u64) -> bool {
-        let stripe = self.stripe();
+        let stripe = self.stripes.mine();
         let Some(mut window) = stripe.window.try_lock() else {
             stripe.skipped.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -469,13 +448,13 @@ impl SharedLatency {
     /// The per-attempt timeout learned by the calling thread's stripe, or
     /// `baseline` while it is warming up or the policy is fixed.
     pub fn timeout(&self, baseline: Duration) -> Duration {
-        published(&self.stripe().timeout_ns).unwrap_or(baseline)
+        published(&self.stripes.mine().timeout_ns).unwrap_or(baseline)
     }
 
     /// The hedge delay learned by the calling thread's stripe; `None`
     /// while it is warming up or hedging is off.
     pub fn hedge_delay(&self) -> Option<Duration> {
-        published(&self.stripe().hedge_ns)
+        published(&self.stripes.mine().hedge_ns)
     }
 
     /// Samples dropped so far because their window was busy, over all
@@ -506,7 +485,7 @@ impl SharedLatency {
     /// Run `f` against the calling thread's window (diagnostics: this one
     /// waits for the window).
     pub fn with<R>(&self, f: impl FnOnce(&LatencyWindow) -> R) -> R {
-        f(&self.stripe().window.lock())
+        f(&self.stripes.mine().window.lock())
     }
 }
 
@@ -893,7 +872,7 @@ mod tests {
         }
         // This thread holds its own stripe's window: a `record` that
         // waited for it would deadlock right here.
-        let held = shared.stripe().window.lock();
+        let held = shared.stripes.mine().window.lock();
         assert!(!shared.record(9_000));
         assert_eq!(shared.skipped(), 1);
         assert_eq!(
@@ -966,7 +945,7 @@ mod tests {
         // and every sample is accounted one way or the other.
         assert_eq!(recorded + shared.skipped(), WRITERS as u64 * SAMPLES);
         // Quiescent: every stripe's cells hold what its window derives.
-        for stripe in &shared.stripes {
+        for stripe in shared.stripes.iter() {
             let window = stripe.window.lock();
             assert_eq!(
                 published(&stripe.timeout_ns).unwrap_or(baseline),

@@ -32,10 +32,11 @@ use janus_net::latency::{
     HedgePolicy, HedgeStats, RetryBudget, RetryBudgetConfig, SharedLatency, TimeoutPolicy,
     WireDiscipline,
 };
-use janus_types::sync::{Mutex, RwLock};
+use janus_types::sync::{Mutex, RwLock, Striped};
 use janus_types::{Lease, LeaseReport, QosKey, QosResponse, RuleHint, Verdict};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The decision half of [`crate::RouterConfig`]: everything the core
@@ -189,10 +190,12 @@ pub struct ResponseOutcome {
 }
 
 /// One held lease: a router-local bucket seeded from the granted slice,
-/// plus the book-keeping the reconciliation protocol needs. Admitters
-/// share an entry under the lease map's read guard, so what they update
-/// is atomic; the rest is fixed until the entry is replaced or removed
-/// under the write guard.
+/// plus the book-keeping the reconciliation protocol needs. Every replica
+/// of the lease map holds the same entry through one `Arc`, so admitters
+/// on any stripe charge one bucket and one spent count. They reach it
+/// under their own replica's read guard, so what they update is atomic;
+/// the rest is fixed until the entry is replaced or removed under every
+/// replica's write guard.
 #[derive(Debug)]
 struct LeaseEntry {
     /// The delegated slice, refilling at the granted share.
@@ -251,10 +254,13 @@ fn hint_fingerprint(key: &QosKey, hint: RuleHint) -> u64 {
 /// budget full, latency window warm — takes no exclusive lock and writes
 /// no memory another thread reads: `begin`, `discipline` and
 /// `on_response` only load (breaker word, published timeout and hedge
-/// delay, hint fingerprint) and `record_rtt` writes the calling thread's
-/// own stripe. The maps' locks are for the rare transitions (a changed
-/// hint, a brownout, a lease install or expiry). DESIGN.md §4d tabulates
-/// each piece of shared state and who writes it when.
+/// delay, hint fingerprint, the pending-return count) and write only the
+/// calling thread's own stripe (`record_rtt`'s window, the lease map
+/// replica's read guard). A lease admit adds the charge to the key's
+/// slice, which is the lease's credit itself. The maps' locks are for
+/// the rare transitions (a changed hint, a brownout, a lease install or
+/// expiry). DESIGN.md §4d tabulates each piece of shared state and who
+/// writes it when.
 #[derive(Debug)]
 pub struct RouterCore {
     hash: ModuloRouter,
@@ -280,13 +286,19 @@ pub struct RouterCore {
     degraded: Mutex<HashMap<QosKey, LeakyBucket>>,
     /// Lease participation; `None` disables the whole plane.
     lease: Option<RouterLeaseConfig>,
-    /// Live leases, admitting locally until dry, renewal or expiry.
-    /// Admits and renewal asks share the read guard; install and expiry
-    /// take the write guard.
-    leases: RwLock<HashMap<QosKey, LeaseEntry>>,
+    /// Live leases, admitting locally until dry, renewal or expiry: one
+    /// equal replica per thread stripe. Admits, renewal asks and the
+    /// no-grant response read the caller's replica under its read guard;
+    /// install, renewal, revocation and expiry take every replica's write
+    /// guard and update them all.
+    leases: Striped<RwLock<HashMap<QosKey, Arc<LeaseEntry>>>>,
     /// Expired leases awaiting a return-and-reconcile report, consumed
     /// by the next forwarded request for the key.
     returns: Mutex<HashMap<QosKey, LeaseReport>>,
+    /// `returns.len()`, stored under the `returns` lock (Release) and
+    /// loaded by every forward (Acquire), which locks `returns` only when
+    /// it is non-zero.
+    returns_pending: AtomicUsize,
     /// Gray-failure discipline; `None` disables the whole plane.
     gray: Option<GrayConfig>,
     /// Per-partition attempt-RTT windows (empty when gray is off).
@@ -328,8 +340,9 @@ impl RouterCore {
             hint_prints: std::array::from_fn(|_| AtomicU64::new(0)),
             degraded: Mutex::new(HashMap::new()),
             lease: config.lease,
-            leases: RwLock::new(HashMap::new()),
+            leases: Striped::default(),
             returns: Mutex::new(HashMap::new()),
+            returns_pending: AtomicUsize::new(0),
             gray: config.gray,
             rtt,
             budget,
@@ -389,7 +402,7 @@ impl RouterCore {
     fn lease_admit(&self, key: &QosKey, now: Nanos) -> bool {
         let Some(cfg) = self.lease else { return false };
         {
-            let leases = self.leases.read();
+            let leases = self.leases.mine().read();
             let Some(entry) = leases.get(key) else {
                 return false;
             };
@@ -399,23 +412,29 @@ impl RouterCore {
         }
         // Expired when looked at under the read guard; another thread may
         // have converted or renewed it since, so look again.
-        let mut leases = self.leases.write();
-        match leases.get(key) {
+        let mut replicas = self.leases.write_all();
+        let report = match replicas[0].get(key) {
+            // Hand back the unused remainder (not the spent count): under
+            // every replica's write guard no admitter can run, so the
+            // remainder is credit this holder provably stopped admitting
+            // against, which is the only amount the server can safely
+            // refund.
             Some(entry) if now >= entry.expires_at => {
-                // Hand back the unused remainder (not the spent count):
-                // under the write guard no admitter can run, so the
-                // remainder is credit this holder provably stopped
-                // admitting against, which is the only amount the server
-                // can safely refund.
                 let remaining = u32::try_from(entry.bucket.credit(now).whole()).unwrap_or(u32::MAX);
-                let report = LeaseReport::returning(cfg.holder, entry.epoch, remaining, true);
-                leases.remove(key);
-                self.returns.lock().insert(key.clone(), report);
-                false
+                LeaseReport::returning(cfg.holder, entry.epoch, remaining, true)
             }
-            Some(entry) => entry.admit(now),
-            None => false,
+            Some(entry) => return entry.admit(now),
+            None => return false,
+        };
+        for replica in &mut replicas {
+            replica.remove(key);
         }
+        // Queued before the write guards drop: a forward that finds the
+        // lease gone also finds its return.
+        let mut returns = self.returns.lock();
+        returns.insert(key.clone(), report);
+        self.returns_pending.store(returns.len(), Ordering::Release);
+        false
     }
 
     /// The lease report (if any) to piggyback on a forwarded request: a
@@ -423,10 +442,14 @@ impl RouterCore {
     /// fraction has elapsed, then a plain solicitation for unleased keys.
     fn lease_ask(&self, key: &QosKey, now: Nanos) -> Option<LeaseReport> {
         let cfg = self.lease?;
-        if let Some(report) = self.returns.lock().remove(key) {
-            return Some(report);
+        if self.returns_pending.load(Ordering::Acquire) != 0 {
+            let mut returns = self.returns.lock();
+            if let Some(report) = returns.remove(key) {
+                self.returns_pending.store(returns.len(), Ordering::Release);
+                return Some(report);
+            }
         }
-        match self.leases.read().get(key) {
+        match self.leases.mine().read().get(key) {
             None => Some(LeaseReport::soliciting(cfg.holder)),
             Some(entry) => {
                 // The swap elects one asker among racing forwards.
@@ -456,25 +479,28 @@ impl RouterCore {
         let renew = Duration::from_micros(
             u64::from(lease.ttl_us) * u64::from(cfg.renew_percent.min(100)) / 100,
         );
-        let entry = LeaseEntry {
+        let mut replicas = self.leases.write_all();
+        // No admitter runs under the write guards, so the spent count
+        // read here is final for the old entry.
+        let (event, spent) = match replicas[0].get(key) {
+            None => (LeaseEvent::Granted, 0),
+            Some(old) if old.epoch == lease.epoch => {
+                (LeaseEvent::Renewed, old.spent.load(Ordering::Relaxed))
+            }
+            Some(_) => (LeaseEvent::Revoked, 0),
+        };
+        let entry = Arc::new(LeaseEntry {
             bucket: AtomicBucket::full(lease.slice, lease.refill, now),
             epoch: lease.epoch,
             expires_at: now.saturating_add(ttl),
             renew_at: now.saturating_add(renew),
-            spent: AtomicU32::new(0),
+            spent: AtomicU32::new(spent),
             renew_pending: AtomicBool::new(false),
-        };
-        let mut leases = self.leases.write();
-        match leases.insert(key.clone(), entry) {
-            None => LeaseEvent::Granted,
-            Some(old) if old.epoch == lease.epoch => {
-                if let Some(fresh) = leases.get_mut(key) {
-                    fresh.spent = old.spent;
-                }
-                LeaseEvent::Renewed
-            }
-            Some(_) => LeaseEvent::Revoked,
+        });
+        for replica in &mut replicas {
+            replica.insert(key.clone(), Arc::clone(&entry));
         }
+        event
     }
 
     /// Report a successful RPC at `now`: closes/feeds the partition's
@@ -502,7 +528,7 @@ impl RouterCore {
                 None => {
                     // An answered ask without a grant: let a later
                     // request re-ask instead of waiting forever.
-                    if let Some(entry) = self.leases.read().get(key) {
+                    if let Some(entry) = self.leases.mine().read().get(key) {
                         if entry.renew_pending.load(Ordering::Relaxed) {
                             entry.renew_pending.store(false, Ordering::Relaxed);
                         }
@@ -654,7 +680,7 @@ impl RouterCore {
 
     /// Keys currently holding a live lease (diagnostics).
     pub fn leased_keys(&self) -> usize {
-        self.leases.read().len()
+        self.leases.mine().read().len()
     }
 }
 
@@ -1199,6 +1225,321 @@ mod tests {
             ));
         }
         assert_eq!(exclusive_acquisitions(), before);
+
+        // Nor does a lease-enabled core's forward of a key it holds no
+        // lease for, answered without a grant, while no return is pending.
+        let cold = key("cold");
+        let before = exclusive_acquisitions();
+        for id in 0..10_000 {
+            assert_eq!(
+                forwarded_ask(&leased, &cold, T0),
+                Some(LeaseReport::soliciting(7))
+            );
+            leased.on_response(0, &cold, &QosResponse::new(id, Verdict::Allow), T0);
+        }
+        assert_eq!(exclusive_acquisitions(), before);
+    }
+
+    /// The lease cache as one `RwLock`ed map, as it was before the map
+    /// was striped: the reference model the striped replicas must
+    /// reproduce step for step.
+    struct SingleMapLeases {
+        holder: u32,
+        leases: RwLock<HashMap<QosKey, LeaseEntry>>,
+        returns: Mutex<HashMap<QosKey, LeaseReport>>,
+    }
+
+    impl SingleMapLeases {
+        fn new(holder: u32) -> Self {
+            SingleMapLeases {
+                holder,
+                leases: RwLock::new(HashMap::new()),
+                returns: Mutex::new(HashMap::new()),
+            }
+        }
+
+        fn begin(&self, key: &QosKey, now: Nanos) -> RouterStep {
+            if self.admit(key, now) {
+                return RouterStep::LeaseAdmit { partition: 0 };
+            }
+            RouterStep::Forward {
+                partition: 0,
+                solicit_hint: false,
+                lease_ask: self.ask(key, now),
+            }
+        }
+
+        fn admit(&self, key: &QosKey, now: Nanos) -> bool {
+            {
+                let leases = self.leases.read();
+                let Some(entry) = leases.get(key) else {
+                    return false;
+                };
+                if now < entry.expires_at {
+                    return entry.admit(now);
+                }
+            }
+            let mut leases = self.leases.write();
+            match leases.get(key) {
+                Some(entry) if now >= entry.expires_at => {
+                    let remaining =
+                        u32::try_from(entry.bucket.credit(now).whole()).unwrap_or(u32::MAX);
+                    let report = LeaseReport::returning(self.holder, entry.epoch, remaining, true);
+                    leases.remove(key);
+                    self.returns.lock().insert(key.clone(), report);
+                    false
+                }
+                Some(entry) => entry.admit(now),
+                None => false,
+            }
+        }
+
+        fn ask(&self, key: &QosKey, now: Nanos) -> Option<LeaseReport> {
+            if let Some(report) = self.returns.lock().remove(key) {
+                return Some(report);
+            }
+            match self.leases.read().get(key) {
+                None => Some(LeaseReport::soliciting(self.holder)),
+                Some(entry) => {
+                    if now >= entry.renew_at && !entry.renew_pending.swap(true, Ordering::Relaxed) {
+                        let spent = entry.spent.load(Ordering::Relaxed);
+                        Some(LeaseReport::renewing(self.holder, entry.epoch, spent))
+                    } else {
+                        None
+                    }
+                }
+            }
+        }
+
+        fn on_response(
+            &self,
+            key: &QosKey,
+            response: &QosResponse,
+            now: Nanos,
+        ) -> Option<LeaseEvent> {
+            let Some(lease) = response.lease else {
+                if let Some(entry) = self.leases.read().get(key) {
+                    entry.renew_pending.store(false, Ordering::Relaxed);
+                }
+                return None;
+            };
+            let ttl = Duration::from_micros(u64::from(lease.ttl_us));
+            let renew = Duration::from_micros(u64::from(lease.ttl_us) * 75 / 100);
+            let entry = LeaseEntry {
+                bucket: AtomicBucket::full(lease.slice, lease.refill, now),
+                epoch: lease.epoch,
+                expires_at: now.saturating_add(ttl),
+                renew_at: now.saturating_add(renew),
+                spent: AtomicU32::new(0),
+                renew_pending: AtomicBool::new(false),
+            };
+            let mut leases = self.leases.write();
+            Some(match leases.insert(key.clone(), entry) {
+                None => LeaseEvent::Granted,
+                Some(old) if old.epoch == lease.epoch => {
+                    if let Some(fresh) = leases.get_mut(key) {
+                        fresh.spent = old.spent;
+                    }
+                    LeaseEvent::Renewed
+                }
+                Some(_) => LeaseEvent::Revoked,
+            })
+        }
+    }
+
+    #[test]
+    fn striped_lease_map_matches_the_single_map_model() {
+        // Seeded schedules of checks, answered asks (grants at a few
+        // epochs, or none) and time jumps over three keys. Each chunk of
+        // a schedule runs on a fresh thread, so the striped core reads a
+        // different replica from chunk to chunk.
+        use janus_hash::rng::Rng;
+        const CHUNKS: usize = 4;
+        const STEPS: usize = 150;
+        let keys = [key("a"), key("b"), key("c")];
+        for case in 0..48u64 {
+            let mut rng = Rng::seed_from_u64(0x1EA5_E000 + case);
+            let core = leased_core(5);
+            let model = SingleMapLeases::new(5);
+            let mut now = T0;
+            let mut id = 0;
+            for chunk in 0..CHUNKS {
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        for step in 0..STEPS {
+                            let at = format!("case {case} chunk {chunk} step {step}");
+                            let k = &keys[rng.gen_range(3) as usize];
+                            if rng.gen_range(6) == 0 {
+                                now =
+                                    now.saturating_add(Duration::from_micros(rng.gen_range(3_000)));
+                                continue;
+                            }
+                            let step = core.begin(k, now);
+                            assert_eq!(
+                                format!("{step:?}"),
+                                format!("{:?}", model.begin(k, now)),
+                                "{at}"
+                            );
+                            assert_eq!(core.leased_keys(), model.leases.read().len(), "{at}");
+                            if !matches!(step, RouterStep::Forward { .. }) || rng.gen_range(2) == 0
+                            {
+                                continue;
+                            }
+                            id += 1;
+                            let response = if rng.gen_range(4) == 0 {
+                                QosResponse::new(id, Verdict::Allow)
+                            } else {
+                                let slice = 1 + rng.gen_range(8);
+                                let rate = rng.gen_range(2) * 1_000;
+                                let ttl_us = 500 + rng.gen_range(4_000) as u32;
+                                grant(id, slice, rate, ttl_us, 1 + rng.gen_range(2) as u32)
+                            };
+                            assert_eq!(
+                                core.on_response(0, k, &response, now).lease,
+                                model.on_response(k, &response, now),
+                                "{at}"
+                            );
+                        }
+                    });
+                });
+            }
+            held(&core, &keys[0]);
+        }
+    }
+
+    /// The key's entry as the calling thread's replica holds it, after
+    /// checking that every replica holds the same entries.
+    fn held(core: &RouterCore, k: &QosKey) -> Option<Arc<LeaseEntry>> {
+        let mine = core.leases.mine().read();
+        for replica in core.leases.iter() {
+            let replica = replica.read();
+            assert_eq!(replica.len(), mine.len(), "replicas hold different keys");
+            for (key, entry) in mine.iter() {
+                assert!(
+                    Arc::ptr_eq(entry, &replica[key]),
+                    "{key:?}: replicas differ"
+                );
+            }
+        }
+        mine.get(k).cloned()
+    }
+
+    #[test]
+    fn striped_lease_map_races_admits_against_renewal_revocation_and_expiry() {
+        use std::sync::Barrier;
+        // More threads than stripes, so some replicas are shared.
+        const THREADS: usize = 12;
+        const ROUNDS: u64 = 64;
+        const CHECKS: usize = 40;
+        const SLICE: u64 = 300;
+        // One credit of refill per 1 ms round.
+        const RATE: u64 = 1_000;
+        const TTL_US: u32 = 100_000;
+        // Round r: 0 grants (or renews), 1 revokes, 2 renews, 3 expires.
+        let kind = |round: u64| round % 4;
+        let epoch = |round: u64| 1 + (round as u32).div_ceil(4);
+        let at = |round: u64| T0.saturating_add(Duration::from_millis(round));
+        let expired = |round: u64| at(round).saturating_add(Duration::from_secs(1));
+        let core = leased_core(7);
+        let k = key("hot");
+        let barrier = Barrier::new(THREADS + 1);
+        let admits = AtomicU64::new(0);
+        let event = Mutex::new(None);
+        let returns = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (core, k, barrier, admits, event, returns) =
+                    (&core, &k, &barrier, &admits, &event, &returns);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        barrier.wait();
+                        let expirer = kind(round) == 3 && t < THREADS / 2;
+                        let now = if expirer { expired(round) } else { at(round) };
+                        for check in 0..if expirer { 1 } else { CHECKS } {
+                            if t == 0 && kind(round) != 3 && check == CHECKS / 2 {
+                                let lease = grant(round, SLICE, RATE, TTL_US, epoch(round));
+                                *event.lock() = core.on_response(0, k, &lease, now).lease;
+                            }
+                            match core.begin(k, now) {
+                                RouterStep::LeaseAdmit { .. } => {
+                                    admits.fetch_add(1, Ordering::Relaxed);
+                                }
+                                RouterStep::Forward {
+                                    lease_ask: Some(report),
+                                    ..
+                                } if report.giving_back => returns.lock().push(report),
+                                _ => {}
+                            }
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+            // A failed check is held until the workers finish their
+            // rounds: panicking here would leave them at the barrier.
+            let mut failure = None;
+            let (mut total, mut supply) = (0, 0);
+            for round in 0..ROUNDS {
+                let prev = core.leases.mine().read().get(&k).cloned();
+                let spent_before = prev.as_ref().map_or(0, |e| e.spent.load(Ordering::Relaxed));
+                admits.store(0, Ordering::Relaxed);
+                barrier.wait();
+                barrier.wait();
+                let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let admitted = admits.load(Ordering::Relaxed);
+                    let returned = std::mem::take(&mut *returns.lock());
+                    let cur = held(&core, &k);
+                    let spent = |e: &LeaseEntry| u64::from(e.spent.load(Ordering::Relaxed));
+                    if kind(round) == 3 {
+                        let old = prev.expect("a lease was held");
+                        assert!(cur.is_none(), "round {round}: expiry removes the lease");
+                        assert_eq!(returned.len(), 1, "round {round}: one expiry, one return");
+                        let remaining = old.bucket.credit(expired(round)).whole();
+                        assert_eq!(
+                            (returned[0].epoch, u64::from(returned[0].spent)),
+                            (old.epoch, remaining),
+                            "round {round}: the return hands back the final remainder"
+                        );
+                        assert_eq!(spent(&old) - u64::from(spent_before), admitted);
+                        assert_eq!(core.returns_pending.load(Ordering::Relaxed), 0);
+                    } else {
+                        assert!(returned.is_empty(), "round {round}: nothing expired");
+                        let cur = cur.expect("the grant installed a lease");
+                        assert_eq!(cur.epoch, epoch(round));
+                        let before = u64::from(spent_before);
+                        let expected = match &prev {
+                            None => LeaseEvent::Granted,
+                            Some(old) if old.epoch == cur.epoch => LeaseEvent::Renewed,
+                            Some(_) => LeaseEvent::Revoked,
+                        };
+                        assert_eq!(event.lock().take(), Some(expected), "round {round}");
+                        match (expected, &prev) {
+                            (LeaseEvent::Renewed, _) => {
+                                assert_eq!(spent(&cur), before + admitted, "round {round}: carried")
+                            }
+                            (LeaseEvent::Revoked, Some(old)) => assert_eq!(
+                                spent(old) - before + spent(&cur),
+                                admitted,
+                                "round {round}: reset on revoke"
+                            ),
+                            _ => assert_eq!(spent(&cur), admitted, "round {round}: fresh"),
+                        }
+                        supply += SLICE;
+                    }
+                    total += admitted;
+                    assert!(
+                        total <= supply + round,
+                        "round {round}: {total} admits from {supply} granted + {round} refilled"
+                    );
+                }));
+                if let Err(panic) = checked {
+                    failure.get_or_insert(panic);
+                }
+            }
+            if let Some(panic) = failure {
+                std::panic::resume_unwind(panic);
+            }
+        });
     }
 
     #[test]

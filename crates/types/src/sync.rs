@@ -16,7 +16,13 @@
 //! Debug builds count every blocking exclusive acquisition
 //! ([`Mutex::lock`], [`RwLock::write`]) per thread, so a test can pin
 //! that a hot path takes none ([`exclusive_acquisitions`]).
+//!
+//! [`Striped`] keeps one value per thread stripe, each on cache lines of
+//! its own, so a hot path writes only memory its own thread uses.
+//! [`thread_stripe`] deals the stripes, the same index for a thread in
+//! every striped structure it touches.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -50,6 +56,61 @@ impl<T> std::ops::Deref for CachePadded<T> {
 
     fn deref(&self) -> &T {
         &self.0
+    }
+}
+
+/// Stripes per [`Striped`] value: up to this many threads never share one.
+pub const STRIPES: usize = 8;
+
+/// The stripe the calling thread works in: dealt round-robin on the
+/// thread's first call, then fixed, and the same in every [`Striped`]
+/// value the thread touches.
+pub fn thread_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    INDEX.with(|index| *index)
+}
+
+/// [`STRIPES`] values of `T`, each [`CachePadded`]. A thread works in
+/// [`mine`](Self::mine); readers of the whole combine [`iter`](Self::iter).
+/// Threads beyond the stripe count share a stripe, so `T` must still be
+/// safe to share. One thread sees one stripe.
+#[derive(Debug)]
+pub struct Striped<T>([CachePadded<T>; STRIPES]);
+
+impl<T> Striped<T> {
+    /// Every stripe built by `make`.
+    pub fn new(mut make: impl FnMut() -> T) -> Self {
+        Striped(std::array::from_fn(|_| CachePadded(make())))
+    }
+
+    /// The calling thread's stripe.
+    pub fn mine(&self) -> &T {
+        &self.0[thread_stripe()]
+    }
+
+    /// Every stripe, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().map(|stripe| &stripe.0)
+    }
+}
+
+impl<T: Default> Default for Striped<T> {
+    fn default() -> Self {
+        Self::new(T::default)
+    }
+}
+
+impl<T> Striped<RwLock<T>> {
+    /// Every stripe's write guard, taken in index order so two writers
+    /// never deadlock. For read-mostly state replicated once per stripe:
+    /// a reader takes only its own stripe's read guard, a writer holds all
+    /// of these and leaves every replica equal.
+    pub fn write_all(&self) -> [RwLockWriteGuard<'_, T>; STRIPES] {
+        // `from_fn` builds the elements in ascending index order.
+        std::array::from_fn(|i| self.0[i].write())
     }
 }
 
@@ -205,6 +266,20 @@ mod tests {
         let pair = [CachePadded(1u8), CachePadded(2u8)];
         assert_eq!(std::mem::size_of_val(&pair), 256);
         assert_eq!(*pair[0] + *pair[1], 3);
+    }
+
+    #[test]
+    fn a_thread_works_in_the_same_stripe_of_every_striped_value() {
+        let counts: Striped<AtomicUsize> = Striped::default();
+        let replicas: Striped<RwLock<u32>> = Striped::default();
+        counts.mine().fetch_add(1, Ordering::Relaxed);
+        for mut replica in replicas.write_all() {
+            *replica = 5;
+        }
+        let touched = counts.iter().position(|n| n.load(Ordering::Relaxed) == 1);
+        assert_eq!(touched, Some(thread_stripe()));
+        assert_eq!(*replicas.mine().read(), 5);
+        assert!(replicas.iter().all(|replica| *replica.read() == 5));
     }
 
     #[test]
