@@ -81,31 +81,44 @@ fn bench_udp_leg_only(h: &mut Harness) {
 }
 
 fn bench_udp_leg_concurrent(h: &mut Harness) {
-    // 8 in-flight checks through one shared socket, one frame per
-    // datagram, against each dispatch mode (DESIGN.md ablation 9). One
-    // iteration = 8 concurrent checks, so divide the reported time by 8
-    // for per-check latency.
+    // 8 in-flight checks, one frame per datagram, against each server
+    // plane (DESIGN.md ablations 9 and 12). One iteration = 8 concurrent
+    // checks, so divide the reported time by 8 for per-check latency.
     use janus_net::fault::FaultPlan;
     use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
-    use janus_server::{DispatchMode, QosServer, TableKind};
+    use janus_server::{QosServer, SocketMode, TableKind};
     use janus_types::QosRequest;
 
     const CONCURRENCY: usize = 8;
 
+    let mut planes = vec![(
+        "single_listener",
+        SocketMode::SingleListener,
+        TableKind::Sharded,
+    )];
+    if cfg!(target_os = "linux") {
+        planes.push(("per_core", SocketMode::PerCore, TableKind::LockFree));
+    }
     let mut group = h.benchmark_group("admission/udp_leg_x8");
-    for (label, dispatch, table) in [
-        ("affinity", DispatchMode::KeyAffinity, TableKind::PerWorker),
-        ("shared_fifo", DispatchMode::SharedFifo, TableKind::Sharded),
-    ] {
+    for (label, socket_mode, table) in planes {
         let mut config = QosServerConfig::test_defaults();
         config.default_policy = DefaultRulePolicy::AllowAll;
         config.workers = 4;
-        config.dispatch = dispatch;
+        config.socket_mode = socket_mode;
         config.table = table;
         let server = QosServer::spawn(config, None, janus_clock::system()).expect("server");
         let addr = server.udp_addr();
-        let rpc = UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none())
-            .expect("shared socket");
+        // The listener plane shares one client socket; per-core sockets
+        // are steered by client 4-tuple, so each check thread gets its
+        // own socket (its own flow) there.
+        let bind = || {
+            UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none())
+                .expect("shared socket")
+        };
+        let shared = (socket_mode == SocketMode::SingleListener).then(bind);
+        let rpcs: Vec<UdpRpcClient> = (0..CONCURRENCY)
+            .map(|_| shared.clone().unwrap_or_else(bind))
+            .collect();
         let keys: Vec<QosKey> = (0..CONCURRENCY)
             .map(|i| QosKey::new(format!("tenant-{i}")).unwrap())
             .collect();
@@ -115,13 +128,12 @@ fn bench_udp_leg_concurrent(h: &mut Harness) {
             b.iter_custom(|iters| {
                 let start = std::time::Instant::now();
                 std::thread::scope(|scope| {
-                    for (t, key) in keys.iter().enumerate() {
-                        let rpc = &rpc;
+                    for (t, (key, rpc)) in keys.iter().zip(&rpcs).enumerate() {
                         scope.spawn(move || {
                             for i in 0..iters {
                                 let id = ((t as u64) << 32) | i;
                                 rpc.call(addr, &QosRequest::new(id, key.clone()))
-                                    .expect("shared-socket call");
+                                    .expect("udp call");
                             }
                         });
                     }

@@ -1,7 +1,7 @@
 //! Ablation studies beyond the paper's figures (DESIGN.md §4): UDP loss
 //! vs the retry discipline, the QoS-table lock across instance sizes,
-//! DNS-LB skew, modulo-vs-consistent-hash remapping, and the
-//! key-affinity admission data plane (live loopback run).
+//! DNS-LB skew, modulo-vs-consistent-hash remapping, and the server's
+//! two admission data planes (live loopback run).
 
 use janus_bench::live::{admission_variants, run_admission_variant, AdmissionPoint};
 use janus_bench::{fmt_krps, fmt_pct, fmt_us, print_table, FigureCli};
@@ -194,9 +194,9 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
         println!(
-            "key-affinity dispatch removes the shared FIFO lock; the shared-FIFO row \
-             is the paper-faithful baseline, one frame per datagram throughout \
-             (DESIGN.md ablation 9)."
+            "listener+sharded is the paper plane (one listener, one FIFO, N workers); \
+             per_core drops the FIFO hop for per-core sockets, one frame per datagram \
+             throughout (DESIGN.md ablations 9 and 12)."
         );
     });
 }

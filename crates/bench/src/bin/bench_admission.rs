@@ -1,8 +1,9 @@
 //! Admission data-plane sweep (DESIGN.md ablation 9).
 //!
 //! Spawns a real QoS server per variant and hammers it over loopback
-//! with a shared-socket UDP client, contrasting the key-affinity plane
-//! against the paper-faithful shared-FIFO baseline. Writes
+//! with shared-socket UDP clients, contrasting the paper plane (one
+//! listener, one FIFO) under each table kind with the per-core fast
+//! plane. Writes
 //! `BENCH_admission.json` next to the working directory so the measured
 //! numbers travel with the repo.
 //!
@@ -17,7 +18,7 @@
 //! 1000 requests purely as a did-the-data-plane-survive check; it prints
 //! the table but deliberately does **not** rewrite `BENCH_admission.json`
 //! — a loaded CI box would overwrite real measurements with noise.
-//! `--socket-mode` restricts the sweep to one kernel path (the syscall
+//! `--socket-mode` restricts the sweep to one plane (the syscall
 //! ablation's decisions/sec/core curve comes from comparing the two).
 //! `--mode <substring>` restricts it to matching variant names — CI's
 //! lease smoke runs `--smoke --mode lease` and checks the

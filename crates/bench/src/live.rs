@@ -4,17 +4,18 @@
 //! [`QosServer`] and a real shared-socket UDP client in-process and
 //! hammer the admission path, so the numbers include every syscall,
 //! wakeup and lock the data plane actually pays. The sweep contrasts the
-//! key-affinity plane against the paper-faithful shared-FIFO plane
-//! (DESIGN.md ablation 9), every table kind, and the per-core kernel path;
-//! `bench_admission` emits the machine-readable `BENCH_admission.json`
-//! from it.
+//! server's two planes — the paper's listener + FIFO under every table
+//! kind, and the per-core run-to-completion plane (DESIGN.md ablations
+//! 9, 10 and 12) — plus the lease and gray client disciplines on the
+//! listener plane; `bench_admission` emits the machine-readable
+//! `BENCH_admission.json` from it.
 
 use janus_bucket::DefaultRulePolicy;
 use janus_net::fault::FaultPlan;
 use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
 use janus_router::core::{GrayConfig, RouterCore, RouterCoreConfig, RouterLeaseConfig, RouterStep};
 use janus_router::forward_request;
-use janus_server::{DispatchMode, LeaseConfig, QosServer, QosServerConfig, SocketMode, TableKind};
+use janus_server::{LeaseConfig, QosServer, QosServerConfig, SocketMode, TableKind};
 use janus_types::{QosKey, QosRequest, QosRule, Verdict};
 use std::time::Duration;
 
@@ -23,12 +24,10 @@ use std::time::Duration;
 pub struct AdmissionVariant {
     /// Stable identifier used in tables and JSON (`mode` field).
     pub name: &'static str,
-    /// Listener → worker hand-off.
-    pub dispatch: DispatchMode,
     /// Local table flavour.
     pub table: TableKind,
-    /// Kernel path: single listener, or per-core `SO_REUSEPORT` sockets
-    /// (DESIGN.md ablation 12).
+    /// Server plane: the listener + FIFO, or per-core `SO_REUSEPORT`
+    /// sockets (DESIGN.md ablation 12).
     pub socket_mode: SocketMode,
     /// Zero-RTT admission: clients run a [`janus_router::core::RouterCore`]
     /// holding credit leases over shared hot keys, so leased checks skip
@@ -40,46 +39,38 @@ pub struct AdmissionVariant {
     pub gray: bool,
 }
 
-/// The sweep every harness runs: key-affinity dispatch over each table
-/// kind, the paper's shared-FIFO baseline, the lease and gray planes, and
-/// the per-core kernel path.
+/// The sweep every harness runs: the paper plane (listener + FIFO,
+/// sharded table), the listener plane over the other two table kinds,
+/// the lease and gray client disciplines on it, and the per-core plane.
 pub fn admission_variants() -> Vec<AdmissionVariant> {
-    let plain = |name, dispatch, table| AdmissionVariant {
+    let listener = |name, table| AdmissionVariant {
         name,
-        dispatch,
         table,
         socket_mode: SocketMode::SingleListener,
         lease: false,
         gray: false,
     };
-    let affinity = DispatchMode::KeyAffinity;
     let mut variants = vec![
-        plain("affinity+lock_free", affinity, TableKind::LockFree),
-        plain("affinity+per_worker", affinity, TableKind::PerWorker),
-        plain("affinity+sharded", affinity, TableKind::Sharded),
-        plain("shared_fifo", DispatchMode::SharedFifo, TableKind::Sharded),
-        // Shared FIFO is the worst interleaving for the CAS loop (any
-        // worker decides any key); this point isolates the table
-        // discipline with dispatch held at the paper baseline.
-        plain(
-            "shared_fifo+lock_free",
-            DispatchMode::SharedFifo,
-            TableKind::LockFree,
-        ),
+        listener("listener+sharded", TableKind::Sharded),
+        // The paper's own table: one global lock (DESIGN.md ablation 10).
+        listener("listener+synchronized", TableKind::Synchronized),
+        // Any worker decides any key off the FIFO — the worst
+        // interleaving for the CAS loop.
+        listener("listener+lock_free", TableKind::LockFree),
         AdmissionVariant {
             // Zero-RTT admission: clients hold short-TTL credit leases
             // over shared hot keys and admit leased checks locally — the
             // RPC-per-decision vs lease-delegated contrast of DESIGN.md
             // ablation 13.
             lease: true,
-            ..plain("lease+affinity+lock_free", affinity, TableKind::LockFree)
+            ..listener("lease+listener+lock_free", TableKind::LockFree)
         },
         AdmissionVariant {
             // Gray-failure plane on a healthy link: adaptive timeouts,
             // same-nonce hedges and the retry budget ride every RPC —
             // the overhead-when-healthy point of DESIGN.md ablation 15.
             gray: true,
-            ..plain("hedge+affinity+lock_free", affinity, TableKind::LockFree)
+            ..listener("hedge+listener+lock_free", TableKind::LockFree)
         },
     ];
     if cfg!(target_os = "linux") {
@@ -87,7 +78,7 @@ pub fn admission_variants() -> Vec<AdmissionVariant> {
         // elsewhere fails by design, so the sweep simply omits it.
         variants.push(AdmissionVariant {
             socket_mode: SocketMode::PerCore,
-            ..plain("per_core+lock_free", affinity, TableKind::LockFree)
+            ..listener("per_core+lock_free", TableKind::LockFree)
         });
     }
     variants
@@ -106,7 +97,6 @@ pub fn table_kind_label(kind: TableKind) -> &'static str {
     match kind {
         TableKind::Sharded => "sharded",
         TableKind::Synchronized => "synchronized",
-        TableKind::PerWorker => "per_worker",
         TableKind::LockFree => "lock_free",
     }
 }
@@ -280,7 +270,6 @@ pub fn run_admission_variant_with(
 ) -> AdmissionPoint {
     let mut config = QosServerConfig::test_defaults();
     config.workers = 4;
-    config.dispatch = variant.dispatch;
     config.table = variant.table;
     config.socket_mode = variant.socket_mode;
     config.default_policy = DefaultRulePolicy::AllowAll;
@@ -597,7 +586,7 @@ mod tests {
     fn table_axes_drive_resizes_in_the_lock_free_variant() {
         let variant = admission_variants()
             .into_iter()
-            .find(|v| v.name == "affinity+lock_free")
+            .find(|v| v.name == "listener+lock_free")
             .unwrap();
         // 2 clients × 64 distinct keys against 8 initial slots: the
         // engine must cross the ¾ watermark and migrate live rules while

@@ -17,12 +17,10 @@
 //!   thread adds `A × interval` to every bucket, the paper's design. Admits
 //!   within one interval's rounding of lazy refill.
 //!
-//! The local QoS table comes in four flavours: [`table::ShardedTable`]
+//! The local QoS table comes in three flavours: [`table::ShardedTable`]
 //! (lock-striped, the "future work" optimization the paper alludes to),
 //! [`table::SyncTable`] (one global lock, faithfully reproducing the
-//! synchronized-hash-map contention visible in the paper's Fig. 10b),
-//! [`partitioned::PartitionedTable`] (one partition per worker, uncontended
-//! under the server's key-affinity dispatch — see [`worker_affinity`]), and
+//! synchronized-hash-map contention visible in the paper's Fig. 10b), and
 //! [`lockfree::LockFreeTable`] (open addressing over inline
 //! [`atomic::AtomicBucket`] slots: no lock anywhere on the decision path).
 
@@ -30,7 +28,6 @@ pub mod algorithms;
 pub mod atomic;
 mod bucket;
 pub mod lockfree;
-pub mod partitioned;
 mod policy;
 pub mod table;
 
@@ -38,6 +35,5 @@ pub use algorithms::{Admission, FixedWindowCounter, LeakyBucketLimiter, SlidingW
 pub use atomic::AtomicBucket;
 pub use bucket::LeakyBucket;
 pub use lockfree::{LockFreeTable, TableEngineCells};
-pub use partitioned::{worker_affinity, PartitionedTable};
 pub use policy::DefaultRulePolicy;
 pub use table::{QosTable, ReclaimedRule, ShardedTable, SyncTable, TableStats};

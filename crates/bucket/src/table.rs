@@ -514,7 +514,6 @@ mod tests {
                 "lock-free-tiny",
                 Arc::new(crate::LockFreeTable::with_slots(8)),
             ),
-            ("partitioned", Arc::new(crate::PartitionedTable::new(3))),
         ]
     }
 

@@ -57,5 +57,5 @@ pub use janus_lb::{HealthCheckConfig, LbPolicy};
 pub use janus_net::udp::UdpRpcConfig;
 pub use janus_net::{BreakerConfig, BreakerState, RetryBackoff};
 pub use janus_router::{parse_qos_response, qos_http_request};
-pub use janus_server::{DbTarget, DispatchMode, QosServerConfig, TableKind};
+pub use janus_server::{DbTarget, QosServerConfig, TableKind};
 pub use janus_types::{Credits, QosKey, QosRule, RefillRate, Verdict};

@@ -24,11 +24,7 @@
 //!   (the `SocketMode::PerCore` data plane in `janus-server`),
 //! * [`wait_readable`] — a `ppoll(2)` wait with a nanosecond timeout,
 //!   because the attempt timeout is 100 µs and `SO_RCVTIMEO` rounds to
-//!   a scheduler tick,
-//! * [`set_busy_poll`] — opt-in `SO_BUSY_POLL` for latency-critical
-//!   deployments,
-//! * [`pin_current_thread`] — best-effort CPU affinity for per-core
-//!   worker threads.
+//!   a scheduler tick.
 //!
 //! Every `unsafe` block carries a `// SAFETY:` comment; DESIGN.md's
 //! safety appendix walks through all of them.
@@ -296,7 +292,6 @@ mod ffi {
     pub const SOCK_CLOEXEC: i32 = 0x80000;
     pub const SOL_SOCKET: i32 = 1;
     pub const SO_REUSEPORT: i32 = 15;
-    pub const SO_BUSY_POLL: i32 = 46;
     /// recvmmsg: return once at least one datagram has arrived instead
     /// of blocking for the full batch.
     pub const MSG_WAITFORONE: i32 = 0x10000;
@@ -405,7 +400,6 @@ mod ffi {
             optval: *const u8,
             optlen: u32,
         ) -> i32;
-        pub fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
         // The signal mask is always null (no mask change), so its type
         // never matters here.
         pub fn ppoll(
@@ -772,70 +766,6 @@ pub fn reuseport_socket(_addr: SocketAddr) -> io::Result<UdpSocket> {
     Err(io::Error::new(
         io::ErrorKind::Unsupported,
         "reuseport_socket requires Linux",
-    ))
-}
-
-/// Enable `SO_BUSY_POLL`: the kernel busy-polls the device queue for up
-/// to `micros` µs on a blocking receive before sleeping — lower latency
-/// for CPU. Off by default everywhere; opt-in via `ServerConfig`.
-#[cfg(target_os = "linux")]
-pub fn set_busy_poll(socket: &UdpSocket, micros: u32) -> io::Result<()> {
-    use std::os::fd::AsRawFd;
-    let val = micros as i32;
-    // SAFETY: setsockopt(2) on a live fd with a valid 4-byte optval
-    // that outlives the call.
-    let rc = unsafe {
-        ffi::setsockopt(
-            socket.as_raw_fd(),
-            ffi::SOL_SOCKET,
-            ffi::SO_BUSY_POLL,
-            (&val as *const i32).cast(),
-            std::mem::size_of::<i32>() as u32,
-        )
-    };
-    if rc != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
-
-/// Non-Linux stub.
-#[cfg(not(target_os = "linux"))]
-pub fn set_busy_poll(_socket: &UdpSocket, _micros: u32) -> io::Result<()> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "SO_BUSY_POLL requires Linux",
-    ))
-}
-
-/// Pin the calling thread to one CPU (best-effort; callers treat
-/// failure as advisory). Supports CPUs 0..1023.
-#[cfg(target_os = "linux")]
-pub fn pin_current_thread(cpu: usize) -> io::Result<()> {
-    let mut mask = [0u64; 16]; // 1024-bit cpu_set_t
-    if cpu >= 1024 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "cpu index out of range",
-        ));
-    }
-    mask[cpu / 64] |= 1u64 << (cpu % 64);
-    // SAFETY: sched_setaffinity(2) with pid 0 (the calling thread), a
-    // mask buffer of exactly the size we declare, alive across the
-    // call; the kernel only reads it.
-    let rc = unsafe { ffi::sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-    if rc != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
-
-/// Non-Linux stub.
-#[cfg(not(target_os = "linux"))]
-pub fn pin_current_thread(_cpu: usize) -> io::Result<()> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "thread pinning requires Linux",
     ))
 }
 

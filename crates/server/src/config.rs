@@ -1,4 +1,6 @@
-//! QoS server configuration.
+//! QoS server configuration: which of the two data planes runs
+//! ([`SocketMode`]), which local table backs it ([`TableKind`]), and the
+//! maintenance, overload and lease tunables around them.
 
 use janus_bucket::DefaultRulePolicy;
 use janus_db::DbClient;
@@ -62,44 +64,28 @@ pub enum TableKind {
     /// One global lock — the paper's synchronized hash map, kept for the
     /// lock-contention ablation.
     Synchronized,
-    /// One partition per worker, matched to key-affinity dispatch: a
-    /// worker only ever touches its own partition, so the partition lock
-    /// is uncontended. Requires [`DispatchMode::KeyAffinity`].
-    PerWorker,
     /// Lock-free open-addressing table over atomic buckets: no lock on
-    /// the decision path under either dispatch mode. The server exports
-    /// its CAS-retry and probe-length counters through
+    /// the decision path on either plane. The server exports its
+    /// CAS-retry and probe-length counters through
     /// [`crate::ServerStats`].
     LockFree,
 }
 
-/// How the server's UDP ingress maps onto sockets and syscalls.
+/// The server's data plane: how UDP ingress maps onto sockets, threads
+/// and syscalls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SocketMode {
-    /// One listener socket, one `recvfrom` per datagram, listener →
-    /// worker queue hand-off, one `sendto` per response — the
-    /// paper-faithful baseline.
+    /// The paper plane: one listener socket takes one request per
+    /// wake-up and puts it on one bounded FIFO of `fifo_capacity` slots;
+    /// `workers` threads pop that FIFO and each answers with its own
+    /// datagram.
     #[default]
     SingleListener,
-    /// Per-core sockets: each worker binds its own `SO_REUSEPORT`
-    /// socket on the same address and drains/answers its own batches
-    /// directly — kernel flow steering replaces the listener→queue hop
-    /// entirely. Linux only (spawn fails elsewhere). The kernel steers
-    /// by client 4-tuple hash, not QoS key, so this mode is
-    /// incompatible with [`TableKind::PerWorker`].
+    /// The fast plane: each worker binds its own `SO_REUSEPORT` socket
+    /// on the same address and receives, decides and answers its own
+    /// batches run-to-completion — kernel flow steering replaces the
+    /// listener→FIFO hop entirely. Linux only (spawn fails elsewhere).
     PerCore,
-}
-
-/// How the listener hands requests to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Route each request to the worker `CRC32(key) % workers` through a
-    /// per-worker SPSC queue. One key is always decided by the same
-    /// worker — the contention-free fast path.
-    KeyAffinity,
-    /// One shared FIFO all workers pop under a mutex — the paper's
-    /// design, kept for the dispatch ablation.
-    SharedFifo,
 }
 
 // The overload-control tunables live with the mechanisms they tune —
@@ -116,8 +102,9 @@ pub use crate::lease::LeaseConfig;
 /// Tunables for one QoS server node.
 #[derive(Debug, Clone)]
 pub struct QosServerConfig {
-    /// Worker threads popping the FIFO. The paper sets this to the node's
-    /// vCPU count.
+    /// Worker threads popping the FIFO (or, on the per-core plane,
+    /// owning one socket each). The paper sets this to the node's vCPU
+    /// count.
     pub workers: usize,
     /// Bounded FIFO between the UDP listener and the workers. When full,
     /// datagrams are shed (the router's retry covers the loss).
@@ -138,12 +125,9 @@ pub struct QosServerConfig {
     /// it on the QoS server also removes first-sighting misses, which is
     /// the right trade when the rule set fits comfortably in memory.
     pub preload: bool,
-    /// Listener → worker hand-off strategy.
-    pub dispatch: DispatchMode,
     /// Budget for the per-miss database fetch (connect + `get_rule`). A
-    /// hung database connection otherwise stalls the worker — and, under
-    /// key-affinity dispatch, every key that hashes to it. On expiry the
-    /// request falls back to the default policy and the connection is
+    /// hung database connection otherwise stalls the worker. On expiry
+    /// the request falls back to the default policy and the connection is
     /// dropped for the next miss to rebuild.
     pub db_fetch_timeout: Duration,
     /// Overload control: staleness shedding, sojourn governor, duplicate
@@ -153,7 +137,7 @@ pub struct QosServerConfig {
     /// admit locally with zero network I/O. Off by default — every
     /// pre-lease code path is untouched with `lease.enabled: false`.
     pub lease: LeaseConfig,
-    /// Socket/syscall strategy for the UDP data plane.
+    /// The data plane: the paper's listener + FIFO, or per-core sockets.
     pub socket_mode: SocketMode,
     /// Address the admission socket(s) bind. Port 0 picks an ephemeral
     /// port (the default, right for tests); multi-host deployments set
@@ -177,14 +161,6 @@ pub struct QosServerConfig {
     /// hottest-first batches of this size instead of one monolithic
     /// `SELECT *`.
     pub warmup_batch: usize,
-    /// `SO_BUSY_POLL` budget in µs for [`SocketMode::PerCore`] sockets:
-    /// the kernel busy-polls the device queue that long before a
-    /// blocking receive sleeps. `None` (default) leaves it off.
-    /// Best-effort — unsupported kernels are ignored.
-    pub busy_poll_us: Option<u32>,
-    /// Pin each [`SocketMode::PerCore`] worker thread to CPU
-    /// `worker_index % available_cpus`. Best-effort, off by default.
-    pub pin_workers: bool,
 }
 
 impl Default for QosServerConfig {
@@ -198,7 +174,6 @@ impl Default for QosServerConfig {
             default_policy: DefaultRulePolicy::Deny,
             table: TableKind::Sharded,
             preload: false,
-            dispatch: DispatchMode::KeyAffinity,
             db_fetch_timeout: Duration::from_millis(250),
             overload: OverloadConfig::default(),
             lease: LeaseConfig::default(),
@@ -208,8 +183,6 @@ impl Default for QosServerConfig {
             idle_ttl: None,
             reclaim_interval: Duration::from_secs(5),
             warmup_batch: 512,
-            busy_poll_us: None,
-            pin_workers: false,
         }
     }
 }
@@ -234,7 +207,6 @@ impl QosServerConfig {
             default_policy: DefaultRulePolicy::Deny,
             table: TableKind::Sharded,
             preload: false,
-            dispatch: DispatchMode::KeyAffinity,
             db_fetch_timeout: Duration::from_secs(2),
             overload: OverloadConfig::default(),
             lease: LeaseConfig::default(),
@@ -244,8 +216,6 @@ impl QosServerConfig {
             idle_ttl: None,
             reclaim_interval: Duration::from_millis(100),
             warmup_batch: 512,
-            busy_poll_us: None,
-            pin_workers: false,
         }
     }
 
@@ -256,19 +226,6 @@ impl QosServerConfig {
         }
         if self.fifo_capacity == 0 {
             return Err(janus_types::JanusError::config("fifo_capacity must be > 0"));
-        }
-        if self.table == TableKind::PerWorker && self.dispatch != DispatchMode::KeyAffinity {
-            return Err(janus_types::JanusError::config(
-                "TableKind::PerWorker requires DispatchMode::KeyAffinity \
-                 (the per-worker partitions are only uncontended under affinity dispatch)",
-            ));
-        }
-        if self.socket_mode == SocketMode::PerCore && self.table == TableKind::PerWorker {
-            return Err(janus_types::JanusError::config(
-                "SocketMode::PerCore is incompatible with TableKind::PerWorker: \
-                 SO_REUSEPORT steers flows by client 4-tuple hash, not QoS key, \
-                 so a key may be decided by any socket owner",
-            ));
         }
         if self.db_fetch_timeout.is_zero() {
             return Err(janus_types::JanusError::config(
@@ -346,36 +303,6 @@ mod tests {
         let mut c = QosServerConfig::default();
         c.fifo_capacity = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn per_worker_table_requires_affinity_dispatch() {
-        let mut c = QosServerConfig::default();
-        c.table = TableKind::PerWorker;
-        c.dispatch = DispatchMode::KeyAffinity;
-        assert!(c.validate().is_ok());
-        c.dispatch = DispatchMode::SharedFifo;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn lock_free_table_is_valid_under_both_dispatch_modes() {
-        let mut c = QosServerConfig::default();
-        c.table = TableKind::LockFree;
-        c.dispatch = DispatchMode::KeyAffinity;
-        assert!(c.validate().is_ok());
-        c.dispatch = DispatchMode::SharedFifo;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn per_core_sockets_reject_per_worker_table() {
-        let mut c = QosServerConfig::default();
-        c.socket_mode = SocketMode::PerCore;
-        c.table = TableKind::LockFree;
-        assert!(c.validate().is_ok());
-        c.table = TableKind::PerWorker;
-        assert!(c.validate().is_err(), "reuseport steers by flow, not key");
     }
 
     #[test]

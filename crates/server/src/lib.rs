@@ -21,30 +21,25 @@
 //! Every one of these is a named OS thread owned by the [`QosServer`]
 //! handle; dropping the handle (or [`QosServer::shutdown`]) stops them all.
 //!
-//! The local table flavour is configurable: [`TableKind::Synchronized`]
-//! reproduces the paper's single-lock design, [`TableKind::Sharded`] is
-//! the lock-striped optimization (DESIGN.md ablation 1),
-//! [`TableKind::PerWorker`] partitions the table per worker for the
-//! key-affinity dispatch path (DESIGN.md ablation 9), and
-//! [`TableKind::LockFree`] runs the open-addressing atomic-bucket table
-//! with no lock on the decision path under either dispatch mode
-//! (DESIGN.md ablation 10), exporting its CAS-retry and probe-length
-//! counters through [`ServerStats`].
+//! The data plane is one of two ([`SocketMode`]):
 //!
-//! Dispatch itself is configurable too: [`DispatchMode::SharedFifo`] is
-//! the paper's single shared queue, and [`DispatchMode::KeyAffinity`]
-//! routes `CRC32(key) % workers` through per-worker SPSC queues so one key
-//! is always decided by the same worker. Either way the listener takes
-//! one request per wake-up and a worker answers each request with its own
-//! datagram.
+//! * [`SocketMode::SingleListener`] is the paper's plane: the listener
+//!   takes one request per wake-up and puts it on one bounded FIFO, and
+//!   each of the N workers pops that FIFO and answers with its own
+//!   datagram;
+//! * [`SocketMode::PerCore`] is the fast plane: every worker owns its own
+//!   `SO_REUSEPORT` socket and receives, decides and answers its own
+//!   `recvmmsg`/`sendmmsg` batches run-to-completion, so kernel flow
+//!   steering replaces the listener→FIFO hop (DESIGN.md ablation 12).
 //!
-//! The kernel path is configurable on a third axis:
-//! [`SocketMode::SingleListener`] is the paper's one-socket,
-//! one-`recvfrom`-per-datagram plane, and [`SocketMode::PerCore`] gives
-//! every worker its own `SO_REUSEPORT` socket so kernel flow steering
-//! replaces the listener→queue hop entirely: each worker drains its own
-//! socket with `recvmmsg` and answers with `sendmmsg`, with optional
-//! `SO_BUSY_POLL` and core pinning (DESIGN.md ablation 12).
+//! The local table is one of three ([`TableKind`]):
+//! [`TableKind::Synchronized`] reproduces the paper's single-lock design,
+//! [`TableKind::Sharded`] is the lock-striped optimization (DESIGN.md
+//! ablation 1), and [`TableKind::LockFree`] runs the open-addressing
+//! atomic-bucket table with no lock on the decision path (DESIGN.md
+//! ablation 10), exporting its CAS-retry and probe-length counters
+//! through [`ServerStats`]. Every table is safe under concurrent
+//! deciders, so any table runs on either plane.
 
 mod config;
 pub mod core;
@@ -57,7 +52,7 @@ mod server;
 pub use crate::core::{
     IngressCore, IngressDecision, ServerCore, ServerCoreStats, WorkerCore, WorkerTriage,
 };
-pub use config::{DbTarget, DispatchMode, OverloadConfig, QosServerConfig, SocketMode, TableKind};
+pub use config::{DbTarget, OverloadConfig, QosServerConfig, SocketMode, TableKind};
 pub use ha::{fetch_snapshot, SlaveReplicator};
 pub use lease::{Charge, LeaseConfig, LeaseLedger, LeaseLedgerStats};
 pub use overload::{DedupOutcome, DedupWindow, SojournGovernor};

@@ -1,8 +1,9 @@
-//! The per-core socket plane ([`crate::SocketMode::PerCore`]).
+//! The fast plane ([`crate::SocketMode::PerCore`]): per-core sockets,
+//! run-to-completion.
 //!
-//! Instead of one listener task fanning datagrams out through SPSC
-//! queues, every worker owns its own `SO_REUSEPORT` socket bound to the
-//! same address. The kernel steers each client flow (by 4-tuple hash) to
+//! Instead of one listener thread feeding workers through one FIFO,
+//! every worker owns its own `SO_REUSEPORT` socket bound to the same
+//! address. The kernel steers each client flow (by 4-tuple hash) to
 //! exactly one socket, so a worker drains its own batches with
 //! `recvmmsg`, decides them inline, and answers straight back with
 //! `sendmmsg` — no listener→queue hop, no cross-thread hand-off, no
@@ -14,9 +15,8 @@
 //!   is no user-space queue to measure. The sojourn governor therefore
 //!   never runs; staleness shedding still applies (arrival-stamped).
 //! * Flow steering hashes the *client* 4-tuple, not the QoS key, so any
-//!   worker may decide any key. [`crate::config::QosServerConfig::validate`]
-//!   rejects the per-worker table for this mode; the other table kinds
-//!   are safe under concurrent deciders by construction.
+//!   worker may decide any key — as on the listener plane. Every table
+//!   kind is safe under concurrent deciders by construction.
 //! * Duplicate suppression still serializes through the one shared
 //!   dedup window. Duplicates of one attempt come from one client
 //!   socket, hence land on one worker, so the Pending→record sequence
@@ -85,33 +85,20 @@ pub(crate) fn spawn_percore_plane(
     for _ in 1..config.workers {
         sockets.push(mmsg::reuseport_socket(addr)?);
     }
-
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     for (i, socket) in sockets.into_iter().enumerate() {
         socket.set_read_timeout(Some(READ_TIMEOUT))?;
-        if let Some(micros) = config.busy_poll_us {
-            // Best-effort: needs CAP_NET_ADMIN on older kernels.
-            let _ = mmsg::set_busy_poll(&socket, micros);
-        }
-        let pin = config.pin_workers.then_some(i % cpus);
         let ctx = ctx.clone();
         let shutdown = shutdown.clone();
         std::thread::Builder::new()
             .name(format!("qos-percore-{i}"))
-            .spawn(move || worker_loop(Arc::new(socket), ctx, shutdown, pin))?;
+            .spawn(move || worker_loop(Arc::new(socket), ctx, shutdown))?;
     }
     Ok(addr)
 }
 
 /// One worker's life: drain a batch, decide every request in it,
 /// coalesce responses per peer, flush them in one `sendmmsg`.
-fn worker_loop(socket: Arc<UdpSocket>, ctx: PerCoreCtx, shutdown: Shutdown, pin: Option<usize>) {
-    if let Some(cpu) = pin {
-        // Advisory: a denied affinity mask costs nothing but locality.
-        let _ = mmsg::pin_current_thread(cpu);
-    }
+fn worker_loop(socket: Arc<UdpSocket>, ctx: PerCoreCtx, shutdown: Shutdown) {
     let mut db: Option<DbClient> = None;
     // Scratch buffers come from the shared pool once and are reused for
     // every batch this thread ever receives.

@@ -1,35 +1,26 @@
-//! The QoS server node: listener, dispatch, workers and maintenance
-//! threads.
+//! The QoS server node: the listener plane, its workers and the
+//! maintenance threads.
 //!
 //! The paper's QoS server is a thread machine — one listener thread, a
-//! FIFO, N worker threads — and so is this one. Every thread is named,
-//! owned by the [`QosServer`] handle and stopped through one
-//! [`Shutdown`]: the maintenance threads sleep on it, the listener is
-//! unblocked by closing its socket, and the workers exit when the
-//! listener drops their queues.
+//! FIFO, N worker threads — and so is this one
+//! ([`SocketMode::SingleListener`]): the listener `qos-listener` takes
+//! one request per wake-up and puts it on one bounded FIFO, and every
+//! worker `qos-worker-N` pops that FIFO under a mutex and answers each
+//! request with its own datagram. The other plane,
+//! [`SocketMode::PerCore`], lives in `crate::percore`.
 //!
-//! Two dispatch modes are selectable ([`crate::config::DispatchMode`]),
-//! both one request per listener wake-up and one response datagram per
-//! request:
-//!
-//! * **SharedFifo** — the paper's design: one bounded FIFO, every worker
-//!   pops it under a mutex.
-//! * **KeyAffinity** — the listener routes each request to worker
-//!   `CRC32(key) % workers` through that worker's own SPSC queue, so one
-//!   key is always decided by the same worker.
+//! Every thread is named, owned by the [`QosServer`] handle and stopped
+//! through one [`Shutdown`]: the maintenance threads sleep on it, the
+//! listener is unblocked by closing its socket, and the workers exit
+//! when the listener drops the FIFO's sender.
 
-use crate::config::{
-    DbTarget, DispatchMode, OverloadConfig, QosServerConfig, SocketMode, TableKind,
-};
+use crate::config::{DbTarget, OverloadConfig, QosServerConfig, SocketMode, TableKind};
 use crate::core::{self, IngressCore, IngressDecision, WorkerCore, WorkerTriage};
 use crate::ha;
 use crate::lease::{LeaseLedger, TableCharge};
 use crate::overload::DedupWindow;
 use crate::percore;
-use janus_bucket::{
-    worker_affinity, LockFreeTable, PartitionedTable, QosTable, ShardedTable, SyncTable,
-    TableEngineCells,
-};
+use janus_bucket::{LockFreeTable, QosTable, ShardedTable, SyncTable, TableEngineCells};
 use janus_clock::{Nanos, SharedClock};
 use janus_db::DbClient;
 use janus_net::buffer_pool::BufferPool;
@@ -54,17 +45,17 @@ pub(crate) type GuestKeys = Arc<Mutex<HashSet<QosKey>>>;
 
 /// The recent-nonce window shared by the listener (lookups at ingress)
 /// and the workers (verdict recording after a decision). One shared
-/// window — not one per worker — because under shared-FIFO dispatch any
-/// worker may decide any key, and credit exactness requires duplicate
-/// detection to be serialized at a single point.
+/// window — not one per worker — because on both planes any worker may
+/// decide any key, and credit exactness requires duplicate detection to
+/// be serialized at a single point.
 pub(crate) type SharedDedup = Arc<Mutex<DedupWindow>>;
 
-/// The credit-lease ledger shared by every decision site (workers on
-/// both dispatch modes, or per-core socket owners) and the rule-sync
-/// task (revocation on rule change). One ledger per server — like the
-/// dedup window, lease accounting must serialize at a single point
-/// because any worker may decide any key under shared-FIFO and per-core
-/// dispatch. `None` when the lease plane is disabled.
+/// The credit-lease ledger shared by every decision site (FIFO workers,
+/// or per-core socket owners) and the rule-sync task (revocation on rule
+/// change). One ledger per server — like the dedup window, lease
+/// accounting must serialize at a single point because any worker may
+/// decide any key on either plane. `None` when the lease plane is
+/// disabled.
 pub(crate) type SharedLedger = Arc<Mutex<LeaseLedger>>;
 
 /// One queued admission request, stamped with its enqueue time so the
@@ -85,7 +76,7 @@ pub(crate) use crate::core::respond;
 /// Counters exported by a running QoS server.
 #[derive(Debug, Default)]
 pub struct ServerStats {
-    /// Requests shed because the FIFO (or a worker's queue) was full.
+    /// Requests shed because the FIFO was full.
     pub shed_full: AtomicU64,
     /// Requests shed because their deadline budget was already spent —
     /// at ingress (budget arrived as zero), at dequeue (the queue
@@ -152,7 +143,7 @@ pub struct ServerStats {
 /// probe of the atomics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
-    /// Requests shed because the FIFO (or a worker's queue) was full.
+    /// Requests shed because the FIFO was full.
     pub shed_full: u64,
     /// Requests shed because their deadline budget was already spent.
     pub shed_expired: u64,
@@ -319,7 +310,6 @@ impl QosServer {
         let table: Arc<dyn QosTable> = match config.table {
             TableKind::Sharded => Arc::new(ShardedTable::new()),
             TableKind::Synchronized => Arc::new(SyncTable::new()),
-            TableKind::PerWorker => Arc::new(PartitionedTable::new(config.workers)),
             TableKind::LockFree => Arc::new(LockFreeTable::with_cells(
                 config.table_slots,
                 TableEngineCells {
@@ -362,10 +352,10 @@ impl QosServer {
 
         let guest_keys: GuestKeys = Arc::new(Mutex::new(HashSet::new()));
 
-        // Listener -> dispatch -> workers. The dedup window is shared by
-        // the listener (lookups at ingress) and every worker (verdict
-        // recording): under shared-FIFO dispatch any worker may decide
-        // any key, so duplicate detection must serialize at one point.
+        // Listener -> FIFO -> workers. The dedup window is shared by the
+        // listener (lookups at ingress) and every worker (verdict
+        // recording): any worker may decide any key, so duplicate
+        // detection must serialize at one point.
         let overload = config.overload.clone();
         let dedup: Option<SharedDedup> = (overload.dedup_window > 0)
             .then(|| Arc::new(Mutex::new(DedupWindow::new(overload.dedup_window))));
@@ -420,49 +410,19 @@ impl QosServer {
                 dedup: dedup.clone(),
                 ledger: ledger.clone(),
             };
-            match config.dispatch {
-                DispatchMode::KeyAffinity => {
-                    // Per-worker SPSC queues: the listener is the only sender
-                    // for each queue and the owning worker the only receiver,
-                    // so neither side ever contends on a shared lock.
-                    let per_worker = (config.fifo_capacity / config.workers).max(1);
-                    let mut senders = Vec::with_capacity(config.workers);
-                    for i in 0..config.workers {
-                        let (tx, rx) = mpsc::sync_channel::<Job>(per_worker);
-                        senders.push(tx);
-                        spawn_worker(format!("qos-affinity-{i}"), worker_ctx.clone(), move || {
-                            rx.recv().ok()
-                        })?;
-                    }
-                    spawn_ingress_listener(IngressCtx {
-                        socket: Arc::clone(&socket),
-                        stats: Arc::clone(&stats),
-                        clock: Arc::clone(&clock),
-                        table: Arc::clone(&table),
-                        core: IngressCore::new(overload.clone()),
-                        dedup,
-                        queues: senders,
-                    })?;
-                }
-                DispatchMode::SharedFifo => {
-                    let (fifo_tx, fifo_rx) = mpsc::sync_channel::<Job>(config.fifo_capacity);
-                    let fifo_rx = Arc::new(Mutex::new(fifo_rx));
-                    spawn_ingress_listener(IngressCtx {
-                        socket: Arc::clone(&socket),
-                        stats: Arc::clone(&stats),
-                        clock: Arc::clone(&clock),
-                        table: Arc::clone(&table),
-                        core: IngressCore::new(overload.clone()),
-                        dedup,
-                        queues: vec![fifo_tx],
-                    })?;
-                    for i in 0..config.workers {
-                        let fifo = Arc::clone(&fifo_rx);
-                        spawn_worker(format!("qos-worker-{i}"), worker_ctx.clone(), move || {
-                            fifo.lock().recv().ok()
-                        })?;
-                    }
-                }
+            let (fifo_tx, fifo_rx) = mpsc::sync_channel::<Job>(config.fifo_capacity);
+            spawn_ingress_listener(IngressCtx {
+                socket: Arc::clone(&socket),
+                stats: Arc::clone(&stats),
+                clock: Arc::clone(&clock),
+                table: Arc::clone(&table),
+                core: IngressCore::new(overload.clone()),
+                dedup,
+                fifo: fifo_tx,
+            })?;
+            let fifo_rx = Arc::new(Mutex::new(fifo_rx));
+            for i in 0..config.workers {
+                spawn_worker(i, worker_ctx.clone(), Arc::clone(&fifo_rx))?;
             }
             udp_addr
         };
@@ -587,8 +547,8 @@ struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    /// A fresh per-worker sans-IO core (its governor's sojourn signal is
-    /// local to the queue the worker drains, so cores are never shared).
+    /// A fresh per-worker sans-IO core (its governor runs on the
+    /// sojourns of the jobs this worker pops, so cores are never shared).
     fn worker_core(&self) -> WorkerCore {
         WorkerCore::new(self.overload.clone())
     }
@@ -701,18 +661,15 @@ impl WorkerCtx {
     }
 }
 
-/// A worker thread for either dispatch mode: pop one job from `next` —
-/// the shared FIFO under its mutex (the paper's design), or the worker's
-/// own affinity queue — decide it, answer it with its own datagram.
-/// Exits when the listener is gone.
-fn spawn_worker(
-    name: String,
-    ctx: WorkerCtx,
-    mut next: impl FnMut() -> Option<Job> + Send + 'static,
-) -> Result<()> {
+/// Worker thread `qos-worker-{index}`: pop one job from the shared FIFO
+/// under its mutex (the paper's design), decide it, answer it with its
+/// own datagram. Exits when the listener is gone.
+fn spawn_worker(index: usize, ctx: WorkerCtx, fifo: Arc<Mutex<mpsc::Receiver<Job>>>) -> Result<()> {
     let work = move || {
         let mut db: Option<DbClient> = None;
         let mut worker = ctx.worker_core();
+        // The mutex is held for the pop alone, never while serving.
+        let next = || fifo.lock().recv().ok();
         while let Some(job) = next() {
             ctx.stats.fifo_depth.fetch_sub(1, Ordering::Relaxed);
             if let Some((peer, response)) = ctx.serve(job, &mut worker, &mut db) {
@@ -720,11 +677,13 @@ fn spawn_worker(
             }
         }
     };
-    thread::Builder::new().name(name).spawn(work)?;
+    thread::Builder::new()
+        .name(format!("qos-worker-{index}"))
+        .spawn(work)?;
     Ok(())
 }
 
-/// Everything the ingress listener needs: the worker queues plus the
+/// Everything the ingress listener needs: the FIFO's sender plus the
 /// sans-IO triage core consulted *before* a request is queued.
 struct IngressCtx {
     socket: Arc<UdpServerSocket>,
@@ -733,7 +692,7 @@ struct IngressCtx {
     table: Arc<dyn QosTable>,
     core: IngressCore,
     dedup: Option<SharedDedup>,
-    queues: Vec<mpsc::SyncSender<Job>>,
+    fifo: mpsc::SyncSender<Job>,
 }
 
 impl IngressCtx {
@@ -746,9 +705,8 @@ impl IngressCtx {
     ///    legacy-downgraded final attempt) is answered from the dedup
     ///    window — cached verdict, or silent drop while the first copy
     ///    is in flight;
-    /// 3. otherwise hand it to `CRC32(key) % workers` (one shared queue
-    ///    degenerates to index 0), shedding when that queue is full. A
-    ///    stamped shed gets the configured shed verdict back instead of
+    /// 3. otherwise put it on the FIFO, shedding when the FIFO is full.
+    ///    A stamped shed gets the configured shed verdict back instead of
     ///    the silent drop legacy frames keep — the router stops burning
     ///    retries against a queue that would shed every copy.
     fn ingress(&self, request: QosRequest, peer: SocketAddr) {
@@ -782,7 +740,6 @@ impl IngressCtx {
             (Some(dedup), Some(meta)) => Some((dedup, meta.nonce, request.id, request.key.clone())),
             _ => None,
         };
-        let idx = worker_affinity(&request.key, self.queues.len());
         let job = Job {
             request,
             peer,
@@ -798,7 +755,7 @@ impl IngressCtx {
         // never blocks, so the lock is held for nanoseconds.
         self.stats.fifo_depth.fetch_add(1, Ordering::Relaxed);
         let mut window = pending.as_ref().map(|(dedup, ..)| dedup.lock());
-        match self.queues[idx].try_send(job) {
+        match self.fifo.try_send(job) {
             Ok(()) => {
                 if let (Some((_, nonce, id, key)), Some(window)) = (pending, window.as_mut()) {
                     window.insert_pending(nonce, id, key);
@@ -817,10 +774,9 @@ impl IngressCtx {
     }
 }
 
-/// The ingress listener thread for both dispatch modes: receive one
-/// request per wake-up and triage it through [`IngressCtx::ingress`].
-/// Returns — dropping the worker queues, which stops the workers — once
-/// the socket is closed.
+/// The ingress listener thread: receive one request per wake-up and
+/// triage it through [`IngressCtx::ingress`]. Returns — dropping the
+/// FIFO's sender, which stops the workers — once the socket is closed.
 fn spawn_ingress_listener(ctx: IngressCtx) -> Result<()> {
     let listen = move || {
         while let Ok((request, peer)) = ctx.socket.recv_request() {
@@ -853,8 +809,7 @@ pub(crate) fn decide(
     }
     // First sighting: consult the database. The whole fetch — including
     // (re)connecting — runs under one deadline: a hung connection must not
-    // stall this worker (under affinity dispatch it would stall every
-    // key hashing to it).
+    // stall this worker.
     let rule = match db_target {
         Some(target) => {
             let deadline = Instant::now() + db_fetch_timeout;
@@ -1602,36 +1557,33 @@ mod tests {
         // The gauge is read by the sojourn governor's backlog gate and
         // exported to operators. Raised only after the enqueue, it wrapped
         // to u64::MAX whenever a worker popped the job first.
-        for dispatch in [DispatchMode::KeyAffinity, DispatchMode::SharedFifo] {
-            let mut config = QosServerConfig::test_defaults();
-            config.dispatch = dispatch;
-            let capacity = config.fifo_capacity as u64;
-            let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
-            server
-                .table()
-                .insert(rule("gauge", 1_000_000, 0), server.clock().now());
-            let done = std::sync::atomic::AtomicBool::new(false);
-            let worst = std::thread::scope(|scope| {
-                let sampler = scope.spawn(|| {
-                    let mut worst = 0;
-                    while !done.load(Ordering::Relaxed) {
-                        worst = worst.max(server.stats().fifo_depth.load(Ordering::Relaxed));
-                    }
-                    worst
-                });
-                let client = rpc();
-                for id in 0..500 {
-                    assert_eq!(check(&client, &server, id, "gauge"), Verdict::Allow);
+        let config = QosServerConfig::test_defaults();
+        let capacity = config.fifo_capacity as u64;
+        let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
+        server
+            .table()
+            .insert(rule("gauge", 1_000_000, 0), server.clock().now());
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let worst = std::thread::scope(|scope| {
+            let sampler = scope.spawn(|| {
+                let mut worst = 0;
+                while !done.load(Ordering::Relaxed) {
+                    worst = worst.max(server.stats().fifo_depth.load(Ordering::Relaxed));
                 }
-                done.store(true, Ordering::Relaxed);
-                sampler.join().unwrap()
+                worst
             });
-            assert!(
-                worst <= capacity,
-                "{dispatch:?}: fifo_depth read {worst} with a {capacity}-slot queue"
-            );
-            assert_eq!(server.stats().snapshot().fifo_depth, 0);
-        }
+            let client = rpc();
+            for id in 0..500 {
+                assert_eq!(check(&client, &server, id, "gauge"), Verdict::Allow);
+            }
+            done.store(true, Ordering::Relaxed);
+            sampler.join().unwrap()
+        });
+        assert!(
+            worst <= capacity,
+            "fifo_depth read {worst} with a {capacity}-slot queue"
+        );
+        assert_eq!(server.stats().snapshot().fifo_depth, 0);
     }
 
     #[test]
@@ -1673,39 +1625,7 @@ mod tests {
         assert_eq!(allowed, 3, "the expired request must not consume credit");
     }
 
-    #[test]
-    fn per_worker_table_admits_exactly() {
-        // The third TableKind under its required dispatch mode: per-key
-        // exactness must hold even with concurrent clients, because one
-        // key is always decided by the same worker on the same partition.
-        let rules: Vec<_> = (0..8).map(|i| rule(&format!("p{i}"), 25, 0)).collect();
-        let db = spawn_db(rules);
-        let mut config = QosServerConfig::test_defaults();
-        config.workers = 4;
-        config.table = TableKind::PerWorker;
-        let server = Arc::new(
-            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap(),
-        );
-        let mut handles = Vec::new();
-        for i in 0..8u64 {
-            let server = Arc::clone(&server);
-            handles.push(std::thread::spawn(move || {
-                let client = rpc();
-                let mut allowed = 0;
-                for j in 0..40u64 {
-                    if check(&client, &server, i * 1000 + j, &format!("p{i}")) == Verdict::Allow {
-                        allowed += 1;
-                    }
-                }
-                allowed
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 25, "per-worker table oversold a bucket");
-        }
-    }
-
-    /// Drive one table kind with 8 concurrent clients × 40 requests over 8
+    /// Drive one server with 8 concurrent clients × 40 requests over 8
     /// keys capped at 25 and return the per-client admit counts plus a
     /// final stats snapshot.
     fn drive_exactness(config: QosServerConfig) -> (Vec<u64>, ServerStatsSnapshot) {
@@ -1735,48 +1655,60 @@ mod tests {
         (admits, server.stats().snapshot())
     }
 
-    #[test]
-    fn lock_free_table_admits_exactly() {
-        // The lock-free table must match the sharded/per-worker tables
-        // credit-for-credit under concurrent clients: CAS loops may retry
-        // but can never double-spend or lose a credit.
+    /// Run [`drive_exactness`] on 4 workers and assert that every client
+    /// got exactly its key's 25 credits. Any worker may decide any key, so
+    /// locks serialize and CAS loops may retry, but no table may
+    /// double-spend or lose a credit.
+    fn assert_exact(socket_mode: SocketMode, table: TableKind) {
         let mut config = QosServerConfig::test_defaults();
         config.workers = 4;
-        config.table = TableKind::LockFree;
+        config.socket_mode = socket_mode;
+        config.table = table;
         let (admits, snap) = drive_exactness(config);
         for allowed in admits {
-            assert_eq!(allowed, 25, "lock-free table oversold a bucket");
+            assert_eq!(allowed, 25, "{socket_mode:?} / {table:?} oversold a bucket");
         }
-        assert_eq!(snap.answered, 320);
-        // 320 datagrams through one listener: the scratch-buffer pool must
-        // be recycling by now (first checkout per thread is a miss).
-        assert!(
-            snap.pool_recycle_hits > 0,
-            "recv path is allocating per datagram: {snap:?}"
-        );
+        assert_eq!(snap.answered, 320, "{socket_mode:?} / {table:?}");
+        if socket_mode == SocketMode::SingleListener {
+            // 320 datagrams through one listener: the scratch-buffer pool
+            // must be recycling by now (first checkout per thread is a
+            // miss).
+            assert!(
+                snap.pool_recycle_hits > 0,
+                "recv path is allocating per datagram: {snap:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn locked_tables_admit_exactly() {
+        assert_exact(SocketMode::SingleListener, TableKind::Sharded);
+        assert_exact(SocketMode::SingleListener, TableKind::Synchronized);
+    }
+
+    #[test]
+    fn lock_free_table_admits_exactly() {
+        // On per-core sockets each worker decides whatever the kernel
+        // steers to its socket, inline, with no FIFO in between.
+        if cfg!(target_os = "linux") {
+            assert_exact(SocketMode::PerCore, TableKind::LockFree);
+        } else {
+            assert_exact(SocketMode::SingleListener, TableKind::LockFree);
+        }
     }
 
     #[test]
     fn lock_free_table_admits_exactly_under_shared_fifo() {
-        // Unlike PerWorker, LockFree is valid under shared-FIFO dispatch,
-        // where any worker may decide any key — the harshest interleaving
-        // for the CAS loop. Exactness must still hold.
-        let mut config = QosServerConfig::test_defaults();
-        config.workers = 4;
-        config.table = TableKind::LockFree;
-        config.dispatch = DispatchMode::SharedFifo;
-        let (admits, _snap) = drive_exactness(config);
-        for allowed in admits {
-            assert_eq!(allowed, 25, "lock-free table oversold under shared FIFO");
-        }
+        // The single listener feeds one shared FIFO, where any worker may
+        // decide any key — the harshest interleaving for the CAS loop.
+        assert_exact(SocketMode::SingleListener, TableKind::LockFree);
     }
 
     /// Drain a 20-credit zero-refill key with 40 sequential requests and
     /// return the verdict stream.
-    fn verdict_sequence(socket_mode: SocketMode, dispatch: DispatchMode) -> Vec<Verdict> {
+    fn verdict_sequence(socket_mode: SocketMode) -> Vec<Verdict> {
         let mut config = QosServerConfig::test_defaults();
         config.socket_mode = socket_mode;
-        config.dispatch = dispatch;
         config.table = TableKind::LockFree;
         let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
         server
@@ -1789,24 +1721,19 @@ mod tests {
     }
 
     #[test]
-    fn every_socket_and_dispatch_mode_decides_identically() {
+    fn both_planes_decide_identically() {
         // Per-core SO_REUSEPORT sockets change how datagrams cross the
-        // kernel, the dispatch mode which thread decides — never what is
-        // decided.
-        let reference = verdict_sequence(SocketMode::SingleListener, DispatchMode::KeyAffinity);
+        // kernel and which thread decides — never what is decided.
+        let reference = verdict_sequence(SocketMode::SingleListener);
         assert_eq!(
             reference.iter().filter(|v| **v == Verdict::Allow).count(),
             20
         );
-        let mut modes = vec![(SocketMode::SingleListener, DispatchMode::SharedFifo)];
         if cfg!(target_os = "linux") {
-            modes.push((SocketMode::PerCore, DispatchMode::KeyAffinity));
-        }
-        for (socket_mode, dispatch) in modes {
             assert_eq!(
-                verdict_sequence(socket_mode, dispatch),
+                verdict_sequence(SocketMode::PerCore),
                 reference,
-                "verdict stream diverged under {socket_mode:?} / {dispatch:?}"
+                "verdict stream diverged on the per-core plane"
             );
         }
     }
@@ -1856,25 +1783,6 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
-    }
-
-    #[test]
-    fn shared_fifo_mode_still_works() {
-        // The paper-faithful ablation path: one shared FIFO.
-        let db = spawn_db(vec![rule("fifo", 5, 0)]);
-        let mut config = QosServerConfig::test_defaults();
-        config.dispatch = DispatchMode::SharedFifo;
-        let server =
-            QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
-        let client = rpc();
-        let mut allowed = 0;
-        for id in 0..10 {
-            if check(&client, &server, id, "fifo") == Verdict::Allow {
-                allowed += 1;
-            }
-        }
-        assert_eq!(allowed, 5);
-        assert_eq!(server.stats().snapshot().fifo_depth, 0);
     }
 
     #[test]

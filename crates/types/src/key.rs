@@ -200,8 +200,8 @@ impl QosKey {
     /// The CRC32 of the key bytes, cached at construction.
     ///
     /// Identical to `janus_hash::crc32(key.as_bytes())` — router backend
-    /// selection and worker affinity consume this so the hot path never
-    /// re-walks the key.
+    /// selection consumes this so the hot path never re-walks the key to
+    /// pick the key's QoS server.
     pub fn crc32(&self) -> u32 {
         self.crc32
     }

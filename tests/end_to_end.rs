@@ -42,19 +42,15 @@ fn admission_is_exact_across_the_full_stack() {
 }
 
 #[test]
-fn batched_pooled_stack_is_still_exact() {
-    // The shared-socket data plane end to end: pooled router sockets,
-    // key-affinity dispatch and the per-worker table on the QoS servers.
-    // Credit accounting must stay exact — many calls in flight on one
-    // socket must never duplicate, drop, or cross-credit admission
-    // decisions.
-    let mut server = QosServerConfig::test_defaults();
-    server.table = janus_core::TableKind::PerWorker;
+fn pooled_stack_is_still_exact() {
+    // The shared-socket data plane end to end: pooled router sockets in
+    // front of the QoS servers' listener + FIFO. Credit accounting must
+    // stay exact — many calls in flight on one socket must never
+    // duplicate, drop, or cross-credit admission decisions.
     let config = DeploymentConfig {
         qos_servers: 2,
         routers: 2,
         pooled_rpc: true,
-        server,
         rules: rules(&[("alice", 25, 0)]),
         default_verdict: Verdict::Deny,
         ..Default::default()
@@ -86,7 +82,7 @@ fn batched_pooled_stack_is_still_exact() {
 fn lock_free_stack_is_still_exact() {
     // Same optimized plane with the lock-free table swapped in: the CAS
     // loop must conserve credit exactly through routers, shared sockets
-    // and concurrent clients, matching the per-worker table bit for bit.
+    // and concurrent clients, matching the sharded table bit for bit.
     let mut server = QosServerConfig::test_defaults();
     server.table = janus_core::TableKind::LockFree;
     let config = DeploymentConfig {

@@ -11,7 +11,7 @@
 use janus_hash::rng::Rng;
 use janus_net::fault::FaultPlan;
 use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
-use janus_server::{DispatchMode, QosServer, QosServerConfig, TableKind};
+use janus_server::{QosServer, QosServerConfig, TableKind};
 use janus_types::{QosKey, QosRequest, QosRule, Verdict};
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,18 +22,16 @@ const CAPACITY: u64 = 20;
 /// is observable from both sides (all credits spent, none minted).
 const LOGICAL_REQUESTS: u64 = 40;
 
-/// Spawn a server in the given dispatch mode (lock-free table, dedup
-/// window on by default), drain one capacity-`CAPACITY` key with
+/// Spawn a listener-plane server (lock-free table, dedup window on by
+/// default), drain one capacity-`CAPACITY` key with
 /// `LOGICAL_REQUESTS` sequential calls through a duplicating +
 /// reordering fault plan, and report what happened.
 fn drain_key_under_faults(
-    dispatch: DispatchMode,
     seed: u64,
     duplicate_prob: f64,
     reorder_prob: f64,
 ) -> (u64, u64, u64, u64) {
     let mut config = QosServerConfig::test_defaults();
-    config.dispatch = dispatch;
     config.table = TableKind::LockFree;
     let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
     let key = QosKey::new("idem").unwrap();
@@ -73,7 +71,7 @@ fn drain_key_under_faults(
 }
 
 /// Four seeded cases (seed, duplication and reordering probabilities
-/// drawn from 0.3..0.8 and 0.0..0.5), each in both dispatch modes.
+/// drawn from 0.3..0.8 and 0.0..0.5).
 #[test]
 fn one_logical_request_never_consumes_two_credits() {
     let mut rng = Rng::seed_from_u64(0x1DE7_907E);
@@ -81,26 +79,21 @@ fn one_logical_request_never_consumes_two_credits() {
         let seed = rng.next_u64();
         let duplicate_prob = 0.3 + 0.5 * rng.gen_f64();
         let reorder_prob = 0.5 * rng.gen_f64();
-        for dispatch in [DispatchMode::KeyAffinity, DispatchMode::SharedFifo] {
-            let (allowed, errors, duplicated, dedup_hits) =
-                drain_key_under_faults(dispatch, seed, duplicate_prob, reorder_prob);
-            assert_eq!(
-                errors, 0,
-                "calls timed out without drops ({dispatch:?}, seed {seed})"
-            );
-            assert_eq!(
-                allowed, CAPACITY,
-                "credit exactness violated under dup/reorder: {allowed} admissions from \
-                 a {CAPACITY}-credit bucket ({dispatch:?}, seed {seed})"
-            );
-            assert!(
-                duplicated > 0,
-                "duplication never fired (seed {seed}, p {duplicate_prob})"
-            );
-            assert!(
-                dedup_hits > 0,
-                "no duplicate ever reached the dedup window ({dispatch:?}, seed {seed})"
-            );
-        }
+        let (allowed, errors, duplicated, dedup_hits) =
+            drain_key_under_faults(seed, duplicate_prob, reorder_prob);
+        assert_eq!(errors, 0, "calls timed out without drops (seed {seed})");
+        assert_eq!(
+            allowed, CAPACITY,
+            "credit exactness violated under dup/reorder: {allowed} admissions from \
+             a {CAPACITY}-credit bucket (seed {seed})"
+        );
+        assert!(
+            duplicated > 0,
+            "duplication never fired (seed {seed}, p {duplicate_prob})"
+        );
+        assert!(
+            dedup_hits > 0,
+            "no duplicate ever reached the dedup window (seed {seed})"
+        );
     }
 }

@@ -12,7 +12,7 @@
 
 use janus_net::fault::FaultPlan;
 use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
-use janus_server::{DispatchMode, QosServer, QosServerConfig, SocketMode, TableKind};
+use janus_server::{QosServer, QosServerConfig, SocketMode, TableKind};
 use janus_types::{QosKey, QosRequest, QosRule, Verdict};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,10 +32,9 @@ fn socket_modes() -> Vec<SocketMode> {
     modes
 }
 
-fn spawn_server(socket_mode: SocketMode, dispatch: DispatchMode) -> QosServer {
+fn spawn_server(socket_mode: SocketMode) -> QosServer {
     let mut config = QosServerConfig::test_defaults();
     config.socket_mode = socket_mode;
-    config.dispatch = dispatch;
     config.table = TableKind::LockFree;
     let server = QosServer::spawn(config, None, janus_clock::system()).unwrap();
     let key = QosKey::new("parity").unwrap();
@@ -48,7 +47,7 @@ fn spawn_server(socket_mode: SocketMode, dispatch: DispatchMode) -> QosServer {
 /// Drain the key with a clean sequential client and return the exact
 /// verdict sequence.
 fn verdict_sequence(socket_mode: SocketMode) -> Vec<Verdict> {
-    let server = spawn_server(socket_mode, DispatchMode::KeyAffinity);
+    let server = spawn_server(socket_mode);
     let client = UdpRpcClient::new(UdpRpcConfig::lan_defaults());
     let key = QosKey::new("parity").unwrap();
     let mut verdicts = Vec::with_capacity(LOGICAL_REQUESTS as usize);
@@ -86,12 +85,8 @@ fn verdict_sequence_is_identical_across_socket_modes() {
 /// Drain the key through a duplicating + reordering client fault plan
 /// (no drops — every logical request must complete) and report
 /// `(allowed, errors, duplicated, dedup_hits)`.
-fn drain_under_faults(
-    socket_mode: SocketMode,
-    dispatch: DispatchMode,
-    seed: u64,
-) -> (u64, u64, u64, u64) {
-    let server = spawn_server(socket_mode, dispatch);
+fn drain_under_faults(socket_mode: SocketMode, seed: u64) -> (u64, u64, u64, u64) {
+    let server = spawn_server(socket_mode);
     let faults = FaultPlan::new(0.0, 0.0, Duration::ZERO, seed);
     faults.set_duplication(0.5, Duration::from_micros(200));
     faults.set_reordering(0.3, Duration::from_micros(300));
@@ -119,34 +114,24 @@ fn drain_under_faults(
     (allowed, errors, faults.duplicated(), snapshot.dedup_hits)
 }
 
-/// The credit-exactness invariant must hold under every socket
-/// mode × dispatch mode with request-path duplication and reordering
-/// active: exactly `CAPACITY` admissions, duplicates absorbed by the
+/// The credit-exactness invariant must hold under every socket mode
+/// with request-path duplication and reordering active: exactly `CAPACITY` admissions, duplicates absorbed by the
 /// dedup window, never double-charged.
 #[test]
 fn credit_accounting_is_exact_under_every_socket_mode() {
     for mode in socket_modes() {
-        for dispatch in [DispatchMode::KeyAffinity, DispatchMode::SharedFifo] {
-            let (allowed, errors, duplicated, dedup_hits) =
-                drain_under_faults(mode, dispatch, 0x6a6e_7573);
-            assert_eq!(
-                errors, 0,
-                "calls timed out without drops ({mode:?}/{dispatch:?})"
-            );
-            assert_eq!(
-                allowed, CAPACITY,
-                "credit exactness violated: {allowed} admissions from a \
-                 {CAPACITY}-credit bucket ({mode:?}/{dispatch:?})"
-            );
-            assert!(
-                duplicated > 0,
-                "duplication never fired ({mode:?}/{dispatch:?})"
-            );
-            assert!(
-                dedup_hits > 0,
-                "no duplicate ever reached the dedup window ({mode:?}/{dispatch:?})"
-            );
-        }
+        let (allowed, errors, duplicated, dedup_hits) = drain_under_faults(mode, 0x6a6e_7573);
+        assert_eq!(errors, 0, "calls timed out without drops ({mode:?})");
+        assert_eq!(
+            allowed, CAPACITY,
+            "credit exactness violated: {allowed} admissions from a \
+             {CAPACITY}-credit bucket ({mode:?})"
+        );
+        assert!(duplicated > 0, "duplication never fired ({mode:?})");
+        assert!(
+            dedup_hits > 0,
+            "no duplicate ever reached the dedup window ({mode:?})"
+        );
     }
 }
 
@@ -159,23 +144,10 @@ fn credit_accounting_is_exact_under_every_socket_mode() {
 fn per_core_plane_preserves_retry_idempotency() {
     for seed in [1u64, 0xdead_beef, 0x2018_0615] {
         let (allowed, errors, duplicated, dedup_hits) =
-            drain_under_faults(SocketMode::PerCore, DispatchMode::KeyAffinity, seed);
+            drain_under_faults(SocketMode::PerCore, seed);
         assert_eq!(errors, 0, "seed {seed}: calls timed out without drops");
         assert_eq!(allowed, CAPACITY, "seed {seed}: credit exactness violated");
         assert!(duplicated > 0, "seed {seed}: duplication never fired");
         assert!(dedup_hits > 0, "seed {seed}: dedup window never consulted");
     }
-}
-
-/// Per-core sockets steer by client 4-tuple, not QoS key, so the
-/// per-worker table partition is unsound there — config validation must
-/// refuse the combination before any socket binds.
-#[test]
-fn per_core_rejects_per_worker_table() {
-    let mut config = QosServerConfig::test_defaults();
-    config.socket_mode = SocketMode::PerCore;
-    config.table = TableKind::PerWorker;
-    assert!(config.validate().is_err());
-    config.table = TableKind::LockFree;
-    assert!(config.validate().is_ok());
 }
