@@ -344,11 +344,23 @@ impl AtomicBucket {
     /// readers (the lock-free table only uses this on slots that are
     /// reserved but not yet published).
     pub fn store_rule(&self, rule: &QosRule, now: Nanos) {
-        let cap = rule.capacity.as_micro();
+        self.store(rule.capacity, rule.refill_rate, rule.credit, now);
+    }
+
+    /// [`store_rule`](Self::store_rule) from the parts a drain returns:
+    /// the lock-free table carries a migrated bucket with no key at hand.
+    pub(crate) fn store(
+        &self,
+        capacity: Credits,
+        refill_rate: RefillRate,
+        credit: Credits,
+        now: Nanos,
+    ) {
+        let cap = capacity.as_micro();
         self.capacity.store(cap, Ordering::Relaxed);
         self.rate
-            .store(rule.refill_rate.micro_per_sec(), Ordering::Relaxed);
-        let credit = rule.credit.as_micro().min(cap).min(CREDIT_MASK);
+            .store(refill_rate.micro_per_sec(), Ordering::Relaxed);
+        let credit = credit.as_micro().min(cap).min(CREDIT_MASK);
         self.state
             .store(pack(credit, ceil_tick(now)), Ordering::Relaxed);
     }

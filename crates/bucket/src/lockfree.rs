@@ -24,13 +24,42 @@
 //! * Insertion claims `EMPTY` by CAS, writes the key text and bucket while
 //!   the slot is private, then publishes the digest with `Release`; a
 //!   matching `Acquire` load on the read side makes the bucket visible.
+//!   The text is never rewritten after the publish (a same-digest
+//!   tombstone reuse writes identical bytes), so no slot needs a lock.
 //! * Removal (and reclamation) demotes `PUBLISHED → TOMBSTONE`, *keeping
 //!   the digest bits*: a tombstone may only be re-claimed by the **same**
 //!   digest. This makes slot reuse ABA-safe without epochs — a decision
 //!   racing a remove/re-insert can only ever touch a bucket for the same
 //!   key.
 //! * Probing walks linearly, passes tombstones and foreign digests, and
-//!   stops at `EMPTY` or after [`LockFreeTable::MAX_PROBE`] steps.
+//!   stops at `EMPTY` or after [`LockFreeTable::MAX_PROBE`] steps. Writers
+//!   wait out a `RESERVED` slot instead of passing it, and only an
+//!   undone claim returns a slot to `EMPTY`, so no key sits past an
+//!   `EMPTY` on its probe path: decisions, removals and update-only walks
+//!   all stop there.
+//!
+//! # Slot layout
+//!
+//! One slot is one 64-byte cache line, hot fields first:
+//!
+//! | field    | bytes | read by                                   |
+//! |----------|-------|-------------------------------------------|
+//! | `digest` | 8     | every probe step                          |
+//! | `bucket` | 24    | the matched slot's decision (one CAS)     |
+//! | `touch`  | 8     | the matched slot's decision, reclaim      |
+//! | `text`   | 24    | control plane only (`keys`, `snapshot`, reclaim, migration) |
+//!
+//! `text` holds a length byte and up to [`INLINE_KEY_BYTES`] bytes of
+//! UTF-8, the same bound as [`QosKey`]'s inline form. A key longer than
+//! that leaves only its length in the slot; its text lives in a cold,
+//! table-owned side map keyed by the 62-bit digest, counting the slots
+//! that hold it (a claim or a migration carry adds one; a remove, a
+//! reclaim or the old slot's freeze drops one; the entry goes at zero).
+//! `decide` never touches the side map. Control-plane readers rebuild a
+//! key from the text after an `Acquire` digest load and re-check the
+//! digest afterwards; text that does not name a key with that digest (a
+//! torn read, possible only when a 62-bit-colliding key re-claims the
+//! slot mid-read) is retried, then skipped.
 //!
 //! # Incremental resize
 //!
@@ -49,10 +78,12 @@
 //! captures every charge that landed before it. A reader that took a
 //! `Deny` from a bucket whose digest changed underneath it retries against
 //! the successor (an `Allow` always stands: a successful charge is, by CAS
-//! ordering, reflected in the drained credit). Old generation arrays stay
-//! allocated until the table drops, but they hold no live entries once
-//! retired; because sizes double, all retired arrays together are smaller
-//! than the active one, so total memory is < 2× the active array.
+//! ordering, reflected in the drained credit). The migrator copies the
+//! three text words; the carried slot keeps a long key's side-map hold.
+//! Old generation arrays stay allocated until the table drops, but they
+//! hold no live entries once retired; because sizes double, all retired
+//! arrays together are smaller than the active one, so total memory is
+//! < 2× the active array.
 //!
 //! # Idle-key reclamation
 //!
@@ -87,8 +118,9 @@
 use crate::table::{QosTable, ReclaimedRule, ShardedTable, TableStats, TableStatsSnapshot};
 use janus_clock::Nanos;
 use janus_types::sync::Mutex;
-use janus_types::{Credits, QosKey, QosRule, RefillRate, Verdict};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use janus_types::{Credits, QosKey, QosRule, RefillRate, Verdict, INLINE_KEY_BYTES, MAX_KEY_BYTES};
+use std::collections::HashMap;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -157,6 +189,50 @@ pub struct TableEngineCells {
     pub reclaimed_keys: Arc<AtomicU64>,
 }
 
+/// Key text words per slot: a length byte, then up to
+/// [`INLINE_KEY_BYTES`] bytes of UTF-8, little-endian across the words.
+const TEXT_WORDS: usize = 3;
+const TEXT_BYTES: usize = TEXT_WORDS * 8;
+const _: () = assert!(TEXT_BYTES == 1 + INLINE_KEY_BYTES);
+const _: () = assert!(MAX_KEY_BYTES <= u8::MAX as usize);
+
+type Text = [u64; TEXT_WORDS];
+
+/// `key`'s slot text. A long key leaves only its length, which marks it
+/// (a length past [`INLINE_KEY_BYTES`]): its text is in the side map.
+fn encode_text(key: &QosKey) -> Text {
+    let mut bytes = [0u8; TEXT_BYTES];
+    bytes[0] = key.len() as u8;
+    if key.len() <= INLINE_KEY_BYTES {
+        bytes[1..=key.len()].copy_from_slice(key.as_bytes());
+    }
+    std::array::from_fn(|i| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&bytes[i * 8..(i + 1) * 8]);
+        u64::from_le_bytes(word)
+    })
+}
+
+fn is_long(text: &Text) -> bool {
+    (text[0] & 0xFF) as usize > INLINE_KEY_BYTES
+}
+
+/// The inline key `text` spells, or `None` for a long-key marker or bytes
+/// that spell no key (a torn read).
+fn decode_inline(text: &Text) -> Option<QosKey> {
+    let mut bytes = [0u8; TEXT_BYTES];
+    for (chunk, word) in bytes.chunks_exact_mut(8).zip(text) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+    let len = usize::from(bytes[0]);
+    if len > INLINE_KEY_BYTES {
+        return None;
+    }
+    QosKey::new(std::str::from_utf8(&bytes[1..=len]).ok()?).ok()
+}
+
+/// One open-addressing slot: exactly one cache line (see the module docs'
+/// layout table).
 struct Slot {
     /// Slot state machine word (see module docs).
     digest: AtomicU64,
@@ -165,10 +241,14 @@ struct Slot {
     /// Packed `(last_touched_tick << 40) | touch_count`; relaxed RMW on
     /// the decision path, read by the reclaim sweep.
     touch: AtomicU64,
-    /// Key text, needed only by control-plane operations (`keys`,
-    /// `snapshot`, `remove`, DB sync). Never touched by `decide`.
-    key: Mutex<Option<QosKey>>,
+    /// Key text (see [`encode_text`]), written with relaxed stores while
+    /// the slot is `RESERVED` and never rewritten after the publish: the
+    /// digest's `Release` publish and a reader's `Acquire` load order
+    /// them. Read only by control-plane operations; never by `decide`.
+    text: [AtomicU64; TEXT_WORDS],
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 64);
 
 impl Slot {
     fn vacant() -> Self {
@@ -176,7 +256,17 @@ impl Slot {
             digest: AtomicU64::new(EMPTY),
             bucket: crate::AtomicBucket::full(Credits::ZERO, RefillRate::ZERO, Nanos::ZERO),
             touch: AtomicU64::new(0),
-            key: Mutex::new(None),
+            text: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    fn load_text(&self) -> Text {
+        std::array::from_fn(|i| self.text[i].load(Ordering::Relaxed))
+    }
+
+    fn store_text(&self, text: Text) {
+        for (word, value) in self.text.iter().zip(text) {
+            word.store(value, Ordering::Relaxed);
         }
     }
 }
@@ -214,8 +304,17 @@ enum GenOutcome {
     Done,
     /// The key is mid-migration or was frozen under us: re-resolve.
     Retry,
-    /// The key is not in this generation (or its probe chain is full).
-    Missing,
+    /// The key is not in this generation (or its probe chain is full),
+    /// found after examining `walked` slots.
+    Missing { walked: usize },
+}
+
+/// A frozen slot's state on its way to the successor generation.
+struct Carried {
+    text: Text,
+    touch: u64,
+    /// `(capacity, refill_rate, credit)` from [`AtomicBucket::drain`](crate::AtomicBucket::drain).
+    drained: (Credits, RefillRate, Credits),
 }
 
 /// What charging a matched slot (a decide or a drain) concluded.
@@ -250,6 +349,10 @@ pub struct LockFreeTable {
     /// Probe-limit escape hatch; almost always empty.
     overflow: ShardedTable,
     overflow_in_use: AtomicBool,
+    /// Text of keys longer than [`INLINE_KEY_BYTES`], by 62-bit digest,
+    /// with the number of slots publishing or carrying it (module docs).
+    /// Cold: `decide` never touches it.
+    long_keys: Mutex<HashMap<u64, (QosKey, u32)>>,
     /// Striped on cache lines of their own, as in [`ShardedTable`]: every
     /// decision bumps a counter, and every decision first reads `active`,
     /// `retired` and the `gens` header.
@@ -308,25 +411,6 @@ impl LockFreeTable {
         Self::build(slots, cells, true)
     }
 
-    /// Back-compat constructor sharing only the two contention counters.
-    ///
-    /// # Panics
-    /// Panics if `slots` is zero.
-    pub fn with_hot_counters(
-        slots: usize,
-        cas_retries: Arc<AtomicU64>,
-        probe_steps: Arc<AtomicU64>,
-    ) -> Self {
-        Self::with_cells(
-            slots,
-            TableEngineCells {
-                cas_retries,
-                probe_steps,
-                ..TableEngineCells::default()
-            },
-        )
-    }
-
     fn build(slots: usize, cells: TableEngineCells, resizable: bool) -> Self {
         assert!(slots > 0, "need at least one slot");
         let slots = slots.next_power_of_two();
@@ -349,6 +433,7 @@ impl LockFreeTable {
             reclaim_cursor: AtomicUsize::new(0),
             overflow: ShardedTable::new(),
             overflow_in_use: AtomicBool::new(false),
+            long_keys: Mutex::new(HashMap::new()),
             stats: TableStats::default(),
             cells,
         }
@@ -383,6 +468,72 @@ impl LockFreeTable {
 
     fn overflow_active(&self) -> bool {
         self.overflow_in_use.load(Ordering::Relaxed)
+    }
+
+    /// Write `key`'s text into `slot`, which the caller holds `RESERVED`;
+    /// a long key's side-map entry counts the slot.
+    fn write_key(&self, slot: &Slot, key: &QosKey) {
+        slot.store_text(encode_text(key));
+        if key.len() > INLINE_KEY_BYTES {
+            self.long_keys
+                .lock()
+                .entry(key.digest() & DIGEST_MASK)
+                .or_insert_with(|| (key.clone(), 0))
+                .1 += 1;
+        }
+    }
+
+    /// A slot holding `text` stopped publishing (or carrying) digest `d`:
+    /// drop its hold on a long key's side-map entry, and the entry with
+    /// its last holder.
+    fn release_key(&self, text: &Text, d: u64) {
+        if !is_long(text) {
+            return;
+        }
+        let mut long_keys = self.long_keys.lock();
+        if let Some((_, holders)) = long_keys.get_mut(&(d & DIGEST_MASK)) {
+            *holders -= 1;
+            if *holders == 0 {
+                long_keys.remove(&(d & DIGEST_MASK));
+            }
+        }
+    }
+
+    /// The key `text` names, if it is one with digest `d`.
+    fn key_of(&self, text: &Text, d: u64) -> Option<QosKey> {
+        let key = if is_long(text) {
+            let long_keys = self.long_keys.lock();
+            long_keys
+                .get(&(d & DIGEST_MASK))
+                .map(|(key, _)| key.clone())?
+        } else {
+            decode_inline(text)?
+        };
+        (key.digest() & DIGEST_MASK == d & DIGEST_MASK).then_some(key)
+    }
+
+    /// The key `slot` publishes, read without a lock: an `Acquire` digest
+    /// load, the text, then a re-check of the digest. Text that names no
+    /// key with that digest is a torn read (a 62-bit-colliding key
+    /// re-claimed the slot mid-read): retried a few times, then skipped.
+    fn published_key(&self, slot: &Slot) -> Option<QosKey> {
+        const TORN_READ_TRIES: usize = 4;
+        for _ in 0..TORN_READ_TRIES {
+            let d = slot.digest.load(Ordering::Acquire);
+            if !is_published(d) {
+                return None;
+            }
+            let text = slot.load_text();
+            // Orders the text loads before the re-check (a seqlock read).
+            fence(Ordering::Acquire);
+            if slot.digest.load(Ordering::Relaxed) != d {
+                continue;
+            }
+            if let Some(key) = self.key_of(&text, d) {
+                return Some(key);
+            }
+        }
+        None
     }
 
     /// Record `decisions` against the slot's touch word. Plain
@@ -482,33 +633,29 @@ impl LockFreeTable {
             {
                 continue; // racing remove/reclaim: re-examine
             }
-            // Frozen: readers retry against the successor from here on.
-            let key = slot.key.lock().take();
-            let touch = slot.touch.load(Ordering::Relaxed);
-            let (capacity, refill_rate, credit) = slot.bucket.drain(now);
+            // Frozen: readers retry against the successor from here on,
+            // and nobody rewrites the text of a frozen slot.
+            let carried = Carried {
+                text: slot.load_text(),
+                touch: slot.touch.load(Ordering::Relaxed),
+                drained: slot.bucket.drain(now),
+            };
             self.cells.open_slots.fetch_sub(1, Ordering::Relaxed);
             self.cells.migrated_slots.fetch_add(1, Ordering::Relaxed);
-            if let Some(key) = key {
-                let rule = QosRule {
-                    key,
-                    capacity,
-                    refill_rate,
-                    credit,
-                };
-                self.place_carried(new, rule, touch, now);
-            }
+            self.place_carried(new, d, carried, now);
             return;
         }
     }
 
-    /// Publish a migrated rule into the successor generation, preserving
-    /// its touch word. The key cannot be concurrently published there
-    /// (inserters wait out a move in flight), so this is a plain claim;
-    /// if even the doubled array's probe chain is full, the rule parks in
-    /// the overflow — never dropped either way.
-    fn place_carried(&self, gen: &Gen, rule: QosRule, touch: u64, now: Nanos) {
-        let wanted = published(&rule.key);
-        let mut idx = rule.key.digest() as usize & gen.mask;
+    /// Publish a migrated slot into the successor generation, preserving
+    /// its text and touch words; a long key's side-map hold moves with it.
+    /// The key cannot be concurrently published there (inserters wait out
+    /// a move in flight), so this is a plain claim; if even the doubled
+    /// array's probe chain is full, the rule parks in the overflow — never
+    /// dropped either way.
+    fn place_carried(&self, gen: &Gen, wanted: u64, carried: Carried, now: Nanos) {
+        let (capacity, refill_rate, credit) = carried.drained;
+        let mut idx = (wanted & DIGEST_MASK) as usize & gen.mask;
         for _ in 0..gen.probe_limit() {
             let slot = &gen.slots[idx];
             loop {
@@ -516,9 +663,9 @@ impl LockFreeTable {
                 if d == wanted {
                     // Defensive only: fold the carried state in as an
                     // overwrite so no credit is minted.
+                    let rule = self.carried_rule(&carried, wanted);
                     slot.bucket.apply_rule_update(&rule, now);
-                    slot.bucket.set_credit(rule.credit, now);
-                    *slot.key.lock() = Some(rule.key);
+                    slot.bucket.set_credit(credit, now);
                     return;
                 }
                 if d == EMPTY || d == tombstone_of(wanted) {
@@ -527,9 +674,9 @@ impl LockFreeTable {
                         .compare_exchange(d, RESERVED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        *slot.key.lock() = Some(rule.key.clone());
-                        slot.bucket.store_rule(&rule, now);
-                        slot.touch.store(touch, Ordering::Relaxed);
+                        slot.store_text(carried.text);
+                        slot.bucket.store(capacity, refill_rate, credit, now);
+                        slot.touch.store(carried.touch, Ordering::Relaxed);
                         slot.digest.store(wanted, Ordering::Release);
                         self.cells.open_slots.fetch_add(1, Ordering::Relaxed);
                         return;
@@ -544,7 +691,24 @@ impl LockFreeTable {
             }
             idx = (idx + 1) & gen.mask;
         }
+        let rule = self.carried_rule(&carried, wanted);
         self.park_in_overflow(rule, now, true);
+    }
+
+    /// A carried slot that lands in no new slot: its rule, with the
+    /// carry's side-map hold dropped.
+    fn carried_rule(&self, carried: &Carried, wanted: u64) -> QosRule {
+        let key = self
+            .key_of(&carried.text, wanted)
+            .expect("a frozen slot's text names its key");
+        self.release_key(&carried.text, wanted);
+        let (capacity, refill_rate, credit) = carried.drained;
+        QosRule {
+            key,
+            capacity,
+            refill_rate,
+            credit,
+        }
     }
 
     /// After a resize completes, move parked overflow rules back into the
@@ -596,7 +760,8 @@ impl LockFreeTable {
     /// One insert/update walk over `gen`. With `allow_claim` this is the
     /// full insert-or-update protocol; without it, update-in-place only
     /// (used against the draining predecessor, whose migrator will carry
-    /// the updated state).
+    /// the updated state, and by [`QosTable::apply_update`]), which stops
+    /// at the first `EMPTY` like every other lookup.
     #[allow(clippy::too_many_arguments)]
     fn walk_gen(
         &self,
@@ -609,7 +774,7 @@ impl LockFreeTable {
         allow_claim: bool,
     ) -> GenOutcome {
         let mut idx = rule.key.digest() as usize & gen.mask;
-        for _ in 0..gen.probe_limit() {
+        for step in 0..gen.probe_limit() {
             let slot = &gen.slots[idx];
             loop {
                 let d = slot.digest.load(Ordering::Acquire);
@@ -618,7 +783,6 @@ impl LockFreeTable {
                     if overwrite {
                         slot.bucket.set_credit(rule.credit, now);
                     }
-                    *slot.key.lock() = Some(rule.key.clone());
                     if slot.digest.load(Ordering::Acquire) != wanted {
                         // Frozen under us (migration or reclamation): the
                         // update may not have been captured — re-apply
@@ -629,6 +793,9 @@ impl LockFreeTable {
                 }
                 if d == moved_of(wanted) {
                     return GenOutcome::Retry; // move in flight: wait it out
+                }
+                if d == EMPTY && !allow_claim {
+                    return GenOutcome::Missing { walked: step + 1 };
                 }
                 if allow_claim && (d == EMPTY || d == tombstone_of(wanted)) {
                     if slot
@@ -651,7 +818,7 @@ impl LockFreeTable {
                         slot.digest.store(d, Ordering::SeqCst);
                         return GenOutcome::Retry;
                     }
-                    *slot.key.lock() = Some(rule.key.clone());
+                    self.write_key(slot, &rule.key);
                     slot.bucket.store_rule(rule, now);
                     slot.touch
                         .store(pack_touch(touch_tick(now), 0), Ordering::Relaxed);
@@ -675,7 +842,9 @@ impl LockFreeTable {
             }
             idx = (idx + 1) & gen.mask;
         }
-        GenOutcome::Missing
+        GenOutcome::Missing {
+            walked: gen.probe_limit(),
+        }
     }
 
     /// Insert-or-update (`overwrite == false`, the [`QosTable::insert`]
@@ -701,10 +870,23 @@ impl LockFreeTable {
                 ) {
                     GenOutcome::Done => return,
                     GenOutcome::Retry => {
+                        // Moved, or being moved: update the key where its
+                        // carry lands. Never claim there — the carry does.
+                        if let GenOutcome::Done = self.walk_gen(
+                            self.gen_at(active),
+                            active,
+                            &rule,
+                            wanted,
+                            now,
+                            overwrite,
+                            false,
+                        ) {
+                            return;
+                        }
                         std::hint::spin_loop();
                         continue;
                     }
-                    GenOutcome::Missing => {}
+                    GenOutcome::Missing { .. } => {}
                 }
             }
             match self.walk_gen(
@@ -721,8 +903,11 @@ impl LockFreeTable {
                     return;
                 }
                 GenOutcome::Retry => continue,
-                GenOutcome::Missing => {
-                    // Probe chain exhausted: park so the rule is never lost.
+                GenOutcome::Missing { walked } => {
+                    // Probe chain exhausted (a claiming walk stops at the
+                    // first EMPTY by taking it): park so the rule is never
+                    // lost.
+                    debug_assert_eq!(walked, self.gen_at(active).probe_limit());
                     self.park_in_overflow(rule, now, overwrite);
                     return;
                 }
@@ -913,7 +1098,7 @@ impl QosTable for LockFreeTable {
             match self.walk_gen(self.gen_at(active), active, rule, wanted, now, false, false) {
                 GenOutcome::Done => return true,
                 GenOutcome::Retry => continue,
-                GenOutcome::Missing => {}
+                GenOutcome::Missing { .. } => {}
             }
             if self.retired.load(Ordering::Acquire) < active {
                 match self.walk_gen(
@@ -930,7 +1115,7 @@ impl QosTable for LockFreeTable {
                         std::hint::spin_loop();
                         continue;
                     }
-                    GenOutcome::Missing => {}
+                    GenOutcome::Missing { .. } => {}
                 }
                 if self.active.load(Ordering::Acquire) != active {
                     continue;
@@ -955,12 +1140,11 @@ impl QosTable for LockFreeTable {
                     let slot = &gen.slots[idx];
                     let d = slot.digest.load(Ordering::Acquire);
                     if d == wanted {
-                        // Serialize with other control-plane ops on this
-                        // slot, then demote to a same-digest tombstone. A
+                        // Demote to a same-digest tombstone; the CAS
+                        // serializes with migration and reclamation. A
                         // decision that already matched the published
                         // digest may still charge the parked bucket once —
                         // a single-decision anomaly, never a cross-key one.
-                        let mut stored = slot.key.lock();
                         if slot
                             .digest
                             .compare_exchange(
@@ -971,12 +1155,11 @@ impl QosTable for LockFreeTable {
                             )
                             .is_ok()
                         {
-                            *stored = None;
+                            self.release_key(&slot.load_text(), wanted);
                             self.cells.open_slots.fetch_sub(1, Ordering::Relaxed);
                             removed_open = true;
                             break 'gens;
                         }
-                        drop(stored);
                         // Frozen or republished under us: re-resolve.
                         std::hint::spin_loop();
                         continue 'retry;
@@ -1012,13 +1195,12 @@ impl QosTable for LockFreeTable {
     fn keys(&self) -> Vec<QosKey> {
         let mut keys = Vec::with_capacity(self.len());
         for gi in self.live_range() {
-            for slot in self.gen_at(gi).slots.iter() {
-                if is_published(slot.digest.load(Ordering::Acquire)) {
-                    if let Some(key) = slot.key.lock().clone() {
-                        keys.push(key);
-                    }
-                }
-            }
+            keys.extend(
+                self.gen_at(gi)
+                    .slots
+                    .iter()
+                    .filter_map(|slot| self.published_key(slot)),
+            );
         }
         if self.overflow_active() {
             keys.extend(self.overflow.keys());
@@ -1030,10 +1212,8 @@ impl QosTable for LockFreeTable {
         let mut rules = Vec::with_capacity(self.len());
         for gi in self.live_range() {
             for slot in self.gen_at(gi).slots.iter() {
-                if is_published(slot.digest.load(Ordering::Acquire)) {
-                    if let Some(key) = slot.key.lock().clone() {
-                        rules.push(slot.bucket.to_rule(key, now));
-                    }
+                if let Some(key) = self.published_key(slot) {
+                    rules.push(slot.bucket.to_rule(key, now));
                 }
             }
         }
@@ -1102,11 +1282,10 @@ impl QosTable for LockFreeTable {
             if age >= TOUCH_TICK_HALF_RANGE || age < ttl_ticks {
                 continue; // fresh — or clock skew, where keeping is the safe direction
             }
-            // Freeze, drain exactly, tombstone. The key lock serializes
-            // with `remove` and control-plane updates; readers pass the
-            // transient RESERVED state and miss, exactly like a removed
-            // key.
-            let mut stored = slot.key.lock();
+            // Freeze, drain exactly, tombstone. The CAS serializes with
+            // `remove` and migration, and nobody rewrites a frozen slot's
+            // text; readers pass the transient RESERVED state and miss,
+            // exactly like a removed key.
             if slot
                 .digest
                 .compare_exchange(d, RESERVED, Ordering::AcqRel, Ordering::Acquire)
@@ -1114,10 +1293,11 @@ impl QosTable for LockFreeTable {
             {
                 continue;
             }
-            let key = stored.take();
+            let text = slot.load_text();
+            let key = self.key_of(&text, d);
             let (capacity, refill_rate, credit) = slot.bucket.drain(now);
             slot.digest.store(tombstone_of(d), Ordering::Release);
-            drop(stored);
+            self.release_key(&text, d);
             self.cells.open_slots.fetch_sub(1, Ordering::Relaxed);
             self.cells.reclaimed_keys.fetch_add(1, Ordering::Relaxed);
             if let Some(key) = key {
@@ -1164,6 +1344,45 @@ mod tests {
 
     fn secs(s: u64) -> Nanos {
         Nanos::from_nanos(s * 1_000_000_000)
+    }
+
+    /// The `i`-th key of a differential test: every fourth is 24–255
+    /// bytes long (length drawn from `rng`), so its text takes the side
+    /// map.
+    fn differential_key(prefix: &str, i: u64, rng: &mut janus_hash::rng::Rng) -> QosKey {
+        let short = format!("{prefix}{i}");
+        if i % 4 != 3 {
+            return key(&short);
+        }
+        let len = rng.gen_range_inclusive(INLINE_KEY_BYTES as u64 + 1, MAX_KEY_BYTES as u64);
+        key(&format!(
+            "{short}-{}",
+            "x".repeat(len as usize - short.len() - 1)
+        ))
+    }
+
+    /// The side map holds exactly the long keys the open array publishes,
+    /// each counting its publishing slots (checked while quiescent).
+    fn assert_long_keys_balanced(table: &LockFreeTable) {
+        let mut held: HashMap<u64, u32> = HashMap::new();
+        for gi in table.live_range() {
+            for slot in table.gen_at(gi).slots.iter() {
+                let d = slot.digest.load(Ordering::Acquire);
+                if is_published(d) && is_long(&slot.load_text()) {
+                    *held.entry(d & DIGEST_MASK).or_default() += 1;
+                }
+            }
+        }
+        let long_keys = table.long_keys.lock();
+        let counted: HashMap<u64, u32> = long_keys.iter().map(|(&d, (_, n))| (d, *n)).collect();
+        assert_eq!(counted, held, "side map out of step with the slots");
+        for (&d, (key, _)) in long_keys.iter() {
+            assert_eq!(
+                key.digest() & DIGEST_MASK,
+                d,
+                "{key} filed under a foreign digest"
+            );
+        }
     }
 
     fn migration_in_flight(table: &LockFreeTable) -> bool {
@@ -1258,8 +1477,11 @@ mod tests {
                     for _ in 0..MAX_ROUNDS {
                         if barrier.wait().is_leader() {
                             // Capacity covers the round: no thread ever
-                            // falls onto the read-only deny path.
-                            table.insert(rule("hot", 1_000_000, 0), Nanos::ZERO);
+                            // falls onto the read-only deny path. A
+                            // restore refills the bucket (an insert would
+                            // keep the last round's credit, which runs dry
+                            // after 12 rounds without a retry).
+                            table.restore(vec![rule("hot", 1_000_000, 0)], Nanos::ZERO);
                             rounds.fetch_add(1, Ordering::Relaxed);
                         }
                         barrier.wait();
@@ -1291,13 +1513,18 @@ mod tests {
 
     #[test]
     fn shared_counters_are_visible_through_the_caller_cells() {
-        let cas = Arc::new(AtomicU64::new(0));
-        let probe = Arc::new(AtomicU64::new(0));
-        let table = LockFreeTable::with_hot_counters(64, Arc::clone(&cas), Arc::clone(&probe));
+        let cells = TableEngineCells::default();
+        let table = LockFreeTable::with_cells(64, cells.clone());
         table.insert(rule("a", 10, 0), Nanos::ZERO);
         table.decide(&key("a"), Nanos::ZERO);
-        assert_eq!(cas.load(Ordering::Relaxed), table.cas_retries());
-        assert_eq!(probe.load(Ordering::Relaxed), table.probe_steps());
+        assert_eq!(
+            cells.cas_retries.load(Ordering::Relaxed),
+            table.cas_retries()
+        );
+        assert_eq!(
+            cells.probe_steps.load(Ordering::Relaxed),
+            table.probe_steps()
+        );
     }
 
     #[test]
@@ -1585,7 +1812,10 @@ mod tests {
         // reference ShardedTable on every verdict, every removal and the
         // final credit of every key. Time advances on the whole-ms tick
         // grid where both engines are exact.
-        let keys: Vec<QosKey> = (0..8).map(|i| key(&format!("u{i}"))).collect();
+        let mut lengths = janus_hash::rng::Rng::seed_from_u64(0x1046);
+        let keys: Vec<QosKey> = (0..8)
+            .map(|i| differential_key("u", i, &mut lengths))
+            .collect();
         for seed in 0..8u64 {
             let mut rng = janus_hash::rng::Rng::seed_from_u64(0xD1FF ^ seed);
             let lockfree = LockFreeTable::with_slots(4);
@@ -1628,6 +1858,7 @@ mod tests {
                 }
             }
             pump_until_retired(&lockfree, now);
+            assert_long_keys_balanced(&lockfree);
             assert_eq!(lockfree.len(), sharded.len(), "seed {seed}");
             let mut a = lockfree.snapshot(now);
             let mut b = sharded.snapshot(now);
@@ -1644,12 +1875,16 @@ mod tests {
     #[test]
     fn lockfree_matches_sharded_on_any_schedule() {
         let mut rng = janus_hash::rng::Rng::seed_from_u64(0x10CF_4EE0);
+        let mut lengths = janus_hash::rng::Rng::seed_from_u64(0x1046_4EE0);
         for case in 0..256 {
+            let keys: Vec<QosKey> = (0..8)
+                .map(|i| differential_key("p", i, &mut lengths))
+                .collect();
             let lockfree = LockFreeTable::with_slots(4);
             let sharded = ShardedTable::with_shards(4);
             let mut now = Nanos::ZERO;
             for step in 0..rng.gen_range_inclusive(1, 399) {
-                let k = key(&format!("p{}", rng.gen_range(8)));
+                let k = keys[rng.gen_range(8) as usize].clone();
                 match rng.gen_range(5) {
                     0 => {
                         let r = QosRule::per_second(k, rng.gen_range(40), rng.gen_range(500));
@@ -1671,6 +1906,7 @@ mod tests {
                 }
             }
             pump_until_retired(&lockfree, now);
+            assert_long_keys_balanced(&lockfree);
             assert_eq!(lockfree.len(), sharded.len(), "case {case}");
             let mut a = lockfree.snapshot(now);
             let mut b = sharded.snapshot(now);
@@ -1678,5 +1914,293 @@ mod tests {
             b.sort_by(|x, y| x.key.cmp(&y.key));
             assert_eq!(a, b, "case {case}: final state must match");
         }
+    }
+
+    #[test]
+    fn slot_text_round_trips_inline_keys_and_marks_long_ones() {
+        for len in 1..=MAX_KEY_BYTES {
+            let k = key(&"k".repeat(len));
+            let text = encode_text(&k);
+            assert_eq!(is_long(&text), len > INLINE_KEY_BYTES, "len {len}");
+            if len <= INLINE_KEY_BYTES {
+                assert_eq!(decode_inline(&text), Some(k), "len {len}");
+            } else {
+                assert_eq!(decode_inline(&text), None, "len {len}");
+            }
+        }
+        let k = key("ü-tenant:db/eu-west");
+        assert_eq!(decode_inline(&encode_text(&k)), Some(k));
+    }
+
+    #[test]
+    fn update_walk_of_an_absent_key_stops_at_the_first_empty() {
+        /// Slots an update walk for `k` must examine: home through the
+        /// first EMPTY, inclusive.
+        fn to_first_empty(gen: &Gen, k: &QosKey) -> usize {
+            let mut idx = k.digest() as usize & gen.mask;
+            let mut walked = 1;
+            while gen.slots[idx].digest.load(Ordering::Relaxed) != EMPTY {
+                idx = (idx + 1) & gen.mask;
+                walked += 1;
+            }
+            walked
+        }
+        fn walked(table: &LockFreeTable, gi: usize, absent: &QosRule) -> usize {
+            let active = table.active.load(Ordering::Acquire);
+            let wanted = published(&absent.key);
+            let gen = table.gen_at(gi);
+            match table.walk_gen(gen, active, absent, wanted, Nanos::ZERO, false, false) {
+                GenOutcome::Missing { walked } => walked,
+                _ => panic!("{} is not in the table", absent.key),
+            }
+        }
+        let table = LockFreeTable::with_slots(64);
+        for i in 0..47 {
+            table.insert(rule(&format!("k{i}"), 3, 0), Nanos::ZERO);
+        }
+        assert!(!migration_in_flight(&table));
+        // An absent key whose home is taken, so the walk passes slots.
+        let absent = (0..)
+            .map(|j| rule(&format!("absent-{j}"), 1, 0))
+            .find(|r| to_first_empty(table.gen_at(0), &r.key) >= 3)
+            .unwrap();
+        let limit = table.gen_at(0).probe_limit();
+        assert_eq!(
+            walked(&table, 0, &absent),
+            to_first_empty(table.gen_at(0), &absent.key)
+        );
+        assert!(walked(&table, 0, &absent) < limit);
+        assert!(!table.apply_update(&absent, Nanos::ZERO));
+
+        // The 48th key crosses the watermark; one quantum freezes the
+        // first slots, which the walk passes like any foreign slot.
+        table.insert(rule("k47", 3, 0), Nanos::ZERO);
+        table.run_migration_quantum(Nanos::ZERO);
+        assert!(migration_in_flight(&table));
+        let old = table.gen_at(0);
+        let expected = to_first_empty(old, &absent.key);
+        assert_eq!(walked(&table, 0, &absent), expected, "draining generation");
+        assert!(expected < limit);
+        assert_eq!(
+            walked(&table, 1, &absent),
+            to_first_empty(table.gen_at(1), &absent.key),
+            "active generation mid-migration"
+        );
+        assert!(!table.apply_update(&absent, Nanos::ZERO));
+        assert_eq!(table.len(), 48);
+    }
+
+    #[test]
+    fn reinserting_a_carried_key_mid_migration_updates_it_in_the_successor() {
+        // A lone thread re-inserting a key whose old slot is already
+        // frozen must not wait for the whole migration to finish.
+        let table = LockFreeTable::with_slots(64);
+        let names: Vec<String> = (0..48).map(|i| format!("k{i}")).collect();
+        for name in &names {
+            table.insert(rule(name, 3, 0), Nanos::ZERO);
+        }
+        table.run_migration_quantum(Nanos::ZERO);
+        let old = table.gen_at(0);
+        let carried = names
+            .iter()
+            .find(|name| {
+                let moved = moved_of(published(&key(name)));
+                old.slots
+                    .iter()
+                    .any(|slot| slot.digest.load(Ordering::Relaxed) == moved)
+            })
+            .expect("the first quantum carried a key");
+        table.insert(rule(carried, 5, 0), Nanos::ZERO);
+        assert!(migration_in_flight(&table));
+        assert_eq!(
+            table.shape(&key(carried)),
+            Some((Credits::from_whole(5), RefillRate::ZERO))
+        );
+        for _ in 0..3 {
+            assert_eq!(
+                table.decide(&key(carried), Nanos::ZERO),
+                Some(Verdict::Allow)
+            );
+        }
+        assert_eq!(
+            table.decide(&key(carried), Nanos::ZERO),
+            Some(Verdict::Deny)
+        );
+        assert_eq!(table.len(), 48);
+    }
+
+    #[test]
+    fn torn_text_reads_are_skipped_not_panics() {
+        let table = LockFreeTable::with_slots(64);
+        table.insert(rule("alice", 5, 0), Nanos::ZERO);
+        table.insert(rule("bob", 5, 0), Nanos::ZERO);
+        let wanted = published(&key("alice"));
+        let slot = table
+            .gen_at(0)
+            .slots
+            .iter()
+            .find(|slot| slot.digest.load(Ordering::Relaxed) == wanted)
+            .unwrap();
+        let intact = slot.load_text();
+        let torn: [(&str, Text); 6] = [
+            ("another key's text", encode_text(&key("carol"))),
+            ("invalid UTF-8", [0xFD_FE_FF_03, 0, 0]),
+            ("a control character", [0x07_61_02, 0, 0]),
+            ("a zero length", [0, 0, 0]),
+            ("a long marker with no side-map entry", [200, 0, 0]),
+            ("a length past the words", [0xFF, 0, 0]),
+        ];
+        for (what, text) in torn {
+            slot.store_text(text);
+            assert_eq!(table.published_key(slot), None, "{what}");
+            assert_eq!(table.keys(), vec![key("bob")], "{what}");
+            let snap = table.snapshot(Nanos::ZERO);
+            assert_eq!(snap.len(), 1, "{what}");
+            assert_eq!(snap[0].key, key("bob"), "{what}");
+        }
+        slot.store_text(intact);
+        assert_eq!(table.published_key(slot), Some(key("alice")));
+        assert_eq!(table.keys().len(), 2);
+    }
+
+    #[test]
+    fn long_keys_live_in_the_side_map_exactly_while_a_slot_holds_them() {
+        let long = "tenant-with-a-very-long-name:db".repeat(2);
+        let table = LockFreeTable::with_slots(8);
+        table.insert(rule(&long, 4, 0), Nanos::ZERO);
+        table.insert(rule("short", 4, 0), Nanos::ZERO);
+        assert_eq!(table.long_keys.lock().len(), 1);
+        assert_long_keys_balanced(&table);
+        // Updates do not re-count; resizes carry the hold.
+        table.insert(rule(&long, 6, 0), Nanos::ZERO);
+        for i in 0..20 {
+            table.insert(rule(&format!("f{i}"), 1, 0), Nanos::ZERO);
+        }
+        pump_until_retired(&table, Nanos::ZERO);
+        assert!(table.cells.resizes.load(Ordering::Relaxed) >= 2);
+        assert_long_keys_balanced(&table);
+        assert_eq!(table.long_keys.lock().len(), 1);
+        assert!(table.keys().contains(&key(&long)));
+        assert_eq!(table.decide(&key(&long), Nanos::ZERO), Some(Verdict::Allow));
+        // Remove drops the entry; a same-digest re-claim brings it back.
+        assert!(table.remove(&key(&long)));
+        assert!(table.long_keys.lock().is_empty());
+        table.insert(rule(&long, 2, 0), Nanos::ZERO);
+        assert_long_keys_balanced(&table);
+        // Reclaim hands the key back whole and drops the entry.
+        let reclaimed = table.reclaim_idle(secs(10), Duration::from_secs(1), 100);
+        assert_eq!(reclaimed.len(), 22);
+        assert!(reclaimed.iter().any(|row| row.rule.key == key(&long)));
+        assert!(table.long_keys.lock().is_empty());
+        assert_eq!(table.len(), 0);
+    }
+
+    #[test]
+    fn long_key_churn_races_reclaim_and_resize_without_leaking() {
+        // Four roles, released together by a barrier every round: an
+        // inserter growing the table through resizes, a remover, a
+        // reclaimer that also readmits what it reclaimed a round earlier,
+        // and a decider that pumps migration. Keys come back after a
+        // removal, so tombstones are re-claimed by their own digests.
+        // Every op's result feeds a model; between rounds the table must
+        // list exactly the model's keys, and the side map exactly its long
+        // ones.
+        use std::collections::BTreeSet;
+        use std::sync::Barrier;
+        const ROUNDS: u64 = 150;
+        const UNIVERSE: u64 = 96;
+        const INSERTS_PER_ROUND: usize = 8;
+        let universe: Vec<QosKey> = (0..UNIVERSE)
+            .map(|n| {
+                let base = format!("tenant-{n}:");
+                if n % 5 == 4 {
+                    return key(&base); // every fifth key is short
+                }
+                let len = 24 + (n * 37 % 232) as usize;
+                key(&format!("{base}{}", "z".repeat(len - base.len())))
+            })
+            .collect();
+        let table = LockFreeTable::with_slots(8);
+        let mut live: BTreeSet<QosKey> = BTreeSet::new();
+        let mut parked: Vec<QosRule> = Vec::new();
+        let mut cursor = 0;
+        for round in 1..=ROUNDS {
+            let now = secs(round);
+            let mut fresh = Vec::new();
+            for _ in 0..universe.len() {
+                let k = &universe[cursor];
+                cursor = (cursor + 1) % universe.len();
+                if !live.contains(k) && parked.iter().all(|row| &row.key != k) {
+                    fresh.push(k.clone());
+                    if fresh.len() == INSERTS_PER_ROUND {
+                        break;
+                    }
+                }
+            }
+            // Remove some live keys; decide on others.
+            let victims: Vec<QosKey> = live.iter().step_by(9).cloned().collect();
+            let hot: Vec<QosKey> = live.iter().skip(3).step_by(5).cloned().collect();
+            let readmit = std::mem::take(&mut parked);
+            let barrier = Barrier::new(4);
+            let (removed, reclaimed) = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for k in &fresh {
+                        table.insert(QosRule::per_second(k.clone(), 10, 0), now);
+                    }
+                });
+                let remover = scope.spawn(|| {
+                    barrier.wait();
+                    victims
+                        .iter()
+                        .filter(|k| table.remove(k))
+                        .cloned()
+                        .collect::<Vec<_>>()
+                });
+                let reclaimer = scope.spawn(|| {
+                    barrier.wait();
+                    table.restore(readmit.clone(), now);
+                    table.reclaim_idle(now, Duration::from_millis(2_500), 2)
+                });
+                scope.spawn(|| {
+                    barrier.wait();
+                    for k in &hot {
+                        table.decide(k, now);
+                        table.run_migration_quantum(now);
+                    }
+                });
+                (remover.join().unwrap(), reclaimer.join().unwrap())
+            });
+            live.extend(fresh);
+            live.extend(readmit.into_iter().map(|r| r.key));
+            for k in &removed {
+                assert!(live.remove(k), "round {round}: removed {k} twice");
+            }
+            for row in reclaimed {
+                assert!(
+                    live.remove(&row.rule.key),
+                    "round {round}: reclaimed a dead key"
+                );
+                parked.push(row.rule);
+            }
+            let keys: BTreeSet<QosKey> = table.keys().into_iter().collect();
+            assert_eq!(keys, live, "round {round}: keys()");
+            let snap: BTreeSet<QosKey> = table
+                .snapshot(now)
+                .into_iter()
+                .map(|rule| rule.key)
+                .collect();
+            assert_eq!(snap, live, "round {round}: snapshot()");
+            // A key parked in the overflow (a chain of foreign
+            // tombstones) keeps its own text there.
+            let long_live = live
+                .iter()
+                .filter(|k| k.len() > INLINE_KEY_BYTES && table.overflow.shape(k).is_none())
+                .count();
+            assert_eq!(table.long_keys.lock().len(), long_live, "round {round}");
+            assert_long_keys_balanced(&table);
+        }
+        assert!(table.cells.resizes.load(Ordering::Relaxed) >= 4);
+        assert!(table.cells.reclaimed_keys.load(Ordering::Relaxed) > 0);
     }
 }
