@@ -18,7 +18,7 @@
 //! 1000 requests purely as a did-the-data-plane-survive check; it prints
 //! the table but deliberately does **not** rewrite `BENCH_admission.json`
 //! — a loaded CI box would overwrite real measurements with noise.
-//! `--socket-mode` restricts the sweep to one plane (the syscall
+//! `--socket-mode` restricts the sweep to one plane (the plane
 //! ablation's decisions/sec/core curve comes from comparing the two).
 //! `--mode <substring>` restricts it to matching variant names — CI's
 //! lease smoke runs `--smoke --mode lease` and checks the
@@ -156,8 +156,6 @@ fn main() {
                     p.timed_out.to_string(),
                     (p.shed_full + p.shed_expired + p.shed_sojourn).to_string(),
                     p.dedup_hits.to_string(),
-                    p.syscalls_saved.to_string(),
-                    format!("{}/{}", p.batch_recv_p50, p.batch_recv_p99),
                     format!("{}us", p.sojourn_p99_us),
                     p.cas_retries.to_string(),
                     format!("{}({}%)", p.open_slots, p.occupancy_pct),
@@ -183,8 +181,6 @@ fn main() {
                 "timed_out",
                 "shed",
                 "dedup_hits",
-                "sys_saved",
-                "batch_p50/99",
                 "sojourn_p99",
                 "cas_retries",
                 "open(occ)",

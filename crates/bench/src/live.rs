@@ -128,7 +128,8 @@ pub struct AdmissionPoint {
     /// Completed checks per second, in thousands.
     pub krps: f64,
     /// Completed checks per second divided by server workers — the
-    /// decisions/sec/core curve the syscall ablation plots.
+    /// decisions/sec/core curve the plane ablation (DESIGN.md ablation
+    /// 12) plots.
     pub decisions_per_sec_per_core: f64,
     /// Datagrams the server shed at full queues.
     pub shed_full: u64,
@@ -162,15 +163,6 @@ pub struct AdmissionPoint {
     /// Streaming warm-up batches applied at preload (0 in this harness:
     /// preload is off).
     pub warmup_batches: u64,
-    /// Receive buffers served from the recycle pool instead of malloc.
-    pub pool_recycle_hits: u64,
-    /// Per-datagram syscalls amortized away by `recvmmsg`/`sendmmsg`
-    /// (0 under `single_listener`).
-    pub syscalls_saved: u64,
-    /// Server-side median receive batch length, datagrams.
-    pub batch_recv_p50: u64,
-    /// Server-side 99th-percentile receive batch length, datagrams.
-    pub batch_recv_p99: u64,
     /// Checks admitted router-locally against a held lease slice with
     /// zero network I/O (0 for non-lease variants).
     pub lease_admits: u64,
@@ -220,10 +212,6 @@ janus_types::impl_to_json!(AdmissionPoint {
     migrated_slots,
     reclaimed_keys,
     warmup_batches,
-    pool_recycle_hits,
-    syscalls_saved,
-    batch_recv_p50,
-    batch_recv_p99,
     lease_admits,
     lease_grants,
     lease_admit_ratio,
@@ -470,10 +458,6 @@ pub fn run_admission_variant_with(
         migrated_slots: stats.migrated_slots,
         reclaimed_keys: stats.reclaimed_keys,
         warmup_batches: stats.warmup_batches,
-        pool_recycle_hits: stats.pool_recycle_hits,
-        syscalls_saved: stats.syscalls_saved,
-        batch_recv_p50: stats.batch_recv_p50,
-        batch_recv_p99: stats.batch_recv_p99,
         lease_admits,
         lease_grants: stats.lease_grants,
         lease_admit_ratio: if completed > 0 {
@@ -506,13 +490,6 @@ mod tests {
                 "{} has a zero per-core rate",
                 variant.name
             );
-            if variant.socket_mode == SocketMode::SingleListener {
-                assert_eq!(
-                    point.syscalls_saved, 0,
-                    "{}: the listener plane never calls recvmmsg",
-                    variant.name
-                );
-            }
             if variant.table != TableKind::LockFree {
                 assert_eq!(
                     point.cas_retries, 0,

@@ -26,9 +26,9 @@
 //!   global retry budget.
 //! * [`tcp`] — the accept-thread + thread-per-connection loop every TCP
 //!   server here (HTTP, database, HA port) is built on.
-//! * [`mmsg`] — batched UDP syscalls (`recvmmsg`/`sendmmsg`) and
-//!   `SO_REUSEPORT` per-core socket groups, declared by hand against the
-//!   system libc, with a portable single-syscall fallback.
+//! * [`sys`] — the two socket calls `std::net` lacks: `SO_REUSEPORT`
+//!   per-core socket groups and a nanosecond `ppoll` wait, declared by
+//!   hand against the system libc.
 //!
 //! One deliberate substrate simplification: our DNS "A records" carry full
 //! socket addresses rather than bare IPs, because test deployments
@@ -37,12 +37,11 @@
 
 pub mod attempt;
 pub mod breaker;
-pub mod buffer_pool;
 pub mod dns;
 pub mod fault;
 pub mod http;
 pub mod latency;
-pub mod mmsg;
+pub mod sys;
 pub mod tcp;
 pub mod udp;
 #[cfg(test)]
@@ -75,13 +74,11 @@ pub(crate) fn loopback_of(addr: std::net::SocketAddr) -> std::net::SocketAddr {
     std::net::SocketAddr::new(ip, addr.port())
 }
 
-pub use buffer_pool::{BufferPool, BufferPoolSnapshot, PooledBuf};
 pub use fault::{DeliverySchedule, Fate, FaultPlan};
 pub use http::{HttpClient, HttpRequest, HttpResponse, HttpServer, Method, StatusCode};
 pub use latency::{
     HedgePolicy, HedgeStats, LatencyWindow, RetryBudget, RetryBudgetConfig, SharedLatency,
     TimeoutPolicy, WireDiscipline,
 };
-pub use mmsg::{Backend, BatchStats, RecvSlot};
 pub use tcp::TcpService;
 pub use udp::{OobDelivery, RetryBackoff, UdpRpcClient, UdpRpcConfig, UdpServerSocket};

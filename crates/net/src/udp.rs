@@ -29,20 +29,19 @@
 //! errs on the conservative side — admission control may only undercount
 //! credit, never oversell).
 //!
-//! Every datagram that passes a [`FaultPlan`] — client requests, server
-//! responses, and the per-core plane's batches in `janus-server` — has its
-//! [`Fate`] applied in one place, [`OobDelivery::apply`]; late copies leave
-//! from one timer thread per queue.
+//! Every datagram that passes a [`FaultPlan`] — client requests and
+//! server responses on either plane of `janus-server` — has its [`Fate`]
+//! applied in one place, [`OobDelivery::send`]; late copies leave from one
+//! timer thread per queue.
 
 use crate::attempt::{AttemptPlan, AttemptStep};
-use crate::buffer_pool::BufferPool;
 use crate::fault::{DeliverySchedule, Fate, FaultPlan};
 use crate::latency::WireDiscipline;
 use janus_clock::Nanos;
 use janus_types::codec::{self, Frame, MAX_FRAME_BYTES};
 use janus_types::sync::Mutex;
 use janus_types::{JanusError, QosRequest, QosResponse, RequestId, Result};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -260,10 +259,9 @@ impl OobDelivery {
     /// Apply one datagram's already-rolled fate: the one place a [`Fate`]
     /// meets a socket. Late copies (a duplicate's second copy, a deferred
     /// datagram) are queued here; an inline delay is slept out on the
-    /// calling thread. Returns the copy that leaves now, if any, for the
-    /// caller to send — alone, or inside a `sendmmsg` batch. `peer: None`
-    /// addresses a connected socket.
-    pub fn apply(
+    /// calling thread. Returns the copy that leaves now, if any. `peer:
+    /// None` addresses a connected socket.
+    fn apply(
         &self,
         fate: Fate,
         socket: &Arc<UdpSocket>,
@@ -292,7 +290,9 @@ impl OobDelivery {
         }
     }
 
-    /// [`apply`](Self::apply) the fate, then send whatever leaves now.
+    /// Apply one datagram's already-rolled fate — drop, delay inline,
+    /// duplicate or defer, late copies waiting in this queue — then send
+    /// whatever leaves now. `peer: None` addresses a connected socket.
     pub fn send(
         &self,
         fate: Fate,
@@ -371,7 +371,7 @@ fn recv_within(socket: &UdpSocket, buf: &mut [u8], timeout: Duration) -> io::Res
             Err(e) => return Err(e),
         }
         let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || !crate::mmsg::wait_readable(socket, left)? {
+        if left.is_zero() || !crate::sys::wait_readable(socket, left)? {
             return Ok(None);
         }
     }
@@ -422,23 +422,18 @@ struct Demux {
 }
 
 impl Demux {
-    /// The receiver thread: route every arriving response frame — single
-    /// or batched — to its waiter. Malformed datagrams and responses
-    /// nobody waits for (late duplicates) are dropped.
+    /// The receiver thread: route every arriving response to its waiter.
+    /// Malformed datagrams, requests and responses nobody waits for (late
+    /// duplicates) are dropped.
     fn receive(&self) {
-        let mut buf = vec![0u8; RECV_BUF_BYTES];
+        let mut buf = [0u8; RECV_BUF_BYTES];
         while let Ok((len, _peer)) = self.socket.recv_from(&mut buf) {
             if self.stop.load(Ordering::Acquire) {
                 return;
             }
-            let Ok(frames) = codec::decode_all(&buf[..len]) else {
-                continue;
-            };
-            for frame in frames {
-                if let Frame::Response(resp) = frame {
-                    if let Some(slot) = self.waiters.lock().remove(&resp.id) {
-                        slot.fill(resp);
-                    }
+            if let Ok(Frame::Response(resp)) = codec::decode(&buf[..len]) {
+                if let Some(slot) = self.waiters.lock().remove(&resp.id) {
+                    slot.fill(resp);
                 }
             }
         }
@@ -775,12 +770,9 @@ impl Leg for OwnSocket<'_> {
             // Anything but this call's response — garbage, or a stale
             // answer for an earlier request on a reused port — is skipped
             // and the wait goes on: the attempt is not cut short.
-            let frames = codec::decode_all(&self.buf[..len]).unwrap_or_default();
-            for frame in frames {
-                if let Frame::Response(resp) = frame {
-                    if resp.id == self.id {
-                        return Ok(Some(resp));
-                    }
+            if let Ok(Frame::Response(resp)) = codec::decode(&self.buf[..len]) {
+                if resp.id == self.id {
+                    return Ok(Some(resp));
                 }
             }
         }
@@ -822,36 +814,22 @@ impl Drop for SharedSlot<'_> {
     }
 }
 
-/// Receive-buffer size: must hold the largest batch datagram (plus one
-/// byte so oversize datagrams are detectably truncated and rejected).
-/// Public so alternative data planes (`janus-server`'s per-core socket
-/// workers) size their scratch buffers identically.
-pub const RECV_BUF_BYTES: usize = if codec::MAX_DATAGRAM_BYTES > MAX_FRAME_BYTES {
-    codec::MAX_DATAGRAM_BYTES + 1
-} else {
-    MAX_FRAME_BYTES + 1
-};
+/// Receive-buffer size: the largest frame plus one byte, so an oversize
+/// datagram is detectably truncated and rejected. Public so every
+/// receiver (the per-core workers in `janus-server` too) sizes its
+/// buffer identically.
+pub const RECV_BUF_BYTES: usize = MAX_FRAME_BYTES + 1;
 
 /// The QoS-server side: a bound socket that receives admission requests
 /// and sends responses, one frame per datagram, with fault injection on
 /// the response path.
 ///
-/// Understands both wire formats on receive: legacy single-frame datagrams
-/// and the batched format (`Frame::Batch`) other senders may use. A batch
-/// datagram is split into individual requests in an internal pending
-/// queue, so callers keep the one-request-at-a-time API regardless of how
-/// the sender packed them.
-///
-/// One thread (the listener) receives; any thread may send.
+/// One thread (the listener) receives, into a buffer it owns; any thread
+/// may send.
 #[derive(Debug)]
 pub struct UdpServerSocket {
     socket: Arc<UdpSocket>,
     faults: Arc<FaultPlan>,
-    /// Recycles the receive scratch buffers (the QoS server shares its
-    /// pool here so recycle hits surface in `ServerStats`).
-    pool: Arc<BufferPool>,
-    /// Requests decoded from a batch datagram but not yet handed out.
-    pending: Mutex<VecDeque<(QosRequest, SocketAddr)>>,
     /// Out-of-band queue for duplicate/deferred response copies.
     oob: OobDelivery,
     /// Set by [`close`](Self::close): the blocked receiver returns. A
@@ -867,22 +845,14 @@ impl UdpServerSocket {
 
     /// Bind an ephemeral loopback port with response-path fault injection.
     pub fn bind_with_faults(faults: Arc<FaultPlan>) -> Result<Self> {
-        Self::bind(
-            SocketAddr::from(([127, 0, 0, 1], 0)),
-            faults,
-            Arc::new(BufferPool::new()),
-        )
+        Self::bind(SocketAddr::from(([127, 0, 0, 1], 0)), faults)
     }
 
-    /// Fully-specified bind: address (port 0 = ephemeral), fault plan,
-    /// and a caller-shared buffer pool (so the caller can read the
-    /// recycle counters).
-    pub fn bind(addr: SocketAddr, faults: Arc<FaultPlan>, pool: Arc<BufferPool>) -> Result<Self> {
+    /// Fully-specified bind: address (port 0 = ephemeral) and fault plan.
+    pub fn bind(addr: SocketAddr, faults: Arc<FaultPlan>) -> Result<Self> {
         Ok(UdpServerSocket {
             socket: Arc::new(UdpSocket::bind(addr)?),
             faults,
-            pool,
-            pending: Mutex::new(VecDeque::new()),
             oob: OobDelivery::new(),
             closed: AtomicBool::new(false),
         })
@@ -902,29 +872,20 @@ impl UdpServerSocket {
         crate::wake_receiver(&self.socket);
     }
 
-    /// Receive the next well-formed admission request, blocking until one
+    /// Receive the next well-formed admission request into `buf` (the
+    /// caller's, at least [`RECV_BUF_BYTES`] long), blocking until one
     /// arrives or the socket is [`close`](Self::close)d. Malformed
     /// datagrams and response frames are skipped, never fatal — a public
-    /// UDP port must tolerate garbage. The scratch buffers are recycled
-    /// through the pool: steady state, the listener makes zero heap
-    /// allocations per datagram.
-    pub fn recv_request(&self) -> Result<(QosRequest, SocketAddr)> {
+    /// UDP port must tolerate garbage. Decoding a request with an inline
+    /// key allocates nothing.
+    pub fn recv_request(&self, buf: &mut [u8]) -> Result<(QosRequest, SocketAddr)> {
         loop {
             if self.closed.load(Ordering::Acquire) {
                 return Err(JanusError::state("udp server socket is closed"));
             }
-            if let Some(item) = self.pending.lock().pop_front() {
-                return Ok(item);
-            }
-            let mut buf = self.pool.acquire(RECV_BUF_BYTES);
-            let (len, peer) = self.socket.recv_from(&mut buf)?;
-            if let Ok(frames) = codec::decode_all(&buf[..len]) {
-                let mut pending = self.pending.lock();
-                for frame in frames {
-                    if let Frame::Request(req) = frame {
-                        pending.push_back((req, peer));
-                    }
-                }
+            let (len, peer) = self.socket.recv_from(buf)?;
+            if let Ok(Frame::Request(req)) = codec::decode(&buf[..len]) {
+                return Ok((req, peer));
             }
         }
     }
@@ -965,7 +926,8 @@ mod tests {
         let server = UdpServerSocket::bind_with_faults(faults).unwrap();
         let addr = server.local_addr().unwrap();
         std::thread::spawn(move || {
-            while let Ok((req, peer)) = server.recv_request() {
+            let mut buf = [0u8; RECV_BUF_BYTES];
+            while let Ok((req, peer)) = server.recv_request(&mut buf) {
                 let verdict = Verdict::from_bool(req.id % 2 == 0);
                 let _ = server.send_response(&QosResponse::new(req.id, verdict), peer);
             }
@@ -1233,106 +1195,8 @@ mod tests {
         prober
             .send_to(&codec::encode_request(&request(7)), addr)
             .unwrap();
-        let (req, _) = server.recv_request().unwrap();
+        let (req, _) = server.recv_request(&mut [0u8; RECV_BUF_BYTES]).unwrap();
         assert_eq!(req.id, 7);
-    }
-
-    #[test]
-    fn recv_scratch_buffers_recycle_through_the_pool() {
-        // Every recv_request runs on this thread, so after the first
-        // (miss) checkout all later scratch buffers come from the
-        // thread's freelist.
-        let pool = Arc::new(BufferPool::new());
-        let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
-        let server = UdpServerSocket::bind(loopback, FaultPlan::none(), Arc::clone(&pool)).unwrap();
-        let addr = server.local_addr().unwrap();
-        let prober = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        for id in 0..5u64 {
-            prober
-                .send_to(&codec::encode_request(&request(id)), addr)
-                .unwrap();
-            let (req, _) = server.recv_request().unwrap();
-            assert_eq!(req.id, id);
-        }
-        let snap = pool.snapshot();
-        assert_eq!(snap.hits + snap.misses, 5);
-        assert!(
-            snap.hits >= 4,
-            "scratch buffers were not recycled: {snap:?}"
-        );
-    }
-
-    #[test]
-    fn server_splits_batch_datagrams_into_requests() {
-        let server = UdpServerSocket::bind_ephemeral().unwrap();
-        let addr = server.local_addr().unwrap();
-        let prober = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        let frames: Vec<Frame> = (10..13u64).map(|id| Frame::Request(request(id))).collect();
-        let wires = codec::encode_batch(&frames);
-        assert_eq!(wires.len(), 1, "three small frames fit one datagram");
-        prober.send_to(&wires[0], addr).unwrap();
-        for expected in 10..13u64 {
-            let (req, _) = server.recv_request().unwrap();
-            assert_eq!(req.id, expected);
-        }
-    }
-
-    #[test]
-    fn shared_strategy_demuxes_a_multi_response_batch_datagram() {
-        // A server that holds requests until four are pending and answers
-        // them all in one `Frame::Batch` datagram (as the per-core plane
-        // does for a burst from one peer): the receiver thread must split
-        // it and wake each caller with its own response.
-        const CALLS: u64 = 4;
-        let socket = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        let addr = socket.local_addr().unwrap();
-        let datagrams = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&datagrams);
-        std::thread::spawn(move || {
-            let mut buf = [0u8; RECV_BUF_BYTES];
-            let mut held = Vec::new();
-            while let Ok((len, peer)) = socket.recv_from(&mut buf) {
-                if let Ok(Frame::Request(req)) = codec::decode(&buf[..len]) {
-                    held.push(Frame::Response(QosResponse::new(
-                        req.id,
-                        Verdict::from_bool(req.id % 2 == 0),
-                    )));
-                }
-                if held.len() as u64 == CALLS {
-                    for wire in codec::encode_batch(&held) {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        let _ = socket.send_to(&wire, peer);
-                    }
-                    held.clear();
-                }
-            }
-        });
-        let client = UdpRpcClient::bind_shared(
-            UdpRpcConfig {
-                timeout: Duration::from_secs(2),
-                max_retries: 0,
-                ..Default::default()
-            },
-            FaultPlan::none(),
-        )
-        .unwrap();
-        let handles: Vec<_> = (0..CALLS)
-            .map(|id| {
-                let client = client.clone();
-                std::thread::spawn(move || client.call(addr, &request(id)).unwrap())
-            })
-            .collect();
-        for (id, handle) in handles.into_iter().enumerate() {
-            let resp = handle.join().unwrap();
-            assert_eq!(resp.id, id as u64);
-            assert_eq!(resp.verdict, Verdict::from_bool(id % 2 == 0));
-        }
-        assert_eq!(
-            datagrams.load(Ordering::SeqCst),
-            1,
-            "one batch answered all"
-        );
-        assert_eq!(client.in_flight(), 0);
     }
 
     #[test]
@@ -1369,12 +1233,15 @@ mod tests {
         let server = Arc::new(UdpServerSocket::bind_ephemeral().unwrap());
         let receiver = {
             let server = Arc::clone(&server);
-            thread::spawn(move || server.recv_request())
+            thread::spawn(move || server.recv_request(&mut [0u8; RECV_BUF_BYTES]))
         };
         thread::sleep(Duration::from_millis(20));
         server.close();
         assert!(receiver.join().unwrap().is_err());
-        assert!(server.recv_request().is_err(), "closed stays closed");
+        assert!(
+            server.recv_request(&mut [0u8; RECV_BUF_BYTES]).is_err(),
+            "closed stays closed"
+        );
     }
 
     #[test]
@@ -1386,7 +1253,8 @@ mod tests {
         let server = UdpServerSocket::bind_ephemeral().unwrap();
         let addr = server.local_addr().unwrap();
         thread::spawn(move || {
-            while let Ok((req, peer)) = server.recv_request() {
+            let mut buf = [0u8; RECV_BUF_BYTES];
+            while let Ok((req, peer)) = server.recv_request(&mut buf) {
                 thread::sleep(Duration::from_millis(5));
                 let _ = server.send_response(&QosResponse::allow(req.id), peer);
             }
@@ -1630,7 +1498,8 @@ mod tests {
         let server = UdpServerSocket::bind_ephemeral().unwrap();
         let addr = server.local_addr().unwrap();
         std::thread::spawn(move || {
-            while let Ok((req, peer)) = server.recv_request() {
+            let mut buf = [0u8; RECV_BUF_BYTES];
+            while let Ok((req, peer)) = server.recv_request(&mut buf) {
                 let mut resp = QosResponse::allow(req.id);
                 if req.solicit_hint {
                     resp = resp.with_hint(RuleHint::new(
@@ -1660,7 +1529,8 @@ mod tests {
         let server = UdpServerSocket::bind_ephemeral().unwrap();
         let addr = server.local_addr().unwrap();
         std::thread::spawn(move || {
-            while let Ok((req, peer)) = server.recv_request() {
+            let mut buf = [0u8; RECV_BUF_BYTES];
+            while let Ok((req, peer)) = server.recv_request(&mut buf) {
                 std::thread::sleep(Duration::from_millis(20));
                 // Always answer Deny (the stale answer).
                 let _ = server.send_response(&QosResponse::deny(req.id), peer);

@@ -7,8 +7,8 @@
 
 mod tests {
     use crate::fault::FaultPlan;
-    use crate::udp::{UdpRpcClient, UdpRpcConfig, UdpServerSocket};
-    use janus_types::codec::{self, MAX_DATAGRAM_BYTES};
+    use crate::udp::{UdpRpcClient, UdpRpcConfig, UdpServerSocket, RECV_BUF_BYTES};
+    use janus_types::codec;
     use janus_types::{JanusError, QosKey, QosRequest, QosResponse, Verdict};
     use std::net::{SocketAddr, UdpSocket};
     use std::time::Duration;
@@ -26,7 +26,8 @@ mod tests {
         let server = UdpServerSocket::bind_ephemeral().unwrap();
         let addr = server.local_addr().unwrap();
         std::thread::spawn(move || {
-            while let Ok((req, peer)) = server.recv_request() {
+            let mut buf = [0u8; RECV_BUF_BYTES];
+            while let Ok((req, peer)) = server.recv_request(&mut buf) {
                 let verdict = Verdict::from_bool(req.key.len() % 2 == 0);
                 let _ = server.send_response(&QosResponse::new(req.id, verdict), peer);
             }
@@ -120,7 +121,7 @@ mod tests {
         });
         let call = std::thread::spawn(move || pool.call(addr, &check(1, "ab")));
         let mut kinds = Vec::new();
-        let mut buf = [0u8; MAX_DATAGRAM_BYTES + 1];
+        let mut buf = [0u8; RECV_BUF_BYTES];
         for _ in 0..3 {
             let (len, _) = sink.recv_from(&mut buf).unwrap();
             kinds.push(buf[..len][3]);

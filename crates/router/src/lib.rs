@@ -770,7 +770,8 @@ mod tests {
         // The pooled router keeps the paper's single-frame wire format:
         // checks from concurrent clients in flight on its one shared
         // socket still leave as one request frame per datagram, never a
-        // `Frame::Batch` (which `codec::decode` refuses).
+        // datagram in the retired 0x03 batch format (which `codec::decode`
+        // refuses).
         use janus_types::codec::{self, Frame};
         let server = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let addr = server.local_addr().unwrap();

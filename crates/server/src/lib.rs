@@ -28,9 +28,14 @@
 //!   each of the N workers pops that FIFO and answers with its own
 //!   datagram;
 //! * [`SocketMode::PerCore`] is the fast plane: every worker owns its own
-//!   `SO_REUSEPORT` socket and receives, decides and answers its own
-//!   `recvmmsg`/`sendmmsg` batches run-to-completion, so kernel flow
-//!   steering replaces the listener→FIFO hop (DESIGN.md ablation 12).
+//!   `SO_REUSEPORT` socket and receives, decides and answers one datagram
+//!   at a time, run-to-completion, so kernel flow steering replaces the
+//!   listener→FIFO hop (DESIGN.md ablation 12).
+//!
+//! Both planes run one decision tail (decide, cache the verdict for
+//! duplicates, drop an answer whose deadline passed, attach a lease
+//! grant); they differ only in their triage and in where the arrival
+//! stamp comes from.
 //!
 //! The local table is one of three ([`TableKind`]):
 //! [`TableKind::Synchronized`] reproduces the paper's single-lock design,

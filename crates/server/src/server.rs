@@ -14,8 +14,11 @@
 //! listener is unblocked by closing its socket, and the workers exit
 //! when the listener drops the FIFO's sender.
 
-use crate::config::{DbTarget, OverloadConfig, QosServerConfig, SocketMode, TableKind};
-use crate::core::{self, IngressCore, IngressDecision, WorkerCore, WorkerTriage};
+use crate::config::{DbTarget, QosServerConfig, SocketMode, TableKind};
+// The pure halves of both data planes — budget extraction, response
+// shaping, dedup bookkeeping, triage — live in the sans-IO core module so
+// the simulator drives the same code.
+use crate::core::{self, respond, IngressCore, IngressDecision, WorkerCore, WorkerTriage};
 use crate::ha;
 use crate::lease::{LeaseLedger, TableCharge};
 use crate::overload::DedupWindow;
@@ -23,9 +26,8 @@ use crate::percore;
 use janus_bucket::{LockFreeTable, QosTable, ShardedTable, SyncTable, TableEngineCells};
 use janus_clock::{Nanos, SharedClock};
 use janus_db::DbClient;
-use janus_net::buffer_pool::BufferPool;
 use janus_net::fault::FaultPlan;
-use janus_net::udp::{OobDelivery, UdpServerSocket};
+use janus_net::udp::{UdpServerSocket, RECV_BUF_BYTES};
 use janus_types::sync::{Mutex, Shutdown};
 use janus_types::{QosKey, QosRequest, QosResponse, Result, Verdict};
 use janus_workload::Histogram;
@@ -66,12 +68,6 @@ struct Job {
     peer: SocketAddr,
     enqueued_at: Nanos,
 }
-
-// The pure halves of this data plane — budget extraction, response
-// shaping, dedup bookkeeping, triage — live in the sans-IO core module
-// so the simulator drives the same code; re-exported for the sibling
-// planes that import them from here.
-pub(crate) use crate::core::respond;
 
 /// Counters exported by a running QoS server.
 #[derive(Debug, Default)]
@@ -125,17 +121,10 @@ pub struct ServerStats {
     /// Streaming warm-up batches applied at preload (non-empty pages of
     /// the hottest-first cold-tier scan).
     pub warmup_batches: AtomicU64,
-    /// Receive-buffer pool for this server's UDP socket; its hit counter
-    /// is exported as `pool_recycle_hits`.
-    pub pool: Arc<BufferPool>,
     /// Queue sojourn (enqueue → dequeue) of every request a worker
     /// popped, shed or served — the signal the sojourn governor runs on,
     /// exported as percentiles in the snapshot.
     pub sojourn: Mutex<Histogram>,
-    /// Batched-syscall counters (`recvmmsg`/`sendmmsg` amortization);
-    /// shared into the per-core workers at spawn. Always zero under
-    /// [`SocketMode::SingleListener`].
-    pub mmsg: Arc<janus_net::mmsg::BatchStats>,
 }
 
 /// A point-in-time copy of [`ServerStats`], for benches and experiment
@@ -189,21 +178,10 @@ pub struct ServerStatsSnapshot {
     pub reclaimed_keys: u64,
     /// Streaming warm-up batches applied at preload.
     pub warmup_batches: u64,
-    /// Receive-buffer checkouts served from the recycle pool instead of a
-    /// fresh allocation.
-    pub pool_recycle_hits: u64,
     /// Median queue sojourn, whole microseconds (0 when nothing popped).
     pub sojourn_p50_us: u64,
     /// 99th-percentile queue sojourn, whole microseconds.
     pub sojourn_p99_us: u64,
-    /// Per-datagram syscalls amortized away by `recvmmsg`/`sendmmsg`
-    /// (datagrams moved minus kernel crossings spent, both directions).
-    pub syscalls_saved: u64,
-    /// Median receive batch length in datagrams (0 before any batched
-    /// receive).
-    pub batch_recv_p50: u64,
-    /// 99th-percentile receive batch length in datagrams.
-    pub batch_recv_p99: u64,
 }
 
 impl ServerStats {
@@ -247,12 +225,8 @@ impl ServerStats {
             migrated_slots: self.engine.migrated_slots.load(Ordering::Relaxed),
             reclaimed_keys: self.engine.reclaimed_keys.load(Ordering::Relaxed),
             warmup_batches: self.warmup_batches.load(Ordering::Relaxed),
-            pool_recycle_hits: self.pool.hits(),
             sojourn_p50_us,
             sojourn_p99_us,
-            syscalls_saved: self.mmsg.syscalls_saved(),
-            batch_recv_p50: self.mmsg.recv_len_quantile(0.5),
-            batch_recv_p99: self.mmsg.recv_len_quantile(0.99),
         }
     }
 }
@@ -366,63 +340,47 @@ impl QosServer {
             .lease
             .enabled
             .then(|| Arc::new(Mutex::new(LeaseLedger::new(config.lease.clone()))));
+        // Everything a decision site needs, shared by every worker of
+        // either plane.
+        let decisions = DecisionCtx {
+            table: Arc::clone(&table),
+            stats: Arc::clone(&stats),
+            clock: Arc::clone(&clock),
+            db_target: db.clone(),
+            default_policy: config.default_policy.clone(),
+            guest_keys: Arc::clone(&guest_keys),
+            db_fetch_timeout: config.db_fetch_timeout,
+            dedup,
+            ledger: ledger.clone(),
+        };
+        let ingress = IngressCore::new(overload.clone());
         let mut listener_socket = None;
         let udp_addr = if config.socket_mode == SocketMode::PerCore {
             // Kernel flow steering replaces the listener→queue hop: each
-            // worker thread owns an SO_REUSEPORT socket and drains it
-            // with recvmmsg directly (DESIGN.md ablation 12).
-            percore::spawn_percore_plane(
-                &config,
-                percore::PerCoreCtx {
-                    table: Arc::clone(&table),
-                    stats: Arc::clone(&stats),
-                    clock: Arc::clone(&clock),
-                    db_target: db.clone(),
-                    default_policy: config.default_policy.clone(),
-                    guest_keys: Arc::clone(&guest_keys),
-                    db_fetch_timeout: config.db_fetch_timeout,
-                    core: IngressCore::new(overload.clone()),
-                    dedup,
-                    ledger: ledger.clone(),
-                    faults: Arc::clone(&faults),
-                    oob: Arc::new(OobDelivery::new()),
-                },
-                shutdown.clone(),
-            )?
+            // worker thread owns an SO_REUSEPORT socket and receives,
+            // decides and answers one datagram at a time (DESIGN.md
+            // ablation 12).
+            percore::spawn_percore_plane(&config, decisions, ingress, faults, shutdown.clone())?
         } else {
-            let socket = Arc::new(UdpServerSocket::bind(
-                config.bind_addr,
-                faults,
-                Arc::clone(&stats.pool),
-            )?);
+            let socket = Arc::new(UdpServerSocket::bind(config.bind_addr, faults)?);
             let udp_addr = socket.local_addr()?;
             listener_socket = Some(Arc::clone(&socket));
-            let worker_ctx = WorkerCtx {
-                socket: Arc::clone(&socket),
-                table: Arc::clone(&table),
-                stats: Arc::clone(&stats),
-                clock: Arc::clone(&clock),
-                db_target: db.clone(),
-                default_policy: config.default_policy.clone(),
-                guest_keys: Arc::clone(&guest_keys),
-                db_fetch_timeout: config.db_fetch_timeout,
-                overload: overload.clone(),
-                dedup: dedup.clone(),
-                ledger: ledger.clone(),
-            };
             let (fifo_tx, fifo_rx) = mpsc::sync_channel::<Job>(config.fifo_capacity);
             spawn_ingress_listener(IngressCtx {
+                decisions: decisions.clone(),
                 socket: Arc::clone(&socket),
-                stats: Arc::clone(&stats),
-                clock: Arc::clone(&clock),
-                table: Arc::clone(&table),
-                core: IngressCore::new(overload.clone()),
-                dedup,
+                core: ingress,
                 fifo: fifo_tx,
             })?;
             let fifo_rx = Arc::new(Mutex::new(fifo_rx));
             for i in 0..config.workers {
-                spawn_worker(i, worker_ctx.clone(), Arc::clone(&fifo_rx))?;
+                spawn_worker(
+                    i,
+                    decisions.clone(),
+                    Arc::clone(&socket),
+                    WorkerCore::new(overload.clone()),
+                    Arc::clone(&fifo_rx),
+                )?;
             }
             udp_addr
         };
@@ -529,79 +487,61 @@ impl Drop for QosServer {
     }
 }
 
-/// Everything a worker task needs, bundled so the spawn functions stay
-/// readable as the overload machinery grows the dependency list.
+/// What every decision site shares, on either plane: the table and its
+/// fallbacks (database, default policy), the counters, and the one dedup
+/// window and lease ledger. One clone per worker thread.
 #[derive(Clone)]
-struct WorkerCtx {
-    socket: Arc<UdpServerSocket>,
-    table: Arc<dyn QosTable>,
-    stats: Arc<ServerStats>,
-    clock: SharedClock,
-    db_target: Option<DbTarget>,
-    default_policy: janus_bucket::DefaultRulePolicy,
-    guest_keys: GuestKeys,
-    db_fetch_timeout: Duration,
-    overload: OverloadConfig,
-    dedup: Option<SharedDedup>,
-    ledger: Option<SharedLedger>,
+pub(crate) struct DecisionCtx {
+    pub table: Arc<dyn QosTable>,
+    pub stats: Arc<ServerStats>,
+    pub clock: SharedClock,
+    pub db_target: Option<DbTarget>,
+    pub default_policy: janus_bucket::DefaultRulePolicy,
+    pub guest_keys: GuestKeys,
+    pub db_fetch_timeout: Duration,
+    pub dedup: Option<SharedDedup>,
+    pub ledger: Option<SharedLedger>,
 }
 
-impl WorkerCtx {
-    /// A fresh per-worker sans-IO core (its governor runs on the
-    /// sojourns of the jobs this worker pops, so cores are never shared).
-    fn worker_core(&self) -> WorkerCore {
-        WorkerCore::new(self.overload.clone())
-    }
-
-    /// Dequeue-time triage: record the sojourn, ask the sans-IO core
-    /// what to do, then perform the I/O half (counters and shed
-    /// replies). Returns the job when it should be decided.
-    fn triage(&self, job: Job, core: &mut WorkerCore) -> Option<Job> {
-        let now = self.clock.now();
-        let sojourn = now.saturating_since(job.enqueued_at);
-        self.stats.sojourn.lock().record_duration(sojourn);
-        // Gate the governor's verdict on real backlog: an idle queue's
-        // sojourn is scheduler noise, not a standing queue.
-        let backlog = self.stats.fifo_depth.load(Ordering::Relaxed);
-        match core.triage(&job.request, sojourn, now, backlog) {
-            WorkerTriage::Decide => Some(job),
-            WorkerTriage::ShedExpired => {
-                // The router's deadline passed while the job sat queued:
-                // nobody is waiting for this answer. Silent by design —
-                // the dedup entry stays Pending, so a late duplicate of
-                // the same attempt is absorbed without a charge too.
-                self.stats.shed_expired.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            WorkerTriage::ShedStanding => {
-                self.stats.shed_sojourn.fetch_add(1, Ordering::Relaxed);
-                if let Some(verdict) = core.shed_reply(&job.request) {
-                    let response = respond(&self.table, &job.request, verdict);
-                    let _ = self.socket.send_response(&response, job.peer);
-                }
-                None
-            }
-        }
-    }
-
-    /// Cache the decided verdict under the job's attempt nonce so a late
-    /// duplicate is answered without a second charge.
-    fn record_verdict(&self, job: &Job, verdict: Verdict) {
+impl DecisionCtx {
+    /// The decision tail both planes share, for a request that arrived at
+    /// `arrived` and passed its plane's triage: decide it, count the
+    /// answer, cache the verdict for duplicates, and build the response
+    /// with any lease grant — `None` when the deadline passed before the
+    /// send.
+    pub(crate) fn serve(
+        &self,
+        request: &QosRequest,
+        arrived: Nanos,
+        db: &mut Option<DbClient>,
+    ) -> Option<QosResponse> {
+        let verdict = self.decide(&request.key, db);
+        self.stats.answered.fetch_add(1, Ordering::Relaxed);
         if let Some(dedup) = &self.dedup {
-            core::record_verdict(&job.request, &mut dedup.lock(), verdict);
+            core::record_verdict(request, &mut dedup.lock(), verdict);
         }
+        // Post-decision staleness: deciding (a first-sighting DB fetch,
+        // say) may have eaten the rest of the budget, and then sending is
+        // wasted work. The charge stands and the verdict is cached, so a
+        // retry gets the cached verdict, never a second charge.
+        let waited = self.clock.now().saturating_since(arrived);
+        if core::expired_before_send(request, waited) {
+            self.stats.shed_expired.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let response = respond(&self.table, request, verdict);
+        Some(self.attach_lease(request, response))
     }
 
-    /// Run the lease half of a decided request through the shared
-    /// ledger: fold in the piggybacked report, and attach a grant when
-    /// the key is hot and the authoritative bucket covers the debit.
-    fn attach_lease(&self, job: &Job, response: QosResponse) -> QosResponse {
-        let (Some(ledger), Some(report)) = (&self.ledger, job.request.lease) else {
+    /// The lease half of a decided request, through the shared ledger:
+    /// fold in the piggybacked report, and attach a grant when the key is
+    /// hot and the authoritative bucket covers the debit.
+    fn attach_lease(&self, request: &QosRequest, response: QosResponse) -> QosResponse {
+        let (Some(ledger), Some(report)) = (&self.ledger, request.lease) else {
             return response;
         };
         let now = self.clock.now();
-        let key = &job.request.key;
-        let table = &*self.table;
+        let (table, key) = (&*self.table, &request.key);
         let mut charge = TableCharge { table, key, now };
         let lease = ledger
             .lock()
@@ -615,65 +555,129 @@ impl WorkerCtx {
         }
     }
 
-    /// Post-decision staleness check: deciding (a first-sighting DB
-    /// fetch, say) may have consumed the rest of the budget, in which
-    /// case sending is wasted work. The charge already happened and the
-    /// verdict is cached, so a retry gets the cached verdict rather than
-    /// a second charge.
-    fn expired_before_send(&self, job: &Job) -> bool {
-        let waited = self.clock.now().saturating_since(job.enqueued_at);
-        let expired = core::expired_before_send(&job.request, waited);
-        if expired {
-            self.stats.shed_expired.fetch_add(1, Ordering::Relaxed);
+    /// Local table hit, else database fetch (bounded by
+    /// `db_fetch_timeout`), else default policy.
+    fn decide(&self, key: &QosKey, db: &mut Option<DbClient>) -> Verdict {
+        let now = self.clock.now();
+        if let Some(verdict) = self.table.decide(key, now) {
+            return verdict;
         }
-        expired
+        // First sighting: consult the database. The whole fetch —
+        // including (re)connecting — runs under one deadline: a hung
+        // connection must not stall this worker.
+        let rule = match &self.db_target {
+            Some(target) => {
+                let deadline = Instant::now() + self.db_fetch_timeout;
+                if db.is_none() {
+                    *db = target.connect_by(deadline);
+                }
+                let fetched = match db.as_mut() {
+                    Some(client) => {
+                        client.set_deadline(deadline);
+                        client.get_rule(key)
+                    }
+                    None => Ok(None),
+                };
+                self.stats.db_fetches.fetch_add(1, Ordering::Relaxed);
+                let timed_out = match &fetched {
+                    Err(janus_types::JanusError::Io(e)) => {
+                        matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                    }
+                    // A connect that ate the whole budget.
+                    _ => db.is_none() && Instant::now() >= deadline,
+                };
+                if timed_out {
+                    // Budget blown: drop the (possibly hung) connection
+                    // and fall back to the default policy this once.
+                    self.stats.db_timeouts.fetch_add(1, Ordering::Relaxed);
+                }
+                match fetched {
+                    Ok(rule) => rule,
+                    // Connection went bad (or hung): drop it so the next
+                    // miss reconnects.
+                    Err(_) => {
+                        *db = None;
+                        None
+                    }
+                }
+            }
+            None => None,
+        };
+        let rule = match rule {
+            Some(rule) => {
+                self.guest_keys.lock().remove(key);
+                rule
+            }
+            None => {
+                self.stats.default_rule_hits.fetch_add(1, Ordering::Relaxed);
+                self.guest_keys.lock().insert(key.clone());
+                self.default_policy.rule_for(key.clone())
+            }
+        };
+        self.table.insert(rule, now);
+        self.table.decide(key, now).unwrap_or(Verdict::Deny)
     }
+}
 
-    /// One dequeued job, start to finish: triage, decide (table, else
-    /// database, else default policy), cache the verdict for duplicates,
-    /// and build the response — `None` when the job was shed or its
-    /// deadline passed before the send.
-    fn serve(
-        &self,
-        job: Job,
-        worker: &mut WorkerCore,
-        db: &mut Option<DbClient>,
-    ) -> Option<(SocketAddr, QosResponse)> {
-        let job = self.triage(job, worker)?;
-        let verdict = decide(
-            &self.table,
-            &self.clock,
-            &job.request.key,
-            self.db_target.as_ref(),
-            db,
-            &self.default_policy,
-            &self.stats,
-            &self.guest_keys,
-            self.db_fetch_timeout,
-        );
-        self.stats.answered.fetch_add(1, Ordering::Relaxed);
-        self.record_verdict(&job, verdict);
-        if self.expired_before_send(&job) {
-            return None;
+/// Dequeue-time triage on the listener plane: record the sojourn, ask the
+/// worker's sans-IO core what to do, then perform the I/O half (counters
+/// and shed replies). Returns the job when it should be decided.
+fn dequeue_triage(
+    ctx: &DecisionCtx,
+    socket: &UdpServerSocket,
+    job: Job,
+    core: &mut WorkerCore,
+) -> Option<Job> {
+    let now = ctx.clock.now();
+    let sojourn = now.saturating_since(job.enqueued_at);
+    ctx.stats.sojourn.lock().record_duration(sojourn);
+    // Gate the governor's verdict on real backlog: an idle queue's
+    // sojourn is scheduler noise, not a standing queue.
+    let backlog = ctx.stats.fifo_depth.load(Ordering::Relaxed);
+    match core.triage(&job.request, sojourn, now, backlog) {
+        WorkerTriage::Decide => Some(job),
+        WorkerTriage::ShedExpired => {
+            // The router's deadline passed while the job sat queued:
+            // nobody is waiting for this answer. Silent by design — the
+            // dedup entry stays Pending, so a late duplicate of the same
+            // attempt is absorbed without a charge too.
+            ctx.stats.shed_expired.fetch_add(1, Ordering::Relaxed);
+            None
         }
-        let response = respond(&self.table, &job.request, verdict);
-        Some((job.peer, self.attach_lease(&job, response)))
+        WorkerTriage::ShedStanding => {
+            ctx.stats.shed_sojourn.fetch_add(1, Ordering::Relaxed);
+            if let Some(verdict) = core.shed_reply(&job.request) {
+                let response = respond(&ctx.table, &job.request, verdict);
+                let _ = socket.send_response(&response, job.peer);
+            }
+            None
+        }
     }
 }
 
 /// Worker thread `qos-worker-{index}`: pop one job from the shared FIFO
-/// under its mutex (the paper's design), decide it, answer it with its
-/// own datagram. Exits when the listener is gone.
-fn spawn_worker(index: usize, ctx: WorkerCtx, fifo: Arc<Mutex<mpsc::Receiver<Job>>>) -> Result<()> {
+/// under its mutex (the paper's design), triage it, decide it, answer it
+/// with its own datagram. Its `WorkerCore`'s governor runs on the
+/// sojourns of the jobs this worker pops, so cores are never shared.
+/// Exits when the listener is gone.
+fn spawn_worker(
+    index: usize,
+    ctx: DecisionCtx,
+    socket: Arc<UdpServerSocket>,
+    mut core: WorkerCore,
+    fifo: Arc<Mutex<mpsc::Receiver<Job>>>,
+) -> Result<()> {
     let work = move || {
         let mut db: Option<DbClient> = None;
-        let mut worker = ctx.worker_core();
         // The mutex is held for the pop alone, never while serving.
         let next = || fifo.lock().recv().ok();
         while let Some(job) = next() {
             ctx.stats.fifo_depth.fetch_sub(1, Ordering::Relaxed);
-            if let Some((peer, response)) = ctx.serve(job, &mut worker, &mut db) {
-                let _ = ctx.socket.send_response(&response, peer);
+            let Some(job) = dequeue_triage(&ctx, &socket, job, &mut core) else {
+                continue;
+            };
+            if let Some(response) = ctx.serve(&job.request, job.enqueued_at, &mut db) {
+                let _ = socket.send_response(&response, job.peer);
             }
         }
     };
@@ -686,12 +690,9 @@ fn spawn_worker(index: usize, ctx: WorkerCtx, fifo: Arc<Mutex<mpsc::Receiver<Job
 /// Everything the ingress listener needs: the FIFO's sender plus the
 /// sans-IO triage core consulted *before* a request is queued.
 struct IngressCtx {
+    decisions: DecisionCtx,
     socket: Arc<UdpServerSocket>,
-    stats: Arc<ServerStats>,
-    clock: SharedClock,
-    table: Arc<dyn QosTable>,
     core: IngressCore,
-    dedup: Option<SharedDedup>,
     fifo: mpsc::SyncSender<Job>,
 }
 
@@ -710,25 +711,26 @@ impl IngressCtx {
     ///    the silent drop legacy frames keep — the router stops burning
     ///    retries against a queue that would shed every copy.
     fn ingress(&self, request: QosRequest, peer: SocketAddr) {
+        let ctx = &self.decisions;
         let decision = {
-            let mut guard = self.dedup.as_ref().map(|dedup| dedup.lock());
+            let mut guard = ctx.dedup.as_ref().map(|dedup| dedup.lock());
             self.core.triage(&request, guard.as_deref_mut())
         };
         match decision {
             IngressDecision::ShedExpired => {
-                self.stats.shed_expired.fetch_add(1, Ordering::Relaxed);
+                ctx.stats.shed_expired.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             IngressDecision::AnswerCached(verdict) => {
-                self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                let response = respond(&self.table, &request, verdict);
+                ctx.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                let response = respond(&ctx.table, &request, verdict);
                 let _ = self.socket.send_response(&response, peer);
                 return;
             }
             IngressDecision::AbsorbDuplicate => {
                 // The first copy is queued; retries reuse the request
                 // id, so its response answers every attempt.
-                self.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
+                ctx.stats.dedup_hits.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             IngressDecision::Admit => {}
@@ -736,14 +738,14 @@ impl IngressCtx {
         // Clone the key only when the queued job must leave a Pending
         // dedup entry behind (the insert itself happens after — and only
         // if — the enqueue succeeds).
-        let pending = match (&self.dedup, request.attempt) {
+        let pending = match (&ctx.dedup, request.attempt) {
             (Some(dedup), Some(meta)) => Some((dedup, meta.nonce, request.id, request.key.clone())),
             _ => None,
         };
         let job = Job {
             request,
             peer,
-            enqueued_at: self.clock.now(),
+            enqueued_at: ctx.clock.now(),
         };
         // The worker may pop, decide and answer the job before this thread
         // runs another instruction. So the gauge is raised *before* the
@@ -753,7 +755,7 @@ impl IngressCtx {
         // the worker recorded the verdict and stay Pending forever,
         // silently absorbing every retry of the attempt). `try_send`
         // never blocks, so the lock is held for nanoseconds.
-        self.stats.fifo_depth.fetch_add(1, Ordering::Relaxed);
+        ctx.stats.fifo_depth.fetch_add(1, Ordering::Relaxed);
         let mut window = pending.as_ref().map(|(dedup, ..)| dedup.lock());
         match self.fifo.try_send(job) {
             Ok(()) => {
@@ -763,10 +765,10 @@ impl IngressCtx {
             }
             Err(mpsc::TrySendError::Full(job) | mpsc::TrySendError::Disconnected(job)) => {
                 drop(window);
-                self.stats.fifo_depth.fetch_sub(1, Ordering::Relaxed);
-                self.stats.shed_full.fetch_add(1, Ordering::Relaxed);
+                ctx.stats.fifo_depth.fetch_sub(1, Ordering::Relaxed);
+                ctx.stats.shed_full.fetch_add(1, Ordering::Relaxed);
                 if let Some(verdict) = self.core.shed_reply(&job.request) {
-                    let response = respond(&self.table, &job.request, verdict);
+                    let response = respond(&ctx.table, &job.request, verdict);
                     let _ = self.socket.send_response(&response, job.peer);
                 }
             }
@@ -779,7 +781,8 @@ impl IngressCtx {
 /// FIFO's sender, which stops the workers — once the socket is closed.
 fn spawn_ingress_listener(ctx: IngressCtx) -> Result<()> {
     let listen = move || {
-        while let Ok((request, peer)) = ctx.socket.recv_request() {
+        let mut buf = [0u8; RECV_BUF_BYTES];
+        while let Ok((request, peer)) = ctx.socket.recv_request(&mut buf) {
             ctx.ingress(request, peer);
         }
     };
@@ -787,80 +790,6 @@ fn spawn_ingress_listener(ctx: IngressCtx) -> Result<()> {
         .name("qos-listener".into())
         .spawn(listen)?;
     Ok(())
-}
-
-/// The decision path: local table hit, else database fetch (bounded by
-/// `db_fetch_timeout`), else default policy.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decide(
-    table: &Arc<dyn QosTable>,
-    clock: &SharedClock,
-    key: &QosKey,
-    db_target: Option<&DbTarget>,
-    db: &mut Option<DbClient>,
-    default_policy: &janus_bucket::DefaultRulePolicy,
-    stats: &ServerStats,
-    guest_keys: &GuestKeys,
-    db_fetch_timeout: Duration,
-) -> Verdict {
-    let now = clock.now();
-    if let Some(verdict) = table.decide(key, now) {
-        return verdict;
-    }
-    // First sighting: consult the database. The whole fetch — including
-    // (re)connecting — runs under one deadline: a hung connection must not
-    // stall this worker.
-    let rule = match db_target {
-        Some(target) => {
-            let deadline = Instant::now() + db_fetch_timeout;
-            if db.is_none() {
-                *db = target.connect_by(deadline);
-            }
-            let fetched = match db.as_mut() {
-                Some(client) => {
-                    client.set_deadline(deadline);
-                    client.get_rule(key)
-                }
-                None => Ok(None),
-            };
-            stats.db_fetches.fetch_add(1, Ordering::Relaxed);
-            let timed_out = match &fetched {
-                Err(janus_types::JanusError::Io(e)) => {
-                    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-                }
-                // A connect that ate the whole budget.
-                _ => db.is_none() && Instant::now() >= deadline,
-            };
-            if timed_out {
-                // Budget blown: drop the (possibly hung) connection and
-                // fall back to the default policy this once.
-                stats.db_timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-            match fetched {
-                Ok(rule) => rule,
-                // Connection went bad (or hung): drop it so the next
-                // miss reconnects.
-                Err(_) => {
-                    *db = None;
-                    None
-                }
-            }
-        }
-        None => None,
-    };
-    let rule = match rule {
-        Some(rule) => {
-            guest_keys.lock().remove(key);
-            rule
-        }
-        None => {
-            stats.default_rule_hits.fetch_add(1, Ordering::Relaxed);
-            guest_keys.lock().insert(key.clone());
-            default_policy.rule_for(key.clone())
-        }
-    };
-    table.insert(rule, now);
-    table.decide(key, now).unwrap_or(Verdict::Deny)
 }
 
 /// Run `tick` on its own named thread, at once and then every `interval`
@@ -1669,15 +1598,6 @@ mod tests {
             assert_eq!(allowed, 25, "{socket_mode:?} / {table:?} oversold a bucket");
         }
         assert_eq!(snap.answered, 320, "{socket_mode:?} / {table:?}");
-        if socket_mode == SocketMode::SingleListener {
-            // 320 datagrams through one listener: the scratch-buffer pool
-            // must be recycling by now (first checkout per thread is a
-            // miss).
-            assert!(
-                snap.pool_recycle_hits > 0,
-                "recv path is allocating per datagram: {snap:?}"
-            );
-        }
     }
 
     #[test]
@@ -1914,11 +1834,11 @@ mod tests {
 
     #[test]
     fn affinity_batch_path_carries_hints() {
-        // The per-core plane drains a burst from one client socket with a
-        // single recvmmsg and answers it in per-peer batch datagrams,
-        // built through the same response helper: a soliciting request
-        // inside a drained batch must still get its hint, and the
-        // shared-socket client must demultiplex it.
+        // Ten soliciting calls in flight at once on one shared client
+        // socket: the per-core worker that socket's flow lands on answers
+        // each with its own datagram, built through the same response
+        // helper, so every one must carry its hint, and the shared-socket
+        // client must hand each to its own caller.
         let db = spawn_db(vec![rule("bh", 100, 10)]);
         let mut config = QosServerConfig::test_defaults();
         config.workers = 2;

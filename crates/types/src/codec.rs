@@ -10,7 +10,7 @@
 //!
 //! kind = 0x01 (request):   id: u64 BE | key_len: u8 | key bytes
 //! kind = 0x02 (response):  id: u64 BE | verdict: u8 (0=deny, 1=allow)
-//! kind = 0x03 (batch):     count: u16 BE | count × (item kind: u8 | item payload)
+//! kind = 0x03:            reserved (see below); never sent, always rejected
 //! kind = 0x04 (request, hint solicited):  same payload as 0x01
 //! kind = 0x05 (response + rule hint):     id: u64 BE | verdict: u8
 //!                                         | capacity: u64 BE microcredits
@@ -75,13 +75,11 @@
 //! against an old peer; an old router never sends 0x07, so it is never
 //! shown an 0x08 grant.
 //!
-//! The **batch** kind amortizes per-datagram syscall cost: a coalescing
-//! sender packs many requests (or responses) into one datagram, bounded
-//! by [`MAX_DATAGRAM_BYTES`]. Items reuse the single-frame payload
-//! encodings verbatim, and mixed request/response batches are legal.
-//! Single-frame datagrams remain the wire format for unbatched peers, so
-//! old senders interoperate with new receivers ([`decode_all`] accepts
-//! both) and batching stays a per-sender opt-in.
+//! Every datagram carries exactly one frame, in either direction, as in
+//! the paper (§III-B). Kind 0x03 once framed a batch of frames in one
+//! datagram; no sender emits it any more, [`decode`] rejects it as an
+//! unknown kind, and the number is reserved and never reused, so a
+//! datagram from an old batching peer can never parse as something else.
 
 use crate::{
     AttemptMeta, Credits, JanusError, Lease, LeaseReport, QosKey, QosRequest, QosResponse,
@@ -121,18 +119,11 @@ const LEASE_FLAGS_KNOWN: u8 = LEASE_FLAG_SOLICIT_HINT
     | LEASE_FLAG_GIVING_BACK;
 /// Flag bit in the 0x08 `flags` byte: a rule hint follows the grant.
 const GRANT_FLAG_HINT: u8 = 0x01;
-/// Size budget for one batched datagram. Conservative for a 1500-byte
-/// Ethernet MTU minus IP + UDP headers, so a batch never fragments.
-pub const MAX_DATAGRAM_BYTES: usize = 1400;
-/// Bytes of fixed overhead in a batch datagram (header + item count).
-const BATCH_OVERHEAD: usize = 4 + 2;
 
 /// Frame kind: plain admission request.
 pub const KIND_REQUEST: u8 = 0x01;
 /// Frame kind: plain admission response.
 pub const KIND_RESPONSE: u8 = 0x02;
-/// Frame kind: batch container holding multiple frames.
-pub const KIND_BATCH: u8 = 0x03;
 /// Frame kind: admission request soliciting a rule hint.
 pub const KIND_REQUEST_HINT: u8 = 0x04;
 /// Frame kind: admission response carrying a rule hint.
@@ -244,8 +235,10 @@ fn response_kind(resp: &QosResponse) -> u8 {
     }
 }
 
-/// The request payload, shared by the single-frame and batch encoders.
-fn put_request_body(buf: &mut Vec<u8>, req: &QosRequest) {
+/// Encode a request into a fresh buffer.
+pub fn encode_request(req: &QosRequest) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + 8 + LEASE_META_BYTES + 1 + req.key.len());
+    put_header(&mut buf, request_kind(req));
     buf.extend_from_slice(&req.id.to_be_bytes());
     if let Some(report) = &req.lease {
         buf.push(lease_flags(req, report));
@@ -263,10 +256,13 @@ fn put_request_body(buf: &mut Vec<u8>, req: &QosRequest) {
     debug_assert!(req.key.len() <= MAX_KEY_BYTES);
     buf.push(req.key.len() as u8);
     buf.extend_from_slice(req.key.as_bytes());
+    buf
 }
 
-/// The response payload, shared by the single-frame and batch encoders.
-fn put_response_body(buf: &mut Vec<u8>, resp: &QosResponse) {
+/// Encode a response into a fresh buffer.
+pub fn encode_response(resp: &QosResponse) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + 8 + 1 + LEASE_GRANT_BYTES + 16);
+    put_header(&mut buf, response_kind(resp));
     buf.extend_from_slice(&resp.id.to_be_bytes());
     buf.push(resp.verdict.as_bool() as u8);
     if let Some(lease) = &resp.lease {
@@ -284,21 +280,6 @@ fn put_response_body(buf: &mut Vec<u8>, resp: &QosResponse) {
         buf.extend_from_slice(&hint.capacity.as_micro().to_be_bytes());
         buf.extend_from_slice(&hint.refill_rate.micro_per_sec().to_be_bytes());
     }
-}
-
-/// Encode a request into a fresh buffer.
-pub fn encode_request(req: &QosRequest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + 8 + LEASE_META_BYTES + 1 + req.key.len());
-    put_header(&mut buf, request_kind(req));
-    put_request_body(&mut buf, req);
-    buf
-}
-
-/// Encode a response into a fresh buffer.
-pub fn encode_response(resp: &QosResponse) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + 8 + 1 + LEASE_GRANT_BYTES + 16);
-    put_header(&mut buf, response_kind(resp));
-    put_response_body(&mut buf, resp);
     buf
 }
 
@@ -308,87 +289,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
         Frame::Request(r) => encode_request(r),
         Frame::Response(r) => encode_response(r),
     }
-}
-
-/// Bytes one frame occupies as a batch item (kind byte + payload).
-pub fn batch_item_len(frame: &Frame) -> usize {
-    match frame {
-        Frame::Request(r) => {
-            let meta = if r.lease.is_some() {
-                LEASE_META_BYTES
-            } else if r.attempt.is_some() {
-                DEADLINE_META_BYTES
-            } else {
-                0
-            };
-            1 + 8 + meta + 1 + r.key.len()
-        }
-        Frame::Response(r) => {
-            let grant = if r.lease.is_some() {
-                LEASE_GRANT_BYTES
-            } else {
-                0
-            };
-            let hint = if r.hint.is_some() { 16 } else { 0 };
-            1 + 8 + 1 + grant + hint
-        }
-    }
-}
-
-fn put_batch_item(buf: &mut Vec<u8>, frame: &Frame) {
-    match frame {
-        Frame::Request(req) => {
-            buf.push(request_kind(req));
-            put_request_body(buf, req);
-        }
-        Frame::Response(resp) => {
-            buf.push(response_kind(resp));
-            put_response_body(buf, resp);
-        }
-    }
-}
-
-/// Pack frames into as few datagrams as possible, each within
-/// [`MAX_DATAGRAM_BYTES`]. Frame order is preserved across the returned
-/// datagrams. A group that ends up holding a single frame is emitted in
-/// the legacy single-frame format, so unbatched receivers stay
-/// compatible; larger groups use the batch format.
-pub fn encode_batch(frames: &[Frame]) -> Vec<Vec<u8>> {
-    // Every single frame fits: MAX_FRAME_BYTES (289) << MAX_DATAGRAM_BYTES.
-    const _: () = assert!(MAX_FRAME_BYTES + BATCH_OVERHEAD <= MAX_DATAGRAM_BYTES);
-    let mut datagrams = Vec::new();
-    let mut group: Vec<&Frame> = Vec::new();
-    let mut group_bytes = BATCH_OVERHEAD;
-    let flush = |group: &mut Vec<&Frame>, datagrams: &mut Vec<Vec<u8>>| {
-        match group.len() {
-            0 => {}
-            1 => datagrams.push(encode(group[0])),
-            n => {
-                let mut buf = Vec::with_capacity(MAX_DATAGRAM_BYTES);
-                put_header(&mut buf, KIND_BATCH);
-                buf.extend_from_slice(&(n as u16).to_be_bytes());
-                for frame in group.iter() {
-                    put_batch_item(&mut buf, frame);
-                }
-                debug_assert!(buf.len() <= MAX_DATAGRAM_BYTES);
-                datagrams.push(buf);
-            }
-        }
-        group.clear();
-    };
-    for frame in frames {
-        let item = batch_item_len(frame);
-        if !group.is_empty()
-            && (group_bytes + item > MAX_DATAGRAM_BYTES || group.len() == u16::MAX as usize)
-        {
-            flush(&mut group, &mut datagrams);
-            group_bytes = BATCH_OVERHEAD;
-        }
-        group.push(frame);
-        group_bytes += item;
-    }
-    flush(&mut group, &mut datagrams);
-    datagrams
 }
 
 /// Parse a length-prefixed key (`key_len | key`), consuming it from `data`.
@@ -563,12 +463,12 @@ fn reject_trailing(data: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Decode one single-frame datagram.
+/// Decode one datagram, which carries exactly one frame.
 ///
 /// The entire datagram must be consumed: trailing bytes indicate a framing
-/// bug or corruption and are rejected rather than silently ignored. Batch
-/// datagrams are rejected here — receivers on the batched data plane use
-/// [`decode_all`], which accepts both formats.
+/// bug or corruption and are rejected rather than silently ignored, as
+/// is every unknown kind, the reserved 0x03 included. Decoding a request
+/// allocates only for a key too long to store inline in [`QosKey`].
 pub fn decode(mut data: &[u8]) -> Result<Frame> {
     let kind = parse_header(&mut data)?;
     let frame = match kind {
@@ -583,11 +483,6 @@ pub fn decode(mut data: &[u8]) -> Result<Frame> {
         KIND_REQUEST_DEADLINE => Frame::Request(parse_request_deadline_body(&mut data)?),
         KIND_REQUEST_LEASE => Frame::Request(parse_request_lease_body(&mut data)?),
         KIND_RESPONSE_LEASE => Frame::Response(parse_response_lease_body(&mut data)?),
-        KIND_BATCH => {
-            return Err(JanusError::codec(
-                "batch frame in a single-frame context (use decode_all)",
-            ));
-        }
         other => {
             return Err(JanusError::codec(format!(
                 "unknown frame kind 0x{other:02x}"
@@ -596,67 +491,6 @@ pub fn decode(mut data: &[u8]) -> Result<Frame> {
     };
     reject_trailing(data)?;
     Ok(frame)
-}
-
-/// Decode every frame in a datagram: a legacy single frame yields one
-/// element, a batch yields its items in order. The entire datagram must
-/// be consumed.
-pub fn decode_all(mut data: &[u8]) -> Result<Vec<Frame>> {
-    let kind = parse_header(&mut data)?;
-    let frames = match kind {
-        KIND_REQUEST => vec![Frame::Request(parse_request_body(&mut data)?)],
-        KIND_RESPONSE => vec![Frame::Response(parse_response_body(&mut data)?)],
-        KIND_REQUEST_HINT => {
-            let mut request = parse_request_body(&mut data)?;
-            request.solicit_hint = true;
-            vec![Frame::Request(request)]
-        }
-        KIND_RESPONSE_HINT => vec![Frame::Response(parse_response_hint_body(&mut data)?)],
-        KIND_REQUEST_DEADLINE => vec![Frame::Request(parse_request_deadline_body(&mut data)?)],
-        KIND_REQUEST_LEASE => vec![Frame::Request(parse_request_lease_body(&mut data)?)],
-        KIND_RESPONSE_LEASE => vec![Frame::Response(parse_response_lease_body(&mut data)?)],
-        KIND_BATCH => {
-            if data.len() < 2 {
-                return Err(JanusError::codec("truncated batch count"));
-            }
-            let count = get_u16(&mut data) as usize;
-            let mut frames = Vec::with_capacity(count);
-            for _ in 0..count {
-                if data.is_empty() {
-                    return Err(JanusError::codec("truncated batch item"));
-                }
-                let item_kind = get_u8(&mut data);
-                frames.push(match item_kind {
-                    KIND_REQUEST => Frame::Request(parse_request_body(&mut data)?),
-                    KIND_RESPONSE => Frame::Response(parse_response_body(&mut data)?),
-                    KIND_REQUEST_HINT => {
-                        let mut request = parse_request_body(&mut data)?;
-                        request.solicit_hint = true;
-                        Frame::Request(request)
-                    }
-                    KIND_RESPONSE_HINT => Frame::Response(parse_response_hint_body(&mut data)?),
-                    KIND_REQUEST_DEADLINE => {
-                        Frame::Request(parse_request_deadline_body(&mut data)?)
-                    }
-                    KIND_REQUEST_LEASE => Frame::Request(parse_request_lease_body(&mut data)?),
-                    KIND_RESPONSE_LEASE => Frame::Response(parse_response_lease_body(&mut data)?),
-                    other => {
-                        return Err(JanusError::codec(format!(
-                            "unknown batch item kind 0x{other:02x}"
-                        )));
-                    }
-                });
-            }
-            frames
-        }
-        other => {
-            return Err(JanusError::codec(format!(
-                "unknown frame kind 0x{other:02x}"
-            )));
-        }
-    };
-    reject_trailing(data)?;
-    Ok(frames)
 }
 
 #[cfg(test)]
@@ -1075,139 +909,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_roundtrip_with_lease_items() {
-        let frames = vec![
-            Frame::Request(
-                QosRequest::new(1, key("alice"))
-                    .with_attempt(meta(500, 10))
-                    .with_lease(LeaseReport::soliciting(3)),
-            ),
-            Frame::Response(QosResponse::allow(2).with_lease(lease(4, 2, 20_000, 1))),
-            Frame::Response(
-                QosResponse::allow(3)
-                    .with_lease(lease(4, 2, 20_000, 1))
-                    .with_hint(hint(50, 25)),
-            ),
-            Frame::Request(QosRequest::new(4, key("carol"))),
-        ];
-        let datagrams = encode_batch(&frames);
-        assert_eq!(datagrams.len(), 1);
-        assert_eq!(decode_all(&datagrams[0]).unwrap(), frames);
-    }
-
-    #[test]
-    fn batch_roundtrip_with_deadline_items() {
-        let frames = vec![
-            Frame::Request(QosRequest::new(1, key("alice")).with_attempt(meta(500, 10))),
-            Frame::Response(QosResponse::allow(2)),
-            Frame::Request(QosRequest::soliciting_hint(3, key("bob")).with_attempt(meta(250, 11))),
-            Frame::Request(QosRequest::new(4, key("carol"))),
-        ];
-        let datagrams = encode_batch(&frames);
-        assert_eq!(datagrams.len(), 1);
-        assert_eq!(decode_all(&datagrams[0]).unwrap(), frames);
-    }
-
-    #[test]
-    fn batch_roundtrip_with_hints() {
-        let frames = vec![
-            Frame::Request(QosRequest::soliciting_hint(1, key("alice"))),
-            Frame::Response(QosResponse::allow(2).with_hint(hint(50, 25))),
-            Frame::Request(QosRequest::new(3, key("bob"))),
-            Frame::Response(QosResponse::deny(4)),
-        ];
-        let datagrams = encode_batch(&frames);
-        assert_eq!(datagrams.len(), 1);
-        assert_eq!(decode_all(&datagrams[0]).unwrap(), frames);
-    }
-
-    #[test]
-    fn batch_roundtrip_mixed() {
-        let frames = vec![
-            Frame::Request(QosRequest::new(1, key("alice"))),
-            Frame::Response(QosResponse::allow(2)),
-            Frame::Request(QosRequest::new(3, key("bob:photos"))),
-            Frame::Response(QosResponse::deny(4)),
-        ];
-        let datagrams = encode_batch(&frames);
-        assert_eq!(datagrams.len(), 1);
-        assert_eq!(decode_all(&datagrams[0]).unwrap(), frames);
-    }
-
-    #[test]
-    fn batch_of_one_uses_legacy_format() {
-        let frames = vec![Frame::Response(QosResponse::allow(9))];
-        let datagrams = encode_batch(&frames);
-        assert_eq!(datagrams.len(), 1);
-        // Decodable by the single-frame decoder: old receivers interoperate.
-        assert_eq!(decode(&datagrams[0]).unwrap(), frames[0]);
-    }
-
-    #[test]
-    fn empty_batch_encodes_to_nothing() {
-        assert!(encode_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn decode_all_accepts_legacy_single_frames() {
-        let req = QosRequest::new(42, key("alice"));
-        let frames = decode_all(&encode_request(&req)).unwrap();
-        assert_eq!(frames, vec![Frame::Request(req)]);
-        let resp = QosResponse::deny(7);
-        assert_eq!(
-            decode_all(&encode_response(&resp)).unwrap(),
-            vec![Frame::Response(resp)]
-        );
+    /// A datagram in the retired batch format (kind 0x03): an item count,
+    /// then each item's kind byte and payload. Built by hand, since no
+    /// encoder emits it any more.
+    fn former_batch_datagram(items: &[Frame]) -> Vec<u8> {
+        let mut wire = vec![0x4A, 0x51, VERSION, 0x03];
+        wire.extend_from_slice(&(items.len() as u16).to_be_bytes());
+        for item in items {
+            // A single frame is its header (4 bytes, the kind last)
+            // followed by the payload an item carries.
+            wire.extend_from_slice(&encode(item)[3..]);
+        }
+        wire
     }
 
     #[test]
     fn decode_rejects_batch_frames() {
-        let frames = vec![
+        let wire = former_batch_datagram(&[
             Frame::Response(QosResponse::allow(1)),
             Frame::Response(QosResponse::allow(2)),
-        ];
-        let wire = encode_batch(&frames).remove(0);
-        assert!(decode(&wire).is_err());
-    }
-
-    #[test]
-    fn oversized_batch_splits_within_budget() {
-        // 40 max-length-key requests cannot fit one datagram.
-        let big = "x".repeat(MAX_KEY_BYTES);
-        let frames: Vec<Frame> = (0..40)
-            .map(|i| Frame::Request(QosRequest::new(i, key(&big))))
-            .collect();
-        let datagrams = encode_batch(&frames);
-        assert!(datagrams.len() > 1, "expected a split");
-        let mut decoded = Vec::new();
-        for d in &datagrams {
-            assert!(
-                d.len() <= MAX_DATAGRAM_BYTES,
-                "datagram over budget: {}",
-                d.len()
-            );
-            decoded.extend(decode_all(d).unwrap());
-        }
-        assert_eq!(decoded, frames);
-    }
-
-    #[test]
-    fn batch_rejects_truncation_and_trailing() {
-        let frames = vec![
-            Frame::Request(QosRequest::new(1, key("abc"))),
-            Frame::Response(QosResponse::allow(2)),
-        ];
-        let wire = encode_batch(&frames).remove(0).to_vec();
-        for cut in 0..wire.len() {
-            assert!(
-                decode_all(&wire[..cut]).is_err(),
-                "accepted {cut}-byte prefix"
-            );
-        }
-        let mut padded = wire.clone();
-        padded.push(0);
-        assert!(decode_all(&padded).is_err());
+        ]);
+        assert_eq!(&wire[..6], &[0x4A, 0x51, 0x01, 0x03, 0x00, 0x02]);
+        assert_eq!(wire.len(), 6 + 2 * 10);
+        let err = decode(&wire).unwrap_err().to_string();
+        assert!(err.contains("unknown frame kind 0x03"), "{err}");
+        // Not even a one-item batch, or the bare header, parses.
+        let one = former_batch_datagram(&[Frame::Request(QosRequest::new(7, key("alice")))]);
+        assert!(decode(&one).is_err());
+        assert!(decode(&wire[..4]).is_err());
     }
 
     #[test]
@@ -1298,33 +1027,10 @@ mod tests {
     }
 
     #[test]
-    fn any_batch_roundtrips_within_budget() {
-        let mut rng = TestRng::new(0xC0DE_C001);
-        for _ in 0..CASES {
-            let frames: Vec<Frame> = (0..rng.below(200))
-                .map(|_| {
-                    if rng.coin() {
-                        let with_attempt = rng.coin();
-                        Frame::Request(any_request(&mut rng, with_attempt))
-                    } else {
-                        Frame::Response(any_response(&mut rng))
-                    }
-                })
-                .collect();
-            let mut decoded = Vec::new();
-            for d in &encode_batch(&frames) {
-                assert!(d.len() <= MAX_DATAGRAM_BYTES);
-                decoded.extend(decode_all(d).unwrap());
-            }
-            assert_eq!(decoded, frames);
-        }
-    }
-
-    #[test]
     fn decoders_never_panic_on_garbage() {
         let mut rng = TestRng::new(0xC0DE_C002);
         for _ in 0..CASES {
-            let _ = decode_all(&any_bytes(&mut rng, 2000));
+            let _ = decode(&any_bytes(&mut rng, 2000));
             let _ = decode(&any_bytes(&mut rng, 600));
         }
     }
@@ -1337,52 +1043,16 @@ mod tests {
         for _ in 0..CASES {
             let req = any_request(&mut rng, true).with_lease(any_lease_report(&mut rng));
             let resp = any_response(&mut rng).with_lease(any_lease(&mut rng));
-            let batch = encode_batch(&[Frame::Request(req.clone()), Frame::Response(resp)]);
-            for mut wire in [
-                encode_request(&req),
-                encode_response(&resp),
-                batch[0].clone(),
-            ] {
+            let batch =
+                former_batch_datagram(&[Frame::Request(req.clone()), Frame::Response(resp)]);
+            for mut wire in [encode_request(&req), encode_response(&resp), batch] {
                 for _ in 0..1 + rng.below(3) {
                     let at = rng.below(wire.len() as u64) as usize;
                     wire[at] = rng.next_u64() as u8;
                 }
                 wire.truncate(1 + rng.below(wire.len() as u64) as usize);
                 let _ = decode(&wire);
-                let _ = decode_all(&wire);
             }
-        }
-    }
-
-    #[test]
-    fn any_batch_rejects_truncation_inflation_and_trailing() {
-        // The borrowing decoder against malformed batch datagrams: a
-        // strict prefix, an item count claiming more items than are
-        // present, a count claiming fewer (trailing bytes), and appended
-        // garbage must all be rejected — and the pristine datagram must
-        // still decode after the in-place mutations are undone.
-        let mut rng = TestRng::new(0xC0DE_C004);
-        for _ in 0..CASES {
-            let frames: Vec<Frame> = (0..2 + rng.below(22))
-                .map(|_| Frame::Request(QosRequest::new(rng.next_u64(), any_key(&mut rng, 40))))
-                .collect();
-            let mut datagrams = encode_batch(&frames);
-            assert_eq!(datagrams.len(), 1);
-            let mut wire = datagrams.remove(0);
-            let cut = rng.below(wire.len() as u64) as usize;
-            assert!(
-                decode_all(&wire[..cut]).is_err(),
-                "accepted {cut}-byte prefix"
-            );
-            let count = u16::from_be_bytes([wire[4], wire[5]]);
-            wire[4..6].copy_from_slice(&(count + 1).to_be_bytes());
-            assert!(decode_all(&wire).is_err(), "accepted inflated item count");
-            wire[4..6].copy_from_slice(&(count - 1).to_be_bytes());
-            assert!(decode_all(&wire).is_err(), "accepted deflated item count");
-            wire[4..6].copy_from_slice(&count.to_be_bytes());
-            assert_eq!(decode_all(&wire).unwrap(), frames);
-            wire.push(0);
-            assert!(decode_all(&wire).is_err(), "accepted trailing garbage");
         }
     }
 
@@ -1405,12 +1075,10 @@ mod tests {
         )
     }
 
-    /// Encode, decode through both entry points, and check every strict
-    /// prefix is rejected.
+    /// Encode, decode, and check every strict prefix is rejected.
     fn assert_roundtrip_and_truncation(frame: Frame) {
         let wire = encode(&frame);
         assert_eq!(decode(&wire).unwrap(), frame);
-        assert_eq!(decode_all(&wire).unwrap(), vec![frame]);
         for cut in 0..wire.len() {
             assert!(decode(&wire[..cut]).is_err(), "accepted {cut}-byte prefix");
         }
