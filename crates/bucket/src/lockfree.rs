@@ -40,7 +40,7 @@
 //!
 //! # Slot layout
 //!
-//! One slot is one 64-byte cache line, hot fields first:
+//! One slot is 64 bytes, a cache line's worth, hot fields first:
 //!
 //! | field    | bytes | read by                                   |
 //! |----------|-------|-------------------------------------------|
@@ -61,6 +61,13 @@
 //! torn read, possible only when a 62-bit-colliding key re-claims the
 //! slot mid-read) is retried, then skipped.
 //!
+//! The slot array is not line-aligned: glibc hands a large block out 16
+//! bytes past a page boundary, so each slot spans two lines.
+//! `#[repr(align(64))]` would fix that, but routes every array through
+//! `posix_memalign`, and under glibc's dynamic mmap threshold freed
+//! aligned arrays stayed resident: peak RSS on the million-key benchmark
+//! rose by 51 MiB (EXPERIMENTS.md, "Free what a resize leaves behind").
+//!
 //! # Incremental resize
 //!
 //! Generations form a ladder of power-of-two arrays: when occupancy of the
@@ -69,8 +76,9 @@
 //! first performs one bounded migration quantum
 //! ([`LockFreeTable::MIGRATE_QUANTUM`] slots), so there is no
 //! stop-the-world rehash and no operation ever does more than a constant
-//! amount of migration work. Readers probe new-then-old while a migration
-//! is in flight.
+//! amount of migration work. Readers read `active` and `retired` before
+//! their first probe, then probe new-then-old while a migration is in
+//! flight.
 //!
 //! Moving a bucket is **credit-exact**: the migrator freezes the slot
 //! (`PUBLISHED → MOVED` by CAS), then [`AtomicBucket::drain`]s it — the
@@ -80,10 +88,31 @@
 //! the successor (an `Allow` always stands: a successful charge is, by CAS
 //! ordering, reflected in the drained credit). The migrator copies the
 //! three text words; the carried slot keeps a long key's side-map hold.
-//! Old generation arrays stay allocated until the table drops, but they
-//! hold no live entries once retired; because sizes double, all retired
-//! arrays together are smaller than the active one, so total memory is
-//! < 2× the active array.
+//!
+//! # Freeing retired generations
+//!
+//! Each rung of the ladder is one owning atomic pointer, null before its
+//! install and after its unlink. Every public call that reads a
+//! generation holds one *pin* for its whole duration: a `SeqCst`
+//! increment of the caller's stripe of a per-table
+//! [`Striped`]`<AtomicUsize>`, undone when the call returns. Every `&Gen`
+//! borrows the pin it was loaded under, so no reference outlives it.
+//!
+//! The quantum that completes a migration stores `retired`, swaps the
+//! drained rung to null (the *unlink*) and queues it. A queued rung is
+//! freed once every stripe has been *seen at zero since its unlink*; each
+//! queued rung keeps a mask of stripes not yet seen, so a table whose
+//! stripes are never all idle at the same instant still frees. Any unpin
+//! that finds the queue non-empty advances it under a `try_lock`: the
+//! free path never waits. A reader that loads an unlinked (null) rung
+//! re-resolves from `active`. Memory is the active array, at most one
+//! draining predecessor, and rungs waiting for their stripes to go idle;
+//! `Drop` frees whatever is still allocated.
+//!
+//! Sound because a reader's pin increment precedes its rung load, and an
+//! unlink's swap precedes the stripe reads that free it, all four
+//! `SeqCst`: a reader that loaded the rung before the swap keeps its
+//! stripe non-zero until it unpins.
 //!
 //! # Idle-key reclamation
 //!
@@ -117,11 +146,12 @@
 
 use crate::table::{QosTable, ReclaimedRule, ShardedTable, TableStats, TableStatsSnapshot};
 use janus_clock::Nanos;
-use janus_types::sync::Mutex;
+use janus_types::sync::{Mutex, Striped, STRIPES};
 use janus_types::{Credits, QosKey, QosRule, RefillRate, Verdict, INLINE_KEY_BYTES, MAX_KEY_BYTES};
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::ptr;
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const EMPTY: u64 = 0;
@@ -298,6 +328,77 @@ impl Gen {
     }
 }
 
+/// One rung of the generation ladder (module docs, "Freeing retired
+/// generations").
+#[derive(Default)]
+struct Rung {
+    /// The generation readers resolve, from `Box::into_raw`: null before
+    /// the install and after the unlink.
+    live: AtomicPtr<Gen>,
+    /// The unlinked generation while it waits for its free; null before
+    /// the unlink and after the free.
+    unlinked: AtomicPtr<Gen>,
+    /// Stripes not yet seen unpinned since the unlink. Set before
+    /// `unlinked` is published, then written only under
+    /// [`LockFreeTable::freeing`].
+    unseen: AtomicUsize,
+}
+
+/// Every stripe, as an `unseen` mask.
+const ALL_STRIPES: usize = (1 << STRIPES) - 1;
+
+/// One public call's hold on the generation ladder: while it lives, no
+/// rung the call loaded is freed, and every `&Gen` borrows it.
+struct Pin<'t> {
+    table: &'t LockFreeTable,
+    stripe: &'t AtomicUsize,
+}
+
+impl Pin<'_> {
+    /// Rung `i`'s generation, or `None` before its install and after its
+    /// unlink.
+    fn gen(&self, i: usize) -> Option<&Gen> {
+        let gen = self.table.rungs[i].live.load(Ordering::SeqCst);
+        // SAFETY: a non-null `live` pointer came from `Box::into_raw` and
+        // is freed only after the rung's unlink, once every stripe has
+        // been seen at zero since then. Our SeqCst stripe increment
+        // precedes this SeqCst load, which read the pointer before the
+        // unlink's SeqCst swap; so our stripe stays non-zero from before
+        // the swap until this pin drops, and the borrow cannot outlive
+        // the pin.
+        unsafe { gen.as_ref() }
+    }
+
+    /// `(active index, draining predecessor, active)`, from `active` and
+    /// `retired` both read before the caller's first probe. A rung
+    /// unlinked since `active` was read re-resolves from the fresh value.
+    fn live(&self) -> (usize, Option<&Gen>, &Gen) {
+        loop {
+            let active = self.table.active.load(Ordering::Acquire);
+            let draining = if self.table.retired.load(Ordering::Acquire) < active {
+                match self.gen(active - 1) {
+                    Some(old) => Some(old),
+                    None => continue,
+                }
+            } else {
+                None
+            };
+            if let Some(gen) = self.gen(active) {
+                return (active, draining, gen);
+            }
+        }
+    }
+}
+
+impl Drop for Pin<'_> {
+    fn drop(&mut self) {
+        self.stripe.fetch_sub(1, Ordering::SeqCst);
+        if self.table.awaiting_free.load(Ordering::Acquire) > 0 {
+            self.table.free_quiescent();
+        }
+    }
+}
+
 /// Outcome of one generation walk on the insert/update path.
 enum GenOutcome {
     /// The rule was applied (in place or into a fresh slot).
@@ -334,15 +435,26 @@ enum Probe<T> {
 /// The lock-free QoS table (see module docs for the slot protocol, the
 /// incremental resize, and the reclamation sweep).
 pub struct LockFreeTable {
-    /// Generation ladder: `gens[i]` holds `initial_slots << i` slots.
-    /// Only `active` and (mid-migration) `active - 1` hold live entries;
-    /// the ladder itself is a few empty `OnceLock`s, not arrays.
-    gens: Box<[OnceLock<Gen>]>,
+    /// Generation ladder: rung `i` holds `initial_slots << i` slots. Only
+    /// `active` and (mid-migration) `active - 1` are allocated, plus
+    /// unlinked rungs waiting for their free; read through a [`Pin`].
+    rungs: Box<[Rung]>,
     active: AtomicUsize,
     /// Count of fully drained generations. `retired == active` means no
     /// migration is in flight; the invariant `retired >= active - 1`
     /// (one migration at a time) always holds.
     retired: AtomicUsize,
+    /// Unlinked rungs not yet freed (never fewer): every unpin reads it.
+    awaiting_free: AtomicUsize,
+    /// Public calls in flight, per thread stripe.
+    pins: Striped<AtomicUsize>,
+    /// Held (by `try_lock` only) while installing a successor.
+    installing: Mutex<()>,
+    /// Held (by `try_lock` only) while advancing the free queue.
+    freeing: Mutex<()>,
+    /// Allocated generations (tests count leaks and double frees).
+    #[cfg(test)]
+    gens_alive: Arc<AtomicUsize>,
     resizable: bool,
     /// Resume point for capped reclaim sweeps.
     reclaim_cursor: AtomicUsize,
@@ -355,7 +467,7 @@ pub struct LockFreeTable {
     long_keys: Mutex<HashMap<u64, (QosKey, u32)>>,
     /// Striped on cache lines of their own, as in [`ShardedTable`]: every
     /// decision bumps a counter, and every decision first reads `active`,
-    /// `retired` and the `gens` header.
+    /// `retired` and the `rungs` header.
     stats: TableStats,
     cells: TableEngineCells,
 }
@@ -415,20 +527,25 @@ impl LockFreeTable {
         assert!(slots > 0, "need at least one slot");
         let slots = slots.next_power_of_two();
         // Enough rungs to double up to 2^32 slots; past that the table
-        // simply stops resizing and leans on the overflow.
+        // simply stops resizing and leans on the overflow. At most 33, so
+        // a `u64` names any set of them.
         let rungs = if resizable {
             (33usize.saturating_sub(slots.trailing_zeros() as usize)).max(1)
         } else {
             1
         };
-        let gens: Box<[OnceLock<Gen>]> = (0..rungs).map(|_| OnceLock::new()).collect();
-        gens[0].set(Gen::new(slots)).ok();
         cells.slot_count.store(slots as u64, Ordering::Relaxed);
         cells.open_slots.store(0, Ordering::Relaxed);
-        LockFreeTable {
-            gens,
+        let table = LockFreeTable {
+            rungs: (0..rungs).map(|_| Rung::default()).collect(),
             active: AtomicUsize::new(0),
             retired: AtomicUsize::new(0),
+            awaiting_free: AtomicUsize::new(0),
+            pins: Striped::default(),
+            installing: Mutex::new(()),
+            freeing: Mutex::new(()),
+            #[cfg(test)]
+            gens_alive: Arc::default(),
             resizable,
             reclaim_cursor: AtomicUsize::new(0),
             overflow: ShardedTable::new(),
@@ -436,7 +553,11 @@ impl LockFreeTable {
             long_keys: Mutex::new(HashMap::new()),
             stats: TableStats::default(),
             cells,
-        }
+        };
+        table.rungs[0]
+            .live
+            .store(Box::into_raw(table.new_gen(slots)), Ordering::SeqCst);
+        table
     }
 
     /// Total CAS retries observed across all decisions so far.
@@ -454,16 +575,81 @@ impl LockFreeTable {
         self.cells.clone()
     }
 
-    fn gen_at(&self, i: usize) -> &Gen {
-        self.gens[i]
-            .get()
-            .expect("generation installed before activation")
+    /// Hold the ladder for one public call (module docs).
+    fn pin(&self) -> Pin<'_> {
+        let stripe = self.pins.mine();
+        stripe.fetch_add(1, Ordering::SeqCst);
+        Pin {
+            table: self,
+            stripe,
+        }
     }
 
-    /// Generations that may hold live entries, oldest first.
-    fn live_range(&self) -> std::ops::RangeInclusive<usize> {
-        let active = self.active.load(Ordering::Acquire);
-        self.retired.load(Ordering::Acquire).min(active)..=active
+    /// A fresh generation of `slots` vacant slots.
+    fn new_gen(&self, slots: usize) -> Box<Gen> {
+        #[cfg(test)]
+        self.gens_alive.fetch_add(1, Ordering::Relaxed);
+        Box::new(Gen::new(slots))
+    }
+
+    /// Free a generation no reader can reach (or ever could).
+    fn free_gen(&self, gen: Box<Gen>) {
+        #[cfg(test)]
+        self.gens_alive.fetch_sub(1, Ordering::Relaxed);
+        drop(gen);
+    }
+
+    /// Take fully drained rung `i` out of the ladder and queue it for its
+    /// free. Runs once per rung: in the quantum that retires it.
+    fn unlink(&self, i: usize) {
+        let rung = &self.rungs[i];
+        let gen = rung.live.swap(ptr::null_mut(), Ordering::SeqCst);
+        rung.unseen.store(ALL_STRIPES, Ordering::Relaxed);
+        // Counted before it is visible, so the count never runs short.
+        self.awaiting_free.fetch_add(1, Ordering::SeqCst);
+        rung.unlinked.store(gen, Ordering::SeqCst);
+    }
+
+    /// Free every queued rung whose stripes have all been seen at zero
+    /// since its unlink. Never waits: a caller that finds another thread
+    /// advancing the queue leaves it to that one.
+    fn free_quiescent(&self) {
+        let Some(_freeing) = self.freeing.try_lock() else {
+            return;
+        };
+        // Only rungs unlinked before the stripe reads below may count them.
+        let mut waiting = 0u64;
+        for (i, rung) in self.rungs.iter().enumerate() {
+            if !rung.unlinked.load(Ordering::SeqCst).is_null() {
+                waiting |= 1 << i;
+            }
+        }
+        if waiting == 0 {
+            return;
+        }
+        let mut idle = 0;
+        for (s, pins) in self.pins.iter().enumerate() {
+            if pins.load(Ordering::SeqCst) == 0 {
+                idle |= 1 << s;
+            }
+        }
+        for (i, rung) in self.rungs.iter().enumerate() {
+            if waiting & (1 << i) == 0 {
+                continue;
+            }
+            let unseen = rung.unseen.load(Ordering::Relaxed) & !idle;
+            rung.unseen.store(unseen, Ordering::Relaxed);
+            if unseen == 0 {
+                let gen = rung.unlinked.swap(ptr::null_mut(), Ordering::SeqCst);
+                // SAFETY: `gen` came from `Box::into_raw` and was swapped
+                // out of `live` before this call read `unlinked`; every
+                // stripe has since been seen at zero, so every pin that
+                // could have loaded it has dropped, and no later load
+                // finds it. The swap above hands it to this thread alone.
+                self.free_gen(unsafe { Box::from_raw(gen) });
+                self.awaiting_free.fetch_sub(1, Ordering::Release);
+            }
+        }
     }
 
     fn overflow_active(&self) -> bool {
@@ -585,12 +771,18 @@ impl LockFreeTable {
     /// schedule-driven tests) can help a migration along; `decide` and
     /// `insert` call it implicitly.
     pub fn run_migration_quantum(&self, now: Nanos) {
+        self.migration_quantum(&self.pin(), now);
+    }
+
+    /// [`Self::run_migration_quantum`] under the caller's pin.
+    fn migration_quantum(&self, pin: &Pin<'_>, now: Nanos) {
         let active = self.active.load(Ordering::SeqCst);
         if self.retired.load(Ordering::Acquire) >= active {
             return;
         }
-        let old = self.gen_at(active - 1);
-        let new = self.gen_at(active);
+        let (Some(old), Some(new)) = (pin.gen(active - 1), pin.gen(active)) else {
+            return; // unlinked since `active` was read: that migration is over
+        };
         let len = old.slots.len();
         let start = old
             .migrate_next
@@ -605,9 +797,12 @@ impl LockFreeTable {
         let done = old.migrate_done.fetch_add(end - start, Ordering::AcqRel) + (end - start);
         if done == len {
             self.retired.store(active, Ordering::Release);
+            self.unlink(active - 1);
             // The doubled array usually has room for rules a crowded
             // predecessor parked in the overflow: re-home them now.
-            self.rehome_overflow(now);
+            self.rehome_overflow(pin, now);
+            // Our own stripe is pinned, but others may already be idle.
+            self.free_quiescent();
         }
     }
 
@@ -715,46 +910,64 @@ impl LockFreeTable {
     /// open array. `take` captures each rule's credit atomically with its
     /// removal, so no charge is lost; a key mid-flight here briefly
     /// misses (the safe direction), exactly like any other miss.
-    fn rehome_overflow(&self, now: Nanos) {
+    fn rehome_overflow(&self, pin: &Pin<'_>, now: Nanos) {
         if !self.overflow_active() {
             return;
         }
         for key in self.overflow.keys() {
             if let Some(rule) = self.overflow.take(&key, now) {
-                self.place(rule, now, true);
+                self.place(pin, rule, now, true);
             }
         }
         self.clear_overflow_flag_if_drained();
     }
 
     /// Install a double-size successor when the watermark is crossed.
-    fn maybe_resize(&self) {
+    fn maybe_resize(&self, pin: &Pin<'_>) {
         if !self.resizable {
             return;
         }
+        let Some(due) = self.successor_due(pin) else {
+            return;
+        };
+        // Allocated before the lock, which then covers only the flip: a
+        // holder descheduled mid-allocation would leave every other
+        // inserter filling the full array.
+        let fresh = self.new_gen(due.1 * 2);
+        // A thread already holding the lock is doing exactly this; the
+        // loser drops its fresh array. Under the lock `active` cannot
+        // move, so re-checking there installs each rung once, and never
+        // into a rung an unlink has nulled again.
+        let Some(_installing) = self.installing.try_lock() else {
+            return self.free_gen(fresh);
+        };
+        if self.successor_due(pin) != Some(due) {
+            return self.free_gen(fresh);
+        }
+        let (active, slots) = due;
+        self.rungs[active + 1]
+            .live
+            .store(Box::into_raw(fresh), Ordering::SeqCst);
+        self.cells.resizes.fetch_add(1, Ordering::Relaxed);
+        self.cells
+            .slot_count
+            .store((slots * 2) as u64, Ordering::Relaxed);
+        self.active.store(active + 1, Ordering::SeqCst);
+    }
+
+    /// `(active, its slot count)` when the active generation has crossed
+    /// the watermark and may get a successor.
+    fn successor_due(&self, pin: &Pin<'_>) -> Option<(usize, usize)> {
         let active = self.active.load(Ordering::SeqCst);
         if self.retired.load(Ordering::Acquire) < active {
-            return; // one migration at a time
+            return None; // one migration at a time
         }
-        if active + 1 >= self.gens.len() {
-            return; // ladder exhausted (2^32 slots): behave as fixed
+        if active + 1 >= self.rungs.len() {
+            return None; // ladder exhausted (2^32 slots): behave as fixed
         }
-        let gen = self.gen_at(active);
+        let slots = pin.gen(active)?.slots.len();
         let open = self.cells.open_slots.load(Ordering::Relaxed) as usize;
-        if open * Self::WATERMARK_DEN < gen.slots.len() * Self::WATERMARK_NUM {
-            return;
-        }
-        // Losing the set race means another thread is doing exactly this.
-        if self.gens[active + 1]
-            .set(Gen::new(gen.slots.len() * 2))
-            .is_ok()
-        {
-            self.cells.resizes.fetch_add(1, Ordering::Relaxed);
-            self.cells
-                .slot_count
-                .store((gen.slots.len() * 2) as u64, Ordering::Relaxed);
-            self.active.store(active + 1, Ordering::SeqCst);
-        }
+        (open * Self::WATERMARK_DEN >= slots * Self::WATERMARK_NUM).then_some((active, slots))
     }
 
     /// One insert/update walk over `gen`. With `allow_claim` this is the
@@ -850,37 +1063,29 @@ impl LockFreeTable {
     /// Insert-or-update (`overwrite == false`, the [`QosTable::insert`]
     /// contract) or overwrite (`overwrite == true`, the
     /// [`QosTable::restore`] contract).
-    fn place(&self, rule: QosRule, now: Nanos, overwrite: bool) {
+    fn place(&self, pin: &Pin<'_>, rule: QosRule, now: Nanos, overwrite: bool) {
         let wanted = published(&rule.key);
         loop {
             let active = self.active.load(Ordering::SeqCst);
+            let Some(gen) = pin.gen(active) else {
+                continue; // unlinked since `active` was read: re-resolve
+            };
             // A draining predecessor may still hold the key: update it in
             // place there (the migrator carries the updated state) or wait
             // out a move in flight. Checking old-before-claim keeps every
             // key single-homed.
             if self.retired.load(Ordering::Acquire) < active {
-                match self.walk_gen(
-                    self.gen_at(active - 1),
-                    active,
-                    &rule,
-                    wanted,
-                    now,
-                    overwrite,
-                    false,
-                ) {
+                let Some(old) = pin.gen(active - 1) else {
+                    continue;
+                };
+                match self.walk_gen(old, active, &rule, wanted, now, overwrite, false) {
                     GenOutcome::Done => return,
                     GenOutcome::Retry => {
                         // Moved, or being moved: update the key where its
                         // carry lands. Never claim there — the carry does.
-                        if let GenOutcome::Done = self.walk_gen(
-                            self.gen_at(active),
-                            active,
-                            &rule,
-                            wanted,
-                            now,
-                            overwrite,
-                            false,
-                        ) {
+                        if let GenOutcome::Done =
+                            self.walk_gen(gen, active, &rule, wanted, now, overwrite, false)
+                        {
                             return;
                         }
                         std::hint::spin_loop();
@@ -889,17 +1094,9 @@ impl LockFreeTable {
                     GenOutcome::Missing { .. } => {}
                 }
             }
-            match self.walk_gen(
-                self.gen_at(active),
-                active,
-                &rule,
-                wanted,
-                now,
-                overwrite,
-                true,
-            ) {
+            match self.walk_gen(gen, active, &rule, wanted, now, overwrite, true) {
                 GenOutcome::Done => {
-                    self.maybe_resize();
+                    self.maybe_resize(pin);
                     return;
                 }
                 GenOutcome::Retry => continue,
@@ -907,7 +1104,7 @@ impl LockFreeTable {
                     // Probe chain exhausted (a claiming walk stops at the
                     // first EMPTY by taking it): park so the rule is never
                     // lost.
-                    debug_assert_eq!(walked, self.gen_at(active).probe_limit());
+                    debug_assert_eq!(walked, gen.probe_limit());
                     self.park_in_overflow(rule, now, overwrite);
                     return;
                 }
@@ -957,20 +1154,24 @@ impl LockFreeTable {
     /// wherever the key lands. `None`: the key is not in the open array.
     fn charge_open<T>(
         &self,
+        pin: &Pin<'_>,
         key: &QosKey,
         mut charge: impl FnMut(&Slot) -> Charged<T>,
     ) -> Option<T> {
         let wanted = published(key);
         let home = key.digest() as usize;
         loop {
-            let active = self.active.load(Ordering::Acquire);
-            match self.probe(self.gen_at(active), wanted, home, &mut charge) {
+            // Both generations are resolved before the first probe: a
+            // predecessor noticed only after a miss in the active array
+            // could have retired, carry and all, in between.
+            let (active, draining, gen) = pin.live();
+            match self.probe(gen, wanted, home, &mut charge) {
                 Probe::Done(out) => return Some(out),
                 Probe::Retry => continue,
                 Probe::Missing => {}
             }
-            if self.retired.load(Ordering::Acquire) < active {
-                match self.probe(self.gen_at(active - 1), wanted, home, &mut charge) {
+            if let Some(old) = draining {
+                match self.probe(old, wanted, home, &mut charge) {
                     Probe::Done(out) => return Some(out),
                     Probe::Retry => {
                         std::hint::spin_loop();
@@ -989,6 +1190,23 @@ impl LockFreeTable {
     }
 }
 
+impl Drop for LockFreeTable {
+    fn drop(&mut self) {
+        for i in 0..self.rungs.len() {
+            let rung = &mut self.rungs[i];
+            for gen in [*rung.live.get_mut(), *rung.unlinked.get_mut()] {
+                if !gen.is_null() {
+                    // SAFETY: every non-null rung pointer came from
+                    // `Box::into_raw` and is stored in exactly one of the
+                    // two fields (an unlink moves it, a free nulls it);
+                    // `&mut self` means no pin, so no reader, is left.
+                    self.free_gen(unsafe { Box::from_raw(gen) });
+                }
+            }
+        }
+    }
+}
+
 impl Default for LockFreeTable {
     fn default() -> Self {
         Self::new()
@@ -997,9 +1215,10 @@ impl Default for LockFreeTable {
 
 impl QosTable for LockFreeTable {
     fn decide(&self, key: &QosKey, now: Nanos) -> Option<Verdict> {
-        self.run_migration_quantum(now);
+        let pin = self.pin();
+        self.migration_quantum(&pin, now);
         let wanted = published(key);
-        let decided = self.charge_open(key, |slot| {
+        let decided = self.charge_open(&pin, key, |slot| {
             let (verdict, retries) = slot.bucket.try_consume_counted(now);
             self.note_retries(retries);
             if verdict == Verdict::Deny && slot.digest.load(Ordering::Acquire) != wanted {
@@ -1026,10 +1245,11 @@ impl QosTable for LockFreeTable {
         if n == 0 {
             return 0;
         }
-        self.run_migration_quantum(now);
+        let pin = self.pin();
+        self.migration_quantum(&pin, now);
         let wanted = published(key);
         let mut taken = 0;
-        let found = self.charge_open(key, |slot| {
+        let found = self.charge_open(&pin, key, |slot| {
             let (got, retries) = slot.bucket.try_consume_up_to(n - taken, now);
             self.note_retries(retries);
             // A partial take stands like an Allow (the drain captures
@@ -1051,9 +1271,10 @@ impl QosTable for LockFreeTable {
     fn shape(&self, key: &QosKey) -> Option<(Credits, RefillRate)> {
         let wanted = published(key);
         let home = key.digest() as usize;
+        let pin = self.pin();
         'retry: loop {
-            for gi in self.live_range().rev() {
-                let gen = self.gen_at(gi);
+            let (_, draining, active) = pin.live();
+            for gen in [Some(active), draining].into_iter().flatten() {
                 let mut idx = home & gen.mask;
                 for _ in 0..gen.probe_limit() {
                     let slot = &gen.slots[idx];
@@ -1087,29 +1308,25 @@ impl QosTable for LockFreeTable {
     }
 
     fn insert(&self, rule: QosRule, now: Nanos) {
-        self.run_migration_quantum(now);
-        self.place(rule, now, false);
+        let pin = self.pin();
+        self.migration_quantum(&pin, now);
+        self.place(&pin, rule, now, false);
     }
 
     fn apply_update(&self, rule: &QosRule, now: Nanos) -> bool {
         let wanted = published(&rule.key);
+        let pin = self.pin();
         loop {
-            let active = self.active.load(Ordering::Acquire);
-            match self.walk_gen(self.gen_at(active), active, rule, wanted, now, false, false) {
+            // Both generations resolved before the first walk, as in
+            // `charge_open`.
+            let (active, draining, gen) = pin.live();
+            match self.walk_gen(gen, active, rule, wanted, now, false, false) {
                 GenOutcome::Done => return true,
                 GenOutcome::Retry => continue,
                 GenOutcome::Missing { .. } => {}
             }
-            if self.retired.load(Ordering::Acquire) < active {
-                match self.walk_gen(
-                    self.gen_at(active - 1),
-                    active,
-                    rule,
-                    wanted,
-                    now,
-                    false,
-                    false,
-                ) {
+            if let Some(old) = draining {
+                match self.walk_gen(old, active, rule, wanted, now, false, false) {
                     GenOutcome::Done => return true,
                     GenOutcome::Retry => {
                         std::hint::spin_loop();
@@ -1132,9 +1349,10 @@ impl QosTable for LockFreeTable {
     fn remove(&self, key: &QosKey) -> bool {
         let wanted = published(key);
         let mut removed_open = false;
+        let pin = self.pin();
         'retry: loop {
-            'gens: for gi in self.live_range().rev() {
-                let gen = self.gen_at(gi);
+            let (_, draining, active) = pin.live();
+            'gens: for gen in [Some(active), draining].into_iter().flatten() {
                 let mut idx = key.digest() as usize & gen.mask;
                 for _ in 0..gen.probe_limit() {
                     let slot = &gen.slots[idx];
@@ -1194,13 +1412,10 @@ impl QosTable for LockFreeTable {
 
     fn keys(&self) -> Vec<QosKey> {
         let mut keys = Vec::with_capacity(self.len());
-        for gi in self.live_range() {
-            keys.extend(
-                self.gen_at(gi)
-                    .slots
-                    .iter()
-                    .filter_map(|slot| self.published_key(slot)),
-            );
+        let pin = self.pin();
+        let (_, draining, active) = pin.live();
+        for gen in draining.into_iter().chain([active]) {
+            keys.extend(gen.slots.iter().filter_map(|slot| self.published_key(slot)));
         }
         if self.overflow_active() {
             keys.extend(self.overflow.keys());
@@ -1210,8 +1425,10 @@ impl QosTable for LockFreeTable {
 
     fn snapshot(&self, now: Nanos) -> Vec<QosRule> {
         let mut rules = Vec::with_capacity(self.len());
-        for gi in self.live_range() {
-            for slot in self.gen_at(gi).slots.iter() {
+        let pin = self.pin();
+        let (_, draining, active) = pin.live();
+        for gen in draining.into_iter().chain([active]) {
+            for slot in gen.slots.iter() {
                 if let Some(key) = self.published_key(slot) {
                     rules.push(slot.bucket.to_rule(key, now));
                 }
@@ -1224,16 +1441,19 @@ impl QosTable for LockFreeTable {
     }
 
     fn restore(&self, rules: Vec<QosRule>, now: Nanos) {
+        let pin = self.pin();
         for rule in rules {
-            self.run_migration_quantum(now);
-            self.place(rule, now, true);
+            self.migration_quantum(&pin, now);
+            self.place(&pin, rule, now, true);
         }
     }
 
     fn sweep_refill(&self, now: Nanos) {
         let mut retries = 0u64;
-        for gi in self.live_range() {
-            for slot in self.gen_at(gi).slots.iter() {
+        let pin = self.pin();
+        let (_, draining, active) = pin.live();
+        for gen in draining.into_iter().chain([active]) {
+            for slot in gen.slots.iter() {
                 if is_published(slot.digest.load(Ordering::Acquire)) {
                     retries += slot.bucket.refill(now);
                 }
@@ -1251,17 +1471,17 @@ impl QosTable for LockFreeTable {
         if max == 0 {
             return Vec::new();
         }
-        let active = self.active.load(Ordering::Acquire);
-        if self.retired.load(Ordering::Acquire) < active {
-            // Finish the in-flight migration first; the sweep simply
-            // returns at the next interval.
-            return Vec::new();
-        }
         let ttl_ticks = ((idle_ttl.as_nanos() / u128::from(TOUCH_TICK_NANOS)) as u64).max(1);
         if ttl_ticks >= TOUCH_TICK_HALF_RANGE {
             return Vec::new(); // TTL beyond the wrap horizon: nothing provably idle
         }
-        let gen = self.gen_at(active);
+        let pin = self.pin();
+        let (_, draining, gen) = pin.live();
+        if draining.is_some() {
+            // Finish the in-flight migration first; the sweep simply
+            // returns at the next interval.
+            return Vec::new();
+        }
         let len = gen.slots.len();
         let now_tick = touch_tick(now);
         let start = self.reclaim_cursor.load(Ordering::Relaxed) % len;
@@ -1365,8 +1585,10 @@ mod tests {
     /// each counting its publishing slots (checked while quiescent).
     fn assert_long_keys_balanced(table: &LockFreeTable) {
         let mut held: HashMap<u64, u32> = HashMap::new();
-        for gi in table.live_range() {
-            for slot in table.gen_at(gi).slots.iter() {
+        let pin = table.pin();
+        let (_, draining, active) = pin.live();
+        for gen in draining.into_iter().chain([active]) {
+            for slot in gen.slots.iter() {
                 let d = slot.digest.load(Ordering::Acquire);
                 if is_published(d) && is_long(&slot.load_text()) {
                     *held.entry(d & DIGEST_MASK).or_default() += 1;
@@ -1401,7 +1623,7 @@ mod tests {
     #[test]
     fn slot_count_rounds_up_to_power_of_two() {
         let table = LockFreeTable::with_slots(1000);
-        assert_eq!(table.gen_at(0).slots.len(), 1024);
+        assert_eq!(table.pin().gen(0).unwrap().slots.len(), 1024);
         assert_eq!(table.cells.slot_count.load(Ordering::Relaxed), 1024);
     }
 
@@ -1436,7 +1658,8 @@ mod tests {
     fn tombstone_is_reclaimed_by_the_same_key_only() {
         let table = LockFreeTable::with_slots(64);
         table.insert(rule("alice", 5, 0), Nanos::ZERO);
-        let gen = table.gen_at(0);
+        let pin = table.pin();
+        let gen = pin.gen(0).unwrap();
         let home = key("alice").digest() as usize & gen.mask;
         assert!(table.remove(&key("alice")));
         assert_eq!(
@@ -1948,7 +2171,8 @@ mod tests {
         fn walked(table: &LockFreeTable, gi: usize, absent: &QosRule) -> usize {
             let active = table.active.load(Ordering::Acquire);
             let wanted = published(&absent.key);
-            let gen = table.gen_at(gi);
+            let pin = table.pin();
+            let gen = pin.gen(gi).unwrap();
             match table.walk_gen(gen, active, absent, wanted, Nanos::ZERO, false, false) {
                 GenOutcome::Missing { walked } => walked,
                 _ => panic!("{} is not in the table", absent.key),
@@ -1959,15 +2183,16 @@ mod tests {
             table.insert(rule(&format!("k{i}"), 3, 0), Nanos::ZERO);
         }
         assert!(!migration_in_flight(&table));
+        let pin = table.pin();
         // An absent key whose home is taken, so the walk passes slots.
         let absent = (0..)
             .map(|j| rule(&format!("absent-{j}"), 1, 0))
-            .find(|r| to_first_empty(table.gen_at(0), &r.key) >= 3)
+            .find(|r| to_first_empty(pin.gen(0).unwrap(), &r.key) >= 3)
             .unwrap();
-        let limit = table.gen_at(0).probe_limit();
+        let limit = pin.gen(0).unwrap().probe_limit();
         assert_eq!(
             walked(&table, 0, &absent),
-            to_first_empty(table.gen_at(0), &absent.key)
+            to_first_empty(pin.gen(0).unwrap(), &absent.key)
         );
         assert!(walked(&table, 0, &absent) < limit);
         assert!(!table.apply_update(&absent, Nanos::ZERO));
@@ -1977,13 +2202,13 @@ mod tests {
         table.insert(rule("k47", 3, 0), Nanos::ZERO);
         table.run_migration_quantum(Nanos::ZERO);
         assert!(migration_in_flight(&table));
-        let old = table.gen_at(0);
+        let old = pin.gen(0).unwrap();
         let expected = to_first_empty(old, &absent.key);
         assert_eq!(walked(&table, 0, &absent), expected, "draining generation");
         assert!(expected < limit);
         assert_eq!(
             walked(&table, 1, &absent),
-            to_first_empty(table.gen_at(1), &absent.key),
+            to_first_empty(pin.gen(1).unwrap(), &absent.key),
             "active generation mid-migration"
         );
         assert!(!table.apply_update(&absent, Nanos::ZERO));
@@ -2000,7 +2225,8 @@ mod tests {
             table.insert(rule(name, 3, 0), Nanos::ZERO);
         }
         table.run_migration_quantum(Nanos::ZERO);
-        let old = table.gen_at(0);
+        let pin = table.pin();
+        let old = pin.gen(0).unwrap();
         let carried = names
             .iter()
             .find(|name| {
@@ -2010,6 +2236,7 @@ mod tests {
                     .any(|slot| slot.digest.load(Ordering::Relaxed) == moved)
             })
             .expect("the first quantum carried a key");
+        drop(pin);
         table.insert(rule(carried, 5, 0), Nanos::ZERO);
         assert!(migration_in_flight(&table));
         assert_eq!(
@@ -2035,8 +2262,10 @@ mod tests {
         table.insert(rule("alice", 5, 0), Nanos::ZERO);
         table.insert(rule("bob", 5, 0), Nanos::ZERO);
         let wanted = published(&key("alice"));
-        let slot = table
-            .gen_at(0)
+        let pin = table.pin();
+        let slot = pin
+            .gen(0)
+            .unwrap()
             .slots
             .iter()
             .find(|slot| slot.digest.load(Ordering::Relaxed) == wanted)
@@ -2202,5 +2431,293 @@ mod tests {
         }
         assert!(table.cells.resizes.load(Ordering::Relaxed) >= 4);
         assert!(table.cells.reclaimed_keys.load(Ordering::Relaxed) > 0);
+    }
+
+    #[test]
+    fn installed_keys_never_miss_while_a_migration_retires() {
+        // Two threads charge and update four installed keys while one of
+        // them grows the table from 8 slots with fresh keys, so one
+        // migration after another retires under them; in the first few,
+        // every installed key rides the final quantum. A lookup that read
+        // `retired` only after missing in the active array could skip the
+        // predecessor the key's carry had just left, and report an
+        // installed key missing. The one inserter waits out a migration in
+        // flight: inserts racing a straggling quantum could fill the
+        // successor and park a carry in the overflow, whose re-home is a
+        // miss of its own.
+        use std::sync::Barrier;
+        const ROUNDS: usize = if cfg!(debug_assertions) { 400 } else { 20_000 };
+        const FRESH: usize = 200;
+        let hot: Vec<QosRule> = (0..4)
+            .map(|i| QosRule::per_second(key(&format!("hot-{i}")), 1 << 40, 0))
+            .collect();
+        let fresh: Vec<QosRule> = (0..FRESH)
+            .map(|n| rule(&format!("fresh-{n}"), 1, 0))
+            .collect();
+        let mut misses = 0;
+        for _ in 0..ROUNDS {
+            let table = LockFreeTable::with_slots(8);
+            for r in &hot {
+                table.insert(r.clone(), Nanos::ZERO);
+            }
+            let next = AtomicUsize::new(0);
+            let barrier = Barrier::new(2);
+            misses += std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..2)
+                    .map(|t| {
+                        let (table, hot, fresh, next, barrier) =
+                            (&table, &hot, &fresh, &next, &barrier);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            let mut missed = 0u64;
+                            let mut i = 0;
+                            while next.load(Ordering::Relaxed) < fresh.len() {
+                                if t == 0 && !migration_in_flight(table) {
+                                    let n = next.load(Ordering::Relaxed);
+                                    table.insert(fresh[n].clone(), Nanos::ZERO);
+                                    next.store(n + 1, Ordering::Relaxed);
+                                }
+                                let r = &hot[i % hot.len()];
+                                let found = match (i / hot.len() + t) % 3 {
+                                    0 => table.decide(&r.key, Nanos::ZERO).is_some(),
+                                    1 => table.consume_up_to(&r.key, 1, Nanos::ZERO) == 1,
+                                    _ => table.apply_update(r, Nanos::ZERO),
+                                };
+                                missed += u64::from(!found);
+                                i += 1;
+                            }
+                            missed
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
+            });
+        }
+        assert_eq!(misses, 0, "installed keys reported missing");
+    }
+
+    /// Insert once no migration is in flight, helping it along.
+    fn insert_between_migrations(table: &LockFreeTable, rule: QosRule, now: Nanos) {
+        while migration_in_flight(table) {
+            table.run_migration_quantum(now);
+            std::thread::yield_now();
+        }
+        table.insert(rule, now);
+    }
+
+    /// Quiescent, with no migration in flight: the active rung is the one
+    /// generation allocated, and nothing waits for a free.
+    fn assert_only_active_allocated(table: &LockFreeTable) {
+        let active = table.active.load(Ordering::Acquire);
+        for (i, rung) in table.rungs.iter().enumerate() {
+            assert_eq!(
+                rung.live.load(Ordering::SeqCst).is_null(),
+                i != active,
+                "rung {i}, active {active}"
+            );
+            assert!(
+                rung.unlinked.load(Ordering::SeqCst).is_null(),
+                "rung {i} still waits for its free"
+            );
+        }
+        assert_eq!(table.awaiting_free.load(Ordering::Acquire), 0);
+        assert_eq!(table.gens_alive.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_pinned_reader_defers_the_free_of_a_retired_generation() {
+        let table = LockFreeTable::with_slots(8);
+        for i in 0..6 {
+            table.insert(rule(&format!("k{i}"), 1, 0), Nanos::ZERO);
+        }
+        assert!(migration_in_flight(&table));
+        let reader = table.pin();
+        let old = reader.gen(0).expect("the draining generation is linked");
+        pump_until_retired(&table, Nanos::ZERO);
+        assert!(reader.gen(0).is_none(), "the retired rung is unlinked");
+        assert!(
+            !table.rungs[0].unlinked.load(Ordering::SeqCst).is_null(),
+            "a pinned reader keeps it allocated"
+        );
+        assert_eq!(table.awaiting_free.load(Ordering::Acquire), 1);
+        assert_eq!(table.gens_alive.load(Ordering::Relaxed), 2);
+        // The reader still reads the drained array: nothing published.
+        assert!(old
+            .slots
+            .iter()
+            .all(|slot| !is_published(slot.digest.load(Ordering::Acquire))));
+        // The unpin sees every stripe idle and frees it.
+        drop(reader);
+        assert_only_active_allocated(&table);
+        for i in 0..6 {
+            assert_eq!(
+                table.decide(&key(&format!("k{i}")), Nanos::ZERO),
+                Some(Verdict::Allow)
+            );
+        }
+    }
+
+    #[test]
+    fn every_generation_is_freed_exactly_once() {
+        // Dropped mid-migration: the draining and the active rung.
+        let table = LockFreeTable::with_slots(8);
+        let alive = Arc::clone(&table.gens_alive);
+        for i in 0..6 {
+            table.insert(rule(&format!("k{i}"), 1, 0), Nanos::ZERO);
+        }
+        assert!(migration_in_flight(&table));
+        assert_eq!(alive.load(Ordering::Relaxed), 2);
+        drop(table);
+        assert_eq!(alive.load(Ordering::Relaxed), 0);
+
+        // Dropped with a retired rung still queued: a pin that never
+        // unpins keeps it from its free.
+        let table = LockFreeTable::with_slots(8);
+        let alive = Arc::clone(&table.gens_alive);
+        for i in 0..6 {
+            table.insert(rule(&format!("k{i}"), 1, 0), Nanos::ZERO);
+        }
+        std::mem::forget(table.pin());
+        pump_until_retired(&table, Nanos::ZERO);
+        assert_eq!(table.awaiting_free.load(Ordering::Acquire), 1);
+        assert_eq!(alive.load(Ordering::Relaxed), 2);
+        drop(table);
+        assert_eq!(alive.load(Ordering::Relaxed), 0);
+
+        // Normal use: resizes, removals and reclaims, then a drop.
+        let table = LockFreeTable::with_slots(8);
+        let alive = Arc::clone(&table.gens_alive);
+        for i in 0..500 {
+            let k = format!("n{i}");
+            table.insert(rule(&k, 2, 0), secs(i % 7));
+            assert_eq!(table.decide(&key(&k), secs(i % 7)), Some(Verdict::Allow));
+            if i % 5 == 0 {
+                assert!(table.remove(&key(&k)));
+            }
+        }
+        pump_until_retired(&table, secs(7));
+        assert!(!table
+            .reclaim_idle(secs(9), Duration::from_secs(3), 50)
+            .is_empty());
+        assert!(table.cells.resizes.load(Ordering::Relaxed) >= 6);
+        assert_only_active_allocated(&table);
+        drop(table);
+        assert_eq!(alive.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn retired_generations_are_freed_under_racing_readers() {
+        // From 8 slots through at least six resizes. Each round, five roles
+        // start together from one barrier: charging the anchor keys
+        // (decide and consume_up_to), reading their shape, removing and
+        // re-inserting churn keys then inserting fresh ones, listing (keys
+        // and snapshot), and reclaiming idle keys. After each round every
+        // anchor's credit is conserved and no anchor went missing; once
+        // the migration drains, only the active rung is allocated. One
+        // role does every insert, between migrations, as in the test
+        // above.
+        use std::sync::Barrier;
+        const ROUNDS: u64 = 40;
+        const CAPACITY: u64 = 400;
+        const PASSES: usize = 150;
+        const FRESH_PER_ROUND: u64 = 32;
+        let anchors: Vec<QosKey> = (0..4).map(|i| key(&format!("anchor-{i}"))).collect();
+        let shape = (Credits::from_whole(CAPACITY), RefillRate::ZERO);
+        let table = LockFreeTable::with_slots(8);
+        let mut churn: Vec<QosKey> = Vec::new();
+        for round in 1..=ROUNDS {
+            let now = secs(round);
+            // Every anchor starts the round holding exactly CAPACITY.
+            table.restore(
+                anchors
+                    .iter()
+                    .map(|k| QosRule::per_second(k.clone(), CAPACITY, 0))
+                    .collect(),
+                now,
+            );
+            let fresh: Vec<QosKey> = (0..FRESH_PER_ROUND)
+                .map(|i| key(&format!("churn-{round}-{i}")))
+                .collect();
+            let cycled: Vec<QosKey> = churn.iter().rev().step_by(7).take(8).cloned().collect();
+            let barrier = Barrier::new(5);
+            let (charged, missing) = std::thread::scope(|scope| {
+                let charger = scope.spawn(|| {
+                    barrier.wait();
+                    let mut charged = vec![0u64; anchors.len()];
+                    let mut missing = 0;
+                    // Never enough to run an anchor dry: every call takes.
+                    for pass in 0..PASSES {
+                        for (i, k) in anchors.iter().enumerate() {
+                            let took = if pass % 2 == 0 {
+                                u64::from(table.decide(k, now) == Some(Verdict::Allow))
+                            } else {
+                                table.consume_up_to(k, 2, now)
+                            };
+                            charged[i] += took;
+                            missing += u64::from(took == 0);
+                        }
+                    }
+                    (charged, missing)
+                });
+                let shaper = scope.spawn(|| {
+                    barrier.wait();
+                    let mut missing = 0;
+                    for _ in 0..PASSES {
+                        for k in &anchors {
+                            missing += u64::from(table.shape(k) != Some(shape));
+                        }
+                    }
+                    missing
+                });
+                scope.spawn(|| {
+                    barrier.wait();
+                    for k in &cycled {
+                        table.remove(k);
+                        insert_between_migrations(
+                            &table,
+                            QosRule::per_second(k.clone(), 5, 0),
+                            now,
+                        );
+                    }
+                    for k in &fresh {
+                        insert_between_migrations(
+                            &table,
+                            QosRule::per_second(k.clone(), 5, 0),
+                            now,
+                        );
+                    }
+                });
+                scope.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..4 {
+                        std::hint::black_box(table.keys());
+                        std::hint::black_box(table.snapshot(now));
+                    }
+                });
+                scope.spawn(|| {
+                    barrier.wait();
+                    table.reclaim_idle(now, Duration::from_secs(10), 8);
+                });
+                let (charged, missing) = charger.join().unwrap();
+                (charged, missing + shaper.join().unwrap())
+            });
+            churn.extend(fresh);
+            assert_eq!(missing, 0, "round {round}: an installed anchor missed");
+            let credit: HashMap<QosKey, Credits> = table
+                .snapshot(now)
+                .into_iter()
+                .map(|row| (row.key, row.credit))
+                .collect();
+            for (k, charged) in anchors.iter().zip(charged) {
+                assert_eq!(
+                    credit.get(k),
+                    Some(&Credits::from_whole(CAPACITY - charged)),
+                    "round {round}: {k} charged {charged}"
+                );
+            }
+            pump_until_retired(&table, now);
+            assert_only_active_allocated(&table);
+        }
+        assert!(table.cells.resizes.load(Ordering::Relaxed) >= 6);
     }
 }

@@ -6,7 +6,10 @@
 # `unsafe`.
 #
 # DESIGN.md §7 lists every block that exists; a new one must carry its
-# comment here and join that list.
+# comment here and join that list. The script also counts the blocks —
+# every `unsafe {` outside a line comment; an `unsafe fn` or `unsafe impl`
+# needs its comment but is not a block — and exits 1 when the total
+# differs from the number §7 states ("listed here: N blocks").
 set -euo pipefail
 
 if [[ ! -d crates ]]; then
@@ -46,7 +49,15 @@ for file in "${files[@]}"; do
     fi
 done
 
+blocks=$(cat "${files[@]}" | grep -vE '^[[:space:]]*//' |
+    grep -oE '(^|[^[:alnum:]_"])unsafe[[:space:]]*\{' | wc -l)
+listed=$(grep -oE 'listed here: [0-9]+ blocks' DESIGN.md | grep -oE '[0-9]+' || true)
+if [[ "$blocks" != "$listed" ]]; then
+    echo "DESIGN.md §7 lists ${listed:-no count of} unsafe blocks; crates/ has $blocks"
+    status=1
+fi
+
 if [[ $status -eq 0 ]]; then
-    echo "ok: every unsafe in the $scanned Rust files under crates/ carries a // SAFETY: comment"
+    echo "ok: every unsafe in the $scanned Rust files under crates/ carries a // SAFETY: comment; $blocks blocks, as DESIGN.md §7 lists"
 fi
 exit $status
