@@ -32,11 +32,12 @@
 //!   racing a remove/re-insert can only ever touch a bucket for the same
 //!   key.
 //! * Probing walks linearly, passes tombstones and foreign digests, and
-//!   stops at `EMPTY` or after [`LockFreeTable::MAX_PROBE`] steps. Writers
-//!   wait out a `RESERVED` slot instead of passing it, and only an
-//!   undone claim returns a slot to `EMPTY`, so no key sits past an
-//!   `EMPTY` on its probe path: decisions, removals and update-only walks
-//!   all stop there.
+//!   stops at `EMPTY` or after one full lap of the array. Writers wait
+//!   out a `RESERVED` slot instead of passing it, and only an undone
+//!   claim returns a slot to `EMPTY`, so no key sits past an `EMPTY` on
+//!   its probe path: decisions, removals and update-only walks all stop
+//!   there. A claiming walk takes the first `EMPTY` or same-digest
+//!   tombstone on its chain, however far along (see "Crowded chains").
 //!
 //! # Slot layout
 //!
@@ -70,15 +71,25 @@
 //!
 //! # Incremental resize
 //!
-//! Generations form a ladder of power-of-two arrays: when occupancy of the
-//! active generation crosses ¾, a double-size successor is installed and
-//! the old generation drains **cooperatively** — each `decide`/`insert`
-//! first performs one bounded migration quantum
+//! Generations are power-of-two arrays, numbered from 0: when published
+//! occupancy of the active generation crosses ¾, a double-size successor
+//! is installed and the old generation drains **cooperatively** — each
+//! `decide`/`insert` first performs one bounded migration quantum
 //! ([`LockFreeTable::MIGRATE_QUANTUM`] slots), so there is no
 //! stop-the-world rehash and no operation ever does more than a constant
 //! amount of migration work. Readers read `active` and `retired` before
 //! their first probe, then probe new-then-old while a migration is in
-//! flight.
+//! flight. Generation `g` lives in rung `g % RUNGS` of a ring, and a
+//! successor goes only into an empty rung (an install whose rung still
+//! awaits its free is left to a later call).
+//!
+//! Every carry lands. Each generation counts its slots taken from
+//! `EMPTY` less those carried away (`taken`): at least the carries it
+//! still owes. While a predecessor drains, an insert takes an `EMPTY`
+//! slot of the successor only while both counts fit in it (the *claim
+//! budget*); a refused insert unpins, helps the migration and retries.
+//! So a frozen (`MOVED`) slot is always on its way, and a remove that
+//! finds the key in the successor tombstones the `MOVED` slot it left.
 //!
 //! Moving a bucket is **credit-exact**: the migrator freezes the slot
 //! (`PUBLISHED → MOVED` by CAS), then [`AtomicBucket::drain`]s it — the
@@ -91,7 +102,7 @@
 //!
 //! # Freeing retired generations
 //!
-//! Each rung of the ladder is one owning atomic pointer, null before its
+//! Each rung of the ring is one owning atomic pointer, null before its
 //! install and after its unlink. Every public call that reads a
 //! generation holds one *pin* for its whole duration: a `SeqCst`
 //! increment of the caller's stripe of a per-table
@@ -126,14 +137,16 @@
 //! with the credit it left with (refill that would have accrued while
 //! demoted is forfeited — the safe direction).
 //!
-//! # Overflow
+//! # Crowded chains
 //!
-//! When a probe chain exceeds [`LockFreeTable::MAX_PROBE`] the rule is
-//! parked in an internal [`ShardedTable`] so no rule is ever dropped; the
-//! hot path checks that overflow only while it is non-empty (one relaxed
-//! flag load). The flag **clears** when the overflow drains, and a
-//! completed resize re-homes parked rules into the (now roomier) open
-//! array.
+//! Every rule lives in the open array. The watermark counts published
+//! slots only, so the tombstones of keys that came and went can crowd
+//! the chains of a table far below it. A write that walks
+//! [`LockFreeTable::MAX_PROBE`] slots past its key's home, or a claim
+//! with no claimable slot on a full lap, asks for a successor, granted
+//! once ¾ of the slots are taken (below that a long walk is a cluster).
+//! The successor is the **same size** when live rules fill less than ⅜
+//! of the slots (the migration drops the tombstones), double otherwise.
 //!
 //! Keys match by their 64-bit FNV-1a digest alone (truncated to 62 bits by
 //! the flag encoding): two distinct keys sharing a digest would share a
@@ -144,13 +157,13 @@
 //! Misses still flow through the server's DB-fetch/default-policy
 //! machinery: `decide` returns `None` exactly like the locked tables.
 
-use crate::table::{QosTable, ReclaimedRule, ShardedTable, TableStats, TableStatsSnapshot};
+use crate::table::{QosTable, ReclaimedRule, TableStats, TableStatsSnapshot};
 use janus_clock::Nanos;
 use janus_types::sync::{Mutex, Striped, STRIPES};
 use janus_types::{Credits, QosKey, QosRule, RefillRate, Verdict, INLINE_KEY_BYTES, MAX_KEY_BYTES};
 use std::collections::HashMap;
 use std::ptr;
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -207,11 +220,14 @@ pub struct TableEngineCells {
     pub cas_retries: Arc<AtomicU64>,
     /// Probe steps beyond the home slot (clustering / fill-factor proxy).
     pub probe_steps: Arc<AtomicU64>,
-    /// Published entries in the open-addressed array (overflow excluded).
+    /// Published entries: every live rule (the active generation and a
+    /// draining predecessor together).
     pub open_slots: Arc<AtomicU64>,
     /// Slot count of the active generation.
     pub slot_count: Arc<AtomicU64>,
-    /// Completed watermark-triggered generation installs.
+    /// Successor generations installed: doublings (at the ¾ watermark or
+    /// on a crowded chain) and same-size compactions (module docs,
+    /// "Crowded chains").
     pub resizes: Arc<AtomicU64>,
     /// Live rules carried from an old generation to its successor.
     pub migrated_slots: Arc<AtomicU64>,
@@ -301,7 +317,7 @@ impl Slot {
     }
 }
 
-/// One rung of the generation ladder.
+/// One generation: a power-of-two slot array.
 struct Gen {
     slots: Box<[Slot]>,
     mask: usize,
@@ -311,6 +327,11 @@ struct Gen {
     /// Slots fully processed by migrators; `== slots.len()` retires the
     /// generation.
     migrate_done: AtomicUsize,
+    /// Slots taken from `EMPTY`, less those carried away to a successor:
+    /// at least the carries this generation still owes one. An insert
+    /// counts its claim before the CAS and uncounts a failed or undone
+    /// one (module docs, "Incremental resize").
+    taken: AtomicUsize,
 }
 
 impl Gen {
@@ -320,15 +341,28 @@ impl Gen {
             mask: slots - 1,
             migrate_next: AtomicUsize::new(0),
             migrate_done: AtomicUsize::new(0),
+            taken: AtomicUsize::new(0),
         }
     }
 
-    fn probe_limit(&self) -> usize {
-        LockFreeTable::MAX_PROBE.min(self.slots.len())
+    /// Count one more slot taken from `EMPTY` by an insert, unless that
+    /// leaves fewer than `reserve` (carries still owed) `EMPTY` slots.
+    fn take_slot(&self, reserve: usize) -> bool {
+        let taken = self.taken.fetch_add(1, Ordering::SeqCst) + 1;
+        if taken + reserve > self.slots.len() {
+            self.taken.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        true
     }
 }
 
-/// One rung of the generation ladder (module docs, "Freeing retired
+/// Rungs in the generation ring. Three would do (the active generation,
+/// its draining predecessor and the one before, awaiting its free); a
+/// fourth gives a pending free one more generation's time.
+const RUNGS: usize = 4;
+
+/// One rung of the generation ring (module docs, "Freeing retired
 /// generations").
 #[derive(Default)]
 struct Rung {
@@ -347,7 +381,7 @@ struct Rung {
 /// Every stripe, as an `unseen` mask.
 const ALL_STRIPES: usize = (1 << STRIPES) - 1;
 
-/// One public call's hold on the generation ladder: while it lives, no
+/// One public call's hold on the generation ring: while it lives, no
 /// rung the call loaded is freed, and every `&Gen` borrows it.
 struct Pin<'t> {
     table: &'t LockFreeTable,
@@ -355,17 +389,18 @@ struct Pin<'t> {
 }
 
 impl Pin<'_> {
-    /// Rung `i`'s generation, or `None` before its install and after its
-    /// unlink.
-    fn gen(&self, i: usize) -> Option<&Gen> {
-        let gen = self.table.rungs[i].live.load(Ordering::SeqCst);
+    /// Generation `g`, or `None` before its install and after its unlink.
+    /// Callers name only the active generation or its predecessor, read
+    /// from `active` and `retired` under this pin.
+    fn gen(&self, g: usize) -> Option<&Gen> {
+        let gen = self.table.rungs[g % RUNGS].live.load(Ordering::SeqCst);
         // SAFETY: a non-null `live` pointer came from `Box::into_raw` and
-        // is freed only after the rung's unlink, once every stripe has
-        // been seen at zero since then. Our SeqCst stripe increment
-        // precedes this SeqCst load, which read the pointer before the
-        // unlink's SeqCst swap; so our stripe stays non-zero from before
-        // the swap until this pin drops, and the borrow cannot outlive
-        // the pin.
+        // is freed only after its unlink, once every stripe has been seen
+        // at zero since then. Our SeqCst stripe increment precedes this
+        // SeqCst load, which read the pointer before the unlink's swap, so
+        // our stripe stays non-zero until this pin (which the borrow
+        // cannot outlive) drops. It is generation `g`'s: `g` was linked
+        // after our pin, and successors go only into empty rungs.
         unsafe { gen.as_ref() }
     }
 
@@ -401,13 +436,18 @@ impl Drop for Pin<'_> {
 
 /// Outcome of one generation walk on the insert/update path.
 enum GenOutcome {
-    /// The rule was applied (in place or into a fresh slot).
-    Done,
+    /// The rule was applied, in place or into a fresh slot `walked`
+    /// slots past the key's home.
+    Done { walked: usize },
     /// The key is mid-migration or was frozen under us: re-resolve.
     Retry,
-    /// The key is not in this generation (or its probe chain is full),
-    /// found after examining `walked` slots.
-    Missing { walked: usize },
+    /// The key is not in this generation, found after examining `walked`
+    /// slots (read by the walk-length test); a claiming walk also found
+    /// no slot it could take.
+    Missing {
+        #[cfg_attr(not(test), allow(dead_code))]
+        walked: usize,
+    },
 }
 
 /// A frozen slot's state on its way to the successor generation.
@@ -435,10 +475,11 @@ enum Probe<T> {
 /// The lock-free QoS table (see module docs for the slot protocol, the
 /// incremental resize, and the reclamation sweep).
 pub struct LockFreeTable {
-    /// Generation ladder: rung `i` holds `initial_slots << i` slots. Only
-    /// `active` and (mid-migration) `active - 1` are allocated, plus
+    /// Generation ring: generation `g` lives in rung `g % RUNGS`. Only
+    /// `active` and (mid-migration) `active - 1` are linked, plus
     /// unlinked rungs waiting for their free; read through a [`Pin`].
     rungs: Box<[Rung]>,
+    /// Number of the active generation.
     active: AtomicUsize,
     /// Count of fully drained generations. `retired == active` means no
     /// migration is in flight; the invariant `retired >= active - 1`
@@ -455,30 +496,30 @@ pub struct LockFreeTable {
     /// Allocated generations (tests count leaks and double frees).
     #[cfg(test)]
     gens_alive: Arc<AtomicUsize>,
-    resizable: bool,
     /// Resume point for capped reclaim sweeps.
     reclaim_cursor: AtomicUsize,
-    /// Probe-limit escape hatch; almost always empty.
-    overflow: ShardedTable,
-    overflow_in_use: AtomicBool,
     /// Text of keys longer than [`INLINE_KEY_BYTES`], by 62-bit digest,
     /// with the number of slots publishing or carrying it (module docs).
     /// Cold: `decide` never touches it.
     long_keys: Mutex<HashMap<u64, (QosKey, u32)>>,
-    /// Striped on cache lines of their own, as in [`ShardedTable`]: every
-    /// decision bumps a counter, and every decision first reads `active`,
-    /// `retired` and the `rungs` header.
+    /// Striped on cache lines of their own, as in
+    /// [`ShardedTable`](crate::ShardedTable): every decision bumps a
+    /// counter, and every decision first reads `active`, `retired` and the
+    /// `rungs` pointer.
     stats: TableStats,
     cells: TableEngineCells,
 }
 
 impl LockFreeTable {
     /// Default slot count (power of two). Comfortable for tens of
-    /// thousands of tenant rules before probe chains grow — and with the
-    /// resizable ladder, a deliberately small starting size is fine too.
+    /// thousands of tenant rules before probe chains grow — and since the
+    /// table resizes, a deliberately small starting size is fine too.
     pub const DEFAULT_SLOTS: usize = 16_384;
 
-    /// Longest probe chain before a rule is parked in the overflow table.
+    /// A write that walks this many slots past its key's home or more
+    /// asks for a successor generation, granted once ¾ of the slots are
+    /// taken (module docs, "Crowded chains"). Lookups are not bounded by
+    /// it: they stop at `EMPTY`.
     pub const MAX_PROBE: usize = 128;
 
     /// Old-generation slots one operation migrates before doing its own
@@ -489,13 +530,18 @@ impl LockFreeTable {
     const WATERMARK_NUM: usize = 3;
     const WATERMARK_DEN: usize = 4;
 
-    /// A resizable table with [`Self::DEFAULT_SLOTS`] initial slots.
+    /// A successor is the same size, not double, when published entries
+    /// are below ⅜ of the active array.
+    const COMPACT_NUM: usize = 3;
+    const COMPACT_DEN: usize = 8;
+
+    /// A table with [`Self::DEFAULT_SLOTS`] initial slots.
     pub fn new() -> Self {
         Self::with_slots(Self::DEFAULT_SLOTS)
     }
 
-    /// A resizable table with at least `slots` initial slots (rounded up
-    /// to a power of two).
+    /// A table with at least `slots` initial slots (rounded up to a power
+    /// of two).
     ///
     /// # Panics
     /// Panics if `slots` is zero.
@@ -503,41 +549,19 @@ impl LockFreeTable {
         Self::with_cells(slots, TableEngineCells::default())
     }
 
-    /// A fixed-capacity table: never resizes, probe exhaustion parks
-    /// rules in the overflow (the pre-resize behavior; the "fixed" arm
-    /// of DESIGN.md ablation 14).
-    ///
-    /// # Panics
-    /// Panics if `slots` is zero.
-    pub fn fixed(slots: usize) -> Self {
-        Self::build(slots, TableEngineCells::default(), false)
-    }
-
-    /// A resizable table whose gauge/counter cells are shared with the
+    /// A table whose gauge/counter cells are shared with the
     /// caller (the QoS server passes its `ServerStats` cells here so
     /// `ServerStats::snapshot()` exposes live table-engine state).
     ///
     /// # Panics
     /// Panics if `slots` is zero.
     pub fn with_cells(slots: usize, cells: TableEngineCells) -> Self {
-        Self::build(slots, cells, true)
-    }
-
-    fn build(slots: usize, cells: TableEngineCells, resizable: bool) -> Self {
         assert!(slots > 0, "need at least one slot");
         let slots = slots.next_power_of_two();
-        // Enough rungs to double up to 2^32 slots; past that the table
-        // simply stops resizing and leans on the overflow. At most 33, so
-        // a `u64` names any set of them.
-        let rungs = if resizable {
-            (33usize.saturating_sub(slots.trailing_zeros() as usize)).max(1)
-        } else {
-            1
-        };
         cells.slot_count.store(slots as u64, Ordering::Relaxed);
         cells.open_slots.store(0, Ordering::Relaxed);
         let table = LockFreeTable {
-            rungs: (0..rungs).map(|_| Rung::default()).collect(),
+            rungs: (0..RUNGS).map(|_| Rung::default()).collect(),
             active: AtomicUsize::new(0),
             retired: AtomicUsize::new(0),
             awaiting_free: AtomicUsize::new(0),
@@ -546,10 +570,7 @@ impl LockFreeTable {
             freeing: Mutex::new(()),
             #[cfg(test)]
             gens_alive: Arc::default(),
-            resizable,
             reclaim_cursor: AtomicUsize::new(0),
-            overflow: ShardedTable::new(),
-            overflow_in_use: AtomicBool::new(false),
             long_keys: Mutex::new(HashMap::new()),
             stats: TableStats::default(),
             cells,
@@ -575,7 +596,7 @@ impl LockFreeTable {
         self.cells.clone()
     }
 
-    /// Hold the ladder for one public call (module docs).
+    /// Hold the ring for one public call (module docs).
     fn pin(&self) -> Pin<'_> {
         let stripe = self.pins.mine();
         stripe.fetch_add(1, Ordering::SeqCst);
@@ -599,10 +620,11 @@ impl LockFreeTable {
         drop(gen);
     }
 
-    /// Take fully drained rung `i` out of the ladder and queue it for its
-    /// free. Runs once per rung: in the quantum that retires it.
-    fn unlink(&self, i: usize) {
-        let rung = &self.rungs[i];
+    /// Take fully drained generation `g` out of the ring and queue its
+    /// rung for the free. Runs once per generation: in the quantum that
+    /// retires it.
+    fn unlink(&self, g: usize) {
+        let rung = &self.rungs[g % RUNGS];
         let gen = rung.live.swap(ptr::null_mut(), Ordering::SeqCst);
         rung.unseen.store(ALL_STRIPES, Ordering::Relaxed);
         // Counted before it is visible, so the count never runs short.
@@ -650,10 +672,6 @@ impl LockFreeTable {
                 self.awaiting_free.fetch_sub(1, Ordering::Release);
             }
         }
-    }
-
-    fn overflow_active(&self) -> bool {
-        self.overflow_in_use.load(Ordering::Relaxed)
     }
 
     /// Write `key`'s text into `slot`, which the caller holds `RESERVED`;
@@ -739,33 +757,6 @@ impl LockFreeTable {
         }
     }
 
-    /// Park a rule in the overflow. The insert lands *before* the flag is
-    /// raised so the flag is never clear while a parked rule exists (see
-    /// `clear_overflow_flag_if_drained` for the matching clear protocol).
-    fn park_in_overflow(&self, rule: QosRule, now: Nanos, overwrite: bool) {
-        if overwrite {
-            self.overflow.restore(vec![rule], now);
-        } else {
-            self.overflow.insert(rule, now);
-        }
-        self.overflow_in_use.store(true, Ordering::Relaxed);
-    }
-
-    /// Drop the overflow flag if the overflow has drained. A concurrent
-    /// park re-checks after its insert; the clear-then-recheck below
-    /// closes the remaining interleavings: if a park lands between our
-    /// emptiness check and the clear, the recheck restores the flag, and
-    /// a park that lands after the recheck raises the flag itself (its
-    /// insert precedes its flag store).
-    fn clear_overflow_flag_if_drained(&self) {
-        if self.overflow_in_use.load(Ordering::Relaxed) && self.overflow.is_empty() {
-            self.overflow_in_use.store(false, Ordering::Relaxed);
-            if !self.overflow.is_empty() {
-                self.overflow_in_use.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Perform one bounded quantum of migration work if a generation is
     /// draining. Public so callers with idle cycles (housekeeping loops,
     /// schedule-driven tests) can help a migration along; `decide` and
@@ -798,9 +789,6 @@ impl LockFreeTable {
         if done == len {
             self.retired.store(active, Ordering::Release);
             self.unlink(active - 1);
-            // The doubled array usually has room for rules a crowded
-            // predecessor parked in the overflow: re-home them now.
-            self.rehome_overflow(pin, now);
             // Our own stripe is pinned, but others may already be idle.
             self.free_quiescent();
         }
@@ -838,45 +826,40 @@ impl LockFreeTable {
             self.cells.open_slots.fetch_sub(1, Ordering::Relaxed);
             self.cells.migrated_slots.fetch_add(1, Ordering::Relaxed);
             self.place_carried(new, d, carried, now);
+            old.taken.fetch_sub(1, Ordering::SeqCst);
             return;
         }
     }
 
     /// Publish a migrated slot into the successor generation, preserving
     /// its text and touch words; a long key's side-map hold moves with it.
-    /// The key cannot be concurrently published there (inserters wait out
-    /// a move in flight), so this is a plain claim; if even the doubled
-    /// array's probe chain is full, the rule parks in the overflow — never
-    /// dropped either way.
+    /// The key cannot be published there (inserters wait out a move in
+    /// flight), and the claim budget leaves an `EMPTY` slot for every
+    /// carry (module docs, "Incremental resize"): a plain claim that
+    /// always lands.
     fn place_carried(&self, gen: &Gen, wanted: u64, carried: Carried, now: Nanos) {
         let (capacity, refill_rate, credit) = carried.drained;
         let mut idx = (wanted & DIGEST_MASK) as usize & gen.mask;
-        for _ in 0..gen.probe_limit() {
+        for _ in 0..gen.slots.len() {
             let slot = &gen.slots[idx];
             loop {
                 let d = slot.digest.load(Ordering::Acquire);
-                if d == wanted {
-                    // Defensive only: fold the carried state in as an
-                    // overwrite so no credit is minted.
-                    let rule = self.carried_rule(&carried, wanted);
-                    slot.bucket.apply_rule_update(&rule, now);
-                    slot.bucket.set_credit(credit, now);
-                    return;
-                }
+                debug_assert_ne!(d, wanted, "a carried key was published twice");
                 if d == EMPTY || d == tombstone_of(wanted) {
                     if slot
                         .digest
                         .compare_exchange(d, RESERVED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
+                        .is_err()
                     {
-                        slot.store_text(carried.text);
-                        slot.bucket.store(capacity, refill_rate, credit, now);
-                        slot.touch.store(carried.touch, Ordering::Relaxed);
-                        slot.digest.store(wanted, Ordering::Release);
-                        self.cells.open_slots.fetch_add(1, Ordering::Relaxed);
-                        return;
+                        continue;
                     }
-                    continue;
+                    slot.store_text(carried.text);
+                    slot.bucket.store(capacity, refill_rate, credit, now);
+                    slot.touch.store(carried.touch, Ordering::Relaxed);
+                    slot.digest.store(wanted, Ordering::Release);
+                    gen.taken.fetch_add(1, Ordering::SeqCst);
+                    self.cells.open_slots.fetch_add(1, Ordering::Relaxed);
+                    return;
                 }
                 if d == RESERVED {
                     std::hint::spin_loop();
@@ -886,95 +869,87 @@ impl LockFreeTable {
             }
             idx = (idx + 1) & gen.mask;
         }
-        let rule = self.carried_rule(&carried, wanted);
-        self.park_in_overflow(rule, now, true);
+        unreachable!("no EMPTY slot for a carry: the claim budget failed");
     }
 
-    /// A carried slot that lands in no new slot: its rule, with the
-    /// carry's side-map hold dropped.
-    fn carried_rule(&self, carried: &Carried, wanted: u64) -> QosRule {
-        let key = self
-            .key_of(&carried.text, wanted)
-            .expect("a frozen slot's text names its key");
-        self.release_key(&carried.text, wanted);
-        let (capacity, refill_rate, credit) = carried.drained;
-        QosRule {
-            key,
-            capacity,
-            refill_rate,
-            credit,
-        }
-    }
-
-    /// After a resize completes, move parked overflow rules back into the
-    /// open array. `take` captures each rule's credit atomically with its
-    /// removal, so no charge is lost; a key mid-flight here briefly
-    /// misses (the safe direction), exactly like any other miss.
-    fn rehome_overflow(&self, pin: &Pin<'_>, now: Nanos) {
-        if !self.overflow_active() {
-            return;
-        }
-        for key in self.overflow.keys() {
-            if let Some(rule) = self.overflow.take(&key, now) {
-                self.place(pin, rule, now, true);
-            }
-        }
-        self.clear_overflow_flag_if_drained();
-    }
-
-    /// Install a double-size successor when the watermark is crossed.
-    fn maybe_resize(&self, pin: &Pin<'_>) {
-        if !self.resizable {
-            return;
-        }
-        let Some(due) = self.successor_due(pin) else {
-            return;
+    /// Install a successor when the active generation crossed the
+    /// watermark or, with `crowded`, when a claim found its chain crowded
+    /// (module docs, "Crowded chains"). Returns whether this call
+    /// installed one.
+    fn maybe_resize(&self, pin: &Pin<'_>, crowded: bool) -> bool {
+        let Some(due) = self.successor_due(pin, crowded) else {
+            return false;
         };
         // Allocated before the lock, which then covers only the flip: a
         // holder descheduled mid-allocation would leave every other
         // inserter filling the full array.
-        let fresh = self.new_gen(due.1 * 2);
+        let fresh = self.new_gen(due.1);
         // A thread already holding the lock is doing exactly this; the
         // loser drops its fresh array. Under the lock `active` cannot
-        // move, so re-checking there installs each rung once, and never
-        // into a rung an unlink has nulled again.
+        // move, so re-checking there installs each generation once, and
+        // only into an empty rung.
         let Some(_installing) = self.installing.try_lock() else {
-            return self.free_gen(fresh);
+            self.free_gen(fresh);
+            return false;
         };
-        if self.successor_due(pin) != Some(due) {
-            return self.free_gen(fresh);
+        if self.successor_due(pin, crowded) != Some(due) {
+            self.free_gen(fresh);
+            return false;
         }
         let (active, slots) = due;
-        self.rungs[active + 1]
+        self.rungs[(active + 1) % RUNGS]
             .live
             .store(Box::into_raw(fresh), Ordering::SeqCst);
         self.cells.resizes.fetch_add(1, Ordering::Relaxed);
-        self.cells
-            .slot_count
-            .store((slots * 2) as u64, Ordering::Relaxed);
+        self.cells.slot_count.store(slots as u64, Ordering::Relaxed);
         self.active.store(active + 1, Ordering::SeqCst);
+        true
     }
 
-    /// `(active, its slot count)` when the active generation has crossed
-    /// the watermark and may get a successor.
-    fn successor_due(&self, pin: &Pin<'_>) -> Option<(usize, usize)> {
+    /// `(active, the successor's slot count)` when the active generation
+    /// may get a successor now: no migration in flight, live rules at the
+    /// watermark (or, with `crowded`, taken slots), and the successor's
+    /// rung empty.
+    fn successor_due(&self, pin: &Pin<'_>, crowded: bool) -> Option<(usize, usize)> {
         let active = self.active.load(Ordering::SeqCst);
         if self.retired.load(Ordering::Acquire) < active {
             return None; // one migration at a time
         }
-        if active + 1 >= self.rungs.len() {
-            return None; // ladder exhausted (2^32 slots): behave as fixed
-        }
-        let slots = pin.gen(active)?.slots.len();
+        let gen = pin.gen(active)?;
+        let slots = gen.slots.len();
         let open = self.cells.open_slots.load(Ordering::Relaxed) as usize;
-        (open * Self::WATERMARK_DEN >= slots * Self::WATERMARK_NUM).then_some((active, slots))
+        // A crowded chain counts tombstones too: in a table less than ¾
+        // taken, a long walk is a cluster, and growth waits for the
+        // watermark on live rules.
+        let filled = if crowded {
+            gen.taken.load(Ordering::SeqCst)
+        } else {
+            open
+        };
+        if filled * Self::WATERMARK_DEN < slots * Self::WATERMARK_NUM {
+            return None;
+        }
+        let rung = &self.rungs[(active + 1) % RUNGS];
+        if !rung.unlinked.load(Ordering::SeqCst).is_null() {
+            // Its last generation still waits for its free: advance the
+            // queue (never waiting), and leave the install to a later call
+            // if that was not enough.
+            self.free_quiescent();
+            if !rung.unlinked.load(Ordering::SeqCst).is_null() {
+                return None;
+            }
+        }
+        let compact = open * Self::COMPACT_DEN < slots * Self::COMPACT_NUM;
+        Some((active, if compact { slots } else { slots * 2 }))
     }
 
-    /// One insert/update walk over `gen`. With `allow_claim` this is the
-    /// full insert-or-update protocol; without it, update-in-place only
-    /// (used against the draining predecessor, whose migrator will carry
-    /// the updated state, and by [`QosTable::apply_update`]), which stops
-    /// at the first `EMPTY` like every other lookup.
+    /// One insert/update walk over `gen`. With `claim: Some(reserve)`
+    /// this is the full insert-or-update protocol, taking an `EMPTY` slot
+    /// only within the claim budget (`reserve` slots kept for carries
+    /// still to come); with `None`, update-in-place only (used against
+    /// the draining predecessor, whose migrator will carry the updated
+    /// state, and by [`QosTable::apply_update`]). Both stop at the first
+    /// `EMPTY` like every other lookup, or after one full lap.
     #[allow(clippy::too_many_arguments)]
     fn walk_gen(
         &self,
@@ -984,10 +959,10 @@ impl LockFreeTable {
         wanted: u64,
         now: Nanos,
         overwrite: bool,
-        allow_claim: bool,
+        claim: Option<usize>,
     ) -> GenOutcome {
         let mut idx = rule.key.digest() as usize & gen.mask;
-        for step in 0..gen.probe_limit() {
+        for step in 0..gen.slots.len() {
             let slot = &gen.slots[idx];
             loop {
                 let d = slot.digest.load(Ordering::Acquire);
@@ -1002,20 +977,27 @@ impl LockFreeTable {
                         // against wherever the key lands.
                         return GenOutcome::Retry;
                     }
-                    return GenOutcome::Done;
+                    return GenOutcome::Done { walked: step };
                 }
                 if d == moved_of(wanted) {
                     return GenOutcome::Retry; // move in flight: wait it out
                 }
-                if d == EMPTY && !allow_claim {
+                if d == EMPTY && claim.is_none() {
                     return GenOutcome::Missing { walked: step + 1 };
                 }
-                if allow_claim && (d == EMPTY || d == tombstone_of(wanted)) {
+                if let Some(reserve) = claim.filter(|_| d == EMPTY || d == tombstone_of(wanted)) {
+                    // Only taking an EMPTY slot spends the claim budget. No
+                    // key sits past an EMPTY, so a refusal is final.
+                    let fresh = usize::from(d == EMPTY);
+                    if fresh == 1 && !gen.take_slot(reserve) {
+                        return GenOutcome::Missing { walked: step + 1 };
+                    }
                     if slot
                         .digest
                         .compare_exchange(d, RESERVED, Ordering::SeqCst, Ordering::SeqCst)
                         .is_err()
                     {
+                        gen.taken.fetch_sub(fresh, Ordering::SeqCst);
                         continue; // lost the claim race: re-examine
                     }
                     // The generation may have flipped since the caller
@@ -1029,6 +1011,7 @@ impl LockFreeTable {
                     // see the flip.)
                     if self.active.load(Ordering::SeqCst) != active_idx {
                         slot.digest.store(d, Ordering::SeqCst);
+                        gen.taken.fetch_sub(fresh, Ordering::SeqCst);
                         return GenOutcome::Retry;
                     }
                     self.write_key(slot, &rule.key);
@@ -1037,13 +1020,7 @@ impl LockFreeTable {
                         .store(pack_touch(touch_tick(now), 0), Ordering::Relaxed);
                     slot.digest.store(wanted, Ordering::Release);
                     self.cells.open_slots.fetch_add(1, Ordering::Relaxed);
-                    if self.overflow_active() {
-                        // An earlier probe-limit miss may have parked this
-                        // key; the open slot shadows it, so drop the copy.
-                        self.overflow.remove(&rule.key);
-                        self.clear_overflow_flag_if_drained();
-                    }
-                    return GenOutcome::Done;
+                    return GenOutcome::Done { walked: step };
                 }
                 if d == RESERVED {
                     // Another writer is mid-publish (or mid-undo); wait to
@@ -1056,14 +1033,33 @@ impl LockFreeTable {
             idx = (idx + 1) & gen.mask;
         }
         GenOutcome::Missing {
-            walked: gen.probe_limit(),
+            walked: gen.slots.len(),
         }
     }
 
     /// Insert-or-update (`overwrite == false`, the [`QosTable::insert`]
     /// contract) or overwrite (`overwrite == true`, the
-    /// [`QosTable::restore`] contract).
-    fn place(&self, pin: &Pin<'_>, rule: QosRule, now: Nanos, overwrite: bool) {
+    /// [`QosTable::restore`] contract), each try under a pin of its own
+    /// that first runs a migration quantum. A try that finds no room
+    /// unpins before the next: the successor it waits for may need a
+    /// free that this thread's pin holds up.
+    fn place(&self, rule: &QosRule, now: Nanos, overwrite: bool) {
+        loop {
+            let pin = self.pin();
+            self.migration_quantum(&pin, now);
+            if self.place_pinned(&pin, rule, now, overwrite) {
+                return;
+            }
+            drop(pin);
+            std::thread::yield_now();
+        }
+    }
+
+    /// One try of [`Self::place`]. `false`: no room for the key yet — its
+    /// chain has no claimable slot and no successor could be installed,
+    /// or the successor's claim budget is spent while its predecessor
+    /// drains.
+    fn place_pinned(&self, pin: &Pin<'_>, rule: &QosRule, now: Nanos, overwrite: bool) -> bool {
         let wanted = published(&rule.key);
         loop {
             let active = self.active.load(Ordering::SeqCst);
@@ -1074,41 +1070,63 @@ impl LockFreeTable {
             // place there (the migrator carries the updated state) or wait
             // out a move in flight. Checking old-before-claim keeps every
             // key single-homed.
+            let mut reserve = 0;
             if self.retired.load(Ordering::Acquire) < active {
                 let Some(old) = pin.gen(active - 1) else {
                     continue;
                 };
-                match self.walk_gen(old, active, &rule, wanted, now, overwrite, false) {
-                    GenOutcome::Done => return,
+                match self.walk_gen(old, active, rule, wanted, now, overwrite, None) {
+                    GenOutcome::Done { .. } => return true,
                     GenOutcome::Retry => {
                         // Moved, or being moved: update the key where its
                         // carry lands. Never claim there — the carry does.
-                        if let GenOutcome::Done =
-                            self.walk_gen(gen, active, &rule, wanted, now, overwrite, false)
+                        if let GenOutcome::Done { .. } =
+                            self.walk_gen(gen, active, rule, wanted, now, overwrite, None)
                         {
-                            return;
+                            return true;
                         }
                         std::hint::spin_loop();
                         continue;
                     }
                     GenOutcome::Missing { .. } => {}
                 }
+                reserve = old.taken.load(Ordering::SeqCst);
             }
-            match self.walk_gen(gen, active, &rule, wanted, now, overwrite, true) {
-                GenOutcome::Done => {
-                    self.maybe_resize(pin);
-                    return;
+            match self.walk_gen(gen, active, rule, wanted, now, overwrite, Some(reserve)) {
+                GenOutcome::Done { walked } => {
+                    self.maybe_resize(pin, walked >= Self::MAX_PROBE);
+                    return true;
                 }
                 GenOutcome::Retry => continue,
-                GenOutcome::Missing { walked } => {
-                    // Probe chain exhausted (a claiming walk stops at the
-                    // first EMPTY by taking it): park so the rule is never
-                    // lost.
-                    debug_assert_eq!(walked, gen.probe_limit());
-                    self.park_in_overflow(rule, now, overwrite);
-                    return;
+                GenOutcome::Missing { .. } => {
+                    // No room: a successor makes some, and then this try
+                    // goes on in it.
+                    if !self.maybe_resize(pin, true) {
+                        return false;
+                    }
                 }
             }
+        }
+    }
+
+    /// `key` was removed from the successor while `old` drains: turn the
+    /// `MOVED` slot its landed carry left in `old` into a tombstone, or
+    /// lookups meeting it would wait until the migration retired. The
+    /// migrator never reads that slot again once its carry has landed.
+    fn forget_carry(old: &Gen, key: &QosKey) {
+        let moved = moved_of(published(key));
+        let mut idx = key.digest() as usize & old.mask;
+        for _ in 0..old.slots.len() {
+            let slot = &old.slots[idx];
+            let d = slot.digest.load(Ordering::Acquire);
+            if d == moved {
+                slot.digest.store(tombstone_of(d), Ordering::Release);
+                return;
+            }
+            if d == EMPTY {
+                return;
+            }
+            idx = (idx + 1) & old.mask;
         }
     }
 
@@ -1122,7 +1140,7 @@ impl LockFreeTable {
         charge: &mut impl FnMut(&Slot) -> Charged<T>,
     ) -> Probe<T> {
         let mut idx = home & gen.mask;
-        for step in 0..gen.probe_limit() {
+        for step in 0..gen.slots.len() {
             let slot = &gen.slots[idx];
             let d = slot.digest.load(Ordering::Acquire);
             if d == wanted {
@@ -1231,14 +1249,10 @@ impl QosTable for LockFreeTable {
             self.stats.record(verdict);
             Charged::Done(verdict)
         });
-        if decided.is_some() {
-            return decided;
+        if decided.is_none() {
+            self.stats.record_miss();
         }
-        if self.overflow_active() {
-            return self.overflow.decide(key, now);
-        }
-        self.stats.record_miss();
-        None
+        decided
     }
 
     fn consume_up_to(&self, key: &QosKey, n: u64, now: Nanos) -> u64 {
@@ -1249,7 +1263,7 @@ impl QosTable for LockFreeTable {
         self.migration_quantum(&pin, now);
         let wanted = published(key);
         let mut taken = 0;
-        let found = self.charge_open(&pin, key, |slot| {
+        self.charge_open(&pin, key, |slot| {
             let (got, retries) = slot.bucket.try_consume_up_to(n - taken, now);
             self.note_retries(retries);
             // A partial take stands like an Allow (the drain captures
@@ -1262,9 +1276,6 @@ impl QosTable for LockFreeTable {
             Self::note_touch(slot, now, got);
             Charged::Done(())
         });
-        if found.is_none() && self.overflow_active() {
-            taken += self.overflow.consume_up_to(key, n - taken, now);
-        }
         taken
     }
 
@@ -1276,7 +1287,7 @@ impl QosTable for LockFreeTable {
             let (_, draining, active) = pin.live();
             for gen in [Some(active), draining].into_iter().flatten() {
                 let mut idx = home & gen.mask;
-                for _ in 0..gen.probe_limit() {
+                for _ in 0..gen.slots.len() {
                     let slot = &gen.slots[idx];
                     let d = slot.digest.load(Ordering::Acquire);
                     if d == wanted {
@@ -1299,18 +1310,12 @@ impl QosTable for LockFreeTable {
                     idx = (idx + 1) & gen.mask;
                 }
             }
-            break;
+            return None;
         }
-        if self.overflow_active() {
-            return self.overflow.shape(key);
-        }
-        None
     }
 
     fn insert(&self, rule: QosRule, now: Nanos) {
-        let pin = self.pin();
-        self.migration_quantum(&pin, now);
-        self.place(&pin, rule, now, false);
+        self.place(&rule, now, false);
     }
 
     fn apply_update(&self, rule: &QosRule, now: Nanos) -> bool {
@@ -1320,14 +1325,14 @@ impl QosTable for LockFreeTable {
             // Both generations resolved before the first walk, as in
             // `charge_open`.
             let (active, draining, gen) = pin.live();
-            match self.walk_gen(gen, active, rule, wanted, now, false, false) {
-                GenOutcome::Done => return true,
+            match self.walk_gen(gen, active, rule, wanted, now, false, None) {
+                GenOutcome::Done { .. } => return true,
                 GenOutcome::Retry => continue,
                 GenOutcome::Missing { .. } => {}
             }
             if let Some(old) = draining {
-                match self.walk_gen(old, active, rule, wanted, now, false, false) {
-                    GenOutcome::Done => return true,
+                match self.walk_gen(old, active, rule, wanted, now, false, None) {
+                    GenOutcome::Done { .. } => return true,
                     GenOutcome::Retry => {
                         std::hint::spin_loop();
                         continue;
@@ -1338,23 +1343,18 @@ impl QosTable for LockFreeTable {
                     continue;
                 }
             }
-            break;
+            return false;
         }
-        if self.overflow_active() {
-            return self.overflow.apply_update(rule, now);
-        }
-        false
     }
 
     fn remove(&self, key: &QosKey) -> bool {
         let wanted = published(key);
-        let mut removed_open = false;
         let pin = self.pin();
         'retry: loop {
             let (_, draining, active) = pin.live();
-            'gens: for gen in [Some(active), draining].into_iter().flatten() {
+            for gen in [Some(active), draining].into_iter().flatten() {
                 let mut idx = key.digest() as usize & gen.mask;
-                for _ in 0..gen.probe_limit() {
+                for _ in 0..gen.slots.len() {
                     let slot = &gen.slots[idx];
                     let d = slot.digest.load(Ordering::Acquire);
                     if d == wanted {
@@ -1375,8 +1375,10 @@ impl QosTable for LockFreeTable {
                         {
                             self.release_key(&slot.load_text(), wanted);
                             self.cells.open_slots.fetch_sub(1, Ordering::Relaxed);
-                            removed_open = true;
-                            break 'gens;
+                            if let Some(old) = draining {
+                                Self::forget_carry(old, key);
+                            }
+                            return true;
                         }
                         // Frozen or republished under us: re-resolve.
                         std::hint::spin_loop();
@@ -1392,22 +1394,12 @@ impl QosTable for LockFreeTable {
                     idx = (idx + 1) & gen.mask;
                 }
             }
-            break;
+            return false;
         }
-        let removed_overflow = self.overflow_active() && self.overflow.remove(key);
-        if removed_overflow {
-            self.clear_overflow_flag_if_drained();
-        }
-        removed_open || removed_overflow
     }
 
     fn len(&self) -> usize {
-        let overflow = if self.overflow_active() {
-            self.overflow.len()
-        } else {
-            0
-        };
-        self.cells.open_slots.load(Ordering::Relaxed) as usize + overflow
+        self.cells.open_slots.load(Ordering::Relaxed) as usize
     }
 
     fn keys(&self) -> Vec<QosKey> {
@@ -1416,9 +1408,6 @@ impl QosTable for LockFreeTable {
         let (_, draining, active) = pin.live();
         for gen in draining.into_iter().chain([active]) {
             keys.extend(gen.slots.iter().filter_map(|slot| self.published_key(slot)));
-        }
-        if self.overflow_active() {
-            keys.extend(self.overflow.keys());
         }
         keys
     }
@@ -1434,17 +1423,12 @@ impl QosTable for LockFreeTable {
                 }
             }
         }
-        if self.overflow_active() {
-            rules.extend(self.overflow.snapshot(now));
-        }
         rules
     }
 
     fn restore(&self, rules: Vec<QosRule>, now: Nanos) {
-        let pin = self.pin();
         for rule in rules {
-            self.migration_quantum(&pin, now);
-            self.place(&pin, rule, now, true);
+            self.place(&rule, now, true);
         }
     }
 
@@ -1461,9 +1445,6 @@ impl QosTable for LockFreeTable {
         }
         if retries > 0 {
             self.cells.cas_retries.fetch_add(retries, Ordering::Relaxed);
-        }
-        if self.overflow_active() {
-            self.overflow.sweep_refill(now);
         }
     }
 
@@ -1537,15 +1518,10 @@ impl QosTable for LockFreeTable {
     }
 
     fn stats(&self) -> TableStatsSnapshot {
-        let own = self.stats.snapshot();
-        let overflow = self.overflow.stats();
         TableStatsSnapshot {
-            decisions: own.decisions + overflow.decisions,
-            allows: own.allows + overflow.allows,
-            denies: own.denies + overflow.denies,
-            misses: own.misses + overflow.misses,
             cas_retries: self.cells.cas_retries.load(Ordering::Relaxed),
             probe_steps: self.cells.probe_steps.load(Ordering::Relaxed),
+            ..self.stats.snapshot()
         }
     }
 }
@@ -1553,6 +1529,7 @@ impl QosTable for LockFreeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::ShardedTable;
 
     fn key(s: &str) -> QosKey {
         QosKey::new(s).unwrap()
@@ -1631,27 +1608,6 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn zero_slots_panics() {
         LockFreeTable::with_slots(0);
-    }
-
-    #[test]
-    fn probe_limit_overflow_parks_rules_without_losing_them() {
-        // 4 fixed slots, 12 keys: at least 8 rules must overflow, and
-        // every one of them still decides, lists and snapshots correctly.
-        let table = LockFreeTable::fixed(4);
-        for i in 0..12 {
-            table.insert(rule(&format!("k{i}"), 1, 0), Nanos::ZERO);
-        }
-        assert_eq!(table.len(), 12);
-        assert!(table.overflow_active());
-        let mut keys = table.keys();
-        keys.sort();
-        assert_eq!(keys.len(), 12);
-        for i in 0..12 {
-            let k = key(&format!("k{i}"));
-            assert_eq!(table.decide(&k, Nanos::ZERO), Some(Verdict::Allow), "k{i}");
-            assert_eq!(table.decide(&k, Nanos::ZERO), Some(Verdict::Deny), "k{i}");
-        }
-        assert_eq!(table.snapshot(Nanos::ZERO).len(), 12);
     }
 
     #[test]
@@ -1751,49 +1707,6 @@ mod tests {
     }
 
     #[test]
-    fn overflow_copy_is_dropped_when_open_slot_frees_up() {
-        // Key parked in overflow; later its home neighborhood clears and a
-        // re-insert claims an open slot: the overflow copy must not shadow
-        // or double-count.
-        let table = LockFreeTable::fixed(2);
-        table.insert(rule("a", 1, 0), Nanos::ZERO);
-        table.insert(rule("b", 1, 0), Nanos::ZERO);
-        table.insert(rule("c", 7, 0), Nanos::ZERO); // probes exhausted -> overflow
-        assert_eq!(table.len(), 3);
-        assert!(table.overflow_active());
-        table.remove(&key("a"));
-        table.remove(&key("b"));
-        // "c" still only exists in the overflow; only a same-digest
-        // tombstone or EMPTY is claimable, and both prior slots are
-        // foreign tombstones — so this insert goes back to the overflow
-        // and must still not duplicate.
-        table.insert(rule("c", 3, 0), Nanos::ZERO);
-        assert_eq!(table.len(), 1);
-        assert_eq!(table.keys(), vec![key("c")]);
-        let snap = table.snapshot(Nanos::ZERO);
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].credit, Credits::from_whole(3));
-    }
-
-    #[test]
-    fn overflow_flag_clears_when_overflow_drains() {
-        let table = LockFreeTable::fixed(2);
-        table.insert(rule("a", 1, 0), Nanos::ZERO);
-        table.insert(rule("b", 1, 0), Nanos::ZERO);
-        table.insert(rule("c", 1, 0), Nanos::ZERO);
-        assert!(table.overflow_active());
-        assert!(table.remove(&key("c")));
-        assert!(
-            !table.overflow_active(),
-            "flag must drop when the overflow drains"
-        );
-        assert_eq!(table.len(), 2);
-        // And a fresh spill raises it again.
-        table.insert(rule("d", 1, 0), Nanos::ZERO);
-        assert!(table.overflow_active());
-    }
-
-    #[test]
     fn resize_triggers_at_watermark_and_preserves_credit() {
         let table = LockFreeTable::with_slots(8);
         for i in 0..100 {
@@ -1820,7 +1733,6 @@ mod tests {
                 row.key
             );
         }
-        assert!(!table.overflow_active(), "resize must re-home any spill");
     }
 
     #[test]
@@ -1968,37 +1880,6 @@ mod tests {
     }
 
     #[test]
-    fn resize_rehomes_parked_rules_and_drops_the_flag() {
-        let table = LockFreeTable::with_slots(8);
-        // Park a rule as a probe-limit spill would.
-        table.park_in_overflow(rule("parked", 3, 0), Nanos::ZERO, false);
-        assert!(table.overflow_active());
-        // Occupancy pressure triggers a resize...
-        for i in 0..6 {
-            table.insert(rule(&format!("f{i}"), 1, 0), Nanos::ZERO);
-        }
-        assert!(migration_in_flight(&table));
-        pump_until_retired(&table, Nanos::ZERO);
-        // ...and retirement re-homes the parked rule into the open array.
-        assert!(
-            !table.overflow_active(),
-            "flag must drop once the resize re-homes the spill"
-        );
-        assert!(table.overflow.is_empty());
-        assert_eq!(table.len(), 7);
-        for _ in 0..3 {
-            assert_eq!(
-                table.decide(&key("parked"), Nanos::ZERO),
-                Some(Verdict::Allow)
-            );
-        }
-        assert_eq!(
-            table.decide(&key("parked"), Nanos::ZERO),
-            Some(Verdict::Deny)
-        );
-    }
-
-    #[test]
     fn len_keys_and_snapshot_span_both_generations_mid_migration() {
         let table = LockFreeTable::with_slots(16);
         for i in 0..11 {
@@ -2026,6 +1907,60 @@ mod tests {
         assert_eq!(table.cells.migrated_slots.load(Ordering::Relaxed), 12);
         assert_eq!(table.len(), 12);
         assert_eq!(table.snapshot(Nanos::ZERO).len(), 12);
+    }
+
+    /// After a differential schedule: the migration drained, the side
+    /// map balanced, and both tables holding the same rules with the same
+    /// credit.
+    fn assert_same_rules(lockfree: &LockFreeTable, sharded: &ShardedTable, now: Nanos, what: &str) {
+        pump_until_retired(lockfree, now);
+        assert_long_keys_balanced(lockfree);
+        assert_eq!(lockfree.len(), sharded.len(), "{what}");
+        let mut a = lockfree.snapshot(now);
+        let mut b = sharded.snapshot(now);
+        a.sort_by(|x, y| x.key.cmp(&y.key));
+        b.sort_by(|x, y| x.key.cmp(&y.key));
+        assert_eq!(a, b, "{what}: final state must match");
+    }
+
+    /// Same-size successors installed so far: installs that did not
+    /// double the table.
+    fn compactions(table: &LockFreeTable, initial_slots: u64) -> u64 {
+        let doublings = (table.cells.slot_count.load(Ordering::Relaxed) / initial_slots).ilog2();
+        table.cells.resizes.load(Ordering::Relaxed) - u64::from(doublings)
+    }
+
+    /// A remove-heavy schedule of distinct keys: each insert brings a key
+    /// never seen before, and decides and removes pick among the 16 most
+    /// recent, so tombstones of departed keys crowd the chains and
+    /// same-size successors run inside the comparison.
+    struct DistinctKeys {
+        keys: Vec<QosKey>,
+        lengths: janus_hash::rng::Rng,
+    }
+
+    impl DistinctKeys {
+        fn new(seed: u64) -> Self {
+            DistinctKeys {
+                keys: Vec::new(),
+                lengths: janus_hash::rng::Rng::seed_from_u64(seed),
+            }
+        }
+
+        fn fresh(&mut self) -> QosKey {
+            let k = differential_key("d", self.keys.len() as u64, &mut self.lengths);
+            self.keys.push(k.clone());
+            k
+        }
+
+        /// One of the 16 most recent keys (a fresh one if there is none).
+        fn recent(&mut self, rng: &mut janus_hash::rng::Rng) -> QosKey {
+            if self.keys.is_empty() {
+                return self.fresh();
+            }
+            let window = self.keys.len().min(16);
+            self.keys[self.keys.len() - 1 - rng.gen_range(window as u64) as usize].clone()
+        }
     }
 
     #[test]
@@ -2080,21 +2015,56 @@ mod tests {
                     }
                 }
             }
-            pump_until_retired(&lockfree, now);
-            assert_long_keys_balanced(&lockfree);
-            assert_eq!(lockfree.len(), sharded.len(), "seed {seed}");
-            let mut a = lockfree.snapshot(now);
-            let mut b = sharded.snapshot(now);
-            a.sort_by(|x, y| x.key.cmp(&y.key));
-            b.sort_by(|x, y| x.key.cmp(&y.key));
-            assert_eq!(a, b, "seed {seed}: final state must match");
+            assert_same_rules(&lockfree, &sharded, now, &format!("seed {seed}"));
         }
+        // Remove-heavy distinct keys on an 8-slot table.
+        let mut compacted = 0;
+        for seed in 0..8u64 {
+            let mut rng = janus_hash::rng::Rng::seed_from_u64(0xC0DE ^ seed);
+            let mut keys = DistinctKeys::new(0x1046 ^ seed);
+            let lockfree = LockFreeTable::with_slots(8);
+            let sharded = ShardedTable::with_shards(4);
+            let mut now = Nanos::ZERO;
+            for step in 0..2_000 {
+                match rng.gen_range(100) {
+                    0..=29 => {
+                        let cap = rng.gen_range(40);
+                        let rate = rng.gen_range(500);
+                        let r = QosRule::per_second(keys.fresh(), cap, rate);
+                        lockfree.insert(r.clone(), now);
+                        sharded.insert(r, now);
+                    }
+                    30..=59 => {
+                        let k = keys.recent(&mut rng);
+                        assert_eq!(
+                            lockfree.decide(&k, now),
+                            sharded.decide(&k, now),
+                            "distinct seed {seed} step {step} key {k}"
+                        );
+                    }
+                    60..=89 => {
+                        let k = keys.recent(&mut rng);
+                        assert_eq!(
+                            lockfree.remove(&k),
+                            sharded.remove(&k),
+                            "distinct seed {seed} step {step} key {k}"
+                        );
+                    }
+                    90..=94 => lockfree.run_migration_quantum(now),
+                    _ => now += Duration::from_millis(rng.gen_range(50)),
+                }
+            }
+            assert_same_rules(&lockfree, &sharded, now, &format!("distinct seed {seed}"));
+            compacted += compactions(&lockfree, 8);
+        }
+        assert!(compacted > 0, "no same-size successor ran");
     }
 
     /// Any interleaving of inserts, decides, removes and explicit
     /// migration quanta — 256 seeded schedules of up to 400 uniformly
-    /// mixed ops — agrees with the reference table verdict-for-verdict
-    /// and credit-for-credit.
+    /// mixed ops, then 256 remove-heavy schedules of distinct keys —
+    /// agrees with the reference table verdict-for-verdict and
+    /// credit-for-credit.
     #[test]
     fn lockfree_matches_sharded_on_any_schedule() {
         let mut rng = janus_hash::rng::Rng::seed_from_u64(0x10CF_4EE0);
@@ -2128,15 +2098,51 @@ mod tests {
                     _ => now += Duration::from_millis(rng.gen_range(50)),
                 }
             }
-            pump_until_retired(&lockfree, now);
-            assert_long_keys_balanced(&lockfree);
-            assert_eq!(lockfree.len(), sharded.len(), "case {case}");
-            let mut a = lockfree.snapshot(now);
-            let mut b = sharded.snapshot(now);
-            a.sort_by(|x, y| x.key.cmp(&y.key));
-            b.sort_by(|x, y| x.key.cmp(&y.key));
-            assert_eq!(a, b, "case {case}: final state must match");
+            assert_same_rules(&lockfree, &sharded, now, &format!("case {case}"));
         }
+        let mut compacted = 0;
+        for case in 0..256 {
+            let mut keys = DistinctKeys::new(0xD157_0000 ^ case);
+            let lockfree = LockFreeTable::with_slots(8);
+            let sharded = ShardedTable::with_shards(4);
+            let mut now = Nanos::ZERO;
+            for step in 0..rng.gen_range_inclusive(1, 399) {
+                match rng.gen_range(6) {
+                    0 | 1 => {
+                        let r = QosRule::per_second(
+                            keys.fresh(),
+                            rng.gen_range(40),
+                            rng.gen_range(500),
+                        );
+                        lockfree.insert(r.clone(), now);
+                        sharded.insert(r, now);
+                    }
+                    2 => {
+                        let k = keys.recent(&mut rng);
+                        assert_eq!(
+                            lockfree.decide(&k, now),
+                            sharded.decide(&k, now),
+                            "distinct case {case} step {step} key {k}"
+                        );
+                    }
+                    3 | 4 => {
+                        let k = keys.recent(&mut rng);
+                        assert_eq!(
+                            lockfree.remove(&k),
+                            sharded.remove(&k),
+                            "distinct case {case} step {step} key {k}"
+                        );
+                    }
+                    _ => lockfree.run_migration_quantum(now),
+                }
+                if step % 7 == 0 {
+                    now += Duration::from_millis(rng.gen_range(50));
+                }
+            }
+            assert_same_rules(&lockfree, &sharded, now, &format!("distinct case {case}"));
+            compacted += compactions(&lockfree, 8);
+        }
+        assert!(compacted > 0, "no same-size successor ran");
     }
 
     #[test]
@@ -2173,7 +2179,7 @@ mod tests {
             let wanted = published(&absent.key);
             let pin = table.pin();
             let gen = pin.gen(gi).unwrap();
-            match table.walk_gen(gen, active, absent, wanted, Nanos::ZERO, false, false) {
+            match table.walk_gen(gen, active, absent, wanted, Nanos::ZERO, false, None) {
                 GenOutcome::Missing { walked } => walked,
                 _ => panic!("{} is not in the table", absent.key),
             }
@@ -2189,7 +2195,7 @@ mod tests {
             .map(|j| rule(&format!("absent-{j}"), 1, 0))
             .find(|r| to_first_empty(pin.gen(0).unwrap(), &r.key) >= 3)
             .unwrap();
-        let limit = pin.gen(0).unwrap().probe_limit();
+        let limit = pin.gen(0).unwrap().slots.len();
         assert_eq!(
             walked(&table, 0, &absent),
             to_first_empty(pin.gen(0).unwrap(), &absent.key)
@@ -2253,6 +2259,44 @@ mod tests {
             table.decide(&key(carried), Nanos::ZERO),
             Some(Verdict::Deny)
         );
+        assert_eq!(table.len(), 48);
+    }
+
+    #[test]
+    fn removing_a_carried_key_mid_migration_leaves_no_lookup_waiting() {
+        // A key carried by the first quantum, then removed from the
+        // successor while the rest of its predecessor still drains: every
+        // lookup from this lone thread must answer at once, not wait on
+        // the frozen slot the carry left behind for a migration nobody
+        // else runs.
+        let table = LockFreeTable::with_slots(64);
+        let names: Vec<String> = (0..48).map(|i| format!("k{i}")).collect();
+        for name in &names {
+            table.insert(rule(name, 3, 0), Nanos::ZERO);
+        }
+        table.run_migration_quantum(Nanos::ZERO);
+        let pin = table.pin();
+        let old = pin.gen(0).unwrap();
+        let carried = key(names
+            .iter()
+            .find(|name| {
+                let moved = moved_of(published(&key(name)));
+                old.slots
+                    .iter()
+                    .any(|slot| slot.digest.load(Ordering::Relaxed) == moved)
+            })
+            .expect("the first quantum carried a key"));
+        drop(pin);
+        assert!(table.remove(&carried));
+        assert!(migration_in_flight(&table));
+        assert_eq!(table.shape(&carried), None);
+        assert!(!table.apply_update(&rule(carried.as_str(), 5, 0), Nanos::ZERO));
+        assert!(!table.remove(&carried));
+        assert_eq!(table.consume_up_to(&carried, 1, Nanos::ZERO), 0);
+        assert_eq!(table.decide(&carried, Nanos::ZERO), None);
+        table.insert(rule(carried.as_str(), 2, 0), Nanos::ZERO);
+        assert_eq!(table.decide(&carried, Nanos::ZERO), Some(Verdict::Allow));
+        pump_until_retired(&table, Nanos::ZERO);
         assert_eq!(table.len(), 48);
     }
 
@@ -2420,12 +2464,7 @@ mod tests {
                 .map(|rule| rule.key)
                 .collect();
             assert_eq!(snap, live, "round {round}: snapshot()");
-            // A key parked in the overflow (a chain of foreign
-            // tombstones) keeps its own text there.
-            let long_live = live
-                .iter()
-                .filter(|k| k.len() > INLINE_KEY_BYTES && table.overflow.shape(k).is_none())
-                .count();
+            let long_live = live.iter().filter(|k| k.len() > INLINE_KEY_BYTES).count();
             assert_eq!(table.long_keys.lock().len(), long_live, "round {round}");
             assert_long_keys_balanced(&table);
         }
@@ -2442,9 +2481,9 @@ mod tests {
         // `retired` only after missing in the active array could skip the
         // predecessor the key's carry had just left, and report an
         // installed key missing. The one inserter waits out a migration in
-        // flight: inserts racing a straggling quantum could fill the
-        // successor and park a carry in the overflow, whose re-home is a
-        // miss of its own.
+        // flight, so every migration retires under the readers alone;
+        // `racing_inserts_across_migrations_lose_no_key_and_no_credit`
+        // lets inserts race instead.
         use std::sync::Barrier;
         const ROUNDS: usize = if cfg!(debug_assertions) { 400 } else { 20_000 };
         const FRESH: usize = 200;
@@ -2512,7 +2551,7 @@ mod tests {
         for (i, rung) in table.rungs.iter().enumerate() {
             assert_eq!(
                 rung.live.load(Ordering::SeqCst).is_null(),
-                i != active,
+                i != active % RUNGS,
                 "rung {i}, active {active}"
             );
             assert!(
@@ -2719,5 +2758,303 @@ mod tests {
             assert_only_active_allocated(&table);
         }
         assert!(table.cells.resizes.load(Ordering::Relaxed) >= 6);
+    }
+
+    #[test]
+    fn distinct_key_churn_compacts_instead_of_trapping_rules() {
+        // 2,000 distinct keys through an 8-slot table, two of every three
+        // removed right after their insert. The removed keys leave foreign
+        // tombstones, which only a migration clears, and the chains fill
+        // with them long before the published count reaches the
+        // watermark.
+        let table = LockFreeTable::with_slots(8);
+        let mut installs = Vec::new();
+        for i in 0..2_000 {
+            let k = format!("trap-{i}");
+            table.insert(rule(&k, 1, 0), Nanos::ZERO);
+            if i % 3 != 0 {
+                assert!(table.remove(&key(&k)), "{k}");
+            }
+            if i % 1_000 == 999 {
+                installs.push(table.cells.resizes.load(Ordering::Relaxed));
+            }
+        }
+        pump_until_retired(&table, Nanos::ZERO);
+        assert_eq!(table.len(), 667);
+        assert_eq!(table.cells.open_slots.load(Ordering::Relaxed), 667);
+        for i in (0..2_000).step_by(3) {
+            let k = key(&format!("trap-{i}"));
+            assert_eq!(table.decide(&k, Nanos::ZERO), Some(Verdict::Allow), "{k}");
+        }
+        assert!(
+            0 < installs[0] && installs[0] < installs[1],
+            "generation installs stalled: {installs:?}"
+        );
+    }
+
+    #[test]
+    fn churn_of_three_live_keys_keeps_the_table_small_and_exact() {
+        // Every round inserts a fresh key and removes the oldest: the
+        // tombstones fill the chains again and again, and each time a
+        // same-size successor drops them instead of a doubling.
+        let table = LockFreeTable::with_slots(8);
+        let name = |i: usize| format!("live-{i}");
+        for i in 0..3 {
+            table.insert(rule(&name(i), 1, 0), Nanos::ZERO);
+        }
+        for i in 3..20_003 {
+            table.insert(rule(&name(i), 1, 0), Nanos::ZERO);
+            assert!(table.remove(&key(&name(i - 3))), "round {i}");
+            assert_eq!(table.len(), 3, "round {i}");
+            let slots = table.cells.slot_count.load(Ordering::Relaxed);
+            assert!(slots <= 16, "round {i}: {slots} slots for 3 live keys");
+        }
+        pump_until_retired(&table, Nanos::ZERO);
+        assert_eq!(table.cells.open_slots.load(Ordering::Relaxed), 3);
+        assert!(table.cells.resizes.load(Ordering::Relaxed) > 1_000);
+        for i in 20_000..20_003 {
+            assert_eq!(
+                table.decide(&key(&name(i)), Nanos::ZERO),
+                Some(Verdict::Allow)
+            );
+        }
+    }
+
+    /// One round of racing inserts on a fresh 8-slot table holding
+    /// `hot`: each `fresh` batch has its own inserting thread, with
+    /// nothing held back, so generations are installed and drained under
+    /// all of them; two readers charge and update `hot`, and update and
+    /// read the shape of fresh keys already inserted, until the inserts
+    /// are done. Returns what went wrong, if anything: no thread panics,
+    /// so none is left at the barrier.
+    fn racing_insert_round(hot: &[QosRule], fresh: &[Vec<QosRule>]) -> Vec<String> {
+        use std::sync::Barrier;
+        let table = LockFreeTable::with_slots(8);
+        for r in hot {
+            table.insert(r.clone(), Nanos::ZERO);
+        }
+        let done: Vec<AtomicUsize> = fresh.iter().map(|_| AtomicUsize::new(0)).collect();
+        let barrier = Barrier::new(fresh.len() + 2);
+        let inserting = || {
+            done.iter()
+                .zip(fresh)
+                .any(|(n, batch)| n.load(Ordering::Acquire) < batch.len())
+        };
+        let readers: Vec<(u64, Vec<u64>)> = std::thread::scope(|scope| {
+            for (batch, done) in fresh.iter().zip(&done) {
+                let (table, barrier) = (&table, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for (n, r) in batch.iter().enumerate() {
+                        table.insert(r.clone(), Nanos::ZERO);
+                        done.store(n + 1, Ordering::Release);
+                    }
+                });
+            }
+            let readers: Vec<_> = (0..2)
+                .map(|t| {
+                    let (table, barrier, done, inserting) = (&table, &barrier, &done, &inserting);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let mut missed = 0u64;
+                        let mut charged = vec![0u64; hot.len()];
+                        let mut i = 0;
+                        while inserting() || i < 64 {
+                            let k = i % hot.len();
+                            let r = &hot[k];
+                            let b = (i + t) % fresh.len();
+                            let installed = done[b].load(Ordering::Acquire);
+                            let old = (installed > 0).then(|| &fresh[b][i % installed]);
+                            match ((i / hot.len() + t) % 5, old) {
+                                (0, _) => match table.decide(&r.key, Nanos::ZERO) {
+                                    Some(Verdict::Allow) => charged[k] += 1,
+                                    Some(Verdict::Deny) => {}
+                                    None => missed += 1,
+                                },
+                                (1, _) => {
+                                    let got = table.consume_up_to(&r.key, 2, Nanos::ZERO);
+                                    charged[k] += got;
+                                    missed += u64::from(got == 0);
+                                }
+                                (2, _) => missed += u64::from(!table.apply_update(r, Nanos::ZERO)),
+                                (3, Some(old)) => {
+                                    missed += u64::from(!table.apply_update(old, Nanos::ZERO))
+                                }
+                                (_, Some(old)) => {
+                                    missed += u64::from(table.shape(&old.key).is_none())
+                                }
+                                _ => {}
+                            }
+                            i += 1;
+                        }
+                        (missed, charged)
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut faults = Vec::new();
+        let missed: u64 = readers.iter().map(|(m, _)| m).sum();
+        if missed > 0 {
+            faults.push(format!("{missed} reads missed an installed key"));
+        }
+        pump_until_retired(&table, Nanos::ZERO);
+        let want = hot.len() + fresh.iter().map(Vec::len).sum::<usize>();
+        if table.len() != want {
+            faults.push(format!("len {} for {want} keys", table.len()));
+        }
+        let credit: HashMap<QosKey, Credits> = table
+            .snapshot(Nanos::ZERO)
+            .into_iter()
+            .map(|row| (row.key, row.credit))
+            .collect();
+        for (k, r) in hot.iter().enumerate() {
+            let charged: u64 = readers.iter().map(|(_, c)| c[k]).sum();
+            let left = r.capacity.as_micro() / Credits::from_whole(1).as_micro() - charged;
+            if credit.get(&r.key) != Some(&Credits::from_whole(left)) {
+                faults.push(format!(
+                    "{} charged {charged}, holds {:?}",
+                    r.key,
+                    credit.get(&r.key)
+                ));
+            }
+        }
+        for r in fresh.iter().flatten() {
+            if table.shape(&r.key).is_none() {
+                faults.push(format!("{} lost", r.key));
+            }
+        }
+        faults
+    }
+
+    #[test]
+    fn racing_inserts_across_migrations_lose_no_key_and_no_credit() {
+        const ROUNDS: usize = if cfg!(debug_assertions) { 20 } else { 2_000 };
+        const CAPACITY: u64 = 1_000_000;
+        let hot: Vec<QosRule> = (0..4)
+            .map(|i| QosRule::per_second(key(&format!("hot-{i}")), CAPACITY, 0))
+            .collect();
+        let fresh: Vec<Vec<QosRule>> = (0..2)
+            .map(|t| {
+                (0..100)
+                    .map(|n| rule(&format!("fresh-{t}-{n}"), 1, 0))
+                    .collect()
+            })
+            .collect();
+        let faults: Vec<String> = (0..ROUNDS)
+            .flat_map(|round| {
+                racing_insert_round(&hot, &fresh)
+                    .into_iter()
+                    .map(move |fault| format!("round {round}: {fault}"))
+            })
+            .collect();
+        assert!(
+            faults.is_empty(),
+            "{} faults, first: {:?}",
+            faults.len(),
+            &faults[..faults.len().min(5)]
+        );
+    }
+
+    #[test]
+    fn readers_alone_finish_a_migration_left_in_flight() {
+        // Two threads insert racing, then one more insert at a time until
+        // a migration is left in flight. From then on only readers call:
+        // no insert helps, and every frozen (MOVED) slot must still be on
+        // its way somewhere. Each reader's `decide` and `consume_up_to`
+        // run a quantum, so the readers retire the migration themselves;
+        // every call returns, finds its key, and each reader sees the
+        // retirement within a bounded number of its own calls.
+        use std::sync::Barrier;
+        const ROUNDS: usize = if cfg!(debug_assertions) { 50 } else { 2_000 };
+        const RACING: usize = 60;
+        // Far beyond the drain of any generation these rounds reach, so
+        // that only a reader stuck for good runs into it.
+        const CALLS: usize = 1 << 22;
+        let mut faults = Vec::new();
+        for round in 0..ROUNDS {
+            let table = LockFreeTable::with_slots(8);
+            let barrier = Barrier::new(2);
+            let mut keys: Vec<QosKey> = std::thread::scope(|scope| {
+                let inserters: Vec<_> = (0..2)
+                    .map(|t| {
+                        let (table, barrier) = (&table, &barrier);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            (0..RACING)
+                                .map(|n| {
+                                    let k = key(&format!("in-{t}-{n}"));
+                                    table.insert(
+                                        QosRule::per_second(k.clone(), 1_000, 0),
+                                        Nanos::ZERO,
+                                    );
+                                    k
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                inserters
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap())
+                    .collect()
+            });
+            while !migration_in_flight(&table) && keys.len() < 100_000 {
+                let k = key(&format!("top-{}", keys.len()));
+                table.insert(QosRule::per_second(k.clone(), 1_000, 0), Nanos::ZERO);
+                keys.push(k);
+            }
+            if !migration_in_flight(&table) {
+                faults.push(format!("round {round}: no migration left in flight"));
+                continue;
+            }
+            let outcomes: Vec<(u64, usize)> = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..2)
+                    .map(|t| {
+                        let (table, barrier, keys) = (&table, &barrier, &keys);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            let mut missed = 0u64;
+                            let mut calls = 0;
+                            while calls < CALLS && migration_in_flight(table) || calls < 64 {
+                                let k = &keys[(calls * 7 + t) % keys.len()];
+                                let found = if calls % 2 == 0 {
+                                    table.decide(k, Nanos::ZERO).is_some()
+                                } else {
+                                    table.consume_up_to(k, 1, Nanos::ZERO) == 1
+                                };
+                                missed += u64::from(!found);
+                                calls += 1;
+                            }
+                            (missed, calls)
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (t, (missed, calls)) in outcomes.into_iter().enumerate() {
+                if missed > 0 {
+                    faults.push(format!("round {round}: reader {t} missed {missed}"));
+                }
+                if calls >= CALLS {
+                    faults.push(format!(
+                        "round {round}: reader {t} never saw the retirement"
+                    ));
+                }
+            }
+            if table.len() != keys.len() {
+                faults.push(format!(
+                    "round {round}: len {} for {} keys",
+                    table.len(),
+                    keys.len()
+                ));
+            }
+        }
+        assert!(
+            faults.is_empty(),
+            "{} faults, first: {:?}",
+            faults.len(),
+            &faults[..faults.len().min(5)]
+        );
     }
 }

@@ -234,17 +234,6 @@ impl ShardedTable {
         &self.shards[shard_of(key, self.shards.len())]
     }
 
-    /// Remove `key`'s bucket and return it as a rule with credit evaluated
-    /// at `now`. Removal and credit capture happen under the shard lock,
-    /// so no charge can land in between — the caller can re-insert the
-    /// rule elsewhere without minting or losing credit.
-    pub fn take(&self, key: &QosKey, now: Nanos) -> Option<QosRule> {
-        self.shard(key)
-            .lock()
-            .remove(key)
-            .map(|bucket| bucket.to_rule(key.clone(), now))
-    }
-
     /// Sum of credit across all buckets at `now` (test/diagnostic helper).
     pub fn total_credit(&self, now: Nanos) -> Credits {
         let mut total = Credits::ZERO;
@@ -509,7 +498,8 @@ mod tests {
             ("sync", Arc::new(SyncTable::new())),
             ("lock-free", Arc::new(crate::LockFreeTable::new())),
             // A deliberately tiny slot array so the shared tests also
-            // exercise the probe-limit overflow path.
+            // run their rules through successor installs and the
+            // migrations behind them.
             (
                 "lock-free-tiny",
                 Arc::new(crate::LockFreeTable::with_slots(8)),

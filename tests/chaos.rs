@@ -169,10 +169,13 @@ fn every_partition_crash_is_localized() {
         qos_servers: 3,
         routers: 1,
         rules,
+        // The loopback attempt timeout (20 ms): a live partition must
+        // answer inside it even on a loaded box, or the check below would
+        // read it as dead. A 2 ms timeout was missed now and then in a
+        // full test run.
         udp: janus_core::UdpRpcConfig {
-            timeout: Duration::from_millis(2),
             max_retries: 1,
-            ..Default::default()
+            ..janus_core::UdpRpcConfig::lan_defaults()
         },
         default_verdict: Verdict::Deny,
         ..Default::default()
