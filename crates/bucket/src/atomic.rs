@@ -379,8 +379,10 @@ impl AtomicBucket {
     /// re-derives against the drained word and denies. No charge is ever
     /// lost and none is double-counted.
     pub fn drain(&self, now: Nanos) -> (Credits, RefillRate, Credits) {
-        let cap = self.capacity.swap(0, Ordering::Relaxed);
-        let rate = self.rate.swap(0, Ordering::Relaxed);
+        // Release: a lock-free table's shape read that sees these zeros
+        // also sees the slot freeze sequenced before this drain.
+        let cap = self.capacity.swap(0, Ordering::Release);
+        let rate = self.rate.swap(0, Ordering::Release);
         let refill = RefillRate::from_micro_per_sec(rate);
         let now_floor = floor_tick(now);
         let mut state = self.state.load(Ordering::Relaxed);

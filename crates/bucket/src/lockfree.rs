@@ -2,10 +2,11 @@
 //! slots, keyed by the 64-bit key digest, with **incremental resize** and
 //! **idle-key reclamation** for bounded memory under keyspace churn.
 //!
-//! The decision hot path ([`LockFreeTable::decide`]) takes **no lock and
-//! allocates nothing**: it probes a slot array comparing cached key
-//! digests (one `Acquire` load per step) and charges the matching slot's
-//! [`AtomicBucket`](crate::AtomicBucket) with a single CAS. Buckets live
+//! The decision hot path ([`LockFreeTable::decide_shaped`]) takes **no
+//! lock and allocates nothing**: it probes a slot array comparing cached
+//! key digests (one `Acquire` load per step) and charges the matching
+//! slot's [`AtomicBucket`](crate::AtomicBucket) with a single CAS, reading
+//! the bucket's shape on the same line for the caller's rule hint. Buckets live
 //! *inline* in the slot array — no per-entry boxing, no pointer chase.
 //!
 //! # Slot protocol
@@ -740,6 +741,19 @@ impl LockFreeTable {
         None
     }
 
+    /// The shape of the bucket in `slot`, if the slot still publishes
+    /// `wanted` after the read (a seqlock read, as in
+    /// [`Self::published_key`]). A freeze moves the digest before the
+    /// drain zeroes the shape, so a read that saw the zeros sees the
+    /// freeze: `None` then, never the husk's shape.
+    fn shape_of(slot: &Slot, wanted: u64) -> Option<(Credits, RefillRate)> {
+        let shape = (slot.bucket.capacity(), slot.bucket.refill_rate());
+        // Orders the shape loads before the re-check; pairs with the
+        // `Release` swaps that zero the shape in `AtomicBucket::drain`.
+        fence(Ordering::Acquire);
+        (slot.digest.load(Ordering::Relaxed) == wanted).then_some(shape)
+    }
+
     /// Record `decisions` against the slot's touch word. Plain
     /// load+store: a racing touch may be lost, which only makes hotness
     /// approximate.
@@ -1232,11 +1246,17 @@ impl Default for LockFreeTable {
 }
 
 impl QosTable for LockFreeTable {
-    fn decide(&self, key: &QosKey, now: Nanos) -> Option<Verdict> {
+    fn decide_shaped(&self, key: &QosKey, now: Nanos) -> Option<(Verdict, (Credits, RefillRate))> {
         let pin = self.pin();
         self.migration_quantum(&pin, now);
         let wanted = published(key);
         let decided = self.charge_open(&pin, key, |slot| {
+            // The shape is read before the charge: a freeze that lands
+            // after this read carries the same shape to the successor, so
+            // a charge racing it reports the shape its key landed with.
+            let Some(shape) = Self::shape_of(slot, wanted) else {
+                return Charged::Retry; // frozen before the charge: nothing taken
+            };
             let (verdict, retries) = slot.bucket.try_consume_counted(now);
             self.note_retries(retries);
             if verdict == Verdict::Deny && slot.digest.load(Ordering::Acquire) != wanted {
@@ -1247,7 +1267,7 @@ impl QosTable for LockFreeTable {
             }
             Self::note_touch(slot, now, 1);
             self.stats.record(verdict);
-            Charged::Done(verdict)
+            Charged::Done((verdict, shape))
         });
         if decided.is_none() {
             self.stats.record_miss();
@@ -1291,13 +1311,12 @@ impl QosTable for LockFreeTable {
                     let slot = &gen.slots[idx];
                     let d = slot.digest.load(Ordering::Acquire);
                     if d == wanted {
-                        let shape = (slot.bucket.capacity(), slot.bucket.refill_rate());
-                        if slot.digest.load(Ordering::Acquire) != wanted {
+                        let Some(shape) = Self::shape_of(slot, wanted) else {
                             // Drained under us: the shape read may be the
                             // zeroed husk. Re-resolve.
                             std::hint::spin_loop();
                             continue 'retry;
-                        }
+                        };
                         return Some(shape);
                     }
                     if d == moved_of(wanted) {
@@ -2533,6 +2552,79 @@ mod tests {
             });
         }
         assert_eq!(misses, 0, "installed keys reported missing");
+    }
+
+    #[test]
+    fn shaped_decisions_racing_migrations_never_report_a_husk() {
+        // One thread grows an 8-slot table with fresh keys, so migration
+        // after migration freezes and drains the four hot keys' slots,
+        // while both threads charge them through `decide_shaped`. Every
+        // answer must carry the key's own rule shape: a shape read from a
+        // drained husk would be (0, 0), and none of the rules has it.
+        use std::sync::Barrier;
+        const ROUNDS: usize = if cfg!(debug_assertions) { 200 } else { 10_000 };
+        const FRESH: usize = 200;
+        let hot: Vec<QosRule> = (0..4u64)
+            .map(|i| QosRule::per_second(key(&format!("hot-{i}")), (1 << 40) + i, 1_000 + i))
+            .collect();
+        let fresh: Vec<QosRule> = (0..FRESH)
+            .map(|n| rule(&format!("fresh-{n}"), 1, 0))
+            .collect();
+        let (mut wrong, mut decided, mut migrated) = (0u64, 0u64, 0u64);
+        for _ in 0..ROUNDS {
+            let table = LockFreeTable::with_slots(8);
+            for r in &hot {
+                table.insert(r.clone(), Nanos::ZERO);
+            }
+            let next = AtomicUsize::new(0);
+            let barrier = Barrier::new(2);
+            let (w, d) = std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..2)
+                    .map(|t| {
+                        let (table, hot, fresh, next, barrier) =
+                            (&table, &hot, &fresh, &next, &barrier);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            let (mut wrong, mut decided) = (0u64, 0u64);
+                            let mut i = 0;
+                            while next.load(Ordering::Relaxed) < fresh.len() {
+                                if t == 0 {
+                                    let n = next.load(Ordering::Relaxed);
+                                    table.insert(fresh[n].clone(), Nanos::ZERO);
+                                    next.store(n + 1, Ordering::Relaxed);
+                                }
+                                let r = &hot[i % hot.len()];
+                                let expected = (r.capacity, r.refill_rate);
+                                match table.decide_shaped(&r.key, Nanos::ZERO) {
+                                    Some((Verdict::Allow, shape)) => {
+                                        decided += 1;
+                                        wrong += u64::from(shape != expected);
+                                    }
+                                    _ => wrong += 1, // a miss or a deny is wrong too
+                                }
+                                i += 1;
+                            }
+                            (wrong, decided)
+                        })
+                    })
+                    .collect();
+                threads
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .fold((0, 0), |(w, d), (tw, td)| (w + tw, d + td))
+            });
+            wrong += w;
+            decided += d;
+            migrated += table.cells.migrated_slots.load(Ordering::Relaxed);
+        }
+        assert_eq!(
+            wrong, 0,
+            "a shaped decision reported a husk, a miss or a deny"
+        );
+        assert!(
+            decided > 0 && migrated > 0,
+            "the decisions must race real migrations"
+        );
     }
 
     /// Insert once no migration is in flight, helping it along.

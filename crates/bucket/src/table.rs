@@ -98,14 +98,31 @@ impl TableStats {
 
 /// The interface a QoS server uses to manage its partition of buckets.
 ///
-/// `decide` is the hot path: look up the key's bucket and charge it.
-/// `None` means the key is unknown locally — the caller is expected to
-/// fetch the rule from the database (or apply the default policy) and
+/// [`decide_shaped`](Self::decide_shaped) is the hot path, and each table
+/// has exactly one: look up the key's bucket and charge it. `None` means
+/// the key is unknown locally — the caller is expected to fetch the rule
+/// from the database (or apply the default policy) and
 /// [`insert`](Self::insert) it.
 pub trait QosTable: Send + Sync {
+    /// Make an admission decision for `key` at `now` and report the shape
+    /// (capacity, refill rate) of the bucket it charged, or `None` if the
+    /// key has no local bucket yet.
+    ///
+    /// One walk: the shape is read under the same lock, or the same pin
+    /// and probe, as the charge, so a QoS server builds a response's rule
+    /// hint and feeds its lease ledger without a second lookup
+    /// ([`shape`](Self::shape) stays for answers that charged nothing:
+    /// cached duplicates and shed replies). The shape is never a drained
+    /// husk's: a decision that raced a migration reports the shape its
+    /// key was carried with.
+    fn decide_shaped(&self, key: &QosKey, now: Nanos) -> Option<(Verdict, (Credits, RefillRate))>;
+
     /// Make an admission decision for `key` at `now`, or `None` if the key
-    /// has no local bucket yet.
-    fn decide(&self, key: &QosKey, now: Nanos) -> Option<Verdict>;
+    /// has no local bucket yet: [`decide_shaped`](Self::decide_shaped)
+    /// with the shape dropped, so no second decision path sits beside it.
+    fn decide(&self, key: &QosKey, now: Nanos) -> Option<Verdict> {
+        self.decide_shaped(key, now).map(|(verdict, _)| verdict)
+    }
 
     /// Drain up to `n` whole credits from `key`'s bucket at `now` in one
     /// bucket operation, returning how many were taken (0 when the key
@@ -252,20 +269,25 @@ impl Default for ShardedTable {
     }
 }
 
+/// Charge `bucket` (or count the miss) and report its shape: the whole
+/// decision of a locked table, run under the lock that found the bucket.
+fn decide_locked(
+    bucket: Option<&mut LeakyBucket>,
+    stats: &TableStats,
+    now: Nanos,
+) -> Option<(Verdict, (Credits, RefillRate))> {
+    let Some(bucket) = bucket else {
+        stats.record_miss();
+        return None;
+    };
+    let verdict = bucket.try_consume(now);
+    stats.record(verdict);
+    Some((verdict, (bucket.capacity(), bucket.refill_rate())))
+}
+
 impl QosTable for ShardedTable {
-    fn decide(&self, key: &QosKey, now: Nanos) -> Option<Verdict> {
-        let mut shard = self.shard(key).lock();
-        match shard.get_mut(key) {
-            Some(bucket) => {
-                let verdict = bucket.try_consume(now);
-                self.stats.record(verdict);
-                Some(verdict)
-            }
-            None => {
-                self.stats.record_miss();
-                None
-            }
-        }
+    fn decide_shaped(&self, key: &QosKey, now: Nanos) -> Option<(Verdict, (Credits, RefillRate))> {
+        decide_locked(self.shard(key).lock().get_mut(key), &self.stats, now)
     }
 
     fn consume_up_to(&self, key: &QosKey, n: u64, now: Nanos) -> u64 {
@@ -386,19 +408,8 @@ impl Default for SyncTable {
 }
 
 impl QosTable for SyncTable {
-    fn decide(&self, key: &QosKey, now: Nanos) -> Option<Verdict> {
-        let mut map = self.map.lock();
-        match map.get_mut(key) {
-            Some(bucket) => {
-                let verdict = bucket.try_consume(now);
-                self.stats.record(verdict);
-                Some(verdict)
-            }
-            None => {
-                self.stats.record_miss();
-                None
-            }
-        }
+    fn decide_shaped(&self, key: &QosKey, now: Nanos) -> Option<(Verdict, (Credits, RefillRate))> {
+        decide_locked(self.map.lock().get_mut(key), &self.stats, now)
     }
 
     fn consume_up_to(&self, key: &QosKey, n: u64, now: Nanos) -> u64 {
@@ -709,6 +720,32 @@ mod tests {
             assert_eq!((stats.decisions, stats.misses), (0, 0), "{name}");
             let snap = table.snapshot(Nanos::ZERO);
             assert_eq!(snap[0].credit, Credits::from_whole(7), "{name}");
+        }
+    }
+
+    #[test]
+    fn decide_shaped_charges_like_decide_and_reports_the_shape() {
+        for (name, table) in tables() {
+            assert_eq!(
+                table.decide_shaped(&key("ghost"), Nanos::ZERO),
+                None,
+                "{name}"
+            );
+            table.insert(rule("alice", 1, 3), Nanos::ZERO);
+            let shape = table.shape(&key("alice")).unwrap();
+            for verdict in [Verdict::Allow, Verdict::Deny] {
+                assert_eq!(
+                    table.decide_shaped(&key("alice"), Nanos::ZERO),
+                    Some((verdict, shape)),
+                    "{name}"
+                );
+            }
+            let stats = table.stats();
+            assert_eq!(
+                (stats.allows, stats.denies, stats.misses),
+                (1, 1, 1),
+                "{name}"
+            );
         }
     }
 

@@ -12,7 +12,11 @@
 //!   an incrementally-maintained sorted view, so windowed percentiles
 //!   are exact (nearest-rank) and the state is pure integers: no floats,
 //!   no decaying averages, no wall clock. Deterministic by construction,
-//!   which lets the simulator drive the same object.
+//!   which lets the simulator drive the same object. Once full, a sample
+//!   replaces the one it evicts in place: one bounded shift between the
+//!   two values' positions, and none at all when they are equal — the
+//!   common case on a healthy link, whose RTTs round to the same
+//!   microsecond.
 //! * [`TimeoutPolicy`] — per-attempt timeout derived as
 //!   `clamp(p99 × multiplier, floor, ceil)`, with the paper's fixed
 //!   timeout kept as the default/baseline mode.
@@ -49,10 +53,21 @@ const RETRY_COST: u64 = 100;
 /// (microseconds) with exact windowed percentiles.
 ///
 /// The ring preserves arrival order for eviction; a parallel sorted
-/// vector is maintained by binary-search insert/remove, so `record` is
-/// `O(log n + n)` on a small fixed `n` and [`LatencyWindow::percentile`]
-/// is `O(1)`. All state is integers — two identical sample sequences
-/// yield identical percentiles on any platform.
+/// vector holds the same samples ascending, so
+/// [`LatencyWindow::percentile`] is `O(1)`. All state is integers — two
+/// identical sample sequences yield identical percentiles on any
+/// platform.
+///
+/// Cost of [`record`](Self::record):
+/// * while filling, a binary search and one insert into the sorted view
+///   (`O(log n + n)`);
+/// * once full, the evicted sample's copy in the sorted view is
+///   *replaced*: two binary searches and one shift of only the samples
+///   lying strictly between the evicted and the new value
+///   (`O(log n + k)`, `k ≤ n - 1`), instead of a remove and an insert
+///   that each move up to `n - 1` samples;
+/// * once full and the new sample equals the evicted one, nothing but
+///   the ring cursor moves (`O(1)`): the sorted view is already right.
 #[derive(Debug, Clone)]
 pub struct LatencyWindow {
     /// Insertion-ordered ring of samples (micros); `head` is the slot the
@@ -79,18 +94,48 @@ impl LatencyWindow {
     /// Record one attempt RTT in microseconds, evicting the oldest sample
     /// once the window is full.
     pub fn record(&mut self, rtt_us: u64) {
-        if self.ring.len() == self.cap {
-            let old = self.ring[self.head];
-            // Remove one copy of the evicted value from the sorted view.
-            let pos = self.sorted.partition_point(|&v| v < old);
-            self.sorted.remove(pos);
-            self.ring[self.head] = rtt_us;
-            self.head = (self.head + 1) % self.cap;
-        } else {
+        self.record_changed(rtt_us);
+    }
+
+    /// [`record`](Self::record), reporting whether the sorted view or its
+    /// length changed — when not, every percentile reads as before.
+    pub(crate) fn record_changed(&mut self, rtt_us: u64) -> bool {
+        if self.ring.len() < self.cap {
             self.ring.push(rtt_us);
+            let pos = self.sorted.partition_point(|&v| v < rtt_us);
+            self.sorted.insert(pos, rtt_us);
+            return true;
         }
-        let pos = self.sorted.partition_point(|&v| v < rtt_us);
-        self.sorted.insert(pos, rtt_us);
+        let old = std::mem::replace(&mut self.ring[self.head], rtt_us);
+        self.head += 1;
+        if self.head == self.cap {
+            self.head = 0;
+        }
+        self.replace_sorted(old, rtt_us)
+    }
+
+    /// Swap one copy of `old` in the sorted view for `new`, shifting only
+    /// the samples strictly between them; `false` when `old == new`.
+    fn replace_sorted(&mut self, old: u64, new: u64) -> bool {
+        let sorted = &mut self.sorted;
+        if new > old {
+            // The last copy of `old` moves up to just below the first
+            // sample `>= new`; everything in between slides down one.
+            let from = sorted.partition_point(|&v| v <= old) - 1;
+            let to = sorted.partition_point(|&v| v < new) - 1;
+            sorted.copy_within(from + 1..=to, from);
+            sorted[to] = new;
+        } else if new < old {
+            // The first copy of `old` moves down to just above the last
+            // sample `<= new`; everything in between slides up one.
+            let from = sorted.partition_point(|&v| v < old);
+            let to = sorted.partition_point(|&v| v <= new);
+            sorted.copy_within(to..from, to + 1);
+            sorted[to] = new;
+        } else {
+            return false;
+        }
+        true
     }
 
     /// Samples currently held.
@@ -360,7 +405,8 @@ fn published(cell: &AtomicU64) -> Option<Duration> {
 }
 
 /// One thread's share of a [`SharedLatency`]: a window plus what the
-/// cell's policies derive from it, republished after every sample.
+/// cell's policies derive from it, republished after every sample that
+/// changed the window's sorted view or length.
 #[derive(Debug)]
 struct Stripe {
     window: Mutex<LatencyWindow>,
@@ -433,7 +479,11 @@ impl SharedLatency {
             stripe.skipped.fetch_add(1, Ordering::Relaxed);
             return false;
         };
-        window.record(rtt_us);
+        if !window.record_changed(rtt_us) {
+            // Same sorted view, same length: the cells already hold what
+            // the policies derive from it.
+            return true;
+        }
         // Published under the window's lock, so the cells always hold the
         // latest window's values.
         stripe.timeout_ns.store(
@@ -632,6 +682,44 @@ mod tests {
         feed(&mut b);
         for pct in 0..=100u8 {
             assert_eq!(a.percentile(pct), b.percentile(pct));
+        }
+    }
+
+    #[test]
+    fn in_place_window_matches_a_sort_the_ring_reference() {
+        // Seeded differential: heavy duplicates (0..4) and wide values
+        // (0..10,000) over capacities that hit every shift shape. After
+        // every sample the sorted view and all 101 percentiles equal a
+        // reference that re-sorts the ring, and `record_changed` says
+        // "changed" exactly when the sorted view or its length moved.
+        use janus_hash::rng::Rng;
+        use std::collections::VecDeque;
+        let mut rng = Rng::seed_from_u64(0x1A7E_0002);
+        for range in [4u64, 10_000] {
+            for cap in [1usize, 2, 64, 100] {
+                let mut window = LatencyWindow::new(cap);
+                let mut ring = VecDeque::new();
+                let mut before = Vec::new();
+                for step in 0..2_000 {
+                    let rtt_us = rng.gen_range(range);
+                    if ring.len() == cap {
+                        ring.pop_front();
+                    }
+                    ring.push_back(rtt_us);
+                    let mut reference: Vec<u64> = ring.iter().copied().collect();
+                    reference.sort_unstable();
+                    let changed = window.record_changed(rtt_us);
+                    let what = format!("range {range} cap {cap} step {step}");
+                    assert_eq!(window.sorted, reference, "{what}");
+                    assert_eq!(changed, reference != before, "{what}");
+                    for pct in 0..=100u8 {
+                        let n = reference.len();
+                        let rank = (n * usize::from(pct)).div_ceil(100).clamp(1, n);
+                        assert_eq!(window.percentile(pct), Some(reference[rank - 1]), "{what}");
+                    }
+                    before = reference;
+                }
+            }
         }
     }
 
@@ -858,6 +946,76 @@ mod tests {
             assert_eq!(shared.hedge_delay(), hedge.delay_for(&window));
         }
         assert_eq!(shared.skipped(), 0);
+    }
+
+    #[test]
+    fn barrier_stepped_recorders_conserve_samples_and_publish_their_windows() {
+        // More threads than stripes, so some stripes are shared and their
+        // `try_lock` really drops samples. After every barrier-stepped
+        // step: samples offered == recorded + skipped, and every stripe's
+        // published timeout and hedge are its policies applied to its own
+        // window. Failures are collected and asserted after the last
+        // step, so no thread is left parked at a barrier.
+        use janus_hash::rng::Rng;
+        use janus_types::sync::STRIPES;
+        use std::sync::Barrier;
+        const THREADS: usize = 12;
+        const STEPS: u64 = 40;
+        const PER_STEP: u64 = 500;
+        const { assert!(THREADS > STRIPES) };
+        let timeout = TimeoutPolicy::adaptive_defaults();
+        let hedge = HedgePolicy::default();
+        let shared = SharedLatency::with_policies(64, timeout, Some(hedge));
+        let baseline = Duration::from_micros(100);
+        let recorded = AtomicU64::new(0);
+        let step = Barrier::new(THREADS + 1);
+        let failures = std::thread::scope(|scope| {
+            for thread in 0..THREADS as u64 {
+                let (shared, recorded, step) = (&shared, &recorded, &step);
+                scope.spawn(move || {
+                    let mut rng = Rng::seed_from_u64(0x1A7E_0100 + thread);
+                    for _ in 0..STEPS {
+                        step.wait();
+                        let mut mine = 0;
+                        for _ in 0..PER_STEP {
+                            // Runs of equal RTTs (the unchanged-window
+                            // path) broken by spread and rare outliers.
+                            let rtt_us = match rng.gen_range(20) {
+                                0 => rng.gen_range(20_000),
+                                1..=5 => rng.gen_range(400),
+                                _ => 40,
+                            };
+                            mine += u64::from(shared.record(rtt_us));
+                        }
+                        recorded.fetch_add(mine, Ordering::Relaxed);
+                        step.wait();
+                    }
+                });
+            }
+            let mut failures = Vec::new();
+            for round in 1..=STEPS {
+                step.wait();
+                step.wait();
+                let offered = round * PER_STEP * THREADS as u64;
+                let accounted = recorded.load(Ordering::Relaxed) + shared.skipped();
+                if accounted != offered {
+                    failures.push(format!("step {round}: {accounted} of {offered} accounted"));
+                }
+                for (i, stripe) in shared.stripes.iter().enumerate() {
+                    let window = stripe.window.lock();
+                    let published_timeout = published(&stripe.timeout_ns).unwrap_or(baseline);
+                    if published_timeout != timeout.timeout_for(&window, baseline) {
+                        failures.push(format!("step {round} stripe {i}: stale timeout"));
+                    }
+                    if published(&stripe.hedge_ns) != hedge.delay_for(&window) {
+                        failures.push(format!("step {round} stripe {i}: stale hedge delay"));
+                    }
+                }
+            }
+            failures
+        });
+        assert!(failures.is_empty(), "{failures:#?}");
+        assert!(recorded.load(Ordering::Relaxed) > 0);
     }
 
     #[test]

@@ -1249,13 +1249,26 @@ mod tests {
         // A slow server answers after the hedge point of a plan that may
         // not hedge (unstamped: there is no nonce to re-present). The
         // answer used to be booked as a hedge win although no duplicate
-        // was ever sent — wins could exceed hedges.
+        // was ever sent — wins could exceed hedges. Schedule-based: the
+        // server holds a stamped answer until the hedge copy (same nonce)
+        // has arrived, so the stamped plan's hedge always precedes its
+        // answer, and it reports every copy it receives, so the plain leg
+        // can check that no second copy ever left.
         let server = UdpServerSocket::bind_ephemeral().unwrap();
         let addr = server.local_addr().unwrap();
+        let (copies_tx, copies) = std::sync::mpsc::channel();
         thread::spawn(move || {
             let mut buf = [0u8; RECV_BUF_BYTES];
+            let mut held = std::collections::HashSet::new();
             while let Ok((req, peer)) = server.recv_request(&mut buf) {
-                thread::sleep(Duration::from_millis(5));
+                let _ = copies_tx.send(req.id);
+                match req.attempt {
+                    // First copy of a stamped attempt: wait for its hedge.
+                    Some(meta) if held.insert(meta.nonce) => continue,
+                    Some(_) => {}
+                    // Unstamped: answer well past the 1 ms hedge point.
+                    None => thread::sleep(Duration::from_millis(5)),
+                }
                 let _ = server.send_response(&QosResponse::allow(req.id), peer);
             }
         });
@@ -1278,11 +1291,18 @@ mod tests {
             assert_eq!(stats.hedges_sent.load(Ordering::Relaxed), 0);
             assert_eq!(stats.hedge_wins.load(Ordering::Relaxed), 0);
 
-            // A stamped plan does hedge, and the late answer is then a win.
+            // A stamped plan does hedge, and the held answer, sent only
+            // once the hedge arrived, is then a win.
             let resp = stamping.call_disciplined(addr, &request(4), &discipline);
             assert_eq!(resp.unwrap(), QosResponse::allow(4));
             assert_eq!(stats.hedges_sent.load(Ordering::Relaxed), 1);
             assert_eq!(stats.hedge_wins.load(Ordering::Relaxed), 1);
+
+            // Both calls are over, the stamped one well past the plain
+            // call's hedge point: a plain hedge would have arrived by now.
+            let received: Vec<u64> = copies.try_iter().collect();
+            let plain_copies = received.iter().filter(|&&id| id == 2).count();
+            assert_eq!(plain_copies, 1, "the plain plan sent a second copy");
         }
     }
 

@@ -35,7 +35,7 @@ use crate::lease::{LeaseConfig, LeaseLedger, LeaseLedgerStats, TableCharge};
 use crate::overload::{DedupOutcome, DedupWindow, OverloadConfig, SojournGovernor};
 use janus_bucket::{DefaultRulePolicy, QosTable};
 use janus_clock::Nanos;
-use janus_types::{QosRequest, QosResponse, QosRule, RuleHint, Verdict};
+use janus_types::{Credits, QosRequest, QosResponse, QosRule, RefillRate, RuleHint, Verdict};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,20 +47,33 @@ pub fn budget_of(request: &QosRequest) -> Option<Duration> {
         .map(|meta| Duration::from_micros(u64::from(meta.budget_us)))
 }
 
-/// Build the response for `request`, attaching the rule shape when the
-/// request solicited a hint. The decision path has already installed a
-/// bucket for the key (DB rule or default policy), so the shape is
-/// normally present; a concurrent `remove` simply yields a plain
-/// response, which soliciting clients must tolerate anyway.
-pub fn respond(table: &Arc<dyn QosTable>, request: &QosRequest, verdict: Verdict) -> QosResponse {
+/// Build the response for a decided `request` from the shape (capacity,
+/// refill rate) of the bucket its decision charged, as
+/// [`QosTable::decide_shaped`] reports it, attaching it as a rule hint
+/// when the request solicited one. `None` (the key vanished, so the
+/// decision fell back to a plain deny) yields a plain response, which
+/// soliciting clients must tolerate anyway.
+pub fn respond_shaped(
+    request: &QosRequest,
+    verdict: Verdict,
+    shape: Option<(Credits, RefillRate)>,
+) -> QosResponse {
     let response = QosResponse::new(request.id, verdict);
-    if !request.solicit_hint {
-        return response;
-    }
-    match table.shape(&request.key) {
+    match shape.filter(|_| request.solicit_hint) {
         Some((capacity, refill_rate)) => response.with_hint(RuleHint::new(capacity, refill_rate)),
         None => response,
     }
+}
+
+/// Build the response for an answer that charged nothing (a cached
+/// duplicate, a shed reply), looking the shape up in `table` only when
+/// the request solicited a hint.
+pub fn respond(table: &Arc<dyn QosTable>, request: &QosRequest, verdict: Verdict) -> QosResponse {
+    let shape = request
+        .solicit_hint
+        .then(|| table.shape(&request.key))
+        .flatten();
+    respond_shaped(request, verdict, shape)
 }
 
 /// Cache the decided verdict under the request's attempt nonce so a late
@@ -415,7 +428,7 @@ impl ServerCore {
                     .map(|verdict| respond(&self.table, &request, verdict))
             }
             WorkerTriage::Decide => {
-                let verdict = self.decide_local(&request, now);
+                let (verdict, shape) = self.decide_local(&request, now);
                 self.stats.answered += 1;
                 if verdict == Verdict::Allow {
                     self.stats.allowed += 1;
@@ -427,14 +440,14 @@ impl ServerCore {
                     self.stats.shed_expired += 1;
                     return None;
                 }
-                let mut response = respond(&self.table, &request, verdict);
+                // The hint and the ledger read the shape the decision
+                // charged: no second walk of the table.
+                let mut response = respond_shaped(&request, verdict, shape);
                 if let (Some(ledger), Some(report)) = (self.ledger.as_mut(), request.lease) {
                     let key = &request.key;
                     let table = &*self.table;
                     let mut charge = TableCharge { table, key, now };
-                    if let Some(lease) =
-                        ledger.on_report(key, report, table.shape(key), now, &mut charge)
-                    {
+                    if let Some(lease) = ledger.on_report(key, report, shape, now, &mut charge) {
                         response = response.with_lease(lease);
                     }
                 }
@@ -460,27 +473,149 @@ impl ServerCore {
     }
 
     /// Local table hit, else install the default policy's rule — the
-    /// standalone (no database) decision path.
-    fn decide_local(&mut self, request: &QosRequest, now: Nanos) -> Verdict {
-        if let Some(verdict) = self.table.decide(&request.key, now) {
-            return verdict;
+    /// standalone (no database) decision path. Returns the verdict and
+    /// the shape of the bucket it charged.
+    fn decide_local(
+        &mut self,
+        request: &QosRequest,
+        now: Nanos,
+    ) -> (Verdict, Option<(Credits, RefillRate)>) {
+        if let Some((verdict, shape)) = self.table.decide_shaped(&request.key, now) {
+            return (verdict, Some(shape));
         }
         self.stats.default_rule_hits += 1;
         self.table
             .insert(self.default_policy.rule_for(request.key.clone()), now);
-        self.table
-            .decide(&request.key, now)
-            .unwrap_or(Verdict::Deny)
+        match self.table.decide_shaped(&request.key, now) {
+            Some((verdict, shape)) => (verdict, Some(shape)),
+            None => (Verdict::Deny, None),
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use janus_bucket::table::TableStatsSnapshot;
     use janus_bucket::ShardedTable;
     use janus_types::{AttemptMeta, QosKey};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const T0: Nanos = Nanos::from_secs(10);
+
+    /// A [`ShardedTable`] that counts [`QosTable::shape`] calls: a
+    /// decision that takes its hint and lease shape from its own charge
+    /// makes none.
+    #[derive(Default)]
+    pub(crate) struct ShapeCounting {
+        inner: ShardedTable,
+        shapes: AtomicUsize,
+    }
+
+    impl ShapeCounting {
+        pub(crate) fn shape_calls(&self) -> usize {
+            self.shapes.load(Ordering::Relaxed)
+        }
+    }
+
+    impl QosTable for ShapeCounting {
+        fn decide_shaped(
+            &self,
+            key: &QosKey,
+            now: Nanos,
+        ) -> Option<(Verdict, (Credits, RefillRate))> {
+            self.inner.decide_shaped(key, now)
+        }
+        fn consume_up_to(&self, key: &QosKey, n: u64, now: Nanos) -> u64 {
+            self.inner.consume_up_to(key, n, now)
+        }
+        fn shape(&self, key: &QosKey) -> Option<(Credits, RefillRate)> {
+            self.shapes.fetch_add(1, Ordering::Relaxed);
+            self.inner.shape(key)
+        }
+        fn insert(&self, rule: QosRule, now: Nanos) {
+            self.inner.insert(rule, now)
+        }
+        fn apply_update(&self, rule: &QosRule, now: Nanos) -> bool {
+            self.inner.apply_update(rule, now)
+        }
+        fn remove(&self, key: &QosKey) -> bool {
+            self.inner.remove(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn keys(&self) -> Vec<QosKey> {
+            self.inner.keys()
+        }
+        fn snapshot(&self, now: Nanos) -> Vec<QosRule> {
+            self.inner.snapshot(now)
+        }
+        fn restore(&self, rules: Vec<QosRule>, now: Nanos) {
+            self.inner.restore(rules, now)
+        }
+        fn sweep_refill(&self, now: Nanos) {
+            self.inner.sweep_refill(now)
+        }
+        fn stats(&self) -> TableStatsSnapshot {
+            self.inner.stats()
+        }
+    }
+
+    /// A stamped request soliciting both a rule hint and a lease.
+    pub(crate) fn soliciting_everything(id: u64, k: &str) -> QosRequest {
+        QosRequest::soliciting_hint(id, key(k))
+            .with_attempt(AttemptMeta::new(10_000, id as u32))
+            .with_lease(janus_types::LeaseReport::soliciting(9))
+    }
+
+    /// A lease plane that grants from a key's second ask on.
+    pub(crate) fn eager_leases() -> LeaseConfig {
+        LeaseConfig {
+            enabled: true,
+            ttl: Duration::from_millis(20),
+            hot_threshold: 2,
+            max_holders: 2,
+            slice_fraction: 4,
+        }
+    }
+
+    #[test]
+    fn a_soliciting_leased_decision_makes_no_shape_call() {
+        let table = Arc::new(ShapeCounting::default());
+        table.insert(QosRule::per_second(key("hot"), 1_000, 7), T0);
+        let mut core = ServerCore::new(
+            Arc::clone(&table) as Arc<dyn QosTable>,
+            DefaultRulePolicy::AllowAll,
+            64,
+            OverloadConfig::default(),
+        )
+        .with_lease(eager_leases());
+        // Three asks of an installed key (the second earns a lease) and
+        // one of an unknown key, installed by the default policy.
+        let mut answers = Vec::new();
+        for (id, k) in [(1, "hot"), (2, "hot"), (3, "hot"), (4, "guest")] {
+            assert!(core.on_request(soliciting_everything(id, k), T0).is_none());
+            answers.push((k, core.poll_worker(T0).expect("decided and answered")));
+        }
+        assert_eq!(table.shape_calls(), 0, "a decision walked the table twice");
+        assert!(answers.iter().any(|(_, response)| response.lease.is_some()));
+        for (k, response) in &answers {
+            let (capacity, refill_rate) = table.shape(&key(k)).unwrap();
+            assert_eq!(
+                response.hint,
+                Some(RuleHint::new(capacity, refill_rate)),
+                "{k}"
+            );
+        }
+        // A cached duplicate charged nothing, so it looks its shape up.
+        let before = table.shape_calls();
+        let replay = core
+            .on_request(soliciting_everything(1, "hot"), T0)
+            .unwrap();
+        assert_eq!(table.shape_calls(), before + 1);
+        assert_eq!(replay.hint, answers[0].1.hint);
+    }
 
     fn key(s: &str) -> QosKey {
         QosKey::new(s).unwrap()

@@ -29,7 +29,7 @@ use janus_db::DbClient;
 use janus_net::fault::FaultPlan;
 use janus_net::udp::{UdpServerSocket, RECV_BUF_BYTES};
 use janus_types::sync::{Mutex, Shutdown};
-use janus_types::{QosKey, QosRequest, QosResponse, Result, Verdict};
+use janus_types::{Credits, QosKey, QosRequest, QosResponse, RefillRate, Result, Verdict};
 use janus_workload::Histogram;
 use std::collections::HashSet;
 use std::io::ErrorKind;
@@ -515,7 +515,7 @@ impl DecisionCtx {
         arrived: Nanos,
         db: &mut Option<DbClient>,
     ) -> Option<QosResponse> {
-        let verdict = self.decide(&request.key, db);
+        let (verdict, shape) = self.decide(&request.key, db);
         self.stats.answered.fetch_add(1, Ordering::Relaxed);
         if let Some(dedup) = &self.dedup {
             core::record_verdict(request, &mut dedup.lock(), verdict);
@@ -529,14 +529,22 @@ impl DecisionCtx {
             self.stats.shed_expired.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let response = respond(&self.table, request, verdict);
-        Some(self.attach_lease(request, response))
+        // The hint and the ledger read the shape the decision charged: no
+        // second walk of the table.
+        let response = core::respond_shaped(request, verdict, shape);
+        Some(self.attach_lease(request, response, shape))
     }
 
     /// The lease half of a decided request, through the shared ledger:
     /// fold in the piggybacked report, and attach a grant when the key is
-    /// hot and the authoritative bucket covers the debit.
-    fn attach_lease(&self, request: &QosRequest, response: QosResponse) -> QosResponse {
+    /// hot and the authoritative bucket (of `shape`, as its decision
+    /// charged it) covers the debit.
+    fn attach_lease(
+        &self,
+        request: &QosRequest,
+        response: QosResponse,
+        shape: Option<(Credits, RefillRate)>,
+    ) -> QosResponse {
         let (Some(ledger), Some(report)) = (&self.ledger, request.lease) else {
             return response;
         };
@@ -545,7 +553,7 @@ impl DecisionCtx {
         let mut charge = TableCharge { table, key, now };
         let lease = ledger
             .lock()
-            .on_report(key, report, table.shape(key), now, &mut charge);
+            .on_report(key, report, shape, now, &mut charge);
         match lease {
             Some(lease) => {
                 self.stats.lease_grants.fetch_add(1, Ordering::Relaxed);
@@ -556,11 +564,16 @@ impl DecisionCtx {
     }
 
     /// Local table hit, else database fetch (bounded by
-    /// `db_fetch_timeout`), else default policy.
-    fn decide(&self, key: &QosKey, db: &mut Option<DbClient>) -> Verdict {
+    /// `db_fetch_timeout`), else default policy. Returns the verdict and
+    /// the shape of the bucket it charged.
+    fn decide(
+        &self,
+        key: &QosKey,
+        db: &mut Option<DbClient>,
+    ) -> (Verdict, Option<(Credits, RefillRate)>) {
         let now = self.clock.now();
-        if let Some(verdict) = self.table.decide(key, now) {
-            return verdict;
+        if let Some((verdict, shape)) = self.table.decide_shaped(key, now) {
+            return (verdict, Some(shape));
         }
         // First sighting: consult the database. The whole fetch —
         // including (re)connecting — runs under one deadline: a hung
@@ -615,7 +628,10 @@ impl DecisionCtx {
             }
         };
         self.table.insert(rule, now);
-        self.table.decide(key, now).unwrap_or(Verdict::Deny)
+        match self.table.decide_shaped(key, now) {
+            Some((verdict, shape)) => (verdict, Some(shape)),
+            None => (Verdict::Deny, None),
+        }
     }
 }
 
@@ -1030,6 +1046,15 @@ mod tests {
         UdpRpcClient::new(UdpRpcConfig::lan_defaults())
     }
 
+    /// A client whose retries re-present their attempt's nonce, so the
+    /// server answers a retry of a decided request from its dedup window.
+    fn stamped_rpc() -> UdpRpcClient {
+        UdpRpcClient::new(UdpRpcConfig {
+            stamp_deadlines: true,
+            ..UdpRpcConfig::lan_defaults()
+        })
+    }
+
     fn check(client: &UdpRpcClient, server: &QosServer, id: u64, k: &str) -> Verdict {
         client
             .call(server.udp_addr(), &QosRequest::new(id, key(k)))
@@ -1290,7 +1315,9 @@ mod tests {
             janus_clock::system(),
         )
         .unwrap();
-        let client = rpc();
+        // Stamped: a retry under CPU load is answered from the dedup
+        // window, never charged twice, so the credit counts stay exact.
+        let client = stamped_rpc();
         for id in 0..90 {
             check(&client, &server, id, "phoenix");
         }
@@ -1874,6 +1901,10 @@ mod tests {
         let db = spawn_db(rules);
         let mut config = QosServerConfig::test_defaults();
         config.workers = 4;
+        // Stamped frames are also subject to the sojourn governor, whose
+        // shed replies are denies; legacy frames never were. This test is
+        // about exact counts under concurrency, not overload control.
+        config.overload.sojourn_shedding = false;
         let server = Arc::new(
             QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap(),
         );
@@ -1881,7 +1912,9 @@ mod tests {
         for i in 0..32u64 {
             let server = Arc::clone(&server);
             handles.push(std::thread::spawn(move || {
-                let client = rpc();
+                // Stamped, so a retry is never a second decision and the
+                // answered count stays exact under CPU load.
+                let client = stamped_rpc();
                 for j in 0..20u64 {
                     let v = check(&client, &server, i * 100 + j, &format!("u{i}"));
                     assert_eq!(v, Verdict::Allow);
@@ -1892,5 +1925,48 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(server.stats().answered.load(Ordering::Relaxed), 640);
+    }
+
+    #[test]
+    fn a_soliciting_leased_decision_makes_no_shape_call_on_either_plane() {
+        // `DecisionCtx::serve` is the decision tail of both the listener
+        // and the per-core plane: its hint and lease shape come from the
+        // decision's own charge, never from a second `shape()` walk.
+        use crate::core::tests::{eager_leases, soliciting_everything, ShapeCounting};
+        use janus_types::RuleHint;
+        let table = Arc::new(ShapeCounting::default());
+        table.insert(rule("hot", 1_000, 7), Nanos::ZERO);
+        let ctx = DecisionCtx {
+            table: Arc::clone(&table) as Arc<dyn QosTable>,
+            stats: Arc::default(),
+            clock: Arc::new(janus_clock::SimClock::new()),
+            db_target: None,
+            default_policy: janus_bucket::DefaultRulePolicy::AllowAll,
+            guest_keys: Arc::default(),
+            db_fetch_timeout: Duration::from_millis(10),
+            dedup: Some(Arc::new(Mutex::new(DedupWindow::new(64)))),
+            ledger: Some(Arc::new(Mutex::new(LeaseLedger::new(eager_leases())))),
+        };
+        let mut db = None;
+        let answers: Vec<_> = [(1, "hot"), (2, "hot"), (3, "hot"), (4, "guest")]
+            .into_iter()
+            .map(|(id, k)| {
+                let request = soliciting_everything(id, k);
+                (
+                    k,
+                    ctx.serve(&request, Nanos::ZERO, &mut db).expect("answered"),
+                )
+            })
+            .collect();
+        assert_eq!(table.shape_calls(), 0, "a decision walked the table twice");
+        assert!(answers.iter().any(|(_, response)| response.lease.is_some()));
+        for (k, response) in &answers {
+            let (capacity, refill_rate) = table.shape(&key(k)).unwrap();
+            assert_eq!(
+                response.hint,
+                Some(RuleHint::new(capacity, refill_rate)),
+                "{k}"
+            );
+        }
     }
 }
