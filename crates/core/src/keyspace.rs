@@ -169,6 +169,16 @@ pub struct KeyspaceReport {
     pub migrated_slots: u64,
     /// Idle keys demoted to the cold tier.
     pub reclaimed_keys: u64,
+    /// Reclaim sweeps the server completed (its `reclaim_sweeps` stat).
+    pub reclaim_sweeps: u64,
+    /// Longest wall time between two sweeps the residency sampler saw
+    /// (from the start of the soak to the first sweep and from the last
+    /// sweep to the end count too), microseconds. Sweeps are paced by a
+    /// sleep of `reclaim_interval`; a gap many intervals long means the
+    /// sweep thread was starved of CPU, which lets residency climb past
+    /// a bound that assumes sweeps keep pace. The sampler itself wakes
+    /// every 2 ms, so the gap is resolved to about that.
+    pub longest_sweep_gap_us: u64,
     /// Resident open slots when the soak ended.
     pub open_slots_final: u64,
     /// `resizes >= 1` — the watermark machinery actually ran.
@@ -201,6 +211,8 @@ janus_types::impl_to_json!(KeyspaceReport {
     resizes,
     migrated_slots,
     reclaimed_keys,
+    reclaim_sweeps,
+    longest_sweep_gap_us,
     open_slots_final,
     resizes_ok,
     reclaim_ok,
@@ -251,7 +263,8 @@ pub fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceReport> {
     };
 
     // Residency sampler: track the open-slot high-watermark while the
-    // drivers churn.
+    // drivers churn, and the longest stretch without a completed reclaim
+    // sweep, so a residency failure says whether the sweeps kept pace.
     let done = Arc::new(AtomicBool::new(false));
     let watermark = Arc::new(AtomicU64::new(0));
     let sampler = {
@@ -259,9 +272,20 @@ pub fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceReport> {
         let done = Arc::clone(&done);
         let watermark = Arc::clone(&watermark);
         std::thread::spawn(move || {
-            while !done.load(Ordering::Relaxed) {
+            let (mut sweeps, mut last_sweep) = (0, Instant::now());
+            let mut longest_gap = Duration::ZERO;
+            loop {
                 let open = stats.engine.open_slots.load(Ordering::Relaxed);
                 watermark.fetch_max(open, Ordering::Relaxed);
+                let now_sweeps = stats.reclaim_sweeps.load(Ordering::Relaxed);
+                let stopping = done.load(Ordering::Relaxed);
+                if now_sweeps != sweeps || stopping {
+                    longest_gap = longest_gap.max(last_sweep.elapsed());
+                    (sweeps, last_sweep) = (now_sweeps, Instant::now());
+                }
+                if stopping {
+                    return longest_gap;
+                }
                 std::thread::sleep(Duration::from_millis(2));
             }
         })
@@ -358,7 +382,9 @@ pub fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceReport> {
     let (meter_touches, meter_allowed) = meter
         .join()
         .map_err(|_| JanusError::state("meter thread panicked"))?;
-    let _ = sampler;
+    let longest_sweep_gap = sampler
+        .join()
+        .map_err(|_| JanusError::state("residency sampler panicked"))?;
 
     let elapsed = started.elapsed();
     let answered = allowed + denied;
@@ -403,6 +429,8 @@ pub fn run_keyspace_soak(config: KeyspaceSoakConfig) -> Result<KeyspaceReport> {
         resizes: snapshot.resizes,
         migrated_slots: snapshot.migrated_slots,
         reclaimed_keys: snapshot.reclaimed_keys,
+        reclaim_sweeps: snapshot.reclaim_sweeps,
+        longest_sweep_gap_us: longest_sweep_gap.as_micros() as u64,
         open_slots_final: snapshot.open_slots,
         resizes_ok: snapshot.resizes >= 1,
         reclaim_ok: snapshot.reclaimed_keys > 0,

@@ -10,7 +10,8 @@
 //! behaviour is explored as a pure function of one `u64` seed:
 //!
 //! - [`sim`] — the world: event queue, partitions, router node, fault
-//!   injection, byte-stable trace.
+//!   injection, byte-stable trace (written without `core::fmt` by the
+//!   private `tracebuf` module).
 //! - [`oracle`] — the seven invariants (credit exactness, at-most-one
 //!   charge per attempt nonce, bounded over-admission during
 //!   failover/brownout, availability floor, lease coverage, reclamation
@@ -28,6 +29,7 @@
 pub mod oracle;
 pub mod search;
 pub mod sim;
+mod tracebuf;
 
 pub use oracle::OracleState;
 pub use search::{

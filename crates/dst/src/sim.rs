@@ -13,9 +13,8 @@
 //! one trace buffer (same seed ⇒ byte-identical trace) and is followed
 //! by the [`OracleState::sweep`] over the keys it touched.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,6 +35,7 @@ use janus_types::{
 };
 
 use crate::oracle::OracleState;
+use crate::tracebuf::TraceBuf;
 
 /// Virtual start of time: past zero so breaker/bucket timestamp
 /// arithmetic never sits on the epoch edge.
@@ -50,15 +50,23 @@ const EVENT_CAP: u64 = 500_000;
 /// maintenance loop's batch cap.
 const RECLAIM_SWEEP: usize = 32;
 
-/// Append one trace line, `[<µs since T0>us] <message>`, to `$sim`'s
-/// trace buffer. A macro rather than a method so the message may borrow
-/// other fields of the simulator (key names) while the buffer is
-/// written.
+/// Trace bytes reserved per configured request: the eleven fault
+/// profiles write 190–310 bytes per request, so most runs never grow
+/// the buffer. The reservation stops at [`TRACE_RESERVE_CAP`]; a longer
+/// run grows the buffer as it writes.
+const TRACE_BYTES_PER_REQUEST: usize = 320;
+const TRACE_RESERVE_CAP: usize = 1 << 20;
+
+/// Append one trace line, `[<µs since T0>us] <pieces>`, to `$sim`'s
+/// trace buffer. Each piece (a `&str`, an integer) is written as `{}`
+/// would print it, without `core::fmt` ([`TraceBuf`]). A macro rather
+/// than a method so a piece may borrow other fields of the simulator
+/// (key names) while the buffer is written.
 macro_rules! note {
-    ($sim:ident, $($message:tt)+) => {{
-        let us = $sim.clock.now().saturating_since(T0).as_micros();
-        // Writing into a `String` cannot fail.
-        let _ = writeln!($sim.trace, "[{us:>9}us] {}", format_args!($($message)+));
+    ($sim:ident, $($piece:expr),+ $(,)?) => {{
+        $sim.trace.line($sim.clock.now().as_nanos().saturating_sub(T0.as_nanos()) / 1_000);
+        $($sim.trace.put($piece);)+
+        $sim.trace.end_line();
     }};
 }
 
@@ -305,35 +313,44 @@ enum Event {
     ReclaimTick,
 }
 
-/// A queued event. Ordered on `(at, seq)` alone, reversed so the
-/// max-heap pops the earliest; `seq` is unique, so ties in virtual time
-/// pop in scheduling order and the order is total.
-#[derive(Debug)]
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    event: Event,
+/// The event queue: a min-heap of 24-byte `(at, seq, slot)` keys over a
+/// slab of events whose freed slots are reused, so a sift moves keys,
+/// never events, and the loop stops allocating once the slab has grown
+/// to the run's peak backlog. `seq` is unique, so the heap orders on
+/// `(at, seq)` alone: ties in virtual time pop in scheduling order and
+/// the order is total.
+#[derive(Debug, Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    slab: Vec<Option<Event>>,
+    free: Vec<u32>,
 }
 
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+impl EventQueue {
+    fn push(&mut self, at: u64, seq: u64, event: Event) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 events queued at once")
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
+    }
+
+    /// The earliest event and its virtual time.
+    fn pop(&mut self) -> Option<(u64, Event)> {
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("queued slot holds its event");
+        Some((at, event))
     }
 }
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl Eq for Scheduled {}
 
 /// What one run produced: the byte-stable trace, the violations, and
 /// summary counters for assertions and the CLI.
@@ -450,10 +467,10 @@ pub struct Sim {
     /// the rule database, so it survives partition crashes.
     cold: Vec<BTreeMap<QosKey, QosRule>>,
     calls: Vec<Call>,
-    events: BinaryHeap<Scheduled>,
+    events: EventQueue,
     seq: u64,
     fault: Arc<FaultPlan>,
-    trace: String,
+    trace: TraceBuf,
     oracle: OracleState,
     key_names: Vec<String>,
     keys: Vec<QosKey>,
@@ -512,10 +529,14 @@ impl Sim {
             partitions: Vec::new(),
             cold: Vec::new(),
             calls: Vec::new(),
-            events: BinaryHeap::new(),
+            events: EventQueue::default(),
             seq: 0,
             fault,
-            trace: String::new(),
+            trace: TraceBuf::with_capacity(
+                (config.requests as usize)
+                    .saturating_mul(TRACE_BYTES_PER_REQUEST)
+                    .min(TRACE_RESERVE_CAP),
+            ),
             oracle,
             key_names,
             keys,
@@ -544,9 +565,13 @@ impl Sim {
                 poll_scheduled: false,
             });
         }
-        for i in 0..sim.config.requests {
-            let at = T0 + sim.config.request_gap * i;
-            sim.schedule_at(at, Event::Issue(i));
+        // Request `i` is queued as seq `i + 1`, but only when request
+        // `i - 1` runs (`on_issue`): the heap holds one pending issue
+        // instead of all of them, and every event keeps the key it would
+        // have had with all issues queued up front.
+        if sim.config.requests > 0 {
+            sim.schedule_at(T0, Event::Issue(0));
+            sim.seq = u64::from(sim.config.requests);
         }
         for (i, d) in sim.config.directives.clone().iter().enumerate() {
             sim.schedule_at(T0 + d.at, Event::Apply(i));
@@ -619,11 +644,7 @@ impl Sim {
     fn schedule_at(&mut self, at: Nanos, event: Event) {
         let at = at.max(self.clock.now());
         self.seq += 1;
-        self.events.push(Scheduled {
-            at: at.as_nanos(),
-            seq: self.seq,
-            event,
-        });
+        self.events.push(at.as_nanos(), self.seq, event);
     }
 
     fn schedule_in(&mut self, d: Duration, event: Event) {
@@ -649,7 +670,7 @@ impl Sim {
         mut check: impl FnMut(&mut OracleState, &[String], &dyn Fn(usize) -> u64),
     ) -> SimReport {
         let mut processed: u64 = 0;
-        while let Some(Scheduled { at, event, .. }) = self.events.pop() {
+        while let Some((at, event)) = self.events.pop() {
             self.clock.set(Nanos::from_nanos(at));
             self.handle(event);
             let (partitions, owners) = (&self.partitions, &self.owners);
@@ -691,11 +712,11 @@ impl Sim {
         // Every line ends in '\n'; a run that traced nothing still
         // yields one empty line.
         if self.trace.is_empty() {
-            self.trace.push('\n');
+            self.trace.end_line();
         }
         SimReport {
             seed: self.config.seed,
-            trace: self.trace,
+            trace: self.trace.into_string(),
             violations: self.oracle.violations().to_vec(),
             issued: self.calls.len() as u32,
             completed: self.completed,
@@ -760,8 +781,11 @@ impl Sim {
                     .expect("simulated keys only");
                 note!(
                     self,
-                    "p{p} reclaim key={} credit={}",
-                    self.key_names[idx],
+                    "p",
+                    p,
+                    " reclaim key=",
+                    &self.key_names[idx],
+                    " credit=",
                     row.rule.credit.whole()
                 );
                 self.oracle.record_reclaim(idx);
@@ -803,8 +827,11 @@ impl Sim {
             .expect("simulated keys only");
         note!(
             self,
-            "p{partition} readmit key={} credit={}",
-            self.key_names[idx],
+            "p",
+            partition,
+            " readmit key=",
+            &self.key_names[idx],
+            " credit=",
             rule.credit.whole()
         );
         let core = self.partitions[partition].core.as_ref().expect("checked");
@@ -813,6 +840,11 @@ impl Sim {
 
     fn on_issue(&mut self, n: u32) {
         let now = self.clock.now();
+        if n + 1 < self.config.requests {
+            let at = T0 + self.config.request_gap * (n + 1);
+            self.events
+                .push(at.as_nanos(), u64::from(n) + 2, Event::Issue(n + 1));
+        }
         let key_idx = (n as usize) % self.keys.len();
         let key = self.keys[key_idx].clone();
         let name = &self.key_names[key_idx];
@@ -828,7 +860,7 @@ impl Sim {
                     last_sent: now,
                     hedged: false,
                 });
-                note!(self, "issue #{n} key={name} lease-admit");
+                note!(self, "issue #", n, " key=", name, " lease-admit");
                 let reboots = self.partitions[self.owners[key_idx]].reboots;
                 self.oracle.record_lease_admit(key_idx, name, reboots);
                 self.completed += 1;
@@ -845,7 +877,16 @@ impl Sim {
                     last_sent: now,
                     hedged: false,
                 });
-                note!(self, "issue #{n} key={name} -> p{partition} fast-fail");
+                note!(
+                    self,
+                    "issue #",
+                    n,
+                    " key=",
+                    name,
+                    " -> p",
+                    partition,
+                    " fast-fail"
+                );
                 self.complete_local(n, answer);
             }
             RouterStep::Forward {
@@ -881,7 +922,7 @@ impl Sim {
                     last_sent: now,
                     hedged: false,
                 });
-                note!(self, "issue #{n} key={name} -> p{partition}{ask}");
+                note!(self, "issue #", n, " key=", name, " -> p", partition, ask);
                 self.send_attempt(n, 0);
             }
         }
@@ -897,7 +938,7 @@ impl Sim {
             if let Some(budget) = self.router.retry_budget() {
                 if !budget.try_withdraw() {
                     self.budget_refused += 1;
-                    note!(self, "budget-refused #{call} retry {attempt}");
+                    note!(self, "budget-refused #", call, " retry ", attempt);
                     self.give_up(call);
                     return;
                 }
@@ -912,7 +953,13 @@ impl Sim {
         };
         match step {
             AttemptStep::BudgetSpent => {
-                note!(self, "give-up #{call} budget spent at attempt {attempt}");
+                note!(
+                    self,
+                    "give-up #",
+                    call,
+                    " budget spent at attempt ",
+                    attempt
+                );
                 self.give_up(call);
             }
             AttemptStep::Send(request) => {
@@ -929,7 +976,7 @@ impl Sim {
                 } else {
                     "legacy"
                 };
-                note!(self, "send #{call}.{attempt} -> p{partition} ({kind})");
+                note!(self, "send #", call, ".", attempt, " -> p", partition, " (", kind, ")");
                 // Baseline (gray off / warming up) is the configured
                 // fixed timeout, so legacy schedules are untouched.
                 let timeout = self
@@ -973,7 +1020,7 @@ impl Sim {
         if let Some(budget) = self.router.retry_budget() {
             if !budget.try_withdraw() {
                 self.budget_refused += 1;
-                note!(self, "budget-refused #{call} hedge");
+                note!(self, "budget-refused #", call, " hedge");
                 return;
             }
         }
@@ -990,7 +1037,7 @@ impl Sim {
         self.hedges += 1;
         self.oracle.record_wire_extra();
         self.oracle.record_hedged_request(request.id);
-        note!(self, "hedge #{call}.{attempt} -> p{partition} ({tag})");
+        note!(self, "hedge #", call, ".", attempt, " -> p", partition, " (", tag, ")");
         self.calls[call as usize].last_sent = now;
         self.transmit_request(call, partition, request);
     }
@@ -998,7 +1045,7 @@ impl Sim {
     fn transmit_request(&mut self, call: u32, partition: usize, request: QosRequest) {
         let latency = self.config.link_latency * self.partitions[partition].latency_factor;
         match self.fault.judge_fate() {
-            Fate::Drop => note!(self, "net drop req #{call} -> p{partition}"),
+            Fate::Drop => note!(self, "net drop req #", call, " -> p", partition),
             Fate::Deliver(extra) => self.schedule_in(
                 latency + extra,
                 Event::DeliverRequest {
@@ -1008,7 +1055,7 @@ impl Sim {
                 },
             ),
             Fate::Duplicate(extra) => {
-                note!(self, "net dup req #{call} -> p{partition}");
+                note!(self, "net dup req #", call, " -> p", partition);
                 self.schedule_in(
                     latency,
                     Event::DeliverRequest {
@@ -1027,7 +1074,7 @@ impl Sim {
                 );
             }
             Fate::Defer(extra) => {
-                note!(self, "net defer req #{call} -> p{partition}");
+                note!(self, "net defer req #", call, " -> p", partition);
                 self.schedule_in(
                     latency + extra,
                     Event::DeliverRequest {
@@ -1042,12 +1089,12 @@ impl Sim {
 
     fn transmit_response(&mut self, call: u32, partition: usize, response: QosResponse) {
         if self.partitions[partition].severed {
-            note!(self, "net severed resp #{call} from p{partition}");
+            note!(self, "net severed resp #", call, " from p", partition);
             return;
         }
         let latency = self.config.link_latency * self.partitions[partition].latency_factor;
         match self.fault.judge_fate() {
-            Fate::Drop => note!(self, "net drop resp #{call} from p{partition}"),
+            Fate::Drop => note!(self, "net drop resp #", call, " from p", partition),
             Fate::Deliver(extra) => self.schedule_in(
                 latency + extra,
                 Event::DeliverResponse {
@@ -1057,7 +1104,7 @@ impl Sim {
                 },
             ),
             Fate::Duplicate(extra) => {
-                note!(self, "net dup resp #{call} from p{partition}");
+                note!(self, "net dup resp #", call, " from p", partition);
                 self.schedule_in(
                     latency,
                     Event::DeliverResponse {
@@ -1076,7 +1123,7 @@ impl Sim {
                 );
             }
             Fate::Defer(extra) => {
-                note!(self, "net defer resp #{call} from p{partition}");
+                note!(self, "net defer resp #", call, " from p", partition);
                 self.schedule_in(
                     latency + extra,
                     Event::DeliverResponse {
@@ -1092,11 +1139,11 @@ impl Sim {
     fn on_deliver_request(&mut self, call: u32, partition: usize, request: QosRequest) {
         let now = self.clock.now();
         if self.partitions[partition].severed {
-            note!(self, "net severed req #{call} -> p{partition}");
+            note!(self, "net severed req #", call, " -> p", partition);
             return;
         }
         if self.partitions[partition].core.is_none() {
-            note!(self, "p{partition} down, req #{call} lost");
+            note!(self, "p", partition, " down, req #", call, " lost");
             return;
         }
         let (response, queued, dedup_delta, shed_delta, expired_delta) = {
@@ -1123,7 +1170,13 @@ impl Sim {
                 };
                 note!(
                     self,
-                    "p{partition} recv #{call} -> {why} {}",
+                    "p",
+                    partition,
+                    " recv #",
+                    call,
+                    " -> ",
+                    why,
+                    " ",
                     verdict_str(r.verdict)
                 );
             }
@@ -1135,7 +1188,7 @@ impl Sim {
                 } else {
                     "queued"
                 };
-                note!(self, "p{partition} recv #{call} {why}");
+                note!(self, "p", partition, " recv #", call, " ", why);
             }
         }
         if let Some(r) = response {
@@ -1195,15 +1248,28 @@ impl Sim {
             let call = request.id - 1;
             note!(
                 self,
-                "p{partition} decide #{call} {}{suppressed}",
-                verdict_str_bool(allow)
+                "p",
+                partition,
+                " decide #",
+                call,
+                " ",
+                verdict_str_bool(allow),
+                suppressed
             );
             let part_epoch = self.partitions[partition].epoch;
             self.oracle.record_decision(
                 partition, part_epoch, &request, allow, key_idx, name, reboots,
             );
             if drained_delta > 0 {
-                note!(self, "p{partition} lease-drain {drained_delta} key={name}");
+                note!(
+                    self,
+                    "p",
+                    partition,
+                    " lease-drain ",
+                    drained_delta,
+                    " key=",
+                    name
+                );
                 self.oracle
                     .record_lease_drain(key_idx, name, reboots, drained_delta);
             }
@@ -1211,14 +1277,19 @@ impl Sim {
                 if let Some(lease) = &r.lease {
                     note!(
                         self,
-                        "p{partition} grant lease key={name} epoch={} slice={}",
+                        "p",
+                        partition,
+                        " grant lease key=",
+                        name,
+                        " epoch=",
                         lease.epoch,
-                        lease.slice.whole(),
+                        " slice=",
+                        lease.slice.whole()
                     );
                 }
             }
         } else if response.is_none() {
-            note!(self, "p{partition} shed queued job");
+            note!(self, "p", partition, " shed queued job");
         }
         if let Some(r) = response {
             let call = (r.id - 1) as u32;
@@ -1233,7 +1304,7 @@ impl Sim {
     fn on_deliver_response(&mut self, call: u32, partition: usize, response: QosResponse) {
         let now = self.clock.now();
         if self.calls[call as usize].completion.is_some() {
-            note!(self, "router late resp #{call} ignored");
+            note!(self, "router late resp #", call, " ignored");
             return;
         }
         let key_idx = self.calls[call as usize].key_idx;
@@ -1252,8 +1323,13 @@ impl Sim {
         };
         note!(
             self,
-            "router recv #{call} {} backend{hint}{lease}",
-            verdict_str(response.verdict)
+            "router recv #",
+            call,
+            " ",
+            verdict_str(response.verdict),
+            " backend",
+            hint,
+            lease
         );
         // Feed the gray plane: one RTT sample per first answer (no-op
         // while gray is off), and credit the hedge when the answer
@@ -1274,10 +1350,10 @@ impl Sim {
             return;
         }
         if attempt + 1 < self.config.attempts {
-            note!(self, "timeout #{call}.{attempt}, retrying");
+            note!(self, "timeout #", call, ".", attempt, ", retrying");
             self.send_attempt(call, attempt + 1);
         } else {
-            note!(self, "timeout #{call}.{attempt}, out of attempts");
+            note!(self, "timeout #", call, ".", attempt, ", out of attempts");
             self.give_up(call);
         }
     }
@@ -1291,7 +1367,7 @@ impl Sim {
             Some(answer) => self.complete_local(call, answer),
             None => {
                 let verdict = self.router.default_verdict();
-                note!(self, "give-up #{call} default {}", verdict_str(verdict));
+                note!(self, "give-up #", call, " default ", verdict_str(verdict));
                 self.calls[call as usize].completion = Some(Completion::Default(verdict));
                 self.calls[call as usize].completed_at = Some(now);
                 self.completed += 1;
@@ -1305,7 +1381,7 @@ impl Sim {
         let key_idx = self.calls[call as usize].key_idx;
         let completion = match answer {
             LocalAnswer::Degraded(v) => {
-                note!(self, "local #{call} degraded {}", verdict_str(v));
+                note!(self, "local #", call, " degraded ", verdict_str(v));
                 if v == Verdict::Allow {
                     let reboots = self.partitions[self.owners[key_idx]].reboots;
                     self.oracle
@@ -1315,7 +1391,7 @@ impl Sim {
                 Completion::Degraded(v)
             }
             LocalAnswer::Default(v) => {
-                note!(self, "local #{call} default {}", verdict_str(v));
+                note!(self, "local #", call, " default ", verdict_str(v));
                 self.defaulted += 1;
                 Completion::Default(v)
             }
@@ -1339,7 +1415,7 @@ impl Sim {
                 Some(rules) => {
                     let n = rules.len();
                     self.partitions[p].standby = rules;
-                    note!(self, "replicate p{p} rules={n}");
+                    note!(self, "replicate p", p, " rules=", n);
                 }
                 None => self
                     .oracle
@@ -1357,7 +1433,7 @@ impl Sim {
             DirectiveKind::Crash { partition } => {
                 let p = partition % self.partitions.len();
                 if self.partitions[p].core.is_none() {
-                    note!(self, "crash p{p} (already down)");
+                    note!(self, "crash p", p, " (already down)");
                     return;
                 }
                 self.partitions[p].core = None;
@@ -1368,7 +1444,7 @@ impl Sim {
                 } else {
                     self.config.restart_delay
                 };
-                note!(self, "crash p{p}");
+                note!(self, "crash p", p);
                 self.schedule_in(
                     delay,
                     Event::Reboot {
@@ -1383,7 +1459,7 @@ impl Sim {
             } => {
                 let p = partition % self.partitions.len();
                 self.partitions[p].severed = true;
-                note!(self, "sever p{p} for {}us", heal_after.as_micros());
+                note!(self, "sever p", p, " for ", heal_after.as_micros(), "us");
                 self.schedule_in(heal_after, Event::Heal(i));
             }
             DirectiveKind::Burst {
@@ -1399,8 +1475,15 @@ impl Sim {
                     .set_reordering(f64::from(reorder_pct) / 100.0, self.config.link_latency * 8);
                 note!(
                     self,
-                    "burst drop={drop_pct}% dup={dup_pct}% reorder={reorder_pct}% for {}us",
-                    heal_after.as_micros()
+                    "burst drop=",
+                    drop_pct,
+                    "% dup=",
+                    dup_pct,
+                    "% reorder=",
+                    reorder_pct,
+                    "% for ",
+                    heal_after.as_micros(),
+                    "us"
                 );
                 self.schedule_in(heal_after, Event::Heal(i));
             }
@@ -1413,9 +1496,13 @@ impl Sim {
                 self.partitions[p].latency_factor = factor.max(1);
                 note!(
                     self,
-                    "gray p{p} x{} for {}us",
+                    "gray p",
+                    p,
+                    " x",
                     factor.max(1),
-                    heal_after.as_micros()
+                    " for ",
+                    heal_after.as_micros(),
+                    "us"
                 );
                 self.schedule_in(heal_after, Event::Heal(i));
             }
@@ -1435,9 +1522,9 @@ impl Sim {
                             RefillRate::ZERO,
                         );
                         core.apply_rule(rule, now);
-                        note!(self, "rule-change key={name} p{p} (revoke leases)");
+                        note!(self, "rule-change key=", name, " p", p, " (revoke leases)");
                     }
-                    None => note!(self, "rule-change key={name} p{p} (down, dropped)"),
+                    None => note!(self, "rule-change key=", name, " p", p, " (down, dropped)"),
                 }
             }
         }
@@ -1448,7 +1535,7 @@ impl Sim {
             DirectiveKind::Sever { partition, .. } => {
                 let p = partition % self.partitions.len();
                 self.partitions[p].severed = false;
-                note!(self, "heal p{p} link");
+                note!(self, "heal p", p, " link");
             }
             DirectiveKind::Burst { .. } => {
                 self.fault.set_drop_probability(0.0);
@@ -1459,7 +1546,7 @@ impl Sim {
             DirectiveKind::Gray { partition, .. } => {
                 let p = partition % self.partitions.len();
                 self.partitions[p].latency_factor = 1;
-                note!(self, "heal gray p{p}");
+                note!(self, "heal gray p", p);
             }
             DirectiveKind::Crash { .. } | DirectiveKind::RuleChange { .. } => {}
         }
@@ -1482,14 +1569,30 @@ impl Sim {
         } else {
             None
         };
-        let mode = match &restore {
-            Some(rules) => format!("failover restored={} rules", rules.len()),
-            None => "restart fresh rules".to_string(),
-        };
+        let restored = restore.as_ref().map(Vec::len);
         let core = self.boot_core(partition, restore);
         self.partitions[partition].core = Some(core);
         let new_epoch = self.partitions[partition].epoch;
-        note!(self, "boot p{partition} epoch={new_epoch} ({mode})");
+        match restored {
+            Some(n) => note!(
+                self,
+                "boot p",
+                partition,
+                " epoch=",
+                new_epoch,
+                " (failover restored=",
+                n,
+                " rules)"
+            ),
+            None => note!(
+                self,
+                "boot p",
+                partition,
+                " epoch=",
+                new_epoch,
+                " (restart fresh rules)"
+            ),
+        }
     }
 }
 
@@ -1913,6 +2016,56 @@ mod tests {
         assert!(
             report.violations.iter().any(|v| v.contains("hedge-charge")),
             "expected a hedge double-charge violation, got: {:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn reused_slots_still_pop_in_scheduling_order() {
+        // Two early events free slots 2 and 3; the next two pushes take
+        // them back in the opposite order (slot 3, then slot 2). Ties at
+        // the same virtual time must still pop by `seq`, not by slot.
+        let mut queue = EventQueue::default();
+        for (seq, at) in [(1, 5), (2, 5), (3, 1), (4, 1)] {
+            queue.push(at, seq, Event::Issue(seq as u32));
+        }
+        let popped = |queue: &mut EventQueue| match queue.pop() {
+            Some((at, Event::Issue(n))) => (at, n),
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(popped(&mut queue), (1, 3));
+        assert_eq!(popped(&mut queue), (1, 4));
+        for seq in [5, 6] {
+            queue.push(5, seq, Event::Issue(seq as u32));
+        }
+        assert_eq!(queue.slab.len(), 4, "freed slots are reused");
+        let order: Vec<_> = (0..4).map(|_| popped(&mut queue)).collect();
+        assert_eq!(order, [(5, 1), (5, 2), (5, 5), (5, 6)]);
+        assert!(queue.pop().is_none());
+        assert_eq!(queue.free.len(), 4);
+    }
+
+    #[test]
+    fn a_run_that_hits_the_event_cap_reports_a_runaway_schedule() {
+        // Take the run's only request off the queue before it is issued:
+        // the run can never complete it, so the reclaim tick reschedules
+        // forever, and the loop must stop at the cap and say so.
+        let mut sim = Sim::new(SimConfig {
+            requests: 1,
+            partitions: 1,
+            keys: 1,
+            churn: true,
+            ..SimConfig::default()
+        });
+        assert!(matches!(sim.events.pop(), Some((_, Event::Issue(0)))));
+        let report = sim.run();
+        assert_eq!((report.issued, report.completed), (0, 0));
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v == &format!("event cap {EVENT_CAP} exceeded: runaway schedule")),
+            "{:?}",
             report.violations
         );
     }

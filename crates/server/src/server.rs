@@ -94,6 +94,9 @@ pub struct ServerStats {
     pub default_rule_hits: AtomicU64,
     /// House-keeping refill sweeps executed.
     pub refill_sweeps: AtomicU64,
+    /// Idle-key reclaim sweeps completed (table walks, whether or not
+    /// they found an idle key); zero when reclamation is off.
+    pub reclaim_sweeps: AtomicU64,
     /// Check-point rounds completed.
     pub checkpoints: AtomicU64,
     /// Rule-sync rounds that found changes.
@@ -148,6 +151,8 @@ pub struct ServerStatsSnapshot {
     pub default_rule_hits: u64,
     /// House-keeping refill sweeps executed.
     pub refill_sweeps: u64,
+    /// Idle-key reclaim sweeps completed.
+    pub reclaim_sweeps: u64,
     /// Check-point rounds completed.
     pub checkpoints: u64,
     /// Rule-sync rounds that found changes.
@@ -212,6 +217,7 @@ impl ServerStats {
             db_fetches: self.db_fetches.load(Ordering::Relaxed),
             default_rule_hits: self.default_rule_hits.load(Ordering::Relaxed),
             refill_sweeps: self.refill_sweeps.load(Ordering::Relaxed),
+            reclaim_sweeps: self.reclaim_sweeps.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             sync_rounds: self.sync_rounds.load(Ordering::Relaxed),
             lease_grants: self.lease_grants.load(Ordering::Relaxed),
@@ -418,6 +424,7 @@ impl QosServer {
             if let Some(idle_ttl) = config.idle_ttl {
                 spawn_reclaim(
                     Arc::clone(&table),
+                    Arc::clone(&stats),
                     Arc::clone(&clock) as SharedClock,
                     target,
                     idle_ttl,
@@ -968,6 +975,7 @@ const RECLAIM_BATCH: usize = 256;
 #[allow(clippy::too_many_arguments)]
 fn spawn_reclaim(
     table: Arc<dyn QosTable>,
+    stats: Arc<ServerStats>,
     clock: SharedClock,
     db_target: DbTarget,
     idle_ttl: Duration,
@@ -979,6 +987,7 @@ fn spawn_reclaim(
     spawn_periodic("qos-reclaim", shutdown, interval, move || {
         let now = clock.now();
         let reclaimed = table.reclaim_idle(now, idle_ttl, RECLAIM_BATCH);
+        stats.reclaim_sweeps.fetch_add(1, Ordering::Relaxed);
         if reclaimed.is_empty() {
             return;
         }
@@ -1211,7 +1220,11 @@ mod tests {
             Credits::from_whole(7)
         );
         assert_eq!(db.engine().touches(&key("idler")), 3);
-        assert!(server.stats().snapshot().reclaimed_keys >= 1);
+        let snap = server.stats().snapshot();
+        assert!(snap.reclaimed_keys >= 1);
+        // Every walk counts, the empty ones too: the key was reclaimed
+        // after at least one sweep had found it still fresh.
+        assert!(snap.reclaim_sweeps >= 2, "{snap:?}");
         // Readmission resumes where the key left off: 7 allows, then deny.
         let mut allows = 0;
         for id in 1000..1010 {

@@ -23,8 +23,13 @@ fn keyspace_soak_holds_invariants() {
     );
     assert!(
         report.residency_ok,
-        "residency not flat: high-watermark {} slots over bound {}\n{json}",
-        report.resident_high_watermark, report.resident_bound
+        "residency not flat: high-watermark {} slots over bound {}; {} reclaim sweeps, \
+         longest gap between sweeps {}us against a {}us interval\n{json}",
+        report.resident_high_watermark,
+        report.resident_bound,
+        report.reclaim_sweeps,
+        report.longest_sweep_gap_us,
+        KeyspaceSoakConfig::default().reclaim_interval.as_micros()
     );
     assert!(
         report.latency_ok,
