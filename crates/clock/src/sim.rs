@@ -40,23 +40,31 @@ impl SimClock {
     /// Jump the clock to an absolute reading.
     ///
     /// `target` must not be earlier than the current reading; a virtual
-    /// clock is still monotonic.
+    /// clock is still monotonic. A load, the check, then a plain store:
+    /// no read-modify-write, so `set` is for the one thread that drives
+    /// the clock (the simulator's event loop, its only caller). Readers
+    /// on other threads still see every reading in order, but a `set`
+    /// racing another `set` or an [`advance`](Self::advance) may lose
+    /// one of them.
     ///
     /// # Panics
     /// Panics if `target` would move the clock backwards.
+    #[inline]
     pub fn set(&self, target: Nanos) {
-        let prev = self.now.swap(target.as_nanos(), Ordering::SeqCst);
+        let prev = self.now.load(Ordering::Relaxed);
         assert!(
             target.as_nanos() >= prev,
             "SimClock::set would move time backwards: {prev} -> {}",
             target.as_nanos()
         );
+        self.now.store(target.as_nanos(), Ordering::Release);
     }
 }
 
 impl Clock for SimClock {
+    #[inline]
     fn now(&self) -> Nanos {
-        Nanos::from_nanos(self.now.load(Ordering::SeqCst))
+        Nanos::from_nanos(self.now.load(Ordering::Acquire))
     }
 }
 

@@ -69,6 +69,7 @@
 //! when completion times are known.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Duration;
 
 use janus_clock::Nanos;
@@ -83,6 +84,47 @@ use janus_types::QosRequest;
 enum ChargeKey {
     Nonce(u32),
 }
+
+/// A multiply-fold hasher for the per-charge sets, whose keys are a few
+/// small integers the simulator itself chose: one rotate, xor and
+/// multiply per word instead of a SipHash round. It has no key, so it is
+/// no defence against chosen inputs, and the oracle needs none.
+#[derive(Default, Clone, Copy)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply mixes upwards; the rotate brings the mixed high
+        // bits down to where the table picks its bucket.
+        self.0.rotate_left(26)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+type FoldSet<T> = HashSet<T, BuildHasherDefault<FoldHasher>>;
+type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
 /// Accumulated admission history plus the violations found so far.
 #[derive(Debug)]
@@ -105,7 +147,7 @@ pub struct OracleState {
     /// (oracle 6).
     pub reclaims: Vec<u64>,
     /// Stamped decisions already seen: (partition, epoch, nonce).
-    charged: HashSet<(usize, u32, ChargeKey)>,
+    charged: FoldSet<(usize, u32, ChargeKey)>,
     /// Retry-budget shape `(deposit_pct, min_reserve)` when the router
     /// runs one — arms oracle 7's amplification bound.
     budget: Option<(u32, u32)>,
@@ -115,10 +157,10 @@ pub struct OracleState {
     wire_extras: u64,
     /// Request ids the router hedged — their charges are held to the
     /// at-most-one-fresh-charge-per-lifetime rule of oracle 7.
-    hedged_ids: HashSet<u64>,
+    hedged_ids: FoldSet<u64>,
     /// Fresh stamped charges per (partition, epoch, request id) for
     /// hedged requests.
-    hedge_charges: HashMap<(usize, u32, u64), u32>,
+    hedge_charges: FoldMap<(usize, u32, u64), u32>,
     /// Keys whose bound inputs changed since the last sweep, each once,
     /// in the order they were first touched.
     touched: Vec<usize>,
@@ -138,12 +180,12 @@ impl OracleState {
             lease_admits: vec![0; keys],
             lease_drained: vec![0; keys],
             reclaims: vec![0; keys],
-            charged: HashSet::new(),
+            charged: FoldSet::default(),
             budget: None,
             primaries: 0,
             wire_extras: 0,
-            hedged_ids: HashSet::new(),
-            hedge_charges: HashMap::new(),
+            hedged_ids: FoldSet::default(),
+            hedge_charges: FoldMap::default(),
             touched: Vec::with_capacity(keys),
             is_touched: vec![false; keys],
             violations: Vec::new(),

@@ -3,12 +3,18 @@
 //!
 //! A trace line is `[<µs since T0>us] <message>`, exactly the bytes
 //! `writeln!(trace, "[{us:>9}us] {}", format_args!(..))` would produce,
-//! but assembled from literal `&str` pieces, integers through a decimal
-//! digit writer and `&'static str` enum names. Formatting through
-//! `core::fmt` took about a third of a simulated request (EXPERIMENTS.md,
-//! "A trace without core::fmt"). Every piece is UTF-8 (string slices)
-//! or ASCII digits and spaces, so the bytes are validated once, when the
-//! finished trace becomes a `String`.
+//! but assembled from literal `&str` pieces, integers through the
+//! workspace's digit writer ([`janus_types::decimal`]) and `&'static str`
+//! enum names. Formatting through `core::fmt` took about a third of a
+//! simulated request (EXPERIMENTS.md, "A trace without core::fmt"). Every
+//! piece is UTF-8 (string slices) or ASCII digits and spaces, so the
+//! bytes are validated once, when the finished trace becomes a `String`.
+//!
+//! Every method is `#[inline]`: inlined into a `note!` site, a literal
+//! piece is a copy of known length (a few stores, not a `memcpy` call)
+//! and an integer goes digit pairs straight into the buffer.
+
+use janus_types::decimal::{push_padded, push_u64};
 
 /// Columns the timestamp is right-aligned in, as `{us:>9}`.
 const STAMP_WIDTH: usize = 9;
@@ -29,18 +35,21 @@ impl TraceBuf {
     }
 
     /// Start a line stamped `us` microseconds: `[{us:>9}us] `.
+    #[inline]
     pub(crate) fn line(&mut self, us: u64) {
         self.bytes.push(b'[');
-        put_decimal(&mut self.bytes, us, STAMP_WIDTH, b' ');
+        push_padded(&mut self.bytes, us, STAMP_WIDTH, b' ');
         self.bytes.extend_from_slice(b"us] ");
     }
 
     /// Append one piece of the current line, as `{}` would print it.
+    #[inline]
     pub(crate) fn put(&mut self, piece: impl Piece) {
         piece.put_into(&mut self.bytes);
     }
 
     /// End the current line.
+    #[inline]
     pub(crate) fn end_line(&mut self) {
         self.bytes.push(b'\n');
     }
@@ -63,36 +72,42 @@ pub(crate) trait Piece {
 }
 
 impl Piece for &str {
+    #[inline]
     fn put_into(self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.as_bytes());
     }
 }
 
 impl Piece for &String {
+    #[inline]
     fn put_into(self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.as_bytes());
     }
 }
 
 impl Piece for u64 {
+    #[inline]
     fn put_into(self, out: &mut Vec<u8>) {
-        put_decimal(out, self, 0, b' ');
+        push_u64(out, self);
     }
 }
 
 impl Piece for u32 {
+    #[inline]
     fn put_into(self, out: &mut Vec<u8>) {
         u64::from(self).put_into(out);
     }
 }
 
 impl Piece for u8 {
+    #[inline]
     fn put_into(self, out: &mut Vec<u8>) {
         u64::from(self).put_into(out);
     }
 }
 
 impl Piece for usize {
+    #[inline]
     fn put_into(self, out: &mut Vec<u8>) {
         (self as u64).put_into(out);
     }
@@ -102,37 +117,17 @@ impl Piece for usize {
 /// on `u64`: the high part, when there is one, is followed by exactly
 /// 19 low digits.
 impl Piece for u128 {
+    #[inline]
     fn put_into(self, out: &mut Vec<u8>) {
         const SPLIT: u128 = 10_000_000_000_000_000_000;
         match u64::try_from(self) {
             Ok(v) => v.put_into(out),
             Err(_) => {
-                put_decimal(out, (self / SPLIT) as u64, 0, b' ');
-                put_decimal(out, (self % SPLIT) as u64, 19, b'0');
+                push_u64(out, (self / SPLIT) as u64);
+                push_padded(out, (self % SPLIT) as u64, 19, b'0');
             }
         }
     }
-}
-
-/// Append the decimal digits of `v`, right-aligned in at least `width`
-/// columns filled with `fill` (`{v:>width$}` for a space, `{v:0width$}`
-/// for a zero).
-fn put_decimal(out: &mut Vec<u8>, mut v: u64, width: usize, fill: u8) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    let len = digits.len() - start;
-    if len < width {
-        out.resize(out.len() + width - len, fill);
-    }
-    out.extend_from_slice(&digits[start..]);
 }
 
 #[cfg(test)]

@@ -243,15 +243,25 @@ impl WorkerCore {
 }
 
 /// Encode a table snapshot in the HA wire format: `SNAPSHOT <n>\n`
-/// followed by `n` tab-separated rule rows.
+/// followed by `n` tab-separated rule rows
+/// ([`QosRule::write_row`]). One buffer per snapshot, digits through
+/// [`janus_types::decimal`], and one UTF-8 check at the end.
 pub fn encode_snapshot(rules: &[QosRule]) -> String {
-    let mut out = format!("SNAPSHOT {}\n", rules.len());
+    let rows: usize = rules.iter().map(|r| r.key.len() + ROW_ROOM).sum();
+    let mut out = Vec::with_capacity(ROW_ROOM + rows);
+    out.extend_from_slice(b"SNAPSHOT ");
+    janus_types::decimal::push_u64(&mut out, rules.len() as u64);
+    out.push(b'\n');
     for rule in rules {
-        out.push_str(&rule.to_row());
-        out.push('\n');
+        rule.write_row(&mut out);
+        out.push(b'\n');
     }
-    out
+    String::from_utf8(out).expect("snapshot rows are UTF-8 keys plus ASCII")
 }
+
+/// Bytes reserved for the header, and per row beside its key (three
+/// tabs, three short numbers, the newline). A longer snapshot grows.
+const ROW_ROOM: usize = 32;
 
 /// Parse the `SNAPSHOT <n>` header line (already trimmed of its
 /// newline); `None` if the line is not a well-formed header.
@@ -901,5 +911,60 @@ pub(crate) mod tests {
         assert_eq!(parsed, rules);
         assert_eq!(decode_snapshot_header("SNAPSHOT x"), None);
         assert_eq!(decode_snapshot_header("GIMME 2"), None);
+    }
+
+    /// The snapshot bytes `encode_snapshot` wrote through `format!`
+    /// before it moved onto the digit writer.
+    fn snapshot_via_format(rules: &[QosRule]) -> String {
+        fn micro(micro: u64) -> String {
+            let (int, frac) = (micro / 1_000_000, micro % 1_000_000);
+            if frac == 0 {
+                return int.to_string();
+            }
+            let mut s = format!("{int}.{frac:06}");
+            while s.ends_with('0') {
+                s.pop();
+            }
+            s
+        }
+        let mut out = format!("SNAPSHOT {}\n", rules.len());
+        for r in rules {
+            out.push_str(&format!(
+                "{}\t{}\t{}\t{}\n",
+                r.key,
+                micro(r.refill_rate.micro_per_sec()),
+                micro(r.capacity.as_micro()),
+                micro(r.credit.as_micro())
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_bytes_match_the_format_path() {
+        let rule = |name: &str, rate: u64, capacity: u64, credit: u64| QosRule {
+            key: key(name),
+            refill_rate: RefillRate::from_micro_per_sec(rate),
+            capacity: Credits::from_micro(capacity),
+            credit: Credits::from_micro(credit),
+        };
+        let key23 = "k".repeat(janus_types::INLINE_KEY_BYTES);
+        let key24 = "k".repeat(janus_types::INLINE_KEY_BYTES + 1);
+        let rules = vec![
+            rule("zero", 0, 0, 0),
+            rule("whole", 5_000_000, 100_000_000, 42_000_000),
+            rule("fractions", 1_500_000, 1, 1_000_001),
+            rule("max", u64::MAX, u64::MAX, u64::MAX - 1),
+            rule(&key23, 1, 999_999, 10_000_000),
+            rule(&key24, 123_456_789, 120_000, 3),
+        ];
+        assert_eq!(encode_snapshot(&[]), "SNAPSHOT 0\n");
+        let wire = encode_snapshot(&rules);
+        assert_eq!(wire, snapshot_via_format(&rules));
+        assert!(wire.contains("\nfractions\t1.5\t0.000001\t1.000001\n"));
+        assert!(wire.contains("max\t18446744073709.551615\t"));
+        for (row, rule) in wire.lines().skip(1).zip(&rules) {
+            assert_eq!(row, rule.to_row());
+        }
     }
 }

@@ -164,14 +164,24 @@ impl RefillRate {
 
     /// Exact credit accrued over `elapsed`, rounding down.
     ///
-    /// Computed as `rate_micro * elapsed_ns / 1e9` in 128-bit arithmetic:
-    /// no overflow for any u64 rate over any u64-nanosecond interval, and
-    /// no drift — accumulating remainders is the bucket's job (it refills
-    /// from an anchored timestamp, not by summing deltas).
+    /// `rate_micro * elapsed_ns / 1e9`, exact: no overflow for any u64
+    /// rate over any u64-nanosecond interval, and no drift — accumulating
+    /// remainders is the bucket's job (it refills from an anchored
+    /// timestamp, not by summing deltas). When the product fits in a
+    /// `u64` (a refill over any gap shorter than `u64::MAX / rate` ns:
+    /// five hours at a million credits per second) the division is a
+    /// `u64` one by a constant, a multiply; otherwise it is done in
+    /// 128-bit arithmetic, a `__udivti3` call. Both give the same value.
+    #[inline]
     pub fn accrued_over(self, elapsed: Duration) -> Credits {
-        let ns = elapsed.as_nanos().min(u64::MAX as u128);
-        let micro = (self.0 as u128 * ns) / NANOS_PER_SEC;
-        Credits::from_micro(u64::try_from(micro).unwrap_or(u64::MAX))
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        match self.0.checked_mul(ns) {
+            Some(product) => Credits::from_micro(product / NANOS_PER_SEC as u64),
+            None => {
+                let micro = (u128::from(self.0) * u128::from(ns)) / NANOS_PER_SEC;
+                Credits::from_micro(u64::try_from(micro).unwrap_or(u64::MAX))
+            }
+        }
     }
 }
 
@@ -254,6 +264,52 @@ mod tests {
         let rate = RefillRate::from_micro_per_sec(u64::MAX);
         let c = rate.accrued_over(Duration::from_nanos(u64::MAX));
         assert_eq!(c, Credits::MAX);
+    }
+
+    #[test]
+    fn accrual_agrees_with_the_u128_formula_across_the_u64_boundary() {
+        // The u64 path runs while `rate × ns` fits; the u128 path takes
+        // over one nanosecond later. Both must give the 128-bit result.
+        fn reference(rate: u64, ns: u64) -> u64 {
+            let micro = u128::from(rate) * u128::from(ns) / NANOS_PER_SEC;
+            u64::try_from(micro).unwrap_or(u64::MAX)
+        }
+        let mut rng = TestRng::new(0xC4ED_0004);
+        let (mut narrow, mut wide) = (0, 0);
+        for _ in 0..CASES {
+            let shift = rng.below(64);
+            let rate = rng.between(1, u64::MAX >> shift);
+            let edge = u64::MAX / rate;
+            for ns in [
+                0,
+                1,
+                rng.between(0, edge),
+                edge.saturating_sub(1),
+                edge,
+                edge.saturating_add(1),
+                edge.saturating_add(rng.between(0, 1 << 20)),
+                rng.next_u64(),
+                u64::MAX,
+            ] {
+                let got =
+                    RefillRate::from_micro_per_sec(rate).accrued_over(Duration::from_nanos(ns));
+                assert_eq!(got.as_micro(), reference(rate, ns), "rate={rate} ns={ns}");
+                match rate.checked_mul(ns) {
+                    Some(_) => narrow += 1,
+                    None => wide += 1,
+                }
+            }
+        }
+        assert!(
+            narrow > CASES && wide > CASES,
+            "{narrow} u64 cases, {wide} u128 cases"
+        );
+        // Past u64 nanoseconds the interval saturates, as before.
+        let rate = RefillRate::from_micro_per_sec(3);
+        assert_eq!(
+            rate.accrued_over(Duration::MAX),
+            rate.accrued_over(Duration::from_nanos(u64::MAX))
+        );
     }
 
     #[test]

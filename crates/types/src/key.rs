@@ -128,8 +128,14 @@ enum Repr {
 /// Keys are immutable and cheap to clone: up to [`INLINE_KEY_BYTES`] bytes
 /// are stored inline (constructing such a key never allocates — the wire
 /// decoder relies on this), longer keys share an `Arc<str>`. Both the CRC32
-/// routing checksum and the 64-bit table digest are computed once at
-/// construction and cached, so the hot path never re-hashes key bytes.
+/// routing checksum and the 64-bit FNV-1a digest are computed once at
+/// construction and cached: routing, the lock-free table's probe and the
+/// choice of a `ShardedTable` shard read them without touching the key
+/// bytes. A `HashMap<QosKey, _>` still hashes the key text on every
+/// lookup, because [`Hash`] feeds it the `str` (it must equal `str`'s hash
+/// for `Borrow<str>` lookups). Those maps — inside a `ShardedTable`
+/// shard, the router's hint, lease and returns maps, the server's lease
+/// ledger — keep the standard SipHash; DESIGN.md §4d says why.
 #[derive(Clone)]
 pub struct QosKey {
     repr: Repr,

@@ -13,6 +13,8 @@
 //!   request/response admission protocol.
 //! * [`codec`] — the length-delimited binary wire format spoken over UDP
 //!   between the request router and the QoS server.
+//! * [`decimal`] — the `core::fmt`-free digit writer behind rule rows and
+//!   the simulator's trace.
 //! * [`json`] — the minimal JSON value behind the operator surface and the
 //!   machine-readable reports.
 //! * [`sync`] — poison-free locks and the shutdown signal every thread
@@ -23,6 +25,7 @@
 
 pub mod codec;
 mod credits;
+pub mod decimal;
 mod error;
 pub mod json;
 mod key;

@@ -75,13 +75,24 @@ impl QosRule {
     /// so the std-only snapshot core and the deterministic simulator
     /// speak exactly the production encoding.
     pub fn to_row(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}",
-            self.key,
-            format_micro_decimal(self.refill_rate.micro_per_sec()),
-            format_micro_decimal(self.capacity.as_micro()),
-            format_micro_decimal(self.credit.as_micro())
-        )
+        let mut row = Vec::new();
+        self.write_row(&mut row);
+        String::from_utf8(row).expect("a row is the UTF-8 key plus ASCII")
+    }
+
+    /// Append [`QosRule::to_row`]'s bytes to `out`, without a `String`
+    /// per row: the key text, then the three numbers through
+    /// [`decimal::push_micro_decimal`](crate::decimal::push_micro_decimal).
+    pub fn write_row(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.key.as_bytes());
+        for micro in [
+            self.refill_rate.micro_per_sec(),
+            self.capacity.as_micro(),
+            self.credit.as_micro(),
+        ] {
+            out.push(b'\t');
+            crate::decimal::push_micro_decimal(out, micro);
+        }
     }
 
     /// Parse one [`QosRule::to_row`] line back into a rule.
@@ -114,17 +125,9 @@ impl QosRule {
 /// Format a microcredit count as decimal credits, trimming trailing
 /// fractional zeros (`1500000` → `"1.5"`, `2000000` → `"2"`).
 pub fn format_micro_decimal(micro: u64) -> String {
-    let int = micro / 1_000_000;
-    let frac = micro % 1_000_000;
-    if frac == 0 {
-        int.to_string()
-    } else {
-        let mut s = format!("{int}.{frac:06}");
-        while s.ends_with('0') {
-            s.pop();
-        }
-        s
-    }
+    let mut out = Vec::new();
+    crate::decimal::push_micro_decimal(&mut out, micro);
+    String::from_utf8(out).expect("digits are ASCII")
 }
 
 /// Parse a decimal credit count (`"1.5"`, `"2"`, `".25"`) into
