@@ -1,12 +1,12 @@
 //! The lock ablation (DESIGN.md ablation 1): lock-free vs sharded vs
-//! synchronized QoS table under increasing thread counts. The widening
-//! gap is the effect the paper observes as QoS-server CPU
+//! synchronized (one-shard) QoS table under increasing thread counts.
+//! The widening gap is the effect the paper observes as QoS-server CPU
 //! underutilization (Fig. 10b); the lock-free table bounds how much of
 //! it was the locks themselves rather than cache traffic.
 
 use janus_bench::micro::{black_box, BenchmarkId, Harness, Throughput};
 use janus_bench::{bench_group, bench_main};
-use janus_bucket::{LockFreeTable, QosTable, ShardedTable, SyncTable};
+use janus_bucket::{LockFreeTable, QosTable, ShardedTable};
 use janus_clock::Nanos;
 use janus_types::{QosKey, QosRule};
 use std::sync::Arc;
@@ -53,7 +53,7 @@ fn bench_contention(h: &mut Harness) {
         let disciplines: [(&str, MakeTable); 3] = [
             ("lock_free", || Arc::new(LockFreeTable::new())),
             ("sharded", || Arc::new(ShardedTable::new())),
-            ("synchronized", || Arc::new(SyncTable::new())),
+            ("synchronized", || Arc::new(ShardedTable::with_shards(1))),
         ];
         for (name, make) in disciplines {
             group.bench_with_input(BenchmarkId::new(name, threads), &threads, |b, &threads| {

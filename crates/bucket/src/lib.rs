@@ -17,10 +17,10 @@
 //!   thread adds `A × interval` to every bucket, the paper's design. Admits
 //!   within one interval's rounding of lazy refill.
 //!
-//! The local QoS table comes in three flavours: [`table::ShardedTable`]
-//! (lock-striped, the "future work" optimization the paper alludes to),
-//! [`table::SyncTable`] (one global lock, faithfully reproducing the
-//! synchronized-hash-map contention visible in the paper's Fig. 10b), and
+//! The local QoS table comes in two engines: [`table::ShardedTable`]
+//! (lock-striped, the "future work" optimization the paper alludes to;
+//! with one shard it is the paper's one global lock, reproducing the
+//! synchronized-hash-map contention visible in its Fig. 10b), and
 //! [`lockfree::LockFreeTable`] (open addressing over inline
 //! [`atomic::AtomicBucket`] slots: no lock anywhere on the decision path).
 
@@ -36,4 +36,4 @@ pub use atomic::AtomicBucket;
 pub use bucket::LeakyBucket;
 pub use lockfree::{LockFreeTable, TableEngineCells};
 pub use policy::DefaultRulePolicy;
-pub use table::{QosTable, ReclaimedRule, ShardedTable, SyncTable, TableStats};
+pub use table::{QosTable, ReclaimedRule, ShardedTable, TableStats};

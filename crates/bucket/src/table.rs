@@ -3,10 +3,10 @@
 //! Each QoS server owns one partition of the key space and keeps the
 //! corresponding rules in memory as leaky buckets. The paper's Java
 //! implementation uses a *synchronized hash map* and observes CPU
-//! underutilization from that lock on large instances (Fig. 10b);
-//! [`SyncTable`] reproduces that design, while [`ShardedTable`] is the
-//! lock-striped optimization the paper defers to future work. Both
-//! implement [`QosTable`], so the benchmarks contrast them directly.
+//! underutilization from that lock on large instances (Fig. 10b).
+//! [`ShardedTable`] is the lock-striped optimization the paper defers to
+//! future work; built with one shard it *is* that synchronized map, so the
+//! benchmarks contrast the two through one engine.
 
 use crate::LeakyBucket;
 use janus_clock::Nanos;
@@ -211,7 +211,10 @@ fn shard_of(key: &QosKey, shards: usize) -> usize {
 ///
 /// Keys are spread over `S` independent mutex-protected maps, so decisions
 /// for different keys proceed in parallel on different cores. With the
-/// default 64 shards, 16 workers collide rarely.
+/// default 64 shards, 16 workers collide rarely. With
+/// [`with_shards(1)`](Self::with_shards) every decision serializes on one
+/// mutex: the paper's synchronized hash map, kept as the baseline for the
+/// lock-contention ablation (the CPU underutilization of Fig. 10b).
 pub struct ShardedTable {
     /// Each on cache lines of its own: a lock word taken by one core
     /// never invalidates the line holding its neighbour's.
@@ -250,17 +253,6 @@ impl ShardedTable {
     fn shard(&self, key: &QosKey) -> &Mutex<HashMap<QosKey, LeakyBucket>> {
         &self.shards[shard_of(key, self.shards.len())]
     }
-
-    /// Sum of credit across all buckets at `now` (test/diagnostic helper).
-    pub fn total_credit(&self, now: Nanos) -> Credits {
-        let mut total = Credits::ZERO;
-        for shard in &self.shards {
-            for bucket in shard.lock().values() {
-                total += bucket.credit(now);
-            }
-        }
-        total
-    }
 }
 
 impl Default for ShardedTable {
@@ -269,25 +261,16 @@ impl Default for ShardedTable {
     }
 }
 
-/// Charge `bucket` (or count the miss) and report its shape: the whole
-/// decision of a locked table, run under the lock that found the bucket.
-fn decide_locked(
-    bucket: Option<&mut LeakyBucket>,
-    stats: &TableStats,
-    now: Nanos,
-) -> Option<(Verdict, (Credits, RefillRate))> {
-    let Some(bucket) = bucket else {
-        stats.record_miss();
-        return None;
-    };
-    let verdict = bucket.try_consume(now);
-    stats.record(verdict);
-    Some((verdict, (bucket.capacity(), bucket.refill_rate())))
-}
-
 impl QosTable for ShardedTable {
     fn decide_shaped(&self, key: &QosKey, now: Nanos) -> Option<(Verdict, (Credits, RefillRate))> {
-        decide_locked(self.shard(key).lock().get_mut(key), &self.stats, now)
+        let mut shard = self.shard(key).lock();
+        let Some(bucket) = shard.get_mut(key) else {
+            self.stats.record_miss();
+            return None;
+        };
+        let verdict = bucket.try_consume(now);
+        self.stats.record(verdict);
+        Some((verdict, (bucket.capacity(), bucket.refill_rate())))
     }
 
     fn consume_up_to(&self, key: &QosKey, n: u64, now: Nanos) -> u64 {
@@ -379,116 +362,6 @@ impl QosTable for ShardedTable {
     }
 }
 
-/// Single-lock QoS table: the paper's synchronized hash map.
-///
-/// Every decision serializes on one mutex. Kept as a faithful model of the
-/// published system and as the baseline for the lock-contention ablation;
-/// the measured gap between `SyncTable` and [`ShardedTable`] under
-/// multi-threaded load is the effect the paper reports as QoS-server CPU
-/// underutilization (Fig. 10b).
-pub struct SyncTable {
-    map: Mutex<HashMap<QosKey, LeakyBucket>>,
-    stats: TableStats,
-}
-
-impl SyncTable {
-    /// An empty synchronized table.
-    pub fn new() -> Self {
-        SyncTable {
-            map: Mutex::new(HashMap::new()),
-            stats: TableStats::default(),
-        }
-    }
-}
-
-impl Default for SyncTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QosTable for SyncTable {
-    fn decide_shaped(&self, key: &QosKey, now: Nanos) -> Option<(Verdict, (Credits, RefillRate))> {
-        decide_locked(self.map.lock().get_mut(key), &self.stats, now)
-    }
-
-    fn consume_up_to(&self, key: &QosKey, n: u64, now: Nanos) -> u64 {
-        let taken = self
-            .map
-            .lock()
-            .get_mut(key)
-            .map_or(0, |bucket| bucket.try_consume_up_to(n, now));
-        self.stats.record_allows(taken);
-        taken
-    }
-
-    fn shape(&self, key: &QosKey) -> Option<(Credits, RefillRate)> {
-        self.map
-            .lock()
-            .get(key)
-            .map(|bucket| (bucket.capacity(), bucket.refill_rate()))
-    }
-
-    fn insert(&self, rule: QosRule, now: Nanos) {
-        let mut map = self.map.lock();
-        match map.get_mut(&rule.key) {
-            Some(existing) => existing.apply_rule_update(&rule, now),
-            None => {
-                let bucket = LeakyBucket::from_rule(&rule, now);
-                map.insert(rule.key, bucket);
-            }
-        }
-    }
-
-    fn apply_update(&self, rule: &QosRule, now: Nanos) -> bool {
-        match self.map.lock().get_mut(&rule.key) {
-            Some(bucket) => {
-                bucket.apply_rule_update(rule, now);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn remove(&self, key: &QosKey) -> bool {
-        self.map.lock().remove(key).is_some()
-    }
-
-    fn len(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    fn keys(&self) -> Vec<QosKey> {
-        self.map.lock().keys().cloned().collect()
-    }
-
-    fn snapshot(&self, now: Nanos) -> Vec<QosRule> {
-        self.map
-            .lock()
-            .iter()
-            .map(|(key, bucket)| bucket.to_rule(key.clone(), now))
-            .collect()
-    }
-
-    fn restore(&self, rules: Vec<QosRule>, now: Nanos) {
-        let mut map = self.map.lock();
-        for rule in rules {
-            let bucket = LeakyBucket::from_rule(&rule, now);
-            map.insert(rule.key, bucket);
-        }
-    }
-
-    fn sweep_refill(&self, now: Nanos) {
-        for bucket in self.map.lock().values_mut() {
-            bucket.refill(now);
-        }
-    }
-
-    fn stats(&self) -> TableStatsSnapshot {
-        self.stats.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,7 +379,6 @@ mod tests {
         vec![
             ("sharded", Arc::new(ShardedTable::new())),
             ("sharded-1", Arc::new(ShardedTable::with_shards(1))),
-            ("sync", Arc::new(SyncTable::new())),
             ("lock-free", Arc::new(crate::LockFreeTable::new())),
             // A deliberately tiny slot array so the shared tests also
             // run their rules through successor installs and the
@@ -874,14 +746,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         ShardedTable::with_shards(0);
-    }
-
-    #[test]
-    fn total_credit_sums_buckets() {
-        let table = ShardedTable::new();
-        table.insert(rule("a", 10, 0), Nanos::ZERO);
-        table.insert(rule("b", 5, 0), Nanos::ZERO);
-        assert_eq!(table.total_credit(Nanos::ZERO), Credits::from_whole(15));
     }
 }
 

@@ -62,12 +62,12 @@ pub enum TableKind {
     /// Lock-striped table: decisions for different keys run in parallel.
     Sharded,
     /// One global lock — the paper's synchronized hash map, kept for the
-    /// lock-contention ablation.
+    /// lock-contention ablation: a one-shard [`janus_bucket::ShardedTable`].
     Synchronized,
     /// Lock-free open-addressing table over atomic buckets: no lock on
-    /// the decision path on either plane. The server exports its
-    /// CAS-retry and probe-length counters through
-    /// [`crate::ServerStats`].
+    /// the decision path. The only table the per-core plane and idle-key
+    /// reclaim run on; the server exports its CAS-retry and probe-length
+    /// counters through [`crate::ServerStats`].
     LockFree,
 }
 
@@ -84,7 +84,8 @@ pub enum SocketMode {
     /// The fast plane: each worker binds its own `SO_REUSEPORT` socket
     /// on the same address and receives, decides and answers its own
     /// batches run-to-completion — kernel flow steering replaces the
-    /// listener→FIFO hop entirely. Linux only (spawn fails elsewhere).
+    /// listener→FIFO hop entirely. [`TableKind::LockFree`] only; Linux
+    /// only (spawn fails elsewhere).
     PerCore,
 }
 
@@ -151,8 +152,8 @@ pub struct QosServerConfig {
     /// Demote keys with no decisions for this long from the in-memory
     /// table to the database cold tier, folding their exact credit and
     /// hotness back. `None` (default) keeps every key resident forever —
-    /// the paper's behaviour. Only [`TableKind::LockFree`] tracks
-    /// idleness; other tables ignore the knob.
+    /// the paper's behaviour. [`TableKind::LockFree`] only: the locked
+    /// tables track no idleness.
     pub idle_ttl: Option<Duration>,
     /// How often the reclaim driver sweeps for idle keys (only with
     /// `idle_ttl` set).
@@ -238,6 +239,13 @@ impl QosServerConfig {
         if self.warmup_batch == 0 {
             return Err(janus_types::JanusError::config("warmup_batch must be > 0"));
         }
+        if self.table != TableKind::LockFree
+            && (self.socket_mode == SocketMode::PerCore || self.idle_ttl.is_some())
+        {
+            return Err(janus_types::JanusError::config(
+                "socket_mode PerCore and idle_ttl run only on table LockFree",
+            ));
+        }
         if let Some(ttl) = self.idle_ttl {
             if ttl.is_zero() {
                 return Err(janus_types::JanusError::config(
@@ -317,12 +325,37 @@ mod tests {
         let mut c = QosServerConfig::default();
         c.reclaim_interval = Duration::ZERO;
         assert!(c.validate().is_ok(), "no idle_ttl: interval is ignored");
+        c.table = TableKind::LockFree;
         c.idle_ttl = Some(Duration::from_secs(60));
         assert!(c.validate().is_err(), "zero reclaim_interval rejected");
         c.reclaim_interval = Duration::from_secs(5);
         assert!(c.validate().is_ok());
         c.idle_ttl = Some(Duration::ZERO);
         assert!(c.validate().is_err(), "zero idle_ttl rejected");
+    }
+
+    #[test]
+    fn per_core_plane_and_idle_reclaim_need_the_lock_free_table() {
+        use SocketMode::{PerCore, SingleListener};
+        use TableKind::{LockFree, Sharded, Synchronized};
+        let ttl = Some(Duration::from_secs(60));
+        for table in [Sharded, Synchronized, LockFree] {
+            for (socket_mode, idle_ttl) in [
+                (SingleListener, None),
+                (PerCore, None),
+                (SingleListener, ttl),
+                (PerCore, ttl),
+            ] {
+                let mut c = QosServerConfig::default();
+                (c.socket_mode, c.table, c.idle_ttl) = (socket_mode, table, idle_ttl);
+                let valid = table == LockFree || (socket_mode, idle_ttl) == (SingleListener, None);
+                assert_eq!(
+                    c.validate().is_ok(),
+                    valid,
+                    "{socket_mode:?} {table:?} {idle_ttl:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -38,13 +38,14 @@
 //! stamp comes from.
 //!
 //! The local table is one of three ([`TableKind`]):
-//! [`TableKind::Synchronized`] reproduces the paper's single-lock design,
-//! [`TableKind::Sharded`] is the lock-striped optimization (DESIGN.md
-//! ablation 1), and [`TableKind::LockFree`] runs the open-addressing
-//! atomic-bucket table with no lock on the decision path (DESIGN.md
-//! ablation 10), exporting its CAS-retry and probe-length counters
-//! through [`ServerStats`]. Every table is safe under concurrent
-//! deciders, so any table runs on either plane.
+//! [`TableKind::Synchronized`] reproduces the paper's single-lock design
+//! (a one-shard `ShardedTable`), [`TableKind::Sharded`] is the
+//! lock-striped optimization (DESIGN.md ablation 1), and
+//! [`TableKind::LockFree`] runs the open-addressing atomic-bucket table
+//! with no lock on the decision path (DESIGN.md ablation 10), exporting
+//! its CAS-retry and probe-length counters through [`ServerStats`]. The
+//! listener plane runs any table; the per-core plane and idle-key
+//! reclaim run on the lock-free one only.
 
 mod config;
 pub mod core;

@@ -15,8 +15,9 @@
 //!   is no user-space queue to measure. The sojourn governor therefore
 //!   never runs; staleness shedding still applies (arrival-stamped).
 //! * Flow steering hashes the *client* 4-tuple, not the QoS key, so any
-//!   worker may decide any key — as on the listener plane. Every table
-//!   kind is safe under concurrent deciders by construction.
+//!   worker may decide any key — as on the listener plane. The plane
+//!   runs only on the lock-free table (`QosServerConfig::validate`
+//!   rejects the locked ones), so no decision on it takes a lock.
 //! * Duplicate suppression still serializes through the one shared
 //!   dedup window. Duplicates of one attempt come from one client
 //!   socket, hence land on one worker, so the Pending→record sequence

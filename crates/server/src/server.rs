@@ -23,7 +23,7 @@ use crate::ha;
 use crate::lease::{LeaseLedger, TableCharge};
 use crate::overload::DedupWindow;
 use crate::percore;
-use janus_bucket::{LockFreeTable, QosTable, ShardedTable, SyncTable, TableEngineCells};
+use janus_bucket::{LockFreeTable, QosTable, ShardedTable, TableEngineCells};
 use janus_clock::{Nanos, SharedClock};
 use janus_db::DbClient;
 use janus_net::fault::FaultPlan;
@@ -108,18 +108,10 @@ pub struct ServerStats {
     pub db_timeouts: AtomicU64,
     /// Requests currently queued between listener and workers (gauge).
     pub fifo_depth: AtomicU64,
-    /// Bucket CAS retries on the decision path. Only the lock-free table
-    /// writes here (the cell is shared into it at spawn); always zero
-    /// under the locked table kinds.
-    pub cas_retries: Arc<AtomicU64>,
-    /// Open-addressing probe steps beyond the home slot (lock-free table
-    /// only) — a clustering / fill-factor proxy.
-    pub probe_steps: Arc<AtomicU64>,
-    /// Memory-engine gauges shared into the lock-free table at spawn:
-    /// resident open slots, active-generation slot count, completed
-    /// resizes, migrated slots and reclaimed keys. All zero under the
-    /// locked table kinds. (The table writes its CAS-retry and probe
-    /// counters into the sibling cells above, not this block's copies.)
+    /// Engine counters shared into the lock-free table at spawn: bucket
+    /// CAS retries and probe steps on the decision path, resident open
+    /// slots, active-generation slot count, completed resizes, migrated
+    /// slots and reclaimed keys. All zero under the locked table kinds.
     pub engine: TableEngineCells,
     /// Streaming warm-up batches applied at preload (non-empty pages of
     /// the hottest-first cold-tier scan).
@@ -223,8 +215,8 @@ impl ServerStats {
             lease_grants: self.lease_grants.load(Ordering::Relaxed),
             db_timeouts: self.db_timeouts.load(Ordering::Relaxed),
             fifo_depth: self.fifo_depth.load(Ordering::Relaxed),
-            cas_retries: self.cas_retries.load(Ordering::Relaxed),
-            probe_steps: self.probe_steps.load(Ordering::Relaxed),
+            cas_retries: self.engine.cas_retries.load(Ordering::Relaxed),
+            probe_steps: self.engine.probe_steps.load(Ordering::Relaxed),
             open_slots,
             occupancy_pct: (open_slots * 100).checked_div(slot_count).unwrap_or(0),
             resizes: self.engine.resizes.load(Ordering::Relaxed),
@@ -289,14 +281,10 @@ impl QosServer {
         let stats = Arc::new(ServerStats::default());
         let table: Arc<dyn QosTable> = match config.table {
             TableKind::Sharded => Arc::new(ShardedTable::new()),
-            TableKind::Synchronized => Arc::new(SyncTable::new()),
+            TableKind::Synchronized => Arc::new(ShardedTable::with_shards(1)),
             TableKind::LockFree => Arc::new(LockFreeTable::with_cells(
                 config.table_slots,
-                TableEngineCells {
-                    cas_retries: Arc::clone(&stats.cas_retries),
-                    probe_steps: Arc::clone(&stats.probe_steps),
-                    ..stats.engine.clone()
-                },
+                stats.engine.clone(),
             )),
         };
         let shutdown = Shutdown::new();

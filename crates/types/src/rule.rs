@@ -131,14 +131,16 @@ pub fn format_micro_decimal(micro: u64) -> String {
 }
 
 /// Parse a decimal credit count (`"1.5"`, `"2"`, `".25"`) into
-/// microcredits, rejecting more than six fractional digits.
+/// microcredits, rejecting more than six fractional digits. The fraction
+/// is zero to six ASCII digits and nothing else (no sign), read in place.
 pub fn parse_micro_decimal(s: &str) -> Result<u64> {
+    let bad = || JanusError::db(format!("bad number {s:?}"));
     let (int_part, frac_part) = match s.split_once('.') {
         Some((i, f)) => (i, f),
         None => (s, ""),
     };
     if int_part.is_empty() && frac_part.is_empty() {
-        return Err(JanusError::db(format!("bad number {s:?}")));
+        return Err(bad());
     }
     if frac_part.len() > 6 {
         return Err(JanusError::db(format!(
@@ -148,18 +150,17 @@ pub fn parse_micro_decimal(s: &str) -> Result<u64> {
     let int: u64 = if int_part.is_empty() {
         0
     } else {
-        int_part
-            .parse()
-            .map_err(|_| JanusError::db(format!("bad number {s:?}")))?
+        int_part.parse().map_err(|_| bad())?
     };
-    let frac: u64 = if frac_part.is_empty() {
-        0
-    } else {
-        let padded = format!("{frac_part:0<6}");
-        padded
-            .parse()
-            .map_err(|_| JanusError::db(format!("bad number {s:?}")))?
-    };
+    let mut frac = 0u64;
+    for i in 0..6 {
+        let digit = match frac_part.as_bytes().get(i) {
+            None => 0,
+            Some(b) if b.is_ascii_digit() => u64::from(b - b'0'),
+            Some(_) => return Err(bad()),
+        };
+        frac = frac * 10 + digit;
+    }
     int.checked_mul(1_000_000)
         .and_then(|i| i.checked_add(frac))
         .ok_or_else(|| JanusError::db(format!("number {s:?} out of range")))
@@ -235,5 +236,93 @@ mod tests {
         }
         assert_eq!(parse_micro_decimal(".25").unwrap(), 250_000);
         assert!(parse_micro_decimal(".").is_err());
+    }
+
+    #[test]
+    fn micro_decimal_fraction_is_digits_only() {
+        for s in ["1.+5", "1.+", "1.5x", "1.-5", "1. 5", "1.5.0"] {
+            let err = parse_micro_decimal(s).unwrap_err().to_string();
+            assert!(err.contains("bad number"), "{s:?}: {err}");
+        }
+    }
+
+    /// The parser before the fraction was read in place: it padded the
+    /// fraction into a `String` and let `u64::parse` take a sign there.
+    fn parse_micro_decimal_padded(s: &str) -> Result<u64> {
+        let (int_part, frac_part) = match s.split_once('.') {
+            Some((i, f)) => (i, f),
+            None => (s, ""),
+        };
+        if int_part.is_empty() && frac_part.is_empty() {
+            return Err(JanusError::db(format!("bad number {s:?}")));
+        }
+        if frac_part.len() > 6 {
+            return Err(JanusError::db(format!(
+                "number {s:?} exceeds 6 fractional digits"
+            )));
+        }
+        let int: u64 = if int_part.is_empty() {
+            0
+        } else {
+            int_part
+                .parse()
+                .map_err(|_| JanusError::db(format!("bad number {s:?}")))?
+        };
+        let frac: u64 = if frac_part.is_empty() {
+            0
+        } else {
+            format!("{frac_part:0<6}")
+                .parse()
+                .map_err(|_| JanusError::db(format!("bad number {s:?}")))?
+        };
+        int.checked_mul(1_000_000)
+            .and_then(|i| i.checked_add(frac))
+            .ok_or_else(|| JanusError::db(format!("number {s:?} out of range")))
+    }
+
+    #[test]
+    fn micro_decimal_matches_the_padding_parser_on_digits() {
+        // Integer parts of every magnitude up to past the `u64`
+        // microcredit edge (u64::MAX / 10^6 = 18446744073709), with 0–6
+        // fractional digits, with and without the point: results and
+        // errors agree with the old parser.
+        use crate::testrng::{TestRng, CASES};
+        let edge = u64::MAX / 1_000_000;
+        let mut rng = TestRng::new(0xdec2);
+        for case in 0..CASES * 8 {
+            let int = match case % 4 {
+                0 => edge - rng.below(3),
+                1 => edge + rng.below(3),
+                _ => rng.below(edge * 2) >> rng.below(48),
+            };
+            let digits = rng.below(7) as usize;
+            let frac: String = (0..digits)
+                .map(|_| char::from(b'0' + rng.below(10) as u8))
+                .collect();
+            let int_text = if int == 0 && rng.coin() {
+                String::new()
+            } else {
+                int.to_string()
+            };
+            let s = match (digits, rng.coin()) {
+                (0, true) => int_text,
+                _ => format!("{int_text}.{frac}"),
+            };
+            let (new, old) = (parse_micro_decimal(&s), parse_micro_decimal_padded(&s));
+            match (new, old) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{s:?}"),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{s:?}"),
+                (a, b) => panic!("{s:?}: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn micro_decimal_parses_without_allocating() {
+        let allocs = crate::alloc_counter::allocations_during(|| {
+            assert_eq!(parse_micro_decimal("12.345").unwrap(), 12_345_000);
+            assert_eq!(parse_micro_decimal(".5").unwrap(), 500_000);
+        });
+        assert_eq!(allocs, 0, "parsing allocated {allocs} times");
     }
 }
