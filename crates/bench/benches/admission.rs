@@ -49,7 +49,7 @@ fn bench_full_stack(h: &mut Harness) {
 
 fn bench_udp_leg_only(h: &mut Harness) {
     // Router→QoS-server UDP exchange in isolation (no HTTP, no LB): the
-    // paper's socket-per-request strategy vs one shared socket.
+    // paper's socket-per-request strategy vs the reusing client.
     use janus_net::fault::FaultPlan;
     use janus_net::udp::{UdpRpcClient, UdpRpcConfig};
     use janus_server::QosServer;
@@ -60,14 +60,15 @@ fn bench_udp_leg_only(h: &mut Harness) {
     let server = QosServer::spawn(config, None, janus_clock::system()).expect("server");
     let key = QosKey::new("tenant").unwrap();
 
-    let shared = UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none())
-        .expect("shared socket");
     for (label, rpc) in [
         (
             "per_request_socket",
             UdpRpcClient::new(UdpRpcConfig::lan_defaults()),
         ),
-        ("pooled_socket", shared),
+        (
+            "pooled_socket",
+            UdpRpcClient::reusing(UdpRpcConfig::lan_defaults(), FaultPlan::none()),
+        ),
     ] {
         let mut id = 0u64;
         h.bench_function(format!("admission/udp_leg/{label}"), |b| {
@@ -108,17 +109,9 @@ fn bench_udp_leg_concurrent(h: &mut Harness) {
         config.table = table;
         let server = QosServer::spawn(config, None, janus_clock::system()).expect("server");
         let addr = server.udp_addr();
-        // The listener plane shares one client socket; per-core sockets
-        // are steered by client 4-tuple, so each check thread gets its
-        // own socket (its own flow) there.
-        let bind = || {
-            UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none())
-                .expect("shared socket")
-        };
-        let shared = (socket_mode == SocketMode::SingleListener).then(bind);
-        let rpcs: Vec<UdpRpcClient> = (0..CONCURRENCY)
-            .map(|_| shared.clone().unwrap_or_else(bind))
-            .collect();
+        // One reusing client: each check in flight owns its socket, so
+        // per-core sockets see one flow per check thread.
+        let rpc = UdpRpcClient::reusing(UdpRpcConfig::lan_defaults(), FaultPlan::none());
         let keys: Vec<QosKey> = (0..CONCURRENCY)
             .map(|i| QosKey::new(format!("tenant-{i}")).unwrap())
             .collect();
@@ -128,7 +121,8 @@ fn bench_udp_leg_concurrent(h: &mut Harness) {
             b.iter_custom(|iters| {
                 let start = std::time::Instant::now();
                 std::thread::scope(|scope| {
-                    for (t, (key, rpc)) in keys.iter().zip(&rpcs).enumerate() {
+                    for (t, key) in keys.iter().enumerate() {
+                        let rpc = &rpc;
                         scope.spawn(move || {
                             for i in 0..iters {
                                 let id = ((t as u64) << 32) | i;

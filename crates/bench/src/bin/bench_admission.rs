@@ -1,7 +1,7 @@
 //! Admission data-plane sweep (DESIGN.md ablation 9).
 //!
 //! Spawns a real QoS server per variant and hammers it over loopback
-//! with shared-socket UDP clients, contrasting the paper plane (one
+//! with a reusing UDP client, contrasting the paper plane (one
 //! listener, one FIFO) under each table kind with the per-core fast
 //! plane. Writes
 //! `BENCH_admission.json` next to the working directory so the measured

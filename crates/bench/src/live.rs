@@ -1,7 +1,7 @@
 //! Live (loopback-process) admission throughput sweeps.
 //!
 //! Unlike the `janus-sim` experiments, these spin up a real
-//! [`QosServer`] and a real shared-socket UDP client in-process and
+//! [`QosServer`] and a real reusing UDP client in-process and
 //! hammer the admission path, so the numbers include every syscall,
 //! wakeup and lock the data plane actually pays. The sweep contrasts the
 //! server's two planes — the paper's listener + FIFO under every table
@@ -234,8 +234,8 @@ pub struct AdmissionAxes {
 }
 
 /// Run one variant: spawn a standalone allow-all QoS server configured
-/// per `variant`, share one shared-socket client across `clients`
-/// concurrent tasks, and time `clients × requests_per_client` checks.
+/// per `variant`, share one reusing client across `clients` concurrent
+/// tasks, and time `clients × requests_per_client` checks.
 pub fn run_admission_variant(
     variant: &AdmissionVariant,
     clients: usize,
@@ -291,26 +291,19 @@ pub fn run_admission_variant_with(
         }
     }
 
-    // SO_REUSEPORT steers by client 4-tuple: one shared client socket
-    // would pin the whole load onto one per-core worker, so the per-core
-    // variant gives every client task its own socket (its own flow).
-    let bind = || {
-        UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none())
-            .expect("shared-socket client")
-    };
-    let shared = (variant.socket_mode == SocketMode::SingleListener).then(bind);
-    let rpcs: Vec<UdpRpcClient> = (0..clients)
-        .map(|_| shared.clone().unwrap_or_else(bind))
-        .collect();
-    // Request ids need only be unique among calls in flight on one
-    // socket: client task `c` numbers its checks in its own 2^32 range.
+    // One reusing client for every task: each call in flight owns its
+    // socket, hence its own flow for SO_REUSEPORT to steer.
+    let rpc = UdpRpcClient::reusing(UdpRpcConfig::lan_defaults(), FaultPlan::none());
+    // Request ids must not repeat while a late answer can still reach a
+    // reused socket: client task `c` numbers its checks in its own 2^32
+    // range.
     let request_id = |c: usize, seq: usize| ((c as u64) << 32) | seq as u64;
 
     // Warm the table (first sighting of every key inserts a guest rule)
     // so the timed section measures the steady-state hot path. The lease
     // variant warms its shared hot keys instead.
     let keys_per_client = axes.keyspace.unwrap_or(8);
-    for (c, rpc) in rpcs.iter().enumerate() {
+    for c in 0..clients {
         for k in 0..keys_per_client {
             let key = if variant.lease {
                 QosKey::new(format!("hot-k{}", k % hot_keys)).unwrap()
@@ -329,7 +322,8 @@ pub fn run_admission_variant_with(
     // configured fixed timeout until the RTT window warms up.
     let baseline = UdpRpcConfig::lan_defaults().timeout;
     let mut handles = Vec::with_capacity(clients);
-    for (c, rpc) in rpcs.iter().cloned().enumerate() {
+    for c in 0..clients {
+        let rpc = rpc.clone();
         let clock = clock.clone();
         handles.push(std::thread::spawn(move || {
             let keys: Vec<QosKey> = if lease {

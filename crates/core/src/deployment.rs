@@ -57,9 +57,9 @@ pub struct DeploymentConfig {
     pub udp: janus_net::udp::UdpRpcConfig,
     /// Router's reply when a partition never answers.
     pub default_verdict: Verdict,
-    /// Routers use a shared, demultiplexed UDP socket instead of the
-    /// paper's socket-per-request discipline (see
-    /// `janus_net::udp::UdpRpcClient::bind_shared`).
+    /// Routers reuse idle connected UDP sockets across checks instead of
+    /// the paper's socket-per-request discipline (see
+    /// `janus_net::udp::UdpRpcClient::reusing`).
     pub pooled_rpc: bool,
     /// Spawn a slave per QoS server plus a health monitor that promotes
     /// it via DNS failover.
@@ -71,13 +71,6 @@ pub struct DeploymentConfig {
     pub db_ha: bool,
     /// Slave replication interval (only with `ha`).
     pub replication_interval: Duration,
-    /// Probe interval of the QoS/DB failover health monitors (with `ha`
-    /// or `db_ha`). Shorter detects crashes faster at the price of more
-    /// probe traffic.
-    pub health_probe_interval: Duration,
-    /// Consecutive failed probes before a failover monitor promotes the
-    /// standby.
-    pub health_fail_threshold: u32,
     /// Per-partition circuit breaker on every router. `None` reproduces
     /// the paper exactly: full retry budget on every request, default
     /// reply on exhaustion, no degraded local admission.
@@ -103,8 +96,6 @@ impl Default for DeploymentConfig {
             ha: false,
             db_ha: false,
             replication_interval: Duration::from_millis(50),
-            health_probe_interval: Duration::from_millis(25),
-            health_fail_threshold: 3,
             breaker: None,
             gateway_health: None,
             rules: Vec::new(),
@@ -131,6 +122,15 @@ struct DbLayer {
 /// DNS name of the database failover record.
 const DB_DNS_NAME: &str = "db.janus.internal";
 
+/// Probe interval of the QoS/DB failover health monitors (with `ha` or
+/// `db_ha`). Shorter detects crashes faster at the price of more probe
+/// traffic.
+const HEALTH_PROBE_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Consecutive failed probes before a failover monitor promotes the
+/// standby.
+const HEALTH_FAIL_THRESHOLD: u32 = 3;
+
 /// A running Janus deployment on loopback: one process, many nodes.
 pub struct Deployment {
     clock: SharedClock,
@@ -140,22 +140,15 @@ pub struct Deployment {
     routers: RwLock<Vec<RequestRouter>>,
     gateways: Vec<GatewayLb>,
     dns_lb: Option<DnsLb>,
-    /// Everything needed to spawn another router node at runtime.
-    router_template: RouterTemplate,
+    /// Every router node's configuration: another node spawned at
+    /// runtime gets a clone.
+    router_config: RouterConfig,
+    /// The published record's TTL under DNS load balancing.
+    lb_ttl: Option<Duration>,
     /// Everything needed to respawn a QoS server node at runtime
     /// (healing a blacked-out partition in fault drills).
     server_config: QosServerConfig,
     db_target: DbTarget,
-}
-
-struct RouterTemplate {
-    backends: Vec<Backend>,
-    udp: janus_net::udp::UdpRpcConfig,
-    default_verdict: Verdict,
-    pooled_rpc: bool,
-    breaker: Option<BreakerConfig>,
-    fleet_size: usize,
-    lb_ttl: Option<Duration>,
 }
 
 impl Deployment {
@@ -192,8 +185,8 @@ impl Deployment {
                 Arc::clone(&zone),
                 DB_DNS_NAME.to_string(),
                 |addr| addr,
-                config.health_probe_interval,
-                config.health_fail_threshold,
+                HEALTH_PROBE_INTERVAL,
+                HEALTH_FAIL_THRESHOLD,
             );
             DbLayer {
                 master: Some(master),
@@ -263,8 +256,8 @@ impl Deployment {
                     Arc::clone(&zone),
                     dns_name.clone(),
                     move |udp_addr| probe_map.get(&udp_addr).copied().unwrap_or(udp_addr),
-                    config.health_probe_interval,
-                    config.health_fail_threshold,
+                    HEALTH_PROBE_INTERVAL,
+                    HEALTH_FAIL_THRESHOLD,
                 ))
             } else {
                 None
@@ -280,25 +273,28 @@ impl Deployment {
         }
 
         // Request router layer.
-        let backends: Vec<Backend> = partitions
-            .iter()
-            .map(|p| Backend::Named(p.dns_name.clone()))
-            .collect();
+        let router_config = RouterConfig {
+            backends: partitions
+                .iter()
+                .map(|p| Backend::Named(p.dns_name.clone()))
+                .collect(),
+            udp: config.udp,
+            default_verdict: config.default_verdict,
+            pooled_rpc: config.pooled_rpc,
+            breaker: config.breaker,
+            // Routers spawned by `scale_routers` keep the launch-time
+            // fleet size for the degraded-bucket split: a scaled fleet
+            // briefly over- or under-splits, which the soak's slack bound
+            // absorbs.
+            fleet_size: config.routers,
+            deadline_propagation: true,
+            lease: false,
+            gray: None,
+        };
         let mut routers = Vec::with_capacity(config.routers);
         for _ in 0..config.routers {
             let resolver = Arc::new(Resolver::new(Arc::clone(&zone), Arc::clone(&clock)));
-            let router_config = RouterConfig {
-                backends: backends.clone(),
-                udp: config.udp.clone(),
-                default_verdict: config.default_verdict,
-                pooled_rpc: config.pooled_rpc,
-                breaker: config.breaker,
-                fleet_size: config.routers,
-                deadline_propagation: true,
-                lease: false,
-                gray: None,
-            };
-            routers.push(RequestRouter::spawn(router_config, Some(resolver))?);
+            routers.push(RequestRouter::spawn(router_config.clone(), Some(resolver))?);
         }
 
         // Load balancer layer.
@@ -353,15 +349,8 @@ impl Deployment {
             dns_lb,
             server_config: config.server,
             db_target,
-            router_template: RouterTemplate {
-                backends,
-                udp: config.udp,
-                default_verdict: config.default_verdict,
-                pooled_rpc: config.pooled_rpc,
-                breaker: config.breaker,
-                fleet_size: config.routers,
-                lb_ttl,
-            },
+            router_config,
+            lb_ttl,
         })
     }
 
@@ -502,21 +491,10 @@ impl Deployment {
                 Arc::clone(&self.zone),
                 Arc::clone(&self.clock),
             ));
-            let router_config = RouterConfig {
-                backends: self.router_template.backends.clone(),
-                udp: self.router_template.udp.clone(),
-                default_verdict: self.router_template.default_verdict,
-                pooled_rpc: self.router_template.pooled_rpc,
-                breaker: self.router_template.breaker,
-                // The degraded-bucket split keeps using the launch-time
-                // fleet size: a scaled fleet briefly over- or
-                // under-splits, which the soak's slack bound absorbs.
-                fleet_size: self.router_template.fleet_size,
-                deadline_propagation: true,
-                lease: false,
-                gray: None,
-            };
-            fresh.push(RequestRouter::spawn(router_config, Some(resolver))?);
+            fresh.push(RequestRouter::spawn(
+                self.router_config.clone(),
+                Some(resolver),
+            )?);
         }
         let removed: Vec<RequestRouter> = {
             let mut routers = self.routers.write();
@@ -532,8 +510,7 @@ impl Deployment {
         // DNS-over-gateways it lists gateways, which do not change here.
         if self.gateways.is_empty() {
             if let Some(dns_lb) = &self.dns_lb {
-                dns_lb
-                    .update_targets(addrs, self.router_template.lb_ttl.unwrap_or(Duration::ZERO))?;
+                dns_lb.update_targets(addrs, self.lb_ttl.unwrap_or(Duration::ZERO))?;
             }
         }
         for router in removed {

@@ -9,8 +9,8 @@
 //!
 //! * [`udp`] — the admission RPC: a fire-and-retry UDP exchange with the
 //!   paper's 100 µs timeout × 5 retries discipline over a socket per
-//!   request or one shared socket, plus configurable loss/delay injection
-//!   for failure testing.
+//!   request or reused idle sockets, plus configurable loss/delay
+//!   injection for failure testing.
 //! * [`http`] — a minimal HTTP/1.1 implementation (parser, server with
 //!   keep-alive, client) sufficient for the router front end, the gateway
 //!   load balancer, and the photo-sharing demo app.

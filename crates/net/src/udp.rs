@@ -11,19 +11,22 @@
 //! attempt loop for both:
 //!
 //! * **socket per request** ([`UdpRpcClient::new`]) — the paper's PHP
-//!   router: every call binds and connects a fresh ephemeral socket and
-//!   blocks the calling thread on it;
-//! * **shared socket** ([`UdpRpcClient::bind_shared`]) — one long-lived
-//!   socket and one receiver thread that hands each response to the call
-//!   waiting on its request id.
+//!   router: every call binds and connects a fresh ephemeral socket;
+//! * **reusing** ([`UdpRpcClient::reusing`]) — a call borrows an idle
+//!   socket already connected to its server from the client's free list
+//!   (or binds one when none is idle) and puts it back afterwards.
 //!
-//! A strategy only puts a datagram on the wire and waits for the response
-//! to its call's id; the retry schedule, hedging, the retry budget and RTT
-//! recording live once, in the loop both share.
+//! Either way a call owns its connected socket for the whole exchange and
+//! blocks the calling thread on it, so every call in flight is its own
+//! flow: `SO_REUSEPORT` can spread one client's calls over the server's
+//! per-core workers. The strategies differ only in where the socket comes
+//! from; the retry schedule, hedging, the retry budget and RTT recording
+//! live once, in the attempt loop.
 //!
 //! Retries create a correctness wrinkle the request id solves: a response
 //! to attempt 1 may arrive while the client is already waiting on attempt
-//! 2. The client accepts any response whose id matches the request and
+//! 2, and a reused socket may still receive a late answer to an earlier
+//! call. The client accepts any response whose id matches the request and
 //! skips everything else without cutting the attempt short, so duplicated
 //! server work never corrupts a result (the bucket is charged twice, which
 //! errs on the conservative side — admission control may only undercount
@@ -41,11 +44,10 @@ use janus_clock::Nanos;
 use janus_types::codec::{self, Frame, MAX_FRAME_BYTES};
 use janus_types::sync::Mutex;
 use janus_types::{JanusError, QosRequest, QosResponse, RequestId, Result};
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
@@ -139,8 +141,8 @@ pub struct UdpRpcConfig {
     /// (the final attempt always falls back to a legacy frame so at least
     /// one attempt reaches an old peer).
     pub stamp_deadlines: bool,
-    /// Local address the client's sockets bind: every per-request socket,
-    /// or the one shared socket. Historically hard-coded to loopback,
+    /// Local address every socket the client binds is bound to, under
+    /// either strategy. Historically hard-coded to loopback,
     /// which made every deployment loopback-only; multi-host routers set
     /// an unspecified or interface-specific address here. Port 0
     /// (ephemeral) is almost always right.
@@ -377,105 +379,56 @@ fn recv_within(socket: &UdpSocket, buf: &mut [u8], timeout: Duration) -> io::Res
     }
 }
 
-/// Where the shared socket's receiver thread leaves one call's response.
-#[derive(Default)]
-struct Slot {
-    response: Mutex<Option<QosResponse>>,
-    arrived: Condvar,
+/// Bind a fresh socket at `bind_addr` and connect it to `server`.
+/// Non-blocking: every wait goes through [`recv_within`], whose timeout is
+/// sub-millisecond exact.
+fn connect(bind_addr: SocketAddr, server: SocketAddr) -> io::Result<Arc<UdpSocket>> {
+    let socket = UdpSocket::bind(bind_addr)?;
+    socket.connect(server)?;
+    socket.set_nonblocking(true)?;
+    Ok(Arc::new(socket))
 }
 
-impl Slot {
-    fn fill(&self, response: QosResponse) {
-        *self.response.lock() = Some(response);
-        self.arrived.notify_one();
-    }
-
-    /// Block until the slot is filled or `timeout` elapses.
-    fn wait(&self, timeout: Duration) -> Option<QosResponse> {
-        let deadline = Instant::now() + timeout;
-        let mut response = self.response.lock();
-        loop {
-            if let Some(response) = response.take() {
-                return Some(response);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            response = self
-                .arrived
-                .wait_timeout(response, left)
-                .unwrap_or_else(|poison| poison.into_inner())
-                .0;
-        }
-    }
-}
-
-/// The shared-socket strategy's state: one socket, and the calls waiting
-/// on it by request id. Shared with the receiver thread.
-struct Demux {
-    socket: Arc<UdpSocket>,
-    waiters: Mutex<HashMap<RequestId, Arc<Slot>>>,
-    /// Tells the receiver thread to exit once woken. A bare flag (Release
-    /// store, Acquire load) — it publishes no data.
-    stop: AtomicBool,
-}
-
-impl Demux {
-    /// The receiver thread: route every arriving response to its waiter.
-    /// Malformed datagrams, requests and responses nobody waits for (late
-    /// duplicates) are dropped.
-    fn receive(&self) {
-        let mut buf = [0u8; RECV_BUF_BYTES];
-        while let Ok((len, _peer)) = self.socket.recv_from(&mut buf) {
-            if self.stop.load(Ordering::Acquire) {
-                return;
-            }
-            if let Ok(Frame::Response(resp)) = codec::decode(&buf[..len]) {
-                if let Some(slot) = self.waiters.lock().remove(&resp.id) {
-                    slot.fill(resp);
-                }
+/// Wait up to `within` on a connected `socket` for the response to request
+/// `id`; `Ok(None)` once the wait elapses. Anything else — garbage, or a
+/// stale answer for an earlier request on a reused socket or port — is
+/// skipped and the wait goes on: the attempt is not cut short.
+fn wait_response(
+    socket: &UdpSocket,
+    buf: &mut [u8],
+    id: RequestId,
+    within: Duration,
+) -> io::Result<Option<QosResponse>> {
+    let deadline = Instant::now() + within;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let Some(len) = recv_within(socket, buf, left)? else {
+            return Ok(None);
+        };
+        if let Ok(Frame::Response(resp)) = codec::decode(&buf[..len]) {
+            if resp.id == id {
+                return Ok(Some(resp));
             }
         }
     }
 }
 
-/// Owner of the shared socket: dropping the last client clone stops the
-/// receiver thread.
-struct SharedSocket {
-    demux: Arc<Demux>,
-}
-
-impl std::fmt::Debug for SharedSocket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedSocket")
-            .field("local_addr", &self.demux.socket.local_addr().ok())
-            .field("in_flight", &self.demux.waiters.lock().len())
-            .finish()
-    }
-}
-
-impl Drop for SharedSocket {
-    fn drop(&mut self) {
-        // The receiver thread is blocked in `recv_from`: flag it down and
-        // wake it with an empty datagram from its own socket.
-        self.demux.stop.store(true, Ordering::Release);
-        crate::wake_receiver(&self.demux.socket);
-    }
-}
+/// The reusing strategy's free list: idle sockets, each beside the server
+/// it is connected to.
+type IdleSockets = Mutex<Vec<(SocketAddr, Arc<UdpSocket>)>>;
 
 /// The request-router side of the admission RPC.
 ///
 /// Cheap to clone; clones share the fault plan, the out-of-band queue and
-/// (with the shared-socket strategy) the socket and its receiver thread.
-/// Every call blocks the calling thread.
+/// (with the reusing strategy) the idle sockets. Every call blocks the
+/// calling thread.
 #[derive(Debug, Clone)]
 pub struct UdpRpcClient {
     config: UdpRpcConfig,
     faults: Arc<FaultPlan>,
     oob: Arc<OobDelivery>,
-    /// `None`: a fresh socket per request. `Some`: the shared socket.
-    shared: Option<Arc<SharedSocket>>,
+    /// `None`: a fresh socket per request. `Some`: the idle sockets.
+    idle: Option<Arc<IdleSockets>>,
 }
 
 impl UdpRpcClient {
@@ -493,42 +446,31 @@ impl UdpRpcClient {
             config,
             faults,
             oob: Arc::new(OobDelivery::new()),
-            shared: None,
+            idle: None,
         }
     }
 
-    /// A shared-socket client: bind one socket at
-    /// [`UdpRpcConfig::bind_addr`] and start the receiver thread that
-    /// hands each response to the call waiting on its request id. Outgoing
-    /// datagrams pass through `faults`. Concurrent calls must use distinct
-    /// request ids (a duplicate in-flight id is refused).
-    pub fn bind_shared(config: UdpRpcConfig, faults: Arc<FaultPlan>) -> Result<Self> {
-        let demux = Arc::new(Demux {
-            socket: Arc::new(UdpSocket::bind(config.bind_addr)?),
-            waiters: Mutex::new(HashMap::new()),
-            stop: AtomicBool::new(false),
-        });
-        let receiver = Arc::clone(&demux);
-        thread::Builder::new()
-            .name("janus-udp-rx".into())
-            .spawn(move || receiver.receive())?;
-        Ok(UdpRpcClient {
-            shared: Some(Arc::new(SharedSocket { demux })),
+    /// A reusing client whose outgoing datagrams pass through `faults`.
+    /// Each call still owns a connected socket for its whole exchange, but
+    /// takes an idle one already connected to its server when there is
+    /// one, and puts it back when the exchange ends — unless it ended in
+    /// an I/O error. Binds nothing until the first call; the idle list,
+    /// shared by clones, grows to the peak number of calls in flight per
+    /// server and is dropped with the last clone.
+    ///
+    /// A reused socket may receive a late answer to an earlier call, which
+    /// the attempt loop skips by request id: ids must not repeat while a
+    /// late answer can still arrive.
+    pub fn reusing(config: UdpRpcConfig, faults: Arc<FaultPlan>) -> Self {
+        UdpRpcClient {
+            idle: Some(Arc::default()),
             ..Self::with_faults(config, faults)
-        })
+        }
     }
 
     /// The configured discipline.
     pub fn config(&self) -> &UdpRpcConfig {
         &self.config
-    }
-
-    /// Calls waiting on the shared socket right now (diagnostics); always
-    /// 0 for the socket-per-request strategy.
-    pub fn in_flight(&self) -> usize {
-        self.shared
-            .as_ref()
-            .map_or(0, |shared| shared.demux.waiters.lock().len())
     }
 
     /// Perform one admission exchange with the QoS server at `server`.
@@ -565,52 +507,31 @@ impl UdpRpcClient {
         request: &QosRequest,
         discipline: &WireDiscipline,
     ) -> Result<QosResponse> {
-        match &self.shared {
-            None => {
-                let socket = Arc::new(UdpSocket::bind(self.config.bind_addr)?);
-                socket.connect(server)?;
-                // Non-blocking: every wait goes through `recv_within`,
-                // whose timeout is sub-millisecond exact.
-                socket.set_nonblocking(true)?;
-                let mut leg = OwnSocket {
-                    client: self,
-                    socket,
-                    id: request.id,
-                    buf: vec![0u8; RECV_BUF_BYTES],
-                };
-                self.exchange(&mut leg, request, discipline)
-            }
-            Some(shared) => {
-                let slot = Arc::new(Slot::default());
-                {
-                    let mut waiters = shared.demux.waiters.lock();
-                    if waiters.contains_key(&request.id) {
-                        return Err(JanusError::state(format!(
-                            "request id {} is already in flight on this shared socket",
-                            request.id
-                        )));
-                    }
-                    waiters.insert(request.id, Arc::clone(&slot));
-                }
-                let mut leg = SharedSlot {
-                    client: self,
-                    demux: &shared.demux,
-                    server,
-                    id: request.id,
-                    slot,
-                };
-                self.exchange(&mut leg, request, discipline)
-            }
+        let reused = self.idle.as_ref().and_then(|idle| {
+            let mut idle = idle.lock();
+            let at = idle.iter().rposition(|&(peer, _)| peer == server)?;
+            Some(idle.swap_remove(at).1)
+        });
+        let socket = match reused {
+            Some(socket) => socket,
+            None => connect(self.config.bind_addr, server)?,
+        };
+        let result = self.exchange(&socket, request, discipline);
+        // An I/O error (say, a dead server's port unreachable) retires
+        // the socket instead of lending it to the next call.
+        if let (Some(idle), Ok(_) | Err(JanusError::Timeout { .. })) = (&self.idle, &result) {
+            idle.lock().push((server, socket));
         }
+        result
     }
 
-    /// The one attempt loop: the paper's timeout × retries schedule, the
-    /// sans-IO [`AttemptPlan`]'s frame choice, the hedge that splits an
-    /// attempt's wait, the retry budget and RTT recording. `leg` is all
-    /// that differs between the socket strategies.
+    /// The one attempt loop, on the call's own connected socket: the
+    /// paper's timeout × retries schedule, the sans-IO [`AttemptPlan`]'s
+    /// frame choice, the hedge that splits an attempt's wait, the retry
+    /// budget and RTT recording.
     fn exchange(
         &self,
-        leg: &mut impl Leg,
+        socket: &Arc<UdpSocket>,
         request: &QosRequest,
         discipline: &WireDiscipline,
     ) -> Result<QosResponse> {
@@ -638,6 +559,7 @@ impl UdpRpcClient {
         let started = Instant::now();
         let elapsed = || Nanos::from_nanos(started.elapsed().as_nanos() as u64);
         let mut attempted = 0u32;
+        let mut buf = [0u8; RECV_BUF_BYTES];
 
         'attempts: for attempt in 0..attempts {
             if attempt > 0 {
@@ -667,7 +589,7 @@ impl UdpRpcClient {
             };
             attempted += 1;
             let sent = Instant::now();
-            leg.send(codec::encode_request(&frame))?;
+            self.transmit(socket, codec::encode_request(&frame))?;
             let mut remaining = timeout;
             let mut hedged = false;
             let mut hedge_sent = false;
@@ -680,7 +602,7 @@ impl UdpRpcClient {
                     Some(delay) if !hedged && delay < remaining => delay,
                     _ => remaining,
                 };
-                match leg.wait(phase)? {
+                match wait_response(socket, &mut buf, request.id, phase)? {
                     Some(resp) => {
                         if let Some(rtt) = &discipline.rtt {
                             rtt.record(sent.elapsed().as_micros() as u64);
@@ -707,7 +629,7 @@ impl UdpRpcClient {
                             .is_none_or(|budget| budget.try_withdraw());
                         if funded {
                             if let Some(frame) = plan.hedge_for(attempt, elapsed()) {
-                                leg.send(codec::encode_request(&frame))?;
+                                self.transmit(socket, codec::encode_request(&frame))?;
                                 hedge_sent = true;
                                 if let Some(stats) = &discipline.stats {
                                     stats.hedges_sent.fetch_add(1, Ordering::Relaxed);
@@ -724,93 +646,12 @@ impl UdpRpcClient {
         })
     }
 
-    /// Put one datagram on the wire through this client's fault plan.
-    fn transmit(
-        &self,
-        socket: &Arc<UdpSocket>,
-        wire: Vec<u8>,
-        peer: Option<SocketAddr>,
-    ) -> Result<()> {
+    /// Put one datagram on a connected socket through this client's fault
+    /// plan.
+    fn transmit(&self, socket: &Arc<UdpSocket>, wire: Vec<u8>) -> Result<()> {
         Ok(self
             .oob
-            .send(self.faults.judge_fate(), socket, wire, peer)?)
-    }
-}
-
-/// What a socket strategy supplies to the attempt loop: put one encoded
-/// attempt on the wire, and wait for this call's response.
-trait Leg {
-    /// Transmit one attempt (fault plan applied).
-    fn send(&mut self, wire: Vec<u8>) -> Result<()>;
-    /// Wait up to `within` for the response to this call's request id;
-    /// `None` once the wait elapses.
-    fn wait(&mut self, within: Duration) -> Result<Option<QosResponse>>;
-}
-
-/// The socket-per-request strategy: a connected socket owned by one call.
-struct OwnSocket<'a> {
-    client: &'a UdpRpcClient,
-    socket: Arc<UdpSocket>,
-    id: RequestId,
-    buf: Vec<u8>,
-}
-
-impl Leg for OwnSocket<'_> {
-    fn send(&mut self, wire: Vec<u8>) -> Result<()> {
-        self.client.transmit(&self.socket, wire, None)
-    }
-
-    fn wait(&mut self, within: Duration) -> Result<Option<QosResponse>> {
-        let deadline = Instant::now() + within;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let Some(len) = recv_within(&self.socket, &mut self.buf, left)? else {
-                return Ok(None);
-            };
-            // Anything but this call's response — garbage, or a stale
-            // answer for an earlier request on a reused port — is skipped
-            // and the wait goes on: the attempt is not cut short.
-            if let Ok(Frame::Response(resp)) = codec::decode(&self.buf[..len]) {
-                if resp.id == self.id {
-                    return Ok(Some(resp));
-                }
-            }
-        }
-    }
-}
-
-/// The shared-socket strategy: this call's slot in the demultiplexer,
-/// deregistered when the call ends on any path.
-struct SharedSlot<'a> {
-    client: &'a UdpRpcClient,
-    demux: &'a Demux,
-    server: SocketAddr,
-    id: RequestId,
-    slot: Arc<Slot>,
-}
-
-impl Leg for SharedSlot<'_> {
-    fn send(&mut self, wire: Vec<u8>) -> Result<()> {
-        self.client
-            .transmit(&self.demux.socket, wire, Some(self.server))
-    }
-
-    fn wait(&mut self, within: Duration) -> Result<Option<QosResponse>> {
-        Ok(self.slot.wait(within))
-    }
-}
-
-impl Drop for SharedSlot<'_> {
-    fn drop(&mut self) {
-        let mut waiters = self.demux.waiters.lock();
-        // The receiver removes a slot when it fills it; only remove the
-        // entry if it is still this call's own.
-        if waiters
-            .get(&self.id)
-            .is_some_and(|slot| Arc::ptr_eq(slot, &self.slot))
-        {
-            waiters.remove(&self.id);
-        }
+            .send(self.faults.judge_fate(), socket, wire, None)?)
     }
 }
 
@@ -906,18 +747,20 @@ impl UdpServerSocket {
 mod tests {
     use super::*;
     use janus_types::{QosKey, Verdict};
+    use std::collections::{HashMap, HashSet};
+    use std::sync::mpsc;
 
     fn request(id: u64) -> QosRequest {
         QosRequest::new(id, QosKey::new("tenant").unwrap())
     }
 
     /// One client per socket strategy — the paper's socket per request
-    /// first, then the shared socket — with the same discipline and fault
+    /// first, then the reusing client — with the same discipline and fault
     /// plan.
     fn strategies(config: UdpRpcConfig, faults: Arc<FaultPlan>) -> [UdpRpcClient; 2] {
         [
             UdpRpcClient::with_faults(config.clone(), Arc::clone(&faults)),
-            UdpRpcClient::bind_shared(config, faults).unwrap(),
+            UdpRpcClient::reusing(config, faults),
         ]
     }
 
@@ -960,7 +803,6 @@ mod tests {
             assert_eq!(resp, QosResponse::allow(4));
             let resp = client.call(addr, &request(5)).unwrap();
             assert_eq!(resp, QosResponse::deny(5));
-            assert_eq!(client.in_flight(), 0);
         }
     }
 
@@ -980,43 +822,109 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            assert_eq!(client.in_flight(), 0);
         }
     }
 
     #[test]
-    fn shared_socket_refuses_a_duplicate_in_flight_id() {
-        let silent = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        let addr = silent.local_addr().unwrap();
-        let client =
-            UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none()).unwrap();
-        let first = {
-            let client = client.clone();
-            std::thread::spawn(move || client.call(addr, &request(7)))
+    fn reusing_calls_in_flight_are_flows_of_their_own() {
+        // A sink that answers only once all 8 calls are waiting on it sees
+        // 8 source ports: every call in flight holds a socket of its own,
+        // so SO_REUSEPORT can steer them to different per-core workers.
+        const CALLS: usize = 8;
+        let sink = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        sink.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let addr = sink.local_addr().unwrap();
+        let ports = thread::spawn(move || {
+            let mut buf = [0u8; RECV_BUF_BYTES];
+            let mut waiting = HashMap::new();
+            while waiting.len() < CALLS {
+                let (len, peer) = sink.recv_from(&mut buf).unwrap();
+                if let Ok(Frame::Request(req)) = codec::decode(&buf[..len]) {
+                    waiting.insert(req.id, peer);
+                }
+            }
+            for (&id, &peer) in &waiting {
+                let wire = codec::encode_response(&QosResponse::allow(id));
+                sink.send_to(&wire, peer).unwrap();
+            }
+            waiting
+                .values()
+                .map(SocketAddr::port)
+                .collect::<HashSet<_>>()
+        });
+        let config = UdpRpcConfig {
+            timeout: Duration::from_secs(10),
+            max_retries: 0,
+            ..Default::default()
         };
-        while client.in_flight() == 0 {
-            std::thread::yield_now();
+        let client = UdpRpcClient::reusing(config, FaultPlan::none());
+        let calls: Vec<_> = (0..CALLS as u64)
+            .map(|id| {
+                let client = client.clone();
+                thread::spawn(move || client.call(addr, &request(id)))
+            })
+            .collect();
+        for (id, call) in calls.into_iter().enumerate() {
+            assert_eq!(call.join().unwrap().unwrap(), QosResponse::allow(id as u64));
         }
-        let err = client.call(addr, &request(7)).unwrap_err();
-        assert!(matches!(err, JanusError::State(_)), "{err}");
-        assert!(first.join().unwrap().is_err(), "nothing answered");
-        assert_eq!(client.in_flight(), 0);
+        assert_eq!(ports.join().unwrap().len(), CALLS, "one flow per call");
+        let idle = client.idle.as_ref().unwrap().lock().len();
+        assert_eq!(idle, CALLS, "the free list grows to the peak in flight");
     }
 
     #[test]
-    fn dropping_the_last_shared_clone_stops_the_receiver() {
-        let client =
-            UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none()).unwrap();
-        let demux = Arc::downgrade(&client.shared.as_ref().unwrap().demux);
-        let clone = client.clone();
-        drop(client);
-        assert!(demux.upgrade().is_some(), "a clone still owns the socket");
-        drop(clone);
-        // The receiver thread holds the last reference until it exits.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while demux.upgrade().is_some() {
-            assert!(Instant::now() < deadline, "receiver thread never exited");
-            thread::sleep(Duration::from_millis(1));
+    fn a_late_answer_never_answers_the_next_call() {
+        // Call A (id 1) times out before the server sends its answer, which
+        // then reaches A's socket with no call waiting. Call B (id 2) runs
+        // next on the same client and thread, so the reusing client lends
+        // it that very socket: B must skip A's stale answer for its own.
+        let server = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let addr = server.local_addr().unwrap();
+        let (release, released) = mpsc::channel::<()>();
+        let (peer_tx, peers) = mpsc::channel();
+        thread::spawn(move || {
+            let mut buf = [0u8; RECV_BUF_BYTES];
+            while let Ok((len, peer)) = server.recv_from(&mut buf) {
+                let Ok(Frame::Request(req)) = codec::decode(&buf[..len]) else {
+                    continue;
+                };
+                let answer = if req.id == 1 {
+                    // Held until call A has returned its timeout.
+                    released.recv().unwrap();
+                    QosResponse::deny(1)
+                } else {
+                    QosResponse::allow(req.id)
+                };
+                server
+                    .send_to(&codec::encode_response(&answer), peer)
+                    .unwrap();
+                peer_tx.send(peer).unwrap();
+            }
+        });
+        let config = UdpRpcConfig {
+            timeout: Duration::from_millis(200),
+            max_retries: 0,
+            ..Default::default()
+        };
+        for (client, reuses) in strategies(config, FaultPlan::none())
+            .into_iter()
+            .zip([false, true])
+        {
+            let late = client.call(addr, &request(1));
+            assert!(
+                matches!(late, Err(JanusError::Timeout { attempts: 1 })),
+                "{late:?}"
+            );
+            release.send(()).unwrap();
+            assert_eq!(
+                client.call(addr, &request(2)).unwrap(),
+                QosResponse::allow(2)
+            );
+            let (a, b) = (peers.recv().unwrap(), peers.recv().unwrap());
+            if reuses {
+                assert_eq!(a, b, "B ran on A's socket");
+            }
         }
     }
 
@@ -1106,7 +1014,6 @@ mod tests {
                 .filter(|id| client.call(addr, &request(id * 2)).is_ok())
                 .count();
             assert!(ok >= 18, "only {ok}/20 calls survived 40% loss");
-            assert_eq!(client.in_flight(), 0);
         }
         assert!(faults.dropped() > 0, "fault plan never fired");
     }
@@ -1125,7 +1032,6 @@ mod tests {
                 JanusError::Timeout { attempts } => assert_eq!(attempts, 6),
                 other => panic!("expected timeout, got {other}"),
             }
-            assert_eq!(client.in_flight(), 0, "leaked waiter after timeout");
         }
     }
 
@@ -1489,7 +1395,7 @@ mod tests {
         loop {
             let before = faults.reordered();
             client
-                .transmit(&socket, codec::encode_request(&request(sent)), None)
+                .transmit(&socket, codec::encode_request(&request(sent)))
                 .unwrap();
             sent += 1;
             let was_deferred = faults.reordered() > before;
@@ -1544,8 +1450,9 @@ mod tests {
 
     #[test]
     fn late_responses_are_dropped_not_misdelivered() {
-        // A slow server answers after the caller timed out; the next call
-        // must not receive the stale response.
+        // A slow server answers after the caller timed out: the call
+        // still ends in a timeout (`a_late_answer_never_answers_the_next_call`
+        // runs the next call).
         let server = UdpServerSocket::bind_ephemeral().unwrap();
         let addr = server.local_addr().unwrap();
         std::thread::spawn(move || {
@@ -1563,9 +1470,6 @@ mod tests {
         };
         for client in strategies(config, FaultPlan::none()) {
             assert!(client.call(addr, &request(1)).is_err());
-            // Wait for the stale response to arrive and be discarded.
-            std::thread::sleep(Duration::from_millis(40));
-            assert_eq!(client.in_flight(), 0);
         }
     }
 }

@@ -1,9 +1,8 @@
-//! Tests of the pooled (shared-socket) admission RPC: one socket bound by
-//! [`UdpRpcClient::bind_shared`], many in-flight exchanges, and one
-//! receiver thread handing each response to the call waiting on its
-//! request id. The strategy itself lives in [`crate::udp`]; the tests in
-//! that module run over both socket strategies, these pin the pooled one
-//! under heavier concurrency and the old ablation's fault settings.
+//! Tests of the pooled admission RPC: a [`UdpRpcClient::reusing`] client
+//! lending its idle connected sockets to many in-flight exchanges. The
+//! strategy itself lives in [`crate::udp`]; the tests in that module run
+//! over both socket strategies, these pin the pooled one under heavier
+//! concurrency and the old ablation's fault settings.
 
 mod tests {
     use crate::fault::FaultPlan;
@@ -18,7 +17,7 @@ mod tests {
     }
 
     fn pool(config: UdpRpcConfig) -> UdpRpcClient {
-        UdpRpcClient::bind_shared(config, FaultPlan::none()).unwrap()
+        UdpRpcClient::reusing(config, FaultPlan::none())
     }
 
     /// Echo server: allow iff the key length is even.
@@ -47,7 +46,6 @@ mod tests {
             pool.call(server, &check(2, "abc")).unwrap().verdict,
             Verdict::Deny
         );
-        assert_eq!(pool.in_flight(), 0);
     }
 
     #[test]
@@ -72,39 +70,34 @@ mod tests {
         for handle in handles {
             handle.join().unwrap();
         }
-        assert_eq!(pool.in_flight(), 0);
     }
 
     #[test]
     fn total_loss_times_out_and_cleans_up() {
         let server = spawn_echo();
-        let pool = UdpRpcClient::bind_shared(
+        let pool = UdpRpcClient::reusing(
             UdpRpcConfig {
                 timeout: Duration::from_millis(1),
                 max_retries: 2,
                 ..Default::default()
             },
             FaultPlan::new(1.0, 0.0, Duration::ZERO, 5),
-        )
-        .unwrap();
+        );
         let err = pool.call(server, &check(1, "ab")).unwrap_err();
         assert!(matches!(err, JanusError::Timeout { attempts: 3 }), "{err}");
-        assert_eq!(pool.in_flight(), 0, "leaked waiter after timeout");
     }
 
     #[test]
     fn retries_recover_from_partial_loss() {
         let server = spawn_echo();
-        let pool = UdpRpcClient::bind_shared(
+        let pool = UdpRpcClient::reusing(
             UdpRpcConfig::lan_defaults(),
             FaultPlan::new(0.4, 0.0, Duration::ZERO, 777),
-        )
-        .unwrap();
+        );
         let ok = (0..20u64)
             .filter(|&id| pool.call(server, &check(id, "ab")).is_ok())
             .count();
         assert!(ok >= 18, "only {ok}/20 under 40% loss");
-        assert_eq!(pool.in_flight(), 0);
     }
 
     #[test]

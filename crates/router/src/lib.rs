@@ -64,10 +64,11 @@ pub struct RouterConfig {
     /// favours protection. The paper leaves the "default reply"
     /// unspecified, so it is explicit configuration here.
     pub default_verdict: Verdict,
-    /// Use one shared UDP socket with response demultiplexing instead of
-    /// the paper's PHP-style socket-per-request (an optimization
-    /// ablation; see [`UdpRpcClient::bind_shared`]). Both put one frame
-    /// per datagram on the wire. Default: false, the faithful discipline.
+    /// Reuse idle connected UDP sockets across checks instead of the
+    /// paper's PHP-style socket-per-request (an optimization ablation;
+    /// see [`UdpRpcClient::reusing`]). Either way each check owns its
+    /// socket while in flight, and both put one frame per datagram on the
+    /// wire. Default: false, the faithful discipline.
     pub pooled_rpc: bool,
     /// Per-partition circuit breaking plus degraded local admission.
     /// While a partition's breaker is open the router answers its keys
@@ -173,8 +174,8 @@ struct RouterHandler {
     core: RouterCore,
     backends: Vec<Backend>,
     resolver: Option<Arc<Resolver>>,
-    /// A socket per request (the paper's PHP router) or one shared,
-    /// demultiplexed socket, per [`RouterConfig::pooled_rpc`].
+    /// A socket per request (the paper's PHP router) or reused idle
+    /// sockets, per [`RouterConfig::pooled_rpc`].
     rpc: UdpRpcClient,
     stats: Arc<RouterStats>,
     next_id: AtomicU64,
@@ -291,8 +292,8 @@ impl RouterHandler {
     /// retry budget, RTT recording) comes from the core per partition;
     /// with the gray plane off it is the all-`None` no-op and both socket
     /// strategies reproduce the legacy byte-for-byte behaviour. Request
-    /// ids come from one per-router counter, so they never collide on a
-    /// shared socket.
+    /// ids come from one per-router counter, so they never repeat while a
+    /// late answer can still reach a reused socket.
     fn call_backend(
         &self,
         addr: SocketAddr,
@@ -406,7 +407,7 @@ impl RequestRouter {
         udp.stamp_deadlines |= config.gray.is_some();
         let baseline_timeout = udp.timeout;
         let rpc = if config.pooled_rpc {
-            UdpRpcClient::bind_shared(udp, FaultPlan::none())?
+            UdpRpcClient::reusing(udp, FaultPlan::none())
         } else {
             UdpRpcClient::new(udp)
         };
@@ -768,8 +769,8 @@ mod tests {
     #[test]
     fn pooled_unbatched_ablation_routes_identically() {
         // The pooled router keeps the paper's single-frame wire format:
-        // checks from concurrent clients in flight on its one shared
-        // socket still leave as one request frame per datagram, never a
+        // checks from concurrent clients in flight on its reusing client
+        // still leave as one request frame per datagram, never a
         // datagram in the retired 0x03 batch format (which `codec::decode`
         // refuses).
         use janus_types::codec::{self, Frame};

@@ -7,7 +7,9 @@
 //! exactly one socket, so a worker receives one datagram with
 //! `recv_from`, decides it inline, and answers it with one datagram of
 //! its own — no listener→queue hop, no cross-thread hand-off, no queue
-//! sojourn at all.
+//! sojourn at all. A router's `UdpRpcClient` gives every call in flight
+//! a socket of its own, so one router's concurrent calls are as many
+//! flows and spread over the workers.
 //!
 //! Consequences, documented rather than hidden:
 //!

@@ -1862,11 +1862,11 @@ mod tests {
 
     #[test]
     fn affinity_batch_path_carries_hints() {
-        // Ten soliciting calls in flight at once on one shared client
-        // socket: the per-core worker that socket's flow lands on answers
-        // each with its own datagram, built through the same response
-        // helper, so every one must carry its hint, and the shared-socket
-        // client must hand each to its own caller.
+        // Ten soliciting calls in flight at once on one reusing client,
+        // each on its own socket: whichever per-core worker a call's flow
+        // lands on answers it with its own datagram, built through the
+        // same response helper, so every one must carry its hint and
+        // reach its own caller.
         let db = spawn_db(vec![rule("bh", 100, 10)]);
         let mut config = QosServerConfig::test_defaults();
         config.workers = 2;
@@ -1876,8 +1876,7 @@ mod tests {
         }
         let server =
             QosServer::spawn(config, Some(db.addr().into()), janus_clock::system()).unwrap();
-        let client =
-            UdpRpcClient::bind_shared(UdpRpcConfig::lan_defaults(), FaultPlan::none()).unwrap();
+        let client = UdpRpcClient::reusing(UdpRpcConfig::lan_defaults(), FaultPlan::none());
         let addr = server.udp_addr();
         let callers: Vec<_> = (0..10u64)
             .map(|id| {

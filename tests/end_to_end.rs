@@ -43,10 +43,11 @@ fn admission_is_exact_across_the_full_stack() {
 
 #[test]
 fn pooled_stack_is_still_exact() {
-    // The shared-socket data plane end to end: pooled router sockets in
-    // front of the QoS servers' listener + FIFO. Credit accounting must
-    // stay exact — many calls in flight on one socket must never
-    // duplicate, drop, or cross-credit admission decisions.
+    // The pooled data plane end to end: reusing router clients in front
+    // of the QoS servers' listener + FIFO. Credit accounting must stay
+    // exact — many calls in flight on one client, their sockets reused
+    // call after call, must never duplicate, drop, or cross-credit
+    // admission decisions.
     let config = DeploymentConfig {
         qos_servers: 2,
         routers: 2,
@@ -56,7 +57,7 @@ fn pooled_stack_is_still_exact() {
         ..Default::default()
     };
     let deployment = std::sync::Arc::new(Deployment::launch(config).unwrap());
-    // Concurrent clients so many calls share each router's socket.
+    // Concurrent clients so many calls share each router's client.
     let mut handles = Vec::new();
     for _ in 0..6 {
         let deployment = std::sync::Arc::clone(&deployment);
@@ -81,7 +82,7 @@ fn pooled_stack_is_still_exact() {
 #[test]
 fn lock_free_stack_is_still_exact() {
     // Same optimized plane with the lock-free table swapped in: the CAS
-    // loop must conserve credit exactly through routers, shared sockets
+    // loop must conserve credit exactly through routers, reused sockets
     // and concurrent clients, matching the sharded table bit for bit.
     let mut server = QosServerConfig::test_defaults();
     server.table = janus_core::TableKind::LockFree;

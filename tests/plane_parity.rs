@@ -237,10 +237,10 @@ fn hostile_datagrams_are_answered_by_neither_plane() {
     }
 }
 
-/// Many calls in flight at once on one shared client socket — one flow,
-/// so on the per-core plane one worker receives all of them. Every call
-/// must get its own response datagram, and the key must admit exactly
-/// its capacity.
+/// Many calls in flight at once on one reusing client — each call on a
+/// socket of its own, so on the per-core plane they spread over the
+/// workers and race on one key. Every call must get its own response
+/// datagram, and the key must admit exactly its capacity.
 #[test]
 fn shared_socket_calls_in_flight_get_one_response_each() {
     const THREADS: u64 = 16;
@@ -256,7 +256,7 @@ fn shared_socket_calls_in_flight_get_one_response_each() {
             timeout: Duration::from_millis(100),
             ..UdpRpcConfig::lan_defaults()
         };
-        let client = UdpRpcClient::bind_shared(rpc, FaultPlan::none()).unwrap();
+        let client = UdpRpcClient::reusing(rpc, FaultPlan::none());
         let callers: Vec<_> = (0..THREADS)
             .map(|thread| {
                 let client = client.clone();
@@ -276,6 +276,5 @@ fn shared_socket_calls_in_flight_get_one_response_each() {
             .collect();
         let allowed: u64 = callers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(allowed, CAPACITY, "{mode:?}: credit exactness violated");
-        assert_eq!(client.in_flight(), 0, "{mode:?}");
     }
 }
