@@ -200,18 +200,26 @@ pub struct ReclaimedRule {
     pub touches: u64,
 }
 
-/// The shard owning `key`: the high half of the digest cached in the key
-/// (FNV-1a's low bits mix little, and [`crate::LockFreeTable`] probes by
-/// them).
+/// 2⁶⁴/φ, odd: the Fibonacci-hashing multiplier.
+const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The shard owning `key`: the top bits of the cached digest times 2⁶⁴/φ,
+/// scaled to `shards` (a multiply-high, so any count works; at 64 shards it
+/// is the product's top six bits). Each bit of the product depends on
+/// every digest bit below it, so the top bits move with every byte of the
+/// key. The digest's own bits do not: keys that differ only in their last
+/// bytes (`tenant-1`, `tenant-2`, …) change FNV-1a's bits 32–37 hardly at
+/// all, and indexing by them put 64 such keys in 2 of 64 shards.
 fn shard_of(key: &QosKey, shards: usize) -> usize {
-    (key.digest() >> 32) as usize % shards
+    ((u128::from(key.digest().wrapping_mul(PHI)) * shards as u128) >> 64) as usize
 }
 
 /// Lock-striped QoS table: the contention-free design.
 ///
 /// Keys are spread over `S` independent mutex-protected maps, so decisions
 /// for different keys proceed in parallel on different cores. With the
-/// default 64 shards, 16 workers collide rarely. With
+/// default 64 shards, 16 workers collide rarely, because `shard_of`
+/// spreads even keys named in sequence like random draws. With
 /// [`with_shards(1)`](Self::with_shards) every decision serializes on one
 /// mutex: the paper's synchronized hash map, kept as the baseline for the
 /// lock-contention ablation (the CPU underutilization of Fig. 10b).
@@ -365,6 +373,7 @@ impl QosTable for ShardedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LockFreeTable;
     use std::sync::Arc;
 
     fn key(s: &str) -> QosKey {
@@ -746,6 +755,69 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         ShardedTable::with_shards(0);
+    }
+
+    /// The key families the workloads, the benchmark harness, the benches
+    /// and the tests name their keys by: names that differ only in their
+    /// trailing digits. `janus_router::core`'s hint-slot test uses the same.
+    fn key_families() -> Vec<Vec<QosKey>> {
+        let family =
+            |prefix: &str, n: usize| (0..n).map(|i| key(&format!("{prefix}{i}"))).collect();
+        vec![
+            family("tenant-", 1024),
+            family("k-tenant-", 64),
+            family("m-tenant-", 64),
+            family("n-tenant-", 64),
+            family("key-", 64),
+            family("k", 64),
+            family("user-", 16),
+        ]
+    }
+
+    /// Drop every key of `keys` into one of `bins` by `index`, then check
+    /// that at least `min_used` (a share of the keys or the bins, whichever
+    /// is fewer) are occupied, and that no bin holds more than 4× the
+    /// mean, rounded up.
+    fn assert_spread(
+        what: &str,
+        keys: &[QosKey],
+        bins: usize,
+        min_used: f64,
+        index: impl Fn(&QosKey) -> usize,
+    ) {
+        let mut fill = vec![0usize; bins];
+        for key in keys {
+            fill[index(key)] += 1;
+        }
+        let used = fill.iter().filter(|&&n| n > 0).count();
+        let max = *fill.iter().max().unwrap();
+        let family = format!("{}..{}", keys[0], keys[keys.len() - 1]);
+        assert!(
+            used as f64 >= min_used * keys.len().min(bins) as f64,
+            "{what}: {family} fills {used} of {bins} bins"
+        );
+        assert!(
+            max <= 4 * keys.len().div_ceil(bins),
+            "{what}: {family} puts {max} keys in one of {bins} bins"
+        );
+    }
+
+    #[test]
+    fn digest_indices_spread_sequential_key_names() {
+        for keys in key_families() {
+            // The shard index: with FNV-1a's bits 32–37 it put 64 such
+            // keys in 2 of 64 shards.
+            for shards in [ShardedTable::DEFAULT_SHARDS, 8] {
+                assert_spread("shard", &keys, shards, 0.5, |k| shard_of(k, shards));
+            }
+            // The lock-free table's home slot (its probe starts at
+            // `digest & mask`) reads the low bits, which already spread
+            // these names like random draws.
+            let slots = LockFreeTable::DEFAULT_SLOTS;
+            assert_spread("home slot", &keys, slots, 0.75, |k| {
+                k.digest() as usize & (slots - 1)
+            });
+        }
     }
 }
 

@@ -9,8 +9,10 @@
 //! understands. That frame-selection logic used to live inline in the
 //! transport's attempt loop; [`AttemptPlan`] extracts it into one pure
 //! state machine over an injected clock so both socket strategies of
-//! [`crate::udp::UdpRpcClient`] (socket per request, shared socket) and
-//! the deterministic simulator provably send the same attempt sequence.
+//! [`crate::udp::UdpRpcClient`] (a socket per request, and idle sockets
+//! lent to each call by [`reusing`](crate::udp::UdpRpcClient::reusing))
+//! and the deterministic simulator provably send the same attempt
+//! sequence.
 //! No sockets, no tasks, no wall clock.
 
 use janus_clock::Nanos;

@@ -1577,4 +1577,39 @@ mod tests {
         assert_eq!(returns[0].spent as usize, 5_000 - THREADS * CHECKS);
         assert_eq!(core.leased_keys(), 0);
     }
+
+    #[test]
+    fn hint_slots_spread_sequential_key_names() {
+        // The key families of `janus_bucket::table`'s spread test: names
+        // that differ only in their trailing digits. The slot reads the
+        // digest's low bits, which spread them like random draws: at least
+        // three keys in four on a slot of their own, or every slot used.
+        let families = [
+            ("tenant-", 1024),
+            ("k-tenant-", 64),
+            ("m-tenant-", 64),
+            ("n-tenant-", 64),
+            ("key-", 64),
+            ("k", 64),
+            ("user-", 16),
+        ];
+        for (prefix, n) in families {
+            let mut fill = [0usize; HINT_SLOTS];
+            for i in 0..n {
+                fill[hint_slot(&key(&format!("{prefix}{i}")))] += 1;
+            }
+            let used = fill.iter().filter(|&&k| k > 0).count();
+            let max = *fill.iter().max().unwrap();
+            assert!(
+                used * 4 >= n.min(HINT_SLOTS) * 3,
+                "{prefix}0..{}: {used} of {HINT_SLOTS} slots",
+                n - 1
+            );
+            assert!(
+                max <= 4 * n.div_ceil(HINT_SLOTS),
+                "{prefix}0..{}: {max} keys in one slot",
+                n - 1
+            );
+        }
+    }
 }

@@ -129,13 +129,19 @@ enum Repr {
 /// are stored inline (constructing such a key never allocates — the wire
 /// decoder relies on this), longer keys share an `Arc<str>`. Both the CRC32
 /// routing checksum and the 64-bit FNV-1a digest are computed once at
-/// construction and cached: routing, the lock-free table's probe and the
-/// choice of a `ShardedTable` shard read them without touching the key
-/// bytes. A `HashMap<QosKey, _>` still hashes the key text on every
-/// lookup, because [`Hash`] feeds it the `str` (it must equal `str`'s hash
-/// for `Borrow<str>` lookups). Those maps — inside a `ShardedTable`
-/// shard, the router's hint, lease and returns maps, the server's lease
-/// ledger — keep the standard SipHash; DESIGN.md §4d says why.
+/// construction and cached: routing, the lock-free table's probe, the
+/// router's hint slot and the choice of a `ShardedTable` shard read them
+/// without touching the key bytes. The digest's low bits move with every
+/// byte, so the probe and the hint slot index by them directly. Its
+/// middle bits do not: keys that differ only in their last bytes
+/// (`tenant-1`, `tenant-2`) share most of bits 32–37, so the shard index
+/// multiplies the digest by 2⁶⁴/φ and reads the product's top bits.
+///
+/// A `HashMap<QosKey, _>` still hashes the key text on every lookup,
+/// because [`Hash`] feeds it the `str` (it must equal `str`'s hash for
+/// `Borrow<str>` lookups). Those maps — inside a `ShardedTable` shard,
+/// the router's hint, lease and returns maps, the server's lease ledger —
+/// keep the standard SipHash; DESIGN.md §4d says why.
 #[derive(Clone)]
 pub struct QosKey {
     repr: Repr,
@@ -214,7 +220,9 @@ impl QosKey {
 
     /// The 64-bit FNV-1a digest of the key bytes, cached at construction.
     ///
-    /// The lock-free QoS table keys its slots by this value.
+    /// The lock-free QoS table keys its slots by this value. Its middle
+    /// bits barely move between keys that differ only at the end: mix it
+    /// before reading anything but the low bits as an index.
     pub fn digest(&self) -> u64 {
         self.digest
     }

@@ -131,15 +131,17 @@ pub fn format_micro_decimal(micro: u64) -> String {
 }
 
 /// Parse a decimal credit count (`"1.5"`, `"2"`, `".25"`) into
-/// microcredits, rejecting more than six fractional digits. The fraction
-/// is zero to six ASCII digits and nothing else (no sign), read in place.
+/// microcredits, rejecting more than six fractional digits. Both parts are
+/// ASCII digits and nothing else (no sign); the fraction is read in place.
 pub fn parse_micro_decimal(s: &str) -> Result<u64> {
     let bad = || JanusError::db(format!("bad number {s:?}"));
     let (int_part, frac_part) = match s.split_once('.') {
         Some((i, f)) => (i, f),
         None => (s, ""),
     };
-    if int_part.is_empty() && frac_part.is_empty() {
+    if (int_part.is_empty() && frac_part.is_empty())
+        || !int_part.bytes().all(|b| b.is_ascii_digit())
+    {
         return Err(bad());
     }
     if frac_part.len() > 6 {
@@ -241,6 +243,16 @@ mod tests {
     #[test]
     fn micro_decimal_fraction_is_digits_only() {
         for s in ["1.+5", "1.+", "1.5x", "1.-5", "1. 5", "1.5.0"] {
+            let err = parse_micro_decimal(s).unwrap_err().to_string();
+            assert!(err.contains("bad number"), "{s:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn micro_decimal_integer_part_is_digits_only() {
+        // `u64::parse` takes a leading `+`, so "+1.5" once read as 1.5
+        // credits.
+        for s in ["+1.5", "+2", "+.5", "-0", " 1", "1_000"] {
             let err = parse_micro_decimal(s).unwrap_err().to_string();
             assert!(err.contains("bad number"), "{s:?}: {err}");
         }
